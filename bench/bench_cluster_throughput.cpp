@@ -5,14 +5,12 @@
 // comes from per-shard ingress-pipe serialization (net::Link / EventSim);
 // functional results are produced by the real pisa pipelines either way.
 //
-// The datapath is the batched one end to end: 32-lane chunk packets
-// (amortizing the FPISA header + frame overhead over 32 values on the
-// modeled wire), encoded into reused buffers and applied through
-// FpisaSwitch::add_batch with one shard-mutex hold per wave, and collect
-// phases drained through the compiled egress read_and_reset_batch. The
-// add/collect wall-time split is reported per shard count, plus a per-slot
-// collect baseline row (read/reset round trips through the packet sim) to
-// track the batched egress speedup. A 2-lane single-shard row is kept for
+// Every layer runs the one wave engine: 32-lane chunk packets (amortizing
+// the FPISA header + frame overhead over 32 values on the modeled wire),
+// encoded into reused buffers and applied through FpisaSwitch::add_batch
+// with one shard-mutex hold per wave, and collect phases drained through
+// the compiled egress read_and_reset_batch. The add/collect wall-time
+// split is reported per shard count. A 2-lane single-shard row is kept for
 // continuity with the pre-batching numbers.
 // The bench drives everything through the unified collective API
 // (collective::ClusterCommunicator / TreeCommunicator): gradients enter as
@@ -56,8 +54,8 @@ struct RunResult {
 RunResult run_once(int shards, int lanes, std::size_t values,
                    const std::vector<std::vector<float>>& workers,
                    double gbps, double latency_us,
-                   bool batched_collect = true, int kill_shard = -1,
-                   bool fault_guard = false, bool pipeline = true) {
+                   int kill_shard = -1, bool fault_guard = false,
+                   bool pipeline = true) {
   using namespace fpisa;
   using namespace fpisa::cluster;
   ClusterOptions opts;
@@ -65,7 +63,6 @@ RunResult run_once(int shards, int lanes, std::size_t values,
   opts.lanes = lanes;
   opts.slots_per_shard = 64;
   opts.slots_per_job = 64;
-  opts.batched_collect = batched_collect;
   opts.pipeline_waves = pipeline;
   opts.failover.enabled = kill_shard >= 0;
   // Guarded datapath with every injection rate at zero: measures what the
@@ -220,11 +217,11 @@ int main() {
     double on_ms = 1e300, off_ms = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
       on_ms = std::min(on_ms, run_once(4, kLanes, kValues, workers, kGbps,
-                                       kLatencyUs, true, -1, false,
+                                       kLatencyUs, -1, false,
                                        /*pipeline=*/true)
                                   .wall_ms);
       off_ms = std::min(off_ms, run_once(4, kLanes, kValues, workers, kGbps,
-                                         kLatencyUs, true, -1, false,
+                                         kLatencyUs, -1, false,
                                          /*pipeline=*/false)
                                     .wall_ms);
     }
@@ -238,29 +235,6 @@ int main() {
                 off_ms, on_ms, on_rate / off_rate);
   }
 
-  // Compiled batched egress vs the per-slot collect baseline (read/reset
-  // round trips through the packet sim) on one shard: the collect-phase
-  // wall time is the PR 3 acceptance metric (target >= 3x).
-  const RunResult per_slot =
-      run_once(1, kLanes, kValues, workers, kGbps, kLatencyUs,
-               /*batched_collect=*/false);
-  const RunResult batched_collect =
-      run_once(1, kLanes, kValues, workers, kGbps, kLatencyUs,
-               /*batched_collect=*/true);
-  const double collect_speedup =
-      per_slot.collect_phase_ms / batched_collect.collect_phase_ms;
-  json.set("collect_phase_ms_per_slot_baseline", per_slot.collect_phase_ms);
-  json.set("collect_phase_ms_batched", batched_collect.collect_phase_ms);
-  json.set("collect_speedup_vs_per_slot", collect_speedup);
-  json.set("sim_wall_ms_per_slot_collect", per_slot.wall_ms);
-  std::printf("\ncollect phase, 1 shard: per-slot %.2f ms -> batched "
-              "read_batch %.2f ms = %.1fx (acceptance target: >= 3x)\n",
-              per_slot.collect_phase_ms, batched_collect.collect_phase_ms,
-              collect_speedup);
-  if (collect_speedup < 3.0) {
-    std::printf("warning: collect-phase speedup below the 3x target on this "
-                "machine\n");
-  }
   const double speedup_4 = rate_at_4 / base_rate;
   json.set("speedup_1_to_4", speedup_4);
   std::printf("\naggregate throughput scaling 1 -> 4 shards: %.2fx "
@@ -273,7 +247,7 @@ int main() {
   // failing. This is the failover subsystem's throughput story.
   const RunResult degraded =
       run_once(4, kLanes, kValues, workers, kGbps, kLatencyUs,
-               /*batched_collect=*/true, /*kill_shard=*/3);
+               /*kill_shard=*/3);
   const double degraded_rate =
       static_cast<double>(kValues) / degraded.modeled_s;
   json.set("values_per_s_shards_4_degraded", degraded_rate);
@@ -331,7 +305,7 @@ int main() {
   for (int i = 0; i < 2 * kTelemetryReps; ++i) {
     const auto leg = [&](bool guard) {
       return run_once(4, kLanes, kValues, workers, kGbps, kLatencyUs,
-                      /*batched_collect=*/true, /*kill_shard=*/-1, guard)
+                      /*kill_shard=*/-1, guard)
           .wall_ms;
     };
     wall_fault_base_ms = std::min(wall_fault_base_ms, leg(false));

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 #include <chrono>
 #include <exception>
 #include <memory>
 #include <stdexcept>
 #include <thread>
-
-#include "core/packed.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -30,9 +27,8 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point a,
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
-/// Independent per-(job, shard, pass) loss stream so results are
-/// deterministic regardless of pool scheduling. Pass 0 reproduces the
-/// pre-failover stream exactly; retry passes draw fresh schedules.
+}  // namespace
+
 std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
                         std::uint64_t pass) {
   std::uint64_t state = base ^ (job_id * 0x9e3779b97f4a7c15ULL) ^
@@ -40,8 +36,6 @@ std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
                         (pass * 0xc2b2ae3d27d4eb4fULL);
   return util::splitmix64(state);
 }
-
-}  // namespace
 
 AggregationService::Shard::Shard(const ClusterOptions& opts)
     : sw(opts.switch_config, shard_program_options(opts)),
@@ -61,14 +55,6 @@ AggregationService::AggregationService(ClusterOptions opts)
     if (f.shard < 0 || f.shard >= opts_.num_shards) {
       throw std::invalid_argument("cluster: fault targets unknown shard");
     }
-  }
-  // The guarded ingress protocol (epoch stamps, checksums, wave replay) is
-  // built on the batched wave datapath; the per-slot reference path stays a
-  // faithful baseline of the ORIGINAL protocol instead of growing guard
-  // branches.
-  if (opts_.fault.enabled && !opts_.batched_collect) {
-    throw std::invalid_argument(
-        "cluster: fault injection requires batched_collect");
   }
   if (opts_.fault.enabled && opts_.fault.dead_worker >= 32) {
     throw std::invalid_argument(
@@ -411,20 +397,6 @@ bool AggregationService::fire_kill_fault(int shard, FaultPhase phase,
   return false;
 }
 
-bool AggregationService::peek_kill_fault(int shard, FaultPhase phase,
-                                         std::size_t wave) const {
-  if (opts_.failover.faults.empty()) return false;
-  util::LockGuard lk(fault_mu_);
-  for (std::size_t i = 0; i < opts_.failover.faults.size(); ++i) {
-    const ShardFault& f = opts_.failover.faults[i];
-    if (fault_fired_[i] || f.kind != FaultKind::kKill) continue;
-    if (f.shard != shard || f.phase != phase) continue;
-    if (phase != FaultPhase::kBeforeJob && f.wave != wave) continue;
-    return true;
-  }
-  return false;
-}
-
 double AggregationService::slowdown_ms(int shard) const {
   // opts_ is immutable after construction: no lock needed.
   double ms = 0.0;
@@ -436,719 +408,96 @@ double AggregationService::slowdown_ms(int shard) const {
   return ms;
 }
 
-bool AggregationService::queue_add(std::uint16_t slot, std::uint8_t worker,
-                                   std::span<const std::uint32_t> values,
-                                   const JobParams& params, util::Rng& rng,
-                                   switchml::SessionStats& stats,
-                                   PacketQueue& q) {
-  // The loss schedule depends only on the task's rng stream, never on the
-  // switch, so it is drawn here in the per-packet protocol's exact order;
-  // every copy the switch would have received is queued in arrival order
-  // and applied later in one add_batch (the dedup bitmap absorbs the
-  // duplicates, exactly as it would packet by packet).
-  bool delivered_before = false;
-  for (int attempt = 0; attempt <= params.max_retransmits; ++attempt) {
-    if (attempt > 0) ++stats.retransmissions;
-    ++stats.packets_sent;
-
-    if (rng.next_double() < params.loss_rate) {
-      ++stats.packets_lost;
-      continue;  // request lost: retransmit after "timeout"
-    }
-    if (delivered_before) ++stats.duplicates_absorbed;
-    delivered_before = true;
-    q.slots.push_back(slot);
-    q.workers.push_back(worker);
-    q.values.insert(q.values.end(), values.begin(), values.end());
-
-    if (rng.next_double() < params.loss_rate) {
-      ++stats.packets_lost;
-      continue;  // ack lost: worker retransmits; switch-side bitmap dedups
-    }
-    return true;
-  }
-  return false;
-}
-
-void AggregationService::flush_wave(Shard& shard, PacketQueue& q) {
-  if (!q.empty()) {
+/// The wave engine's switch access: every phase is one hold of the shard
+/// mutex.
+struct AggregationService::ShardAccess final : switchml::SwitchAccess {
+  explicit ShardAccess(Shard& s) : shard(s) {}
+  void run(Thunk thunk, void* ctx) override {
     util::LockGuard lk(shard.mu);
-    shard.sw.add_batch(q.slots, q.workers, q.values);
+    thunk(ctx, shard.sw);
   }
-  q.clear();
-}
+  Shard& shard;
+};
 
-bool AggregationService::queue_add_guarded(
-    std::uint16_t slot, std::uint8_t worker,
-    std::span<const std::uint32_t> values, std::uint32_t stamp,
-    const JobParams& params, util::Rng& rng, switchml::SessionStats& stats,
-    fault::FaultEngine& engine) {
-  // Same loss schedule as queue_add, drawn from the same rng stream in the
-  // same order; the difference is that every delivered copy routes through
-  // the fault engine. A corrupted delivery is queued (the switch will
-  // reject and count it) but does NOT count as delivered: no ack is drawn
-  // and the retransmit loop keeps going, exactly as a worker timing out on
-  // the missing ack would behave.
-  bool delivered_before = false;
-  for (int attempt = 0; attempt <= params.max_retransmits; ++attempt) {
-    if (attempt > 0) ++stats.retransmissions;
-    ++stats.packets_sent;
-
-    if (rng.next_double() < params.loss_rate) {
-      ++stats.packets_lost;
-      continue;  // request lost: retransmit after "timeout"
-    }
-    if (!engine.deliver(slot, worker, stamp, values)) continue;  // corrupted
-    if (delivered_before) ++stats.duplicates_absorbed;
-    delivered_before = true;
-
-    if (rng.next_double() < params.loss_rate) {
-      ++stats.packets_lost;
-      continue;  // ack lost: worker retransmits; switch-side bitmap dedups
-    }
-    return true;
-  }
-  return false;
-}
-
-void AggregationService::flush_wave_guarded(Shard& shard,
-                                            switchml::SessionStats& stats,
-                                            fault::FaultEngine& engine) {
-  engine.shuffle_pending();
-  if (engine.pending() != 0) {
-    pisa::FpisaSwitch::GuardStats guard;
-    {
-      util::LockGuard lk(shard.mu);
-      shard.sw.add_batch_guarded(engine.slots(), engine.workers(),
-                                 engine.stamps(), engine.checksums(),
-                                 engine.values(), guard);
-    }
-    stats.faults.corrupt_rejected += guard.corrupt_rejected;
-    stats.faults.stale_dups_rejected += guard.stale_rejected;
-  }
-  engine.clear_pending();
-}
-
-void AggregationService::resync_shard_stamps(Shard& shard,
-                                             const SlotRange& range,
-                                             WaveScratch& scratch) {
-  util::LockGuard lk(shard.mu);
-  scratch.stamps.resize(range.size());
-  for (std::size_t k = 0; k < range.size(); ++k) {
-    scratch.stamps[k] =
-        shard.sw.slot_stamp(static_cast<std::uint16_t>(range.lo + k));
-  }
-  scratch.mirror_generation = shard.sw.generation();
-}
-
-void AggregationService::recover_shard_wave(
-    int shard_idx, Shard& shard, const SlotRange& range,
-    const std::vector<std::size_t>& chunks,
-    std::span<const std::span<const float>> workers, std::size_t base,
-    std::size_t wave_end, std::size_t wave_index,
-    switchml::SessionStats& stats, fault::FaultEngine& engine,
-    std::uint32_t dead_mask, WaveScratch& scratch) {
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const std::size_t n = workers.empty() ? 0 : workers.front().size();
-  const std::size_t wave_n = wave_end - base;
-  const int nw = static_cast<int>(workers.size());
-
-  // State loss: while the switch generation disagrees with the mirror,
-  // everything this wave added (including whatever the engine injected) is
-  // gone. Re-encode the wave from the host-held gradients with fresh
-  // stamps and apply it through one reliable guarded batch — the dedup
-  // bitmap absorbs any packets that DID survive, so replay is idempotent.
-  int replays = 0;
-  for (;;) {
-    bool mismatch;
-    {
-      util::LockGuard lk(shard.mu);
-      mismatch = shard.sw.generation() != scratch.mirror_generation;
-    }
-    if (!mismatch) break;
-    if (replays++ >= opts_.fault.max_wave_replays) {
-      // Composes with shard failover: a switch that cannot hold state long
-      // enough to replay one wave is as dead as one that drops every
-      // packet.
-      throw ShardDeadError(
-          shard_idx, "cluster: switch state loss exceeded wave-replay budget");
-    }
-    resync_shard_stamps(shard, range, scratch);
-    ++stats.faults.epoch_bumps;
-    scratch.pkts.clear();
-    scratch.replay_stamps.clear();
-    scratch.replay_checksums.clear();
-    for (std::size_t k = base; k < wave_end; ++k) {
-      const std::size_t c = chunks[k];
-      const auto slot = static_cast<std::uint16_t>(range.lo + (k - base));
-      for (int w = 0; w < nw; ++w) {
-        if (dead_mask & (1u << static_cast<unsigned>(w))) continue;
-        if (engine.worker_silent(w, wave_index)) continue;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const std::size_t i = c * lanes + l;
-          scratch.lane_buf[l] =
-              i < n
-                  ? core::fp32_bits(workers[static_cast<std::size_t>(w)][i])
-                  : 0;
-        }
-        const std::uint32_t stamp = scratch.stamps[k - base];
-        scratch.pkts.slots.push_back(slot);
-        scratch.pkts.workers.push_back(static_cast<std::uint8_t>(w));
-        scratch.pkts.values.insert(scratch.pkts.values.end(),
-                                   scratch.lane_buf.begin(),
-                                   scratch.lane_buf.end());
-        scratch.replay_stamps.push_back(stamp);
-        scratch.replay_checksums.push_back(pisa::fpisa_checksum(
-            slot, static_cast<std::uint8_t>(w), stamp, scratch.lane_buf));
-      }
-    }
-    if (!scratch.pkts.empty()) {
-      pisa::FpisaSwitch::GuardStats guard;
-      util::LockGuard lk(shard.mu);
-      shard.sw.add_batch_guarded(scratch.pkts.slots, scratch.pkts.workers,
-                                 scratch.replay_stamps,
-                                 scratch.replay_checksums,
-                                 scratch.pkts.values, guard);
-      stats.faults.corrupt_rejected += guard.corrupt_rejected;
-      stats.faults.stale_dups_rejected += guard.stale_rejected;
-    }
-    scratch.pkts.clear();
-    ++stats.faults.waves_replayed;
+/// The shard task's hook points into the wave engine.
+struct AggregationService::ShardHooks final : switchml::WaveHooks {
+  ShardHooks(AggregationService& svc, int shard, telemetry::Trace* trace,
+             telemetry::Trace::SpanId span)
+      : svc(svc),
+        shard(shard),
+        straggle_ms(svc.slowdown_ms(shard)),
+        trace(trace),
+        span(span) {}
+  /// Phase time reaches the registry once per task, completed waves only
+  /// (a ShardDeadError unwinds past the waves it cut short).
+  ~ShardHooks() override {
+    const auto& h = svc.m_shard_phase_[static_cast<std::size_t>(shard)];
+    h[0]->observe(static_cast<double>(add_ns) * 1e-9);
+    h[1]->observe(static_cast<double>(collect_ns) * 1e-9);
   }
 
-  // Wave deadline: a worker whose dedup bit is set in NO slot of the wave
-  // contributed nothing — its data is never coming (a merely unlucky
-  // worker reaches at least one slot; total per-worker loss is what the
-  // retransmit budget already bounds). Declare the lowest such worker dead.
-  std::uint32_t expected = 0;
-  for (int w = 0; w < nw; ++w) {
-    if (!(dead_mask & (1u << static_cast<unsigned>(w)))) {
-      expected |= 1u << static_cast<unsigned>(w);
-    }
-  }
-  scratch.bitmaps.assign(wave_n, 0);
-  {
-    util::LockGuard lk(shard.mu);
-    shard.sw.read_batch(static_cast<std::uint16_t>(range.lo), wave_n,
-                        {scratch.wave_values.data(), wave_n * lanes},
-                        scratch.bitmaps);
-  }
-  std::uint32_t missing = expected;
-  for (std::size_t k = 0; k < wave_n; ++k) {
-    missing &= expected & ~scratch.bitmaps[k];
-  }
-  if (missing != 0) {
-    throw fault::WorkerDeadError(std::countr_zero(missing), wave_index);
-  }
-}
-
-void AggregationService::collect_wave(
-    int shard_idx, Shard& shard, const SlotRange& range,
-    const std::vector<std::size_t>& chunks, std::size_t base,
-    std::size_t wave_end, std::span<float> result, const JobParams& params,
-    util::Rng& rng, switchml::SessionStats& stats, WaveScratch& scratch) {
-  // Draw every slot's read + reset loss schedule in the per-packet order
-  // (the schedule depends only on the task's rng stream, never on the
-  // switch); switchml::draw_collect_schedule is the single source of truth
-  // for this protocol order across the session and cluster layers. The
-  // pipelined loop draws the same schedule earlier (at encode time, after
-  // the wave's add draws) and lands in apply_collect directly.
-  const switchml::CollectSchedule sched = switchml::draw_collect_schedule(
-      wave_end - base, params.loss_rate, params.max_retransmits, rng, stats);
-  apply_collect(shard_idx, shard, range, chunks, base, wave_end, result,
-                sched, scratch);
-}
-
-void AggregationService::apply_collect(
-    int shard_idx, Shard& shard, const SlotRange& range,
-    const std::vector<std::size_t>& chunks, std::size_t base,
-    std::size_t wave_end, std::span<float> result,
-    const switchml::CollectSchedule& sched, WaveScratch& scratch) {
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const std::size_t n = result.size();
-  const std::size_t wave_n = wave_end - base;
-
-  // Apply the cleared prefix in one compiled-egress call under a single
-  // mutex hold (values are read before the clear, exactly the per-slot
-  // read-then-reset order; a failed slot and everything after it stay
-  // untouched, as they would per-packet).
-  {
-    util::LockGuard lk(shard.mu);
-    shard.sw.read_and_reset_batch(
-        static_cast<std::uint16_t>(range.lo), sched.cleared,
-        {scratch.wave_values.data(), sched.cleared * lanes});
-    shard.sw.sim().account_packets(sched.delivered - sched.cleared);
-  }
-  if (sched.failure == 1) {
-    throw ShardDeadError(shard_idx,
-                         "cluster: read packet exceeded max_retransmits");
-  }
-  if (sched.failure == 2) {
-    // A dirty slot would poison the range's next tenant via the dedup
-    // bitmap — fail loudly instead of finishing with a hidden leak.
-    throw ShardDeadError(shard_idx,
-                         "cluster: reset packet exceeded max_retransmits");
-  }
-
-  for (std::size_t k = 0; k < wave_n; ++k) {
-    const std::size_t c = chunks[base + k];
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t i = c * lanes + l;
-      if (i < n) {
-        result[i] = core::fp32_value(scratch.wave_values[k * lanes + l]);
-      }
-    }
-  }
-}
-
-void AggregationService::scrub_range(Shard& shard, const SlotRange& range) {
-  util::LockGuard lk(shard.mu);
-  for (std::size_t s = range.lo; s < range.hi; ++s) {
-    (void)shard.sw.read_and_reset(static_cast<std::uint16_t>(s));
-  }
-}
-
-void AggregationService::run_shard_chunks(
-    int shard_idx, Shard& shard, const SlotRange& range,
-    const std::vector<std::size_t>& chunks,
-    std::span<const std::span<const float>> workers, std::span<float> result,
-    const JobParams& params, util::Rng& rng, switchml::SessionStats& stats,
-    fault::FaultEngine* engine, std::uint32_t dead_mask,
-    telemetry::Trace* trace, telemetry::Trace::SpanId parent) {
-  telemetry::ScopedSpan shard_span(trace, "shard", parent);
-  shard_span.annotate("shard", std::to_string(shard_idx));
-  shard_span.annotate("chunks", std::to_string(chunks.size()));
-  if (fire_kill_fault(shard_idx, FaultPhase::kBeforeJob, 0)) {
-    throw ShardDeadError(shard_idx,
-                         "cluster: shard killed before job (injected)");
-  }
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const std::size_t n = result.size();
-  const int nw = static_cast<int>(workers.size());
-  const std::size_t wave = range.size();
-  if (wave == 0 && !chunks.empty()) {
-    // Belt-and-braces: a task with chunks but no slot range would loop
-    // forever below. run_job's liveness snapshot makes this unreachable;
-    // fail loudly if that invariant ever breaks — as a logic_error, NOT a
-    // ShardDeadError, so the failover machinery cannot misread an internal
-    // bug as an organic shard death and silently "recover" from it.
-    throw std::logic_error("cluster: shard task has no slot range");
-  }
-  const double straggle_ms = slowdown_ms(shard_idx);
-  WaveScratch scratch;
-  scratch.lane_buf.assign(lanes, 0);
-  scratch.wave_values.assign(wave * lanes, 0);
-  // Guarded protocol: seed the host-side stamp mirror from the switch so
-  // every add this task sends carries the epoch the slot currently expects.
-  if (engine != nullptr) resync_shard_stamps(shard, range, scratch);
-
-  // Pipelined wave loop: pure-loss batched collect only. The guarded fault
-  // protocol serializes by construction (wave N+1's epoch stamps come out
-  // of wave N's collect — and replay recovery can resync them arbitrarily
-  // — so its pipeline would drain every wave), and the per-slot collect
-  // reference predates the batched schedule the pipeline pre-draws.
-  if (opts_.pipeline_waves && opts_.batched_collect && engine == nullptr) {
-    run_wave_pipeline(shard_idx, shard, range, chunks, workers, result,
-                      params, rng, stats, dead_mask, trace, shard_span.id(),
-                      scratch, straggle_ms);
-    return;
-  }
-  using Clock = std::chrono::steady_clock;
-
-  std::size_t wave_index = 0;
-  for (std::size_t base = 0; base < chunks.size(); base += wave, ++wave_index) {
-    const std::size_t wave_end = std::min(base + wave, chunks.size());
-    if (engine != nullptr) engine->begin_wave(wave_index);
+  void begin_wave(std::size_t /*wave*/) override {
     if (straggle_ms > 0.0) {
       // Injected straggler: the shard still answers, just late.
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(straggle_ms));
     }
-    const auto t_submit = Clock::now();
-    // Submit phase: encode every (chunk, worker) packet of the wave into
-    // the reused flat buffers, drawing the loss schedule as we go, then
-    // apply the whole wave with ONE shard-mutex hold (the per-packet
-    // protocol locked per traversal — pure contention with zero benefit,
-    // since concurrent jobs own disjoint slot ranges).
-    const std::size_t mid = base + (wave_end - base) / 2;
-    for (std::size_t k = base; k < wave_end; ++k) {
-      if (k == mid &&
-          fire_kill_fault(shard_idx, FaultPhase::kMidAdd, wave_index)) {
-        // Deliver what the switch already received before dying, so the
-        // corpse's registers hold exactly the partial state a real
-        // mid-wave death would leave.
-        if (engine != nullptr) {
-          flush_wave_guarded(shard, stats, *engine);
-        } else {
-          flush_wave(shard, scratch.pkts);
-        }
-        throw ShardDeadError(shard_idx,
-                             "cluster: shard killed mid-add (injected)");
-      }
-      const std::size_t c = chunks[k];
-      const auto slot = static_cast<std::uint16_t>(range.lo + (k - base));
-      for (int w = 0; w < nw; ++w) {
-        if (dead_mask & (1u << static_cast<unsigned>(w))) continue;
-        if (engine != nullptr && engine->worker_silent(w, wave_index)) {
-          continue;  // injected death: this worker's packets never arrive
-        }
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const std::size_t i = c * lanes + l;
-          scratch.lane_buf[l] =
-              i < n
-                  ? core::fp32_bits(workers[static_cast<std::size_t>(w)][i])
-                  : 0;
-        }
-        const bool ok =
-            engine != nullptr
-                ? queue_add_guarded(slot, static_cast<std::uint8_t>(w),
-                                    scratch.lane_buf, scratch.stamps[k - base],
-                                    params, rng, stats, *engine)
-                : queue_add(slot, static_cast<std::uint8_t>(w),
-                            scratch.lane_buf, params, rng, stats,
-                            scratch.pkts);
-        if (!ok) {
-          // Deliver what the switch already received, so failure leaves
-          // the same register state the per-packet protocol would.
-          if (engine != nullptr) {
-            flush_wave_guarded(shard, stats, *engine);
-          } else {
-            flush_wave(shard, scratch.pkts);
-          }
-          throw ShardDeadError(
-              shard_idx,
-              "cluster: aggregation packet exceeded max_retransmits");
-        }
-      }
-    }
-    if (engine != nullptr) {
-      flush_wave_guarded(shard, stats, *engine);
-    } else {
-      flush_wave(shard, scratch.pkts);
-    }
-    const auto t_collect = Clock::now();
-    // One clock reading feeds both instruments: the histogram observation
-    // and the retroactive span share t_submit/t_collect exactly, so traced
-    // wave wall-times agree with phase_breakdown() to the nanosecond.
-    m_shard_phase_[static_cast<std::size_t>(shard_idx)][0]->observe(
-        static_cast<double>(elapsed_ns(t_submit, t_collect)) * 1e-9);
-    if (trace) {
-      const auto add_span =
-          trace->begin_at("add_wave", shard_span.id(), t_submit);
-      trace->annotate(add_span, "wave", std::to_string(wave_index));
-      trace->end_at(add_span, t_collect);
-    }
-
-    if (engine != nullptr) {
-      // Injected whole-switch state loss lands after the wave's adds (the
-      // moment it hurts most), then recovery: replay the wave while the
-      // generation disagrees with the mirror, and probe the wave's dedup
-      // bitmaps for a worker that reached no slot at all.
-      if (engine->should_wipe(wave_index)) {
-        util::LockGuard lk(shard.mu);
-        shard.sw.wipe_state();
-      }
-      recover_shard_wave(shard_idx, shard, range, chunks, workers, base,
-                         wave_end, wave_index, stats, *engine, dead_mask,
-                         scratch);
-    }
-
-    if (fire_kill_fault(shard_idx, FaultPhase::kMidCollect, wave_index)) {
-      // Die halfway through the collect: the first half of the wave's
-      // slots got their read-and-reset through, the rest keep their sums
-      // AND their dedup-bitmap bits — exactly the state scrub_range must
-      // clean before the range can serve another tenant.
-      const std::size_t half = (wave_end - base) / 2;
-      {
-        util::LockGuard lk(shard.mu);
-        shard.sw.read_and_reset_batch(
-            static_cast<std::uint16_t>(range.lo), half,
-            {scratch.wave_values.data(), half * lanes});
-      }
-      throw ShardDeadError(shard_idx,
-                           "cluster: shard killed mid-collect (injected)");
-    }
-
-    // Collect phase: idempotent read then reset per chunk. Batched: one
-    // compiled-egress read_and_reset_batch over the wave's slots (the
-    // default). Per-slot reference: read/reset round trips through the
-    // packet sim, all switch operations of the wave under one mutex hold,
-    // in the per-packet protocol's exact order (reads don't mutate; resets
-    // only touch this job's private slots, so coarser locking is
-    // externally invisible).
-    const auto note_collect = [&](Clock::time_point t_done) {
-      m_shard_phase_[static_cast<std::size_t>(shard_idx)][1]->observe(
-          static_cast<double>(elapsed_ns(t_collect, t_done)) * 1e-9);
-      if (trace) {
-        const auto collect_span =
-            trace->begin_at("collect_wave", shard_span.id(), t_collect);
-        trace->annotate(collect_span, "wave", std::to_string(wave_index));
-        trace->end_at(collect_span, t_done);
-      }
+  }
+  bool kill_mid_add(std::size_t wave) override {
+    return svc.fire_kill_fault(shard, FaultPhase::kMidAdd, wave);
+  }
+  bool kill_mid_collect(std::size_t wave) override {
+    return svc.fire_kill_fault(shard, FaultPhase::kMidCollect, wave);
+  }
+  void end_wave(const switchml::WaveTiming& t) override {
+    add_ns += t.add_ns;
+    collect_ns += t.collect_ns;
+    if (trace == nullptr) return;
+    // The spans are sized by the same integer nanoseconds the histograms
+    // sum, so traced wave time equals phase_breakdown() exactly. Packing a
+    // pipelined wave overlaps the previous collect_wave span, and the
+    // trace shows that overlap.
+    const std::string wave = std::to_string(t.wave);
+    const auto add_span = trace->begin_at(
+        "add_wave", span, t.add_end - std::chrono::nanoseconds(t.add_ns));
+    trace->annotate(add_span, "wave", wave);
+    trace->end_at(add_span, t.add_end);
+    const auto collect_span = trace->begin_at(
+        "collect_wave", span,
+        t.collect_end - std::chrono::nanoseconds(t.collect_ns));
+    trace->annotate(collect_span, "wave", wave);
+    trace->end_at(collect_span, t.collect_end);
+  }
+  [[noreturn]] void fail(switchml::WaveFailure failure, std::uint16_t,
+                         int) override {
+    // Every failure is a shard death, so it composes with failover: a
+    // switch that cannot hold state long enough to replay one wave is as
+    // dead as one that drops every packet, and a dirty slot must never
+    // reach the range's next tenant.
+    static constexpr const char* kWhy[] = {
+        "cluster: aggregation packet exceeded max_retransmits",
+        "cluster: read packet exceeded max_retransmits",
+        "cluster: reset packet exceeded max_retransmits",
+        "cluster: switch state loss exceeded wave-replay budget",
+        "cluster: shard killed mid-add (injected)",
+        "cluster: shard killed mid-collect (injected)",
     };
-    if (opts_.batched_collect) {
-      collect_wave(shard_idx, shard, range, chunks, base, wave_end, result,
-                   params, rng, stats, scratch);
-      if (engine != nullptr) {
-        // The collect reset every wave slot, bumping its epoch on the
-        // switch — advance the mirror in lockstep so the next wave's adds
-        // carry the fresh stamp (and any still-buffered ghost from THIS
-        // wave is now provably stale).
-        for (std::size_t k = 0; k < wave_end - base; ++k) {
-          scratch.stamps[k] = (scratch.stamps[k] & 0xFFFF0000u) |
-                              ((scratch.stamps[k] + 1u) & 0xFFFFu);
-        }
-      }
-      note_collect(Clock::now());
-      continue;
-    }
-    {
-      util::LockGuard lk(shard.mu);
-      for (std::size_t k = base; k < wave_end; ++k) {
-        const std::size_t c = chunks[k];
-        const auto slot = static_cast<std::uint16_t>(range.lo + (k - base));
-        bool have = false;
-        for (int attempt = 0; attempt <= params.max_retransmits && !have;
-             ++attempt) {
-          ++stats.packets_sent;
-          if (rng.next_double() < params.loss_rate) {
-            ++stats.packets_lost;
-            continue;
-          }
-          shard.sw.read_into(slot, scratch.result_buf);
-          if (rng.next_double() < params.loss_rate) {
-            ++stats.packets_lost;
-            continue;
-          }
-          have = true;
-        }
-        if (!have) {
-          throw ShardDeadError(
-              shard_idx, "cluster: read packet exceeded max_retransmits");
-        }
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const std::size_t i = c * lanes + l;
-          if (i < n) result[i] = core::fp32_value(scratch.result_buf.values[l]);
-        }
-        bool cleared = false;
-        for (int attempt = 0; attempt <= params.max_retransmits; ++attempt) {
-          ++stats.packets_sent;
-          if (rng.next_double() < params.loss_rate) {
-            ++stats.packets_lost;
-            continue;
-          }
-          shard.sw.read_and_reset_into(slot, scratch.result_buf);
-          ++stats.slot_reuses;
-          cleared = true;
-          if (rng.next_double() >= params.loss_rate) break;
-          ++stats.packets_lost;  // ack lost: re-clearing is harmless
-        }
-        if (!cleared) {
-          // A dirty slot would poison the range's next tenant via the dedup
-          // bitmap — fail loudly instead of finishing with a hidden leak.
-          throw ShardDeadError(
-              shard_idx, "cluster: reset packet exceeded max_retransmits");
-        }
-      }
-    }
-    note_collect(Clock::now());
+    throw ShardDeadError(shard, kWhy[static_cast<std::size_t>(failure)]);
   }
-}
 
-void AggregationService::encode_wave(
-    WaveBank& bank, std::size_t wave_index, std::size_t base,
-    std::size_t wave_end, int shard_idx, Shard& shard, const SlotRange& range,
-    const std::vector<std::size_t>& chunks,
-    std::span<const std::span<const float>> workers, std::size_t result_n,
-    const JobParams& params, util::Rng& rng, switchml::SessionStats& stats,
-    std::uint32_t dead_mask, WaveScratch& scratch) {
-  using Clock = std::chrono::steady_clock;
-  const auto t0 = Clock::now();
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const int nw = static_cast<int>(workers.size());
-  bank.pkts.clear();
-  bank.base = base;
-  bank.end = wave_end;
-  bank.index = wave_index;
-  bank.sched = {};
-  bank.sched_drawn = false;
-  bank.add_failed = false;
-  bank.kill_pending = false;
-  bank.encode_ns = 0;
-  const std::size_t mid = base + (wave_end - base) / 2;
-  for (std::size_t k = base; k < wave_end; ++k) {
-    if (k == mid &&
-        fire_kill_fault(shard_idx, FaultPhase::kMidAdd, wave_index)) {
-      // Deliver what the switch already received before dying, so the
-      // corpse's registers hold the partial state a real mid-wave death
-      // would leave (the range is scrubbed before reuse either way).
-      flush_wave(shard, bank.pkts);
-      throw ShardDeadError(shard_idx,
-                           "cluster: shard killed mid-add (injected)");
-    }
-    const std::size_t c = chunks[k];
-    const auto slot = static_cast<std::uint16_t>(range.lo + (k - base));
-    for (int w = 0; w < nw; ++w) {
-      if (dead_mask & (1u << static_cast<unsigned>(w))) continue;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::size_t i = c * lanes + l;
-        scratch.lane_buf[l] =
-            i < result_n
-                ? core::fp32_bits(workers[static_cast<std::size_t>(w)][i])
-                : 0;
-      }
-      if (!queue_add(slot, static_cast<std::uint8_t>(w), scratch.lane_buf,
-                     params, rng, stats, bank.pkts)) {
-        // Mark and return WITHOUT drawing the collect schedule: the serial
-        // path dies at the flush, before any collect draw of this wave.
-        bank.add_failed = true;
-        bank.encode_ns = elapsed_ns(t0, Clock::now());
-        return;
-      }
-    }
-  }
-  // The wave's collect schedule is pre-drawn HERE — immediately after its
-  // add draws, from the same rng stream — so the pipelined global draw
-  // order (add_k, collect_k, add_k+1, ...) is exactly the serial path's.
-  // An injected mid-collect kill precedes the draw in the serial loop, so
-  // a pending one suppresses it the same way (the claim itself happens at
-  // the apply stage, where the death executes).
-  bank.kill_pending =
-      peek_kill_fault(shard_idx, FaultPhase::kMidCollect, wave_index);
-  if (!bank.kill_pending) {
-    bank.sched = switchml::draw_collect_schedule(
-        wave_end - base, params.loss_rate, params.max_retransmits, rng,
-        stats);
-    bank.sched_drawn = true;
-  }
-  bank.encode_ns = elapsed_ns(t0, Clock::now());
-}
-
-void AggregationService::run_wave_pipeline(
-    int shard_idx, Shard& shard, const SlotRange& range,
-    const std::vector<std::size_t>& chunks,
-    std::span<const std::span<const float>> workers, std::span<float> result,
-    const JobParams& params, util::Rng& rng, switchml::SessionStats& stats,
-    std::uint32_t dead_mask, telemetry::Trace* trace,
-    telemetry::Trace::SpanId shard_span, WaveScratch& scratch,
-    double straggle_ms) {
-  using Clock = std::chrono::steady_clock;
-  if (chunks.empty()) return;
-  const std::size_t wave = range.size();
-  const std::size_t n = result.size();
-  const std::size_t n_waves = (chunks.size() + wave - 1) / wave;
-
-  // Batched telemetry: the pipeline accumulates phase nanoseconds locally
-  // and observes each histogram ONCE per shard task instead of per wave
-  // (the scope guard books completed waves even when a ShardDeadError
-  // unwinds). The per-wave trace spans reuse the same integer-nanosecond
-  // durations, so traced totals still equal phase_breakdown() exactly.
+  AggregationService& svc;
+  int shard;
+  double straggle_ms;
+  telemetry::Trace* trace;
+  telemetry::Trace::SpanId span;
   std::uint64_t add_ns = 0;
   std::uint64_t collect_ns = 0;
-  const auto phase = m_shard_phase_[static_cast<std::size_t>(shard_idx)];
-  struct PhaseGuard {
-    telemetry::Histogram* add;
-    telemetry::Histogram* collect;
-    const std::uint64_t* add_ns;
-    const std::uint64_t* collect_ns;
-    ~PhaseGuard() {
-      add->observe(static_cast<double>(*add_ns) * 1e-9);
-      collect->observe(static_cast<double>(*collect_ns) * 1e-9);
-    }
-  } phase_guard{phase[0], phase[1], &add_ns, &collect_ns};
+};
 
-  // Two-stage software pipeline over ping-pong banks:
-  //   E(k): encode wave k (pack packets, draw add + collect schedules)
-  //   F(k): flush wave k's adds (one mutex hold)
-  //   C(k): apply wave k's pre-drawn collect (one mutex hold) + scatter
-  // executed as E(0), then per wave: F(k), E(k+1), C(k) — the host packs
-  // the NEXT bank between handing the switch this wave's adds and draining
-  // its collect, which is exactly where a real NIC would overlap them.
-  // C(k) still precedes F(k+1), so slots are always reset before reuse.
-  std::array<WaveBank, 2> banks;
-  encode_wave(banks[0], 0, 0, std::min(wave, chunks.size()), shard_idx, shard,
-              range, chunks, workers, n, params, rng, stats, dead_mask,
-              scratch);
-  for (std::size_t k = 0; k < n_waves; ++k) {
-    WaveBank& cur = banks[k & 1];
-    WaveBank& next = banks[(k + 1) & 1];
-    if (straggle_ms > 0.0) {
-      // Injected straggler: the shard still answers, just late.
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(straggle_ms));
-    }
-    // F(k): hand the switch the wave. On encode-time retransmit exhaustion
-    // the partial flush still happens first — the exact register state the
-    // serial path leaves — and the wave books no phase time (serial dies
-    // before its observation point too).
-    const auto t_f0 = Clock::now();
-    flush_wave(shard, cur.pkts);
-    if (cur.add_failed) {
-      throw ShardDeadError(
-          shard_idx, "cluster: aggregation packet exceeded max_retransmits");
-    }
-    const auto t_f1 = Clock::now();
-    const std::uint64_t wave_add_ns = cur.encode_ns + elapsed_ns(t_f0, t_f1);
-    add_ns += wave_add_ns;
-    if (trace) {
-      // The span is drawn as the contiguous window ending at flush
-      // completion, sized encode+flush — under pipelining the encode
-      // genuinely overlaps the previous collect_wave span, and the trace
-      // shows that overlap honestly.
-      const auto add_span = trace->begin_at(
-          "add_wave", shard_span,
-          t_f1 - std::chrono::nanoseconds(wave_add_ns));
-      trace->annotate(add_span, "wave", std::to_string(cur.index));
-      trace->end_at(add_span, t_f1);
-    }
-    // E(k+1): pre-pack the next wave while this wave's collect drains.
-    // Skipped when this wave is already doomed (collect-schedule failure or
-    // a pending injected kill): the serial path never reaches wave k+1's
-    // encode, so its rng draws must not happen here either.
-    if (k + 1 < n_waves && cur.sched_drawn && cur.sched.failure == 0) {
-      encode_wave(next, k + 1, (k + 1) * wave,
-                  std::min((k + 2) * wave, chunks.size()), shard_idx, shard,
-                  range, chunks, workers, n, params, rng, stats, dead_mask,
-                  scratch);
-    }
-    // C(k): drain the collect.
-    const auto t_c0 = Clock::now();
-    if (cur.kill_pending) {
-      if (fire_kill_fault(shard_idx, FaultPhase::kMidCollect, cur.index)) {
-        // Die halfway through the collect: the first half of the wave's
-        // slots got their read-and-reset through, the rest keep their sums
-        // AND their dedup-bitmap bits — exactly the state scrub_range must
-        // clean before the range can serve another tenant.
-        const auto lanes = static_cast<std::size_t>(opts_.lanes);
-        const std::size_t half = (cur.end - cur.base) / 2;
-        {
-          util::LockGuard lk(shard.mu);
-          shard.sw.read_and_reset_batch(
-              static_cast<std::uint16_t>(range.lo), half,
-              {scratch.wave_values.data(), half * lanes});
-        }
-        throw ShardDeadError(shard_idx,
-                             "cluster: shard killed mid-collect (injected)");
-      }
-      // Another task claimed the one-shot fault between our peek and now
-      // (possible only with concurrent jobs targeting the same injected
-      // fault). This wave lives after all: draw its schedule now.
-      cur.sched = switchml::draw_collect_schedule(
-          cur.end - cur.base, params.loss_rate, params.max_retransmits, rng,
-          stats);
-      cur.sched_drawn = true;
-    }
-    apply_collect(shard_idx, shard, range, chunks, cur.base, cur.end, result,
-                  cur.sched, scratch);
-    const auto t_c1 = Clock::now();
-    collect_ns += elapsed_ns(t_c0, t_c1);
-    if (trace) {
-      const auto collect_span =
-          trace->begin_at("collect_wave", shard_span, t_c0);
-      trace->annotate(collect_span, "wave", std::to_string(cur.index));
-      trace->end_at(collect_span, t_c1);
-    }
-  }
+void AggregationService::scrub_range(Shard& shard, const SlotRange& range) {
+  ShardAccess access(shard);
+  switchml::WaveEngine(opts_.lanes)
+      .scrub(access, static_cast<std::uint16_t>(range.lo), range.size());
 }
 
 JobReport AggregationService::reduce_admitted(const JobRequest& job) {
@@ -1182,19 +531,50 @@ JobReport AggregationService::reduce(const JobView& job,
 void AggregationService::run_pass_task(PassContext& ctx, int shard) {
   const auto s = static_cast<std::size_t>(shard);
   PassContext::ShardSlot& slot = ctx.slots[s];
-  util::Rng rng(task_seed(opts_.loss_seed, ctx.job_id, shard, ctx.pass));
-  // One deterministic fault stream per (job, shard, pass), exactly like
-  // the loss stream: replaying a job replays its faults.
-  std::unique_ptr<fault::FaultEngine> engine;
-  if (opts_.fault.enabled) {
-    engine = std::make_unique<fault::FaultEngine>(
-        opts_.fault, task_seed(opts_.fault.seed, ctx.job_id, shard, ctx.pass),
-        opts_.lanes);
-  }
+  const std::vector<std::size_t>& chunks = (*ctx.parts)[s];
+  const SlotRange& range = (*ctx.ranges)[s];
+  telemetry::ScopedSpan shard_span(ctx.trace, "shard", ctx.pass_span);
+  shard_span.annotate("shard", std::to_string(shard));
+  shard_span.annotate("chunks", std::to_string(chunks.size()));
   try {
-    run_shard_chunks(shard, *shards_[s], (*ctx.ranges)[s], (*ctx.parts)[s],
-                     ctx.workers, ctx.out, ctx.params, rng, slot.stats,
-                     engine.get(), ctx.dead_mask, ctx.trace, ctx.pass_span);
+    if (fire_kill_fault(shard, FaultPhase::kBeforeJob, 0)) {
+      throw ShardDeadError(shard,
+                           "cluster: shard killed before job (injected)");
+    }
+    if (range.empty() && !chunks.empty()) {
+      // Belt-and-braces: run_job's liveness snapshot makes this
+      // unreachable. A logic_error, NOT a ShardDeadError, so the failover
+      // machinery cannot misread an internal bug as an organic shard death
+      // and silently "recover" from it.
+      throw std::logic_error("cluster: shard task has no slot range");
+    }
+    // One deterministic loss and fault stream per (job, shard, pass):
+    // replaying a job replays both.
+    util::Rng rng(task_seed(opts_.loss_seed, ctx.job_id, shard, ctx.pass));
+    std::unique_ptr<fault::FaultEngine> faults;
+    if (opts_.fault.enabled) {
+      faults = std::make_unique<fault::FaultEngine>(
+          opts_.fault,
+          task_seed(opts_.fault.seed, ctx.job_id, shard, ctx.pass),
+          opts_.lanes);
+    }
+    ShardAccess access(*shards_[s]);
+    ShardHooks hooks(*this, shard, ctx.trace, shard_span.id());
+    switchml::WaveJob job;
+    job.workers = ctx.workers;
+    job.chunks = chunks;
+    job.out = ctx.out;
+    job.lo = static_cast<std::uint16_t>(range.lo);
+    job.wave = range.size();
+    job.loss_rate = ctx.params.loss_rate;
+    job.max_retransmits = ctx.params.max_retransmits;
+    job.rng = &rng;
+    job.stats = &slot.stats;
+    job.dead_mask = ctx.dead_mask;
+    job.faults = faults.get();
+    job.pipeline = opts_.pipeline_waves;
+    job.hooks = &hooks;
+    switchml::WaveEngine(opts_.lanes).run(access, job);
   } catch (...) {
     slot.error = std::current_exception();
   }

@@ -2,12 +2,11 @@
 // pool of pisa::FpisaSwitch shards (element-space sharding via ShardRouter),
 // drives the shards concurrently from per-shard persistent workers fed
 // through lock-free mailboxes, and keeps per-tenant and per-shard protocol
-// statistics. The per-shard protocol is the SwitchML-style packet loop of
-// switchml::AggregationSession (add with retransmission, idempotent read,
-// read-and-reset slot recycling), operating on a tenant-private SlotRange so
-// concurrent jobs never collide. The wave loop runs as a two-stage software
-// pipeline (encode wave N+1 while wave N's collect drains) that stays
-// bit-identical to the serial reference — see README "Execution model".
+// statistics. Each shard task runs the one switchml::WaveEngine (the same
+// wave protocol as AggregationSession: add with retransmission, idempotent
+// read, read-and-reset slot recycling) over a tenant-private SlotRange so
+// concurrent jobs never collide; the task itself only routes, injects
+// faults and accounts — see README "Execution model".
 #pragma once
 
 #include <array>
@@ -53,11 +52,6 @@ struct ClusterOptions {
   double loss_rate = 0.0;            ///< per-packet drop probability (each way)
   std::uint64_t loss_seed = 1;
   int max_retransmits = 64;
-  /// Deprecated (kept for source compatibility): the execution engine now
-  /// runs exactly one persistent worker per shard under kWorkers dispatch —
-  /// shard affinity is the point, so an arbitrary pool size no longer
-  /// exists to configure.
-  int worker_threads = 0;
   /// How shard tasks of a pass execute.
   ///  * kWorkers: one persistent worker thread per shard, each owning its
   ///    switch, fed through a lock-free mailbox — a pass dispatch is one
@@ -72,21 +66,13 @@ struct ClusterOptions {
   /// (job, shard, pass), never scheduled.
   enum class DispatchMode { kAuto, kWorkers, kInline };
   DispatchMode dispatch = DispatchMode::kAuto;
-  /// Two-stage software pipeline in the wave loop: while the switch drains
-  /// wave N's collect, the host pre-packs wave N+1's packets and pre-draws
-  /// BOTH of wave N+1's loss schedules (add + collect) from the task rng.
-  /// The global draw order (add0, collect0, add1, collect1, ...) is exactly
-  /// the serial path's, so results AND SessionStats stay bit-identical
-  /// (pinned by test_cluster_pipeline). The guarded fault protocol
-  /// (fault.enabled) and the per-slot collect reference keep the serial
-  /// loop: wave N+1's epoch stamps depend on wave N's collect, so the
-  /// pipeline would drain every wave anyway.
+  /// Where the wave engine packs wave N+1: before wave N's collect drains
+  /// (true) or after it. The rng draw order (add0, collect0, add1, ...) is
+  /// the same either way, so results and SessionStats are bit-identical
+  /// (pinned by test_cluster_pipeline). Guarded runs (fault.enabled)
+  /// always pack after: wave N+1's epoch stamps come out of wave N's
+  /// collect.
   bool pipeline_waves = true;
-  /// Collect phases drain each wave's slot range through one compiled
-  /// read_and_reset_batch call (default) instead of per-slot read/reset
-  /// round trips through the packet simulator. Identical observables —
-  /// the per-slot path remains as the reference/baseline.
-  bool batched_collect = true;
   /// Control threads that run submitted jobs' reduce loops (the shard work
   /// itself always shares the worker pool). Bounds the service's thread
   /// count no matter how many jobs are in flight: excess submissions queue.
@@ -108,8 +94,7 @@ struct ClusterOptions {
   /// the wave deadline and — under kDegrade — recovered by replaying the
   /// WHOLE job over the survivors (shard-local wave indexing means shards
   /// with fewer waves finish before the death wave, so per-wave patching
-  /// cannot excise the dead worker's earlier contributions). Requires
-  /// batched_collect.
+  /// cannot excise the dead worker's earlier contributions).
   fault::FaultOptions fault;
   /// Multi-tenant admission control & QoS (src/qos/): per-tenant token-
   /// bucket rate limits, priority classes with weighted-deficit pickup on
@@ -289,56 +274,6 @@ class AggregationService {
     int max_retransmits = 0;
   };
 
-  /// One wave's queued packet stream (arrival order), applied to the
-  /// switch in a single add_batch under one mutex hold.
-  struct PacketQueue {
-    std::vector<std::uint16_t> slots;
-    std::vector<std::uint8_t> workers;
-    std::vector<std::uint32_t> values;
-    bool empty() const { return slots.empty(); }
-    void clear() {
-      slots.clear();
-      workers.clear();
-      values.clear();
-    }
-  };
-
-  /// Per-task scratch: every buffer the wave loop needs, reused across
-  /// waves so the shard workers do no per-packet allocation at all.
-  struct WaveScratch {
-    PacketQueue pkts;
-    std::vector<std::uint32_t> lane_buf;
-    /// One preallocated result buffer per shard task (wave slots × lanes):
-    /// the batched collect reads the whole wave into it instead of per-slot
-    /// FpisaResult round trips through the packet sim.
-    std::vector<std::uint32_t> wave_values;
-    pisa::FpisaResult result_buf;
-    /// Guarded-protocol state (fault injection only): the host-side mirror
-    /// of the range's slot stamps, bitmap scratch for the wave completeness
-    /// probe, and stamp/checksum columns for wave replay after state loss.
-    std::vector<std::uint32_t> stamps;
-    std::vector<std::uint32_t> bitmaps;
-    std::vector<std::uint32_t> replay_stamps;
-    std::vector<std::uint16_t> replay_checksums;
-    std::uint16_t mirror_generation = 0;
-  };
-
-  /// One pre-packed wave for the pipelined loop: the packet stream plus the
-  /// wave's pre-drawn collect schedule (stage 1's complete output). Two of
-  /// these ping-pong per shard task: while the switch drains bank A's
-  /// collect, the host encodes bank B.
-  struct WaveBank {
-    PacketQueue pkts;
-    switchml::CollectSchedule sched{};
-    std::size_t base = 0;
-    std::size_t end = 0;
-    std::size_t index = 0;
-    bool sched_drawn = false;   ///< false: the wave dies before its collect
-    bool add_failed = false;    ///< a packet exhausted its retransmit budget
-    bool kill_pending = false;  ///< an injected kMidCollect kill awaits
-    std::uint64_t encode_ns = 0;  ///< host pack time (add-phase share)
-  };
-
   /// One in-flight fan-out/join: lives on the dispatching frame's stack,
   /// workers reach it through their mailbox ticket. Each shard writes ONLY
   /// its own cache-line-aligned slot; the joining thread merges after the
@@ -358,9 +293,15 @@ class AggregationService {
   };
 
   void shard_worker_loop(int shard);
-  /// Runs one shard's slice of a pass (rng + fault engine seeded per (job,
-  /// shard, pass)); errors land in the shard's PassContext slot.
+  /// Runs one shard's slice of a pass through the wave engine (rng + fault
+  /// engine seeded per (job, shard, pass)); errors land in the shard's
+  /// PassContext slot.
   void run_pass_task(PassContext& ctx, int shard);
+  /// The engine's view of one shard: switch access under the shard mutex
+  /// (one hold per protocol phase), plus the task's hook points — kill and
+  /// straggler injection, phase timing, ShardDeadError mapping.
+  struct ShardAccess;
+  struct ShardHooks;
   void job_runner_loop();
   /// Runs one job end to end (validation, range acquisition, shard fan-out,
   /// failover recovery, accounting), writing the sum into `out`. Both
@@ -407,110 +348,12 @@ class AggregationService {
       const JobParams& params, std::uint64_t job_id, std::uint64_t pass,
       std::uint32_t dead_mask, JobReport& report, telemetry::Trace* trace,
       telemetry::Trace::SpanId pass_span);
-  void run_shard_chunks(int shard_idx, Shard& shard, const SlotRange& range,
-                        const std::vector<std::size_t>& chunks,
-                        std::span<const std::span<const float>> workers,
-                        std::span<float> result, const JobParams& params,
-                        util::Rng& rng, switchml::SessionStats& stats,
-                        fault::FaultEngine* engine, std::uint32_t dead_mask,
-                        telemetry::Trace* trace,
-                        telemetry::Trace::SpanId parent);
-  /// Stage 1 of the wave pipeline: packs wave `wave_index`'s packets into
-  /// `bank`, drawing the add loss schedule AND pre-drawing the wave's
-  /// collect schedule from the task rng — in the serial protocol's exact
-  /// order (add_k then collect_k), so the pipelined global draw sequence is
-  /// identical to the serial path's. A mid-add kill fault flushes the
-  /// partially packed bank (the corpse keeps what "arrived") and throws; on
-  /// add retransmit exhaustion the bank is marked failed and the collect
-  /// schedule is NOT drawn (the serial path dies before reaching it).
-  void encode_wave(WaveBank& bank, std::size_t wave_index, std::size_t base,
-                   std::size_t wave_end, int shard_idx, Shard& shard,
-                   const SlotRange& range,
-                   const std::vector<std::size_t>& chunks,
-                   std::span<const std::span<const float>> workers,
-                   std::size_t result_n, const JobParams& params,
-                   util::Rng& rng, switchml::SessionStats& stats,
-                   std::uint32_t dead_mask, WaveScratch& scratch);
-  /// The pipelined wave loop (two-stage software pipeline over ping-pong
-  /// WaveBanks). Bit-identical to the serial loop in run_shard_chunks —
-  /// pinned by test_cluster_pipeline.
-  void run_wave_pipeline(int shard_idx, Shard& shard, const SlotRange& range,
-                         const std::vector<std::size_t>& chunks,
-                         std::span<const std::span<const float>> workers,
-                         std::span<float> result, const JobParams& params,
-                         util::Rng& rng, switchml::SessionStats& stats,
-                         std::uint32_t dead_mask, telemetry::Trace* trace,
-                         telemetry::Trace::SpanId shard_span,
-                         WaveScratch& scratch, double straggle_ms);
   /// Claims a one-shot kill fault for (shard, phase, wave); true when the
   /// caller should die now (throw ShardDeadError).
   bool fire_kill_fault(int shard, FaultPhase phase, std::size_t wave)
       FPISA_EXCLUDES(fault_mu_);
-  /// Non-claiming probe: does an unfired kill fault target (shard, phase,
-  /// wave)? Lets the pipeline's encode stage predict a wave's injected
-  /// death without consuming the one-shot claim.
-  bool peek_kill_fault(int shard, FaultPhase phase, std::size_t wave) const
-      FPISA_EXCLUDES(fault_mu_);
   /// Persistent straggler injection: extra wall time per wave for `shard`.
   double slowdown_ms(int shard) const;
-  /// Draws the per-packet loss schedule (identical order to the
-  /// per-packet protocol) and queues every delivered copy into `q`;
-  /// returns false when the packet exhausts its retransmit budget.
-  static bool queue_add(std::uint16_t slot, std::uint8_t worker,
-                        std::span<const std::uint32_t> values,
-                        const JobParams& params, util::Rng& rng,
-                        switchml::SessionStats& stats, PacketQueue& q);
-  /// Applies the queued wave under ONE shard-mutex hold.
-  static void flush_wave(Shard& shard, PacketQueue& q);
-  /// Guarded twin of queue_add: every delivered copy routes through the
-  /// fault engine (corruption / duplication / stale capture) and carries
-  /// the slot's epoch stamp + payload checksum; a corrupted delivery does
-  /// not count as delivered, so the retransmit loop keeps going.
-  static bool queue_add_guarded(std::uint16_t slot, std::uint8_t worker,
-                                std::span<const std::uint32_t> values,
-                                std::uint32_t stamp, const JobParams& params,
-                                util::Rng& rng, switchml::SessionStats& stats,
-                                fault::FaultEngine& engine);
-  /// Applies the engine's pending (possibly reordered) wave through
-  /// add_batch_guarded under one shard-mutex hold; rejected packets fold
-  /// into stats.faults.
-  static void flush_wave_guarded(Shard& shard, switchml::SessionStats& stats,
-                                 fault::FaultEngine& engine);
-  /// Re-reads the range's slot stamps (and the switch generation) into the
-  /// scratch mirror, under the shard mutex.
-  static void resync_shard_stamps(Shard& shard, const SlotRange& range,
-                                  WaveScratch& scratch);
-  /// Post-wave recovery for the guarded protocol: replays the wave from
-  /// host-held gradients while the switch generation disagrees with the
-  /// mirror (state loss), then probes the wave's dedup bitmaps for a
-  /// worker that reached NO slot — thrown as WorkerDeadError. Replay
-  /// budget exhaustion becomes a ShardDeadError so it composes with shard
-  /// failover.
-  void recover_shard_wave(int shard_idx, Shard& shard, const SlotRange& range,
-                          const std::vector<std::size_t>& chunks,
-                          std::span<const std::span<const float>> workers,
-                          std::size_t base, std::size_t wave_end,
-                          std::size_t wave_index,
-                          switchml::SessionStats& stats,
-                          fault::FaultEngine& engine, std::uint32_t dead_mask,
-                          WaveScratch& scratch);
-  /// Batched collect: draws the per-slot read/reset loss schedules in the
-  /// per-packet order, then drains the wave's slots through one compiled
-  /// read_and_reset_batch call under a single shard-mutex hold. Throws
-  /// exactly where (and with the register state) the per-slot loop would.
-  void collect_wave(int shard_idx, Shard& shard, const SlotRange& range,
-                    const std::vector<std::size_t>& chunks, std::size_t base,
-                    std::size_t wave_end, std::span<float> result,
-                    const JobParams& params, util::Rng& rng,
-                    switchml::SessionStats& stats, WaveScratch& scratch);
-  /// Applies a PRE-DRAWN collect schedule (collect_wave's tail; also the
-  /// pipeline's stage 2): one read_and_reset_batch over the cleared prefix,
-  /// throws on schedule failure, then scatters the wave into `result`.
-  void apply_collect(int shard_idx, Shard& shard, const SlotRange& range,
-                     const std::vector<std::size_t>& chunks, std::size_t base,
-                     std::size_t wave_end, std::span<float> result,
-                     const switchml::CollectSchedule& sched,
-                     WaveScratch& scratch);
   /// Control-plane cleanup: clears every slot of `range` so a failed job
   /// cannot leak register state or dedup-bitmap bits to the range's next
   /// tenant.
@@ -602,10 +445,9 @@ class AggregationService {
   std::atomic<telemetry::Trace*> trace_{nullptr};
   std::atomic<std::size_t> trace_parent_{telemetry::Trace::kNone};
 
-  // Shard liveness + one-shot fault claiming (mutable: the pipeline's
-  // const peek probes the table too).
+  // Shard liveness + one-shot fault claiming.
   ShardHealth health_;
-  mutable util::OrderedMutex fault_mu_{util::lock_rank::kFaultTable};
+  util::OrderedMutex fault_mu_{util::lock_rank::kFaultTable};
   /// parallel to opts_.failover.faults
   std::vector<bool> fault_fired_ FPISA_GUARDED_BY(fault_mu_);
 
@@ -635,6 +477,13 @@ class AggregationService {
   std::uint64_t jobs_rejected_ FPISA_GUARDED_BY(stats_mu_) = 0;
   std::uint64_t next_job_id_ FPISA_GUARDED_BY(stats_mu_) = 0;
 };
+
+/// Seed of the independent loss (or fault) stream of one (job, shard,
+/// pass) shard task: results are deterministic regardless of scheduling.
+/// Pass 0 reproduces the pre-failover stream exactly; retry passes draw
+/// fresh schedules.
+std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
+                        std::uint64_t pass);
 
 /// Modeled wall-clock seconds for a job whose packets are spread over
 /// parallel shard ingress pipes: each shard's packets serialize through a

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <numeric>
 #include <stdexcept>
 #include <string>
-
-#include "core/packed.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -23,7 +22,7 @@ pisa::FpisaProgramOptions tree_program_options(const HierarchyOptions& opts) {
 }  // namespace
 
 HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
-    : opts_(opts) {
+    : opts_(opts), engine_(opts.lanes) {
   if (opts_.leaves <= 0 || opts_.workers_per_leaf <= 0) {
     throw std::invalid_argument("hierarchy: need leaves and workers");
   }
@@ -131,13 +130,78 @@ void HierarchicalAggregator::reduce_into(
     throw std::invalid_argument("hierarchy: out span length mismatch");
   }
   std::fill(result.begin(), result.end(), 0.0f);
-
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   const std::size_t chunks = (n + lanes - 1) / lanes;
+  if (chunk_ids_.size() != chunks) {
+    chunk_ids_.resize(chunks);
+    std::iota(chunk_ids_.begin(), chunk_ids_.end(), std::size_t{0});
+  }
 
-  // --- timing substrate: one uplink per host, one per ToR, one result
-  // downlink per ToR. Workers stream back-to-back from t = 0; the tree's
-  // slot pool is assumed deep enough to keep every pipe full.
+  // Functional datapath: one engine pass per live leaf aggregates its
+  // rack into a partial, then one spine pass combines them. The spine's
+  // per-slot arrival order is leaf order, a dead leaf's workers standing
+  // in ToR-worker order where its partial would have been; their bitmap
+  // ids sit above the leaf-partial ids [0, leaves) — dead leaf j's worker
+  // k sends as dead_base + k (capacity was checked at kill_leaf time).
+  // The tree's links are lossless: the loss draws never drop a packet.
+  util::Rng wire_rng(0);
+  switchml::SessionStats wire_stats{};
+  switchml::WaveJob job;
+  job.chunks = chunk_ids_;
+  job.wave = opts_.slots;
+  job.rng = &wire_rng;
+  job.stats = &wire_stats;
+  partials_.resize(static_cast<std::size_t>(alive_leaves()));
+  spine_inputs_.clear();
+  spine_ids_.clear();
+  std::size_t live = 0;
+  int dead_base = opts_.leaves;
+  for (int j = 0; j < opts_.leaves; ++j) {
+    const auto rack =
+        workers.subspan(static_cast<std::size_t>(j * wpl),
+                        static_cast<std::size_t>(wpl));
+    if (!leaf_alive_[static_cast<std::size_t>(j)]) {
+      for (int k = 0; k < wpl; ++k) {
+        spine_inputs_.push_back(rack[static_cast<std::size_t>(k)]);
+        spine_ids_.push_back(static_cast<std::uint8_t>(dead_base + k));
+      }
+      dead_base += wpl;
+      continue;
+    }
+    std::vector<float>& partial = partials_[live++];
+    partial.resize(n);
+    job.workers = rack;
+    job.out = partial;
+    switchml::DirectAccess leaf(*leaves_[static_cast<std::size_t>(j)]);
+    engine_.run(leaf, job);
+    spine_inputs_.push_back(partial);
+    spine_ids_.push_back(static_cast<std::uint8_t>(j));
+  }
+  job.workers = spine_inputs_;
+  job.ids = spine_ids_;
+  job.out = result;
+  switchml::DirectAccess spine(*spine_);
+  engine_.run(spine, job);
+
+  const HierarchyTiming timing = model_timing(chunks);
+  timing_ = timing;
+
+  // Registry: per-level fan-in time for THIS reduce (modeled seconds —
+  // leaf level is the host->ToR fan-in until the last partial is handed
+  // up; spine level is everything after) plus traffic deltas.
+  m_reduces_->inc();
+  m_packets_->inc(timing.packets);
+  m_wire_bytes_->inc(timing.wire_bytes);
+  m_level_[0]->observe(timing.leaf_done_s);
+  m_level_[1]->observe(std::max(0.0, timing.done_s - timing.leaf_done_s));
+}
+
+HierarchyTiming HierarchicalAggregator::model_timing(
+    std::size_t chunks) const {
+  const int wpl = opts_.workers_per_leaf;
+  // One uplink per host, one per ToR, one result downlink per ToR. Workers
+  // stream back-to-back from t = 0; the tree's slot pool is assumed deep
+  // enough to keep every pipe full.
   const auto nl = static_cast<std::size_t>(opts_.leaves);
   net::EventSim sim;
   std::vector<net::Link> worker_up(
@@ -157,23 +221,13 @@ void HierarchicalAggregator::reduce_into(
   net::Link spine_pipe(opts_.pipeline_gbps, 0.0);
   std::vector<int> spine_seen(chunks, 0);
   HierarchyTiming timing{};
-  std::vector<std::uint32_t> vals(lanes);
 
-  // Dead-leaf collapse: a killed ToR's workers bypass it and feed the spine
-  // directly. Their spine bitmap ids sit above the leaf-partial ids
-  // [0, leaves): dead leaf j's worker k sends as `dead_base[j] + k`.
-  // Capacity was checked at kill_leaf time.
-  std::vector<int> dead_base(nl, -1);
-  int next_direct_id = opts_.leaves;
+  // Dead-leaf collapse: a killed ToR's workers bypass it and feed the
+  // spine directly, one flow each.
   int spine_arrivals_per_chunk = 0;
   for (int j = 0; j < opts_.leaves; ++j) {
-    if (leaf_alive_[static_cast<std::size_t>(j)]) {
-      ++spine_arrivals_per_chunk;  // one partial per live ToR
-    } else {
-      dead_base[static_cast<std::size_t>(j)] = next_direct_id;
-      next_direct_id += wpl;
-      spine_arrivals_per_chunk += wpl;  // every worker sends directly
-    }
+    spine_arrivals_per_chunk +=
+        leaf_alive_[static_cast<std::size_t>(j)] ? 1 : wpl;
   }
 
   // One spine arrival has cleared the shared pipeline: completes the chunk
@@ -197,103 +251,41 @@ void HierarchicalAggregator::reduce_into(
     });
   };
 
-  for (std::size_t base = 0; base < chunks; base += opts_.slots) {
-    const std::size_t wave_end = std::min(base + opts_.slots, chunks);
-    // Leaf phase: every host streams its packet to its ToR (or, when its
-    // ToR is dead, straight into the spine fan-in).
-    for (std::size_t c = base; c < wave_end; ++c) {
-      const auto slot = static_cast<std::uint16_t>(c - base);
-      for (int j = 0; j < opts_.leaves; ++j) {
-        const bool alive = leaf_alive_[static_cast<std::size_t>(j)];
-        double leaf_ready = 0.0;
-        for (int k = 0; k < wpl; ++k) {
-          const int w = j * wpl + k;
-          if (alive) {
-            for (std::size_t l = 0; l < lanes; ++l) {
-              const std::size_t i = c * lanes + l;
-              vals[l] = i < n ? core::fp32_bits(
-                                    workers[static_cast<std::size_t>(w)][i])
-                              : 0;
-            }
-            (void)leaves_[static_cast<std::size_t>(j)]->add(
-                slot, static_cast<std::uint8_t>(k), vals);
-            const double at_tor = worker_up[static_cast<std::size_t>(w)].send(
-                0.0, packet_bytes());
-            leaf_ready = std::max(
-                leaf_ready, leaf_pipe[static_cast<std::size_t>(j)].send(
-                                at_tor, packet_bytes()));
-          } else {
-            // Collapse: the worker's uplink terminates at the spine; its
-            // payload is packed in the functional spine phase below.
-            const double at_spine =
-                worker_up[static_cast<std::size_t>(w)].send(0.0,
-                                                            packet_bytes());
-            sim.at(at_spine, [&spine_arrival, c] { spine_arrival(c); });
-          }
-          ++timing.packets;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    // Every host streams its packet to its ToR (or, when its ToR is dead,
+    // straight into the spine fan-in).
+    for (int j = 0; j < opts_.leaves; ++j) {
+      const bool alive = leaf_alive_[static_cast<std::size_t>(j)];
+      double leaf_ready = 0.0;
+      for (int k = 0; k < wpl; ++k) {
+        const auto w = static_cast<std::size_t>(j * wpl + k);
+        const double at_next_hop = worker_up[w].send(0.0, packet_bytes());
+        if (alive) {
+          leaf_ready = std::max(
+              leaf_ready, leaf_pipe[static_cast<std::size_t>(j)].send(
+                              at_next_hop, packet_bytes()));
+        } else {
+          sim.at(at_next_hop, [&spine_arrival, c] { spine_arrival(c); });
         }
-        if (!alive) continue;
-        // ToR forwards its partial to the spine once the last contributing
-        // host packet has arrived.
-        sim.at(leaf_ready,
-               [this, &sim, &tor_up, &timing, &spine_arrival, c, j] {
-          const double at_spine =
-              tor_up[static_cast<std::size_t>(j)].send(sim.now(),
-                                                       packet_bytes());
-          ++timing.packets;
-          timing.leaf_done_s = std::max(timing.leaf_done_s, sim.now());
-          sim.at(at_spine, [&spine_arrival, c] { spine_arrival(c); });
-        });
+        ++timing.packets;
       }
-    }
-    // Spine phase (functional): combine live-leaf partials and dead
-    // leaves' direct worker packets, collect results. Arrival order at the
-    // spine register is leaf order, with a dead leaf's workers standing in
-    // ToR-worker order where its partial would have been.
-    for (std::size_t c = base; c < wave_end; ++c) {
-      const auto slot = static_cast<std::uint16_t>(c - base);
-      for (int j = 0; j < opts_.leaves; ++j) {
-        if (leaf_alive_[static_cast<std::size_t>(j)]) {
-          const pisa::FpisaResult partial =
-              leaves_[static_cast<std::size_t>(j)]->read_and_reset(slot);
-          (void)spine_->add(slot, static_cast<std::uint8_t>(j),
-                            partial.values);
-          continue;
-        }
-        for (int k = 0; k < wpl; ++k) {
-          const int w = j * wpl + k;
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const std::size_t i = c * lanes + l;
-            vals[l] = i < n ? core::fp32_bits(
-                                  workers[static_cast<std::size_t>(w)][i])
-                            : 0;
-          }
-          (void)spine_->add(
-              slot,
-              static_cast<std::uint8_t>(dead_base[static_cast<std::size_t>(j)] +
-                                        k),
-              vals);
-        }
-      }
-      const pisa::FpisaResult combined = spine_->read_and_reset(slot);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::size_t i = c * lanes + l;
-        if (i < n) result[i] = core::fp32_value(combined.values[l]);
-      }
+      if (!alive) continue;
+      // ToR forwards its partial to the spine once the last contributing
+      // host packet has arrived.
+      sim.at(leaf_ready,
+             [this, &sim, &tor_up, &timing, &spine_arrival, c, j] {
+        const double at_spine =
+            tor_up[static_cast<std::size_t>(j)].send(sim.now(),
+                                                     packet_bytes());
+        ++timing.packets;
+        timing.leaf_done_s = std::max(timing.leaf_done_s, sim.now());
+        sim.at(at_spine, [&spine_arrival, c] { spine_arrival(c); });
+      });
     }
   }
   sim.run();
   timing.wire_bytes = timing.packets * packet_bytes();
-  timing_ = timing;
-
-  // Registry: per-level fan-in time for THIS reduce (modeled seconds —
-  // leaf level is the host->ToR fan-in until the last partial is handed
-  // up; spine level is everything after) plus traffic deltas.
-  m_reduces_->inc();
-  m_packets_->inc(timing.packets);
-  m_wire_bytes_->inc(timing.wire_bytes);
-  m_level_[0]->observe(timing.leaf_done_s);
-  m_level_[1]->observe(std::max(0.0, timing.done_s - timing.leaf_done_s));
+  return timing;
 }
 
 HierarchyTiming flat_baseline_timing(const HierarchyOptions& opts,

@@ -1,7 +1,8 @@
 // Two-level ToR -> spine aggregation tree (rack scale): N leaf switches
 // each partially aggregate the workers in their rack, and one spine switch
-// combines the leaf partials. Functionally this drives real
-// pisa::FpisaSwitch pipelines at both levels; timing is modeled with
+// combines the leaf partials. Functionally each level is one pass of the
+// switchml::WaveEngine over real pisa::FpisaSwitch instances (one per live
+// leaf, then the spine over the leaf partials); timing is modeled with
 // net::EventSim / net::Link (worker uplinks, ToR uplinks, result return),
 // extending the paper's single-switch goodput argument to a rack.
 #pragma once
@@ -13,6 +14,7 @@
 
 #include "net/event_sim.h"
 #include "pisa/fpisa_program.h"
+#include "switchml/wave_engine.h"
 #include "telemetry/metrics.h"
 
 namespace fpisa::cluster {
@@ -100,12 +102,21 @@ class HierarchicalAggregator {
 
  private:
   void init_metrics();
+  /// Replays the reduce's packet flows through the EventSim timing model.
+  HierarchyTiming model_timing(std::size_t chunks) const;
 
   HierarchyOptions opts_;
   std::vector<std::unique_ptr<pisa::FpisaSwitch>> leaves_;
   std::unique_ptr<pisa::FpisaSwitch> spine_;
   std::vector<bool> leaf_alive_;
   HierarchyTiming timing_{};
+
+  // Functional datapath buffers, reused across reduces.
+  switchml::WaveEngine engine_;
+  std::vector<std::size_t> chunk_ids_;
+  std::vector<std::vector<float>> partials_;  ///< one per live leaf
+  std::vector<std::span<const float>> spine_inputs_;
+  std::vector<std::uint8_t> spine_ids_;
 
   // Telemetry handles ("tree" instance label), resolved once at
   // construction: modeled per-level fan-in time per reduce, packet/byte

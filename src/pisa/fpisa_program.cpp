@@ -1,13 +1,13 @@
 #include "pisa/fpisa_program.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <string>
 
 #include "core/clz_table.h"
 #include "core/float_format.h"
+#include "util/ordered_mutex.h"
 
 namespace fpisa::pisa {
 namespace {
@@ -542,9 +542,41 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 
 // --- observability ---------------------------------------------------------
 
+namespace {
+
+/// Which SeriesId values live switches hold.
+struct SeriesIds {
+  util::OrderedMutex mu{util::lock_rank::kSwitchIds};
+  std::vector<bool> taken FPISA_GUARDED_BY(mu);
+};
+
+SeriesIds& series_ids() {
+  static SeriesIds ids;
+  return ids;
+}
+
+}  // namespace
+
+FpisaSwitch::SeriesId::SeriesId() {
+  SeriesIds& ids = series_ids();
+  util::LockGuard lk(ids.mu);
+  const auto free = std::find(ids.taken.begin(), ids.taken.end(), false);
+  id_ = static_cast<std::size_t>(free - ids.taken.begin());
+  if (free == ids.taken.end()) {
+    ids.taken.push_back(true);
+  } else {
+    *free = true;
+  }
+}
+
+FpisaSwitch::SeriesId::~SeriesId() {
+  SeriesIds& ids = series_ids();
+  util::LockGuard lk(ids.mu);
+  ids.taken[id_] = false;
+}
+
 void FpisaSwitch::init_metrics() {
-  static std::atomic<int> next_id{0};
-  const std::string id = std::to_string(next_id.fetch_add(1));
+  const std::string id = std::to_string(series_id_.value());
   auto& reg = telemetry::registry();
   m_packets_ = &reg.counter("fpisa_switch_packets_total", {{"sw", id}});
   m_dedup_ = &reg.counter("fpisa_switch_dedup_hits_total", {{"sw", id}});
@@ -553,6 +585,7 @@ void FpisaSwitch::init_metrics() {
   m_stale_ =
       &reg.counter("fpisa_switch_stale_dups_rejected_total", {{"sw", id}});
   m_occupancy_ = &reg.gauge("fpisa_switch_occupied_slots", {{"sw", id}});
+  m_occupancy_->set(0.0);  // not the previous holder's figure
   static constexpr const char* kOps[7] = {
       "adds",        "rounded_adds",     "overwrites", "lshift_overflows",
       "saturations", "nonfinite_inputs", "zero_inputs"};

@@ -111,7 +111,7 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 /// (the §5.2.1 add / rounded-add / overwrite / left-shift taxonomy, counted
 /// identically by the interpreted and compiled-batch paths), dedup-hit and
 /// packet counts, and a live occupied-slot figure. All of it is mirrored
-/// into the process telemetry registry under labels {sw=<instance id>}.
+/// into the process telemetry registry under labels {sw=<SeriesId>}.
 /// The switch is not thread-safe (callers already serialize access — the
 /// cluster holds a per-shard mutex), so the members are plain integers.
 class FpisaSwitch {
@@ -219,6 +219,22 @@ class FpisaSwitch {
   std::int64_t occupied_slots() const { return occupied_; }
 
  private:
+  /// This switch's registry label: the lowest id no other live switch
+  /// holds. A released id's series pass to the next switch and stay
+  /// cumulative, so a process that builds and drops switches keeps a
+  /// bounded registry.
+  class SeriesId {
+   public:
+    SeriesId();
+    ~SeriesId();
+    SeriesId(const SeriesId&) = delete;
+    SeriesId& operator=(const SeriesId&) = delete;
+    std::size_t value() const { return id_; }
+
+   private:
+    std::size_t id_;
+  };
+
   FpisaResult roundtrip(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
                         std::span<const std::uint32_t> values);
   void roundtrip_into(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
@@ -239,6 +255,7 @@ class FpisaSwitch {
   void flush_metrics(std::size_t packets);
 
   FpisaProgramOptions opts_;
+  SeriesId series_id_;
   SwitchSim sim_;
   Packet scratch_pkt_;                  ///< reused by the *_into paths
   std::vector<std::uint32_t> zeros_;    ///< read/reset payload template

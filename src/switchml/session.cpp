@@ -3,27 +3,28 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cassert>
-#include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
-#include "core/packed.h"
-
 namespace fpisa::switchml {
-
-using Clock = std::chrono::steady_clock;
-
 namespace {
-std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+
+SessionOptions validated(SessionOptions opts) {
+  if (opts.num_workers < 1) {
+    throw std::invalid_argument("session: job has no workers");
+  }
+  if (opts.num_workers > 32) {
+    throw std::invalid_argument("session: bitmap is 32 bits wide");
+  }
+  return opts;
 }
+
 }  // namespace
 
 AggregationSession::AggregationSession(pisa::SwitchConfig config,
                                        SessionOptions opts)
-    : opts_(opts),
+    : opts_(validated(opts)),
       switch_(config,
               [&] {
                 pisa::FpisaProgramOptions p;
@@ -35,13 +36,7 @@ AggregationSession::AggregationSession(pisa::SwitchConfig config,
                 return p;
               }()),
       loss_rng_(opts.loss_seed),
-      lane_buf_(static_cast<std::size_t>(opts.lanes), 0) {
-  assert(opts_.num_workers <= 32 && "bitmap is 32 bits wide");
-  if (opts_.fault.enabled && !opts_.batched) {
-    throw std::invalid_argument(
-        "fault injection requires the batched datapath (the guarded ingress "
-        "is a batch interface)");
-  }
+      engine_(opts.lanes) {
   init_metrics();
 }
 
@@ -62,14 +57,13 @@ void AggregationSession::init_metrics() {
                                telemetry::MetricsRegistry::time_buckets());
 }
 
-void AggregationSession::note_wave(std::uint64_t add_ns,
-                                   std::uint64_t collect_ns) {
-  add_ns_ += add_ns;
-  collect_ns_ += collect_ns;
+void AggregationSession::end_wave(const WaveTiming& t) {
+  add_ns_ += t.add_ns;
+  collect_ns_ += t.collect_ns;
   if (!telemetry::enabled()) return;
   m_waves_->inc();
-  m_phase_[0]->observe(static_cast<double>(add_ns) / 1e9);
-  m_phase_[1]->observe(static_cast<double>(collect_ns) / 1e9);
+  m_phase_[0]->observe(static_cast<double>(t.add_ns) / 1e9);
+  m_phase_[1]->observe(static_cast<double>(t.collect_ns) / 1e9);
   if (stats_.retransmissions != stats_flushed_.retransmissions) {
     m_retrans_->inc(stats_.retransmissions - stats_flushed_.retransmissions);
   }
@@ -77,155 +71,6 @@ void AggregationSession::note_wave(std::uint64_t add_ns,
     m_lost_->inc(stats_.packets_lost - stats_flushed_.packets_lost);
   }
   stats_flushed_ = stats_;
-}
-
-bool AggregationSession::send_add(std::uint16_t slot, std::uint8_t worker,
-                                  std::span<const std::uint32_t> values,
-                                  pisa::FpisaResult* out) {
-  bool delivered_before = false;
-  for (int attempt = 0; attempt <= opts_.max_retransmits; ++attempt) {
-    if (attempt > 0) ++stats_.retransmissions;
-    ++stats_.packets_sent;
-
-    // Request direction.
-    if (loss_rng_.next_double() < opts_.loss_rate) {
-      ++stats_.packets_lost;
-      continue;  // switch never saw it: retransmit after "timeout"
-    }
-    if (delivered_before) ++stats_.duplicates_absorbed;
-    delivered_before = true;
-    const pisa::FpisaResult r = switch_.add(slot, worker, values);
-
-    // Response direction.
-    if (loss_rng_.next_double() < opts_.loss_rate) {
-      ++stats_.packets_lost;
-      continue;  // ack lost: worker retransmits; switch dedups
-    }
-    *out = r;
-    return true;
-  }
-  return false;
-}
-
-bool AggregationSession::queue_add(std::uint16_t slot, std::uint8_t worker,
-                                   std::span<const std::uint32_t> values) {
-  // The loss schedule depends only on the rng stream, never on the switch,
-  // so it can be drawn here in the exact order send_add would draw it;
-  // every copy the switch would have seen is queued in arrival order (the
-  // dedup bitmap absorbs the duplicates when the batch is applied).
-  bool delivered_before = false;
-  for (int attempt = 0; attempt <= opts_.max_retransmits; ++attempt) {
-    if (attempt > 0) ++stats_.retransmissions;
-    ++stats_.packets_sent;
-
-    if (loss_rng_.next_double() < opts_.loss_rate) {
-      ++stats_.packets_lost;
-      continue;
-    }
-    if (delivered_before) ++stats_.duplicates_absorbed;
-    delivered_before = true;
-    pending_slots_.push_back(slot);
-    pending_workers_.push_back(worker);
-    pending_values_.insert(pending_values_.end(), values.begin(),
-                           values.end());
-
-    if (loss_rng_.next_double() < opts_.loss_rate) {
-      ++stats_.packets_lost;
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
-
-void AggregationSession::flush_pending() {
-  if (pending_slots_.empty()) return;
-  switch_.add_batch(pending_slots_, pending_workers_, pending_values_);
-  pending_slots_.clear();
-  pending_workers_.clear();
-  pending_values_.clear();
-}
-
-CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
-                                      int max_retransmits, util::Rng& rng,
-                                      SessionStats& stats) {
-  CollectSchedule sched;
-  for (std::size_t k = 0; k < n; ++k) {
-    bool have = false;
-    for (int attempt = 0; attempt <= max_retransmits && !have; ++attempt) {
-      ++stats.packets_sent;
-      if (rng.next_double() < loss_rate) {
-        ++stats.packets_lost;
-        continue;
-      }
-      ++sched.delivered;
-      if (rng.next_double() < loss_rate) {
-        ++stats.packets_lost;
-        continue;
-      }
-      have = true;
-    }
-    if (!have) {
-      sched.failure = 1;
-      return sched;
-    }
-    bool cleared_slot = false;
-    for (int attempt = 0; attempt <= max_retransmits; ++attempt) {
-      ++stats.packets_sent;
-      if (rng.next_double() < loss_rate) {
-        ++stats.packets_lost;
-        continue;
-      }
-      ++sched.delivered;
-      ++stats.slot_reuses;
-      cleared_slot = true;
-      if (rng.next_double() >= loss_rate) break;
-      ++stats.packets_lost;  // ack lost: re-clearing is harmless
-    }
-    if (!cleared_slot) {
-      sched.failure = 2;
-      return sched;
-    }
-    ++sched.cleared;
-  }
-  return sched;
-}
-
-void AggregationSession::collect_wave(std::size_t base, std::size_t wave_end,
-                                      std::size_t n, std::span<float> result) {
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const std::size_t wave_n = wave_end - base;
-  wave_values_.resize(wave_n * lanes);
-
-  const CollectSchedule sched = draw_collect_schedule(
-      wave_n, opts_.loss_rate, opts_.max_retransmits, loss_rng_, stats_);
-
-  // Apply the cleared prefix in one compiled-egress call (values are read
-  // before the clear, exactly the per-slot read-then-reset order; a
-  // failed slot and everything after it stay untouched, as they would).
-  switch_.read_and_reset_batch(0, sched.cleared,
-                               {wave_values_.data(), sched.cleared * lanes});
-  switch_.sim().account_packets(sched.delivered - sched.cleared);
-  if (sched.failure == 1) {
-    throw RetransmitExhaustedError(RetransmitExhaustedError::Phase::kRead,
-                                   static_cast<std::uint16_t>(sched.cleared),
-                                   -1);
-  }
-  if (sched.failure == 2) {
-    // A never-reset slot would swallow the next wave's adds through the
-    // dedup bitmap — fail loudly rather than aggregate silently wrong.
-    throw RetransmitExhaustedError(RetransmitExhaustedError::Phase::kReset,
-                                   static_cast<std::uint16_t>(sched.cleared),
-                                   -1);
-  }
-
-  for (std::size_t k = 0; k < wave_n; ++k) {
-    const std::size_t c = base + k;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t i = c * lanes + l;
-      if (i < n) result[i] = core::fp32_value(wave_values_[k * lanes + l]);
-    }
-  }
 }
 
 std::vector<float> AggregationSession::reduce(
@@ -239,328 +84,67 @@ std::vector<float> AggregationSession::reduce(
 }
 
 void AggregationSession::reduce_into(
-    std::span<const std::span<const float>> workers, std::span<float> result) {
-  assert(static_cast<int>(workers.size()) == opts_.num_workers);
+    std::span<const std::span<const float>> workers, std::span<float> out) {
+  if (static_cast<int>(workers.size()) != opts_.num_workers) {
+    throw std::invalid_argument(
+        "session: worker count does not match num_workers");
+  }
   const std::size_t n = workers.front().size();
-  assert(result.size() == n);
-  if (opts_.fault.enabled) {
-    // The guarded protocol: every delivered copy runs through the fault
-    // engine, every batch through the stamp/checksum guard, and a
-    // dead-worker policy drives the retry loop. Kept out of the default
-    // path entirely so fault-off behavior is byte-for-byte unchanged.
-    fault::FaultEngine engine(opts_.fault, opts_.fault.seed, opts_.lanes);
-    resync_stamps();
-    std::uint32_t dead_mask = 0;
-    for (;;) {
-      try {
-        run_guarded(workers, result, engine, dead_mask);
-        return;
-      } catch (const fault::WorkerDeadError& e) {
-        stats_.faults.workers_declared_dead++;
-        stats_.dead_workers |= 1u << e.worker();
-        dead_mask |= 1u << e.worker();
-        if (opts_.fault.dead_worker_policy ==
-                fault::DeadWorkerPolicy::kAbort ||
-            std::popcount(dead_mask) >= opts_.num_workers) {
-          throw;
-        }
-        // Degrade: abandon the partial attempt — scrub every slot (bumps
-        // the epochs, so any in-flight stragglers from the dead attempt
-        // are stale), forget the engine's ghosts, and rerun the job over
-        // the survivors.
-        wave_values_.resize(opts_.slots *
-                            static_cast<std::size_t>(opts_.lanes));
-        switch_.read_and_reset_batch(0, opts_.slots, wave_values_);
-        engine.clear_pending();
-        engine.drop_ghosts();
-        resync_stamps();
-        stats_.faults.epoch_bumps++;
-      }
+  for (const auto w : workers) {
+    if (w.size() != n) {
+      throw std::invalid_argument("session: worker vectors differ in length");
     }
   }
+  if (out.size() != n) {
+    throw std::invalid_argument("session: out span length mismatch");
+  }
+  std::fill(out.begin(), out.end(), 0.0f);
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const std::size_t chunks = (n + lanes - 1) / lanes;
-  std::fill(result.begin(), result.end(), 0.0f);
-
-  for (std::size_t base = 0; base < chunks; base += opts_.slots) {
-    const std::size_t wave_end = std::min(base + opts_.slots, chunks);
-    const Clock::time_point t_wave = Clock::now();
-    // All workers stream their packets for this wave of chunks. The
-    // batched path encodes the whole wave into reused buffers and applies
-    // it in one add_batch call; the per-packet path drives the simulator
-    // packet by packet. Both see the identical loss schedule.
-    for (std::size_t c = base; c < wave_end; ++c) {
-      const auto slot = static_cast<std::uint16_t>(c - base);
-      for (int w = 0; w < opts_.num_workers; ++w) {
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const std::size_t i = c * lanes + l;
-          lane_buf_[l] =
-              i < n ? core::fp32_bits(workers[static_cast<std::size_t>(w)][i])
-                    : 0;
-        }
-        bool ok;
-        if (opts_.batched) {
-          ok = queue_add(slot, static_cast<std::uint8_t>(w), lane_buf_);
-        } else {
-          pisa::FpisaResult r;
-          ok = send_add(slot, static_cast<std::uint8_t>(w), lane_buf_, &r);
-        }
-        if (!ok) {
-          // Deliver what the switch already received before failing, so
-          // the register state matches the per-packet path exactly.
-          flush_pending();
-          throw RetransmitExhaustedError(
-              RetransmitExhaustedError::Phase::kAdd, slot, w);
-        }
-      }
-    }
-    flush_pending();
-    const Clock::time_point t_collect = Clock::now();
-    // Collect + recycle every slot of the wave: an idempotent read
-    // (retried until acknowledged), then a reset (extra resets re-clear an
-    // already-empty slot, which is harmless once the value is captured).
-    // The batched path drains the whole wave through one compiled-egress
-    // read_and_reset_batch call with the identical loss schedule.
-    if (opts_.batched) {
-      collect_wave(base, wave_end, n, result);
-      note_wave(ns_between(t_wave, t_collect),
-                ns_between(t_collect, Clock::now()));
-      continue;
-    }
-    for (std::size_t c = base; c < wave_end; ++c) {
-      const auto slot = static_cast<std::uint16_t>(c - base);
-      bool have = false;
-      for (int attempt = 0; attempt <= opts_.max_retransmits && !have;
-           ++attempt) {
-        ++stats_.packets_sent;
-        if (loss_rng_.next_double() < opts_.loss_rate) {
-          ++stats_.packets_lost;
-          continue;
-        }
-        switch_.read_into(slot, result_buf_);
-        if (loss_rng_.next_double() < opts_.loss_rate) {
-          ++stats_.packets_lost;
-          continue;
-        }
-        have = true;
-      }
-      if (!have) {
-        throw RetransmitExhaustedError(
-            RetransmitExhaustedError::Phase::kRead, slot, -1);
-      }
-
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::size_t i = c * lanes + l;
-        if (i < n) {
-          result[i] = core::fp32_value(result_buf_.values[l]);
-        }
-      }
-
-      bool cleared = false;
-      for (int attempt = 0; attempt <= opts_.max_retransmits; ++attempt) {
-        ++stats_.packets_sent;
-        if (loss_rng_.next_double() < opts_.loss_rate) {
-          ++stats_.packets_lost;
-          continue;
-        }
-        switch_.read_and_reset_into(slot, result_buf_);
-        ++stats_.slot_reuses;
-        cleared = true;
-        if (loss_rng_.next_double() >= opts_.loss_rate) break;
-        ++stats_.packets_lost;  // ack lost: re-clearing is harmless
-      }
-      if (!cleared) {
-        // A never-reset slot would swallow the next wave's adds through the
-        // dedup bitmap — fail loudly rather than aggregate silently wrong.
-        throw RetransmitExhaustedError(
-            RetransmitExhaustedError::Phase::kReset, slot, -1);
-      }
-    }
-    note_wave(ns_between(t_wave, t_collect),
-              ns_between(t_collect, Clock::now()));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Guarded protocol (fault injection enabled). Structure mirrors the batched
-// reduce_into body, with three insertions per wave: the engine sits between
-// queue_add and the pending batch (corrupting / duplicating / ghosting /
-// reordering delivered copies), the batch lands through add_batch_guarded
-// (stamp + checksum verification), and after the add phase the wave is
-// checked for switch state loss (replay from the host-held gradients — the
-// shadow buffers ARE the worker views) and for workers that missed their
-// wave deadline.
-// ---------------------------------------------------------------------------
-
-void AggregationSession::resync_stamps() {
-  stamps_.resize(opts_.slots);
-  for (std::size_t s = 0; s < opts_.slots; ++s) {
-    stamps_[s] = switch_.slot_stamp(static_cast<std::uint16_t>(s));
-  }
-  mirror_generation_ = switch_.generation();
-}
-
-bool AggregationSession::queue_add_guarded(
-    std::uint16_t slot, std::uint8_t worker,
-    std::span<const std::uint32_t> values, fault::FaultEngine& engine) {
-  bool delivered_before = false;
-  for (int attempt = 0; attempt <= opts_.max_retransmits; ++attempt) {
-    if (attempt > 0) ++stats_.retransmissions;
-    ++stats_.packets_sent;
-
-    if (loss_rng_.next_double() < opts_.loss_rate) {
-      ++stats_.packets_lost;
-      continue;
-    }
-    // Delivered to the wire: the engine decides the copy's fate. A
-    // corrupted copy still reaches the switch (and is rejected there), but
-    // no ack is possible for it — keep retransmitting.
-    if (!engine.deliver(slot, worker, stamps_[slot], values)) continue;
-    if (delivered_before) ++stats_.duplicates_absorbed;
-    delivered_before = true;
-
-    if (loss_rng_.next_double() < opts_.loss_rate) {
-      ++stats_.packets_lost;
-      continue;
-    }
-    return true;
-  }
-  return false;
-}
-
-void AggregationSession::flush_pending_guarded(fault::FaultEngine& engine) {
-  if (engine.pending() == 0) return;
-  pisa::FpisaSwitch::GuardStats guard;
-  switch_.add_batch_guarded(engine.slots(), engine.workers(),
-                            engine.stamps(), engine.checksums(),
-                            engine.values(), guard);
-  stats_.faults.corrupt_rejected += guard.corrupt_rejected;
-  stats_.faults.stale_dups_rejected += guard.stale_rejected;
-  engine.clear_pending();
-}
-
-void AggregationSession::recover_wave(
-    std::span<const std::span<const float>> workers, std::size_t base,
-    std::size_t wave_end, std::size_t n, std::size_t wave_index,
-    std::uint32_t dead_mask, fault::FaultEngine& engine) {
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const std::size_t wave_n = wave_end - base;
-
-  // Switch state loss: a generation bump means every register — including
-  // this wave's partial sums — is gone. Resync the stamp mirror, then
-  // replay the wave's adds from the host-held gradients over the reliable
-  // control channel (the dedup bitmap absorbs any double replay).
-  int replays = 0;
-  while (switch_.generation() != mirror_generation_) {
-    if (replays++ >= opts_.fault.max_wave_replays) {
-      throw std::runtime_error(
-          "switch state loss not recoverable within the wave-replay budget");
-    }
-    resync_stamps();
-    stats_.faults.epoch_bumps++;
-    pending_slots_.clear();
-    pending_workers_.clear();
-    pending_values_.clear();
-    replay_stamps_.clear();
-    replay_checksums_.clear();
-    for (std::size_t c = base; c < wave_end; ++c) {
-      const auto slot = static_cast<std::uint16_t>(c - base);
-      for (int w = 0; w < opts_.num_workers; ++w) {
-        if (dead_mask & (1u << w)) continue;
-        if (engine.worker_silent(w, wave_index)) continue;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const std::size_t i = c * lanes + l;
-          lane_buf_[l] =
-              i < n ? core::fp32_bits(workers[static_cast<std::size_t>(w)][i])
-                    : 0;
-        }
-        pending_slots_.push_back(slot);
-        pending_workers_.push_back(static_cast<std::uint8_t>(w));
-        pending_values_.insert(pending_values_.end(), lane_buf_.begin(),
-                               lane_buf_.end());
-        replay_stamps_.push_back(stamps_[slot]);
-        replay_checksums_.push_back(pisa::fpisa_checksum(
-            slot, static_cast<std::uint8_t>(w), stamps_[slot], lane_buf_));
-      }
-    }
-    pisa::FpisaSwitch::GuardStats guard;
-    switch_.add_batch_guarded(pending_slots_, pending_workers_,
-                              replay_stamps_, replay_checksums_,
-                              pending_values_, guard);
-    pending_slots_.clear();
-    pending_workers_.clear();
-    pending_values_.clear();
-    stats_.faults.waves_replayed++;
+  if (chunk_ids_.size() != (n + lanes - 1) / lanes) {
+    chunk_ids_.resize((n + lanes - 1) / lanes);
+    std::iota(chunk_ids_.begin(), chunk_ids_.end(), std::size_t{0});
   }
 
-  // Wave deadline: every live worker must have its dedup bit set in every
-  // wave slot by now (loss is retried to acknowledgment, so only a silent
-  // worker can miss). A worker absent from ALL wave slots is dead.
-  std::uint32_t expected = 0;
-  for (int w = 0; w < opts_.num_workers; ++w) {
-    if (!(dead_mask & (1u << w))) expected |= 1u << w;
+  WaveJob job;
+  job.workers = workers;
+  job.chunks = chunk_ids_;
+  job.out = out;
+  job.wave = opts_.slots;
+  job.loss_rate = opts_.loss_rate;
+  job.max_retransmits = opts_.max_retransmits;
+  job.rng = &loss_rng_;
+  job.stats = &stats_;
+  job.hooks = this;
+  DirectAccess access(switch_);
+  if (!opts_.fault.enabled) {
+    engine_.run(access, job);
+    return;
   }
-  wave_values_.resize(wave_n * lanes);
-  bitmap_scratch_.resize(wave_n);
-  switch_.read_batch(0, wave_n, {wave_values_.data(), wave_n * lanes},
-                     bitmap_scratch_);
-  std::uint32_t missing_everywhere = expected;
-  for (std::size_t k = 0; k < wave_n; ++k) {
-    missing_everywhere &= expected & ~bitmap_scratch_[k];
-  }
-  if (missing_everywhere != 0) {
-    throw fault::WorkerDeadError(std::countr_zero(missing_everywhere),
-                                 wave_index);
-  }
-}
-
-void AggregationSession::run_guarded(
-    std::span<const std::span<const float>> workers, std::span<float> result,
-    fault::FaultEngine& engine, std::uint32_t dead_mask) {
-  const std::size_t n = workers.front().size();
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  const std::size_t chunks = (n + lanes - 1) / lanes;
-  std::fill(result.begin(), result.end(), 0.0f);
-
-  std::size_t wave_index = 0;
-  for (std::size_t base = 0; base < chunks; base += opts_.slots) {
-    const std::size_t wave_end = std::min(base + opts_.slots, chunks);
-    const std::size_t wave_n = wave_end - base;
-    const Clock::time_point t_wave = Clock::now();
-    engine.begin_wave(wave_index);  // releases last wave's ghosts first
-    for (std::size_t c = base; c < wave_end; ++c) {
-      const auto slot = static_cast<std::uint16_t>(c - base);
-      for (int w = 0; w < opts_.num_workers; ++w) {
-        if (dead_mask & (1u << w)) continue;
-        if (engine.worker_silent(w, wave_index)) continue;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          const std::size_t i = c * lanes + l;
-          lane_buf_[l] =
-              i < n ? core::fp32_bits(workers[static_cast<std::size_t>(w)][i])
-                    : 0;
-        }
-        if (!queue_add_guarded(slot, static_cast<std::uint8_t>(w), lane_buf_,
-                               engine)) {
-          flush_pending_guarded(engine);
-          throw RetransmitExhaustedError(
-              RetransmitExhaustedError::Phase::kAdd, slot, w);
-        }
+  // Guarded protocol: one deterministic fault stream per reduce, and a
+  // dead-worker policy around the engine.
+  fault::FaultEngine faults(opts_.fault, opts_.fault.seed, opts_.lanes);
+  job.faults = &faults;
+  for (;;) {
+    try {
+      engine_.run(access, job);
+      return;
+    } catch (const fault::WorkerDeadError& e) {
+      stats_.faults.workers_declared_dead++;
+      stats_.dead_workers |= 1u << e.worker();
+      job.dead_mask |= 1u << e.worker();
+      if (opts_.fault.dead_worker_policy == fault::DeadWorkerPolicy::kAbort ||
+          std::popcount(job.dead_mask) >= opts_.num_workers) {
+        throw;
       }
+      // Degrade: abandon the partial attempt — scrub every slot (bumps the
+      // epochs, so any in-flight stragglers from the dead attempt are
+      // stale), forget the engine's ghosts, and rerun the job over the
+      // survivors.
+      engine_.scrub(access, 0, opts_.slots);
+      faults.clear_pending();
+      faults.drop_ghosts();
+      stats_.faults.epoch_bumps++;
     }
-    engine.shuffle_pending();
-    flush_pending_guarded(engine);
-    if (engine.should_wipe(wave_index)) switch_.wipe_state();
-    recover_wave(workers, base, wave_end, n, wave_index, dead_mask, engine);
-
-    const Clock::time_point t_collect = Clock::now();
-    collect_wave(base, wave_end, n, result);
-    // Every wave slot was reset: advance the mirror epochs in lockstep.
-    for (std::size_t k = 0; k < wave_n; ++k) {
-      stamps_[k] = (stamps_[k] & 0xFFFF0000u) | ((stamps_[k] + 1) & 0xFFFFu);
-    }
-    note_wave(ns_between(t_wave, t_collect),
-              ns_between(t_collect, Clock::now()));
-    wave_index++;
   }
 }
 

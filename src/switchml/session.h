@@ -6,31 +6,26 @@
 // retransmissions idempotent (dedup), and slots are reused round-robin via
 // read-and-reset once their result is collected.
 //
-// This drives the REAL pisa::FpisaSwitch pipeline — it is the end-to-end
-// integration of parser, MAUs, stateful ALUs and deparser, with failure
-// injection for the loss-recovery path.
+// This drives a real pisa::FpisaSwitch through its compiled batch ingress
+// and egress (register-identical to the interpreted parser/MAU/deparser
+// pipeline), with failure injection for the loss-recovery path.
 //
-// Two datapaths, identical in every observable (results, stats, switch
-// register evolution — proven in tests/test_switchml_session.cpp):
-//  * batched (default): a whole wave of chunk packets is encoded into
-//    reused flat buffers and applied through FpisaSwitch::add_batch, and
-//    the wave's collect phase drains every slot through ONE
-//    read_and_reset_batch call (the compiled egress); loss is drawn up
-//    front in the exact per-packet order, so the loss schedule and
-//    statistics match the per-packet path bit-for-bit.
-//  * per-packet: one simulator traversal per packet (the reference).
+// Every wave runs through the one WaveEngine (switchml/wave_engine.h): the
+// whole wave is encoded into reused buffers with its loss schedule drawn
+// up front, applied through FpisaSwitch::add_batch, and collected through
+// one read_and_reset_batch. The per-packet protocol it reproduces bit for
+// bit survives only as the test oracle in tests/wave_oracle.h. The session
+// adds input validation and, with fault injection on, the dead-worker
+// degrade loop on top.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
-#include "core/accumulator.h"
 #include "fault/fault.h"
 #include "pisa/fpisa_program.h"
+#include "switchml/wave_engine.h"
 #include "telemetry/metrics.h"
 #include "util/rng.h"
 
@@ -43,132 +38,22 @@ struct SessionOptions {
   double loss_rate = 0.0;        ///< probability a packet (either way) drops
   std::uint64_t loss_seed = 1;
   int max_retransmits = 64;      ///< per packet, before giving up
-  /// Batched fast paths (add_batch waves + read_and_reset_batch collects)
-  /// vs the per-packet reference protocol. Identical observables.
-  bool batched = true;
   /// Byzantine-wire fault injection + the guarded recovery protocol
   /// (epoch-stamped, checksummed adds; wave replay; dead-worker policy).
-  /// Requires the batched datapath.
   fault::FaultOptions fault;
 };
 
-/// A packet exhausted its retransmit budget: the protocol cannot make
-/// progress without risking a silently wrong aggregate. Carries which
-/// protocol phase gave up and the slot/worker context, like ShardDeadError
-/// carries the shard (worker is -1 for the read/reset phases, which are
-/// not worker-specific).
-class RetransmitExhaustedError : public std::runtime_error {
- public:
-  enum class Phase { kAdd, kRead, kReset };
-  RetransmitExhaustedError(Phase phase, std::uint16_t slot, int worker)
-      : std::runtime_error(
-            std::string(phase == Phase::kAdd
-                            ? "aggregation packet exceeded retransmits"
-                        : phase == Phase::kRead
-                            ? "read packet exceeded retransmits"
-                            : "reset packet exceeded retransmits") +
-            " (slot " + std::to_string(slot) +
-            (worker >= 0 ? ", worker " + std::to_string(worker) : "") + ")"),
-        phase_(phase),
-        slot_(slot),
-        worker_(worker) {}
-  Phase phase() const { return phase_; }
-  std::uint16_t slot() const { return slot_; }
-  int worker() const { return worker_; }
-
- private:
-  Phase phase_;
-  std::uint16_t slot_;
-  int worker_;
-};
-
-struct SessionStats {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t packets_lost = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t duplicates_absorbed = 0;  ///< dedup hits at the switch
-  std::uint64_t slot_reuses = 0;
-  // Failover accounting (cluster fabric; zero on single-switch sessions).
-  std::uint64_t shard_failures = 0;   ///< shards declared dead serving this
-  std::uint64_t chunks_rerouted = 0;  ///< chunks re-homed onto survivors
-  std::uint64_t failover_retries = 0; ///< clean retry passes run
-  /// Byzantine-fault injection/recovery books (zero with faults disabled).
-  fault::FaultCounters faults{};
-  /// Bitmask of workers declared dead while serving this. A monotone mask,
-  /// not a count: several shards may each declare the same worker dead, and
-  /// kMean-over-survivors needs the distinct-worker population.
-  std::uint32_t dead_workers = 0;
-  /// Per-MAU kernel operation counts (§5.2.1 taxonomy), carried through
-  /// every merge so table-level accounting survives aggregation end to
-  /// end. Populated where a layer exclusively owns its switch (sessions,
-  /// cluster per-shard books); zero where attribution is ambiguous
-  /// (concurrent jobs sharing switches).
-  core::OpCounters ops{};
-
-  /// Centralized merge (cluster/shard/tenant accounting all use this).
-  SessionStats& operator+=(const SessionStats& o) {
-    packets_sent += o.packets_sent;
-    packets_lost += o.packets_lost;
-    retransmissions += o.retransmissions;
-    duplicates_absorbed += o.duplicates_absorbed;
-    slot_reuses += o.slot_reuses;
-    shard_failures += o.shard_failures;
-    chunks_rerouted += o.chunks_rerouted;
-    failover_retries += o.failover_retries;
-    faults += o.faults;
-    dead_workers |= o.dead_workers;
-    ops += o.ops;
-    return *this;
-  }
-  /// Delta against an earlier snapshot of the same cumulative stats (used
-  /// to attribute one reduce out of a long-lived session's running total).
-  SessionStats& operator-=(const SessionStats& o) {
-    packets_sent -= o.packets_sent;
-    packets_lost -= o.packets_lost;
-    retransmissions -= o.retransmissions;
-    duplicates_absorbed -= o.duplicates_absorbed;
-    slot_reuses -= o.slot_reuses;
-    shard_failures -= o.shard_failures;
-    chunks_rerouted -= o.chunks_rerouted;
-    failover_retries -= o.failover_retries;
-    faults -= o.faults;
-    // Delta semantics for a monotone mask: keep only the workers that died
-    // after the `o` snapshot was taken.
-    dead_workers &= ~o.dead_workers;
-    ops -= o.ops;
-    return *this;
-  }
-};
-
-/// Outcome of drawing a wave's collect (read + reset) loss schedule in the
-/// per-packet protocol order, without touching the switch.
-struct CollectSchedule {
-  std::uint64_t delivered = 0;  ///< switch traversals the schedule implies
-  std::size_t cleared = 0;      ///< prefix of slots whose reset was delivered
-  int failure = 0;              ///< 0: none, 1: read failed, 2: reset failed
-};
-
-/// Draws the per-slot read/reset retry schedule for `n` slots exactly as
-/// the per-slot collect loop would — same rng draw order, same
-/// packets_sent / packets_lost / slot_reuses counting. Reads are
-/// idempotent and re-clearing an already-reset slot is a no-op, so ONE
-/// physical read-and-reset per fully-collected slot (the `cleared`
-/// prefix) plus `delivered` accounted traversals reproduces the per-slot
-/// protocol's register evolution and packet accounting exactly. Shared by
-/// AggregationSession and cluster::AggregationService so the two batched
-/// collect paths cannot drift apart.
-CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
-                                      int max_retransmits, util::Rng& rng,
-                                      SessionStats& stats);
-
 /// Aggregates `workers` equal-length FP32 vectors through a switch,
-/// packet by packet, tolerating packet loss. Returns the aggregated sum.
-class AggregationSession {
+/// wave by wave, tolerating packet loss. Returns the aggregated sum.
+class AggregationSession : private WaveHooks {
  public:
+  /// Throws std::invalid_argument unless 1 <= num_workers <= 32 (the
+  /// switch's dedup bitmap is 32 bits wide).
   AggregationSession(pisa::SwitchConfig config, SessionOptions opts);
 
   /// Zero-copy reduce over worker views (span-of-spans into caller-owned
-  /// storage): the sum lands in `out` (out.size() == view length).
+  /// storage): the sum lands in `out`. Throws std::invalid_argument unless
+  /// there are num_workers views of one length and `out` has that length.
   void reduce_into(std::span<const std::span<const float>> workers,
                    std::span<float> out);
   /// Legacy allocating form — materializes views (never the gradients) and
@@ -192,56 +77,16 @@ class AggregationSession {
   }
 
  private:
-  /// Sends one worker's packet for a chunk; applies loss on both
-  /// directions; returns the switch's response if it survived.
-  bool send_add(std::uint16_t slot, std::uint8_t worker,
-                std::span<const std::uint32_t> values,
-                pisa::FpisaResult* out);
-  /// Batched flavor: draws the identical loss schedule but queues every
-  /// delivered copy into the pending batch instead of touching the switch.
-  bool queue_add(std::uint16_t slot, std::uint8_t worker,
-                 std::span<const std::uint32_t> values);
-  void flush_pending();
-  /// Batched collect: draws the per-slot read/reset loss schedules in the
-  /// per-packet order, then drains the wave's slots [0, wave size) through
-  /// one read_and_reset_batch call and scatters the values into `result`.
-  /// Throws exactly where (and with the state) the per-slot loop would.
-  void collect_wave(std::size_t base, std::size_t wave_end, std::size_t n,
-                    std::span<float> result);
-
-  // --- Byzantine-fault guarded protocol (opts_.fault.enabled only) -------
-  /// One attempt at the whole job with the given survivor set; throws
-  /// WorkerDeadError when a worker misses a wave deadline.
-  void run_guarded(std::span<const std::span<const float>> workers,
-                   std::span<float> result, fault::FaultEngine& engine,
-                   std::uint32_t dead_mask);
-  /// queue_add through the fault engine: delivered copies are handed to
-  /// deliver(), which may corrupt / duplicate / hold them back as ghosts.
-  bool queue_add_guarded(std::uint16_t slot, std::uint8_t worker,
-                         std::span<const std::uint32_t> values,
-                         fault::FaultEngine& engine);
-  /// Drains the engine's pending batch through add_batch_guarded and folds
-  /// the guard's rejection counts into stats_.faults.
-  void flush_pending_guarded(fault::FaultEngine& engine);
-  /// Post-add wave recovery: detect switch state loss (generation bump) and
-  /// replay the wave from the host-held gradients; then enforce the wave
-  /// deadline — a worker whose bit is clear in every wave slot is dead.
-  void recover_wave(std::span<const std::span<const float>> workers,
-                    std::size_t base, std::size_t wave_end, std::size_t n,
-                    std::size_t wave_index, std::uint32_t dead_mask,
-                    fault::FaultEngine& engine);
-  /// Re-reads every slot's epoch/generation stamp from the switch's
-  /// control plane into the host mirror.
-  void resync_stamps();
-
   void init_metrics();
   /// Accumulates one wave's timings and pushes stats deltas to the registry.
-  void note_wave(std::uint64_t add_ns, std::uint64_t collect_ns);
+  void end_wave(const WaveTiming& t) override;
 
   SessionOptions opts_;
   pisa::FpisaSwitch switch_;
   util::Rng loss_rng_;
   mutable SessionStats stats_{};  ///< mutable: stats() refreshes .ops
+  WaveEngine engine_;
+  std::vector<std::size_t> chunk_ids_;  ///< 0, 1, 2, ...: chunk = wave slot
 
   std::uint64_t add_ns_ = 0;      ///< add-phase wall time across reduces
   std::uint64_t collect_ns_ = 0;  ///< collect-phase wall time
@@ -250,21 +95,6 @@ class AggregationSession {
   telemetry::Counter* m_retrans_ = nullptr;
   telemetry::Counter* m_lost_ = nullptr;
   telemetry::Histogram* m_phase_[2] = {};  ///< [0]=add, [1]=collect
-
-  // Reused across waves: zero steady-state allocation on the hot path.
-  std::vector<std::uint16_t> pending_slots_;
-  std::vector<std::uint8_t> pending_workers_;
-  std::vector<std::uint32_t> pending_values_;
-  std::vector<std::uint32_t> lane_buf_;
-  std::vector<std::uint32_t> wave_values_;  ///< batched collect results
-  pisa::FpisaResult result_buf_;
-
-  // Guarded-protocol state (touched only when opts_.fault.enabled).
-  std::vector<std::uint32_t> stamps_;       ///< host mirror of slot stamps
-  std::uint16_t mirror_generation_ = 0;
-  std::vector<std::uint32_t> bitmap_scratch_;   ///< wave-deadline probe
-  std::vector<std::uint32_t> replay_stamps_;    ///< wave-replay batch
-  std::vector<std::uint16_t> replay_checksums_;
 };
 
 }  // namespace fpisa::switchml

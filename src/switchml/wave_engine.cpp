@@ -1,0 +1,375 @@
+#include "switchml/wave_engine.h"
+
+#include <algorithm>
+#include <bit>
+
+#include "core/packed.h"
+
+namespace fpisa::switchml {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
+}
+
+}  // namespace
+
+CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
+                                      int max_retransmits, util::Rng& rng,
+                                      SessionStats& stats) {
+  CollectSchedule sched;
+  for (std::size_t k = 0; k < n; ++k) {
+    bool have = false;
+    for (int attempt = 0; attempt <= max_retransmits && !have; ++attempt) {
+      ++stats.packets_sent;
+      if (rng.next_double() < loss_rate) {
+        ++stats.packets_lost;
+        continue;
+      }
+      ++sched.delivered;
+      if (rng.next_double() < loss_rate) {
+        ++stats.packets_lost;
+        continue;
+      }
+      have = true;
+    }
+    if (!have) {
+      sched.failure = 1;
+      return sched;
+    }
+    bool cleared_slot = false;
+    for (int attempt = 0; attempt <= max_retransmits; ++attempt) {
+      ++stats.packets_sent;
+      if (rng.next_double() < loss_rate) {
+        ++stats.packets_lost;
+        continue;
+      }
+      ++sched.delivered;
+      ++stats.slot_reuses;
+      cleared_slot = true;
+      if (rng.next_double() >= loss_rate) break;
+      ++stats.packets_lost;  // ack lost: re-clearing is harmless
+    }
+    if (!cleared_slot) {
+      sched.failure = 2;
+      return sched;
+    }
+    ++sched.cleared;
+  }
+  return sched;
+}
+
+void WaveHooks::fail(WaveFailure failure, std::uint16_t slot, int worker) {
+  using Phase = RetransmitExhaustedError::Phase;
+  switch (failure) {
+    case WaveFailure::kAddExhausted:
+      throw RetransmitExhaustedError(Phase::kAdd, slot, worker);
+    case WaveFailure::kReadExhausted:
+      throw RetransmitExhaustedError(Phase::kRead, slot, worker);
+    case WaveFailure::kResetExhausted:
+      throw RetransmitExhaustedError(Phase::kReset, slot, worker);
+    case WaveFailure::kReplayBudget:
+      throw std::runtime_error(
+          "switch state loss not recoverable within the wave-replay budget");
+    case WaveFailure::kKilledMidAdd:
+    case WaveFailure::kKilledMidCollect:
+      break;
+  }
+  throw std::runtime_error("switch killed mid-wave");
+}
+
+WaveEngine::WaveEngine(int lanes)
+    : lanes_(static_cast<std::size_t>(lanes)), lane_buf_(lanes_, 0) {}
+
+void WaveEngine::load_lanes(const WaveJob& job, std::size_t w,
+                            std::size_t c) {
+  const std::span<const float> v = job.workers[w];
+  const std::size_t i0 = c * lanes_;
+  for (std::size_t l = 0; l < lanes_; ++l) {
+    lane_buf_[l] = i0 + l < v.size() ? core::fp32_bits(v[i0 + l]) : 0;
+  }
+}
+
+bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
+                      std::uint8_t id) {
+  SessionStats& st = *job.stats;
+  util::Rng& rng = *job.rng;
+  bool delivered_before = false;
+  for (int attempt = 0; attempt <= job.max_retransmits; ++attempt) {
+    if (attempt > 0) ++st.retransmissions;
+    ++st.packets_sent;
+    if (rng.next_double() < job.loss_rate) {
+      ++st.packets_lost;
+      continue;  // request lost: retransmit after "timeout"
+    }
+    if (job.faults != nullptr) {
+      // A corrupted copy still reaches the switch (whose guard rejects
+      // it) but can never be acked: keep retransmitting.
+      if (!job.faults->deliver(slot, id, stamps_[slot - job.lo], lane_buf_)) {
+        continue;
+      }
+    } else {
+      slots_.push_back(slot);
+      workers_.push_back(id);
+      values_.insert(values_.end(), lane_buf_.begin(), lane_buf_.end());
+    }
+    if (delivered_before) ++st.duplicates_absorbed;
+    delivered_before = true;
+    if (rng.next_double() < job.loss_rate) {
+      ++st.packets_lost;
+      continue;  // ack lost: the worker retransmits, the bitmap dedups
+    }
+    return true;
+  }
+  return false;
+}
+
+WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
+                                       std::size_t wave) {
+  const Clock::time_point t0 = Clock::now();
+  Encoded e;
+  const std::size_t base = wave * job.wave;
+  const std::size_t end = std::min(base + job.wave, job.chunks.size());
+  const std::size_t mid = base + (end - base) / 2;
+  if (job.faults != nullptr) job.faults->begin_wave(wave);
+  for (std::size_t k = base; k < end && e.ok; ++k) {
+    if (k == mid && hooks.kill_mid_add(wave)) {
+      e.killed = true;
+      break;
+    }
+    const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
+    for (std::size_t w = 0; w < job.workers.size(); ++w) {
+      if ((job.dead_mask >> w) & 1u) continue;
+      if (job.faults != nullptr &&
+          job.faults->worker_silent(static_cast<int>(w), wave)) {
+        continue;  // injected death: this worker's packets never arrive
+      }
+      load_lanes(job, w, job.chunks[k]);
+      if (!send(job, slot, id_of(job, w))) {
+        e.ok = false;
+        e.slot = slot;
+        e.worker = static_cast<int>(w);
+        break;
+      }
+    }
+  }
+  e.ns = ns_between(t0, Clock::now());
+  return e;
+}
+
+void WaveEngine::flush(SwitchAccess& sw, const WaveJob& job) {
+  if (job.faults != nullptr) {
+    fault::FaultEngine& f = *job.faults;
+    f.shuffle_pending();
+    if (f.pending() != 0) {
+      pisa::FpisaSwitch::GuardStats guard;
+      sw.with([&](pisa::FpisaSwitch& s) {
+        s.add_batch_guarded(f.slots(), f.workers(), f.stamps(),
+                            f.checksums(), f.values(), guard);
+      });
+      job.stats->faults.corrupt_rejected += guard.corrupt_rejected;
+      job.stats->faults.stale_dups_rejected += guard.stale_rejected;
+    }
+    f.clear_pending();
+    return;
+  }
+  if (!slots_.empty()) {
+    sw.with([&](pisa::FpisaSwitch& s) {
+      s.add_batch(slots_, workers_, values_);
+    });
+  }
+  slots_.clear();
+  workers_.clear();
+  values_.clear();
+}
+
+void WaveEngine::resync(pisa::FpisaSwitch& sw, const WaveJob& job) {
+  stamps_.resize(job.wave);
+  for (std::size_t k = 0; k < job.wave; ++k) {
+    stamps_[k] = sw.slot_stamp(static_cast<std::uint16_t>(job.lo + k));
+  }
+  mirror_generation_ = sw.generation();
+}
+
+void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
+                         WaveHooks& hooks, std::size_t wave) {
+  fault::FaultEngine& f = *job.faults;
+  SessionStats& st = *job.stats;
+  const std::size_t base = wave * job.wave;
+  const std::size_t end = std::min(base + job.wave, job.chunks.size());
+  const std::size_t wave_n = end - base;
+  const bool wipe = f.should_wipe(wave);
+  std::uint32_t expected = 0;
+  for (std::size_t w = 0; w < job.workers.size(); ++w) {
+    if (!((job.dead_mask >> w) & 1u)) expected |= 1u << id_of(job, w);
+  }
+  bitmaps_.resize(wave_n);
+  sw.with([&](pisa::FpisaSwitch& s) {
+    // Injected whole-switch state loss lands after the wave's adds, the
+    // moment it hurts most.
+    if (wipe) s.wipe_state();
+    // A generation bump means every register, this wave's partial sums
+    // included, is gone: resync the stamp mirror and replay the wave from
+    // the host-held gradients in one guarded batch (the dedup bitmap
+    // absorbs anything that did survive).
+    for (int replays = 0; s.generation() != mirror_generation_; ++replays) {
+      if (replays >= f.options().max_wave_replays) {
+        hooks.fail(WaveFailure::kReplayBudget, job.lo, -1);
+      }
+      resync(s, job);
+      ++st.faults.epoch_bumps;
+      replay_stamps_.clear();
+      replay_checksums_.clear();
+      for (std::size_t k = base; k < end; ++k) {
+        const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
+        const std::uint32_t stamp = stamps_[k - base];
+        for (std::size_t w = 0; w < job.workers.size(); ++w) {
+          if ((job.dead_mask >> w) & 1u) continue;
+          if (f.worker_silent(static_cast<int>(w), wave)) continue;
+          load_lanes(job, w, job.chunks[k]);
+          const std::uint8_t id = id_of(job, w);
+          slots_.push_back(slot);
+          workers_.push_back(id);
+          values_.insert(values_.end(), lane_buf_.begin(), lane_buf_.end());
+          replay_stamps_.push_back(stamp);
+          replay_checksums_.push_back(
+              pisa::fpisa_checksum(slot, id, stamp, lane_buf_));
+        }
+      }
+      pisa::FpisaSwitch::GuardStats guard;
+      s.add_batch_guarded(slots_, workers_, replay_stamps_, replay_checksums_,
+                          values_, guard);
+      st.faults.corrupt_rejected += guard.corrupt_rejected;
+      st.faults.stale_dups_rejected += guard.stale_rejected;
+      slots_.clear();
+      workers_.clear();
+      values_.clear();
+      ++st.faults.waves_replayed;
+    }
+    s.read_batch(job.lo, wave_n, {wave_values_.data(), wave_n * lanes_},
+                 bitmaps_);
+  });
+  // Wave deadline: loss is retried to acknowledgment, so a live worker
+  // reaches at least one slot of every wave. One whose dedup bit is clear
+  // in ALL of them is silent, and its data is never coming.
+  std::uint32_t missing = expected;
+  for (const std::uint32_t b : bitmaps_) missing &= ~b;
+  if (missing != 0) {
+    throw fault::WorkerDeadError(std::countr_zero(missing), wave);
+  }
+}
+
+void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
+                         WaveHooks& hooks, std::size_t wave,
+                         const CollectSchedule& sched) {
+  const std::size_t base = wave * job.wave;
+  const std::size_t end = std::min(base + job.wave, job.chunks.size());
+  // The cleared prefix drains in one compiled-egress call: values are read
+  // before the clear, exactly the per-slot read-then-reset order, and a
+  // failed slot and everything after it stay untouched, as they would.
+  sw.with([&](pisa::FpisaSwitch& s) {
+    s.read_and_reset_batch(job.lo, sched.cleared,
+                           {wave_values_.data(), sched.cleared * lanes_});
+    s.sim().account_packets(sched.delivered - sched.cleared);
+  });
+  const auto failed_slot = static_cast<std::uint16_t>(job.lo + sched.cleared);
+  if (sched.failure == 1) {
+    hooks.fail(WaveFailure::kReadExhausted, failed_slot, -1);
+  }
+  if (sched.failure == 2) {
+    // A never-reset slot would swallow the next wave's adds through the
+    // dedup bitmap: fail loudly rather than aggregate silently wrong.
+    hooks.fail(WaveFailure::kResetExhausted, failed_slot, -1);
+  }
+  const std::size_t n = job.out.size();
+  for (std::size_t k = base; k < end; ++k) {
+    const std::size_t i0 = job.chunks[k] * lanes_;
+    const std::uint32_t* v = &wave_values_[(k - base) * lanes_];
+    for (std::size_t l = 0; l < lanes_ && i0 + l < n; ++l) {
+      job.out[i0 + l] = core::fp32_value(v[l]);
+    }
+  }
+  if (job.faults != nullptr) {
+    // Every wave slot was reset, bumping its epoch on the switch: advance
+    // the mirror in lockstep so the next wave carries the fresh stamp and
+    // any ghost still buffered from this one is provably stale.
+    for (std::size_t k = 0; k < end - base; ++k) {
+      stamps_[k] = (stamps_[k] & 0xFFFF0000u) | ((stamps_[k] + 1u) & 0xFFFFu);
+    }
+  }
+}
+
+void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
+  const std::size_t total = job.chunks.size();
+  if (total == 0) return;
+  if (job.wave == 0) {
+    throw std::invalid_argument("wave engine: empty slot range");
+  }
+  WaveHooks default_hooks;
+  WaveHooks& hooks = job.hooks != nullptr ? *job.hooks : default_hooks;
+  // Guarded waves never pipeline: wave k+1's packets carry the epoch
+  // stamps that wave k's collect produces (and that a replay after state
+  // loss may resync), so they cannot be packed before that collect.
+  const bool pipeline = job.pipeline && job.faults == nullptr;
+  wave_values_.resize(job.wave * lanes_);
+  if (job.faults != nullptr) {
+    sw.with([&](pisa::FpisaSwitch& s) { resync(s, job); });
+  }
+  const std::size_t n_waves = (total + job.wave - 1) / job.wave;
+  Encoded enc = encode(job, hooks, 0);
+  for (std::size_t k = 0; k < n_waves; ++k) {
+    const std::size_t wave_n = std::min(job.wave, total - k * job.wave);
+    hooks.begin_wave(k);
+    const Clock::time_point t_add = Clock::now();
+    // The packets queued before a failure still land, so the switch holds
+    // exactly the state the per-packet protocol would leave.
+    flush(sw, job);
+    if (enc.killed) hooks.fail(WaveFailure::kKilledMidAdd, job.lo, -1);
+    if (!enc.ok) {
+      hooks.fail(WaveFailure::kAddExhausted, enc.slot, enc.worker);
+    }
+    if (job.faults != nullptr) recover(sw, job, hooks, k);
+    const Clock::time_point t_add_end = Clock::now();
+    const std::uint64_t add_ns = enc.ns + ns_between(t_add, t_add_end);
+
+    if (hooks.kill_mid_collect(k)) {
+      // Half the wave's slots get their read-and-reset through; the rest
+      // keep their sums and dedup bits for the caller's scrub to clean.
+      const std::size_t half = wave_n / 2;
+      sw.with([&](pisa::FpisaSwitch& s) {
+        s.read_and_reset_batch(job.lo, half,
+                               {wave_values_.data(), half * lanes_});
+      });
+      hooks.fail(WaveFailure::kKilledMidCollect, job.lo, -1);
+    }
+    const Clock::time_point t_collect = Clock::now();
+    const CollectSchedule sched = draw_collect_schedule(
+        wave_n, job.loss_rate, job.max_retransmits, *job.rng, *job.stats);
+    // A wave whose collect will fail is the last one: the next wave's
+    // encode (and its rng draws) never happens.
+    const bool more = k + 1 < n_waves && sched.failure == 0;
+    std::uint64_t overlap_ns = 0;
+    if (pipeline && more) {
+      enc = encode(job, hooks, k + 1);
+      overlap_ns = enc.ns;
+    }
+    collect(sw, job, hooks, k, sched);
+    const Clock::time_point t_collect_end = Clock::now();
+    hooks.end_wave({k, add_ns,
+                    ns_between(t_collect, t_collect_end) - overlap_ns,
+                    t_add_end, t_collect_end});
+    if (!pipeline && more) enc = encode(job, hooks, k + 1);
+  }
+}
+
+void WaveEngine::scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n) {
+  wave_values_.resize(n * lanes_);
+  sw.with([&](pisa::FpisaSwitch& s) {
+    s.read_and_reset_batch(lo, n, wave_values_);
+  });
+}
+
+}  // namespace fpisa::switchml

@@ -1,0 +1,305 @@
+// The SwitchML-style wave protocol (paper §5 / SwitchML §4), implemented
+// once for every layer that aggregates through an FpisaSwitch: the
+// single-switch AggregationSession, each cluster shard task, and both
+// levels of the ToR -> spine tree.
+//
+// A job is a list of chunks (each chunk is `lanes` consecutive values of
+// every worker's vector) run wave by wave over a slot range [lo, lo+wave)
+// of one switch. Per wave:
+//  1. encode: every live worker's packet for every chunk of the wave is
+//     packed into reused flat buffers while the add loss schedule is drawn
+//     in per-packet protocol order (request drop, delivery, ack drop,
+//     retransmit); every copy the switch would receive is queued in
+//     arrival order, so the dedup bitmap absorbs duplicates exactly as it
+//     would packet by packet;
+//  2. add: the queued wave lands through one add_batch;
+//  3. collect: the per-slot read/reset loss schedule is drawn
+//     (draw_collect_schedule) and the wave's slots drain through one
+//     read_and_reset_batch, scattered into the result by chunk id.
+// The loss schedule depends only on the rng stream, never on the switch,
+// which is why drawing it up front reproduces the per-packet protocol's
+// results, stats and register evolution bit for bit (pinned against the
+// per-packet oracle in tests/wave_oracle.h).
+//
+// Guarded mode (a fault::FaultEngine is supplied) adds the Byzantine-wire
+// recovery protocol: delivered copies pass through the fault engine and
+// carry epoch stamps from a host mirror, the batch lands through
+// add_batch_guarded, a switch wipe is recovered by replaying the wave from
+// the host-held gradients, a worker absent from every slot of a wave is
+// declared dead at the wave deadline, and the mirror epochs advance with
+// every collect.
+#pragma once
+
+#include <chrono>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
+
+#include "core/accumulator.h"
+#include "fault/fault.h"
+#include "pisa/fpisa_program.h"
+#include "util/rng.h"
+
+namespace fpisa::switchml {
+
+/// A packet exhausted its retransmit budget: the protocol cannot make
+/// progress without risking a silently wrong aggregate. Carries which
+/// protocol phase gave up and the slot/worker context, like ShardDeadError
+/// carries the shard (worker is -1 for the read/reset phases, which are
+/// not worker-specific).
+class RetransmitExhaustedError : public std::runtime_error {
+ public:
+  enum class Phase { kAdd, kRead, kReset };
+  RetransmitExhaustedError(Phase phase, std::uint16_t slot, int worker)
+      : std::runtime_error(
+            std::string(phase == Phase::kAdd
+                            ? "aggregation packet exceeded retransmits"
+                        : phase == Phase::kRead
+                            ? "read packet exceeded retransmits"
+                            : "reset packet exceeded retransmits") +
+            " (slot " + std::to_string(slot) +
+            (worker >= 0 ? ", worker " + std::to_string(worker) : "") + ")"),
+        phase_(phase),
+        slot_(slot),
+        worker_(worker) {}
+  Phase phase() const { return phase_; }
+  std::uint16_t slot() const { return slot_; }
+  int worker() const { return worker_; }
+
+ private:
+  Phase phase_;
+  std::uint16_t slot_;
+  int worker_;
+};
+
+struct SessionStats {
+  std::uint64_t packets_sent = 0;
+  std::uint64_t packets_lost = 0;
+  std::uint64_t retransmissions = 0;
+  std::uint64_t duplicates_absorbed = 0;  ///< dedup hits at the switch
+  std::uint64_t slot_reuses = 0;
+  // Failover accounting (cluster fabric; zero on single-switch sessions).
+  std::uint64_t shard_failures = 0;   ///< shards declared dead serving this
+  std::uint64_t chunks_rerouted = 0;  ///< chunks re-homed onto survivors
+  std::uint64_t failover_retries = 0; ///< clean retry passes run
+  /// Byzantine-fault injection/recovery books (zero with faults disabled).
+  fault::FaultCounters faults{};
+  /// Bitmask of workers declared dead while serving this. A monotone mask,
+  /// not a count: several shards may each declare the same worker dead, and
+  /// kMean-over-survivors needs the distinct-worker population.
+  std::uint32_t dead_workers = 0;
+  /// Per-MAU kernel operation counts (§5.2.1 taxonomy), carried through
+  /// every merge so table-level accounting survives aggregation end to
+  /// end. Populated where a layer exclusively owns its switch (sessions,
+  /// cluster per-shard books); zero where attribution is ambiguous
+  /// (concurrent jobs sharing switches).
+  core::OpCounters ops{};
+
+  /// Centralized merge (cluster/shard/tenant accounting all use this).
+  SessionStats& operator+=(const SessionStats& o) {
+    packets_sent += o.packets_sent;
+    packets_lost += o.packets_lost;
+    retransmissions += o.retransmissions;
+    duplicates_absorbed += o.duplicates_absorbed;
+    slot_reuses += o.slot_reuses;
+    shard_failures += o.shard_failures;
+    chunks_rerouted += o.chunks_rerouted;
+    failover_retries += o.failover_retries;
+    faults += o.faults;
+    dead_workers |= o.dead_workers;
+    ops += o.ops;
+    return *this;
+  }
+  /// Delta against an earlier snapshot of the same cumulative stats (used
+  /// to attribute one reduce out of a long-lived session's running total).
+  SessionStats& operator-=(const SessionStats& o) {
+    packets_sent -= o.packets_sent;
+    packets_lost -= o.packets_lost;
+    retransmissions -= o.retransmissions;
+    duplicates_absorbed -= o.duplicates_absorbed;
+    slot_reuses -= o.slot_reuses;
+    shard_failures -= o.shard_failures;
+    chunks_rerouted -= o.chunks_rerouted;
+    failover_retries -= o.failover_retries;
+    faults -= o.faults;
+    // Delta semantics for a monotone mask: keep only the workers that died
+    // after the `o` snapshot was taken.
+    dead_workers &= ~o.dead_workers;
+    ops -= o.ops;
+    return *this;
+  }
+};
+
+/// Outcome of drawing a wave's collect (read + reset) loss schedule in the
+/// per-packet protocol order, without touching the switch.
+struct CollectSchedule {
+  std::uint64_t delivered = 0;  ///< switch traversals the schedule implies
+  std::size_t cleared = 0;      ///< prefix of slots whose reset was delivered
+  int failure = 0;              ///< 0: none, 1: read failed, 2: reset failed
+};
+
+/// Draws the per-slot read/reset retry schedule for `n` slots exactly as
+/// the per-slot collect loop would — same rng draw order, same
+/// packets_sent / packets_lost / slot_reuses counting. Reads are
+/// idempotent and re-clearing an already-reset slot is a no-op, so ONE
+/// physical read-and-reset per fully-collected slot (the `cleared`
+/// prefix) plus `delivered` accounted traversals reproduces the per-slot
+/// protocol's register evolution and packet accounting exactly.
+CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
+                                      int max_retransmits, util::Rng& rng,
+                                      SessionStats& stats);
+
+/// The engine's only route to a switch. `with(fn)` runs fn(switch) with
+/// exclusive access for one protocol phase — the cluster takes its shard
+/// mutex here, so each phase is one lock hold; a caller that owns its
+/// switch outright uses DirectAccess.
+class SwitchAccess {
+ public:
+  virtual ~SwitchAccess() = default;
+  template <class F>
+  void with(F&& fn) {
+    using Fn = std::remove_reference_t<F>;
+    run(
+        +[](void* ctx, pisa::FpisaSwitch& sw) { (*static_cast<Fn*>(ctx))(sw); },
+        &fn);
+  }
+
+ protected:
+  using Thunk = void (*)(void* ctx, pisa::FpisaSwitch& sw);
+  virtual void run(Thunk thunk, void* ctx) = 0;
+};
+
+class DirectAccess final : public SwitchAccess {
+ public:
+  explicit DirectAccess(pisa::FpisaSwitch& sw) : sw_(sw) {}
+
+ private:
+  void run(Thunk thunk, void* ctx) override { thunk(ctx, sw_); }
+  pisa::FpisaSwitch& sw_;
+};
+
+/// Where a wave run gave up; WaveHooks::fail turns it into the caller's
+/// typed error.
+enum class WaveFailure {
+  kAddExhausted,      ///< an add packet exhausted its retransmit budget
+  kReadExhausted,     ///< a read packet exhausted its retransmit budget
+  kResetExhausted,    ///< a reset packet exhausted its retransmit budget
+  kReplayBudget,      ///< switch state loss outlived max_wave_replays
+  kKilledMidAdd,      ///< WaveHooks::kill_mid_add fired
+  kKilledMidCollect,  ///< WaveHooks::kill_mid_collect fired
+};
+
+/// One finished wave's phase split. The add phase covers encode, add and
+/// any guarded recovery; the collect phase the schedule draw, drain and
+/// scatter. The windows end at `add_end` / `collect_end`.
+struct WaveTiming {
+  std::size_t wave = 0;
+  std::uint64_t add_ns = 0;
+  std::uint64_t collect_ns = 0;
+  std::chrono::steady_clock::time_point add_end;
+  std::chrono::steady_clock::time_point collect_end;
+};
+
+/// Caller hook points. The defaults inject nothing and fail with
+/// RetransmitExhaustedError (or std::runtime_error for the replay budget).
+class WaveHooks {
+ public:
+  virtual ~WaveHooks() = default;
+  /// Top of every wave, before its adds land (straggler injection).
+  virtual void begin_wave(std::size_t /*wave*/) {}
+  /// Asked once per wave at the wave's middle chunk while encoding: true
+  /// stops the encode there; the packets already queued still land, then
+  /// the run fails with kKilledMidAdd.
+  virtual bool kill_mid_add(std::size_t /*wave*/) { return false; }
+  /// Asked once per wave after its adds: true resets the first half of the
+  /// wave's slots, then the run fails with kKilledMidCollect.
+  virtual bool kill_mid_collect(std::size_t /*wave*/) { return false; }
+  virtual void end_wave(const WaveTiming& /*timing*/) {}
+  /// Must throw. `slot` is absolute; `worker` is -1 where none applies.
+  [[noreturn]] virtual void fail(WaveFailure failure, std::uint16_t slot,
+                                 int worker);
+};
+
+/// One run of the wave protocol.
+struct WaveJob {
+  /// Input views, all out.size() long.
+  std::span<const std::span<const float>> workers;
+  /// Bitmap id of each view; empty means the view's index.
+  std::span<const std::uint8_t> ids;
+  /// Chunk ids in wave order: the k-th listed chunk rides slot
+  /// lo + k % wave of wave k / wave.
+  std::span<const std::size_t> chunks;
+  std::span<float> out;
+  std::uint16_t lo = 0;
+  std::size_t wave = 1;  ///< slot range size = chunks per wave
+  double loss_rate = 0.0;
+  int max_retransmits = 0;
+  util::Rng* rng = nullptr;
+  SessionStats* stats = nullptr;
+  std::uint32_t dead_mask = 0;  ///< views that send nothing
+  fault::FaultEngine* faults = nullptr;  ///< non-null: guarded mode
+  /// Encode wave k+1 before wave k's collect instead of after it. The rng
+  /// draw order is the same either way, so results and stats are too.
+  bool pipeline = false;
+  WaveHooks* hooks = nullptr;  ///< null: the defaults
+};
+
+class WaveEngine {
+ public:
+  explicit WaveEngine(int lanes);
+
+  /// Runs every wave of `job`, writing each collected chunk into
+  /// job.out. Throws through job.hooks->fail, or fault::WorkerDeadError
+  /// when a guarded wave's deadline finds a silent worker.
+  void run(SwitchAccess& sw, const WaveJob& job);
+  /// Control-plane cleanup: read-and-resets slots [lo, lo + n), so a
+  /// failed or abandoned run leaks no partial sums, dedup bits or epochs
+  /// into the range's next user.
+  void scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n);
+
+ private:
+  /// Outcome of encoding one wave.
+  struct Encoded {
+    bool ok = true;       ///< false: a packet exhausted its retransmits
+    bool killed = false;  ///< kill_mid_add fired
+    std::uint16_t slot = 0;
+    int worker = -1;
+    std::uint64_t ns = 0;
+  };
+  Encoded encode(const WaveJob& job, WaveHooks& hooks, std::size_t wave);
+  /// Draws one packet's add loss schedule and queues each delivered copy;
+  /// false when the packet exhausts its retransmit budget.
+  bool send(const WaveJob& job, std::uint16_t slot, std::uint8_t id);
+  void flush(SwitchAccess& sw, const WaveJob& job);
+  /// Guarded only: injected wipe, replay after state loss, wave deadline.
+  void recover(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
+               std::size_t wave);
+  void collect(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
+               std::size_t wave, const CollectSchedule& sched);
+  void resync(pisa::FpisaSwitch& sw, const WaveJob& job);
+  /// Packs chunk `c` of view `w` into lane_buf_ (zero past the end).
+  void load_lanes(const WaveJob& job, std::size_t w, std::size_t c);
+  std::uint8_t id_of(const WaveJob& job, std::size_t w) const {
+    return job.ids.empty() ? static_cast<std::uint8_t>(w) : job.ids[w];
+  }
+
+  std::size_t lanes_;
+  // Reused across waves and runs: no steady-state allocation.
+  std::vector<std::uint16_t> slots_;
+  std::vector<std::uint8_t> workers_;
+  std::vector<std::uint32_t> values_;
+  std::vector<std::uint32_t> lane_buf_;
+  std::vector<std::uint32_t> wave_values_;
+  // Guarded mode: host mirror of the range's slot stamps, the wave
+  // deadline's bitmap probe, and the stamp/checksum columns of a replay.
+  std::vector<std::uint32_t> stamps_;
+  std::uint16_t mirror_generation_ = 0;
+  std::vector<std::uint32_t> bitmaps_;
+  std::vector<std::uint32_t> replay_stamps_;
+  std::vector<std::uint16_t> replay_checksums_;
+};
+
+}  // namespace fpisa::switchml

@@ -8,6 +8,7 @@
 #include <future>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "cluster/aggregation_service.h"
 #include "cluster/hierarchy.h"
@@ -15,6 +16,7 @@
 #include "core/packed.h"
 #include "switchml/session.h"
 #include "util/rng.h"
+#include "wave_oracle.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -227,13 +229,20 @@ TEST(ClusterService, LossInjectionIsBitExactVsLossless) {
 }
 
 TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
-  // The compiled-egress collect (one read_and_reset_batch per wave) must be
-  // observably indistinguishable from the per-slot read/reset round trips
-  // through the packet sim: identical results and protocol stats, with and
-  // without loss (the batched path pre-draws the same loss schedule).
+  // Every shard task, pipelined or serial, must be observably
+  // indistinguishable from the per-packet, per-slot protocol oracle run
+  // over the shard's routed chunk list and slot range with the task's own
+  // loss stream: identical results, per-shard protocol stats and kernel op
+  // counts, with and without loss.
   const auto workers = make_workers(4, 150, 190);
-  for (const double loss : {0.0, 0.2}) {
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
+  for (const auto& [loss, pipeline] :
+       {std::pair{0.0, true}, std::pair{0.2, true}, std::pair{0.2, false}}) {
+    SCOPED_TRACE(testing::Message() << "loss=" << loss
+                                    << " pipeline=" << pipeline);
     ClusterOptions opts;
+    opts.pipeline_waves = pipeline;
     opts.num_shards = 3;
     opts.slots_per_shard = 16;
     opts.slots_per_job = 8;
@@ -241,26 +250,48 @@ TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
     opts.loss_rate = loss;
     opts.loss_seed = 191;
     opts.max_retransmits = 256;
-
-    ClusterOptions per_slot = opts;
-    per_slot.batched_collect = false;
     AggregationService fast(opts);
-    AggregationService slow(per_slot);
-
     const auto got = fast.reduce({"t", workers});
-    const auto want = slow.reduce({"t", workers});
-    ASSERT_EQ(got.result.size(), want.result.size());
-    for (std::size_t i = 0; i < want.result.size(); ++i) {
-      EXPECT_EQ(core::fp32_bits(got.result[i]),
-                core::fp32_bits(want.result[i]))
-          << "loss=" << loss << " i=" << i;
+
+    std::vector<float> want(150);
+    const auto parts = fast.router().partition(75);
+    for (int s = 0; s < opts.num_shards; ++s) {
+      SCOPED_TRACE(s);
+      pisa::FpisaProgramOptions p;
+      p.variant = core::Variant::kApproximate;
+      p.lanes = opts.lanes;
+      p.slots = opts.slots_per_shard;
+      p.num_workers = 32;
+      pisa::FpisaSwitch sw(opts.switch_config, p);
+      util::Rng rng(task_seed(opts.loss_seed, got.job_id, s, 0));
+      switchml::SessionStats stats{};
+      switchml::WaveJob job;
+      job.workers = views;
+      job.chunks = parts[static_cast<std::size_t>(s)];
+      job.out = want;
+      job.lo = 0;  // a fresh service hands its first job each range's start
+      job.wave = opts.slots_per_job;
+      job.loss_rate = loss;
+      job.max_retransmits = opts.max_retransmits;
+      job.rng = &rng;
+      job.stats = &stats;
+      oracle::per_packet_run(sw, job);
+      const auto& shard = got.per_shard[static_cast<std::size_t>(s)];
+      EXPECT_EQ(shard.packets_sent, stats.packets_sent);
+      EXPECT_EQ(shard.packets_lost, stats.packets_lost);
+      EXPECT_EQ(shard.retransmissions, stats.retransmissions);
+      EXPECT_EQ(shard.duplicates_absorbed, stats.duplicates_absorbed);
+      EXPECT_EQ(shard.slot_reuses, stats.slot_reuses);
+      EXPECT_EQ(fast.shard_stats(s).ops.adds, sw.op_counters().adds);
+      EXPECT_EQ(fast.shard_stats(s).ops.rounded_adds,
+                sw.op_counters().rounded_adds);
+      EXPECT_EQ(fast.shard_stats(s).ops.overwrites,
+                sw.op_counters().overwrites);
     }
-    EXPECT_EQ(got.stats.packets_sent, want.stats.packets_sent) << loss;
-    EXPECT_EQ(got.stats.packets_lost, want.stats.packets_lost) << loss;
-    EXPECT_EQ(got.stats.retransmissions, want.stats.retransmissions) << loss;
-    EXPECT_EQ(got.stats.duplicates_absorbed, want.stats.duplicates_absorbed)
-        << loss;
-    EXPECT_EQ(got.stats.slot_reuses, want.stats.slot_reuses) << loss;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(core::fp32_bits(got.result[i]), core::fp32_bits(want[i]))
+          << "i=" << i;
+    }
   }
 }
 
@@ -307,7 +338,6 @@ TEST(ClusterService, ConcurrentTenantsAreIsolated) {
   opts.num_shards = 2;
   opts.slots_per_shard = 8;
   opts.slots_per_job = 4;
-  opts.worker_threads = 3;
   AggregationService service(opts);
 
   const auto wa = make_workers(3, 60, 97);

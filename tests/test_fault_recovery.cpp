@@ -205,14 +205,6 @@ TEST(SessionFaults, DeadWorkerDegradesToSurvivorSum) {
   EXPECT_EQ(session.fpisa_switch().occupied_slots(), 0);
 }
 
-TEST(SessionFaults, FaultInjectionRequiresBatchedDatapath) {
-  switchml::SessionOptions opts;
-  opts.batched = false;
-  opts.fault.enabled = true;
-  EXPECT_THROW(switchml::AggregationSession(pisa::SwitchConfig{}, opts),
-               std::invalid_argument);
-}
-
 // --- cluster ---------------------------------------------------------------
 
 cluster::ClusterOptions base_cluster_opts() {

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
 
+#include "core/packed.h"
 #include "switchml/session.h"
 #include "util/rng.h"
+#include "wave_oracle.h"
 
 namespace fpisa::switchml {
 namespace {
@@ -156,11 +160,11 @@ TEST(Session, MultiWaveReusesSlotsCleanly) {
 }
 
 TEST(Session, BatchedAndPerPacketSubmissionAreIdentical) {
-  // The chunk-batched datapath must be observably indistinguishable from
-  // per-packet submission: identical results (bit-for-bit), identical
-  // SessionStats, identical switch register state afterwards — including
-  // under heavy loss, where the batched path pre-draws the same loss
-  // schedule and queues every delivered duplicate.
+  // The session's batched waves must be observably indistinguishable from
+  // the per-packet protocol oracle: identical results (bit-for-bit),
+  // identical SessionStats and kernel op counts, identical switch register
+  // state afterwards — including under heavy loss, where the engine
+  // pre-draws the same loss schedule and queues every delivered duplicate.
   for (const double loss : {0.0, 0.2, 0.4}) {
     for (const bool rsaw : {false, true}) {
       pisa::SwitchConfig cfg;
@@ -173,28 +177,44 @@ TEST(Session, BatchedAndPerPacketSubmissionAreIdentical) {
       opts.loss_rate = loss;
       opts.loss_seed = 71 + static_cast<std::uint64_t>(loss * 10);
       opts.max_retransmits = 256;
-
-      SessionOptions batched = opts;
-      batched.batched = true;
-      SessionOptions per_packet = opts;
-      per_packet.batched = false;
-      AggregationSession fast(cfg, batched);
-      AggregationSession slow(cfg, per_packet);
+      AggregationSession fast(cfg, opts);
+      AggregationSession slow(cfg, opts);  // only its switch is used
 
       const auto workers = make_workers(3, 100, 72);
       const auto got = fast.reduce(workers);
-      const auto want = slow.reduce(workers);
-      ASSERT_EQ(got.size(), want.size());
+      const std::vector<std::span<const float>> views(workers.begin(),
+                                                      workers.end());
+      std::vector<float> want(100);
+      std::vector<std::size_t> chunks(25);
+      std::iota(chunks.begin(), chunks.end(), std::size_t{0});
+      util::Rng rng(opts.loss_seed);
+      SessionStats slow_stats{};
+      WaveJob job;
+      job.workers = views;
+      job.chunks = chunks;
+      job.out = want;
+      job.wave = opts.slots;
+      job.loss_rate = loss;
+      job.max_retransmits = opts.max_retransmits;
+      job.rng = &rng;
+      job.stats = &slow_stats;
+      oracle::per_packet_run(slow.fpisa_switch(), job);
+
       for (std::size_t i = 0; i < want.size(); ++i) {
         EXPECT_EQ(core::fp32_bits(got[i]), core::fp32_bits(want[i]))
             << "loss=" << loss << " rsaw=" << rsaw << " i=" << i;
       }
-      EXPECT_EQ(fast.stats().packets_sent, slow.stats().packets_sent);
-      EXPECT_EQ(fast.stats().packets_lost, slow.stats().packets_lost);
-      EXPECT_EQ(fast.stats().retransmissions, slow.stats().retransmissions);
+      EXPECT_EQ(fast.stats().packets_sent, slow_stats.packets_sent);
+      EXPECT_EQ(fast.stats().packets_lost, slow_stats.packets_lost);
+      EXPECT_EQ(fast.stats().retransmissions, slow_stats.retransmissions);
       EXPECT_EQ(fast.stats().duplicates_absorbed,
-                slow.stats().duplicates_absorbed);
-      EXPECT_EQ(fast.stats().slot_reuses, slow.stats().slot_reuses);
+                slow_stats.duplicates_absorbed);
+      EXPECT_EQ(fast.stats().slot_reuses, slow_stats.slot_reuses);
+      EXPECT_EQ(fast.stats().ops.adds, slow.fpisa_switch().op_counters().adds);
+      EXPECT_EQ(fast.stats().ops.rounded_adds,
+                slow.fpisa_switch().op_counters().rounded_adds);
+      EXPECT_EQ(fast.stats().ops.overwrites,
+                slow.fpisa_switch().op_counters().overwrites);
       // Post-job switch state (all lane registers + bitmap + counter).
       for (int r = 0; r < 2 * 4 + 2; ++r) {
         for (std::size_t s = 0; s < 8; ++s) {
@@ -205,6 +225,36 @@ TEST(Session, BatchedAndPerPacketSubmissionAreIdentical) {
       }
     }
   }
+}
+
+TEST(Session, RejectsMalformedShapesWithTypedErrors) {
+  // Release builds included: no shape check may be a Debug-only assert.
+  SessionOptions opts;
+  opts.num_workers = 0;
+  EXPECT_THROW(AggregationSession(pisa::SwitchConfig{}, opts),
+               std::invalid_argument);
+  opts.num_workers = 33;  // the dedup bitmap is 32 bits wide
+  EXPECT_THROW(AggregationSession(pisa::SwitchConfig{}, opts),
+               std::invalid_argument);
+  opts.num_workers = 32;
+  EXPECT_NO_THROW(AggregationSession(pisa::SwitchConfig{}, opts));
+
+  opts.num_workers = 3;
+  opts.lanes = 2;
+  AggregationSession session(pisa::SwitchConfig{}, opts);
+  const std::vector<float> a(10, 1.0f), b(10, 2.0f), c(10, 3.0f), short_(7);
+  std::vector<float> out(10);
+  const auto run = [&](std::vector<std::span<const float>> views,
+                       std::span<float> o) { session.reduce_into(views, o); };
+  EXPECT_THROW(run({a, b}, out), std::invalid_argument);  // too few
+  EXPECT_THROW(run({a, b, c, a}, out), std::invalid_argument);
+  EXPECT_THROW(run({a, b, short_}, out), std::invalid_argument);
+  EXPECT_THROW(run({short_, a, b}, out), std::invalid_argument);
+  EXPECT_THROW(run({a, b, c}, std::span<float>(out).first(9)),
+               std::invalid_argument);
+  EXPECT_EQ(session.stats().packets_sent, 0u) << "rejected before the wire";
+  run({a, b, c}, out);
+  for (const float v : out) EXPECT_EQ(v, 6.0f);
 }
 
 TEST(SessionStatsMerge, OperatorPlusEqualsSumsEveryField) {

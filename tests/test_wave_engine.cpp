@@ -1,0 +1,271 @@
+// The one wave engine against its oracles (tests/wave_oracle.h): the
+// per-packet SwitchML protocol, and the tree's interleaved per-slot loop.
+// Bit-identical results, every SessionStats field, the switches' kernel
+// operation counters, packet counts and post-job register state.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <numeric>
+#include <tuple>
+#include <vector>
+
+#include "cluster/hierarchy.h"
+#include "core/packed.h"
+#include "switchml/wave_engine.h"
+#include "util/rng.h"
+#include "wave_oracle.h"
+
+namespace fpisa {
+namespace {
+
+using switchml::SessionStats;
+
+std::vector<std::vector<float>> make_workers(int w, std::size_t n,
+                                             std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<float>> out(static_cast<std::size_t>(w),
+                                      std::vector<float>(n));
+  for (auto& vec : out) {
+    for (auto& v : vec) v = static_cast<float>(rng.normal(0.0, 0.1));
+  }
+  return out;
+}
+
+void expect_stats_eq(const SessionStats& got, const SessionStats& want) {
+  EXPECT_EQ(got.packets_sent, want.packets_sent);
+  EXPECT_EQ(got.packets_lost, want.packets_lost);
+  EXPECT_EQ(got.retransmissions, want.retransmissions);
+  EXPECT_EQ(got.duplicates_absorbed, want.duplicates_absorbed);
+  EXPECT_EQ(got.slot_reuses, want.slot_reuses);
+}
+
+void expect_ops_eq(const core::OpCounters& got, const core::OpCounters& want) {
+  EXPECT_EQ(got.adds, want.adds);
+  EXPECT_EQ(got.rounded_adds, want.rounded_adds);
+  EXPECT_EQ(got.overwrites, want.overwrites);
+  EXPECT_EQ(got.lshift_overflows, want.lshift_overflows);
+  EXPECT_EQ(got.saturations, want.saturations);
+  EXPECT_EQ(got.nonfinite_inputs, want.nonfinite_inputs);
+  EXPECT_EQ(got.zero_inputs, want.zero_inputs);
+}
+
+/// Kernel op counts, dedup hits, packet counts and every register of every
+/// slot (lane exponents and mantissas, dedup bitmap, completion counter).
+void expect_switch_eq(pisa::FpisaSwitch& got, pisa::FpisaSwitch& want) {
+  expect_ops_eq(got.op_counters(), want.op_counters());
+  EXPECT_EQ(got.dedup_hits(), want.dedup_hits());
+  EXPECT_EQ(got.occupied_slots(), want.occupied_slots());
+  EXPECT_EQ(got.sim().packets_processed(), want.sim().packets_processed());
+  const auto regs = static_cast<int>(want.sim().program().registers.size());
+  for (int r = 0; r < regs; ++r) {
+    for (std::size_t s = 0; s < want.options().slots; ++s) {
+      ASSERT_EQ(got.sim().reg(r).read(s), want.sim().reg(r).read(s))
+          << "reg=" << r << " slot=" << s;
+    }
+  }
+}
+
+void expect_bits_eq(std::span<const float> got, std::span<const float> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(core::fp32_bits(got[i]), core::fp32_bits(want[i])) << "i=" << i;
+  }
+}
+
+pisa::FpisaSwitch make_switch(bool rsaw, int lanes, std::size_t slots) {
+  pisa::SwitchConfig cfg;
+  cfg.ext.rsaw = rsaw;
+  cfg.ext.two_operand_shift = rsaw;
+  pisa::FpisaProgramOptions p;
+  p.variant = rsaw ? core::Variant::kFull : core::Variant::kApproximate;
+  p.lanes = lanes;
+  p.slots = slots;
+  p.num_workers = 32;
+  return pisa::FpisaSwitch(cfg, p);
+}
+
+/// Runs `job` through the engine and through the oracle, each on its own
+/// switch and rng stream (seeded alike), and expects identical results,
+/// stats, switch state and rng position. Returns the error both sides
+/// threw as (phase, slot, worker), or phase -1 when the job completed.
+std::tuple<int, int, int> expect_engine_matches_oracle(
+    switchml::WaveJob job, bool rsaw, int lanes, std::uint64_t seed) {
+  using Outcome = std::tuple<int, int, int>;
+  const auto outcome = [](auto&& body) -> Outcome {
+    try {
+      body();
+    } catch (const switchml::RetransmitExhaustedError& e) {
+      return {static_cast<int>(e.phase()), e.slot(), e.worker()};
+    }
+    return {-1, 0, 0};
+  };
+  const std::size_t n = job.out.size();
+  pisa::FpisaSwitch engine_sw = make_switch(rsaw, lanes, 24);
+  pisa::FpisaSwitch oracle_sw = make_switch(rsaw, lanes, 24);
+  std::vector<float> engine_out(n), oracle_out(n);
+  SessionStats engine_stats{}, oracle_stats{};
+  util::Rng engine_rng(seed), oracle_rng(seed);
+
+  job.out = engine_out;
+  job.rng = &engine_rng;
+  job.stats = &engine_stats;
+  switchml::DirectAccess access(engine_sw);
+  switchml::WaveEngine engine(lanes);
+  const Outcome got = outcome([&] { engine.run(access, job); });
+  job.out = oracle_out;
+  job.rng = &oracle_rng;
+  job.stats = &oracle_stats;
+  const Outcome want =
+      outcome([&] { oracle::per_packet_run(oracle_sw, job); });
+
+  EXPECT_EQ(got, want);
+  // A failed wave is never scattered, so only completed runs compare out.
+  if (std::get<0>(want) < 0) expect_bits_eq(engine_out, oracle_out);
+  expect_stats_eq(engine_stats, oracle_stats);
+  expect_switch_eq(engine_sw, oracle_sw);
+  EXPECT_EQ(engine_rng.next_u64(), oracle_rng.next_u64());
+  // The scrub leaves the range as a fresh switch's.
+  engine.scrub(access, job.lo, job.wave);
+  EXPECT_EQ(engine_sw.occupied_slots(), 0);
+  return want;
+}
+
+std::vector<std::size_t> iota_chunks(std::size_t n) {
+  std::vector<std::size_t> chunks(n);
+  std::iota(chunks.begin(), chunks.end(), std::size_t{0});
+  return chunks;
+}
+
+TEST(WaveEngine, MatchesPerPacketOracle) {
+  constexpr int kLanes = 4;
+  constexpr std::size_t kN = 203;  // last chunk is partly padding
+  const auto data = make_workers(4, kN, 17);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  const std::vector<std::uint8_t> ids = {5, 0, 9, 3};
+  // A permuted chunk list, as a cluster shard receives after routing.
+  std::vector<std::size_t> chunks = iota_chunks((kN + kLanes - 1) / kLanes);
+  util::Rng shuffle(18);
+  for (std::size_t i = chunks.size(); i > 1; --i) {
+    std::swap(chunks[i - 1], chunks[shuffle.next_below(i)]);
+  }
+  std::vector<float> out(kN);
+  for (const double loss : {0.0, 0.2, 0.4}) {
+    for (const bool rsaw : {false, true}) {
+      for (const bool pipeline : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "loss=" << loss << " rsaw=" << rsaw
+                                        << " pipeline=" << pipeline);
+        switchml::WaveJob job;
+        job.workers = views;
+        job.ids = ids;
+        job.chunks = chunks;
+        job.out = out;
+        job.lo = 5;  // a tenant's range in the middle of the switch
+        job.wave = 16;
+        job.loss_rate = loss;
+        job.max_retransmits = 256;
+        job.dead_mask = pipeline ? 0b0100u : 0u;
+        job.pipeline = pipeline;
+        EXPECT_EQ(std::get<0>(expect_engine_matches_oracle(job, rsaw, kLanes,
+                                                           71)),
+                  -1);
+      }
+    }
+  }
+}
+
+TEST(WaveEngine, FailsWhereAndAsTheOracleDoes) {
+  // Each phase of the protocol exhausting its budget mid-job: the engine
+  // throws the oracle's error (phase, slot, worker) and leaves identical
+  // books and switch state behind. Seeds are searched, not chosen: every
+  // phase must be hit at least once.
+  const auto data = make_workers(3, 96, 27);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  const std::vector<std::size_t> chunks = iota_chunks(48);
+  std::vector<float> out(96);
+  int phases_seen[3] = {};
+  for (std::uint64_t seed = 0; seed < 128; ++seed) {
+    for (const bool pipeline : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "seed=" << seed
+                                      << " pipeline=" << pipeline);
+      switchml::WaveJob job;
+      // One worker makes the collect phases as likely to give up as adds.
+      job.workers = std::span(views).first(seed % 2 == 0 ? 1 : 3);
+      job.chunks = chunks;
+      job.out = out;
+      job.lo = 3;
+      job.wave = 8;
+      job.loss_rate = 0.1;
+      job.max_retransmits = static_cast<int>(seed / 2 % 3);
+      job.pipeline = pipeline;
+      const int phase =
+          std::get<0>(expect_engine_matches_oracle(job, false, 2, seed));
+      if (phase >= 0) ++phases_seen[phase];
+    }
+  }
+  EXPECT_GT(phases_seen[0], 0) << "no add exhaustion";
+  EXPECT_GT(phases_seen[1], 0) << "no read exhaustion";
+  EXPECT_GT(phases_seen[2], 0) << "no reset exhaustion";
+}
+
+// --- the tree against its per-slot oracle ------------------------------------
+
+void expect_tree_matches_oracle(const cluster::HierarchyOptions& opts,
+                                int killed_leaf, std::size_t n) {
+  cluster::HierarchicalAggregator tree(opts);
+  oracle::TreeOracle ref(opts);
+  if (killed_leaf >= 0) {
+    tree.kill_leaf(killed_leaf);
+    ref.kill_leaf(killed_leaf);
+  }
+  for (std::uint64_t rep = 0; rep < 2; ++rep) {  // slots recycle cleanly
+    const auto data = make_workers(tree.total_workers(), n, 40 + rep);
+    const std::vector<std::span<const float>> views(data.begin(), data.end());
+    std::vector<float> got(n);
+    std::vector<float> want(n);
+    tree.reduce_into(views, got);
+    const cluster::HierarchyTiming timing = ref.reduce(views, want);
+    expect_bits_eq(got, want);
+    EXPECT_EQ(tree.timing().packets, timing.packets);
+    EXPECT_EQ(tree.timing().wire_bytes, timing.wire_bytes);
+    EXPECT_EQ(tree.timing().done_s, timing.done_s);
+    EXPECT_EQ(tree.timing().leaf_done_s, timing.leaf_done_s);
+  }
+  for (int j = 0; j < opts.leaves; ++j) {
+    SCOPED_TRACE(j);
+    expect_ops_eq(tree.leaf(j).op_counters(), ref.leaf(j).op_counters());
+    EXPECT_EQ(tree.leaf(j).occupied_slots(), 0);
+  }
+  expect_ops_eq(tree.spine().op_counters(), ref.spine().op_counters());
+  EXPECT_EQ(tree.spine().occupied_slots(), 0);
+}
+
+TEST(TreeOracle, FourByTwoTreeMatchesPerSlotLoop) {
+  cluster::HierarchyOptions opts;
+  opts.leaves = 4;
+  opts.workers_per_leaf = 2;
+  opts.slots = 16;
+  opts.lanes = 4;
+  expect_tree_matches_oracle(opts, -1, 301);
+}
+
+TEST(TreeOracle, EightLeafTreeMatchesPerSlotLoop) {
+  cluster::HierarchyOptions opts;
+  opts.leaves = 8;
+  opts.workers_per_leaf = 3;
+  opts.slots = 8;
+  opts.lanes = 2;
+  opts.full_fpisa_spine = false;
+  expect_tree_matches_oracle(opts, -1, 157);
+}
+
+TEST(TreeOracle, KilledLeafMatchesPerSlotLoop) {
+  cluster::HierarchyOptions opts;
+  opts.leaves = 4;
+  opts.workers_per_leaf = 2;
+  opts.slots = 16;
+  opts.lanes = 4;
+  expect_tree_matches_oracle(opts, 2, 250);
+}
+
+}  // namespace
+}  // namespace fpisa

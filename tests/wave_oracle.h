@@ -1,0 +1,248 @@
+// Test oracles for the wave protocol. src/ has one implementation, the
+// switchml::WaveEngine; these are the reference protocols it must
+// reproduce bit for bit:
+//  * per_packet_run: the SwitchML per-packet protocol — one interpreted
+//    switch traversal per add, read and reset packet, loss drawn packet by
+//    packet;
+//  * TreeOracle: the ToR -> spine tree's interleaved per-slot loop, leaf
+//    adds then per-slot leaf read_and_reset + spine add, with its EventSim
+//    timing model.
+// Header-only and test-only.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "cluster/hierarchy.h"
+#include "core/packed.h"
+#include "net/event_sim.h"
+#include "pisa/fpisa_program.h"
+#include "switchml/wave_engine.h"
+
+namespace fpisa::oracle {
+
+/// Runs `job` (workers, ids, chunks, out, slot range, loss, rng, stats,
+/// dead_mask; guarded mode and hooks are not modelled) packet by packet.
+inline void per_packet_run(pisa::FpisaSwitch& sw,
+                           const switchml::WaveJob& job) {
+  using Error = switchml::RetransmitExhaustedError;
+  const auto lanes = static_cast<std::size_t>(sw.options().lanes);
+  const std::size_t n = job.out.size();
+  switchml::SessionStats& st = *job.stats;
+  const auto lost = [&] {
+    if (job.rng->next_double() >= job.loss_rate) return false;
+    ++st.packets_lost;
+    return true;
+  };
+  std::vector<std::uint32_t> vals(lanes);
+  pisa::FpisaResult r;
+  for (std::size_t base = 0; base < job.chunks.size(); base += job.wave) {
+    const std::size_t end = std::min(base + job.wave, job.chunks.size());
+    for (std::size_t k = base; k < end; ++k) {
+      const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
+      for (std::size_t w = 0; w < job.workers.size(); ++w) {
+        if ((job.dead_mask >> w) & 1u) continue;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const std::size_t i = job.chunks[k] * lanes + l;
+          vals[l] = i < n ? core::fp32_bits(job.workers[w][i]) : 0;
+        }
+        const auto id = job.ids.empty() ? static_cast<std::uint8_t>(w)
+                                        : job.ids[w];
+        bool acked = false;
+        bool delivered = false;
+        for (int a = 0; a <= job.max_retransmits && !acked; ++a) {
+          if (a > 0) ++st.retransmissions;
+          ++st.packets_sent;
+          if (lost()) continue;
+          if (delivered) ++st.duplicates_absorbed;
+          delivered = true;
+          (void)sw.add(slot, id, vals);
+          acked = !lost();
+        }
+        if (!acked) throw Error(Error::Phase::kAdd, slot, static_cast<int>(w));
+      }
+    }
+    for (std::size_t k = base; k < end; ++k) {
+      const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
+      bool have = false;
+      for (int a = 0; a <= job.max_retransmits && !have; ++a) {
+        ++st.packets_sent;
+        if (lost()) continue;
+        sw.read_into(slot, r);
+        have = !lost();
+      }
+      if (!have) throw Error(Error::Phase::kRead, slot, -1);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const std::size_t i = job.chunks[k] * lanes + l;
+        if (i < n) job.out[i] = core::fp32_value(r.values[l]);
+      }
+      bool cleared = false;
+      for (int a = 0; a <= job.max_retransmits; ++a) {
+        ++st.packets_sent;
+        if (lost()) continue;
+        sw.read_and_reset_into(slot, r);
+        ++st.slot_reuses;
+        cleared = true;
+        if (!lost()) break;  // a lost ack only re-clears an empty slot
+      }
+      if (!cleared) throw Error(Error::Phase::kReset, slot, -1);
+    }
+  }
+}
+
+/// The tree as it ran before the wave engine: its own switches, the same
+/// program options as cluster::HierarchicalAggregator, and the interleaved
+/// per-slot loop.
+class TreeOracle {
+ public:
+  explicit TreeOracle(const cluster::HierarchyOptions& opts) : opts_(opts) {
+    for (int j = 0; j < opts.leaves; ++j) {
+      leaves_.push_back(std::make_unique<pisa::FpisaSwitch>(
+          opts.switch_config, program(opts.switch_config)));
+    }
+    pisa::SwitchConfig spine = opts.switch_config;
+    if (opts.full_fpisa_spine) {
+      spine.ext.rsaw = true;
+      spine.ext.two_operand_shift = true;
+    }
+    spine_ = std::make_unique<pisa::FpisaSwitch>(spine, program(spine));
+    alive_.assign(static_cast<std::size_t>(opts.leaves), true);
+  }
+
+  void kill_leaf(int j) { alive_[static_cast<std::size_t>(j)] = false; }
+  pisa::FpisaSwitch& leaf(int j) {
+    return *leaves_[static_cast<std::size_t>(j)];
+  }
+  pisa::FpisaSwitch& spine() { return *spine_; }
+
+  cluster::HierarchyTiming reduce(
+      std::span<const std::span<const float>> workers,
+      std::span<float> result) {
+    const int wpl = opts_.workers_per_leaf;
+    const std::size_t n = workers.front().size();
+    const auto lanes = static_cast<std::size_t>(opts_.lanes);
+    const std::size_t chunks = (n + lanes - 1) / lanes;
+    const std::size_t pkt = static_cast<std::size_t>(pisa::kFpisaHeaderBytes) +
+                            4u * lanes + opts_.frame_overhead_bytes;
+    const auto nl = static_cast<std::size_t>(opts_.leaves);
+    const net::Link link(opts_.link_gbps, opts_.link_latency_us);
+    net::EventSim sim;
+    std::vector<net::Link> worker_up(workers.size(), link);
+    std::vector<net::Link> tor_up(nl, link);
+    std::vector<net::Link> spine_down(nl, link);
+    std::vector<net::Link> leaf_pipe(nl, net::Link(opts_.pipeline_gbps, 0.0));
+    net::Link spine_pipe(opts_.pipeline_gbps, 0.0);
+    std::vector<int> spine_seen(chunks, 0);
+    cluster::HierarchyTiming timing{};
+    std::vector<std::uint32_t> vals(lanes);
+    const auto load = [&](std::size_t w, std::size_t c) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        const std::size_t i = c * lanes + l;
+        vals[l] = i < n ? core::fp32_bits(workers[w][i]) : 0;
+      }
+    };
+
+    std::vector<int> dead_base(nl, -1);
+    int next_direct_id = opts_.leaves;
+    int arrivals = 0;
+    for (std::size_t j = 0; j < nl; ++j) {
+      if (alive_[j]) {
+        ++arrivals;
+      } else {
+        dead_base[j] = next_direct_id;
+        next_direct_id += wpl;
+        arrivals += wpl;
+      }
+    }
+    const auto spine_arrival = [&](std::size_t c) {
+      const double processed = spine_pipe.send(sim.now(), pkt);
+      sim.at(processed, [&, c] {
+        if (++spine_seen[c] < arrivals) return;
+        for (auto& down : spine_down) {
+          const double delivered =
+              down.send(sim.now(), pkt) + opts_.link_latency_us * 1e-6;
+          ++timing.packets;
+          timing.done_s = std::max(timing.done_s, delivered);
+        }
+      });
+    };
+
+    for (std::size_t base = 0; base < chunks; base += opts_.slots) {
+      const std::size_t wave_end = std::min(base + opts_.slots, chunks);
+      for (std::size_t c = base; c < wave_end; ++c) {
+        const auto slot = static_cast<std::uint16_t>(c - base);
+        for (std::size_t j = 0; j < nl; ++j) {
+          double leaf_ready = 0.0;
+          for (int k = 0; k < wpl; ++k) {
+            const std::size_t w = j * static_cast<std::size_t>(wpl) +
+                                  static_cast<std::size_t>(k);
+            const double hop = worker_up[w].send(0.0, pkt);
+            if (alive_[j]) {
+              load(w, c);
+              (void)leaves_[j]->add(slot, static_cast<std::uint8_t>(k), vals);
+              leaf_ready = std::max(leaf_ready, leaf_pipe[j].send(hop, pkt));
+            } else {
+              sim.at(hop, [&spine_arrival, c] { spine_arrival(c); });
+            }
+            ++timing.packets;
+          }
+          if (!alive_[j]) continue;
+          sim.at(leaf_ready, [&, c, j] {
+            const double at_spine = tor_up[j].send(sim.now(), pkt);
+            ++timing.packets;
+            timing.leaf_done_s = std::max(timing.leaf_done_s, sim.now());
+            sim.at(at_spine, [&spine_arrival, c] { spine_arrival(c); });
+          });
+        }
+      }
+      for (std::size_t c = base; c < wave_end; ++c) {
+        const auto slot = static_cast<std::uint16_t>(c - base);
+        for (std::size_t j = 0; j < nl; ++j) {
+          if (alive_[j]) {
+            const pisa::FpisaResult partial = leaves_[j]->read_and_reset(slot);
+            (void)spine_->add(slot, static_cast<std::uint8_t>(j),
+                              partial.values);
+            continue;
+          }
+          for (int k = 0; k < wpl; ++k) {
+            load(j * static_cast<std::size_t>(wpl) +
+                     static_cast<std::size_t>(k),
+                 c);
+            (void)spine_->add(slot,
+                              static_cast<std::uint8_t>(dead_base[j] + k),
+                              vals);
+          }
+        }
+        const pisa::FpisaResult combined = spine_->read_and_reset(slot);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const std::size_t i = c * lanes + l;
+          if (i < n) result[i] = core::fp32_value(combined.values[l]);
+        }
+      }
+    }
+    sim.run();
+    timing.wire_bytes = timing.packets * pkt;
+    return timing;
+  }
+
+ private:
+  pisa::FpisaProgramOptions program(const pisa::SwitchConfig& cfg) const {
+    pisa::FpisaProgramOptions p;
+    p.variant = cfg.ext.rsaw ? core::Variant::kFull
+                             : core::Variant::kApproximate;
+    p.lanes = opts_.lanes;
+    p.slots = opts_.slots;
+    p.num_workers = 32;
+    return p;
+  }
+
+  cluster::HierarchyOptions opts_;
+  std::vector<std::unique_ptr<pisa::FpisaSwitch>> leaves_;
+  std::unique_ptr<pisa::FpisaSwitch> spine_;
+  std::vector<bool> alive_;
+};
+
+}  // namespace fpisa::oracle
