@@ -2,6 +2,8 @@
 //   * add throughput: full vs FPISA-A vs host float
 //   * batched branchless datapath vs the scalar reference loop, per backend
 //   * batched egress (read/renormalize) vs the per-slot read loop, per backend
+//   * the switch's compiled ingress/egress (FpisaSwitch::add_batch /
+//     read_and_reset_batch) on the same kernels, per value
 //   * read (delayed renorm) vs hypothetical renormalize-every-add
 //   * LPM-table CLZ vs native countl_zero
 //   * advanced ops (multiply / table-multiply / log2 / sqrt)
@@ -17,6 +19,7 @@
 #include "core/batch_accumulator.h"
 #include "core/clz_table.h"
 #include "core/vector_accumulator.h"
+#include "pisa/fpisa_program.h"
 #include "util/rng.h"
 
 namespace {
@@ -259,6 +262,82 @@ void BM_BatchReadAvx2Wide64(benchmark::State& state) {
   run_read_batch(state, core::BatchBackend::kAvx2, 40);
 }
 BENCHMARK(BM_BatchReadAvx2Wide64);
+
+// --- the switch layer on the same kernels ----------------------------------
+// FpisaSwitch's compiled ingress and egress at the fabric benchmark's
+// shape: 32 lanes, 64 slots, 4 workers, one wave of packets in wave order
+// (slot-major, worker-minor), full FPISA on the RSAW-extended switch.
+// Items are values, so these rows read directly against the core kernel
+// rows above. Each row times its own half; the other half (which returns
+// the switch to the same state) runs with the timer paused.
+
+constexpr int kSwitchLanes = 32;
+constexpr std::size_t kSwitchSlots = 64;
+constexpr int kSwitchWorkers = 4;
+
+struct SwitchWave {
+  std::vector<std::uint16_t> slots;
+  std::vector<std::uint8_t> workers;
+  std::vector<std::uint32_t> values;
+};
+
+SwitchWave make_switch_wave() {
+  SwitchWave w;
+  w.values = value_bits(kSwitchSlots * kSwitchWorkers * kSwitchLanes, 60);
+  for (std::size_t slot = 0; slot < kSwitchSlots; ++slot) {
+    for (int k = 0; k < kSwitchWorkers; ++k) {
+      w.slots.push_back(static_cast<std::uint16_t>(slot));
+      w.workers.push_back(static_cast<std::uint8_t>(k));
+    }
+  }
+  return w;
+}
+
+pisa::FpisaSwitch make_bench_switch() {
+  pisa::SwitchConfig cfg;
+  cfg.ext.two_operand_shift = true;
+  cfg.ext.rsaw = true;
+  pisa::FpisaProgramOptions opts;
+  opts.variant = core::Variant::kFull;
+  opts.lanes = kSwitchLanes;
+  opts.slots = kSwitchSlots;
+  opts.num_workers = kSwitchWorkers;
+  return pisa::FpisaSwitch(cfg, opts);
+}
+
+void BM_SwitchAddBatch(benchmark::State& state) {
+  pisa::FpisaSwitch sw = make_bench_switch();
+  const SwitchWave w = make_switch_wave();
+  std::vector<std::uint32_t> out(kSwitchSlots * kSwitchLanes);
+  for (auto _ : state) {
+    sw.add_batch(w.slots, w.workers, w.values);
+    benchmark::DoNotOptimize(sw.op_counters().adds);
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    sw.read_and_reset_batch(0, kSwitchSlots, out);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.values.size()));
+}
+BENCHMARK(BM_SwitchAddBatch);
+
+void BM_SwitchReadResetBatch(benchmark::State& state) {
+  pisa::FpisaSwitch sw = make_bench_switch();
+  const SwitchWave w = make_switch_wave();
+  std::vector<std::uint32_t> out(kSwitchSlots * kSwitchLanes);
+  for (auto _ : state) {
+    state.PauseTiming();
+    sw.add_batch(w.slots, w.workers, w.values);
+    state.ResumeTiming();
+    sw.read_and_reset_batch(0, kSwitchSlots, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_SwitchReadResetBatch);
 
 // Ablation: delayed renormalization (read once at the end) vs
 // renormalizing after every add — the data-dependency the design removes.

@@ -1,6 +1,7 @@
 #include "core/batch_accumulator.h"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "core/batch_lane.h"
 #include "core/decompose.h"
@@ -21,27 +22,28 @@ bool avx2_available() {
 bool g_forced = false;
 BatchBackend g_forced_backend = BatchBackend::kScalar;
 
-template <Variant V, OverflowPolicy P>
+template <Variant V, OverflowPolicy P, LaneMode M>
 void run_scalar(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
                 std::int64_t* man, const AccumulatorConfig& cfg,
                 detail::BatchTallies& t) {
   const detail::LaneParams p = detail::LaneParams::from(cfg);
-  detail::lane_add_range<V, P>(bits, n, exp, man, p, t);
+  detail::lane_add_range<V, P, M>(bits, n, exp, man, p, t);
 }
 
 using Kernel = void (*)(const std::uint32_t*, std::size_t, std::int32_t*,
                         std::int64_t*, const AccumulatorConfig&,
                         detail::BatchTallies&);
 
+template <LaneMode M>
 Kernel pick_scalar(const AccumulatorConfig& cfg) {
   if (cfg.variant == Variant::kFull) {
     return cfg.overflow == OverflowPolicy::kWrap
-               ? run_scalar<Variant::kFull, OverflowPolicy::kWrap>
-               : run_scalar<Variant::kFull, OverflowPolicy::kSaturate>;
+               ? run_scalar<Variant::kFull, OverflowPolicy::kWrap, M>
+               : run_scalar<Variant::kFull, OverflowPolicy::kSaturate, M>;
   }
   return cfg.overflow == OverflowPolicy::kWrap
-             ? run_scalar<Variant::kApproximate, OverflowPolicy::kWrap>
-             : run_scalar<Variant::kApproximate, OverflowPolicy::kSaturate>;
+             ? run_scalar<Variant::kApproximate, OverflowPolicy::kWrap, M>
+             : run_scalar<Variant::kApproximate, OverflowPolicy::kSaturate, M>;
 }
 
 /// Reference fallback for configs outside the fast path (non-FP32 layouts,
@@ -97,9 +99,18 @@ bool batch_eligible(const AccumulatorConfig& cfg) {
 
 void fpisa_add_batch(std::span<const std::uint32_t> bits,
                      std::span<std::int32_t> exp, std::span<std::int64_t> man,
-                     const AccumulatorConfig& cfg, OpCounters& counters) {
-  assert(bits.size() == exp.size() && bits.size() == man.size());
+                     const AccumulatorConfig& cfg, OpCounters& counters,
+                     LaneMode mode) {
+  if (exp.size() != bits.size() || man.size() != bits.size()) {
+    throw std::invalid_argument(
+        "fpisa_add_batch: bits, exp and man spans differ in length");
+  }
   if (!batch_eligible(cfg)) {
+    if (mode == LaneMode::kSwitch) {
+      throw std::invalid_argument(
+          "fpisa_add_batch: LaneMode::kSwitch needs a batch-eligible config "
+          "(FP32, register narrower than 64 bits)");
+    }
     run_reference(bits, exp, man, cfg, counters);
     return;
   }
@@ -111,11 +122,14 @@ void fpisa_add_batch(std::span<const std::uint32_t> bits,
 #if defined(FPISA_HAVE_AVX2)
   if (batch_backend() == BatchBackend::kAvx2) {
     detail::add_batch_avx2(bits.data(), bits.size(), exp.data(), man.data(),
-                           cfg, t);
+                           cfg, mode, t);
   } else
 #endif
   {
-    pick_scalar(cfg)(bits.data(), bits.size(), exp.data(), man.data(), cfg, t);
+    const Kernel k = mode == LaneMode::kSwitch
+                         ? pick_scalar<LaneMode::kSwitch>(cfg)
+                         : pick_scalar<LaneMode::kAccumulator>(cfg);
+    k(bits.data(), bits.size(), exp.data(), man.data(), cfg, t);
   }
 
   counters.adds += t.adds;

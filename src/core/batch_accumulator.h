@@ -27,6 +27,12 @@
 // cross-lane dependencies at all. Contract: bit-identical to per-slot
 // `fpisa_read` (same test file).
 //
+// Modes: every entry point takes a LaneMode. kAccumulator is the core
+// software accumulator above. kSwitch is the FPISA switch program
+// (src/pisa/fpisa_program.*), whose compiled ingress and egress run on
+// these same kernels over a slot-major register bank; see LaneMode for the
+// edges where the two datapaths differ.
+//
 // Backends (runtime-dispatched behind this one interface):
 //  * kScalar — portable unrolled scalar code built from the same branchless
 //    lane primitive; compiles everywhere.
@@ -60,6 +66,31 @@ struct RegisterFile {
   }
 };
 
+/// Which datapath the lane kernels model. The arithmetic is shared; the
+/// modes differ only at the edges the switch's tables handle differently
+/// from the software accumulator.
+enum class LaneMode : std::uint8_t {
+  /// FpisaAccumulator semantics: non-finite inputs are skipped (counted in
+  /// `nonfinite_inputs` only), zeros tick `adds`/`zero_inputs` and leave
+  /// the register untouched, and reads emit true subnormals.
+  kAccumulator,
+  /// The FPISA switch program (Fig 2), bit-identical to its interpreted
+  /// tables:
+  ///  * ingress: zero and non-finite inputs run the datapath like any
+  ///    other value (the exponent register sees them) and count as adds;
+  ///    the exponent difference is clamped to ±32 (the align table's
+  ///    range), which changes only the rounded-add count at |d| >= 64 with
+  ///    a shifted mantissa of -1; a left-shift overflow counts as
+  ///    `lshift_overflows` only, not also as a saturation;
+  ///  * egress: a result that would be subnormal flushes to signed zero,
+  ///    and a normalized exponent >= 255 clamps to ±inf (the range
+  ///    gateway on the 16-bit e_norm field, which for 8-bit exponent
+  ///    registers never wraps).
+  /// Requires a batch- and read-eligible config (FP32, register < 64 bits,
+  /// truncating reads); anything else throws std::invalid_argument.
+  kSwitch,
+};
+
 enum class BatchBackend {
   kScalar,  ///< portable branchless scalar (unrolled)
   kAvx2,    ///< AVX2 4x64-bit lanes (when compiled in + CPU supports it)
@@ -88,10 +119,12 @@ bool batch_eligible(const AccumulatorConfig& cfg);
 /// match FpisaVector's scalar loop exactly: non-finite inputs bump
 /// `nonfinite_inputs` and are skipped (no `adds` tick), zeros tick
 /// `adds`/`zero_inputs` and leave the register untouched, everything else
-/// runs the configured variant's datapath.
+/// runs the configured variant's datapath. LaneMode::kSwitch applies the
+/// switch's ingress semantics instead.
 void fpisa_add_batch(std::span<const std::uint32_t> bits,
                      std::span<std::int32_t> exp, std::span<std::int64_t> man,
-                     const AccumulatorConfig& cfg, OpCounters& counters);
+                     const AccumulatorConfig& cfg, OpCounters& counters,
+                     LaneMode mode = LaneMode::kAccumulator);
 
 /// True when `cfg` can take the batched *read* fast path: packed binary32
 /// layout, a register narrower than 64 bits, and the hardware-faithful
@@ -108,10 +141,12 @@ bool read_batch_eligible(const AccumulatorConfig& cfg);
 /// register state. Bit-identical to per-slot `fpisa_read` (the kernel
 /// behind `FpisaAccumulator::read()`), including subnormal outputs and
 /// overflow-to-infinity clamping. Spans must have equal length.
+/// LaneMode::kSwitch applies the switch's egress range handling instead.
 void fpisa_read_batch(std::span<const std::int32_t> exp,
                       std::span<const std::int64_t> man,
                       std::span<std::uint32_t> out,
-                      const AccumulatorConfig& cfg);
+                      const AccumulatorConfig& cfg,
+                      LaneMode mode = LaneMode::kAccumulator);
 
 /// Read-and-reset variant (SwitchML-style slot recycling): identical
 /// outputs to fpisa_read_batch, then every (exp[i], man[i]) pair is
@@ -119,7 +154,8 @@ void fpisa_read_batch(std::span<const std::int32_t> exp,
 void fpisa_read_reset_batch(std::span<std::int32_t> exp,
                             std::span<std::int64_t> man,
                             std::span<std::uint32_t> out,
-                            const AccumulatorConfig& cfg);
+                            const AccumulatorConfig& cfg,
+                            LaneMode mode = LaneMode::kAccumulator);
 
 namespace detail {
 
@@ -140,7 +176,8 @@ struct BatchTallies {
 /// lane primitive inside.
 void add_batch_avx2(const std::uint32_t* bits, std::size_t n,
                     std::int32_t* exp, std::int64_t* man,
-                    const AccumulatorConfig& cfg, BatchTallies& t);
+                    const AccumulatorConfig& cfg, LaneMode mode,
+                    BatchTallies& t);
 
 /// AVX2 egress kernel entry (defined in batch_read_avx2.cpp, only built
 /// when FPISA_ENABLE_AVX2 is on). Tail elements are finished by the scalar
@@ -149,7 +186,7 @@ void add_batch_avx2(const std::uint32_t* bits, std::size_t n,
 /// run32), wider registers the generic 4x64-bit kernel.
 void read_batch_avx2(const std::int32_t* exp, const std::int64_t* man,
                      std::uint32_t* out, std::size_t n, int guard,
-                     int reg_bits);
+                     int reg_bits, LaneMode mode);
 
 }  // namespace detail
 

@@ -13,6 +13,9 @@
 //    s -> min(s, 63) mapping (every operand fits in < 63 magnitude bits),
 //    and the inexact rule switches to "v != 0 && v != -1" lanes-wise.
 //  * wrap to reg_bits: mask, then xor/sub sign-extension.
+// LaneMode::kSwitch (batch_lane.h) is three compile-time edits to the same
+// stream: the active mask is all-ones, the distance is clamped to ±32, and
+// left-shift overflows are masked out of the saturation tally.
 #include "core/batch_accumulator.h"
 
 #if defined(FPISA_HAVE_AVX2)
@@ -107,9 +110,10 @@ inline __m256i pack_man32(__m256i lo, __m256i hi) {
   return _mm256_permute2x128_si256(a, b, 0x20);  // low(a) | low(b)
 }
 
-template <Variant V, OverflowPolicy P>
+template <Variant V, OverflowPolicy P, LaneMode M>
 void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
            std::int64_t* man, const LaneParams& p, BatchTallies& t) {
+  constexpr bool kSwitch = M == LaneMode::kSwitch;
   const __m256i k_exp_mask = _mm256_set1_epi32(0xFF);
   const __m256i k_frac_mask = _mm256_set1_epi32(0x7FFFFF);
   const __m256i k_implied = _mm256_set1_epi32(1 << 23);
@@ -140,7 +144,8 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
     const __m256i zero =
         _mm256_cmpeq_epi32(_mm256_or_si256(e_raw, frac), k_zero);
     const __m256i active =
-        _mm256_andnot_si256(_mm256_or_si256(nonfinite, zero), k_all);
+        kSwitch ? k_all
+                : _mm256_andnot_si256(_mm256_or_si256(nonfinite, zero), k_all);
 
     const __m256i sub = _mm256_cmpeq_epi32(e_raw, k_zero);
     const __m256i e = blend(e_raw, k_one, sub);
@@ -151,7 +156,11 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
         _mm256_sub_epi32(_mm256_xor_si256(sig, negm), negm);
     const __m256i m_in = _mm256_sll_epi32(m_signed, k_guard);
 
-    const __m256i d = _mm256_sub_epi32(e, se);
+    __m256i d = _mm256_sub_epi32(e, se);
+    if (kSwitch) {
+      d = _mm256_max_epi32(_mm256_min_epi32(d, _mm256_set1_epi32(32)),
+                           _mm256_set1_epi32(-32));
+    }
     const __m256i d_neg = _mm256_sub_epi32(k_zero, d);
 
     __m256i a, b, ne, rounded;
@@ -188,10 +197,11 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
         P == OverflowPolicy::kWrap ? sum : blend(sum, satv, ovf);
 
     t.nonfinite += mask_count32(nonfinite);
-    t.adds += mask_count32(_mm256_xor_si256(nonfinite, k_all));
-    t.zeros += mask_count32(_mm256_andnot_si256(nonfinite, zero));
+    t.adds += kSwitch ? 8 : mask_count32(_mm256_xor_si256(nonfinite, k_all));
+    t.zeros += mask_count32(zero);  // a zero is never non-finite
     t.rounded += mask_count32(_mm256_and_si256(active, rounded));
-    t.saturations += mask_count32(_mm256_and_si256(active, ovf));
+    t.saturations += mask_count32(_mm256_and_si256(
+        active, kSwitch ? _mm256_andnot_si256(is_lsh, ovf) : ovf));
     t.lshift_overflows += mask_count32(
         _mm256_and_si256(active, _mm256_and_si256(is_lsh, ovf)));
     t.overwrites += mask_count32(_mm256_and_si256(
@@ -207,14 +217,15 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
         reinterpret_cast<__m256i*>(man + i + 4),
         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(sm_out, 1)));
   }
-  lane_add_range<V, P>(bits + i, n - i, exp + i, man + i, p, t);
+  lane_add_range<V, P, M>(bits + i, n - i, exp + i, man + i, p, t);
 }
 
-template <Variant V, OverflowPolicy P>
+template <Variant V, OverflowPolicy P, LaneMode M>
 void run(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
          std::int64_t* man, const LaneParams& p, BatchTallies& t) {
+  constexpr bool kSwitch = M == LaneMode::kSwitch;
   if (p.reg_bits == 32) {
-    run32<V, P>(bits, n, exp, man, p, t);
+    run32<V, P, M>(bits, n, exp, man, p, t);
     return;
   }
   const __m256i k_exp_mask = set1(0xFF);
@@ -247,8 +258,10 @@ void run(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
     const __m256i nonfinite = _mm256_cmpeq_epi64(e_raw, k_exp_mask);
     const __m256i zero =
         _mm256_cmpeq_epi64(_mm256_or_si256(e_raw, frac), k_zero);
-    const __m256i active = _mm256_andnot_si256(
-        _mm256_or_si256(nonfinite, zero), set1(-1));
+    const __m256i active =
+        kSwitch ? set1(-1)
+                : _mm256_andnot_si256(_mm256_or_si256(nonfinite, zero),
+                                      set1(-1));
 
     // Implied 1, subnormal remap, sign fold, guard shift.
     const __m256i sub = _mm256_cmpeq_epi64(e_raw, k_zero);
@@ -261,7 +274,11 @@ void run(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
         _mm256_sub_epi64(_mm256_xor_si256(sig, negm), negm);
     const __m256i m_in = _mm256_sll_epi64(m_signed, k_guard);
 
-    const __m256i d = _mm256_sub_epi64(e, se);
+    __m256i d = _mm256_sub_epi64(e, se);
+    if (kSwitch) {  // no 64-bit min/max in AVX2: clamp by select
+      d = blend(d, set1(32), _mm256_cmpgt_epi64(d, set1(32)));
+      d = blend(d, set1(-32), _mm256_cmpgt_epi64(set1(-32), d));
+    }
     const __m256i d_neg = _mm256_sub_epi64(k_zero, d);
 
     __m256i a, b, ne, rounded;
@@ -304,10 +321,11 @@ void run(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
 
     // Tallies: per-lane booleans -> movemask popcounts.
     t.nonfinite += mask_count(nonfinite);
-    t.adds += mask_count(_mm256_xor_si256(nonfinite, set1(-1)));
-    t.zeros += mask_count(_mm256_andnot_si256(nonfinite, zero));
+    t.adds += kSwitch ? 4 : mask_count(_mm256_xor_si256(nonfinite, set1(-1)));
+    t.zeros += mask_count(zero);  // a zero is never non-finite
     t.rounded += mask_count(_mm256_and_si256(active, rounded));
-    t.saturations += mask_count(_mm256_and_si256(active, ovf));
+    t.saturations += mask_count(_mm256_and_si256(
+        active, kSwitch ? _mm256_andnot_si256(is_lsh, ovf) : ovf));
     t.lshift_overflows += mask_count(
         _mm256_and_si256(active, _mm256_and_si256(is_lsh, ovf)));
     t.overwrites += mask_count(_mm256_and_si256(
@@ -323,28 +341,43 @@ void run(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(exp + i),
                      _mm256_castsi256_si128(packed));
   }
-  lane_add_range<V, P>(bits + i, n - i, exp + i, man + i, p, t);
+  lane_add_range<V, P, M>(bits + i, n - i, exp + i, man + i, p, t);
+}
+
+template <Variant V, OverflowPolicy P>
+void run_mode(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
+              std::int64_t* man, const LaneParams& p, LaneMode mode,
+              BatchTallies& t) {
+  if (mode == LaneMode::kSwitch) {
+    run<V, P, LaneMode::kSwitch>(bits, n, exp, man, p, t);
+  } else {
+    run<V, P, LaneMode::kAccumulator>(bits, n, exp, man, p, t);
+  }
 }
 
 }  // namespace
 
 void add_batch_avx2(const std::uint32_t* bits, std::size_t n,
                     std::int32_t* exp, std::int64_t* man,
-                    const AccumulatorConfig& cfg, BatchTallies& t) {
+                    const AccumulatorConfig& cfg, LaneMode mode,
+                    BatchTallies& t) {
   const LaneParams p = LaneParams::from(cfg);
+  const bool wrap = cfg.overflow == OverflowPolicy::kWrap;
   if (cfg.variant == Variant::kFull) {
-    if (cfg.overflow == OverflowPolicy::kWrap) {
-      run<Variant::kFull, OverflowPolicy::kWrap>(bits, n, exp, man, p, t);
+    if (wrap) {
+      run_mode<Variant::kFull, OverflowPolicy::kWrap>(bits, n, exp, man, p,
+                                                      mode, t);
     } else {
-      run<Variant::kFull, OverflowPolicy::kSaturate>(bits, n, exp, man, p, t);
+      run_mode<Variant::kFull, OverflowPolicy::kSaturate>(bits, n, exp, man,
+                                                          p, mode, t);
     }
   } else {
-    if (cfg.overflow == OverflowPolicy::kWrap) {
-      run<Variant::kApproximate, OverflowPolicy::kWrap>(bits, n, exp, man, p,
-                                                        t);
+    if (wrap) {
+      run_mode<Variant::kApproximate, OverflowPolicy::kWrap>(bits, n, exp,
+                                                             man, p, mode, t);
     } else {
-      run<Variant::kApproximate, OverflowPolicy::kSaturate>(bits, n, exp, man,
-                                                            p, t);
+      run_mode<Variant::kApproximate, OverflowPolicy::kSaturate>(
+          bits, n, exp, man, p, mode, t);
     }
   }
 }

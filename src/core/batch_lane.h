@@ -16,6 +16,15 @@
 // 64-clamp because every operand fits in well under 63 magnitude bits —
 // and the reference's asymmetric `asr_inexact` rule at the >=64 boundary
 // is replicated bit-for-bit.
+//
+// Both primitives take a LaneMode (batch_accumulator.h). kAccumulator is
+// the contract above. kSwitch is the FPISA switch program's compiled
+// ingress and egress: in `lane_add` every lane is active (zeros and
+// non-finite values run the datapath and count as adds), the exponent
+// difference is clamped to ±32 like the switch's align table, and a
+// left-shift overflow is not also a saturation; in `lane_read` a would-be
+// subnormal flushes to signed zero. Everything else — the selects, the
+// wrap, the counter lane sums — is one code path for both.
 #pragma once
 
 #include <cstdint>
@@ -64,19 +73,21 @@ struct LaneParams {
 };
 
 /// One branch-free FPISA add of packed FP32 `u` into (se, sm).
-/// Bit-identical (state and counter totals) to
+/// kAccumulator: bit-identical (state and counter totals) to
 /// `extract` + skip-nonfinite + `fpisa_add` for reg_bits < 64.
-template <Variant V, OverflowPolicy P>
+/// kSwitch: bit-identical to the switch program's MAU0-4 tables.
+template <Variant V, OverflowPolicy P, LaneMode M>
 inline void lane_add(std::uint32_t u, std::int32_t& se, std::int64_t& sm,
                      const LaneParams& p, BatchTallies& t) {
+  constexpr bool kSwitch = M == LaneMode::kSwitch;
   const std::uint32_t e_raw = (u >> 23) & 0xFFu;
   const std::uint32_t frac = u & 0x7FFFFFu;
   const bool nonfinite = e_raw == 0xFFu;
   const bool zero = (e_raw | frac) == 0u;
-  const bool active = !nonfinite && !zero;
+  const bool active = kSwitch || (!nonfinite && !zero);
   t.nonfinite += nonfinite;
-  t.adds += !nonfinite;
-  t.zeros += !nonfinite && zero;
+  t.adds += kSwitch || !nonfinite;
+  t.zeros += zero;  // a zero is never non-finite
 
   // Extract (MAU0/1): implied 1, subnormal remap to exponent 1, sign fold.
   const bool sub = e_raw == 0u;
@@ -85,7 +96,8 @@ inline void lane_add(std::uint32_t u, std::int32_t& se, std::int64_t& sm,
       frac | (static_cast<std::uint32_t>(!sub) << 23));
   const std::int64_t m_in = ((u >> 31) ? -sig : sig) << p.guard;
 
-  const std::int32_t d = e - se;
+  std::int32_t d = e - se;
+  if (kSwitch) d = d > 32 ? 32 : (d < -32 ? -32 : d);
 
   std::int64_t a;     // first adder operand
   std::int64_t b;     // second adder operand
@@ -126,7 +138,7 @@ inline void lane_add(std::uint32_t u, std::int32_t& se, std::int64_t& sm,
       ovf ? (P == OverflowPolicy::kWrap ? wrapped : satv) : sum;
 
   t.rounded += active && rounded;
-  t.saturations += active && ovf;
+  t.saturations += active && ovf && !(kSwitch && is_lsh);
   t.lshift_overflows += active && is_lsh && ovf;
   t.overwrites += active && is_ovw && sm != 0;
 
@@ -143,6 +155,9 @@ inline void lane_add(std::uint32_t u, std::int32_t& se, std::int64_t& sm,
 /// unreachable), underflow to signed zero, and overflow to ±inf. The
 /// reference's shift-clamp rules are replicated exactly: a non-positive
 /// shift keeps the value unshifted and a shift >= 64 drops every bit.
+/// kSwitch flushes the subnormal range to signed zero instead (the switch
+/// egress's FTZ gateway).
+template <LaneMode M>
 inline std::uint32_t lane_read(std::int32_t se, std::int64_t sm, int guard) {
   const bool neg = sm < 0;
   const std::uint64_t u = neg ? ~static_cast<std::uint64_t>(sm) + 1
@@ -169,40 +184,49 @@ inline std::uint32_t lane_read(std::int32_t se, std::int64_t sm, int guard) {
       (static_cast<std::uint32_t>(sig) & 0x7FFFFFu);
 
   const std::uint32_t inf_bits = sign | 0x7F800000u;
+  const std::uint32_t tiny_bits = M == LaneMode::kSwitch ? sign : sub_bits;
   return sm == 0        ? 0u
          : norm_exp >= 255 ? inf_bits
-         : norm_exp <= 0   ? sub_bits
+         : norm_exp <= 0   ? tiny_bits
                            : norm_bits;
 }
 
+// The range loops below bound the unrolled body by `n - n % 4` rather than
+// `i + 4 <= n`: with a constant n inlined (the AVX2 fallback blocks), GCC
+// otherwise derives an impossible trip count for the tail loop and warns
+// under -Waggressive-loop-optimizations.
+
 /// Runs the read primitive over a range (the portable backend's core and
 /// the AVX2 backend's tail loop).
+template <LaneMode M>
 inline void lane_read_range(const std::int32_t* exp, const std::int64_t* man,
                             std::uint32_t* out, std::size_t n, int guard) {
+  const std::size_t n4 = n - n % 4;
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {  // unrolled: independent lanes pipeline
-    out[i + 0] = lane_read(exp[i + 0], man[i + 0], guard);
-    out[i + 1] = lane_read(exp[i + 1], man[i + 1], guard);
-    out[i + 2] = lane_read(exp[i + 2], man[i + 2], guard);
-    out[i + 3] = lane_read(exp[i + 3], man[i + 3], guard);
+  for (; i < n4; i += 4) {  // unrolled: independent lanes pipeline
+    out[i + 0] = lane_read<M>(exp[i + 0], man[i + 0], guard);
+    out[i + 1] = lane_read<M>(exp[i + 1], man[i + 1], guard);
+    out[i + 2] = lane_read<M>(exp[i + 2], man[i + 2], guard);
+    out[i + 3] = lane_read<M>(exp[i + 3], man[i + 3], guard);
   }
-  for (; i < n; ++i) out[i] = lane_read(exp[i], man[i], guard);
+  for (; i < n; ++i) out[i] = lane_read<M>(exp[i], man[i], guard);
 }
 
 /// Runs the lane primitive over a range (the portable backend's core and
 /// the AVX2 backend's tail loop).
-template <Variant V, OverflowPolicy P>
+template <Variant V, OverflowPolicy P, LaneMode M>
 inline void lane_add_range(const std::uint32_t* bits, std::size_t n,
                            std::int32_t* exp, std::int64_t* man,
                            const LaneParams& p, BatchTallies& t) {
+  const std::size_t n4 = n - n % 4;
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {  // unrolled: independent lanes pipeline
-    lane_add<V, P>(bits[i + 0], exp[i + 0], man[i + 0], p, t);
-    lane_add<V, P>(bits[i + 1], exp[i + 1], man[i + 1], p, t);
-    lane_add<V, P>(bits[i + 2], exp[i + 2], man[i + 2], p, t);
-    lane_add<V, P>(bits[i + 3], exp[i + 3], man[i + 3], p, t);
+  for (; i < n4; i += 4) {  // unrolled: independent lanes pipeline
+    lane_add<V, P, M>(bits[i + 0], exp[i + 0], man[i + 0], p, t);
+    lane_add<V, P, M>(bits[i + 1], exp[i + 1], man[i + 1], p, t);
+    lane_add<V, P, M>(bits[i + 2], exp[i + 2], man[i + 2], p, t);
+    lane_add<V, P, M>(bits[i + 3], exp[i + 3], man[i + 3], p, t);
   }
-  for (; i < n; ++i) lane_add<V, P>(bits[i], exp[i], man[i], p, t);
+  for (; i < n; ++i) lane_add<V, P, M>(bits[i], exp[i], man[i], p, t);
 }
 
 }  // namespace fpisa::core::detail

@@ -4,7 +4,7 @@
 // `force_batch_backend` pins both datapaths.
 #include "core/batch_accumulator.h"
 
-#include <cassert>
+#include <stdexcept>
 
 #include "core/batch_lane.h"
 #include "core/decompose.h"
@@ -26,21 +26,36 @@ void read_reference(std::span<const std::int32_t> exp,
 
 void run_read(std::span<const std::int32_t> exp,
               std::span<const std::int64_t> man, std::span<std::uint32_t> out,
-              const AccumulatorConfig& cfg) {
-  assert(exp.size() == out.size() && man.size() == out.size());
+              const AccumulatorConfig& cfg, LaneMode mode) {
+  if (exp.size() != out.size() || man.size() != out.size()) {
+    throw std::invalid_argument(
+        "fpisa_read_batch: exp, man and out spans differ in length");
+  }
   if (!read_batch_eligible(cfg)) {
+    if (mode == LaneMode::kSwitch) {
+      throw std::invalid_argument(
+          "fpisa_read_batch: LaneMode::kSwitch needs a read-eligible config "
+          "(FP32, register narrower than 64 bits, truncating reads)");
+    }
     read_reference(exp, man, out, cfg);
     return;
   }
 #if defined(FPISA_HAVE_AVX2)
   if (batch_backend() == BatchBackend::kAvx2) {
     detail::read_batch_avx2(exp.data(), man.data(), out.data(), out.size(),
-                            cfg.guard_bits, cfg.effective_reg_bits());
+                            cfg.guard_bits, cfg.effective_reg_bits(), mode);
     return;
   }
 #endif
-  detail::lane_read_range(exp.data(), man.data(), out.data(), out.size(),
-                          cfg.guard_bits);
+  if (mode == LaneMode::kSwitch) {
+    detail::lane_read_range<LaneMode::kSwitch>(exp.data(), man.data(),
+                                               out.data(), out.size(),
+                                               cfg.guard_bits);
+  } else {
+    detail::lane_read_range<LaneMode::kAccumulator>(exp.data(), man.data(),
+                                                    out.data(), out.size(),
+                                                    cfg.guard_bits);
+  }
 }
 
 }  // namespace
@@ -52,15 +67,15 @@ bool read_batch_eligible(const AccumulatorConfig& cfg) {
 void fpisa_read_batch(std::span<const std::int32_t> exp,
                       std::span<const std::int64_t> man,
                       std::span<std::uint32_t> out,
-                      const AccumulatorConfig& cfg) {
-  run_read(exp, man, out, cfg);
+                      const AccumulatorConfig& cfg, LaneMode mode) {
+  run_read(exp, man, out, cfg, mode);
 }
 
 void fpisa_read_reset_batch(std::span<std::int32_t> exp,
                             std::span<std::int64_t> man,
                             std::span<std::uint32_t> out,
-                            const AccumulatorConfig& cfg) {
-  run_read(exp, man, out, cfg);
+                            const AccumulatorConfig& cfg, LaneMode mode) {
+  run_read(exp, man, out, cfg, mode);
   std::fill(exp.begin(), exp.end(), 0);
   std::fill(man.begin(), man.end(), 0);
 }

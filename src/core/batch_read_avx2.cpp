@@ -14,7 +14,8 @@
 // vpsadbw. Shift-count clamping mirrors the scalar primitive: vpsrlvq
 // already yields 0 for counts >= 64 (the reference's "drop everything"
 // rule), and negative counts are masked to 0 (the reference's "keep u"
-// rule) before the shift.
+// rule) before the shift. LaneMode::kSwitch (batch_lane.h) selects the
+// signed zero instead of the truncated subnormal in the subnormal range.
 #include "core/batch_accumulator.h"
 
 #if defined(FPISA_HAVE_AVX2)
@@ -84,6 +85,7 @@ inline __m256i leading_one_pos_plus1_32(__m256i u) {
       _mm256_mullo_epi32(cnt, _mm256_set1_epi32(0x01010101)), 24);
 }
 
+template <LaneMode M>
 void read_batch_avx2_32(const std::int32_t* exp, const std::int64_t* man,
                         std::uint32_t* out, std::size_t n, int guard) {
   const __m256i k_zero = _mm256_setzero_si256();
@@ -130,7 +132,7 @@ void read_batch_avx2_32(const std::int32_t* exp, const std::int64_t* man,
         _mm256_and_si256(_mm256_cmpgt_epi32(k_exp_lim, se),
                          _mm256_cmpgt_epi32(se, k_exp_lim_neg));
     if (_mm256_movemask_epi8(_mm256_and_si256(man_ok, exp_ok)) != -1) {
-      lane_read_range(exp + i, man + i, out + i, 8, guard);
+      lane_read_range<M>(exp + i, man + i, out + i, 8, guard);
       continue;
     }
 
@@ -148,11 +150,14 @@ void read_batch_avx2_32(const std::int32_t* exp, const std::int64_t* man,
 
     // Subnormal result: total shift clamped at 0 below; vpsrlvd drops every
     // bit for counts >= 32, which matches the reference's rule for any
-    // value that fits 32 bits.
-    const __m256i ts =
-        _mm256_add_epi32(_mm256_sub_epi32(shift, norm_exp), k_one);
-    const __m256i tsc = _mm256_max_epi32(ts, k_zero);
-    const __m256i sub_bits = _mm256_or_si256(sign, _mm256_srlv_epi32(u, tsc));
+    // value that fits 32 bits. The switch flushes it to signed zero.
+    __m256i sub_bits = sign;
+    if (M == LaneMode::kAccumulator) {
+      const __m256i ts =
+          _mm256_add_epi32(_mm256_sub_epi32(shift, norm_exp), k_one);
+      const __m256i tsc = _mm256_max_epi32(ts, k_zero);
+      sub_bits = _mm256_or_si256(sign, _mm256_srlv_epi32(u, tsc));
+    }
 
     // Normal result: right or left shift selected by the sign of `shift`
     // (the unselected variant's out-of-range count yields 0 natively).
@@ -174,9 +179,10 @@ void read_batch_avx2_32(const std::int32_t* exp, const std::int64_t* man,
     bits = _mm256_andnot_si256(is_zero, bits);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), bits);
   }
-  lane_read_range(exp + i, man + i, out + i, n - i, guard);
+  lane_read_range<M>(exp + i, man + i, out + i, n - i, guard);
 }
 
+template <LaneMode M>
 void read_batch_avx2_64(const std::int32_t* exp, const std::int64_t* man,
                         std::uint32_t* out, std::size_t n, int guard) {
   const __m256i k_zero = _mm256_setzero_si256();
@@ -208,11 +214,16 @@ void read_batch_avx2_64(const std::int32_t* exp, const std::int64_t* man,
     const __m256i shift = _mm256_sub_epi64(p, k_23);
 
     // Subnormal result: total shift clamped at 0 below (vpsrlvq handles the
-    // >= 64 clamp natively by returning 0).
-    const __m256i ts =
-        _mm256_add_epi64(_mm256_sub_epi64(shift, norm_exp), k_one);
-    const __m256i tsc = _mm256_andnot_si256(_mm256_cmpgt_epi64(k_zero, ts), ts);
-    const __m256i sub_bits = _mm256_or_si256(sign, _mm256_srlv_epi64(u, tsc));
+    // >= 64 clamp natively by returning 0). The switch flushes it to
+    // signed zero.
+    __m256i sub_bits = sign;
+    if (M == LaneMode::kAccumulator) {
+      const __m256i ts =
+          _mm256_add_epi64(_mm256_sub_epi64(shift, norm_exp), k_one);
+      const __m256i tsc =
+          _mm256_andnot_si256(_mm256_cmpgt_epi64(k_zero, ts), ts);
+      sub_bits = _mm256_or_si256(sign, _mm256_srlv_epi64(u, tsc));
+    }
 
     // Normal result: right or left shift selected by the sign of `shift`.
     const __m256i shift_neg = _mm256_cmpgt_epi64(k_zero, shift);
@@ -238,21 +249,31 @@ void read_batch_avx2_64(const std::int32_t* exp, const std::int64_t* man,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
                      _mm256_castsi256_si128(packed));
   }
-  lane_read_range(exp + i, man + i, out + i, n - i, guard);
+  lane_read_range<M>(exp + i, man + i, out + i, n - i, guard);
+}
+
+template <LaneMode M>
+void read_width(const std::int32_t* exp, const std::int64_t* man,
+                std::uint32_t* out, std::size_t n, int guard, int reg_bits) {
+  // The read dataflow never consults the register width — it only bounds
+  // the values the add path can have stored. <= 32 bits means every
+  // in-invariant mantissa fits an int32, unlocking the 8-lane kernel.
+  if (reg_bits <= 32) {
+    read_batch_avx2_32<M>(exp, man, out, n, guard);
+  } else {
+    read_batch_avx2_64<M>(exp, man, out, n, guard);
+  }
 }
 
 }  // namespace
 
 void read_batch_avx2(const std::int32_t* exp, const std::int64_t* man,
                      std::uint32_t* out, std::size_t n, int guard,
-                     int reg_bits) {
-  // The read dataflow never consults the register width — it only bounds
-  // the values the add path can have stored. <= 32 bits means every
-  // in-invariant mantissa fits an int32, unlocking the 8-lane kernel.
-  if (reg_bits <= 32) {
-    read_batch_avx2_32(exp, man, out, n, guard);
+                     int reg_bits, LaneMode mode) {
+  if (mode == LaneMode::kSwitch) {
+    read_width<LaneMode::kSwitch>(exp, man, out, n, guard, reg_bits);
   } else {
-    read_batch_avx2_64(exp, man, out, n, guard);
+    read_width<LaneMode::kAccumulator>(exp, man, out, n, guard, reg_bits);
   }
 }
 

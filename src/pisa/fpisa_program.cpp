@@ -1,10 +1,11 @@
 #include "pisa/fpisa_program.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
+#include "core/batch_accumulator.h"
 #include "core/clz_table.h"
 #include "core/float_format.h"
 #include "util/ordered_mutex.h"
@@ -37,7 +38,9 @@ struct SharedFields {
 };
 
 LaneFields declare_lane(PhvLayout& phv, int lane) {
-  const std::string s = std::to_string(lane);
+  // The separator keeps names unique at any width ("r_exp" of lane 20 vs
+  // "r_exp2" of lane 0).
+  const std::string s = "_" + std::to_string(lane);
   LaneFields f;
   f.val = phv.declare("val" + s, 32);
   f.exp_in = phv.declare("exp_in" + s, 8);
@@ -177,18 +180,20 @@ SwitchProgram build_fpisa_program(const SwitchConfig& config,
   prog.deparser.push_back({sh.bitmap_new, 4, 4, false});
   prog.deparser.push_back({sh.count, 8, 2, false});
 
-  // Registers: per-lane exponent + mantissa arrays, shared bitmap/counter.
+  // Registers: per-lane exponent + mantissa arrays (strided views onto one
+  // slot-major bank, so a packet's lanes are adjacent), shared
+  // bitmap/counter.
   struct LaneRegs {
     int exp, man;
   };
+  const int first_lane_reg =
+      prog.add_bank_registers("exp_arr", 8, "man_arr", 32, opts.lanes,
+                              opts.slots);
   std::vector<LaneRegs> regs;
   for (int l = 0; l < opts.lanes; ++l) {
-    const std::string s = std::to_string(l);
-    prog.add_register("exp_arr" + s, 8, opts.slots);
-    prog.add_register("man_arr" + s, 32, opts.slots);
-    regs.push_back({2 * l, 2 * l + 1});
+    regs.push_back({first_lane_reg + 2 * l, first_lane_reg + 2 * l + 1});
   }
-  const int bitmap_reg = 2 * opts.lanes;
+  const int bitmap_reg = first_lane_reg + 2 * opts.lanes;
   prog.add_register("bitmap", 32, opts.slots);
   const int count_reg = bitmap_reg + 1;
   prog.add_register("count", 16, opts.slots);
@@ -540,6 +545,42 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
   return d;
 }
 
+// --- the switch --------------------------------------------------------------
+
+namespace {
+
+core::AccumulatorConfig lane_config(const FpisaProgramOptions& opts) {
+  core::AccumulatorConfig c;
+  c.format = core::kFp32;
+  c.variant = opts.variant;
+  c.reg_bits = 32;
+  c.guard_bits = 0;
+  c.overflow = core::OverflowPolicy::kWrap;
+  c.read_rounding = core::Rounding::kTowardZero;
+  return c;
+}
+
+void require_size(const char* what, const char* span_name, std::size_t got,
+                  std::size_t want) {
+  if (got != want) {
+    throw std::invalid_argument(std::string(what) + ": " + span_name +
+                                " has " + std::to_string(got) +
+                                " entries, expected " + std::to_string(want));
+  }
+}
+
+}  // namespace
+
+FpisaSwitch::FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts)
+    : opts_(opts),
+      lane_cfg_(lane_config(opts)),
+      sim_(config, build_fpisa_program(config, opts)),
+      zeros_(static_cast<std::size_t>(opts.lanes), 0),
+      pre_packet_(static_cast<std::size_t>(opts.lanes)),
+      slot_epoch_(opts.slots, 0) {
+  init_metrics();
+}
+
 // --- observability ---------------------------------------------------------
 
 namespace {
@@ -625,50 +666,6 @@ void FpisaSwitch::flush_metrics(std::size_t packets) {
   m_occupancy_->set(static_cast<double>(occupied_));
 }
 
-void FpisaSwitch::classify_add_lane(int lane, std::size_t slot,
-                                    std::uint32_t u) {
-  // Mirrors apply_add_lane / the interpreted MAU0-4 step for step, but
-  // only reads state; the branch taken IS the classification.
-  ops_.adds++;
-  const std::uint32_t e_raw = (u >> 23) & 0xFFu;
-  if (e_raw == 0xFFu) ops_.nonfinite_inputs++;
-  if ((u & 0x7FFFFFFFu) == 0) ops_.zero_inputs++;
-
-  std::uint32_t man32 = u & 0x7FFFFFu;
-  const std::uint32_t exp_eff = e_raw == 0 ? 1u : e_raw;
-  if (e_raw != 0) man32 |= 1u << 23;
-  if (u >> 31) man32 = ~man32 + 1u;
-  const std::int64_t m =
-      static_cast<std::int64_t>(static_cast<std::int32_t>(man32));
-  const std::uint64_t old_e = sim_.reg(2 * lane).read(slot);
-  const std::int64_t old_m = sim_.reg(2 * lane + 1).read_signed(slot);
-  int d = static_cast<int>(exp_eff) - static_cast<int>(old_e);
-  d = std::min(d, 32);
-  d = std::max(d, -32);
-
-  std::int64_t nm;
-  if (d <= 0) {
-    if (core::detail::asr_inexact(m, -d)) ops_.rounded_adds++;
-    nm = old_m + (m >> -d);
-  } else if (opts_.variant == core::Variant::kFull) {
-    if (core::detail::asr_inexact(old_m, d)) ops_.rounded_adds++;
-    nm = (old_m >> d) + m;
-  } else if (d <= headroom_fp32()) {
-    nm = old_m + (m << d);
-    if (nm != static_cast<std::int64_t>(static_cast<std::int32_t>(nm))) {
-      ops_.lshift_overflows++;
-    }
-    return;  // lshift overflow is its own bucket, not a saturation
-  } else {
-    if (old_m != 0) ops_.overwrites++;
-    return;  // overwrite cannot wrap
-  }
-  // Register adds wrap at 32 bits (hardware semantics); count the wrap.
-  if (nm != static_cast<std::int64_t>(static_cast<std::int32_t>(nm))) {
-    ops_.saturations++;
-  }
-}
-
 FpisaResult FpisaSwitch::roundtrip(FpisaOp op, std::uint16_t slot,
                                    std::uint8_t worker,
                                    std::span<const std::uint32_t> values) {
@@ -681,10 +678,11 @@ void FpisaSwitch::roundtrip_into(FpisaOp op, std::uint16_t slot,
                                  std::uint8_t worker,
                                  std::span<const std::uint32_t> values,
                                  FpisaResult& out) {
+  check_packets("FpisaSwitch", {&slot, 1}, {&worker, 1});
   // Accounting happens against the pre-packet register state, so the
   // interpreted path classifies exactly like the compiled batch path.
-  const int lanes = opts_.lanes;
-  RegisterArray& bitmap_reg = sim_.reg(2 * lanes);
+  const auto lanes = static_cast<std::size_t>(opts_.lanes);
+  RegisterArray& bitmap_reg = sim_.reg(2 * opts_.lanes);
   if (op == FpisaOp::kAdd) {
     const std::uint64_t wbit = std::uint64_t{1} << worker;
     const std::uint64_t old_bm = bitmap_reg.read(slot);
@@ -692,7 +690,17 @@ void FpisaSwitch::roundtrip_into(FpisaOp op, std::uint16_t slot,
       dedup_hits_++;
     } else {
       if (old_bm == 0) occupied_++;
-      for (int l = 0; l < lanes; ++l) classify_add_lane(l, slot, values[l]);
+      // §5.2.1 taxonomy: the compiled lane-add classifies the packet on a
+      // copy of its pre-packet lane registers; the tables below then
+      // update the real ones.
+      const core::RegisterFile& bank = sim_.bank();
+      const std::size_t row = slot * lanes;
+      std::copy_n(bank.exp.begin() + static_cast<std::ptrdiff_t>(row), lanes,
+                  pre_packet_.exp.begin());
+      std::copy_n(bank.man.begin() + static_cast<std::ptrdiff_t>(row), lanes,
+                  pre_packet_.man.begin());
+      core::fpisa_add_batch(values, pre_packet_.exp, pre_packet_.man,
+                            lane_cfg_, ops_, core::LaneMode::kSwitch);
     }
   } else if (op == FpisaOp::kReset) {
     if (bitmap_reg.read(slot) != 0) occupied_--;
@@ -712,7 +720,8 @@ void FpisaSwitch::roundtrip_into(FpisaOp op, std::uint16_t slot,
 
 FpisaResult FpisaSwitch::add(std::uint16_t slot, std::uint8_t worker,
                              std::span<const std::uint32_t> values) {
-  assert(static_cast<int>(values.size()) == opts_.lanes);
+  require_size("add", "values", values.size(),
+               static_cast<std::size_t>(opts_.lanes));
   return roundtrip(FpisaOp::kAdd, slot, worker, values);
 }
 
@@ -732,91 +741,50 @@ void FpisaSwitch::read_and_reset_into(std::uint16_t slot, FpisaResult& out) {
   roundtrip_into(FpisaOp::kReset, slot, 0, zeros_, out);
 }
 
+void FpisaSwitch::check_packets(const char* what,
+                                std::span<const std::uint16_t> slots,
+                                std::span<const std::uint8_t> workers) const {
+  for (std::size_t p = 0; p < slots.size(); ++p) {
+    if (slots[p] >= opts_.slots) {
+      throw std::out_of_range(std::string(what) + ": packet " +
+                              std::to_string(p) + " targets slot " +
+                              std::to_string(slots[p]) + " of a " +
+                              std::to_string(opts_.slots) + "-slot switch");
+    }
+    if (workers[p] >= kMaxWorkers) {
+      throw std::out_of_range(
+          std::string(what) + ": packet " + std::to_string(p) +
+          " carries worker id " + std::to_string(workers[p]) +
+          ", outside the " + std::to_string(kMaxWorkers) +
+          "-bit dedup bitmap");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batched add fast path: the compiled form of the ingress program
-// (MAU0-4), applied straight to the register arrays. Every step mirrors
-// the table/SALU semantics the interpreter would execute — including the
-// 16-bit clamp of the exponent difference, 32-bit two's-complement
-// mantissa arithmetic, and the exponent-register update on zero inputs —
-// so the state evolution is bit-identical to per-packet `add` calls
-// (tests/test_pisa_fpisa_program.cpp proves it against the interpreter).
+// (MAU0-4). The shared per-packet state — guard checks, the MAU1 worker
+// bitmap and the MAU4 completion counter — never reads a lane register, so
+// one scalar pre-pass settles it for every packet in order. The accepted
+// packets' lanes then run the core lane-add in LaneMode::kSwitch over each
+// packet's contiguous bank row: the same selects, 32-bit wrap and counter
+// lane sums as the core accumulator, with the switch tables' edges (zeros
+// and non-finite values run the datapath, the ±32 align clamp, the
+// exponent update on every lane). tests/test_pisa_fpisa_program.cpp proves
+// it bit-identical to per-packet `add` calls through the interpreter.
 // Egress (result emission) is skipped: batch callers collect aggregates
 // with read_batch()/read_and_reset_batch() — the compiled egress below.
 // ---------------------------------------------------------------------------
 
-void FpisaSwitch::apply_add_lane(int lane, std::size_t slot,
-                                 std::uint32_t u) {
-  classify_add_lane(lane, slot, u);  // reads pre-update state only
-  RegisterArray& exp_reg = sim_.reg(2 * lane);
-  RegisterArray& man_reg = sim_.reg(2 * lane + 1);
-
-  // MAU0/1: extract, implied 1 (subnormals keep the raw fraction at
-  // effective exponent 1), sign fold into 32-bit two's complement.
-  const std::uint32_t e_raw = (u >> 23) & 0xFFu;
-  std::uint32_t man32 = u & 0x7FFFFFu;
-  const std::uint32_t exp_eff = e_raw == 0 ? 1u : e_raw;
-  if (e_raw != 0) man32 |= 1u << 23;
-  if (u >> 31) man32 = ~man32 + 1u;
-
-  // MAU2: exponent register (kExpUpdate) + clamped signed difference.
-  const std::uint64_t old_e = exp_reg.read(slot);
-  const std::int64_t imm =
-      opts_.variant == core::Variant::kApproximate ? headroom_fp32() : 0;
-  if (exp_eff > old_e + static_cast<std::uint64_t>(imm)) {
-    exp_reg.write(slot, exp_eff);
-  }
-  int d = static_cast<int>(exp_eff) - static_cast<int>(old_e);
-  d = std::min(d, 32);
-  d = std::max(d, -32);
-
-  // MAU3/4: align + mantissa register. All arithmetic in int64, masked to
-  // the 32-bit register width on write — exactly the PHV/SALU semantics.
-  const std::int64_t m =
-      static_cast<std::int64_t>(static_cast<std::int32_t>(man32));
-  const std::int64_t old_m = man_reg.read_signed(slot);
-  std::int64_t nm;
-  if (d <= 0) {
-    nm = old_m + (m >> -d);  // -d in [0, 32]: int64 asr is exact here
-  } else if (opts_.variant == core::Variant::kFull) {
-    nm = (old_m >> d) + m;  // RSAW: shift the *stored* mantissa
-  } else if (d <= headroom_fp32()) {
-    nm = old_m + (m << d);  // headroom left-shift (fits: |m| < 2^24, d <= 7)
-  } else {
-    nm = m;  // overwrite
-  }
-  man_reg.write(slot, static_cast<std::uint64_t>(nm));
-}
-
 void FpisaSwitch::add_batch(std::span<const std::uint16_t> slots,
                             std::span<const std::uint8_t> workers,
                             std::span<const std::uint32_t> values) {
-  assert(slots.size() == workers.size());
-  assert(values.size() ==
-         slots.size() * static_cast<std::size_t>(opts_.lanes));
-  const int lanes = opts_.lanes;
-  RegisterArray& bitmap = sim_.reg(2 * lanes);
-  RegisterArray& count = sim_.reg(2 * lanes + 1);
-
-  for (std::size_t p = 0; p < slots.size(); ++p) {
-    const std::size_t slot = slots[p];
-    assert(slot < bitmap.size());
-    // MAU1 shared bitmap (kOrX): the old value exposes retransmissions.
-    const std::uint64_t wbit = std::uint64_t{1} << workers[p];
-    const std::uint64_t old_bm = bitmap.read(slot);
-    bitmap.write(slot, old_bm | wbit);
-    if (old_bm & wbit) {  // duplicate: absorbed, no state change
-      dedup_hits_++;
-      continue;
-    }
-    if (old_bm == 0) occupied_++;
-
-    count.write(slot, count.read(slot) + 1);  // completion counter
-    const std::uint32_t* lane_vals =
-        values.data() + p * static_cast<std::size_t>(lanes);
-    for (int l = 0; l < lanes; ++l) apply_add_lane(l, slot, lane_vals[l]);
-  }
-  sim_.account_packets(slots.size());
-  flush_metrics(slots.size());
+  const std::size_t n = slots.size();
+  require_size("add_batch", "workers", workers.size(), n);
+  require_size("add_batch", "values", values.size(),
+               n * static_cast<std::size_t>(opts_.lanes));
+  check_packets("add_batch", slots, workers);
+  ingress(slots, workers, {}, {}, values, nullptr);
 }
 
 void FpisaSwitch::add_batch_guarded(std::span<const std::uint16_t> slots,
@@ -825,64 +793,79 @@ void FpisaSwitch::add_batch_guarded(std::span<const std::uint16_t> slots,
                                     std::span<const std::uint16_t> checksums,
                                     std::span<const std::uint32_t> values,
                                     GuardStats& guard) {
-  assert(slots.size() == workers.size());
-  assert(slots.size() == stamps.size());
-  assert(slots.size() == checksums.size());
-  assert(values.size() ==
-         slots.size() * static_cast<std::size_t>(opts_.lanes));
-  const int lanes = opts_.lanes;
-  RegisterArray& bitmap = sim_.reg(2 * lanes);
-  RegisterArray& count = sim_.reg(2 * lanes + 1);
+  const std::size_t n = slots.size();
+  require_size("add_batch_guarded", "workers", workers.size(), n);
+  require_size("add_batch_guarded", "stamps", stamps.size(), n);
+  require_size("add_batch_guarded", "checksums", checksums.size(), n);
+  require_size("add_batch_guarded", "values", values.size(),
+               n * static_cast<std::size_t>(opts_.lanes));
+  check_packets("add_batch_guarded", slots, workers);
+  ingress(slots, workers, stamps, checksums, values, &guard);
+}
 
+void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
+                          std::span<const std::uint8_t> workers,
+                          std::span<const std::uint32_t> stamps,
+                          std::span<const std::uint16_t> checksums,
+                          std::span<const std::uint32_t> values,
+                          GuardStats* guard) {
+  const auto lanes = static_cast<std::size_t>(opts_.lanes);
+  RegisterArray& bitmap = sim_.reg(2 * opts_.lanes);
+  RegisterArray& count = sim_.reg(2 * opts_.lanes + 1);
+
+  accepted_.clear();
   for (std::size_t p = 0; p < slots.size(); ++p) {
-    const std::size_t slot = slots[p];
-    assert(slot < bitmap.size());
-    const std::uint32_t* lane_vals =
-        values.data() + p * static_cast<std::size_t>(lanes);
-    const std::span<const std::uint32_t> payload(
-        lane_vals, static_cast<std::size_t>(lanes));
-    // Guard 1: payload integrity. A bit flipped in flight breaks the
-    // checksum the sender computed over the clean bytes.
-    if (fpisa_checksum(slots[p], workers[p], stamps[p], payload) !=
-        checksums[p]) {
-      guard.corrupt_rejected++;
-      guard_corrupt_++;
-      continue;
+    const std::uint16_t slot = slots[p];
+    if (guard != nullptr) {
+      // Guard 1: payload integrity. A bit flipped in flight breaks the
+      // checksum the sender computed over the clean bytes.
+      if (fpisa_checksum(slot, workers[p], stamps[p],
+                         values.subspan(p * lanes, lanes)) != checksums[p]) {
+        guard->corrupt_rejected++;
+        guard_corrupt_++;
+        continue;
+      }
+      // Guard 2: liveness of the slot's epoch. A copy stamped before the
+      // slot was reset (stale duplicate after round-robin reuse) or before
+      // the switch rebooted must not be absorbed as a fresh contribution.
+      if (stamps[p] != slot_stamp(slot)) {
+        guard->stale_rejected++;
+        guard_stale_++;
+        continue;
+      }
     }
-    // Guard 2: liveness of the slot's epoch. A copy stamped before the
-    // slot was reset (stale duplicate after round-robin reuse) or before
-    // the switch rebooted must not be absorbed as a fresh contribution.
-    if (stamps[p] != slot_stamp(slots[p])) {
-      guard.stale_rejected++;
-      guard_stale_++;
-      continue;
-    }
-    // Accepted: the add_batch ingress, packet by packet.
+    // MAU1 shared bitmap (kOrX): the old value exposes retransmissions.
     const std::uint64_t wbit = std::uint64_t{1} << workers[p];
     const std::uint64_t old_bm = bitmap.read(slot);
-    bitmap.write(slot, old_bm | wbit);
-    if (old_bm & wbit) {
+    if (old_bm & wbit) {  // duplicate: absorbed, no state change
       dedup_hits_++;
       continue;
     }
+    bitmap.write(slot, old_bm | wbit);
     if (old_bm == 0) occupied_++;
+    count.write(slot, count.read(slot) + 1);  // MAU4 completion counter
+    accepted_.push_back(static_cast<std::uint32_t>(p));
+  }
 
-    count.write(slot, count.read(slot) + 1);
-    for (int l = 0; l < lanes; ++l) apply_add_lane(l, slot, lane_vals[l]);
+  core::RegisterFile& bank = sim_.bank();
+  const std::span<std::int32_t> exp(bank.exp);
+  const std::span<std::int64_t> man(bank.man);
+  for (const std::uint32_t p : accepted_) {
+    const std::size_t row = slots[p] * lanes;
+    core::fpisa_add_batch(values.subspan(p * lanes, lanes),
+                          exp.subspan(row, lanes), man.subspan(row, lanes),
+                          lane_cfg_, ops_, core::LaneMode::kSwitch);
   }
   sim_.account_packets(slots.size());
   flush_metrics(slots.size());
 }
 
 void FpisaSwitch::wipe_state() {
-  // Reboot semantics: every register array back to power-on zero. The
-  // RegisterArray has no bulk clear, so walk the slots like the control
-  // plane would.
-  const int lanes = opts_.lanes;
-  for (int r = 0; r < 2 * lanes + 2; ++r) {
-    RegisterArray& reg = sim_.reg(r);
-    for (std::size_t s = 0; s < reg.size(); ++s) reg.write(s, 0);
-  }
+  // Reboot semantics: every register back to power-on zero — the lane
+  // bank in one fill, then the shared bitmap and counter.
+  sim_.bank().clear();
+  sim_.reg(2 * opts_.lanes).clear();
+  sim_.reg(2 * opts_.lanes + 1).clear();
   occupied_ = 0;
   // The generation bump alone distinguishes pre-wipe stamps, so the
   // per-slot epochs restart at zero like everything else on the switch.
@@ -893,75 +876,52 @@ void FpisaSwitch::wipe_state() {
 
 // ---------------------------------------------------------------------------
 // Batched read fast path: the compiled form of the egress program
-// (MAU5-8), applied straight to the register arrays. Each step mirrors the
-// interpreter's table semantics on the same PHV widths: the 32-bit
-// two's-complement sign split, the LPM CLZ table's fixed shift to bit 23,
-// the 16-bit exponent adjust, and the range gateway's zero / FTZ /
-// overflow-to-inf / pack priority order — so results and register state
-// are bit-identical to per-packet read()/read_and_reset() traversals
+// (MAU5-8). Slots [slot0, slot0 + n) are one contiguous span of the bank in
+// exactly the lane-major output order, so the renormalize-and-assemble is
+// one core read kernel call in LaneMode::kSwitch — the 32-bit sign split,
+// the CLZ shift to bit 23, the exponent adjust and the range gateway's
+// zero / FTZ / overflow-to-inf / pack priority order — and the reset is a
+// fill of the same span. Results and register state are bit-identical to
+// per-packet read()/read_and_reset() traversals
 // (tests/test_pisa_fpisa_program.cpp proves it against the interpreter).
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// One lane's compiled egress: (exp register, mantissa register) -> packed
-/// FP32 result field, exactly as MAU5-8 compute it.
-std::uint32_t egress_renormalize(std::uint64_t r_exp, std::uint64_t r_man) {
-  // MAU5: two's complement -> sign + 32-bit magnitude.
-  const auto man = static_cast<std::uint32_t>(r_man);
-  const std::uint32_t sign2 = man >> 31;
-  std::uint32_t uman = sign2 ? (0u - man) : man;
-  // MAU6: LPM CLZ + fixed shift to bit 23 (the table's default entry for
-  // uman == 0 applies no shift and delta 0). delta is a 16-bit field, so
-  // negative shifts wrap exactly like the SetImm's masked immediate.
-  std::uint16_t delta = 0;
-  if (uman != 0) {
-    const int shift = 8 - std::countl_zero(uman);
-    uman = shift >= 0 ? uman >> shift : uman << -shift;
-    delta = static_cast<std::uint16_t>(shift);
-  }
-  // MAU7: 16-bit exponent adjust.
-  const auto e_norm =
-      static_cast<std::uint16_t>(static_cast<std::uint32_t>(r_exp) + delta);
-  // MAU8: range gateway in the ternary table's priority order.
-  if (uman == 0) return 0;                                  // mantissa == 0
-  if ((e_norm & 0x8000u) || e_norm == 0) return sign2 << 31;  // FTZ
-  if ((e_norm & 0x7F00u) || e_norm == 255) {
-    return 0x7F800000u | (sign2 << 31);  // exponent >= 255: clamp to ±inf
-  }
-  return (uman & 0x7FFFFFu) |
-         (static_cast<std::uint32_t>(e_norm) << 23) | (sign2 << 31);
-}
-
-}  // namespace
-
-void FpisaSwitch::collect_batch(std::uint16_t slot0, std::size_t n,
-                                bool reset,
+void FpisaSwitch::collect_batch(const char* what, std::uint16_t slot0,
+                                std::size_t n, bool reset,
                                 std::span<std::uint32_t> out_values,
                                 std::span<std::uint32_t> out_bitmaps,
                                 std::span<std::uint16_t> out_counts) {
-  const int lanes = opts_.lanes;
-  assert(out_values.size() == n * static_cast<std::size_t>(lanes));
-  assert(out_bitmaps.empty() || out_bitmaps.size() == n);
-  assert(out_counts.empty() || out_counts.size() == n);
-  RegisterArray& bitmap = sim_.reg(2 * lanes);
-  RegisterArray& count = sim_.reg(2 * lanes + 1);
-  assert(slot0 + n <= bitmap.size());
-
-  for (int l = 0; l < lanes; ++l) {
-    RegisterArray& exp_reg = sim_.reg(2 * l);
-    RegisterArray& man_reg = sim_.reg(2 * l + 1);
-    std::uint32_t* out = out_values.data() + l;
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t slot = slot0 + k;
-      out[k * static_cast<std::size_t>(lanes)] =
-          egress_renormalize(exp_reg.read(slot), man_reg.read(slot));
-      if (reset) {  // kClear: result computed from the old value
-        exp_reg.write(slot, 0);
-        man_reg.write(slot, 0);
-      }
-    }
+  if (n > opts_.slots || slot0 > opts_.slots - n) {
+    throw std::out_of_range(std::string(what) + ": slots [" +
+                            std::to_string(slot0) + ", " +
+                            std::to_string(slot0) + " + " + std::to_string(n) +
+                            ") exceed a " + std::to_string(opts_.slots) +
+                            "-slot switch");
   }
+  const auto lanes = static_cast<std::size_t>(opts_.lanes);
+  require_size(what, "out_values", out_values.size(), n * lanes);
+  if (!out_bitmaps.empty()) {
+    require_size(what, "out_bitmaps", out_bitmaps.size(), n);
+  }
+  if (!out_counts.empty()) {
+    require_size(what, "out_counts", out_counts.size(), n);
+  }
+
+  core::RegisterFile& bank = sim_.bank();
+  const std::span<std::int32_t> exp =
+      std::span(bank.exp).subspan(slot0 * lanes, n * lanes);
+  const std::span<std::int64_t> man =
+      std::span(bank.man).subspan(slot0 * lanes, n * lanes);
+  if (reset) {  // kClear: results computed from the old values
+    core::fpisa_read_reset_batch(exp, man, out_values, lane_cfg_,
+                                 core::LaneMode::kSwitch);
+  } else {
+    core::fpisa_read_batch(exp, man, out_values, lane_cfg_,
+                           core::LaneMode::kSwitch);
+  }
+
+  RegisterArray& bitmap = sim_.reg(2 * opts_.lanes);
+  RegisterArray& count = sim_.reg(2 * opts_.lanes + 1);
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t slot = slot0 + k;
     if (!out_bitmaps.empty()) {
@@ -985,16 +945,16 @@ void FpisaSwitch::read_batch(std::uint16_t slot0, std::size_t n,
                              std::span<std::uint32_t> out_values,
                              std::span<std::uint32_t> out_bitmaps,
                              std::span<std::uint16_t> out_counts) {
-  collect_batch(slot0, n, /*reset=*/false, out_values, out_bitmaps,
-                out_counts);
+  collect_batch("read_batch", slot0, n, /*reset=*/false, out_values,
+                out_bitmaps, out_counts);
 }
 
 void FpisaSwitch::read_and_reset_batch(std::uint16_t slot0, std::size_t n,
                                        std::span<std::uint32_t> out_values,
                                        std::span<std::uint32_t> out_bitmaps,
                                        std::span<std::uint16_t> out_counts) {
-  collect_batch(slot0, n, /*reset=*/true, out_values, out_bitmaps,
-                out_counts);
+  collect_batch("read_and_reset_batch", slot0, n, /*reset=*/true, out_values,
+                out_bitmaps, out_counts);
 }
 
 }  // namespace fpisa::pisa

@@ -19,6 +19,10 @@
 // Fidelity notes (vs src/core): register adds wrap (hardware semantics:
 // pair with core's OverflowPolicy::kWrap); reads that would need a
 // subnormal output flush to signed zero; exponent overflow clamps to ±inf.
+// These, and the other edges where the tables differ from the software
+// accumulator, are core::LaneMode::kSwitch: FpisaSwitch's compiled batch
+// paths run the core lane kernels in that mode over the program's
+// slot-major register bank.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +111,22 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 
 /// Convenience wrapper: a switch running the FPISA aggregation program.
 ///
+/// Two datapaths share one register state. The interpreted one (add, read,
+/// read_and_reset) encodes a packet and runs it through every table and
+/// stateful ALU of the simulator. The compiled one (add_batch,
+/// add_batch_guarded, read_batch, read_and_reset_batch) is MAU0-8 lowered
+/// onto the core lane kernels in core::LaneMode::kSwitch: the lane
+/// registers are strided views onto one slot-major bank
+/// (SwitchProgram::bank), so a packet's lanes — or a run of consecutive
+/// slots — are one contiguous span the scalar or AVX2 kernel walks
+/// branch-free. Tests pin the two datapaths bit-identical: results,
+/// registers, bitmap, counter, OpCounters, dedup and packet counts.
+///
+/// Shapes are checked in every build: a span of the wrong size throws
+/// std::invalid_argument, a slot outside [0, slots) or a worker id outside
+/// the 32-bit dedup bitmap throws std::out_of_range, both before any state
+/// changes.
+///
 /// Observability: the switch keeps host-visible per-MAU operation counters
 /// (the §5.2.1 add / rounded-add / overwrite / left-shift taxonomy, counted
 /// identically by the interpreted and compiled-batch paths), dedup-hit and
@@ -116,13 +136,10 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 /// cluster holds a per-shard mutex), so the members are plain integers.
 class FpisaSwitch {
  public:
-  FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts)
-      : opts_(opts),
-        sim_(config, build_fpisa_program(config, opts)),
-        zeros_(static_cast<std::size_t>(opts.lanes), 0),
-        slot_epoch_(opts.slots, 0) {
-    init_metrics();
-  }
+  /// Worker ids index the 32-bit dedup bitmap register.
+  static constexpr int kMaxWorkers = 32;
+
+  FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts);
 
   /// Sends one add packet carrying `values` (one per lane, FP32 bits);
   /// returns the post-add aggregate the switch emits.
@@ -143,6 +160,10 @@ class FpisaSwitch {
   /// to calling add() per packet (enforced by tests), but the packets skip
   /// wire encode/parse and table interpretation entirely and no per-packet
   /// result is materialized — callers that want the aggregate use read().
+  /// One scalar pre-pass settles each packet's shared state (dedup bitmap,
+  /// completion counter, occupancy); each accepted packet's lanes then go
+  /// through the core lane-add in LaneMode::kSwitch over the packet's
+  /// contiguous bank row.
   void add_batch(std::span<const std::uint16_t> slots,
                  std::span<const std::uint8_t> workers,
                  std::span<const std::uint32_t> values);
@@ -190,7 +211,9 @@ class FpisaSwitch {
   /// and register state are bit-identical to n read() packets — including
   /// the egress FTZ / overflow-to-inf range handling — but skip wire
   /// encode/parse and table interpretation (enforced by
-  /// tests/test_pisa_fpisa_program.cpp). `out_bitmaps` / `out_counts`
+  /// tests/test_pisa_fpisa_program.cpp). The slots' bank cells are one
+  /// contiguous span in exactly the output order, so this is one core
+  /// read kernel call in LaneMode::kSwitch. `out_bitmaps` / `out_counts`
   /// (size n each) capture the per-slot dedup bitmap and completion
   /// counter the result packets would carry; pass empty spans to skip.
   void read_batch(std::uint16_t slot0, std::size_t n,
@@ -200,7 +223,7 @@ class FpisaSwitch {
   /// Read-and-reset variant (SwitchML-style slot recycling): identical
   /// outputs to read_batch, then clears the slots' exponent / mantissa /
   /// bitmap / counter registers exactly as n read_and_reset() packets
-  /// would.
+  /// would (the lane registers as one fill of the bank span).
   void read_and_reset_batch(std::uint16_t slot0, std::size_t n,
                             std::span<std::uint32_t> out_values,
                             std::span<std::uint32_t> out_bitmaps = {},
@@ -239,26 +262,37 @@ class FpisaSwitch {
                         std::span<const std::uint32_t> values);
   void roundtrip_into(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
                       std::span<const std::uint32_t> values, FpisaResult& out);
-  /// One lane's ingress register update (the compiled form of MAU0-4).
-  void apply_add_lane(int lane, std::size_t slot, std::uint32_t value_bits);
+  /// Throws unless every packet's slot and worker id is in range.
+  void check_packets(const char* what, std::span<const std::uint16_t> slots,
+                     std::span<const std::uint8_t> workers) const;
+  /// Shared body of the batched add paths (the compiled form of MAU0-4);
+  /// `guard` null means unguarded. Shapes are already checked.
+  void ingress(std::span<const std::uint16_t> slots,
+               std::span<const std::uint8_t> workers,
+               std::span<const std::uint32_t> stamps,
+               std::span<const std::uint16_t> checksums,
+               std::span<const std::uint32_t> values, GuardStats* guard);
   /// Shared body of the batched read paths (the compiled form of MAU5-8).
-  void collect_batch(std::uint16_t slot0, std::size_t n, bool reset,
-                     std::span<std::uint32_t> out_values,
+  void collect_batch(const char* what, std::uint16_t slot0, std::size_t n,
+                     bool reset, std::span<std::uint32_t> out_values,
                      std::span<std::uint32_t> out_bitmaps,
                      std::span<std::uint16_t> out_counts);
-  /// Read-only classification of one lane add against the current register
-  /// state — the single source of §5.2.1 accounting for both the compiled
-  /// and the interpreted ingress.
-  void classify_add_lane(int lane, std::size_t slot, std::uint32_t value_bits);
   void init_metrics();
   /// Pushes (packets, dedup, op-count deltas, occupancy) to the registry.
   void flush_metrics(std::size_t packets);
 
   FpisaProgramOptions opts_;
+  /// The lane datapath as a core config: FP32 into a 32-bit wrapping
+  /// mantissa register with no guard bits, in the program's variant.
+  core::AccumulatorConfig lane_cfg_;
   SeriesId series_id_;
   SwitchSim sim_;
   Packet scratch_pkt_;                  ///< reused by the *_into paths
   std::vector<std::uint32_t> zeros_;    ///< read/reset payload template
+  std::vector<std::uint32_t> accepted_;  ///< ingress: packets that add
+  /// Interpreted add: copy of the packet's pre-packet lane registers, which
+  /// the core lane-add classifies for §5.2.1 accounting.
+  core::RegisterFile pre_packet_;
 
   core::OpCounters ops_{};
   std::uint64_t dedup_hits_ = 0;

@@ -33,6 +33,28 @@ RegisterArray& SwitchProgram::add_register(std::string name, int width_bits,
   return *registers.back();
 }
 
+int SwitchProgram::add_bank_registers(const std::string& exp_name,
+                                      int exp_bits,
+                                      const std::string& man_name,
+                                      int man_bits, int lanes,
+                                      std::size_t slots) {
+  assert(bank.size() == 0 && "a program has one register bank");
+  const auto stride = static_cast<std::size_t>(lanes);
+  bank = core::RegisterFile(stride * slots);
+  const int first = static_cast<int>(registers.size());
+  for (int l = 0; l < lanes; ++l) {
+    const std::string s = std::to_string(l);
+    const auto off = static_cast<std::size_t>(l);
+    registers.push_back(std::make_unique<RegisterArray>(
+        exp_name + s, exp_bits, slots, bank.exp.data() + off, stride,
+        RegisterArray::Extend::kZero));
+    registers.push_back(std::make_unique<RegisterArray>(
+        man_name + s, man_bits, slots, bank.man.data() + off, stride,
+        RegisterArray::Extend::kSign));
+  }
+  return first;
+}
+
 SwitchSim::SwitchSim(SwitchConfig config, SwitchProgram program)
     : config_(config), program_(std::move(program)) {
   assert(static_cast<int>(program_.ingress.size()) +

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_accumulator.h"
 #include "pisa/action.h"
 #include "pisa/phv.h"
 #include "pisa/salu.h"
@@ -93,9 +94,24 @@ struct SwitchProgram {
   /// traversal (registers may be touched again). Bounded by
   /// kMaxRecirculations.
   FieldId recirc_field{};
+  /// Slot-major backing store for lane-parallel register pairs (see
+  /// add_bank_registers): lane l of slot s is cell s * lanes + l of
+  /// `bank.exp` / `bank.man`, so one packet's lanes are adjacent and a
+  /// compiled fast path can run the core lane kernels over them as one
+  /// contiguous span. Never resized after add_bank_registers: the views
+  /// hold pointers into it (moving the program keeps them valid).
+  core::RegisterFile bank;
 
   RegisterArray& add_register(std::string name, int width_bits,
                               std::size_t size);
+  /// Allocates `bank` for `lanes` x `slots` cells and declares, for each
+  /// lane l in order, the registers `<exp_name>l` (zero-extended, in
+  /// bank.exp) and `<man_name>l` (sign-extended, in bank.man) as strided
+  /// views onto it. Returns the index of lane 0's exponent register; lane
+  /// l's pair sits at that index + 2l and + 2l + 1.
+  int add_bank_registers(const std::string& exp_name, int exp_bits,
+                         const std::string& man_name, int man_bits, int lanes,
+                         std::size_t slots);
 };
 
 /// Functional switch simulator: runs a program over packets.
@@ -113,6 +129,10 @@ class SwitchSim {
   RegisterArray& reg(int index) {
     return *program_.registers[static_cast<std::size_t>(index)];
   }
+
+  /// The program's slot-major lane register bank (the cells behind its
+  /// banked register views).
+  core::RegisterFile& bank() { return program_.bank; }
 
   const SwitchConfig& config() const { return config_; }
   const SwitchProgram& program() const { return program_; }

@@ -12,20 +12,49 @@ std::int64_t ashr(std::int64_t v, std::int64_t d) {
   return v >> d;
 }
 
+std::uint64_t width_mask(int width_bits) {
+  return width_bits >= 64 ? ~std::uint64_t{0}
+                          : (std::uint64_t{1} << width_bits) - 1;
+}
+
 }  // namespace
 
-std::int64_t RegisterArray::read_signed(std::size_t i) const {
-  std::uint64_t v = values_[i];
-  if (width_bits_ < 64 && (v >> (width_bits_ - 1)) != 0) {
-    v |= ~((std::uint64_t{1} << width_bits_) - 1);
-  }
-  return static_cast<std::int64_t>(v);
+RegisterArray::RegisterArray(std::string name, int width_bits,
+                             std::size_t size)
+    : name_(std::move(name)),
+      width_bits_(width_bits),
+      size_(size),
+      mask_(width_mask(width_bits)),
+      sign_bit_(std::uint64_t{1} << (width_bits - 1)),
+      owned_(size, 0),
+      cells64_(owned_.data()) {}
+
+RegisterArray::RegisterArray(std::string name, int width_bits,
+                             std::size_t size, std::int32_t* cells,
+                             std::size_t stride, Extend extend)
+    : name_(std::move(name)),
+      width_bits_(width_bits),
+      size_(size),
+      mask_(width_mask(width_bits)),
+      sign_bit_(std::uint64_t{1} << (width_bits - 1)),
+      cells32_(cells),
+      stride_(stride),
+      extend_(extend) {
+  assert(width_bits <= (extend == Extend::kSign ? 32 : 31) &&
+         "value does not fit a 32-bit cell");
 }
 
-void RegisterArray::write(std::size_t i, std::uint64_t v) {
-  if (width_bits_ < 64) v &= (std::uint64_t{1} << width_bits_) - 1;
-  values_[i] = v;
-}
+RegisterArray::RegisterArray(std::string name, int width_bits,
+                             std::size_t size, std::int64_t* cells,
+                             std::size_t stride, Extend extend)
+    : name_(std::move(name)),
+      width_bits_(width_bits),
+      size_(size),
+      mask_(width_mask(width_bits)),
+      sign_bit_(std::uint64_t{1} << (width_bits - 1)),
+      cells64_(cells),
+      stride_(stride),
+      extend_(extend) {}
 
 bool RegisterArray::mark_access() {
   if (accessed_this_packet_) return false;

@@ -22,18 +22,49 @@ namespace fpisa::pisa {
 
 /// Stateful register array (SRAM-backed). Values are stored masked to
 /// `width_bits`; signed reads sign-extend.
+///
+/// An array either owns its cells or is a strided view onto storage owned
+/// by its program (SwitchProgram::bank): element i then lives at
+/// cells[i * stride]. Views let a compiled fast path run the core lane
+/// kernels on the very cells the interpreter reads and writes, so the
+/// switch keeps exactly one copy of its register state.
 class RegisterArray {
  public:
-  RegisterArray(std::string name, int width_bits, std::size_t size)
-      : name_(std::move(name)),
-        width_bits_(width_bits),
-        values_(size, 0) {}
+  /// How a view's cells hold a value: zero-extended from the register
+  /// width (an unsigned field such as a biased exponent) or sign-extended
+  /// (a two's-complement mantissa), i.e. the form the kernels sharing the
+  /// cells read. Owning arrays zero-extend.
+  enum class Extend : std::uint8_t { kZero, kSign };
 
-  std::uint64_t read(std::size_t i) const { return values_[i]; }
-  std::int64_t read_signed(std::size_t i) const;
-  void write(std::size_t i, std::uint64_t v);
+  /// An array that owns `size` zeroed cells.
+  RegisterArray(std::string name, int width_bits, std::size_t size);
+  /// Strided views; `cells` must outlive the array. 32-bit cells need
+  /// width_bits <= 31 zero-extended or <= 32 sign-extended.
+  RegisterArray(std::string name, int width_bits, std::size_t size,
+                std::int32_t* cells, std::size_t stride, Extend extend);
+  RegisterArray(std::string name, int width_bits, std::size_t size,
+                std::int64_t* cells, std::size_t stride, Extend extend);
+  RegisterArray(const RegisterArray&) = delete;
+  RegisterArray& operator=(const RegisterArray&) = delete;
 
-  std::size_t size() const { return values_.size(); }
+  std::uint64_t read(std::size_t i) const {
+    return static_cast<std::uint64_t>(load(i)) & mask_;
+  }
+  std::int64_t read_signed(std::size_t i) const {
+    return static_cast<std::int64_t>((read(i) ^ sign_bit_) - sign_bit_);
+  }
+  void write(std::size_t i, std::uint64_t v) {
+    v &= mask_;
+    store(i, extend_ == Extend::kSign
+                 ? static_cast<std::int64_t>((v ^ sign_bit_) - sign_bit_)
+                 : static_cast<std::int64_t>(v));
+  }
+  /// Zeroes every element (control-plane bulk reset).
+  void clear() {
+    for (std::size_t i = 0; i < size_; ++i) store(i, 0);
+  }
+
+  std::size_t size() const { return size_; }
   int width_bits() const { return width_bits_; }
   const std::string& name() const { return name_; }
 
@@ -43,13 +74,31 @@ class RegisterArray {
 
   /// Storage footprint in bits (for the SRAM resource model).
   std::uint64_t storage_bits() const {
-    return static_cast<std::uint64_t>(width_bits_) * values_.size();
+    return static_cast<std::uint64_t>(width_bits_) * size_;
   }
 
  private:
+  std::int64_t load(std::size_t i) const {
+    return cells32_ ? cells32_[i * stride_] : cells64_[i * stride_];
+  }
+  void store(std::size_t i, std::int64_t v) {
+    if (cells32_) {
+      cells32_[i * stride_] = static_cast<std::int32_t>(v);
+    } else {
+      cells64_[i * stride_] = v;
+    }
+  }
+
   std::string name_;
   int width_bits_;
-  std::vector<std::uint64_t> values_;
+  std::size_t size_;
+  std::uint64_t mask_;
+  std::uint64_t sign_bit_;
+  std::vector<std::int64_t> owned_;  ///< cells of an owning array
+  std::int32_t* cells32_ = nullptr;
+  std::int64_t* cells64_ = nullptr;
+  std::size_t stride_ = 1;
+  Extend extend_ = Extend::kZero;
   bool accessed_this_packet_ = false;
 };
 

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "core/batch_accumulator.h"
@@ -501,6 +502,106 @@ TEST(BatchEquivalence, NonFp32FormatsFallBackToReference) {
   ref.add_bits(bits[7]);
   EXPECT_EQ(vec.state(7).exp, ref.state().exp);
   EXPECT_EQ(vec.state(7).man, ref.state().man);
+}
+
+TEST(BatchEquivalence, SwitchModeBackendsAgreeAndDifferOnlyAtTheEdges) {
+  // LaneMode::kSwitch is the FPISA switch program's datapath; its oracle is
+  // the switch interpreter (tests/test_pisa_fpisa_program.cpp). Here: every
+  // backend is bit-identical to the scalar one in that mode — state and
+  // counters, over the exhaustive FP16 structure at a width with vector
+  // bodies and tails — every lane counts as an add, and the mode's read
+  // differs from the accumulator's only by flushing subnormals to signed
+  // zero.
+  std::vector<std::uint32_t> stream;
+  for (std::uint32_t h = 0; h < (1u << 16); ++h) {
+    stream.push_back(fp32_bits(static_cast<float>(decode(h, kFp16))));
+  }
+  constexpr std::size_t kRegs = 37;
+  for (const Variant v : {Variant::kFull, Variant::kApproximate}) {
+    for (const OverflowPolicy pol :
+         {OverflowPolicy::kWrap, OverflowPolicy::kSaturate}) {
+      for (const int reg_bits : {32, 40}) {
+        AccumulatorConfig cfg;
+        cfg.variant = v;
+        cfg.overflow = pol;
+        cfg.reg_bits = reg_bits;
+        const std::string what =
+            std::string(v == Variant::kFull ? "full" : "approx") +
+            (pol == OverflowPolicy::kWrap ? " wrap" : " sat") +
+            " reg=" + std::to_string(reg_bits);
+
+        RegisterFile want;
+        OpCounters want_ops;
+        std::vector<std::uint32_t> want_read;
+        for (const BatchBackend backend : available_batch_backends()) {
+          force_batch_backend(backend);
+          RegisterFile rf(kRegs);
+          OpCounters ops;
+          for (std::size_t base = 0; base < stream.size(); base += kRegs) {
+            const std::size_t n = std::min(kRegs, stream.size() - base);
+            fpisa_add_batch(std::span(stream).subspan(base, n),
+                            std::span(rf.exp).first(n),
+                            std::span(rf.man).first(n), cfg, ops,
+                            LaneMode::kSwitch);
+          }
+          std::vector<std::uint32_t> sw_read(kRegs), acc_read(kRegs);
+          fpisa_read_batch(rf.exp, rf.man, sw_read, cfg, LaneMode::kSwitch);
+          fpisa_read_batch(rf.exp, rf.man, acc_read, cfg);
+          reset_batch_backend();
+          const std::string tag = what + " [" + backend_tag(backend) + "]";
+
+          EXPECT_EQ(ops.adds, stream.size()) << tag;
+          for (std::size_t i = 0; i < kRegs; ++i) {
+            const std::uint32_t acc = acc_read[i];
+            const bool subnormal = (acc & 0x7F800000u) == 0 &&
+                                   (acc & 0x7FFFFFu) != 0;
+            EXPECT_EQ(sw_read[i], subnormal ? (acc & 0x80000000u) : acc)
+                << tag << " reg " << i;
+          }
+          if (backend == BatchBackend::kScalar) {
+            want = rf;
+            want_ops = ops;
+            want_read = sw_read;
+            continue;
+          }
+          EXPECT_EQ(rf.exp, want.exp) << tag;
+          EXPECT_EQ(rf.man, want.man) << tag;
+          EXPECT_EQ(sw_read, want_read) << tag;
+          expect_counters_eq(ops, want_ops, tag);
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEquivalence, BatchEntryPointsRejectBadInputs) {
+  // Spans of unequal length, in every build.
+  {
+    RegisterFile rf(2);
+    OpCounters ops;
+    const std::uint32_t three[] = {0, 0, 0};
+    std::uint32_t out[3];
+    EXPECT_THROW(fpisa_add_batch(three, rf.exp, rf.man, {}, ops),
+                 std::invalid_argument);
+    EXPECT_THROW(fpisa_read_batch(rf.exp, rf.man, out, {}),
+                 std::invalid_argument);
+    EXPECT_THROW(fpisa_read_reset_batch(rf.exp, std::span(rf.man).first(1),
+                                        std::span(out).first(2), {}),
+                 std::invalid_argument);
+    EXPECT_EQ(ops.adds, 0u);
+  }
+  // The switch mode has no reference fallback.
+  AccumulatorConfig wide;
+  wide.reg_bits = 64;  // outside the batch fast path
+  RegisterFile rf(1);
+  OpCounters ops;
+  const std::uint32_t one[] = {fp32_bits(1.0f)};
+  std::uint32_t out[1];
+  EXPECT_THROW(fpisa_add_batch(one, rf.exp, rf.man, wide, ops,
+                               LaneMode::kSwitch),
+               std::invalid_argument);
+  EXPECT_THROW(fpisa_read_batch(rf.exp, rf.man, out, wide, LaneMode::kSwitch),
+               std::invalid_argument);
 }
 
 TEST(BatchEquivalence, BackendReportsAndDispatch) {

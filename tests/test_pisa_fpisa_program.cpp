@@ -3,9 +3,16 @@
 // resource analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/accumulator.h"
+#include "core/batch_accumulator.h"
 #include "core/packed.h"
 #include "pisa/fpisa_program.h"
 #include "pisa/resources.h"
@@ -311,184 +318,506 @@ TEST(FpisaResources, BaselineFitsExactlyOneInstance) {
   EXPECT_EQ(max_instances(fpisa_resource_descriptors(cfg, opts), cfg), 1);
 }
 
+// ---------------------------------------------------------------------------
+// Compiled (core lane kernels over the slot-major bank) vs interpreted
+// (tables + stateful ALUs) switch: bit-identical results, registers,
+// bitmap, counter, OpCounters, dedup, occupancy and packet counts — at the
+// benchmark width (32 lanes) and an odd width that leaves vector tails
+// (5 lanes), on every batch backend this build and CPU offer.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kEqSlots = 16;
+
+struct SwitchCase {
+  core::Variant variant;
+  int lanes;
+  core::BatchBackend backend;
+};
+
+std::vector<SwitchCase> switch_cases() {
+  std::vector<SwitchCase> cases;
+  for (const auto backend : core::available_batch_backends()) {
+    for (const auto variant :
+         {core::Variant::kApproximate, core::Variant::kFull}) {
+      for (const int lanes : {32, 5}) cases.push_back({variant, lanes, backend});
+    }
+  }
+  return cases;
+}
+
+std::string case_tag(const SwitchCase& c) {
+  return std::string(c.variant == core::Variant::kFull ? "full" : "approx") +
+         "/lanes=" + std::to_string(c.lanes) + "/" +
+         (c.backend == core::BatchBackend::kAvx2 ? "avx2" : "scalar");
+}
+
+FpisaProgramOptions eq_options(const SwitchCase& c) {
+  FpisaProgramOptions opts;
+  opts.variant = c.variant;
+  opts.lanes = c.lanes;
+  opts.slots = kEqSlots;
+  return opts;
+}
+
+SwitchConfig eq_config(core::Variant v) {
+  return v == core::Variant::kFull ? extended_switch() : baseline_tofino();
+}
+
+/// Pins the batch backend for one scope and restores the default after.
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(core::BatchBackend b) { core::force_batch_backend(b); }
+  ~ScopedBackend() { core::reset_batch_backend(); }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+};
+
+/// Every observable of the two switches: all registers (lane exponents and
+/// mantissas, bitmap, counter), the §5.2.1 OpCounters, dedup hits,
+/// occupancy and packet counts.
+void expect_same_switch(FpisaSwitch& got, FpisaSwitch& want,
+                        const std::string& what) {
+  const int regs = 2 * got.options().lanes + 2;
+  for (int r = 0; r < regs; ++r) {
+    for (std::size_t s = 0; s < got.options().slots; ++s) {
+      ASSERT_EQ(got.sim().reg(r).read(s), want.sim().reg(r).read(s))
+          << what << " reg=" << r << " slot=" << s;
+    }
+  }
+  const core::OpCounters& a = got.op_counters();
+  const core::OpCounters& b = want.op_counters();
+  EXPECT_EQ(a.adds, b.adds) << what;
+  EXPECT_EQ(a.rounded_adds, b.rounded_adds) << what;
+  EXPECT_EQ(a.overwrites, b.overwrites) << what;
+  EXPECT_EQ(a.lshift_overflows, b.lshift_overflows) << what;
+  EXPECT_EQ(a.saturations, b.saturations) << what;
+  EXPECT_EQ(a.nonfinite_inputs, b.nonfinite_inputs) << what;
+  EXPECT_EQ(a.zero_inputs, b.zero_inputs) << what;
+  EXPECT_EQ(got.dedup_hits(), want.dedup_hits()) << what;
+  EXPECT_EQ(got.occupied_slots(), want.occupied_slots()) << what;
+  EXPECT_EQ(got.sim().packets_processed(), want.sim().packets_processed())
+      << what;
+}
+
+/// One adversarial lane value: normals, wide exponent spreads (overwrite +
+/// RSAW paths), ±0, bit noise (inf/NaN/subnormals), ±denorm_min (a stored
+/// or incoming mantissa of -1), tiny values whose sums renormalize below
+/// the normal range (FTZ) and huge ones that overflow to infinity.
+std::uint32_t adversarial_value(util::Rng& rng) {
+  switch (rng.next_u64() % 8) {
+    case 0:
+      return core::fp32_bits(static_cast<float>(rng.normal(0, 1)));
+    case 1:
+      return core::fp32_bits(static_cast<float>(
+          std::exp2(rng.uniform_int(-80, 80)) * rng.normal(0, 1)));
+    case 2:
+      return (rng.next_u64() & 1) ? 0x80000000u : 0u;
+    case 3:
+      return static_cast<std::uint32_t>(rng.next_u64());
+    case 4:
+      return (rng.next_u64() & 1) ? 0x80000001u : 0x00000001u;
+    case 5:
+      return core::fp32_bits(std::ldexp((rng.next_u64() & 1) ? 1.0f : -1.0f,
+                                        -126 - static_cast<int>(
+                                                   rng.next_u64() % 20)));
+    case 6:
+      return core::fp32_bits((rng.next_u64() & 1) ? 3e38f : -3e38f);
+    default:
+      return core::fp32_bits(static_cast<float>(
+          std::exp2(rng.uniform_int(-8, 8)) * rng.normal(0, 1)));
+  }
+}
+
+struct PacketStream {
+  std::vector<std::uint16_t> slots;
+  std::vector<std::uint8_t> workers;
+  std::vector<std::uint32_t> values;
+
+  std::span<const std::uint32_t> payload(std::size_t p, int lanes) const {
+    const auto l = static_cast<std::size_t>(lanes);
+    return std::span<const std::uint32_t>(values).subspan(p * l, l);
+  }
+};
+
+/// Workers drawn from [0, worker_range): small ranges force duplicates.
+PacketStream adversarial_stream(std::uint64_t seed, int packets, int lanes,
+                                std::uint64_t worker_range) {
+  util::Rng rng(seed);
+  PacketStream s;
+  for (int p = 0; p < packets; ++p) {
+    s.slots.push_back(static_cast<std::uint16_t>(rng.next_u64() % kEqSlots));
+    s.workers.push_back(
+        static_cast<std::uint8_t>(rng.next_u64() % worker_range));
+    for (int l = 0; l < lanes; ++l) s.values.push_back(adversarial_value(rng));
+  }
+  return s;
+}
+
 TEST(FpisaSwitch, BatchAddBitIdenticalToPerPacketPipeline) {
-  // The compiled add_batch fast path must leave every register array —
-  // exponents, mantissas, dedup bitmap, completion counters — in exactly
-  // the state the interpreted per-packet pipeline produces, for the same
-  // packet sequence (duplicates, zeros, subnormals and infinities
-  // included), and subsequent reads must agree bit-for-bit.
-  for (const auto variant :
-       {core::Variant::kApproximate, core::Variant::kFull}) {
-    FpisaProgramOptions opts;
-    opts.variant = variant;
-    opts.lanes = 4;
-    opts.slots = 16;
-    const SwitchConfig cfg = variant == core::Variant::kFull
-                                 ? extended_switch()
-                                 : baseline_tofino();
-    FpisaSwitch per_packet(cfg, opts);
-    FpisaSwitch batched(cfg, opts);
+  // add_batch must leave exactly the state, accounting and packet count
+  // the interpreted per-packet pipeline produces for the same packets —
+  // duplicates, zeros, subnormals and non-finite lanes included — and
+  // subsequent interpreted reads must agree bit-for-bit.
+  for (const SwitchCase& c : switch_cases()) {
+    const ScopedBackend pin(c.backend);
+    const std::string tag = case_tag(c);
+    FpisaSwitch per_packet(eq_config(c.variant), eq_options(c));
+    FpisaSwitch batched(eq_config(c.variant), eq_options(c));
+    const PacketStream in = adversarial_stream(0xBA7C, 300, c.lanes, 8);
 
-    util::Rng rng(0xBA7C);
-    std::vector<std::uint16_t> slots;
-    std::vector<std::uint8_t> workers;
-    std::vector<std::uint32_t> values;
-    for (int p = 0; p < 600; ++p) {
-      slots.push_back(static_cast<std::uint16_t>(rng.next_u64() % 16));
-      workers.push_back(static_cast<std::uint8_t>(rng.next_u64() % 8));
-      for (int l = 0; l < 4; ++l) {
-        std::uint32_t u;
-        switch (rng.next_u64() % 5) {
-          case 0:
-            u = core::fp32_bits(static_cast<float>(rng.normal(0, 1)));
-            break;
-          case 1:  // wide exponent spread (hits overwrite + RSAW paths)
-            u = core::fp32_bits(static_cast<float>(
-                std::exp2(rng.uniform_int(-80, 80)) * rng.normal(0, 1)));
-            break;
-          case 2:
-            u = 0;  // exact zero: exercises the zero-input exp update
-            break;
-          case 3:
-            u = static_cast<std::uint32_t>(rng.next_u64());  // bit noise
-            break;
-          default:
-            u = core::fp32_bits(std::numeric_limits<float>::denorm_min());
-            break;
-        }
-        values.push_back(u);
-      }
+    for (std::size_t p = 0; p < in.slots.size(); ++p) {
+      (void)per_packet.add(in.slots[p], in.workers[p],
+                           in.payload(p, c.lanes));
     }
+    batched.add_batch(in.slots, in.workers, in.values);
+    expect_same_switch(batched, per_packet, tag);
 
-    for (std::size_t p = 0; p < slots.size(); ++p) {
-      (void)per_packet.add(slots[p], workers[p],
-                           std::span<const std::uint32_t>(values).subspan(
-                               4 * p, 4));
-    }
-    batched.add_batch(slots, workers, values);
-
-    for (int r = 0; r < 2 * 4 + 2; ++r) {  // all lane regs + bitmap + count
-      for (std::size_t s = 0; s < 16; ++s) {
-        ASSERT_EQ(batched.sim().reg(r).read(s), per_packet.sim().reg(r).read(s))
-            << "variant=" << (variant == core::Variant::kFull ? "full" : "a")
-            << " reg=" << r << " slot=" << s;
-      }
-    }
-    for (std::uint16_t s = 0; s < 16; ++s) {
+    for (std::uint16_t s = 0; s < kEqSlots; ++s) {
       const FpisaResult a = batched.read(s);
       const FpisaResult b = per_packet.read(s);
-      ASSERT_EQ(a.bitmap, b.bitmap) << s;
-      ASSERT_EQ(a.count, b.count) << s;
-      for (int l = 0; l < 4; ++l) ASSERT_EQ(a.values[l], b.values[l]) << s;
+      ASSERT_EQ(a.bitmap, b.bitmap) << tag << " slot " << s;
+      ASSERT_EQ(a.count, b.count) << tag << " slot " << s;
+      ASSERT_EQ(a.values, b.values) << tag << " slot " << s;
     }
-    // Fast-path packets are accounted: both switches saw the same count.
-    EXPECT_EQ(batched.sim().packets_processed(),
-              per_packet.sim().packets_processed());
   }
 }
 
 TEST(FpisaSwitch, ReadBatchBitIdenticalToPerPacketPipeline) {
-  // The compiled egress fast path must emit exactly what the interpreted
-  // read/read_and_reset packets emit — values (FTZ and overflow-to-inf
-  // range handling included), bitmap and count fields — leave the register
-  // arrays in the identical state, and account the same packet count.
-  for (const auto variant :
-       {core::Variant::kApproximate, core::Variant::kFull}) {
-    FpisaProgramOptions opts;
-    opts.variant = variant;
-    opts.lanes = 4;
-    opts.slots = 16;
-    const SwitchConfig cfg = variant == core::Variant::kFull
-                                 ? extended_switch()
-                                 : baseline_tofino();
-    FpisaSwitch per_packet(cfg, opts);
-    FpisaSwitch batched(cfg, opts);
+  // The compiled egress must emit exactly what interpreted read /
+  // read_and_reset packets emit — values (FTZ and overflow-to-inf range
+  // handling included), bitmap and count fields — and leave every
+  // register, counter and packet count identical.
+  for (const SwitchCase& c : switch_cases()) {
+    const ScopedBackend pin(c.backend);
+    const std::string tag = case_tag(c);
+    FpisaSwitch per_packet(eq_config(c.variant), eq_options(c));
+    FpisaSwitch batched(eq_config(c.variant), eq_options(c));
+    const PacketStream in = adversarial_stream(0xEC3E55, 200, c.lanes, 16);
+    per_packet.add_batch(in.slots, in.workers, in.values);
+    batched.add_batch(in.slots, in.workers, in.values);
 
-    // Drive both switches into an identical, adversarial state: normals,
-    // wide exponent spreads, zeros, bit noise (inf/NaN/subnormals), tiny
-    // magnitudes whose renormalized output is subnormal (FTZ), and huge
-    // same-sign values that overflow to infinity on read.
-    util::Rng rng(0xEC3E55);
-    std::vector<std::uint16_t> slots;
-    std::vector<std::uint8_t> workers;
-    std::vector<std::uint32_t> values;
-    for (int p = 0; p < 400; ++p) {
-      slots.push_back(static_cast<std::uint16_t>(rng.next_u64() % 16));
-      workers.push_back(static_cast<std::uint8_t>(rng.next_u64() % 16));
-      for (int l = 0; l < 4; ++l) {
-        std::uint32_t u;
+    const auto lanes = static_cast<std::size_t>(c.lanes);
+    std::vector<std::uint32_t> vals(kEqSlots * lanes);
+    std::vector<std::uint32_t> bitmaps(kEqSlots);
+    std::vector<std::uint16_t> counts(kEqSlots);
+    for (const bool reset : {false, true}) {
+      if (reset) {
+        batched.read_and_reset_batch(0, kEqSlots, vals, bitmaps, counts);
+      } else {
+        batched.read_batch(0, kEqSlots, vals, bitmaps, counts);
+      }
+      for (std::uint16_t s = 0; s < kEqSlots; ++s) {
+        const FpisaResult want =
+            reset ? per_packet.read_and_reset(s) : per_packet.read(s);
+        ASSERT_EQ(bitmaps[s], want.bitmap) << tag << " slot " << s;
+        ASSERT_EQ(counts[s], want.count) << tag << " slot " << s;
+        for (std::size_t l = 0; l < lanes; ++l) {
+          ASSERT_EQ(vals[s * lanes + l], want.values[l])
+              << tag << " reset=" << reset << " slot=" << s << " lane=" << l;
+        }
+      }
+      expect_same_switch(batched, per_packet,
+                         tag + (reset ? " after reset" : " after read"));
+    }
+  }
+}
+
+TEST(FpisaSwitch, GuardedBatchBitIdenticalToInterpreterOnAcceptedPackets) {
+  // add_batch_guarded = drop corrupt and stale packets, then add_batch.
+  // The oracle runs only the packets the guard must accept through the
+  // interpreter; both switches see the same slot resets, so their epochs
+  // (and hence stamps) stay in lockstep.
+  for (const SwitchCase& c : switch_cases()) {
+    const ScopedBackend pin(c.backend);
+    const std::string tag = case_tag(c);
+    FpisaSwitch per_packet(eq_config(c.variant), eq_options(c));
+    FpisaSwitch guarded(eq_config(c.variant), eq_options(c));
+    util::Rng rng(0x6A4D);
+
+    std::uint64_t want_corrupt = 0;
+    std::uint64_t want_stale = 0;
+    FpisaSwitch::GuardStats stats;
+    for (int round = 0; round < 3; ++round) {
+      const PacketStream in =
+          adversarial_stream(0x6A4D + static_cast<std::uint64_t>(round), 120,
+                             c.lanes, 8);
+      const std::size_t n = in.slots.size();
+      std::vector<std::uint32_t> stamps(n);
+      std::vector<std::uint16_t> sums(n);
+      std::vector<bool> accept(n, true);
+      for (std::size_t p = 0; p < n; ++p) {
+        stamps[p] = guarded.slot_stamp(in.slots[p]);
+        sums[p] = fpisa_checksum(in.slots[p], in.workers[p], stamps[p],
+                                 in.payload(p, c.lanes));
         switch (rng.next_u64() % 6) {
-          case 0:
-            u = core::fp32_bits(static_cast<float>(rng.normal(0, 1)));
+          case 0:  // bit flipped in flight
+            sums[p] ^= static_cast<std::uint16_t>(1u << (rng.next_u64() % 16));
+            accept[p] = false;
+            ++want_corrupt;
             break;
-          case 1:
-            u = core::fp32_bits(static_cast<float>(
-                std::exp2(rng.uniform_int(-80, 80)) * rng.normal(0, 1)));
+          case 1:  // stale copy from the slot's previous epoch
+            stamps[p] -= 1;
+            sums[p] = fpisa_checksum(in.slots[p], in.workers[p], stamps[p],
+                                     in.payload(p, c.lanes));
+            accept[p] = false;
+            ++want_stale;
             break;
-          case 2:
-            u = 0;
-            break;
-          case 3:
-            u = static_cast<std::uint32_t>(rng.next_u64());
-            break;
-          case 4:  // near-cancelling tiny pair fodder (FTZ outputs)
-            u = core::fp32_bits(std::ldexp((rng.next_u64() & 1) ? 1.0f : -1.0f,
-                                           -126 - static_cast<int>(
-                                                      rng.next_u64() % 20)));
-            break;
-          default:  // overflow-to-inf pressure
-            u = core::fp32_bits(3e38f);
+          default:
             break;
         }
-        values.push_back(u);
+      }
+      for (std::size_t p = 0; p < n; ++p) {
+        if (accept[p]) {
+          (void)per_packet.add(in.slots[p], in.workers[p],
+                               in.payload(p, c.lanes));
+        }
+      }
+      guarded.add_batch_guarded(in.slots, in.workers, stamps, sums, in.values,
+                                stats);
+      // The oracle never saw the rejected packets; the guarded switch
+      // accounts them as received. Everything else must match.
+      ASSERT_EQ(stats.corrupt_rejected, want_corrupt) << tag;
+      ASSERT_EQ(stats.stale_rejected, want_stale) << tag;
+      per_packet.sim().account_packets(n - static_cast<std::size_t>(
+                                              std::count(accept.begin(),
+                                                         accept.end(), true)));
+      expect_same_switch(guarded, per_packet,
+                         tag + " round " + std::to_string(round));
+      // Recycle half the slots so the next round's stamps move on.
+      for (std::uint16_t s = 0; s < kEqSlots; s += 2) {
+        (void)per_packet.read_and_reset(s);
+        (void)guarded.read_and_reset(s);
       }
     }
-    per_packet.add_batch(slots, workers, values);
-    batched.add_batch(slots, workers, values);
-
-    // Non-destructive reads: batch vs interpreter, state untouched.
-    std::vector<std::uint32_t> vals(16 * 4);
-    std::vector<std::uint32_t> bitmaps(16);
-    std::vector<std::uint16_t> counts(16);
-    batched.read_batch(0, 16, vals, bitmaps, counts);
-    for (std::uint16_t s = 0; s < 16; ++s) {
-      const FpisaResult want = per_packet.read(s);
-      ASSERT_EQ(bitmaps[s], want.bitmap) << "slot " << s;
-      ASSERT_EQ(counts[s], want.count) << "slot " << s;
-      for (int l = 0; l < 4; ++l) {
-        ASSERT_EQ(vals[4 * s + l], want.values[static_cast<std::size_t>(l)])
-            << "variant=" << (variant == core::Variant::kFull ? "full" : "a")
-            << " slot=" << s << " lane=" << l;
-      }
-    }
-    EXPECT_EQ(batched.sim().packets_processed(),
-              per_packet.sim().packets_processed());
-
-    // Destructive reads: same outputs, and the register arrays (lane
-    // exponents/mantissas + bitmap + count) must clear identically.
-    std::vector<std::uint32_t> vals2(16 * 4);
-    std::vector<std::uint32_t> bitmaps2(16);
-    std::vector<std::uint16_t> counts2(16);
-    batched.read_and_reset_batch(0, 16, vals2, bitmaps2, counts2);
-    for (std::uint16_t s = 0; s < 16; ++s) {
-      const FpisaResult want = per_packet.read_and_reset(s);
-      ASSERT_EQ(bitmaps2[s], want.bitmap) << "slot " << s;
-      ASSERT_EQ(counts2[s], want.count) << "slot " << s;
-      for (int l = 0; l < 4; ++l) {
-        ASSERT_EQ(vals2[4 * s + l], want.values[static_cast<std::size_t>(l)])
-            << "slot=" << s << " lane=" << l;
-      }
-    }
-    for (int r = 0; r < 2 * 4 + 2; ++r) {
-      for (std::size_t s = 0; s < 16; ++s) {
-        ASSERT_EQ(batched.sim().reg(r).read(s),
-                  per_packet.sim().reg(r).read(s))
-            << "post-reset reg=" << r << " slot=" << s;
-      }
-    }
-    EXPECT_EQ(batched.sim().packets_processed(),
-              per_packet.sim().packets_processed());
   }
+}
+
+/// Directed edges broadcast one value to every lane: 9 lanes run one
+/// 8-wide AVX2 block and one scalar tail lane.
+constexpr int kEdgeLanes = 9;
+
+/// Applies one packet carrying `value` in every lane to slot 0 as worker
+/// `w` on both switches: interpreted on `interp`, compiled on `compiled`.
+void add_both(FpisaSwitch& interp, FpisaSwitch& compiled, std::uint8_t w,
+              std::uint32_t value) {
+  const std::vector<std::uint32_t> values(kEdgeLanes, value);
+  (void)interp.add(0, w, values);
+  const std::uint16_t slot[] = {0};
+  const std::uint8_t worker[] = {w};
+  compiled.add_batch(slot, worker, values);
+}
+
+/// Reads slot 0 both ways, checks the compiled lanes against the
+/// interpreter's and that all lanes agree, and returns lane 0.
+std::uint32_t read_both(FpisaSwitch& interp, FpisaSwitch& compiled,
+                        const std::string& what) {
+  std::vector<std::uint32_t> got(kEdgeLanes);
+  compiled.read_batch(0, 1, got);
+  EXPECT_EQ(got, interp.read(0).values) << what;
+  EXPECT_EQ(std::count(got.begin(), got.end(), got[0]), kEdgeLanes) << what;
+  return got[0];
+}
+
+TEST(FpisaSwitch, CompiledDatapathDirectedEdges) {
+  // The edges where the switch tables differ from the core accumulator
+  // (LaneMode::kSwitch), each pinned to an explicit outcome and to the
+  // interpreter, on every backend.
+  const auto f = [](float v) { return core::fp32_bits(v); };
+  for (const auto backend : core::available_batch_backends()) {
+    const ScopedBackend pin(backend);
+    for (const auto variant :
+         {core::Variant::kApproximate, core::Variant::kFull}) {
+      const SwitchCase c{variant, kEdgeLanes, backend};
+      constexpr std::uint64_t kL = kEdgeLanes;
+      const std::string tag = case_tag(c);
+      const auto fresh = [&] {
+        return std::make_unique<FpisaSwitch>(eq_config(variant),
+                                             eq_options(c));
+      };
+
+      {  // |d| = 31 / 32 / 33 around the align table's ±32 clamp.
+        for (const int d : {31, 32, 33}) {
+          for (const int sign : {1, -1}) {
+            auto a = fresh();
+            auto b = fresh();
+            add_both(*a, *b, 0, f(1.5f));
+            add_both(*a, *b, 1, f(std::ldexp(1.25f, sign * d)));
+            add_both(*a, *b, 2, f(-1.75f));
+            expect_same_switch(*b, *a,
+                               tag + " d=" + std::to_string(sign * d));
+            read_both(*a, *b, tag + " d=" + std::to_string(sign * d));
+          }
+        }
+      }
+      {  // |d| >= 64 against a shifted mantissa of -1: the switch counts a
+         // rounded add (the core's >= 64 rule would call it exact).
+        auto a = fresh();
+        auto b = fresh();
+        if (variant == core::Variant::kFull) {
+          add_both(*a, *b, 0, 0x80000001u);  // stored mantissa -1, exp 1
+          add_both(*a, *b, 1, f(1.0f));      // d = 126: RSAW shifts it
+        } else {
+          add_both(*a, *b, 0, f(1.0f));      // stored exp 127
+          add_both(*a, *b, 1, 0x80000001u);  // incoming -1 at d = -126
+        }
+        EXPECT_EQ(b->op_counters().rounded_adds, kL) << tag;
+        expect_same_switch(*b, *a, tag + " |d|>=64");
+      }
+      {  // A zero into an empty slot runs the exponent stage.
+        auto a = fresh();
+        auto b = fresh();
+        add_both(*a, *b, 0, 0x80000000u);
+        EXPECT_EQ(b->op_counters().adds, kL) << tag;
+        EXPECT_EQ(b->op_counters().zero_inputs, kL) << tag;
+        EXPECT_EQ(b->sim().reg(0).read(0),
+                  variant == core::Variant::kFull ? 1u : 0u)
+            << tag;
+        expect_same_switch(*b, *a, tag + " zero");
+        EXPECT_EQ(read_both(*a, *b, tag + " zero"), 0u) << tag;
+      }
+      {  // Non-finite lanes run the datapath with exponent 255.
+        auto a = fresh();
+        auto b = fresh();
+        add_both(*a, *b, 0, 0x7F800000u);
+        add_both(*a, *b, 1, 0xFF800000u);
+        add_both(*a, *b, 2, 0x7FC00001u);
+        add_both(*a, *b, 3, f(2.0f));
+        EXPECT_EQ(b->op_counters().adds, 4 * kL) << tag;
+        EXPECT_EQ(b->op_counters().nonfinite_inputs, 3 * kL) << tag;
+        expect_same_switch(*b, *a, tag + " non-finite");
+        read_both(*a, *b, tag + " non-finite");
+      }
+      {  // Mantissa register wrap at +2^31 and -2^31. FPISA-A overflows its
+         // left-shift headroom (lshift_overflows, not a saturation); both
+         // variants wrap on accumulated same-exponent adds (saturations).
+        for (const float v : {1.9999999f, -1.9999999f}) {
+          auto a = fresh();
+          auto b = fresh();
+          for (int i = 0; i < 140; ++i) {
+            // Clear the dedup bitmap so one slot takes 140 contributions.
+            a->sim().reg(2 * kEdgeLanes).write(0, 0);
+            b->sim().reg(2 * kEdgeLanes).write(0, 0);
+            add_both(*a, *b, 0, f(v));
+          }
+          EXPECT_GE(b->op_counters().saturations, 1u) << tag << " v=" << v;
+          expect_same_switch(*b, *a, tag + " wrap");
+          read_both(*a, *b, tag + " wrap");
+        }
+        if (variant == core::Variant::kApproximate) {
+          auto a = fresh();
+          auto b = fresh();
+          add_both(*a, *b, 0, f(1.9999999f));
+          add_both(*a, *b, 1, f(1.9999999f * 128.0f));  // d = 7 = headroom
+          EXPECT_EQ(b->op_counters().lshift_overflows, kL) << tag;
+          EXPECT_EQ(b->op_counters().saturations, 0u) << tag;
+          expect_same_switch(*b, *a, tag + " lshift wrap");
+        }
+      }
+      {  // Egress FTZ: a would-be subnormal reads as signed zero.
+        for (const float s : {1.0f, -1.0f}) {
+          auto a = fresh();
+          auto b = fresh();
+          const float tiny = std::ldexp(1.0f, -120);
+          add_both(*a, *b, 0, f(s * tiny));
+          add_both(*a, *b, 1, f(-s * tiny * 0.999f));
+          EXPECT_EQ(read_both(*a, *b, tag + " ftz"),
+                    s < 0 ? 0x80000000u : 0u)
+              << tag;
+        }
+      }
+      {  // Egress overflow: exponent >= 255 clamps to ±inf.
+        for (const float s : {1.0f, -1.0f}) {
+          auto a = fresh();
+          auto b = fresh();
+          add_both(*a, *b, 0, f(s * 3e38f));
+          add_both(*a, *b, 1, f(s * 3e38f));
+          EXPECT_EQ(read_both(*a, *b, tag + " inf"),
+                    s < 0 ? 0xFF800000u : 0x7F800000u)
+              << tag;
+        }
+      }
+    }
+  }
+}
+
+TEST(FpisaSwitch, BatchShapesAreCheckedInEveryBuild) {
+  // Typed errors instead of Debug-only asserts: a Release build must not
+  // write past the register bank or silently drop a worker's dedup bit.
+  FpisaProgramOptions opts;
+  opts.variant = core::Variant::kApproximate;
+  opts.lanes = 4;
+  opts.slots = 8;
+  FpisaSwitch sw(baseline_tofino(), opts);
+  const std::vector<std::uint32_t> one(4, core::fp32_bits(1.0f));
+  const std::vector<std::uint32_t> two(8, core::fp32_bits(1.0f));
+
+  // Ingress: a valid first packet followed by a bad one. The check runs
+  // before any state changes, so the valid packet is not applied either.
+  const std::vector<std::uint16_t> bad_slot = {0, 8};
+  const std::vector<std::uint8_t> ok_workers = {0, 1};
+  EXPECT_THROW(sw.add_batch(bad_slot, ok_workers, two), std::out_of_range);
+  const std::vector<std::uint16_t> ok_slots = {0, 1};
+  for (const std::uint8_t w : {32, 63, 64, 255}) {
+    const std::vector<std::uint8_t> bad_worker = {0, w};
+    EXPECT_THROW(sw.add_batch(ok_slots, bad_worker, two), std::out_of_range)
+        << "worker " << int{w};
+  }
+  EXPECT_THROW(sw.add_batch(ok_slots, std::vector<std::uint8_t>{0}, two),
+               std::invalid_argument);
+  EXPECT_THROW(sw.add_batch(ok_slots, ok_workers, one), std::invalid_argument);
+
+  FpisaSwitch::GuardStats guard;
+  const std::vector<std::uint32_t> stamps = {sw.slot_stamp(0),
+                                             sw.slot_stamp(1)};
+  const std::vector<std::uint16_t> sums = {0, 0};
+  EXPECT_THROW(sw.add_batch_guarded(bad_slot, ok_workers, stamps, sums, two,
+                                    guard),
+               std::out_of_range);
+  EXPECT_THROW(sw.add_batch_guarded(ok_slots, ok_workers,
+                                    std::vector<std::uint32_t>{0}, sums, two,
+                                    guard),
+               std::invalid_argument);
+  EXPECT_THROW(sw.add_batch_guarded(ok_slots, ok_workers, stamps,
+                                    std::vector<std::uint16_t>{0}, two, guard),
+               std::invalid_argument);
+  EXPECT_EQ(guard.corrupt_rejected + guard.stale_rejected, 0u);
+
+  // Interpreted entry points share the slot/worker checks.
+  EXPECT_THROW(sw.add(8, 0, one), std::out_of_range);
+  EXPECT_THROW(sw.add(0, 32, one), std::out_of_range);
+  EXPECT_THROW(sw.add(0, 0, two), std::invalid_argument);
+  EXPECT_THROW(sw.read(8), std::out_of_range);
+  EXPECT_THROW(sw.read_and_reset(8), std::out_of_range);
+
+  // Nothing above touched the switch.
+  for (int r = 0; r < 2 * 4 + 2; ++r) {
+    for (std::size_t s = 0; s < 8; ++s) EXPECT_EQ(sw.sim().reg(r).read(s), 0u);
+  }
+  EXPECT_EQ(sw.sim().packets_processed(), 0u);
+  EXPECT_EQ(sw.op_counters().adds, 0u);
+
+  // Egress: range and output shapes.
+  std::vector<std::uint32_t> vals(4 * 4);
+  std::vector<std::uint32_t> bitmaps(4);
+  std::vector<std::uint16_t> counts(4);
+  EXPECT_THROW(sw.read_batch(5, 4, vals), std::out_of_range);
+  EXPECT_THROW(sw.read_and_reset_batch(8, 1, std::span(vals).first(4)),
+               std::out_of_range);
+  EXPECT_THROW(sw.read_batch(0, SIZE_MAX, vals), std::out_of_range);
+  EXPECT_THROW(sw.read_batch(0, 3, vals), std::invalid_argument);
+  EXPECT_THROW(sw.read_batch(0, 4, vals, std::span(bitmaps).first(3)),
+               std::invalid_argument);
+  EXPECT_THROW(sw.read_and_reset_batch(0, 4, vals, bitmaps,
+                                       std::span(counts).first(2)),
+               std::invalid_argument);
+  EXPECT_EQ(sw.sim().packets_processed(), 0u);
+
+  // The valid shapes still work after all of that.
+  sw.add_batch(ok_slots, ok_workers, two);
+  sw.read_and_reset_batch(0, 4, vals, bitmaps, counts);
+  EXPECT_EQ(core::fp32_value(vals[0]), 1.0f);
+  EXPECT_EQ(bitmaps[1], 0b10u);
+  EXPECT_EQ(counts[0], 1u);
 }
 
 TEST(FpisaResources, ShiftExtensionUnlocksParallelInstances) {
