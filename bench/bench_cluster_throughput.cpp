@@ -2,7 +2,7 @@
 // multi-switch service vs shard count (1 -> 8), plus the two-level
 // ToR->spine tree vs the flat single-switch baseline. The switches run at
 // line rate (the paper's emulation argument), so modeled completion time
-// comes from per-shard ingress-pipe serialization (net::Link / EventSim);
+// comes from per-shard ingress-pipe serialization, in closed form;
 // functional results are produced by the real pisa pipelines either way.
 //
 // Every layer runs the one wave engine: 32-lane chunk packets (amortizing

@@ -486,9 +486,9 @@ std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
                         std::uint64_t pass);
 
 /// Modeled wall-clock seconds for a job whose packets are spread over
-/// parallel shard ingress pipes: each shard's packets serialize through a
-/// dedicated net::Link at `gbps`, shards drain concurrently (net::EventSim
-/// ordering), and the job completes when the slowest shard drains. This is
+/// parallel shard ingress pipes: each shard's packets serialize back to
+/// back at `gbps` on a dedicated pipe, shards drain concurrently, and the
+/// job completes when the slowest shard drains. This is
 /// the paper's emulation argument at rack scale: the switches run at line
 /// rate, so aggregate capacity grows with the shard count. Degenerate
 /// inputs (empty `per_shard`, all-zero packet counts, non-positive rate or

@@ -2,12 +2,36 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
+#include "net/link.h"
+
 namespace fpisa::cluster {
 namespace {
+
+/// Shape and timing-model checks, made before any switch is built (the
+/// switches check their own lanes and slots).
+HierarchyOptions validated(HierarchyOptions opts) {
+  if (opts.leaves <= 0 || opts.workers_per_leaf <= 0) {
+    throw std::invalid_argument("hierarchy: need leaves and workers");
+  }
+  if (opts.leaves > 32 || opts.workers_per_leaf > 32) {
+    throw std::invalid_argument("hierarchy: bitmap is 32 bits wide");
+  }
+  const auto rate = [](double gbps) { return std::isfinite(gbps) && gbps > 0; };
+  if (!rate(opts.link_gbps) || !rate(opts.pipeline_gbps)) {
+    throw std::invalid_argument(
+        "hierarchy: link and pipeline rates must be finite and positive");
+  }
+  if (!std::isfinite(opts.link_latency_us) || opts.link_latency_us < 0) {
+    throw std::invalid_argument(
+        "hierarchy: link latency must be finite and non-negative");
+  }
+  return opts;
+}
 
 pisa::FpisaProgramOptions tree_program_options(const HierarchyOptions& opts) {
   pisa::FpisaProgramOptions p;
@@ -22,13 +46,7 @@ pisa::FpisaProgramOptions tree_program_options(const HierarchyOptions& opts) {
 }  // namespace
 
 HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
-    : opts_(opts), engine_(opts.lanes) {
-  if (opts_.leaves <= 0 || opts_.workers_per_leaf <= 0) {
-    throw std::invalid_argument("hierarchy: need leaves and workers");
-  }
-  if (opts_.leaves > 32 || opts_.workers_per_leaf > 32) {
-    throw std::invalid_argument("hierarchy: bitmap is 32 bits wide");
-  }
+    : opts_(validated(opts)), engine_(opts.lanes) {
   for (int j = 0; j < opts_.leaves; ++j) {
     leaves_.push_back(std::make_unique<pisa::FpisaSwitch>(
         opts_.switch_config, tree_program_options(opts_)));
@@ -102,16 +120,6 @@ std::size_t HierarchicalAggregator::packet_bytes() const {
   return static_cast<std::size_t>(pisa::kFpisaHeaderBytes) +
          4u * static_cast<std::size_t>(opts_.lanes) +
          opts_.frame_overhead_bytes;
-}
-
-std::vector<float> HierarchicalAggregator::reduce(
-    std::span<const std::vector<float>> workers) {
-  const std::vector<std::span<const float>> views(workers.begin(),
-                                                  workers.end());
-  std::vector<float> result(workers.empty() ? 0 : workers.front().size(),
-                            0.0f);
-  reduce_into(views, result);
-  return result;
 }
 
 void HierarchicalAggregator::reduce_into(
@@ -196,95 +204,85 @@ void HierarchicalAggregator::reduce_into(
   m_level_[1]->observe(std::max(0.0, timing.done_s - timing.leaf_done_s));
 }
 
-HierarchyTiming HierarchicalAggregator::model_timing(
-    std::size_t chunks) const {
+HierarchyTiming HierarchicalAggregator::model_timing(std::size_t chunks) {
   const int wpl = opts_.workers_per_leaf;
+  const std::size_t pkt = packet_bytes();
   // One uplink per host, one per ToR, one result downlink per ToR. Workers
   // stream back-to-back from t = 0; the tree's slot pool is assumed deep
   // enough to keep every pipe full.
   const auto nl = static_cast<std::size_t>(opts_.leaves);
-  net::EventSim sim;
-  std::vector<net::Link> worker_up(
-      static_cast<std::size_t>(total_workers()),
-      net::Link(opts_.link_gbps, opts_.link_latency_us));
-  std::vector<net::Link> tor_up(nl,
-                                net::Link(opts_.link_gbps, opts_.link_latency_us));
-  std::vector<net::Link> spine_down(
-      nl, net::Link(opts_.link_gbps, opts_.link_latency_us));
+  const net::Link link(opts_.link_gbps, opts_.link_latency_us);
+  std::vector<net::Link> worker_up(static_cast<std::size_t>(total_workers()),
+                                   link);
+  std::vector<net::Link> tor_up(nl, link);
+  std::vector<net::Link> spine_down(nl, link);
   // Every switch's packet-processing pipeline is SHARED across its ingress
   // ports: worker packets serialize through their ToR's pipe, and ToR
   // partials through the spine's, before contributing. This is the
   // topology-dependent term — with few leaves the links dominate, with
-  // more fan-in the shared pipes do. (Plain locals: every scheduled event
-  // runs inside sim.run() below, before these leave scope.)
+  // more fan-in the shared pipes do.
   std::vector<net::Link> leaf_pipe(nl, net::Link(opts_.pipeline_gbps, 0.0));
   net::Link spine_pipe(opts_.pipeline_gbps, 0.0);
-  std::vector<int> spine_seen(chunks, 0);
   HierarchyTiming timing{};
 
-  // Dead-leaf collapse: a killed ToR's workers bypass it and feed the
-  // spine directly, one flow each.
-  int spine_arrivals_per_chunk = 0;
-  for (int j = 0; j < opts_.leaves; ++j) {
-    spine_arrivals_per_chunk +=
-        leaf_alive_[static_cast<std::size_t>(j)] ? 1 : wpl;
-  }
-
-  // One spine arrival has cleared the shared pipeline: completes the chunk
-  // once every expected flow (live partials + direct senders) is in.
-  const auto spine_arrival = [this, &sim, &spine_down, &spine_seen, &timing,
-                              &spine_pipe,
-                              spine_arrivals_per_chunk](std::size_t c) {
-    const double processed = spine_pipe.send(sim.now(), packet_bytes());
-    sim.at(processed, [this, &sim, &spine_down, &spine_seen, &timing, c,
-                       spine_arrivals_per_chunk] {
-      if (++spine_seen[c] < spine_arrivals_per_chunk) return;
-      // Chunk complete at the spine: multicast the result back down
-      // (spine->ToR serialization + the ToR->host hop latency).
-      for (std::size_t d = 0; d < spine_down.size(); ++d) {
-        const double delivered =
-            spine_down[d].send(sim.now(), packet_bytes()) +
-            opts_.link_latency_us * 1e-6;
-        ++timing.packets;
-        timing.done_s = std::max(timing.done_s, delivered);
-      }
-    });
-  };
-
+  // Host uplinks and ToR pipes see their packets in chunk order. A live
+  // ToR hands its partial up once the chunk's last host packet clears its
+  // pipe; a dead ToR's workers bypass it and feed the spine directly, one
+  // flow each.
+  tor_handoffs_.clear();
+  spine_arrivals_.clear();
   for (std::size_t c = 0; c < chunks; ++c) {
-    // Every host streams its packet to its ToR (or, when its ToR is dead,
-    // straight into the spine fan-in).
-    for (int j = 0; j < opts_.leaves; ++j) {
-      const bool alive = leaf_alive_[static_cast<std::size_t>(j)];
+    for (std::size_t j = 0; j < nl; ++j) {
+      const bool alive = leaf_alive_[j];
       double leaf_ready = 0.0;
       for (int k = 0; k < wpl; ++k) {
-        const auto w = static_cast<std::size_t>(j * wpl + k);
-        const double at_next_hop = worker_up[w].send(0.0, packet_bytes());
+        const std::size_t w = j * static_cast<std::size_t>(wpl) +
+                              static_cast<std::size_t>(k);
+        const double at_next_hop = worker_up[w].send(0.0, pkt);
         if (alive) {
-          leaf_ready = std::max(
-              leaf_ready, leaf_pipe[static_cast<std::size_t>(j)].send(
-                              at_next_hop, packet_bytes()));
+          leaf_ready =
+              std::max(leaf_ready, leaf_pipe[j].send(at_next_hop, pkt));
         } else {
-          sim.at(at_next_hop, [&spine_arrival, c] { spine_arrival(c); });
+          spine_arrivals_.push_back({at_next_hop, c, j});
         }
         ++timing.packets;
       }
-      if (!alive) continue;
-      // ToR forwards its partial to the spine once the last contributing
-      // host packet has arrived.
-      sim.at(leaf_ready,
-             [this, &sim, &tor_up, &timing, &spine_arrival, c, j] {
-        const double at_spine =
-            tor_up[static_cast<std::size_t>(j)].send(sim.now(),
-                                                     packet_bytes());
-        ++timing.packets;
-        timing.leaf_done_s = std::max(timing.leaf_done_s, sim.now());
-        sim.at(at_spine, [&spine_arrival, c] { spine_arrival(c); });
-      });
+      if (alive) tor_handoffs_.push_back({leaf_ready, c, j});
     }
   }
-  sim.run();
-  timing.wire_bytes = timing.packets * packet_bytes();
+
+  // ToR uplinks serve the hand-offs in time order, ties in generation
+  // order; each partial then joins the spine fan-in behind the direct
+  // senders, whose packets were generated first.
+  const auto by_time = [](const Hop& a, const Hop& b) { return a.t < b.t; };
+  std::stable_sort(tor_handoffs_.begin(), tor_handoffs_.end(), by_time);
+  for (const Hop& h : tor_handoffs_) {
+    spine_arrivals_.push_back({tor_up[h.j].send(h.t, pkt), h.c, h.j});
+    ++timing.packets;
+    timing.leaf_done_s = std::max(timing.leaf_done_s, h.t);
+  }
+
+  // The spine pipe serves every arrival in time order. Its departures
+  // never decrease, so a chunk completes at its last arrival's departure
+  // and the result goes down every ToR (spine->ToR serialization + the
+  // ToR->host hop latency).
+  int spine_arrivals_per_chunk = 0;
+  for (std::size_t j = 0; j < nl; ++j) {
+    spine_arrivals_per_chunk += leaf_alive_[j] ? 1 : wpl;
+  }
+  std::stable_sort(spine_arrivals_.begin(), spine_arrivals_.end(), by_time);
+  spine_seen_.assign(chunks, 0);
+  for (const Hop& a : spine_arrivals_) {
+    const double processed = spine_pipe.send(a.t, pkt);
+    if (++spine_seen_[a.c] < spine_arrivals_per_chunk) continue;
+    for (net::Link& down : spine_down) {
+      const double delivered =
+          down.send(processed, pkt) + opts_.link_latency_us * 1e-6;
+      ++timing.packets;
+      timing.done_s = std::max(timing.done_s, delivered);
+    }
+  }
+  timing.wire_bytes = timing.packets * pkt;
   return timing;
 }
 

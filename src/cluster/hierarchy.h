@@ -2,9 +2,10 @@
 // each partially aggregate the workers in their rack, and one spine switch
 // combines the leaf partials. Functionally each level is one pass of the
 // switchml::WaveEngine over real pisa::FpisaSwitch instances (one per live
-// leaf, then the spine over the leaf partials); timing is modeled with
-// net::EventSim / net::Link (worker uplinks, ToR uplinks, result return),
-// extending the paper's single-switch goodput argument to a rack.
+// leaf, then the spine over the leaf partials); timing is modeled in
+// closed form over net::Link serializers (worker uplinks, shared switch
+// pipes, ToR uplinks, result return), extending the paper's single-switch
+// goodput argument to a rack.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "net/event_sim.h"
 #include "pisa/fpisa_program.h"
 #include "switchml/wave_engine.h"
 #include "telemetry/metrics.h"
@@ -33,7 +33,8 @@ struct HierarchyOptions {
   /// value-scale error. Full FPISA right-shifts the *stored* mantissa
   /// instead, so the spine tracks the largest incoming exponent.
   bool full_fpisa_spine = true;
-  // Timing model.
+  // Timing model. Rates must be finite and positive, the latency finite
+  // and non-negative; the constructor rejects anything else.
   double link_gbps = 100.0;
   double link_latency_us = 1.0;
   /// Aggregate packet-processing bandwidth of one switch pipeline, shared
@@ -66,14 +67,12 @@ class HierarchicalAggregator {
 
   /// Reduces `workers` (size == total_workers(); worker w is homed on leaf
   /// w / workers_per_leaf) through the two-level tree. Also refreshes the
-  /// timing model for this reduction; see timing(). The zero-copy form
-  /// reads the views in place and writes the sum into `out`; the allocating
-  /// form is a thin adapter over it.
+  /// timing model for this reduction; see timing(). Reads the views in
+  /// place and writes the sum into `out`.
   void reduce_into(std::span<const std::span<const float>> workers,
                    std::span<float> out);
-  std::vector<float> reduce(std::span<const std::vector<float>> workers);
 
-  /// Timing of the most recent reduce().
+  /// Timing of the most recent reduce_into().
   const HierarchyTiming& timing() const { return timing_; }
 
   /// Per-level fan-in timing mapped onto the stack's uniform phase split:
@@ -102,8 +101,11 @@ class HierarchicalAggregator {
 
  private:
   void init_metrics();
-  /// Replays the reduce's packet flows through the EventSim timing model.
-  HierarchyTiming model_timing(std::size_t chunks) const;
+  /// Times the reduce's packet flows. Every link and pipe is a FIFO
+  /// serializer and no queue feeds back into an earlier one, so each is a
+  /// max-plus recurrence over its sends taken in arrival-time order (ties
+  /// in the order the flows were generated).
+  HierarchyTiming model_timing(std::size_t chunks);
 
   HierarchyOptions opts_;
   std::vector<std::unique_ptr<pisa::FpisaSwitch>> leaves_;
@@ -117,6 +119,16 @@ class HierarchicalAggregator {
   std::vector<std::vector<float>> partials_;  ///< one per live leaf
   std::vector<std::span<const float>> spine_inputs_;
   std::vector<std::uint8_t> spine_ids_;
+
+  // Timing model buffers, reused across reduces.
+  struct Hop {
+    double t;       ///< when the packet is handed to the next serializer
+    std::size_t c;  ///< chunk
+    std::size_t j;  ///< leaf (picks the ToR uplink of a hand-off)
+  };
+  std::vector<Hop> tor_handoffs_;   ///< live leaf partials ready to go up
+  std::vector<Hop> spine_arrivals_;
+  std::vector<int> spine_seen_;     ///< arrivals through the spine pipe
 
   // Telemetry handles ("tree" instance label), resolved once at
   // construction: modeled per-level fan-in time per reduce, packet/byte

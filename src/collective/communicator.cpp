@@ -371,8 +371,8 @@ ReduceStats TreeCommunicator::run(
     return stats;
   }
   tree_.reduce_into(workers, out);
-  // The tree models its fabric with EventSim links rather than a lossy
-  // packet protocol; surface the modeled packet count.
+  // The tree models its fabric as lossless serializing links rather than a
+  // lossy packet protocol; surface the modeled packet count.
   stats.network.packets_sent = tree_.timing().packets;
   total_ += stats.network;
   return stats;

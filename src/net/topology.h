@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/event_sim.h"
+#include "net/link.h"
 
 namespace fpisa::net {
 

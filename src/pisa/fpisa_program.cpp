@@ -569,10 +569,27 @@ void require_size(const char* what, const char* span_name, std::size_t got,
   }
 }
 
+/// Shape checks made in every build, before any register is sized: a
+/// packet carries at least one lane, and its 16-bit slot field must be able
+/// to address every slot.
+FpisaProgramOptions validated(FpisaProgramOptions opts) {
+  if (opts.lanes < 1) {
+    throw std::invalid_argument("fpisa switch: need at least one lane, got " +
+                                std::to_string(opts.lanes));
+  }
+  constexpr std::size_t kMax = FpisaSwitch::kMaxSlots;
+  if (opts.slots == 0 || opts.slots > kMax) {
+    throw std::invalid_argument("fpisa switch: slots must be in [1, " +
+                                std::to_string(kMax) + "], got " +
+                                std::to_string(opts.slots));
+  }
+  return opts;
+}
+
 }  // namespace
 
 FpisaSwitch::FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts)
-    : opts_(opts),
+    : opts_(validated(opts)),
       lane_cfg_(lane_config(opts)),
       sim_(config, build_fpisa_program(config, opts)),
       zeros_(static_cast<std::size_t>(opts.lanes), 0),

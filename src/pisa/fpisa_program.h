@@ -138,7 +138,11 @@ class FpisaSwitch {
  public:
   /// Worker ids index the 32-bit dedup bitmap register.
   static constexpr int kMaxWorkers = 32;
+  /// Slot ids are 16 bits wide on the wire.
+  static constexpr std::size_t kMaxSlots = 65536;
 
+  /// Throws std::invalid_argument, in every build, unless opts.lanes >= 1
+  /// and 1 <= opts.slots <= kMaxSlots.
   FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts);
 
   /// Sends one add packet carrying `values` (one per lane, FP32 bits);

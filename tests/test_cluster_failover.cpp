@@ -376,15 +376,19 @@ TEST(HierarchyFailover, DeadLeafCollapsesIntoSpineFanIn) {
   opts.slots = 8;
   opts.lanes = 2;
   const auto workers = make_exact_workers(8, 72, 77);
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
 
   HierarchicalAggregator healthy(opts);
-  const auto want = healthy.reduce(workers);
+  std::vector<float> want(72);
+  healthy.reduce_into(views, want);
 
   HierarchicalAggregator degraded(opts);
   degraded.kill_leaf(2);
   EXPECT_FALSE(degraded.leaf_alive(2));
   EXPECT_EQ(degraded.alive_leaves(), 3);
-  const auto got = degraded.reduce(workers);
+  std::vector<float> got(72);
+  degraded.reduce_into(views, got);
   expect_bits_eq(got, want, "dead-leaf tree vs healthy tree");
 
   // The collapse is visible in the timing model: the same packets arrive,

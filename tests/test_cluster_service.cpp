@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <future>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -295,6 +296,18 @@ TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
   }
 }
 
+TEST(ClusterService, RejectsShardSwitchesTheWireCannotAddress) {
+  // Release builds included: each shard switch checks its own shape.
+  ClusterOptions opts;
+  opts.lanes = 0;
+  EXPECT_THROW(AggregationService{opts}, std::invalid_argument);
+  opts.lanes = 1;
+  opts.slots_per_shard = 0;
+  EXPECT_THROW(AggregationService{opts}, std::invalid_argument);
+  opts.slots_per_shard = 65537;  // slot ids are 16 bits on the wire
+  EXPECT_THROW(AggregationService{opts}, std::invalid_argument);
+}
+
 TEST(ClusterService, RetransmitExhaustionFailsLoudly) {
   ClusterOptions opts;
   opts.num_shards = 2;
@@ -497,7 +510,10 @@ TEST(Hierarchy, BitIdenticalToSingleSwitchWithFourLeaves) {
   HierarchicalAggregator tree(opts);
 
   const auto workers = make_exact_workers(8, 72, 100);
-  const auto got = tree.reduce(workers);
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
+  std::vector<float> got(72);
+  tree.reduce_into(views, got);
 
   switchml::SessionOptions sopts;
   sopts.num_workers = 8;
@@ -525,7 +541,10 @@ TEST(Hierarchy, CloseToExactOnGaussianGradients) {
   HierarchicalAggregator tree(opts);
 
   const auto workers = make_workers(8, 96, 101);
-  const auto got = tree.reduce(workers);
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
+  std::vector<float> got(96);
+  tree.reduce_into(views, got);
   const auto ref = exact_sum(workers);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(got[i], ref[i], std::fabs(ref[i]) * 1e-4 + 1e-5) << i;
@@ -538,7 +557,11 @@ TEST(Hierarchy, TimingModelIsConsistent) {
   opts.workers_per_leaf = 2;
   opts.slots = 16;
   HierarchicalAggregator tree(opts);
-  (void)tree.reduce(make_workers(8, 64, 102));
+  const auto workers = make_workers(8, 64, 102);
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
+  std::vector<float> out(64);
+  tree.reduce_into(views, out);
 
   const HierarchyTiming& t = tree.timing();
   EXPECT_GT(t.leaf_done_s, 0.0);
@@ -570,6 +593,8 @@ TEST(Hierarchy, FullFpisaSpineSurvivesCancelledLeafPartials) {
       {-0.0625f}, {-0.0625f},    // leaf 3
   };
   const double ref = -0.375 + 0.0009765625;
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
 
   HierarchyOptions opts;
   opts.leaves = 4;
@@ -578,14 +603,42 @@ TEST(Hierarchy, FullFpisaSpineSurvivesCancelledLeafPartials) {
 
   opts.full_fpisa_spine = false;  // FPISA-A spine: register wraps
   HierarchicalAggregator wrapping(opts);
-  const auto bad = wrapping.reduce(workers);
-  EXPECT_GT(std::fabs(static_cast<double>(bad[0]) - ref), 0.1)
+  float bad = 0;
+  wrapping.reduce_into(views, {&bad, 1});
+  EXPECT_GT(std::fabs(static_cast<double>(bad) - ref), 0.1)
       << "expected the FPISA-A spine to wrap on this input";
 
   opts.full_fpisa_spine = true;  // extended spine: exact
   HierarchicalAggregator safe(opts);
-  const auto good = safe.reduce(workers);
-  EXPECT_EQ(static_cast<double>(good[0]), ref);
+  float good = 0;
+  safe.reduce_into(views, {&good, 1});
+  EXPECT_EQ(static_cast<double>(good), ref);
+}
+
+TEST(Hierarchy, RejectsZeroLanesAndBrokenTimingModels) {
+  // Release builds included: zero lanes used to reach a division by zero
+  // in reduce_into, and a bad rate makes every modeled time NaN or inf.
+  const auto rejects = [](auto tweak) {
+    HierarchyOptions opts;
+    tweak(opts);
+    EXPECT_THROW(HierarchicalAggregator{opts}, std::invalid_argument);
+  };
+  rejects([](HierarchyOptions& o) { o.lanes = 0; });
+  rejects([](HierarchyOptions& o) { o.slots = 65537; });
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -100.0, kInf, kNaN}) {
+    SCOPED_TRACE(bad);
+    rejects([bad](HierarchyOptions& o) { o.link_gbps = bad; });
+    rejects([bad](HierarchyOptions& o) { o.pipeline_gbps = bad; });
+  }
+  for (const double bad : {-1.0, kInf, kNaN}) {
+    SCOPED_TRACE(bad);
+    rejects([bad](HierarchyOptions& o) { o.link_latency_us = bad; });
+  }
+  HierarchyOptions zero_latency;
+  zero_latency.link_latency_us = 0.0;
+  EXPECT_NO_THROW(HierarchicalAggregator{zero_latency});
 }
 
 TEST(Hierarchy, ScalesToEightLeaves) {
@@ -595,7 +648,10 @@ TEST(Hierarchy, ScalesToEightLeaves) {
   opts.slots = 8;
   HierarchicalAggregator tree(opts);
   const auto workers = make_exact_workers(16, 40, 103);
-  const auto got = tree.reduce(workers);
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
+  std::vector<float> got(40);
+  tree.reduce_into(views, got);
   const auto ref = exact_sum(workers);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_EQ(static_cast<double>(got[i]), ref[i]) << i;

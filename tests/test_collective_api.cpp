@@ -241,7 +241,8 @@ TEST(CollectiveTree, MatchesLegacyHierarchyBitExact) {
 
   const auto workers = make_workers(8, 130, 907);
   cluster::HierarchicalAggregator legacy(hopts);
-  const auto want = legacy.reduce(workers);
+  std::vector<float> want(130);
+  legacy.reduce_into(WorkerViews(workers).views(), want);
 
   TreeCommunicator comm(hopts);
   std::vector<float> got(130);

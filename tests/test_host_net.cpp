@@ -2,9 +2,10 @@
 // speedup cards (Fig 11), and the network timing substrate.
 #include <gtest/gtest.h>
 
+#include "event_sim.h"
 #include "host/endianness.h"
 #include "host/goodput_model.h"
-#include "net/event_sim.h"
+#include "net/link.h"
 #include "net/topology.h"
 
 namespace fpisa {

@@ -257,6 +257,34 @@ TEST(Session, RejectsMalformedShapesWithTypedErrors) {
   for (const float v : out) EXPECT_EQ(v, 6.0f);
 }
 
+TEST(Session, RejectsSwitchShapesTheWireCannotAddress) {
+  // Release builds included. Slot ids are 16 bits on the wire: a 65,537th
+  // slot would alias slot 0, whose dedup bitmap then drops its packets.
+  SessionOptions opts;
+  opts.num_workers = 2;
+  opts.lanes = 1;
+  opts.slots = 65537;
+  EXPECT_THROW(AggregationSession(pisa::SwitchConfig{}, opts),
+               std::invalid_argument);
+  opts.slots = 0;
+  EXPECT_THROW(AggregationSession(pisa::SwitchConfig{}, opts),
+               std::invalid_argument);
+  opts.slots = 16;
+  opts.lanes = 0;
+  EXPECT_THROW(AggregationSession(pisa::SwitchConfig{}, opts),
+               std::invalid_argument);
+
+  // The widest addressable pool reduces every slot, then wraps cleanly.
+  opts.lanes = 1;
+  opts.slots = 65536;
+  AggregationSession session(pisa::SwitchConfig{}, opts);
+  const std::vector<float> a(65537, 2.5f);
+  std::vector<float> out(65537);
+  const std::vector<std::span<const float>> views{a, a};
+  session.reduce_into(views, out);
+  for (const float v : out) ASSERT_EQ(v, 5.0f);
+}
+
 TEST(SessionStatsMerge, OperatorPlusEqualsSumsEveryField) {
   SessionStats a{1, 2, 3, 4, 5};
   const SessionStats b{10, 20, 30, 40, 50};

@@ -1,9 +1,11 @@
 // The one wave engine against its oracles (tests/wave_oracle.h): the
 // per-packet SwitchML protocol, and the tree's interleaved per-slot loop.
 // Bit-identical results, every SessionStats field, the switches' kernel
-// operation counters, packet counts and post-job register state.
+// operation counters, packet counts and post-job register state. The
+// tree's closed-form fabric timing against its event-queue replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <tuple>
@@ -265,6 +267,69 @@ TEST(TreeOracle, KilledLeafMatchesPerSlotLoop) {
   opts.slots = 16;
   opts.lanes = 4;
   expect_tree_matches_oracle(opts, 2, 250);
+}
+
+// --- the tree's closed-form timing against its event-queue replay ----------
+
+// Every leaf count 1-8 x workers per leaf 1-4 x lanes {1, 5, 32}, the
+// three lane counts running with 0, 1 and 2 dead leaves. Pipe rates sit on
+// both sides of the spine-pipe bottleneck (below and above the spine's
+// fan-in times the link rate) or equal the link rate: with one worker per
+// leaf and zero latency (odd leaf counts), a dead leaf's direct packets
+// then tie exactly with earlier chunks' partials at the spine. Chunk
+// counts never fill a whole number of waves.
+TEST(TreeTiming, ClosedFormMatchesEventQueueBitForBit) {
+  util::Rng rng(16);
+  constexpr int kLanes[] = {1, 5, 32};
+  constexpr double kLinkGbps[] = {10.0, 100.0, 400.0, 12800.0};
+  constexpr double kPipeOverFanIn[] = {0.5, 2.0, 4.0};
+  for (int leaves = 1; leaves <= 8; ++leaves) {
+    for (int wpl = 1; wpl <= 4; ++wpl) {
+      for (int i = 0; i < 3; ++i) {
+        const int dead = std::min(i, leaves - 1);
+        const int rate_case = (leaves + wpl) % 4;
+        cluster::HierarchyOptions opts;
+        opts.leaves = leaves;
+        opts.workers_per_leaf = wpl;
+        opts.lanes = kLanes[i];
+        opts.slots = 4;
+        opts.link_gbps = kLinkGbps[rng.next_below(4)];
+        const int fan_in = leaves - dead + dead * wpl;
+        opts.pipeline_gbps =
+            rate_case == 0
+                ? opts.link_gbps
+                : opts.link_gbps * fan_in * kPipeOverFanIn[rate_case - 1];
+        opts.link_latency_us = leaves % 2 == 1 ? 0.0 : 1.0;
+        const std::size_t chunks =
+            4 * (1 + rng.next_below(3)) + 1 + rng.next_below(3);
+        const std::size_t n =
+            (chunks - 1) * static_cast<std::size_t>(opts.lanes) + 1;
+        SCOPED_TRACE(testing::Message()
+                     << leaves << "x" << wpl << " lanes " << opts.lanes
+                     << " dead " << dead << " link " << opts.link_gbps
+                     << " pipe " << opts.pipeline_gbps << " latency "
+                     << opts.link_latency_us << " chunks " << chunks);
+
+        cluster::HierarchicalAggregator tree(opts);
+        for (int j = 0; j < dead; ++j) tree.kill_leaf(j * 2 % leaves);
+        std::vector<bool> alive;
+        for (int j = 0; j < leaves; ++j) alive.push_back(tree.leaf_alive(j));
+        const auto data =
+            make_workers(tree.total_workers(), n, rng.next_u64());
+        const std::vector<std::span<const float>> views(data.begin(),
+                                                        data.end());
+        std::vector<float> out(n);
+        tree.reduce_into(views, out);
+        const cluster::HierarchyTiming want =
+            oracle::tree_timing(opts, alive, chunks);
+        const cluster::HierarchyTiming& got = tree.timing();
+        EXPECT_EQ(got.done_s, want.done_s);
+        EXPECT_EQ(got.leaf_done_s, want.leaf_done_s);
+        EXPECT_EQ(got.packets, want.packets);
+        EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+      }
+    }
+  }
 }
 
 }  // namespace

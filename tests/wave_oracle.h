@@ -5,8 +5,9 @@
 //    switch traversal per add, read and reset packet, loss drawn packet by
 //    packet;
 //  * TreeOracle: the ToR -> spine tree's interleaved per-slot loop, leaf
-//    adds then per-slot leaf read_and_reset + spine add, with its EventSim
-//    timing model.
+//    adds then per-slot leaf read_and_reset + spine add;
+//  * tree_timing: the tree's fabric timing replayed through an event queue,
+//    the reference for the closed form in cluster::HierarchicalAggregator.
 // Header-only and test-only.
 #pragma once
 
@@ -18,7 +19,8 @@
 
 #include "cluster/hierarchy.h"
 #include "core/packed.h"
-#include "net/event_sim.h"
+#include "event_sim.h"
+#include "net/link.h"
 #include "pisa/fpisa_program.h"
 #include "switchml/wave_engine.h"
 
@@ -93,9 +95,75 @@ inline void per_packet_run(pisa::FpisaSwitch& sw,
   }
 }
 
+/// Times a tree reduce of `chunks` packets per worker by event simulation:
+/// host uplinks and ToR pipes are sent eagerly, each live ToR's hand-off,
+/// every spine arrival and every spine completion is an event (ties in
+/// scheduling order). `alive[j]` is false for a dead leaf, whose workers
+/// send straight to the spine.
+inline cluster::HierarchyTiming tree_timing(
+    const cluster::HierarchyOptions& opts, const std::vector<bool>& alive,
+    std::size_t chunks) {
+  const int wpl = opts.workers_per_leaf;
+  const std::size_t pkt = static_cast<std::size_t>(pisa::kFpisaHeaderBytes) +
+                          4u * static_cast<std::size_t>(opts.lanes) +
+                          opts.frame_overhead_bytes;
+  const auto nl = static_cast<std::size_t>(opts.leaves);
+  const net::Link link(opts.link_gbps, opts.link_latency_us);
+  net::EventSim sim;
+  std::vector<net::Link> worker_up(nl * static_cast<std::size_t>(wpl), link);
+  std::vector<net::Link> tor_up(nl, link);
+  std::vector<net::Link> spine_down(nl, link);
+  std::vector<net::Link> leaf_pipe(nl, net::Link(opts.pipeline_gbps, 0.0));
+  net::Link spine_pipe(opts.pipeline_gbps, 0.0);
+  std::vector<int> spine_seen(chunks, 0);
+  cluster::HierarchyTiming timing{};
+
+  int arrivals = 0;
+  for (std::size_t j = 0; j < nl; ++j) arrivals += alive[j] ? 1 : wpl;
+  const auto spine_arrival = [&](std::size_t c) {
+    const double processed = spine_pipe.send(sim.now(), pkt);
+    sim.at(processed, [&, c] {
+      if (++spine_seen[c] < arrivals) return;
+      for (auto& down : spine_down) {
+        const double delivered =
+            down.send(sim.now(), pkt) + opts.link_latency_us * 1e-6;
+        ++timing.packets;
+        timing.done_s = std::max(timing.done_s, delivered);
+      }
+    });
+  };
+
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t j = 0; j < nl; ++j) {
+      double leaf_ready = 0.0;
+      for (int k = 0; k < wpl; ++k) {
+        const std::size_t w =
+            j * static_cast<std::size_t>(wpl) + static_cast<std::size_t>(k);
+        const double hop = worker_up[w].send(0.0, pkt);
+        if (alive[j]) {
+          leaf_ready = std::max(leaf_ready, leaf_pipe[j].send(hop, pkt));
+        } else {
+          sim.at(hop, [&spine_arrival, c] { spine_arrival(c); });
+        }
+        ++timing.packets;
+      }
+      if (!alive[j]) continue;
+      sim.at(leaf_ready, [&, c, j] {
+        const double at_spine = tor_up[j].send(sim.now(), pkt);
+        ++timing.packets;
+        timing.leaf_done_s = std::max(timing.leaf_done_s, sim.now());
+        sim.at(at_spine, [&spine_arrival, c] { spine_arrival(c); });
+      });
+    }
+  }
+  sim.run();
+  timing.wire_bytes = timing.packets * pkt;
+  return timing;
+}
+
 /// The tree as it ran before the wave engine: its own switches, the same
 /// program options as cluster::HierarchicalAggregator, and the interleaved
-/// per-slot loop.
+/// per-slot loop. reduce() returns the reduction's tree_timing().
 class TreeOracle {
  public:
   explicit TreeOracle(const cluster::HierarchyOptions& opts) : opts_(opts) {
@@ -125,18 +193,7 @@ class TreeOracle {
     const std::size_t n = workers.front().size();
     const auto lanes = static_cast<std::size_t>(opts_.lanes);
     const std::size_t chunks = (n + lanes - 1) / lanes;
-    const std::size_t pkt = static_cast<std::size_t>(pisa::kFpisaHeaderBytes) +
-                            4u * lanes + opts_.frame_overhead_bytes;
     const auto nl = static_cast<std::size_t>(opts_.leaves);
-    const net::Link link(opts_.link_gbps, opts_.link_latency_us);
-    net::EventSim sim;
-    std::vector<net::Link> worker_up(workers.size(), link);
-    std::vector<net::Link> tor_up(nl, link);
-    std::vector<net::Link> spine_down(nl, link);
-    std::vector<net::Link> leaf_pipe(nl, net::Link(opts_.pipeline_gbps, 0.0));
-    net::Link spine_pipe(opts_.pipeline_gbps, 0.0);
-    std::vector<int> spine_seen(chunks, 0);
-    cluster::HierarchyTiming timing{};
     std::vector<std::uint32_t> vals(lanes);
     const auto load = [&](std::size_t w, std::size_t c) {
       for (std::size_t l = 0; l < lanes; ++l) {
@@ -147,55 +204,25 @@ class TreeOracle {
 
     std::vector<int> dead_base(nl, -1);
     int next_direct_id = opts_.leaves;
-    int arrivals = 0;
     for (std::size_t j = 0; j < nl; ++j) {
-      if (alive_[j]) {
-        ++arrivals;
-      } else {
+      if (!alive_[j]) {
         dead_base[j] = next_direct_id;
         next_direct_id += wpl;
-        arrivals += wpl;
       }
     }
-    const auto spine_arrival = [&](std::size_t c) {
-      const double processed = spine_pipe.send(sim.now(), pkt);
-      sim.at(processed, [&, c] {
-        if (++spine_seen[c] < arrivals) return;
-        for (auto& down : spine_down) {
-          const double delivered =
-              down.send(sim.now(), pkt) + opts_.link_latency_us * 1e-6;
-          ++timing.packets;
-          timing.done_s = std::max(timing.done_s, delivered);
-        }
-      });
-    };
 
     for (std::size_t base = 0; base < chunks; base += opts_.slots) {
       const std::size_t wave_end = std::min(base + opts_.slots, chunks);
       for (std::size_t c = base; c < wave_end; ++c) {
         const auto slot = static_cast<std::uint16_t>(c - base);
         for (std::size_t j = 0; j < nl; ++j) {
-          double leaf_ready = 0.0;
-          for (int k = 0; k < wpl; ++k) {
-            const std::size_t w = j * static_cast<std::size_t>(wpl) +
-                                  static_cast<std::size_t>(k);
-            const double hop = worker_up[w].send(0.0, pkt);
-            if (alive_[j]) {
-              load(w, c);
-              (void)leaves_[j]->add(slot, static_cast<std::uint8_t>(k), vals);
-              leaf_ready = std::max(leaf_ready, leaf_pipe[j].send(hop, pkt));
-            } else {
-              sim.at(hop, [&spine_arrival, c] { spine_arrival(c); });
-            }
-            ++timing.packets;
-          }
           if (!alive_[j]) continue;
-          sim.at(leaf_ready, [&, c, j] {
-            const double at_spine = tor_up[j].send(sim.now(), pkt);
-            ++timing.packets;
-            timing.leaf_done_s = std::max(timing.leaf_done_s, sim.now());
-            sim.at(at_spine, [&spine_arrival, c] { spine_arrival(c); });
-          });
+          for (int k = 0; k < wpl; ++k) {
+            load(j * static_cast<std::size_t>(wpl) +
+                     static_cast<std::size_t>(k),
+                 c);
+            (void)leaves_[j]->add(slot, static_cast<std::uint8_t>(k), vals);
+          }
         }
       }
       for (std::size_t c = base; c < wave_end; ++c) {
@@ -223,9 +250,7 @@ class TreeOracle {
         }
       }
     }
-    sim.run();
-    timing.wire_bytes = timing.packets * pkt;
-    return timing;
+    return tree_timing(opts_, alive_, chunks);
   }
 
  private:
