@@ -185,12 +185,15 @@ int main() {
       opts.slots_per_job = 64;
       opts.dispatch = mode;
       AggregationService svc(opts);
-      std::vector<std::vector<float>> one(tiny);
+      const std::vector<std::span<const float>> views(tiny.begin(),
+                                                      tiny.end());
+      const cluster::JobView job{"bench", views};
+      std::vector<float> out(tiny.front().size());
       // Warm-up pass so thread creation / first-touch costs stay out.
-      (void)svc.reduce({"bench", one});
+      (void)svc.reduce(job, out);
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kDispatchReps; ++i) {
-        (void)svc.reduce({"bench", one});
+        (void)svc.reduce(job, out);
       }
       const auto t1 = std::chrono::steady_clock::now();
       return std::chrono::duration<double, std::micro>(t1 - t0).count() /

@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <deque>
 #include <future>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -39,7 +40,7 @@ using namespace fpisa;
 using cluster::AggregationService;
 using cluster::ClusterOptions;
 using cluster::JobReport;
-using cluster::JobRequest;
+using cluster::JobView;
 
 constexpr int kVictimSamples = 40;
 constexpr std::size_t kAggressorDepth = 24;  ///< queued jobs kept pending
@@ -93,10 +94,16 @@ PhaseResult run_phase(bool qos_on, bool contended) {
 
   const auto victim_workers = make_workers(2, kVictimValues, 41);
   const auto aggressor_workers = make_workers(2, kAggressorValues, 43);
-  svc.submit(JobRequest{"victim", victim_workers}).get();  // warm-up
+  const std::vector<std::span<const float>> victim_views(
+      victim_workers.begin(), victim_workers.end());
+  const std::vector<std::span<const float>> aggressor_views(
+      aggressor_workers.begin(), aggressor_workers.end());
+  std::vector<float> victim_out(kVictimValues);
+  svc.submit(JobView{"victim", victim_views}, victim_out).get();  // warm-up
 
   using Clock = std::chrono::steady_clock;
   struct Pending {
+    std::vector<float> out;  ///< the job's sum lands here
     std::future<JobReport> fut;
     Clock::time_point t0;
   };
@@ -123,8 +130,9 @@ PhaseResult run_phase(bool qos_on, bool contended) {
     while (backlog.size() < kAggressorDepth) {
       try {
         const auto t0 = Clock::now();
-        backlog.push_back(
-            {svc.submit(JobRequest{"aggressor", aggressor_workers}), t0});
+        std::vector<float> out(kAggressorValues);
+        auto fut = svc.submit(JobView{"aggressor", aggressor_views}, out);
+        backlog.push_back({std::move(out), std::move(fut), t0});
         ++r.aggressor_submitted;
       } catch (const qos::AdmissionRejectedError&) {
         ++r.aggressor_rejected;
@@ -136,7 +144,7 @@ PhaseResult run_phase(bool qos_on, bool contended) {
   for (int i = 0; i < kVictimSamples; ++i) {
     if (contended) top_up();
     const auto t0 = Clock::now();
-    svc.submit(JobRequest{"victim", victim_workers}).get();
+    svc.submit(JobView{"victim", victim_views}, victim_out).get();
     r.victim_ms.push_back(
         std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count());

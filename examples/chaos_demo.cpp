@@ -14,6 +14,7 @@
 //                                          override the drawn mix
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,6 +104,14 @@ bool run_seed(std::uint64_t seed, const fpisa::fault::ChaosMix& mix,
       mix.fault.dead_worker >= 0 && !expects_abort(mix);
   const auto ref_workers =
       degrade_death ? survivors_of(workers, mix.fault.dead_worker) : workers;
+  // Every reduce reads the gradients through views and writes the sum into
+  // a caller-owned buffer.
+  const std::vector<std::span<const float>> views(workers.begin(),
+                                                  workers.end());
+  const std::vector<std::span<const float>> ref_views(ref_workers.begin(),
+                                                      ref_workers.end());
+  std::vector<float> want(kVectorLen);
+  std::vector<float> got(kVectorLen);
 
   if (!mix.cluster) {
     switchml::SessionOptions opts;
@@ -110,7 +119,7 @@ bool run_seed(std::uint64_t seed, const fpisa::fault::ChaosMix& mix,
     opts.slots = 16;
     opts.lanes = 2;
     switchml::AggregationSession ref(pisa::SwitchConfig{}, opts);
-    const auto want = ref.reduce(ref_workers);
+    ref.reduce_into(ref_views, want);
 
     opts.num_workers = mix.num_workers;
     opts.loss_rate = mix.loss_rate;
@@ -119,7 +128,7 @@ bool run_seed(std::uint64_t seed, const fpisa::fault::ChaosMix& mix,
     switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
     if (expects_abort(mix)) {
       try {
-        (void)session.reduce(workers);
+        session.reduce_into(views, got);
         std::printf("  FAIL: abort-policy death did not raise\n");
         return false;
       } catch (const fault::WorkerDeadError& e) {
@@ -128,7 +137,7 @@ bool run_seed(std::uint64_t seed, const fpisa::fault::ChaosMix& mix,
         return true;
       }
     }
-    const auto got = session.reduce(workers);
+    session.reduce_into(views, got);
     totals += session.stats().faults;
     const bool ok = bits_equal(got, want) &&
                     session.fpisa_switch().occupied_slots() == 0;
@@ -144,20 +153,15 @@ bool run_seed(std::uint64_t seed, const fpisa::fault::ChaosMix& mix,
   opts.lanes = 2;
   cluster::ClusterOptions ref_opts = opts;
   cluster::AggregationService ref(ref_opts);
-  cluster::JobRequest ref_job;
-  ref_job.tenant = "chaos";
-  ref_job.workers = ref_workers;
-  const auto want = ref.reduce(ref_job).result;
+  (void)ref.reduce({"chaos", ref_views}, want);
 
   opts.loss_rate = mix.loss_rate;
   opts.fault = mix.fault;
   cluster::AggregationService svc(opts);
-  cluster::JobRequest job;
-  job.tenant = "chaos";
-  job.workers = workers;
+  const cluster::JobView job{"chaos", views};
   if (expects_abort(mix)) {
     try {
-      (void)svc.reduce(job);
+      (void)svc.reduce(job, got);
       std::printf("  FAIL: abort-policy death did not raise\n");
       return false;
     } catch (const fault::WorkerDeadError& e) {
@@ -168,9 +172,9 @@ bool run_seed(std::uint64_t seed, const fpisa::fault::ChaosMix& mix,
       return books;
     }
   }
-  const cluster::JobReport report = svc.reduce(job);
+  const cluster::JobReport report = svc.reduce(job, got);
   totals += report.stats.faults;
-  const bool ok = bits_equal(report.result, want);
+  const bool ok = bits_equal(got, want);
   std::printf("  recovered bit-identical: %s\n", ok ? "YES" : "NO (bug!)");
   return ok;
 }

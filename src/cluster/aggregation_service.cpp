@@ -204,7 +204,7 @@ AggregationService::~AggregationService() {
 /// shard workers reach it through their mailbox ticket and write only
 /// their own cache-line-aligned slot.
 struct AggregationService::PassContext {
-  const std::vector<std::vector<std::size_t>>* parts = nullptr;
+  const Parts* parts = nullptr;
   const std::vector<SlotRange>* ranges = nullptr;
   std::span<const std::span<const float>> workers;
   std::span<float> out;
@@ -300,16 +300,16 @@ void AggregationService::reject_job(util::UniqueLock& lk,
   throw qos::AdmissionRejectedError(std::string(tenant), reason);
 }
 
-qos::Priority AggregationService::admit_queued(
-    util::UniqueLock& lk, std::string_view tenant) {
-  if (!qos_enabled_) return qos::Priority::kQuery;  // single FIFO class
+qos::Priority AggregationService::admit(util::UniqueLock& lk,
+                                        std::string_view tenant,
+                                        bool queued) {
   qos::AdmissionControl::TenantState& st = admission_.tenant(tenant);
   const qos::TenantQosConfig cfg = st.cfg;
   const std::uint64_t deadline =
       admission_.now_ns() +
       static_cast<std::uint64_t>(std::max(cfg.block_deadline_s, 0.0) * 1e9);
   for (;;) {
-    const auto probe = admission_.try_admit_queued(st, admission_.now_ns());
+    const auto probe = admission_.try_admit(st, admission_.now_ns(), queued);
     if (probe.admitted) {
       m_qos_admitted_[static_cast<std::size_t>(cfg.priority)]->inc();
       return cfg.priority;
@@ -336,34 +336,6 @@ qos::Priority AggregationService::admit_queued(
   }
 }
 
-void AggregationService::admit_direct(std::string_view tenant) {
-  if (!qos_enabled_) return;
-  util::UniqueLock lk(job_mu_);
-  qos::AdmissionControl::TenantState& st = admission_.tenant(tenant);
-  const qos::TenantQosConfig cfg = st.cfg;
-  const std::uint64_t deadline =
-      admission_.now_ns() +
-      static_cast<std::uint64_t>(std::max(cfg.block_deadline_s, 0.0) * 1e9);
-  for (;;) {
-    const auto probe = admission_.try_admit_direct(st, admission_.now_ns());
-    if (probe.admitted) {
-      m_qos_admitted_[static_cast<std::size_t>(cfg.priority)]->inc();
-      return;
-    }
-    if (cfg.policy == qos::AdmissionPolicy::kReject) {
-      reject_job(lk, tenant, probe.reason);
-    }
-    const std::uint64_t now = admission_.now_ns();
-    if (now >= deadline) reject_job(lk, tenant, qos::RejectReason::kDeadline);
-    std::uint64_t wait_ns = deadline - now;
-    if (probe.retry_after_ns > 0 && probe.retry_after_ns < wait_ns) {
-      wait_ns = probe.retry_after_ns;
-    }
-    wait_ns = std::clamp<std::uint64_t>(wait_ns, 100'000, 5'000'000);
-    admission_cv_.wait_for(lk, std::chrono::nanoseconds(wait_ns));
-  }
-}
-
 std::future<JobReport> AggregationService::enqueue_job(
     std::string_view tenant, std::function<JobReport()> fn) {
   std::packaged_task<JobReport()> task(std::move(fn));
@@ -374,7 +346,8 @@ std::future<JobReport> AggregationService::enqueue_job(
     // the same lock as the scheduler push; a rejection throws out of
     // submit() itself — the caller gets typed backpressure, not a future
     // that fails later.
-    const qos::Priority cls = admit_queued(lk, tenant);
+    const qos::Priority cls = qos_enabled_ ? admit(lk, tenant, true)
+                                           : qos::Priority::kQuery;
     job_sched_.push(cls, QueuedJob{std::move(task), std::string(tenant)});
     refresh_queue_gauges();
   }
@@ -500,29 +473,15 @@ void AggregationService::scrub_range(Shard& shard, const SlotRange& range) {
       .scrub(access, static_cast<std::uint16_t>(range.lo), range.size());
 }
 
-JobReport AggregationService::reduce_admitted(const JobRequest& job) {
-  // Views over the request's vectors — the floats are read in place.
-  const std::vector<std::span<const float>> views(job.workers.begin(),
-                                                  job.workers.end());
-  JobReport report;
-  report.result.assign(job.workers.empty() ? 0 : job.workers.front().size(),
-                       0.0f);
-  run_job(JobView{job.tenant, views, job.loss_rate, job.max_retransmits},
-          report.result, report);
-  return report;
-}
-
-JobReport AggregationService::reduce(const JobRequest& job) {
-  // Synchronous jobs never queue, but they DO charge the tenant's token
-  // bucket: a tenant's rate limit covers its whole submission surface, not
-  // just the async path.
-  admit_direct(job.tenant);
-  return reduce_admitted(job);
-}
-
 JobReport AggregationService::reduce(const JobView& job,
                                      std::span<float> out) {
-  admit_direct(job.tenant);
+  if (qos_enabled_) {
+    // Synchronous jobs never queue, but they DO charge the tenant's token
+    // bucket: a tenant's rate limit covers its whole submission surface,
+    // not just the async path.
+    util::UniqueLock lk(job_mu_);
+    admit(lk, job.tenant, /*queued=*/false);
+  }
   JobReport report;
   run_job(job, out, report);
   return report;
@@ -581,7 +540,7 @@ void AggregationService::run_pass_task(PassContext& ctx, int shard) {
 }
 
 std::vector<std::exception_ptr> AggregationService::run_pass(
-    const std::vector<std::vector<std::size_t>>& parts,
+    const Parts& parts,
     const std::vector<SlotRange>& ranges,
     std::span<const std::span<const float>> workers, std::span<float> out,
     const JobParams& params, std::uint64_t job_id, std::uint64_t pass,
@@ -662,6 +621,49 @@ MailboxStats AggregationService::mailbox_stats(int shard) const {
   return workers_[static_cast<std::size_t>(shard)]->mailbox.stats();
 }
 
+std::size_t AggregationService::route(Parts& parts,
+                                     std::span<const int> alive) const {
+  std::vector<char> live(parts.size(), 0);
+  for (const int a : alive) live[static_cast<std::size_t>(a)] = 1;
+  std::size_t moved = 0;
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    if (parts[s].empty() || live[s]) continue;
+    const auto re = router_.reroute(parts[s], static_cast<int>(s), alive);
+    moved += parts[s].size();
+    parts[s].clear();
+    for (std::size_t t = 0; t < re.size(); ++t) {
+      parts[t].insert(parts[t].end(), re[t].begin(), re[t].end());
+    }
+  }
+  if (moved != 0) {
+    for (auto& p : parts) std::sort(p.begin(), p.end());
+  }
+  return moved;
+}
+
+void AggregationService::swap_ranges(std::vector<SlotRange>& ranges,
+                                     const Parts& want) {
+  util::UniqueLock lk(alloc_mu_);
+  bool freed = false;
+  for (std::size_t s = 0; s < ranges.size(); ++s) {
+    if (ranges[s].empty()) continue;
+    shards_[s]->slots.release(ranges[s]);
+    ranges[s] = SlotRange{};
+    freed = true;
+  }
+  if (freed) alloc_cv_.notify_all();
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    if (want[s].empty()) continue;
+    for (;;) {
+      if (auto r = shards_[s]->slots.allocate(opts_.slots_per_job)) {
+        ranges[s] = *r;
+        break;
+      }
+      alloc_cv_.wait(lk);
+    }
+  }
+}
+
 void AggregationService::run_job(const JobView& job, std::span<float> out,
                                  JobReport& report) {
   if (job.workers.empty()) {
@@ -727,7 +729,7 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   const std::size_t chunks = (n + lanes - 1) / lanes;
   const telemetry::Trace::SpanId part_span =
       trace ? trace->begin("partition", job_span) : telemetry::Trace::kNone;
-  auto parts = router_.partition(chunks);
+  Parts parts = router_.partition(chunks);
 
   // Job-level failover accounting: lives on the job total (and tenant
   // stats), not on any one shard — a re-route is a fabric event.
@@ -737,8 +739,7 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   // dead at snapshot time, and range acquisition follows the folded parts
   // (non-empty chunks ⟹ a range), so a concurrent death can never hand a
   // task chunks without a slot range. A shard that dies after the
-  // snapshot just fails this job's pass and the retry machinery recovers.
-  std::vector<char> alive_mask(shards_.size(), 1);
+  // snapshot just fails this job's pass and the recovery below takes over.
   if (fo) {
     const std::vector<int> alive = health_.alive_shards();
     if (alive.empty()) {
@@ -757,98 +758,69 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
       }
       throw std::runtime_error("cluster: no alive shards");
     }
-    std::fill(alive_mask.begin(), alive_mask.end(), 0);
-    for (const int s : alive) alive_mask[static_cast<std::size_t>(s)] = 1;
     // Route around shards already known dead before sending a packet: the
     // degraded (N-1) steady state after a death.
-    for (std::size_t s = 0; s < parts.size(); ++s) {
-      if (parts[s].empty() || alive_mask[s]) continue;
-      const auto re =
-          router_.reroute(parts[s], static_cast<int>(s), alive);
-      failover_delta.chunks_rerouted += parts[s].size();
-      parts[s].clear();
-      for (std::size_t t = 0; t < re.size(); ++t) {
-        parts[t].insert(parts[t].end(), re[t].begin(), re[t].end());
-      }
-    }
-    for (auto& p : parts) std::sort(p.begin(), p.end());
+    failover_delta.chunks_rerouted += route(parts, alive);
   }
   if (trace) trace->end(part_span);
 
-  // Acquire one slot range per ACTIVE shard, in ascending shard order (the
-  // same order for every job: no circular wait between tenants). A retry
-  // pass releases every held range first and re-acquires only its targets
-  // — holding nothing while waiting keeps that deadlock-free too, and the
-  // healthy path never pays for ranges it doesn't route to.
+  // The healthy path acquires ranges only for the shards it routes to.
   std::vector<SlotRange> ranges(shards_.size());
-  const auto acquire_ranges =
-      [this, &ranges](const std::vector<std::vector<std::size_t>>& want) {
-        util::UniqueLock lk(alloc_mu_);
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-          if (want[s].empty()) continue;
-          for (;;) {
-            if (auto r = shards_[s]->slots.allocate(opts_.slots_per_job)) {
-              ranges[s] = *r;
-              break;
-            }
-            alloc_cv_.wait(lk);
-          }
-        }
-      };
   {
     telemetry::ScopedSpan acq(trace, "acquire_slots", job_span);
-    acquire_ranges(parts);
+    swap_ranges(ranges, parts);
   }
+  // Control-plane reset of one held range (see scrub_range).
+  const auto scrub = [&](std::size_t s) {
+    if (!ranges[s].empty()) scrub_range(*shards_[s], ranges[s]);
+  };
 
   const JobParams params{
       job.loss_rate >= 0.0 ? job.loss_rate : opts_.loss_rate,
       job.max_retransmits >= 0 ? job.max_retransmits : opts_.max_retransmits};
-  const std::span<const std::span<const float>> workers = job.workers;
-
-  const auto begin_pass = [&](int pass_no) {
-    if (!trace) return telemetry::Trace::kNone;
-    const auto id = trace->begin("pass", job_span);
-    trace->annotate(id, "pass", std::to_string(pass_no));
-    return id;
-  };
+  const auto num_workers = static_cast<int>(job.workers.size());
+  const bool degrade =
+      opts_.fault.dead_worker_policy == fault::DeadWorkerPolicy::kDegrade;
 
   std::exception_ptr error;
-  bool failed = false;
   int reroutes = 0;
   // Worker-death recovery state: the mask of workers declared dead so far
-  // (threaded into every pass so shard tasks skip them), and a distinct
-  // pass counter so every replay draws a fresh, deterministic fault/loss
-  // stream (for failover-only jobs it equals `reroutes`, preserving the
-  // pre-fault seed sequence exactly).
+  // (threaded into every pass so shard tasks skip them). The pass number
+  // salts every task's seeds, so each replay or retry draws a fresh,
+  // deterministic fault/loss stream.
   std::uint32_t dead_mask = 0;
   int worker_replays = 0;
-  std::uint64_t pass_no = 0;
-  telemetry::Trace::SpanId pass_span = begin_pass(0);
-  auto errors = run_pass(parts, ranges, workers, out, params, report.job_id,
-                         0, dead_mask, report, trace, pass_span);
-  if (trace) trace->end(pass_span);
-  for (;;) {
+  for (std::uint64_t pass_no = 0;; ++pass_no) {
+    std::vector<std::exception_ptr> errors;
+    {
+      telemetry::ScopedSpan pass_span(trace, "pass", job_span);
+      if (trace) pass_span.annotate("pass", std::to_string(pass_no));
+      errors = run_pass(parts, ranges, job.workers, out, params,
+                        report.job_id, pass_no, dead_mask, report, trace,
+                        pass_span.id());
+    }
+
     // Classify this pass's outcome: shard deaths are failover candidates,
     // a dead WORKER is a job-level event handled by policy below, anything
-    // else fails the job as before.
+    // else fails the job.
+    std::exception_ptr first;
     std::exception_ptr fatal;
-    std::vector<int> dead_now;
-    bool any_error = false;
-    std::exception_ptr worker_dead_err;
+    std::exception_ptr worker_dead;
     int dead_worker = -1;
+    std::vector<int> dead_now;
     for (std::size_t s = 0; s < errors.size(); ++s) {
       if (!errors[s]) {
         if (!parts[s].empty()) health_.record_success(static_cast<int>(s));
         continue;
       }
-      any_error = true;
+      if (!first) first = errors[s];
       try {
         std::rethrow_exception(errors[s]);
       } catch (const fault::WorkerDeadError& e) {
         // The shard answered every probe — the WORKER's data is what's
         // never coming. Leave shard health alone.
-        if (!worker_dead_err) {
-          worker_dead_err = errors[s];
+        if (!worker_dead) {
+          worker_dead = errors[s];
           dead_worker = e.worker();
         }
       } catch (const ShardDeadError&) {
@@ -863,156 +835,96 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
         if (!fatal) fatal = errors[s];
       }
     }
-    if (!any_error) break;  // pass completed cleanly
-    if (worker_dead_err && !fatal) {
-      // Worker death outranks shard retries: shards with fewer waves
-      // finished before the death wave WITH the dead worker's data, so
-      // patching per shard cannot excise it — under kDegrade the whole job
-      // replays over the survivors (against a freshly computed partition,
-      // so it composes with any shard deaths recorded above).
+    if (!first) break;  // pass completed cleanly
+
+    // Recover, or fail the job. Worker death outranks shard retries:
+    // shards with fewer waves finished before the death wave WITH the dead
+    // worker's data, so patching per shard cannot excise it — under
+    // kDegrade the whole job replays over the survivors. Otherwise only
+    // the dead shards' chunks retry (failover).
+    const bool replay = worker_dead && !fatal;
+    if (replay) {
+      const std::uint32_t bit = 1u << static_cast<unsigned>(dead_worker);
       ++failover_delta.faults.workers_declared_dead;
-      failover_delta.dead_workers |= 1u << static_cast<unsigned>(dead_worker);
-      dead_mask |= 1u << static_cast<unsigned>(dead_worker);
-      const bool degrade = opts_.fault.dead_worker_policy ==
-                           fault::DeadWorkerPolicy::kDegrade;
-      if (!degrade ||
-          std::popcount(dead_mask) >=
-              static_cast<int>(job.workers.size()) ||
-          ++worker_replays > static_cast<int>(job.workers.size())) {
-        error = worker_dead_err;
-        failed = true;
+      failover_delta.dead_workers |= bit;
+      dead_mask |= bit;
+      if (!degrade || std::popcount(dead_mask) >= num_workers ||
+          ++worker_replays > num_workers) {
+        error = worker_dead;
         break;
       }
-      auto replay_parts = router_.partition(chunks);
-      if (fo) {
-        const std::vector<int> alive = health_.alive_shards();
-        if (alive.empty()) {
-          error = worker_dead_err;
-          failed = true;
-          break;
-        }
-        std::vector<char> alive2(shards_.size(), 0);
-        for (const int a : alive) alive2[static_cast<std::size_t>(a)] = 1;
-        for (std::size_t s = 0; s < replay_parts.size(); ++s) {
-          if (replay_parts[s].empty() || alive2[s]) continue;
-          const auto re =
-              router_.reroute(replay_parts[s], static_cast<int>(s), alive);
-          replay_parts[s].clear();
-          for (std::size_t t = 0; t < re.size(); ++t) {
-            replay_parts[t].insert(replay_parts[t].end(), re[t].begin(),
-                                   re[t].end());
-          }
-        }
-        for (auto& p : replay_parts) std::sort(p.begin(), p.end());
-      }
-      // Scrub everything the aborted attempt touched (the resets bump the
-      // slot epochs, so any straggler packet of that attempt is provably
-      // stale), swap the held ranges for the replay layout, and rerun.
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (!ranges[s].empty()) scrub_range(*shards_[s], ranges[s]);
-      }
-      ++failover_delta.faults.epoch_bumps;
-      {
-        util::LockGuard lk(alloc_mu_);
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-          if (!ranges[s].empty()) shards_[s]->slots.release(ranges[s]);
-          ranges[s] = SlotRange{};
-        }
-      }
-      alloc_cv_.notify_all();
-      acquire_ranges(replay_parts);
-      parts = std::move(replay_parts);
-      ++pass_no;
-      pass_span = begin_pass(static_cast<int>(pass_no));
-      errors = run_pass(parts, ranges, workers, out, params, report.job_id,
-                        pass_no, dead_mask, report, trace, pass_span);
-      if (trace) trace->end(pass_span);
-      continue;
-    }
-    if (!fo || fatal || dead_now.empty() ||
-        reroutes >= opts_.failover.max_reroutes_per_job) {
-      for (const std::exception_ptr& e : errors) {
-        if (e && !error) error = e;
-      }
-      if (fatal) error = fatal;
-      failed = true;
+    } else if (!fo || fatal || dead_now.empty() ||
+               reroutes >= opts_.failover.max_reroutes_per_job) {
+      error = fatal ? fatal : first;
       break;
     }
-    const std::vector<int> alive = health_.alive_shards();
-    if (alive.empty()) {
-      error = errors[static_cast<std::size_t>(dead_now.front())];
-      failed = true;
+    const std::vector<int> alive =
+        fo ? health_.alive_shards() : std::vector<int>{};
+    if (fo && alive.empty()) {
+      error = replay ? worker_dead : errors[dead_now.front()];
       break;
     }
-    // Failover: scrub each corpse's range (in a real rack the replacement
-    // switch comes up zeroed; here the scrub models that re-image — the
-    // survivors' slots were already reset by their own collects), re-home
-    // the dead chunk sets onto the survivors, and retry those chunks
-    // cleanly. Chunk sums are order-free across shards — every chunk is
-    // one private slot fed in worker order — so the retried values are
-    // bit-identical to a no-failure run.
+
+    Parts next;
     telemetry::Trace::SpanId fo_span = telemetry::Trace::kNone;
-    if (trace) {
-      fo_span = trace->begin("failover", job_span);
-      std::string dead;
+    if (replay) {
+      // Replay against a freshly computed partition. Scrub everything the
+      // aborted attempt touched: the resets bump the slot epochs, so any
+      // straggler packet of that attempt is provably stale.
+      next = router_.partition(chunks);
+      for (std::size_t s = 0; s < shards_.size(); ++s) scrub(s);
+      ++failover_delta.faults.epoch_bumps;
+    } else {
+      // Failover: scrub each corpse's range (in a real rack the replacement
+      // switch comes up zeroed; here the scrub models that re-image — the
+      // survivors' slots were already reset by their own collects) and
+      // retry its chunk set on the survivors. Chunk sums are order-free
+      // across shards — every chunk is one private slot fed in worker
+      // order — so the retried values are bit-identical to a no-failure
+      // run.
+      if (trace) {
+        fo_span = trace->begin("failover", job_span);
+        std::string dead;
+        for (const int d : dead_now) {
+          if (!dead.empty()) dead += ",";
+          dead += std::to_string(d);
+        }
+        trace->annotate(fo_span, "dead_shards", dead);
+        trace->annotate(fo_span, "retry", std::to_string(reroutes + 1));
+      }
+      next.resize(shards_.size());
       for (const int d : dead_now) {
-        if (!dead.empty()) dead += ",";
-        dead += std::to_string(d);
+        const auto ds = static_cast<std::size_t>(d);
+        scrub(ds);
+        next[ds] = std::move(parts[ds]);
       }
-      trace->annotate(fo_span, "dead_shards", dead);
-      trace->annotate(fo_span, "retry", std::to_string(reroutes + 1));
+      ++failover_delta.failover_retries;
+      ++reroutes;
     }
-    std::vector<std::vector<std::size_t>> retry_parts(shards_.size());
+    // A shard that died in this pass is booked as a failover books it,
+    // even when the pass replays for a dead worker (which charges no
+    // reroute budget and no retry).
     for (const int d : dead_now) {
-      const auto ds = static_cast<std::size_t>(d);
-      scrub_range(*shards_[ds], ranges[ds]);
-      const auto re = router_.reroute(parts[ds], d, alive);
-      failover_delta.chunks_rerouted += parts[ds].size();
       ++failover_delta.shard_failures;
-      for (std::size_t t = 0; t < re.size(); ++t) {
-        retry_parts[t].insert(retry_parts[t].end(), re[t].begin(),
-                              re[t].end());
-      }
+      failover_delta.chunks_rerouted +=
+          next[static_cast<std::size_t>(d)].size();
     }
-    for (auto& p : retry_parts) std::sort(p.begin(), p.end());
-    // Release EVERY held range before re-acquiring the retry targets:
-    // waiting on the allocator while holding nothing cannot deadlock with
+    if (fo) route(next, alive);
+    // Holding nothing while waiting on the allocator cannot deadlock with
     // other tenants, and the freed slots let their jobs make progress.
-    {
-      util::LockGuard lk(alloc_mu_);
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (!ranges[s].empty()) shards_[s]->slots.release(ranges[s]);
-        ranges[s] = SlotRange{};
-      }
-    }
-    alloc_cv_.notify_all();
-    acquire_ranges(retry_parts);
-    if (trace) trace->end(fo_span);
-    ++failover_delta.failover_retries;
-    ++reroutes;
-    ++pass_no;
-    parts = std::move(retry_parts);
-    pass_span = begin_pass(static_cast<int>(pass_no));
-    errors = run_pass(parts, ranges, workers, out, params, report.job_id,
-                      pass_no, dead_mask, report, trace, pass_span);
-    if (trace) trace->end(pass_span);
+    swap_ranges(ranges, next);
+    if (fo_span != telemetry::Trace::kNone) trace->end(fo_span);
+    parts = std::move(next);
   }
 
+  const bool failed = error != nullptr;
   if (failed) {
     // A failed job can leave partial sums and dedup-bitmap bits in its
     // slots; scrub them (lossless control-plane resets) before the ranges
     // go back into the pool for the next tenant.
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!ranges[s].empty()) scrub_range(*shards_[s], ranges[s]);
-    }
+    for (std::size_t s = 0; s < shards_.size(); ++s) scrub(s);
   }
-  {
-    util::LockGuard lk(alloc_mu_);
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!ranges[s].empty()) shards_[s]->slots.release(ranges[s]);
-    }
-  }
-  alloc_cv_.notify_all();
+  swap_ranges(ranges, {});
 
   const double wall_s =
       static_cast<double>(
@@ -1067,24 +979,16 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   if (failed) std::rethrow_exception(error);
 }
 
-std::future<JobReport> AggregationService::submit(JobRequest job) {
+std::future<JobReport> AggregationService::submit(const JobView& job,
+                                                  std::span<float> out) {
   // The job's control loop runs on the bounded job-runner pool; only the
   // per-shard work shares the worker pool. (Worker-pool tasks never block
   // on other tasks and job runners never wait on other jobs — ranges are
   // acquired in ascending shard order — so no fleet of tenants can
   // deadlock or grow the thread count.) Admission is charged once, at
-  // enqueue time; the runner body takes the already-admitted path.
-  std::string tenant = job.tenant;
-  return enqueue_job(tenant, [this, j = std::move(job)]() {
-    return reduce_admitted(j);
-  });
-}
-
-std::future<JobReport> AggregationService::submit(const JobView& job,
-                                                  std::span<float> out) {
-  // Copy the tenant name and the span *table* (W pointers+lengths) — never
-  // the gradients. The caller owns the viewed buffers and `out` until the
-  // future resolves.
+  // enqueue time. Copy the tenant name and the span *table* (W
+  // pointers+lengths) — never the gradients. The caller owns the viewed
+  // buffers and `out` until the future resolves.
   return enqueue_job(
       job.tenant,
       [this, tenant = std::string(job.tenant),
@@ -1190,12 +1094,11 @@ std::uint64_t AggregationService::class_picks(qos::Priority p) const {
   return job_sched_.picks(p);
 }
 
-AggregationService::PhaseBreakdown AggregationService::phase_breakdown()
-    const {
+telemetry::PhaseBreakdown AggregationService::phase_breakdown() const {
   // A view over the registry: each shard's phase histogram carries the sum
   // of its wave observations, so the histogram _sum IS the cumulative
   // phase wall time (and what the traced wave spans add up to).
-  PhaseBreakdown p;
+  telemetry::PhaseBreakdown p;
   for (const auto& h : m_shard_phase_) {
     p.add_s += h[0]->sum();
     p.collect_s += h[1]->sum();

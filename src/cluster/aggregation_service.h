@@ -106,19 +106,12 @@ struct ClusterOptions {
   pisa::SwitchConfig switch_config;  ///< applied to every shard
 };
 
-struct JobRequest {
-  std::string tenant;
-  std::vector<std::vector<float>> workers;  ///< equal-length FP32 vectors
-  /// Per-tenant fabric overrides; negative means "inherit ClusterOptions"
-  /// (tenants can ride links of different quality through one service).
-  double loss_rate = -1.0;
-  int max_retransmits = -1;
-};
-
 /// Zero-copy job description: worker gradients stay in caller-owned storage
 /// and are only ever *viewed* by the service — nothing is deep-copied
-/// between submission and result. For the async entry points the viewed
+/// between submission and result. For the async entry point the viewed
 /// buffers (and the out span) must stay alive until the future resolves.
+/// The per-job fabric overrides let tenants ride links of different
+/// quality through one service.
 struct JobView {
   std::string_view tenant;
   std::span<const std::span<const float>> workers;  ///< equal-length views
@@ -126,10 +119,10 @@ struct JobView {
   int max_retransmits = -1;  ///< negative: inherit ClusterOptions
 };
 
+/// A job's books. The sum itself lands in the caller's `out` span.
 struct JobReport {
   std::string tenant;
   std::uint64_t job_id = 0;
-  std::vector<float> result;
   switchml::SessionStats stats;                     ///< this job, all shards
   std::vector<switchml::SessionStats> per_shard;    ///< this job, per shard
 };
@@ -141,23 +134,17 @@ class AggregationService {
   AggregationService(const AggregationService&) = delete;
   AggregationService& operator=(const AggregationService&) = delete;
 
-  /// Runs one reduce job to completion. Thread-safe: may be called from
-  /// many tenant threads at once; shard work interleaves on the pool.
-  /// Throws std::runtime_error when a packet exhausts max_retransmits.
-  /// Reads `job.workers` in place — no gradient copies.
-  JobReport reduce(const JobRequest& job);
-
-  /// Zero-copy reduce: aggregates `job.workers` (views) into `out`
-  /// (out.size() == worker length). The returned report's `result` is left
-  /// empty — the data is already where the caller wants it.
+  /// Runs one reduce job to completion, aggregating `job.workers` (views,
+  /// read in place — no gradient copies) into `out` (out.size() == worker
+  /// length). Thread-safe: may be called from many tenant threads at once;
+  /// shard work interleaves on the pool. Throws std::runtime_error when a
+  /// packet exhausts max_retransmits.
   JobReport reduce(const JobView& job, std::span<float> out);
 
   /// Asynchronous submission on the bounded job-runner pool (at most
   /// `job_runner_threads` jobs execute concurrently; the rest queue).
-  /// The owning form moves the request in; the view form copies only the
-  /// tenant name and the span table — the caller keeps the gradient
-  /// buffers and `out` alive until the future resolves.
-  std::future<JobReport> submit(JobRequest job);
+  /// Copies only the tenant name and the span table — the caller keeps the
+  /// gradient buffers and `out` alive until the future resolves.
   std::future<JobReport> submit(const JobView& job, std::span<float> out);
 
   const ClusterOptions& options() const { return opts_; }
@@ -204,11 +191,7 @@ class AggregationService {
   /// (cluster_shard_phase_seconds{svc,shard,phase}); it advances only
   /// while telemetry::enabled() — the same condition under which any of
   /// the stack's timing instruments record.
-  struct PhaseBreakdown {
-    double add_s = 0;
-    double collect_s = 0;
-  };
-  PhaseBreakdown phase_breakdown() const;
+  telemetry::PhaseBreakdown phase_breakdown() const;
 
   /// Opt-in span tracing: while attached, every job records its life as a
   /// nested span tree (job → submit → partition → acquire_slots → pass →
@@ -267,7 +250,7 @@ class AggregationService {
     switchml::SessionStats stats;  ///< cumulative, guarded by stats_mu_
   };
 
-  /// Effective per-job fabric parameters (ClusterOptions + JobRequest
+  /// Effective per-job fabric parameters (ClusterOptions + JobView
   /// overrides).
   struct JobParams {
     double loss_rate = 0.0;
@@ -304,28 +287,22 @@ class AggregationService {
   struct ShardHooks;
   void job_runner_loop();
   /// Runs one job end to end (validation, range acquisition, shard fan-out,
-  /// failover recovery, accounting), writing the sum into `out`. Both
-  /// reduce() overloads and every submit path land here — admission happens
-  /// strictly BEFORE this point, so the datapath never sees QoS.
+  /// failover recovery, accounting), writing the sum into `out`. reduce()
+  /// and submit() both land here — admission happens strictly BEFORE this
+  /// point, so the datapath never sees QoS.
   void run_job(const JobView& job, std::span<float> out, JobReport& report);
-  /// reduce(JobRequest) minus admission: the submit path's runner body
-  /// (its job was admitted at enqueue time; admitting again at pickup
-  /// would double-charge the tenant's bucket).
-  JobReport reduce_admitted(const JobRequest& job);
   std::future<JobReport> enqueue_job(std::string_view tenant,
                                      std::function<JobReport()> fn);
-  /// QoS admission for an async submission: charges the tenant's token
-  /// bucket and queue bound; returns the tenant's Priority class for the
-  /// scheduler push. kReject (or an expired kBlock deadline) records the
-  /// rejection and throws AdmissionRejectedError; kBlock waits on
-  /// admission_cv_. Caller holds job_mu_ via `lk`; on throw the lock has
-  /// been released. No-QoS mode returns kQuery without touching state.
-  qos::Priority admit_queued(util::UniqueLock& lk, std::string_view tenant)
-      FPISA_REQUIRES(job_mu_) FPISA_EXCLUDES(stats_mu_);
-  /// QoS admission for a synchronous reduce(): rate limit only (the job
-  /// runs inline on the caller's thread — queue bounds don't apply).
-  void admit_direct(std::string_view tenant)
-      FPISA_EXCLUDES(job_mu_, stats_mu_);
+  /// QoS admission: charges the tenant's token bucket and, for a queued
+  /// submission, its queue bound (a synchronous reduce() runs inline on the
+  /// caller's thread, so queue bounds don't apply); returns the tenant's
+  /// Priority class for the scheduler push. kReject (or an expired kBlock
+  /// deadline) records the rejection and throws AdmissionRejectedError;
+  /// kBlock waits on admission_cv_. Called only with QoS on; the caller
+  /// holds job_mu_ via `lk`, and on throw the lock has been released.
+  qos::Priority admit(util::UniqueLock& lk, std::string_view tenant,
+                      bool queued) FPISA_REQUIRES(job_mu_)
+      FPISA_EXCLUDES(stats_mu_);
   /// Books a rejection (SLO entry + jobs_rejected + registry counters) and
   /// throws AdmissionRejectedError. `lk` (job_mu_) is released first:
   /// rejection accounting takes stats_mu_ and the two must never nest —
@@ -337,12 +314,25 @@ class AggregationService {
   /// Refreshes the queue-depth gauges (total + per-class). Caller holds
   /// job_mu_.
   void refresh_queue_gauges() FPISA_REQUIRES(job_mu_);
+  /// A job's chunk ids per shard (each list ascending).
+  using Parts = std::vector<std::vector<std::size_t>>;
+  /// Folds the parts of every shard missing from `alive` onto the survivors
+  /// (ShardRouter::reroute: salt-stable, so a retry pass and a later job
+  /// routing around the same corpse agree on placement) and re-sorts the
+  /// lists. Returns how many chunks moved.
+  std::size_t route(Parts& parts, std::span<const int> alive) const;
+  /// Releases every range in `ranges`, wakes the jobs waiting on the
+  /// allocator, then acquires one range per shard with chunks in `want`, in
+  /// ascending shard order (the same order for every job: no circular wait
+  /// between tenants). An empty `want` just releases.
+  void swap_ranges(std::vector<SlotRange>& ranges, const Parts& want)
+      FPISA_EXCLUDES(alloc_mu_);
   /// One fan-out/join pass: a task per shard with chunks, stats merged into
   /// `report.per_shard`. Returns one exception slot per shard (null =
   /// succeeded or inactive). `pass` salts the per-task loss streams so a
   /// retry pass draws fresh, deterministic schedules.
   std::vector<std::exception_ptr> run_pass(
-      const std::vector<std::vector<std::size_t>>& parts,
+      const Parts& parts,
       const std::vector<SlotRange>& ranges,
       std::span<const std::span<const float>> workers, std::span<float> out,
       const JobParams& params, std::uint64_t job_id, std::uint64_t pass,

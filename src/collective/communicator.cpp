@@ -26,6 +26,28 @@ float mean_scale(std::size_t num_workers, std::uint32_t dead_workers) {
   return 1.0f / static_cast<float>(survivors);
 }
 
+/// Worker death on the wire-less backends (host, tree). They have no
+/// packet wave structure: the whole reduce is one "wave", so only a worker
+/// dead from wave 0 is ever missing, and the wire-level knobs
+/// (corruption/reorder/dup/wipe) have nothing to act on. Returns the dead
+/// worker's index (booked into `network`) or -1; kAbort throws
+/// fault::WorkerDeadError.
+int wave0_dead_worker(const fault::FaultOptions& fault,
+                      std::size_t num_workers,
+                      switchml::SessionStats& network) {
+  if (!fault.enabled || fault.dead_worker < 0 ||
+      static_cast<std::size_t>(fault.dead_worker) >= num_workers ||
+      fault.dead_worker_wave != 0) {
+    return -1;
+  }
+  if (fault.dead_worker_policy == fault::DeadWorkerPolicy::kAbort) {
+    throw fault::WorkerDeadError(fault.dead_worker, 0);
+  }
+  network.dead_workers = 1u << static_cast<unsigned>(fault.dead_worker);
+  ++network.faults.workers_declared_dead;
+  return fault.dead_worker;
+}
+
 }  // namespace
 
 void Communicator::validate(std::span<const std::span<const float>> workers,
@@ -83,41 +105,54 @@ ReduceStats Communicator::run_and_finish(
     std::span<const std::span<const float>> workers, std::span<float> out,
     ReduceOp op, std::string_view tenant) FPISA_NO_THREAD_SAFETY_ANALYSIS {
   validate(workers, out);
-  ensure_metrics();
-
-  telemetry::Trace* const tr = trace_.load(std::memory_order_acquire);
-  telemetry::ScopedSpan span(tr, "allreduce",
-                             trace_parent_.load(std::memory_order_relaxed));
-  span.annotate("backend", std::string(name()));
-  if (!tenant.empty()) span.annotate("tenant", std::string(tenant));
-
   // Single-substrate backends (one session / one aggregator / one tree)
   // are not internally synchronized; serialize their jobs so concurrent
   // allreduce calls — or deferred JobHandles waited from several threads —
   // cannot race the substrate.
   util::UniqueLock lock(run_mu_, util::kDeferLock);
   if (!substrate_is_thread_safe()) lock.lock();
+  return finish(std::chrono::steady_clock::now(), out, op, workers.size(),
+                tenant, [&] { return run(workers, out, tenant); });
+}
 
-  const auto t0 = std::chrono::steady_clock::now();
+template <class Job>
+ReduceStats Communicator::finish(std::chrono::steady_clock::time_point t0,
+                                 std::span<float> out, ReduceOp op,
+                                 std::size_t num_workers,
+                                 std::string_view tenant, Job&& job) {
+  ensure_metrics();
+  telemetry::Trace* const tr = trace_.load(std::memory_order_acquire);
+  const telemetry::Trace::SpanId span =
+      tr ? tr->begin_at("allreduce",
+                        trace_parent_.load(std::memory_order_relaxed), t0)
+         : telemetry::Trace::kNone;
+  if (tr) {
+    tr->annotate(span, "backend", std::string(name()));
+    if (!tenant.empty()) tr->annotate(span, "tenant", std::string(tenant));
+  }
   ReduceStats stats;
   try {
-    stats = run(workers, out, tenant);
+    stats = job();
   } catch (...) {
-    record_slo(tenant, elapsed_s(t0, std::chrono::steady_clock::now()),
-               /*completed=*/false, /*failed_over=*/false);
+    const auto t1 = std::chrono::steady_clock::now();
+    if (tr) tr->end_at(span, t1);
+    record_slo(tenant, elapsed_s(t0, t1), /*completed=*/false,
+               /*failed_over=*/false);
     throw;
   }
   if (op == ReduceOp::kMean) {
     // Identical float op to the legacy trainer's host-side averaging (the
     // scale degrades to 1/survivors only when a worker was declared dead).
-    const float inv_w = mean_scale(workers.size(), stats.network.dead_workers);
+    const float inv_w = mean_scale(num_workers, stats.network.dead_workers);
     for (auto& v : out) v *= inv_w;
   }
-  stats.wall_s = elapsed_s(t0, std::chrono::steady_clock::now());
+  const auto t1 = std::chrono::steady_clock::now();
+  stats.wall_s = elapsed_s(t0, t1);
   m_jobs_->inc();
   m_wall_->observe(stats.wall_s);
   record_slo(tenant, stats.wall_s, /*completed=*/true,
              stats.network.failover_retries > 0);
+  if (tr) tr->end_at(span, t1);
   return stats;
 }
 
@@ -196,31 +231,19 @@ ReduceStats HostCommunicator::run(
     std::string_view /*tenant*/) {
   ReduceStats stats;
   stats.job_id = next_job_id_++;
-  // Host backends have no packet wave structure: the whole reduce is one
-  // "wave", so only a worker dead from wave 0 is ever missing. kDegrade
-  // drops the dead view and sums the survivors exactly; the wire-level
-  // knobs (corruption/reorder/dup/wipe) have nothing to act on here.
-  if (fault_.enabled && fault_.dead_worker >= 0 &&
-      static_cast<std::size_t>(fault_.dead_worker) < workers.size() &&
-      fault_.dead_worker_wave == 0) {
-    if (fault_.dead_worker_policy == fault::DeadWorkerPolicy::kAbort) {
-      throw fault::WorkerDeadError(fault_.dead_worker, 0);
-    }
-    std::vector<std::span<const float>> survivors;
-    survivors.reserve(workers.size() - 1);
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      if (static_cast<int>(w) != fault_.dead_worker) {
-        survivors.push_back(workers[w]);
-      }
-    }
-    agg_->reduce(survivors, out);
-    stats.network.dead_workers =
-        1u << static_cast<unsigned>(fault_.dead_worker);
-    ++stats.network.faults.workers_declared_dead;
-    return stats;
+  const int dead = wave0_dead_worker(fault_, workers.size(), stats.network);
+  if (dead < 0) {
+    agg_->reduce(workers, out);
+    return stats;  // host path: no packet protocol
   }
-  agg_->reduce(workers, out);
-  return stats;  // host path: no packet protocol
+  // kDegrade drops the dead view and sums the survivors exactly.
+  std::vector<std::span<const float>> survivors;
+  survivors.reserve(workers.size() - 1);
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    if (static_cast<int>(w) != dead) survivors.push_back(workers[w]);
+  }
+  agg_->reduce(survivors, out);
+  return stats;
 }
 
 // --- switch ----------------------------------------------------------------
@@ -296,12 +319,6 @@ TenantSlo ClusterCommunicator::tenant_slo(std::string_view tenant) const {
   return service_.tenant_slo(tenant.empty() ? kDefaultTenant : tenant);
 }
 
-telemetry::PhaseBreakdown ClusterCommunicator::phase_breakdown() const {
-  const cluster::AggregationService::PhaseBreakdown p =
-      service_.phase_breakdown();
-  return {p.add_s, p.collect_s};
-}
-
 void ClusterCommunicator::set_trace(telemetry::Trace* trace,
                                     telemetry::Trace::SpanId parent) {
   Communicator::set_trace(trace, parent);
@@ -321,25 +338,20 @@ JobHandle ClusterCommunicator::submit(const WorkerViews& workers,
                                       std::string_view tenant) {
   // Shape errors surface here, like every other backend's submit — not at
   // wait(). The job itself runs on the service's bounded job-runner pool;
-  // the deferred wrapper only collects the report, applies the kMean scale
-  // and stamps the wall clock at wait() time.
+  // the deferred wrapper collects the report at wait() time and runs the
+  // shared finish step (kMean scale, wall clock since submission, metrics,
+  // span).
   validate(workers.views(), out);
-  const cluster::JobView job{tenant.empty() ? kDefaultTenant : tenant,
-                             workers.views()};
-  const std::size_t w = workers.count();
+  const std::string_view key = tenant.empty() ? kDefaultTenant : tenant;
   const auto t0 = std::chrono::steady_clock::now();
-  std::future<cluster::JobReport> inner = service_.submit(job, out);
+  std::future<cluster::JobReport> inner =
+      service_.submit(cluster::JobView{key, workers.views()}, out);
   return wrap(std::async(
       std::launch::deferred,
-      [inner = std::move(inner), out, op, w, t0]() mutable {
-        const cluster::JobReport report = inner.get();
-        if (op == ReduceOp::kMean && w > 0) {
-          const float inv_w = mean_scale(w, report.stats.dead_workers);
-          for (auto& v : out) v *= inv_w;
-        }
-        ReduceStats stats = report_to_stats(report);
-        stats.wall_s = elapsed_s(t0, std::chrono::steady_clock::now());
-        return stats;
+      [this, inner = std::move(inner), out, op, w = workers.count(), t0,
+       t = std::string(tenant)]() mutable {
+        return finish(t0, out, op, w, t,
+                      [&] { return report_to_stats(inner.get()); });
       }));
 }
 
@@ -350,27 +362,17 @@ ReduceStats TreeCommunicator::run(
     std::string_view /*tenant*/) {
   ReduceStats stats;
   stats.job_id = next_job_id_++;
-  if (fault_.enabled && fault_.dead_worker >= 0 &&
-      static_cast<std::size_t>(fault_.dead_worker) < workers.size() &&
-      fault_.dead_worker_wave == 0) {
-    if (fault_.dead_worker_policy == fault::DeadWorkerPolicy::kAbort) {
-      throw fault::WorkerDeadError(fault_.dead_worker, 0);
-    }
+  const int dead = wave0_dead_worker(fault_, workers.size(), stats.network);
+  if (dead < 0) {
+    tree_.reduce_into(workers, out);
+  } else {
     // The tree's shape is fixed (worker count must equal the hierarchy's
     // leaves), so the dead leaf contributes zeros instead of being dropped.
-    const std::size_t n = workers.empty() ? 0 : workers.front().size();
-    std::vector<float> zeros(n, 0.0f);
+    const std::vector<float> zeros(out.size(), 0.0f);
     std::vector<std::span<const float>> views(workers.begin(), workers.end());
-    views[static_cast<std::size_t>(fault_.dead_worker)] = zeros;
+    views[static_cast<std::size_t>(dead)] = zeros;
     tree_.reduce_into(views, out);
-    stats.network.dead_workers =
-        1u << static_cast<unsigned>(fault_.dead_worker);
-    ++stats.network.faults.workers_declared_dead;
-    stats.network.packets_sent = tree_.timing().packets;
-    total_ += stats.network;
-    return stats;
   }
-  tree_.reduce_into(workers, out);
   // The tree models its fabric as lossless serializing links rather than a
   // lossy packet protocol; surface the modeled packet count.
   stats.network.packets_sent = tree_.timing().packets;

@@ -11,12 +11,12 @@
 // no backend ever deep-copies a worker vector.
 //
 // Every backend is differentially tested to be bit-identical — results AND
-// SessionStats — to its legacy entry point under identical seeds
-// (tests/test_collective_api.cpp); the legacy entry points remain as thin
-// adapters.
+// SessionStats — to its substrate's own view-based entry point under
+// identical seeds (tests/test_collective_api.cpp).
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <map>
 #include <memory>
@@ -202,19 +202,30 @@ class Communicator {
   /// backend overrides tenant_slo()) and would miss substrate-side jobs.
   virtual bool substrate_keeps_slo() const { return false; }
 
-  /// Shared driver: validation + (serialized) run() + ReduceOp::kMean
-  /// scaling + wall clock. allreduce and the default submit both land here.
+  /// Shared driver: validation + (serialized) run() + finish().
+  /// allreduce and the default submit both land here.
   ReduceStats run_and_finish(std::span<const std::span<const float>> workers,
                              std::span<float> out, ReduceOp op,
                              std::string_view tenant);
+  /// The one completion step every job goes through, synchronous or async:
+  /// runs `job` (which yields the substrate's stats), applies the
+  /// ReduceOp::kMean scale over the survivors, stamps the wall clock since
+  /// `t0`, bumps collective_allreduces_total /
+  /// collective_allreduce_seconds, books the SLO entry (on both outcomes)
+  /// and records the "allreduce" span over [t0, completion].
+  template <class Job>
+  ReduceStats finish(std::chrono::steady_clock::time_point t0,
+                     std::span<float> out, ReduceOp op,
+                     std::size_t num_workers, std::string_view tenant,
+                     Job&& job);
   /// Shape checks shared by every entry point; throws std::invalid_argument.
   static void validate(std::span<const std::span<const float>> workers,
                        std::span<float> out);
   static JobHandle wrap(std::future<ReduceStats> fut) {
     return JobHandle(std::move(fut));
   }
-  /// SLO bookkeeping shared by every backend (run_and_finish calls it on
-  /// both outcomes). Empty tenant keys under "default", matching the
+  /// SLO bookkeeping shared by every backend (finish calls it on both
+  /// outcomes). Empty tenant keys under "default", matching the
   /// cluster backend's naming.
   void record_slo(std::string_view tenant, double wall_s, bool completed,
                   bool failed_over) FPISA_EXCLUDES(slo_mu_);
@@ -345,9 +356,10 @@ class ClusterCommunicator final : public Communicator {
   }
   /// Substrate-native books: covers submit()ed jobs and failover retries.
   TenantSlo tenant_slo(std::string_view tenant = {}) const override;
-  /// View over the service's per-shard phase histograms (the legacy
-  /// service_.phase_breakdown(), re-shaped into the uniform currency).
-  telemetry::PhaseBreakdown phase_breakdown() const override;
+  /// The service's view over its per-shard phase histograms.
+  telemetry::PhaseBreakdown phase_breakdown() const override {
+    return service_.phase_breakdown();
+  }
   /// Also attaches the trace to the service, so every job records the full
   /// submit → partition → shard waves → merge (+failover) span tree.
   void set_trace(telemetry::Trace* trace,

@@ -69,12 +69,14 @@ class AdmissionControl {
     return it->second;
   }
 
-  /// Probe admission for one queued job: queue bound first (a full
-  /// queue must not burn a token), then the rate limiter. On success
-  /// the token is taken and the queued count incremented.
-  Probe try_admit_queued(TenantState& st, std::uint64_t now) {
+  /// Probe admission for one job. A queued job checks its queue bound
+  /// first (a full queue must not burn a token); a synchronous job runs
+  /// inline on the caller's thread, so only the rate limiter applies. On
+  /// success the token is taken and, for a queued job, the queued count
+  /// incremented.
+  Probe try_admit(TenantState& st, std::uint64_t now, bool queued) {
     Probe p;
-    if (st.queued >= opts_.queue_bound_for(st.cfg)) {
+    if (queued && st.queued >= opts_.queue_bound_for(st.cfg)) {
       p.reason = RejectReason::kQueueFull;
       return p;
     }
@@ -83,20 +85,7 @@ class AdmissionControl {
       p.retry_after_ns = st.bucket.ns_until_available(1, now);
       return p;
     }
-    ++st.queued;
-    p.admitted = true;
-    return p;
-  }
-
-  /// Probe admission for a synchronous (never-queued) job: rate limit
-  /// only — the caller runs it inline, so queue bounds don't apply.
-  Probe try_admit_direct(TenantState& st, std::uint64_t now) {
-    Probe p;
-    if (!st.bucket.try_acquire(1, now)) {
-      p.reason = RejectReason::kRateLimited;
-      p.retry_after_ns = st.bucket.ns_until_available(1, now);
-      return p;
-    }
+    if (queued) ++st.queued;
     p.admitted = true;
     return p;
   }

@@ -8,16 +8,6 @@
 
 namespace fpisa::switchml {
 
-std::vector<float> GradientAggregator::aggregate(
-    std::span<const std::vector<float>> workers) {
-  assert(!workers.empty());
-  const std::vector<std::span<const float>> views(workers.begin(),
-                                                  workers.end());
-  std::vector<float> out(workers.front().size());
-  reduce(views, out);
-  return out;
-}
-
 void ExactAggregator::reduce(std::span<const std::span<const float>> workers,
                              std::span<float> out) {
   assert(!workers.empty());

@@ -14,10 +14,9 @@
 
 namespace fpisa::switchml {
 
-/// Sums equal-length gradient vectors. The primary entry point is the
-/// zero-copy `reduce` over worker *views* (span-of-spans into
-/// caller-owned storage — the collective layer's currency); the legacy
-/// allocating `aggregate` is a thin adapter over it.
+/// Sums equal-length gradient vectors through the zero-copy `reduce` over
+/// worker *views* (span-of-spans into caller-owned storage — the
+/// collective layer's currency).
 class GradientAggregator {
  public:
   virtual ~GradientAggregator() = default;
@@ -25,9 +24,6 @@ class GradientAggregator {
   /// Sums `workers` element-wise into `out` (out.size() == view length).
   virtual void reduce(std::span<const std::span<const float>> workers,
                       std::span<float> out) = 0;
-  /// Legacy allocating form: materializes views over `workers` (never the
-  /// gradients themselves) and forwards to reduce().
-  std::vector<float> aggregate(std::span<const std::vector<float>> workers);
 };
 
 /// Double-precision reference (what an ideal aggregator would produce).
@@ -93,7 +89,7 @@ class FpisaAggregator final : public GradientAggregator {
   void reduce(std::span<const std::span<const float>> workers,
               std::span<float> out) override;
 
-  /// Pooled error-event counters across all aggregate() calls (Fig 8's
+  /// Pooled error-event counters across all reduce() calls (Fig 8's
   /// overwrite / left-shift / rounding taxonomy).
   const core::OpCounters& counters() const { return counters_; }
 

@@ -73,16 +73,6 @@ void AggregationSession::end_wave(const WaveTiming& t) {
   stats_flushed_ = stats_;
 }
 
-std::vector<float> AggregationSession::reduce(
-    std::span<const std::vector<float>> workers) {
-  const std::vector<std::span<const float>> views(workers.begin(),
-                                                  workers.end());
-  std::vector<float> result(workers.empty() ? 0 : workers.front().size(),
-                            0.0f);
-  reduce_into(views, result);
-  return result;
-}
-
 void AggregationSession::reduce_into(
     std::span<const std::span<const float>> workers, std::span<float> out) {
   if (static_cast<int>(workers.size()) != opts_.num_workers) {

@@ -56,9 +56,6 @@ class AggregationSession : private WaveHooks {
   /// there are num_workers views of one length and `out` has that length.
   void reduce_into(std::span<const std::span<const float>> workers,
                    std::span<float> out);
-  /// Legacy allocating form — materializes views (never the gradients) and
-  /// forwards to reduce_into.
-  std::vector<float> reduce(std::span<const std::vector<float>> workers);
 
   /// Cumulative protocol stats; `.ops` reflects the owned switch's kernel
   /// operation counters at call time (the session has exclusive access).

@@ -21,6 +21,7 @@
 #include "fault/fault.h"
 #include "switchml/session.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa {
 namespace {
@@ -85,7 +86,7 @@ void run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
   opts.slots = 16;
   opts.lanes = 2;
   switchml::AggregationSession clean(pisa::SwitchConfig{}, opts);
-  const auto want_full = clean.reduce(workers);
+  const auto want_full = testkit::reduce(clean, workers);
 
   opts.loss_rate = mix.loss_rate;
   opts.loss_seed = seed * 11 + 3;
@@ -94,7 +95,7 @@ void run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
 
   if (expects_abort(mix)) {
     try {
-      (void)session.reduce(workers);
+      (void)testkit::reduce(session, workers);
       FAIL() << "kAbort worker death must surface WorkerDeadError";
     } catch (const fault::WorkerDeadError& e) {
       EXPECT_EQ(e.worker(), mix.fault.dead_worker);
@@ -104,7 +105,7 @@ void run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
               1u << static_cast<unsigned>(mix.fault.dead_worker));
     EXPECT_GE(session.stats().faults.workers_declared_dead, 1u);
   } else {
-    const auto got = session.reduce(workers);
+    const auto got = testkit::reduce(session, workers);
     if (mix.fault.dead_worker >= 0) {
       // Degrade: the survivors' clean sum, bit for bit.
       switchml::SessionOptions ref = opts;
@@ -113,7 +114,7 @@ void run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
       ref.fault = {};
       switchml::AggregationSession survivor_ref(pisa::SwitchConfig{}, ref);
       expect_bits_equal(
-          got, survivor_ref.reduce(survivors_of(workers,
+          got, testkit::reduce(survivor_ref, survivors_of(workers,
                                                 mix.fault.dead_worker)));
     } else {
       expect_bits_equal(got, want_full);
@@ -140,23 +141,16 @@ void run_cluster_seed(std::uint64_t seed, const fault::ChaosMix& mix,
     ref.loss_rate = 0.0;
     ref.fault = {};
     cluster::AggregationService svc(ref);
-    cluster::JobRequest job;
-    job.tenant = "soak";
-    job.workers = w;
-    return svc.reduce(job).result;
+    return testkit::reduce(svc, "soak", w).result;
   };
   const auto want_full = clean_run(workers);
 
   opts.loss_rate = mix.loss_rate;
   opts.fault = mix.fault;
   cluster::AggregationService svc(opts);
-  cluster::JobRequest job;
-  job.tenant = "soak";
-  job.workers = workers;
-
   if (expects_abort(mix)) {
     try {
-      (void)svc.reduce(job);
+      (void)testkit::reduce(svc, "soak", workers);
       FAIL() << "kAbort worker death must surface WorkerDeadError";
     } catch (const fault::WorkerDeadError& e) {
       EXPECT_EQ(e.worker(), mix.fault.dead_worker);
@@ -166,7 +160,7 @@ void run_cluster_seed(std::uint64_t seed, const fault::ChaosMix& mix,
     EXPECT_EQ(svc.jobs_completed(), 0u);
     EXPECT_EQ(svc.tenant_slo("soak").jobs_failed, 1u);
   } else {
-    const cluster::JobReport report = svc.reduce(job);
+    const testkit::JobResult report = testkit::reduce(svc, "soak", workers);
     if (mix.fault.dead_worker >= 0) {
       expect_bits_equal(report.result,
                         clean_run(survivors_of(workers,

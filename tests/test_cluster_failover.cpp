@@ -16,6 +16,7 @@
 #include "cluster/shard_router.h"
 #include "core/packed.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -116,12 +117,12 @@ TEST(Failover, KillMatrixBitIdenticalToHealthyRun) {
         FaultPhase::kMidCollect}) {
     ClusterOptions healthy = failover_options();
     AggregationService ref(healthy);
-    const auto want = ref.reduce({"t", workers});
+    const auto want = testkit::reduce(ref, "t", workers);
 
     ClusterOptions opts = failover_options();
     opts.failover.faults = {ShardFault{1, FaultKind::kKill, phase, 0, 0.0}};
     AggregationService svc(opts);
-    const auto got = svc.reduce({"t", workers});
+    const auto got = testkit::reduce(svc, "t", workers);
 
     expect_bits_eq(got.result, want.result, "failover vs healthy");
     EXPECT_EQ(got.stats.shard_failures, 1u) << static_cast<int>(phase);
@@ -149,7 +150,7 @@ TEST(Failover, KillMatrixBitIdenticalToHealthyRun) {
 
     // Degraded steady state: the next job routes around the corpse at
     // partition time — rerouted chunks, but no failure and no retry pass.
-    const auto again = svc.reduce({"t", workers});
+    const auto again = testkit::reduce(svc, "t", workers);
     expect_bits_eq(again.result, want.result, "degraded vs healthy");
     EXPECT_EQ(again.stats.shard_failures, 0u);
     EXPECT_EQ(again.stats.failover_retries, 0u);
@@ -171,12 +172,12 @@ TEST(Failover, FailoverUnderPacketLossStaysBitIdentical) {
   opts.max_retransmits = 256;
 
   AggregationService ref(opts);
-  const auto want = ref.reduce({"t", workers});
+  const auto want = testkit::reduce(ref, "t", workers);
 
   opts.failover.faults = {
       ShardFault{2, FaultKind::kKill, FaultPhase::kMidAdd, 0, 0.0}};
   AggregationService svc(opts);
-  const auto got = svc.reduce({"t", workers});
+  const auto got = testkit::reduce(svc, "t", workers);
 
   expect_bits_eq(got.result, want.result, "lossy failover vs healthy");
   EXPECT_GT(got.stats.packets_lost, 0u);
@@ -200,20 +201,20 @@ TEST(Failover, MidCollectThrowNeverLeaksDedupBitsIntoReusedRange) {
         ShardFault{0, FaultKind::kKill, FaultPhase::kMidCollect, 0, 0.0}};
     AggregationService svc(opts);
     if (failover_on) {
-      (void)svc.reduce({"doomed", workers});  // completes via failover
+      (void)testkit::reduce(svc, "doomed", workers);  // completes via failover
       EXPECT_EQ(svc.jobs_failed(), 0u);
     } else {
-      EXPECT_THROW(svc.reduce({"doomed", workers}), std::runtime_error);
+      EXPECT_THROW(testkit::reduce(svc, "doomed", workers), std::runtime_error);
       EXPECT_EQ(svc.jobs_failed(), 1u);
     }
 
     const auto next = make_workers(2, 24, 28);
-    const auto got = svc.reduce({"fresh", next}).result;
+    const auto got = testkit::reduce(svc, "fresh", next).result;
     ClusterOptions clean_opts = opts;
     clean_opts.failover.faults.clear();
     AggregationService clean(clean_opts);
     if (failover_on) clean.kill_shard(0);  // same degraded topology
-    const auto want = clean.reduce({"fresh", next}).result;
+    const auto want = testkit::reduce(clean, "fresh", next).result;
     expect_bits_eq(got, want, failover_on ? "failover reuse" : "fail reuse");
   }
 }
@@ -233,7 +234,7 @@ TEST(Failover, FailedJobStatsInvariant) {
   opts.failover.faults = {
       ShardFault{0, FaultKind::kKill, FaultPhase::kMidAdd, 0, 0.0}};
   AggregationService svc(opts);
-  EXPECT_THROW(svc.reduce({"t", workers}), std::runtime_error);
+  EXPECT_THROW(testkit::reduce(svc, "t", workers), std::runtime_error);
 
   EXPECT_EQ(svc.jobs_completed(), 0u);
   EXPECT_EQ(svc.jobs_failed(), 1u);
@@ -247,7 +248,7 @@ TEST(Failover, FailedJobStatsInvariant) {
   ClusterOptions ok_opts = opts;
   ok_opts.failover.faults.clear();
   AggregationService ok(ok_opts);
-  (void)ok.reduce({"t", workers});
+  (void)testkit::reduce(ok, "t", workers);
   EXPECT_EQ(ok.jobs_completed(), 1u);
   EXPECT_EQ(ok.jobs_failed(), 0u);
 }
@@ -256,12 +257,12 @@ TEST(Failover, SlowdownStragglerCompletesWithoutDeath) {
   const auto workers = make_workers(3, 96, 47);
   ClusterOptions opts = failover_options();
   AggregationService ref(opts);
-  const auto want = ref.reduce({"t", workers});
+  const auto want = testkit::reduce(ref, "t", workers);
 
   opts.failover.faults = {ShardFault{
       0, FaultKind::kSlowdown, FaultPhase::kBeforeJob, 0, /*ms=*/15.0}};
   AggregationService svc(opts);
-  const auto got = svc.reduce({"t", workers});
+  const auto got = testkit::reduce(svc, "t", workers);
 
   expect_bits_eq(got.result, want.result, "straggler vs healthy");
   EXPECT_TRUE(svc.health().alive(0)) << "a straggler is slow, not dead";
@@ -282,12 +283,12 @@ TEST(Failover, AllShardsDeadFailsLoudly) {
       ShardFault{0, FaultKind::kKill, FaultPhase::kBeforeJob, 0, 0.0},
       ShardFault{1, FaultKind::kKill, FaultPhase::kBeforeJob, 0, 0.0}};
   AggregationService svc(opts);
-  EXPECT_THROW(svc.reduce({"t", workers}), std::runtime_error);
+  EXPECT_THROW(testkit::reduce(svc, "t", workers), std::runtime_error);
   EXPECT_EQ(svc.health().num_alive(), 0);
   EXPECT_EQ(svc.jobs_failed(), 1u);
   // With no fabric left, later jobs fail fast instead of hanging — and
   // the per-tenant SLO book must agree with the service-level counter.
-  EXPECT_THROW(svc.reduce({"t", workers}), std::runtime_error);
+  EXPECT_THROW(testkit::reduce(svc, "t", workers), std::runtime_error);
   EXPECT_EQ(svc.jobs_failed(), 2u);
   EXPECT_EQ(svc.tenant_slo("t").jobs_failed, 2u);
   EXPECT_EQ(svc.tenant_slo("t").jobs_completed, 0u);
@@ -308,9 +309,9 @@ TEST(Failover, KillShardRequiresFailoverAndValidates) {
 
   // Degraded N-1 service still completes jobs, bit-identical.
   const auto workers = make_workers(2, 40, 67);
-  const auto got = svc.reduce({"t", workers});
+  const auto got = testkit::reduce(svc, "t", workers);
   AggregationService ref(opts);
-  const auto want = ref.reduce({"t", workers});
+  const auto want = testkit::reduce(ref, "t", workers);
   expect_bits_eq(got.result, want.result, "N-1 vs N");
   EXPECT_GT(got.stats.chunks_rerouted, 0u);
 }
@@ -330,13 +331,14 @@ TEST(Failover, ConcurrentTenantsSurviveAShardDeath) {
   AggregationService svc(opts);
 
   AggregationService ref(failover_options());
-  const auto want = ref.reduce({"t", workers}).result;
+  const auto want = testkit::reduce(ref, "t", workers).result;
 
   constexpr int kJobs = 16;
-  std::vector<std::future<JobReport>> futures;
+  std::vector<testkit::PendingJob> futures;
   futures.reserve(kJobs);
   for (int j = 0; j < kJobs; ++j) {
-    futures.push_back(svc.submit({"tenant-" + std::to_string(j % 4), workers}));
+    futures.push_back(
+        testkit::submit(svc, "tenant-" + std::to_string(j % 4), workers));
   }
   for (auto& f : futures) {
     expect_bits_eq(f.get().result, want, "concurrent failover");

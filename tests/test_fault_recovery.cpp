@@ -16,6 +16,7 @@
 #include "fault/fault.h"
 #include "switchml/session.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa {
 namespace {
@@ -47,7 +48,7 @@ std::vector<float> clean_reduce(const std::vector<std::vector<float>>& workers,
   opts.loss_rate = 0.0;
   opts.fault = {};
   switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
-  return session.reduce(workers);
+  return testkit::reduce(session, workers);
 }
 
 void expect_bits_equal(const std::vector<float>& got,
@@ -68,7 +69,7 @@ TEST(SessionFaults, CorruptionIsDetectedAndRetransmitted) {
   opts.fault.seed = 21;
   opts.fault.corrupt_rate = 0.3;
   switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
-  expect_bits_equal(session.reduce(workers), want);
+  expect_bits_equal(testkit::reduce(session, workers), want);
   EXPECT_GT(session.stats().faults.corrupt_rejected, 0u);
   EXPECT_EQ(session.fpisa_switch().occupied_slots(), 0);
 }
@@ -83,7 +84,7 @@ TEST(SessionFaults, DuplicatesAndReorderingAreAbsorbed) {
   opts.fault.dup_rate = 0.4;
   opts.fault.reorder_rate = 0.6;
   switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
-  expect_bits_equal(session.reduce(workers), want);
+  expect_bits_equal(testkit::reduce(session, workers), want);
   EXPECT_EQ(session.fpisa_switch().occupied_slots(), 0);
 }
 
@@ -99,7 +100,7 @@ TEST(SessionFaults, StaleDuplicateAfterSlotReuseIsRejected) {
   opts.fault.seed = 23;
   opts.fault.stale_dup_rate = 1.0;  // every delivery leaves a ghost behind
   switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
-  expect_bits_equal(session.reduce(workers), want);
+  expect_bits_equal(testkit::reduce(session, workers), want);
   // 3 waves: every wave-0 and wave-1 ghost re-arrives one wave later,
   // after its slot's reset bumped the epoch.
   EXPECT_GT(session.stats().faults.stale_dups_rejected, 0u);
@@ -158,7 +159,7 @@ TEST(SessionFaults, SwitchWipeIsRecoveredByWaveReplay) {
   opts.fault.wipe_switch = true;
   opts.fault.wipe_wave = 1;  // state loss after wave 1's adds landed
   switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
-  expect_bits_equal(session.reduce(workers), want);
+  expect_bits_equal(testkit::reduce(session, workers), want);
   EXPECT_GE(session.stats().faults.waves_replayed, 1u);
   EXPECT_GE(session.stats().faults.epoch_bumps, 1u);
   EXPECT_EQ(session.fpisa_switch().occupied_slots(), 0);
@@ -173,7 +174,7 @@ TEST(SessionFaults, DeadWorkerAbortsWithTypedError) {
   opts.fault.dead_worker_policy = fault::DeadWorkerPolicy::kAbort;
   switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
   try {
-    (void)session.reduce(workers);
+    (void)testkit::reduce(session, workers);
     FAIL() << "expected WorkerDeadError";
   } catch (const fault::WorkerDeadError& e) {
     EXPECT_EQ(e.worker(), 2);
@@ -199,7 +200,7 @@ TEST(SessionFaults, DeadWorkerDegradesToSurvivorSum) {
   opts.fault.dead_worker_wave = 1;  // wave 0 lands, then the worker dies
   opts.fault.dead_worker_policy = fault::DeadWorkerPolicy::kDegrade;
   switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
-  expect_bits_equal(session.reduce(workers), want);
+  expect_bits_equal(testkit::reduce(session, workers), want);
   EXPECT_EQ(session.stats().faults.workers_declared_dead, 1u);
   EXPECT_GE(session.stats().faults.epoch_bumps, 1u);
   EXPECT_EQ(session.fpisa_switch().occupied_slots(), 0);
@@ -220,10 +221,7 @@ std::vector<float> cluster_reduce(cluster::ClusterOptions opts,
                                   const std::vector<std::vector<float>>& w,
                                   switchml::SessionStats* stats = nullptr) {
   cluster::AggregationService svc(opts);
-  cluster::JobRequest job;
-  job.tenant = "t";
-  job.workers = w;
-  const cluster::JobReport report = svc.reduce(job);
+  const testkit::JobResult report = testkit::reduce(svc, "t", w);
   if (stats) *stats = report.stats;
   return report.result;
 }
@@ -269,10 +267,8 @@ TEST(ClusterFaults, DeadWorkerAbortFailsTheJobWithBooksIntact) {
   opts.fault.dead_worker_wave = 0;
   opts.fault.dead_worker_policy = fault::DeadWorkerPolicy::kAbort;
   cluster::AggregationService svc(opts);
-  cluster::JobRequest job;
-  job.tenant = "t";
-  job.workers = workers;
-  EXPECT_THROW((void)svc.reduce(job), fault::WorkerDeadError);
+  EXPECT_THROW((void)testkit::reduce(svc, "t", workers),
+               fault::WorkerDeadError);
   EXPECT_EQ(svc.jobs_failed(), 1u);
   EXPECT_EQ(svc.jobs_completed(), 0u);
   const cluster::TenantSlo slo = svc.tenant_slo("t");
@@ -298,6 +294,49 @@ TEST(ClusterFaults, DeadWorkerDegradeReplaysWholeJobOverSurvivors) {
   expect_bits_equal(got, want);
   EXPECT_EQ(stats.faults.workers_declared_dead, 1u);
   EXPECT_EQ(stats.dead_workers, 1u << 0);
+}
+
+TEST(ClusterFaults, ShardAndWorkerDeathInOnePassBookBoth) {
+  // Pass 0 loses shard 1 (killed before the job) and worker 0 (dead from
+  // wave 0). The whole job replays over the survivors on a fresh
+  // partition folded around the corpse, and the shard death is booked as
+  // a failover would book it — but the replay charges no reroute budget
+  // and runs no failover retry.
+  const auto workers = make_exact_workers(4, 96, 225);
+  const std::vector<std::vector<float>> survivors(workers.begin() + 1,
+                                                  workers.end());
+  auto opts = base_cluster_opts();
+  opts.num_shards = 4;
+  opts.dispatch = cluster::ClusterOptions::DispatchMode::kInline;
+  const auto want = cluster_reduce(opts, survivors);
+
+  opts.failover.enabled = true;
+  opts.failover.faults = {cluster::ShardFault{
+      1, cluster::FaultKind::kKill, cluster::FaultPhase::kBeforeJob, 0, 0.0}};
+  opts.fault.enabled = true;
+  opts.fault.seed = 35;
+  opts.fault.dead_worker = 0;
+  opts.fault.dead_worker_wave = 0;
+  opts.fault.dead_worker_policy = fault::DeadWorkerPolicy::kDegrade;
+  cluster::AggregationService svc(opts);
+  const std::size_t chunks = workers.front().size() /
+                             static_cast<std::size_t>(opts.lanes);
+  const std::size_t shard1_chunks = svc.router().partition(chunks)[1].size();
+  ASSERT_GT(shard1_chunks, 0u);
+
+  const telemetry::Snapshot before = telemetry::snapshot();
+  const testkit::JobResult report = testkit::reduce(svc, "t", workers);
+  const telemetry::Snapshot after = telemetry::snapshot();
+
+  expect_bits_equal(report.result, want);
+  EXPECT_FALSE(svc.health().alive(1));
+  EXPECT_EQ(report.stats.faults.workers_declared_dead, 1u);
+  EXPECT_EQ(report.stats.shard_failures, 1u);
+  EXPECT_EQ(report.stats.chunks_rerouted, shard1_chunks);
+  EXPECT_EQ(report.stats.failover_retries, 0u);
+  EXPECT_EQ(after.counter_total("cluster_failover_shard_deaths_total") -
+                before.counter_total("cluster_failover_shard_deaths_total"),
+            1u);
 }
 
 TEST(ClusterFaults, FaultTelemetryCountersReachTheRegistry) {

@@ -24,6 +24,7 @@
 #include "qos/scheduler.h"
 #include "qos/virtual_clock.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa {
 namespace {
@@ -31,7 +32,6 @@ namespace {
 using cluster::AggregationService;
 using cluster::ClusterOptions;
 using cluster::JobReport;
-using cluster::JobRequest;
 
 std::vector<std::vector<float>> make_workers(int w, std::size_t n,
                                              std::uint64_t seed) {
@@ -198,7 +198,7 @@ TEST(QosService, RateLimitRejectsDeterministicallyUnderManualClock) {
 
   const auto workers = make_workers(2, 512, 7);
   const auto run = [&] {
-    return svc.reduce(JobRequest{"metered", workers});
+    return testkit::reduce(svc, "metered", workers);
   };
   EXPECT_NO_THROW(run());  // burst token 1
   EXPECT_NO_THROW(run());  // burst token 2
@@ -245,22 +245,20 @@ TEST(QosService, QueueBoundRejectsWhenRunnerSaturated) {
   // per packet), then flood: with the runner busy, at most 2 flood jobs
   // may sit in the queue — the next submit gets typed backpressure.
   const auto long_workers = make_workers(2, 65536, 11);
-  JobRequest long_job{"blocker", long_workers};
-  long_job.loss_rate = 0.8;
-  long_job.max_retransmits = 512;
-  std::future<JobReport> blocker = svc.submit(std::move(long_job));
+  testkit::PendingJob blocker =
+      testkit::submit(svc, "blocker", long_workers, 0.8, 512);
   ASSERT_TRUE(wait_until([&] {
     return svc.peak_concurrent_jobs() >= 1 &&
            svc.tenant_queue_depth("blocker") == 0;
   })) << "runner never picked up the blocker";
 
   const auto small = make_workers(2, 256, 13);
-  std::vector<std::future<JobReport>> futs;
+  std::vector<testkit::PendingJob> futs;
   bool rejected = false;
   qos::RejectReason reason = qos::RejectReason::kRateLimited;
   for (int i = 0; i < 20 && !rejected; ++i) {
     try {
-      futs.push_back(svc.submit(JobRequest{"flood", small}));
+      futs.push_back(testkit::submit(svc, "flood", small));
     } catch (const qos::AdmissionRejectedError& e) {
       rejected = true;
       reason = e.reason();
@@ -287,10 +285,10 @@ TEST(QosService, BlockPolicyWaitsThenAdmits) {
   AggregationService svc(opts);
 
   const auto workers = make_workers(2, 256, 17);
-  EXPECT_NO_THROW(svc.reduce(JobRequest{"patient", workers}));
+  EXPECT_NO_THROW(testkit::reduce(svc, "patient", workers));
   // Bucket now empty: the second reduce blocks ~50 ms and succeeds.
   const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_NO_THROW(svc.reduce(JobRequest{"patient", workers}));
+  EXPECT_NO_THROW(testkit::reduce(svc, "patient", workers));
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -311,9 +309,9 @@ TEST(QosService, BlockPolicyDeadlineExpiresAsRejection) {
   AggregationService svc(opts);
 
   const auto workers = make_workers(2, 256, 19);
-  EXPECT_NO_THROW(svc.reduce(JobRequest{"impatient", workers}));
+  EXPECT_NO_THROW(testkit::reduce(svc, "impatient", workers));
   try {
-    svc.reduce(JobRequest{"impatient", workers});
+    testkit::reduce(svc, "impatient", workers);
     FAIL() << "deadline should have expired";
   } catch (const qos::AdmissionRejectedError& e) {
     EXPECT_EQ(e.reason(), qos::RejectReason::kDeadline);
@@ -337,10 +335,8 @@ TEST(QosService, TrainingOvertakesQueuedTelemetry) {
   AggregationService svc(opts);
 
   const auto long_workers = make_workers(2, 65536, 23);
-  JobRequest long_job{"blocker", long_workers};
-  long_job.loss_rate = 0.8;
-  long_job.max_retransmits = 512;
-  std::future<JobReport> blocker = svc.submit(std::move(long_job));
+  testkit::PendingJob blocker =
+      testkit::submit(svc, "blocker", long_workers, 0.8, 512);
   ASSERT_TRUE(wait_until([&] {
     return svc.peak_concurrent_jobs() >= 1 &&
            svc.tenant_queue_depth("blocker") == 0;
@@ -349,11 +345,11 @@ TEST(QosService, TrainingOvertakesQueuedTelemetry) {
   // Telemetry queued FIRST, training LAST — but job ids are assigned in
   // run order, so overtaking is directly observable.
   const auto small = make_workers(2, 256, 29);
-  std::vector<std::future<JobReport>> tel_futs;
+  std::vector<testkit::PendingJob> tel_futs;
   for (int i = 0; i < 3; ++i) {
-    tel_futs.push_back(svc.submit(JobRequest{"tel", small}));
+    tel_futs.push_back(testkit::submit(svc, "tel", small));
   }
-  std::future<JobReport> train_fut = svc.submit(JobRequest{"train", small});
+  testkit::PendingJob train_fut = testkit::submit(svc, "train", small);
   // If the blocker is still running, nothing has been picked yet and the
   // overtaking assertion below is exact; a (pathologically slow) machine
   // that finished the blocker already only loses the strictness, not the
@@ -391,8 +387,8 @@ TEST(QosService, ResultsBitIdenticalQosOnVsOff) {
     const auto workers =
         make_workers(3, 2048 + static_cast<std::size_t>(job) * 100,
                      static_cast<std::uint64_t>(100 + job));
-    const JobReport a = svc_off.reduce(JobRequest{"t", workers});
-    const JobReport b = svc_on.reduce(JobRequest{"t", workers});
+    const testkit::JobResult a = testkit::reduce(svc_off, "t", workers);
+    const testkit::JobResult b = testkit::reduce(svc_on, "t", workers);
     ASSERT_EQ(a.result.size(), b.result.size());
     EXPECT_EQ(std::memcmp(a.result.data(), b.result.data(),
                           a.result.size() * sizeof(float)),
@@ -493,7 +489,8 @@ TEST(QosService, MixedWorkloadThreeTenantsShareOneCluster) {
           make_workers(4, 8192, 1000 + static_cast<std::uint64_t>(j));
       std::vector<float> out(8192);
       h.allreduce(workers, out);
-      const JobReport ref = reference.reduce(JobRequest{"ref", workers});
+      const testkit::JobResult ref =
+          testkit::reduce(reference, "ref", workers);
       if (std::memcmp(out.data(), ref.result.data(),
                       out.size() * sizeof(float)) != 0) {
         mismatch.store(true);
@@ -509,7 +506,8 @@ TEST(QosService, MixedWorkloadThreeTenantsShareOneCluster) {
           make_workers(2, 1024, 2000 + static_cast<std::uint64_t>(j));
       std::vector<float> merged(1024);
       h.allreduce(partials, merged);
-      const JobReport ref = reference.reduce(JobRequest{"ref", partials});
+      const testkit::JobResult ref =
+          testkit::reduce(reference, "ref", partials);
       if (std::memcmp(merged.data(), ref.result.data(),
                       merged.size() * sizeof(float)) != 0) {
         mismatch.store(true);

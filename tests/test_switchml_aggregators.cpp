@@ -6,6 +6,7 @@
 
 #include "switchml/aggregator.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa::switchml {
 namespace {
@@ -29,7 +30,7 @@ std::vector<std::vector<float>> gradient_like(int workers, std::size_t n,
 TEST(Aggregators, ExactMatchesManualDoubleSum) {
   const auto w = gradient_like(8, 128, 1);
   ExactAggregator exact;
-  const auto sum = exact.aggregate(w);
+  const auto sum = testkit::reduce(exact, w);
   for (std::size_t i = 0; i < 128; ++i) {
     double ref = 0;
     for (const auto& v : w) ref += static_cast<double>(v[i]);
@@ -41,8 +42,8 @@ TEST(Aggregators, SwitchMlQuantizationErrorBounded) {
   const auto w = gradient_like(8, 4096, 2);
   ExactAggregator exact;
   SwitchMlAggregator swml(256);
-  const auto ref = exact.aggregate(w);
-  const auto got = swml.aggregate(w);
+  const auto ref = testkit::reduce(exact, w);
+  const auto got = testkit::reduce(swml, w);
   // Quantization resolution: chunk max scaled to ~30-4 bits.
   for (std::size_t i = 0; i < ref.size(); ++i) {
     const float tol = std::max(1e-7f, std::fabs(ref[i]) * 1e-4f) + 1e-6f;
@@ -56,12 +57,12 @@ TEST(Aggregators, SwitchMlQuantizationErrorBounded) {
 TEST(Aggregators, FpisaTracksExactWithinToleranceAndCountsEvents) {
   const auto w = gradient_like(8, 4096, 3);
   ExactAggregator exact;
-  const auto ref = exact.aggregate(w);
+  const auto ref = testkit::reduce(exact, w);
   for (const auto variant : {core::Variant::kFull, core::Variant::kApproximate}) {
     core::AccumulatorConfig cfg;
     cfg.variant = variant;
     FpisaAggregator agg(cfg);
-    const auto got = agg.aggregate(w);
+    const auto got = testkit::reduce(agg, w);
     for (std::size_t i = 0; i < ref.size(); ++i) {
       const float tol = std::max(std::fabs(ref[i]), 1e-4f) * 1e-3f;
       EXPECT_NEAR(got[i], ref[i], tol) << i;
@@ -77,7 +78,7 @@ TEST(Aggregators, FpisaAOverwriteEventsAreRareOnGradientData) {
   core::AccumulatorConfig cfg;
   cfg.variant = core::Variant::kApproximate;
   FpisaAggregator agg(cfg);
-  (void)agg.aggregate(w);
+  (void)testkit::reduce(agg, w);
   const auto& c = agg.counters();
   EXPECT_LT(static_cast<double>(c.overwrites) / c.adds, 0.009);
   EXPECT_LT(static_cast<double>(c.lshift_overflows) / c.adds, 0.001);
@@ -97,9 +98,9 @@ TEST(Aggregators, PackedFp16SumLosesMorePrecisionThanFpisaFp16) {
   cfg16.read_rounding = core::Rounding::kNearestEven;
   FpisaAggregator fpisa16(cfg16);
 
-  const auto ref = exact.aggregate(w);
-  const auto host = host16.aggregate(w);
-  const auto fp = fpisa16.aggregate(w);
+  const auto ref = testkit::reduce(exact, w);
+  const auto host = testkit::reduce(host16, w);
+  const auto fp = testkit::reduce(fpisa16, w);
   double host_err = 0;
   double fp_err = 0;
   for (std::size_t i = 0; i < ref.size(); ++i) {
@@ -114,9 +115,9 @@ TEST(Aggregators, AllAgreeOnZeroVectors) {
   ExactAggregator exact;
   SwitchMlAggregator swml;
   FpisaAggregator fpisa;
-  for (const float v : exact.aggregate(w)) EXPECT_EQ(v, 0.0f);
-  for (const float v : swml.aggregate(w)) EXPECT_EQ(v, 0.0f);
-  for (const float v : fpisa.aggregate(w)) EXPECT_EQ(v, 0.0f);
+  for (const float v : testkit::reduce(exact, w)) EXPECT_EQ(v, 0.0f);
+  for (const float v : testkit::reduce(swml, w)) EXPECT_EQ(v, 0.0f);
+  for (const float v : testkit::reduce(fpisa, w)) EXPECT_EQ(v, 0.0f);
 }
 
 TEST(Aggregators, SingleWorkerIsIdentity) {
@@ -124,7 +125,7 @@ TEST(Aggregators, SingleWorkerIsIdentity) {
   std::vector<std::vector<float>> w(1, std::vector<float>(256));
   for (auto& v : w[0]) v = static_cast<float>(rng.normal(0, 0.1));
   FpisaAggregator fpisa;
-  const auto got = fpisa.aggregate(w);
+  const auto got = testkit::reduce(fpisa, w);
   for (std::size_t i = 0; i < 256; ++i) EXPECT_EQ(got[i], w[0][i]);
 }
 

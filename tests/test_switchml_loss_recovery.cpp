@@ -9,6 +9,7 @@
 #include "core/packed.h"
 #include "switchml/session.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa::switchml {
 namespace {
@@ -34,12 +35,12 @@ TEST(LossRecovery, LossyRunIsBitExactVsLossless) {
   const auto workers = make_exact_workers(8, 80, 110);
 
   AggregationSession clean(pisa::SwitchConfig{}, opts);
-  const auto want = clean.reduce(workers);
+  const auto want = testkit::reduce(clean, workers);
 
   opts.loss_rate = 0.2;
   opts.loss_seed = 111;
   AggregationSession lossy(pisa::SwitchConfig{}, opts);
-  const auto got = lossy.reduce(workers);
+  const auto got = testkit::reduce(lossy, workers);
 
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(fpisa::core::fp32_bits(got[i]), fpisa::core::fp32_bits(want[i]))
@@ -57,7 +58,7 @@ TEST(LossRecovery, StatsObeyProtocolInvariants) {
     opts.loss_seed = 112 + static_cast<std::uint64_t>(loss * 10);
     opts.max_retransmits = 512;
     AggregationSession session(pisa::SwitchConfig{}, opts);
-    (void)session.reduce(make_exact_workers(4, 32, 113));
+    (void)testkit::reduce(session, make_exact_workers(4, 32, 113));
 
     const SessionStats& s = session.stats();
     // Every retransmission is itself a sent packet.
@@ -79,7 +80,7 @@ TEST(LossRecovery, NoLossMeansNoRecoveryTraffic) {
   opts.num_workers = 3;
   opts.slots = 8;
   AggregationSession session(pisa::SwitchConfig{}, opts);
-  (void)session.reduce(make_exact_workers(3, 48, 114));
+  (void)testkit::reduce(session, make_exact_workers(3, 48, 114));
   EXPECT_EQ(session.stats().packets_lost, 0u);
   EXPECT_EQ(session.stats().retransmissions, 0u);
   EXPECT_EQ(session.stats().duplicates_absorbed, 0u);
@@ -94,7 +95,7 @@ TEST(LossRecovery, RetransmitExhaustionThrowsOnAdds) {
   opts.loss_rate = 1.0;  // the network is gone
   opts.max_retransmits = 3;
   AggregationSession session(pisa::SwitchConfig{}, opts);
-  EXPECT_THROW((void)session.reduce(make_exact_workers(2, 8, 115)),
+  EXPECT_THROW((void)testkit::reduce(session, make_exact_workers(2, 8, 115)),
                std::runtime_error);
   // Every attempt was spent before giving up: first chunk's first worker
   // sent 1 + max_retransmits packets, all lost.
@@ -112,7 +113,7 @@ TEST(LossRecovery, ExtremeLossStillConvergesWithEnoughRetries) {
   opts.max_retransmits = 4096;
   AggregationSession session(pisa::SwitchConfig{}, opts);
   const auto workers = make_exact_workers(2, 12, 117);
-  const auto got = session.reduce(workers);
+  const auto got = testkit::reduce(session, workers);
   for (std::size_t i = 0; i < got.size(); ++i) {
     const double ref = static_cast<double>(workers[0][i]) +
                        static_cast<double>(workers[1][i]);

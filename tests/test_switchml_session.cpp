@@ -11,6 +11,7 @@
 #include "switchml/session.h"
 #include "util/rng.h"
 #include "wave_oracle.h"
+#include "testkit.h"
 
 namespace fpisa::switchml {
 namespace {
@@ -62,7 +63,7 @@ TEST(Session, LosslessReduceMatchesReference) {
   AggregationSession session(pisa::SwitchConfig{}, opts);
 
   const auto workers = make_workers(4, 100, 60);
-  const auto got = session.reduce(workers);
+  const auto got = testkit::reduce(session, workers);
   const auto ref = exact_sum(workers);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(got[i], ref[i], std::fabs(ref[i]) * 1e-5 + 1e-7) << i;
@@ -83,7 +84,7 @@ TEST(Session, SurvivesHeavyPacketLoss) {
   AggregationSession session(pisa::SwitchConfig{}, opts);
 
   const auto workers = make_same_exponent_workers(4, 64, 62);
-  const auto got = session.reduce(workers);
+  const auto got = testkit::reduce(session, workers);
 
   // Loss + retransmission must not change the arithmetic at all: with
   // same-exponent inputs FPISA is order-independent, so the lossy run must
@@ -91,7 +92,7 @@ TEST(Session, SurvivesHeavyPacketLoss) {
   SessionOptions clean = opts;
   clean.loss_rate = 0.0;
   AggregationSession lossless(pisa::SwitchConfig{}, clean);
-  const auto want = lossless.reduce(workers);
+  const auto want = testkit::reduce(lossless, workers);
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << i;
   }
@@ -112,7 +113,7 @@ TEST(Session, DuplicatesAreAbsorbedNotDoubleCounted) {
   AggregationSession session(pisa::SwitchConfig{}, opts);
 
   const auto workers = make_same_exponent_workers(2, 32, 64);
-  const auto got = session.reduce(workers);
+  const auto got = testkit::reduce(session, workers);
   const auto ref = exact_sum(workers);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(got[i], ref[i], 1e-5) << i;
@@ -133,7 +134,7 @@ TEST(Session, LossSweepAlwaysExact) {
     AggregationSession session(pisa::SwitchConfig{}, opts);
 
     const auto workers = make_same_exponent_workers(3, 24, 66);
-    const auto got = session.reduce(workers);
+    const auto got = testkit::reduce(session, workers);
     const auto ref = exact_sum(workers);
     for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_NEAR(got[i], ref[i], 1e-5) << "loss=" << loss << " i=" << i;
@@ -153,7 +154,7 @@ TEST(Session, MultiWaveReusesSlotsCleanly) {
     workers[0][i] = static_cast<float>(i + 1);
     workers[1][i] = static_cast<float>(10 * (i + 1));
   }
-  const auto got = session.reduce(workers);
+  const auto got = testkit::reduce(session, workers);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_EQ(got[i], static_cast<float>(11 * (i + 1))) << i;
   }
@@ -181,7 +182,7 @@ TEST(Session, BatchedAndPerPacketSubmissionAreIdentical) {
       AggregationSession slow(cfg, opts);  // only its switch is used
 
       const auto workers = make_workers(3, 100, 72);
-      const auto got = fast.reduce(workers);
+      const auto got = testkit::reduce(fast, workers);
       const std::vector<std::span<const float>> views(workers.begin(),
                                                       workers.end());
       std::vector<float> want(100);
@@ -462,7 +463,7 @@ TEST(Session, FullVariantOnExtendedSwitch) {
   AggregationSession session(ext, opts);
 
   const auto workers = make_workers(4, 40, 67);
-  const auto got = session.reduce(workers);
+  const auto got = testkit::reduce(session, workers);
   const auto ref = exact_sum(workers);
   for (std::size_t i = 0; i < ref.size(); ++i) {
     EXPECT_NEAR(got[i], ref[i], std::fabs(ref[i]) * 1e-5 + 1e-7) << i;

@@ -22,6 +22,7 @@
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa {
 namespace {
@@ -284,10 +285,7 @@ TEST(TelemetryCluster, JobSpanTreeCoversEveryPhase) {
   Trace tr;
   svc.attach_trace(&tr);
   const auto workers = make_workers(3, 512, 7);
-  cluster::JobRequest req;
-  req.tenant = "trace-test";
-  req.workers = workers;
-  (void)svc.reduce(req);
+  (void)testkit::reduce(svc, "trace-test", workers);
   svc.attach_trace(nullptr);
 
   int jobs = 0, submits = 0, partitions = 0, acquires = 0, passes = 0,
@@ -338,10 +336,7 @@ TEST(TelemetryCluster, FailoverJobRecordsFailoverSpanAndCounters) {
   Trace tr;
   svc.attach_trace(&tr);
   const auto workers = make_workers(3, 512, 9);
-  cluster::JobRequest req;
-  req.tenant = "fo";
-  req.workers = workers;
-  const auto report = svc.reduce(req);
+  const auto report = testkit::reduce(svc, "fo", workers);
   svc.attach_trace(nullptr);
   EXPECT_EQ(report.stats.shard_failures, 1u);
 
@@ -373,10 +368,7 @@ TEST(TelemetryCluster, ShardAndTotalStatsCarryOpCounters) {
   opts.lanes = 2;
   cluster::AggregationService svc(opts);
   const auto workers = make_workers(3, 512, 11);
-  cluster::JobRequest req;
-  req.tenant = "ops";
-  req.workers = workers;
-  (void)svc.reduce(req);
+  (void)testkit::reduce(svc, "ops", workers);
   core::OpCounters folded{};
   for (int s = 0; s < opts.num_shards; ++s) {
     folded += svc.shard_stats(s).ops;
@@ -405,17 +397,19 @@ TEST(TelemetryCollective, AllFourBackendsExposeTheSameSurface) {
     comm->set_trace(&tr);
     std::vector<float> out(256);
     (void)comm->allreduce(WorkerViews(workers), out);
+    // The async path lands in the same series and span as the sync one.
+    (void)comm->submit(WorkerViews(workers), out).wait();
     comm->set_trace(nullptr);
 
     // metrics(): this communicator's registry slice, identical schema.
     const Snapshot m = comm->metrics();
     EXPECT_EQ(m.counter_total("collective_allreduces_total",
                               {{"backend", std::string(comm->name())}}),
-              1u)
+              2u)
         << backend_name(backend);
     ASSERT_EQ(m.histograms.size(), 1u) << backend_name(backend);
     EXPECT_EQ(m.histograms[0].name, "collective_allreduce_seconds");
-    EXPECT_EQ(m.histograms[0].count, 1u);
+    EXPECT_EQ(m.histograms[0].count, 2u) << backend_name(backend);
 
     // phase_breakdown(): non-negative, and real time on the substrates
     // with an internal phase split.
@@ -427,12 +421,12 @@ TEST(TelemetryCollective, AllFourBackendsExposeTheSameSurface) {
       EXPECT_GT(pb.collect_s, 0.0) << backend_name(backend);
     }
 
-    // set_trace(): every backend records at least the allreduce span.
-    bool saw_allreduce = false;
+    // set_trace(): every backend records one allreduce span per job.
+    int allreduces = 0;
     for (const auto& s : tr.spans()) {
-      if (s.name == "allreduce") saw_allreduce = true;
+      if (s.name == "allreduce") ++allreduces;
     }
-    EXPECT_TRUE(saw_allreduce) << backend_name(backend);
+    EXPECT_EQ(allreduces, 2) << backend_name(backend);
     // The cluster backend unfolds the whole job tree underneath.
     if (backend == Backend::kCluster) {
       bool saw_merge = false;

@@ -1,0 +1,93 @@
+// Test helpers over the zero-copy entry points. Every reduce in src/ takes
+// worker *views* and writes a caller-owned out span; these wrap the
+// vector-shaped gradients the tests generate and hand the sum back by
+// value. Header-only and test-only.
+#pragma once
+
+#include <future>
+#include <span>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "cluster/aggregation_service.h"
+#include "switchml/aggregator.h"
+#include "switchml/session.h"
+
+namespace fpisa::testkit {
+
+using Workers = std::vector<std::vector<float>>;
+
+/// The span table over `workers` (the floats themselves are not copied).
+inline std::vector<std::span<const float>> views_of(const Workers& workers) {
+  return {workers.begin(), workers.end()};
+}
+
+inline std::size_t length_of(const Workers& workers) {
+  return workers.empty() ? 0 : workers.front().size();
+}
+
+inline std::vector<float> reduce(switchml::AggregationSession& session,
+                                 const Workers& workers) {
+  std::vector<float> out(length_of(workers), 0.0f);
+  session.reduce_into(views_of(workers), out);
+  return out;
+}
+
+inline std::vector<float> reduce(switchml::GradientAggregator& agg,
+                                 const Workers& workers) {
+  std::vector<float> out(length_of(workers), 0.0f);
+  agg.reduce(views_of(workers), out);
+  return out;
+}
+
+/// A cluster job's books together with its sum.
+struct JobResult : cluster::JobReport {
+  std::vector<float> result;
+};
+
+inline JobResult reduce(cluster::AggregationService& svc,
+                        std::string_view tenant, const Workers& workers,
+                        double loss_rate = -1.0, int max_retransmits = -1) {
+  JobResult r;
+  r.result.assign(length_of(workers), 0.0f);
+  const auto views = views_of(workers);
+  static_cast<cluster::JobReport&>(r) = svc.reduce(
+      cluster::JobView{tenant, views, loss_rate, max_retransmits}, r.result);
+  return r;
+}
+
+/// An async cluster job: owns the out buffer the job writes into (a moved
+/// vector keeps its storage, so the handle may be moved while in flight).
+/// The gradients must outlive get().
+struct PendingJob {
+  PendingJob() = default;
+  PendingJob(PendingJob&&) = default;
+  /// A dropped handle still waits: the job writes into `result`.
+  ~PendingJob() {
+    if (fut.valid()) fut.wait();
+  }
+
+  std::vector<float> result;
+  std::future<cluster::JobReport> fut;
+
+  JobResult get() {
+    JobResult r;
+    static_cast<cluster::JobReport&>(r) = fut.get();
+    r.result = std::move(result);
+    return r;
+  }
+};
+
+inline PendingJob submit(cluster::AggregationService& svc,
+                         std::string_view tenant, const Workers& workers,
+                         double loss_rate = -1.0, int max_retransmits = -1) {
+  PendingJob p;
+  p.result.assign(length_of(workers), 0.0f);
+  const auto views = views_of(workers);
+  p.fut = svc.submit(
+      cluster::JobView{tenant, views, loss_rate, max_retransmits}, p.result);
+  return p;
+}
+
+}  // namespace fpisa::testkit
