@@ -1,12 +1,13 @@
 #include "cluster/aggregation_service.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <exception>
 #include <memory>
 #include <stdexcept>
 #include <thread>
+
+#include "core/vector_accumulator.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -56,6 +57,8 @@ AggregationService::AggregationService(ClusterOptions opts)
       throw std::invalid_argument("cluster: fault targets unknown shard");
     }
   }
+  switchml::check_wire_params(opts_.loss_rate, opts_.max_retransmits,
+                              opts_.fault);
   if (opts_.fault.enabled && opts_.fault.dead_worker >= 32) {
     throw std::invalid_argument(
         "cluster: fault.dead_worker exceeds the 32-bit worker bitmap");
@@ -514,8 +517,7 @@ void AggregationService::run_pass_task(PassContext& ctx, int shard) {
     if (opts_.fault.enabled) {
       faults = std::make_unique<fault::FaultEngine>(
           opts_.fault,
-          task_seed(opts_.fault.seed, ctx.job_id, shard, ctx.pass),
-          opts_.lanes);
+          task_seed(opts_.fault.seed, ctx.job_id, shard, ctx.pass));
     }
     ShardAccess access(*shards_[s]);
     ShardHooks hooks(*this, shard, ctx.trace, shard_span.id());
@@ -666,21 +668,16 @@ void AggregationService::swap_ranges(std::vector<SlotRange>& ranges,
 
 void AggregationService::run_job(const JobView& job, std::span<float> out,
                                  JobReport& report) {
-  if (job.workers.empty()) {
-    throw std::invalid_argument("cluster: job has no workers");
-  }
+  core::check_views(job.workers, out.size(), "cluster");
   if (job.workers.size() > 32) {
     throw std::invalid_argument("cluster: bitmap is 32 bits wide");
   }
-  const std::size_t n = job.workers.front().size();
-  for (const auto w : job.workers) {
-    if (w.size() != n) {
-      throw std::invalid_argument("cluster: worker vectors differ in length");
-    }
-  }
-  if (out.size() != n) {
-    throw std::invalid_argument("cluster: out span length mismatch");
-  }
+  // A negative override inherits the service's value; NaN does not.
+  const JobParams params{
+      job.loss_rate < 0.0 ? opts_.loss_rate : job.loss_rate,
+      job.max_retransmits < 0 ? opts_.max_retransmits : job.max_retransmits};
+  switchml::check_wire_params(params.loss_rate, params.max_retransmits);
+  const std::size_t n = out.size();
 
   // Tracing is opt-in per service: acquire pairs with attach_trace's
   // release, so the parent id is coherent with the pointer. Validation
@@ -775,12 +772,7 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
     if (!ranges[s].empty()) scrub_range(*shards_[s], ranges[s]);
   };
 
-  const JobParams params{
-      job.loss_rate >= 0.0 ? job.loss_rate : opts_.loss_rate,
-      job.max_retransmits >= 0 ? job.max_retransmits : opts_.max_retransmits};
   const auto num_workers = static_cast<int>(job.workers.size());
-  const bool degrade =
-      opts_.fault.dead_worker_policy == fault::DeadWorkerPolicy::kDegrade;
 
   std::exception_ptr error;
   int reroutes = 0;
@@ -844,11 +836,9 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
     // the dead shards' chunks retry (failover).
     const bool replay = worker_dead && !fatal;
     if (replay) {
-      const std::uint32_t bit = 1u << static_cast<unsigned>(dead_worker);
-      ++failover_delta.faults.workers_declared_dead;
-      failover_delta.dead_workers |= bit;
-      dead_mask |= bit;
-      if (!degrade || std::popcount(dead_mask) >= num_workers ||
+      if (!switchml::declare_dead_worker(dead_worker, job.workers.size(),
+                                         opts_.fault.dead_worker_policy,
+                                         failover_delta, dead_mask) ||
           ++worker_replays > num_workers) {
         error = worker_dead;
         break;

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/vector_accumulator.h"
 #include "net/link.h"
 
 namespace fpisa::cluster {
@@ -128,15 +129,8 @@ void HierarchicalAggregator::reduce_into(
   if (static_cast<int>(workers.size()) != total_workers()) {
     throw std::invalid_argument("hierarchy: wrong worker count");
   }
-  const std::size_t n = workers.front().size();
-  for (const auto w : workers) {
-    if (w.size() != n) {
-      throw std::invalid_argument("hierarchy: worker vectors differ");
-    }
-  }
-  if (result.size() != n) {
-    throw std::invalid_argument("hierarchy: out span length mismatch");
-  }
+  core::check_views(workers, result.size(), "hierarchy");
+  const std::size_t n = result.size();
   std::fill(result.begin(), result.end(), 0.0f);
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   const std::size_t chunks = (n + lanes - 1) / lanes;

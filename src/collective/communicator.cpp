@@ -5,6 +5,8 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "core/vector_accumulator.h"
+
 namespace fpisa::collective {
 namespace {
 
@@ -30,8 +32,8 @@ float mean_scale(std::size_t num_workers, std::uint32_t dead_workers) {
 /// packet wave structure: the whole reduce is one "wave", so only a worker
 /// dead from wave 0 is ever missing, and the wire-level knobs
 /// (corruption/reorder/dup/wipe) have nothing to act on. Returns the dead
-/// worker's index (booked into `network`) or -1; kAbort throws
-/// fault::WorkerDeadError.
+/// worker's index (booked into `network`) or -1; throws
+/// fault::WorkerDeadError under kAbort or when no worker survives.
 int wave0_dead_worker(const fault::FaultOptions& fault,
                       std::size_t num_workers,
                       switchml::SessionStats& network) {
@@ -40,32 +42,16 @@ int wave0_dead_worker(const fault::FaultOptions& fault,
       fault.dead_worker_wave != 0) {
     return -1;
   }
-  if (fault.dead_worker_policy == fault::DeadWorkerPolicy::kAbort) {
+  std::uint32_t dead_mask = 0;
+  if (!switchml::declare_dead_worker(fault.dead_worker, num_workers,
+                                     fault.dead_worker_policy, network,
+                                     dead_mask)) {
     throw fault::WorkerDeadError(fault.dead_worker, 0);
   }
-  network.dead_workers = 1u << static_cast<unsigned>(fault.dead_worker);
-  ++network.faults.workers_declared_dead;
   return fault.dead_worker;
 }
 
 }  // namespace
-
-void Communicator::validate(std::span<const std::span<const float>> workers,
-                            std::span<float> out) {
-  if (workers.empty()) {
-    throw std::invalid_argument("collective: allreduce with no workers");
-  }
-  const std::size_t n = workers.front().size();
-  for (const auto w : workers) {
-    if (w.size() != n) {
-      throw std::invalid_argument(
-          "collective: worker views differ in length");
-    }
-  }
-  if (out.size() != n) {
-    throw std::invalid_argument("collective: out span length mismatch");
-  }
-}
 
 void Communicator::ensure_metrics() const {
   std::call_once(metrics_once_, [this] {
@@ -104,7 +90,7 @@ void Communicator::set_trace(telemetry::Trace* trace,
 ReduceStats Communicator::run_and_finish(
     std::span<const std::span<const float>> workers, std::span<float> out,
     ReduceOp op, std::string_view tenant) FPISA_NO_THREAD_SAFETY_ANALYSIS {
-  validate(workers, out);
+  core::check_views(workers, out.size(), "collective");
   // Single-substrate backends (one session / one aggregator / one tree)
   // are not internally synchronized; serialize their jobs so concurrent
   // allreduce calls — or deferred JobHandles waited from several threads —
@@ -341,7 +327,7 @@ JobHandle ClusterCommunicator::submit(const WorkerViews& workers,
   // the deferred wrapper collects the report at wait() time and runs the
   // shared finish step (kMean scale, wall clock since submission, metrics,
   // span).
-  validate(workers.views(), out);
+  core::check_views(workers.views(), out.size(), "collective");
   const std::string_view key = tenant.empty() ? kDefaultTenant : tenant;
   const auto t0 = std::chrono::steady_clock::now();
   std::future<cluster::JobReport> inner =

@@ -169,10 +169,12 @@ class Communicator {
   /// factory copies them into the session/cluster options before
   /// construction. Worker death applies to EVERY backend: the wire
   /// backends detect it at the wave deadline; host/tree have no wire, so a
-  /// worker dead from wave 0 simply never contributes (kAbort throws
-  /// fault::WorkerDeadError, kDegrade reduces over the survivors and
-  /// reports the mask in ReduceStats::network.dead_workers). ReduceOp::kMean
-  /// always averages over the *survivors* of the job.
+  /// worker dead from wave 0 simply never contributes. Every backend
+  /// declares it through switchml::declare_dead_worker: kDegrade reduces
+  /// over the survivors and reports the mask in
+  /// ReduceStats::network.dead_workers; kAbort, or a job with no survivor,
+  /// throws fault::WorkerDeadError. ReduceOp::kMean always averages over
+  /// the *survivors* of the job.
   void set_fault_options(const fault::FaultOptions& fault) { fault_ = fault; }
   const fault::FaultOptions& fault_options() const { return fault_; }
 
@@ -218,9 +220,6 @@ class Communicator {
                      std::span<float> out, ReduceOp op,
                      std::size_t num_workers, std::string_view tenant,
                      Job&& job);
-  /// Shape checks shared by every entry point; throws std::invalid_argument.
-  static void validate(std::span<const std::span<const float>> workers,
-                       std::span<float> out);
   static JobHandle wrap(std::future<ReduceStats> fut) {
     return JobHandle(std::move(fut));
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace fpisa::core {
 namespace {
@@ -103,8 +105,7 @@ void FpisaVector::reset() {
 
 OpCounters aggregate_into(std::span<const std::span<const float>> workers,
                           std::span<float> out, AccumulatorConfig cfg) {
-  assert(!workers.empty());
-  assert(out.size() == workers.front().size());
+  check_views(workers, out.size(), "aggregate_into");
   FpisaVector acc(out.size(), cfg);
   if (cfg.format.total_bits == 32) {
     for (const auto w : workers) acc.add(w);
@@ -121,13 +122,26 @@ OpCounters aggregate_into(std::span<const std::span<const float>> workers,
   return acc.counters();
 }
 
+void check_views(std::span<const std::span<const float>> workers,
+                 std::size_t out_size, std::string_view who) {
+  const auto fail = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (workers.empty()) fail("no workers");
+  for (const auto w : workers) {
+    if (w.size() != workers.front().size()) {
+      fail("worker views differ in length");
+    }
+  }
+  if (out_size != workers.front().size()) fail("out span length mismatch");
+}
+
 AggregateResult aggregate(std::span<const std::vector<float>> workers,
                           AccumulatorConfig cfg) {
-  assert(!workers.empty());
   const std::vector<std::span<const float>> views(workers.begin(),
                                                   workers.end());
   AggregateResult out;
-  out.sum.resize(workers.front().size());
+  out.sum.resize(workers.empty() ? 0 : workers.front().size());
   out.counters = aggregate_into(views, out.sum, cfg);
   return out;
 }

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/accumulator.h"
@@ -65,5 +66,11 @@ AggregateResult aggregate(std::span<const std::vector<float>> workers,
 /// this.
 OpCounters aggregate_into(std::span<const std::span<const float>> workers,
                           std::span<float> out, AccumulatorConfig cfg = {});
+
+/// The one shape check for a reduce over worker views, in every build:
+/// throws std::invalid_argument (prefixed with `who`) unless there is at
+/// least one view, every view has one length, and out_size is that length.
+void check_views(std::span<const std::span<const float>> workers,
+                 std::size_t out_size, std::string_view who);
 
 }  // namespace fpisa::core

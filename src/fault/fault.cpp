@@ -1,103 +1,69 @@
 #include "fault/fault.h"
 
+#include <algorithm>
 #include <utility>
-
-#include "pisa/fpisa_program.h"
 
 namespace fpisa::fault {
 
-FaultEngine::FaultEngine(const FaultOptions& opts, std::uint64_t stream_seed,
-                         int lanes)
-    : opts_(opts), rng_(stream_seed), lanes_(lanes) {}
+FaultEngine::FaultEngine(const FaultOptions& opts, std::uint64_t stream_seed)
+    : opts_(opts), rng_(stream_seed) {}
 
-void FaultEngine::begin_wave(std::size_t wave) {
-  wave_ = wave;
-  // Ghosts captured before this wave land now, ahead of the wave's fresh
+void FaultEngine::begin_wave(WaveQueue& queue) {
+  // Ghosts captured in earlier waves land now, ahead of the wave's fresh
   // traffic: by this point their slot has been reset (epoch bumped) and
   // reused, so only the stamp distinguishes them from real contributions.
-  std::size_t kept = 0;
-  for (auto& g : ghosts_) {
-    if (g.captured_wave < wave) {
-      push(g.slot, g.worker, g.stamp, g.checksum, g.values);
-    } else {
-      ghosts_[kept++] = std::move(g);
-    }
+  for (const Ghost& g : ghosts_) {
+    queue.push(g.slot, g.worker, g.stamp, g.values);
   }
-  ghosts_.resize(kept);
+  ghosts_.clear();
 }
 
-bool FaultEngine::deliver(std::uint16_t slot, std::uint8_t worker,
-                          std::uint32_t stamp,
+bool FaultEngine::deliver(WaveQueue& queue, std::uint16_t slot,
+                          std::uint8_t worker, std::uint32_t stamp,
                           std::span<const std::uint32_t> values) {
-  // Checksum over the clean payload first: a bit flipped in flight is
-  // exactly what the switch-side guard is meant to catch.
-  const std::uint16_t cs = pisa::fpisa_checksum(slot, worker, stamp, values);
+  // The push checksums the clean payload first: a bit flipped in flight
+  // afterwards is exactly what the switch-side guard is meant to catch.
   const bool corrupted = rng_.next_double() < opts_.corrupt_rate;
-  push(slot, worker, stamp, cs, values);
+  queue.push(slot, worker, stamp, values);
   if (corrupted) {
-    const std::size_t lane = values.size() > 1
-                                 ? static_cast<std::size_t>(
-                                       rng_.uniform_int(
-                                           0, static_cast<int>(values.size()) -
-                                                  1))
-                                 : 0;
+    const int last = static_cast<int>(values.size()) - 1;
+    const int lane = last > 0 ? rng_.uniform_int(0, last) : 0;
     const int bit = rng_.uniform_int(0, 31);
-    values_[values_.size() - values.size() + lane] ^= (1u << bit);
+    queue.values[queue.values.size() - values.size() +
+                 static_cast<std::size_t>(lane)] ^= 1u << bit;
     return false;
   }
   if (rng_.next_double() < opts_.dup_rate) {
     // Immediate duplicate in the same wave: the dedup bitmap absorbs it.
-    push(slot, worker, stamp, cs, values);
+    queue.push(slot, worker, stamp, values);
   }
   if (rng_.next_double() < opts_.stale_dup_rate) {
     // Capture a ghost: this copy is "still in flight" and will land in a
     // later wave, after round-robin slot reuse.
-    ghosts_.push_back(Ghost{slot, worker, stamp, cs,
+    ghosts_.push_back(Ghost{slot, worker, stamp,
                             std::vector<std::uint32_t>(values.begin(),
-                                                       values.end()),
-                            wave_});
+                                                       values.end())});
   }
   return true;
 }
 
-void FaultEngine::shuffle_pending() {
-  if (opts_.reorder_rate <= 0.0 || slots_.size() < 2) return;
+void FaultEngine::shuffle(WaveQueue& queue) {
+  const std::size_t n = queue.size();
+  if (opts_.reorder_rate <= 0.0 || n < 2) return;
   // Adjacent swaps across DIFFERENT slots only. Per-slot relative order is
   // invariant (a same-slot pair can never be directly swapped), so every
   // slot's register sees the same arrival sequence and results stay
   // bit-identical to the unshuffled batch.
-  for (std::size_t i = 0; i + 1 < slots_.size(); ++i) {
-    if (slots_[i] == slots_[i + 1]) continue;
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    if (queue.slots[i] == queue.slots[i + 1]) continue;
     if (rng_.next_double() >= opts_.reorder_rate) continue;
-    std::swap(slots_[i], slots_[i + 1]);
-    std::swap(workers_[i], workers_[i + 1]);
-    std::swap(stamps_[i], stamps_[i + 1]);
-    std::swap(checksums_[i], checksums_[i + 1]);
-    const std::size_t a = i * static_cast<std::size_t>(lanes_);
-    const std::size_t b = (i + 1) * static_cast<std::size_t>(lanes_);
-    for (int l = 0; l < lanes_; ++l) {
-      std::swap(values_[a + static_cast<std::size_t>(l)],
-                values_[b + static_cast<std::size_t>(l)]);
-    }
+    std::swap(queue.slots[i], queue.slots[i + 1]);
+    std::swap(queue.workers[i], queue.workers[i + 1]);
+    std::swap(queue.stamps[i], queue.stamps[i + 1]);
+    std::swap(queue.checksums[i], queue.checksums[i + 1]);
+    std::uint32_t* a = queue.values.data() + i * queue.lanes;
+    std::swap_ranges(a, a + queue.lanes, a + queue.lanes);
   }
-}
-
-void FaultEngine::clear_pending() {
-  slots_.clear();
-  workers_.clear();
-  stamps_.clear();
-  checksums_.clear();
-  values_.clear();
-}
-
-void FaultEngine::push(std::uint16_t slot, std::uint8_t worker,
-                       std::uint32_t stamp, std::uint16_t checksum,
-                       std::span<const std::uint32_t> values) {
-  slots_.push_back(slot);
-  workers_.push_back(worker);
-  stamps_.push_back(stamp);
-  checksums_.push_back(checksum);
-  values_.insert(values_.end(), values.begin(), values.end());
 }
 
 ChaosMix draw_chaos_mix(std::uint64_t seed) {

@@ -14,7 +14,7 @@
 //     in a LATER wave, after round-robin slot reuse has reset and
 //     re-occupied its slot — only the epoch stamp tells it apart from a
 //     fresh contribution;
-//   - packet reordering: the pending wave batch is shuffled with adjacent
+//   - packet reordering: the wave queue is shuffled with adjacent
 //     swaps across *different* slots only, which provably cannot change
 //     any per-slot arrival order (and therefore cannot change results);
 //   - worker death: one worker goes silent from a chosen wave onward;
@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "pisa/fpisa_program.h"
 #include "util/rng.h"
 
 namespace fpisa::fault {
@@ -105,17 +106,53 @@ class WorkerDeadError : public std::runtime_error {
   std::size_t wave_;
 };
 
-// Per-(job, shard, pass) deterministic injector. The host protocol feeds
-// every delivered copy through deliver(); the engine buffers the wave
-// batch (so it can corrupt, duplicate, reorder, and hold back ghosts) and
-// the protocol flushes the arrays through the switch's guarded add path.
+// One wave's packets in arrival order, in the column layout the switch's
+// batch ingress takes; entry i's payload is values[i*lanes .. +lanes). The
+// wave engine owns the only queue: every copy that reaches the switch --
+// clean, duplicated, corrupted, ghost, or replayed after a wipe -- enters
+// through push(). Guarded queues also fill the stamp column and the
+// checksum column, computed here over the clean payload; plain queues
+// leave both empty.
+struct WaveQueue {
+  explicit WaveQueue(std::size_t lanes) : lanes(lanes) {}
+
+  void push(std::uint16_t slot, std::uint8_t worker, std::uint32_t stamp,
+            std::span<const std::uint32_t> payload) {
+    slots.push_back(slot);
+    workers.push_back(worker);
+    values.insert(values.end(), payload.begin(), payload.end());
+    if (guarded) {
+      stamps.push_back(stamp);
+      checksums.push_back(pisa::fpisa_checksum(slot, worker, stamp, payload));
+    }
+  }
+  std::size_t size() const { return slots.size(); }
+  void clear() {
+    slots.clear();
+    workers.clear();
+    stamps.clear();
+    checksums.clear();
+    values.clear();
+  }
+
+  std::size_t lanes;
+  bool guarded = false;
+  std::vector<std::uint16_t> slots;
+  std::vector<std::uint8_t> workers;
+  std::vector<std::uint32_t> stamps;
+  std::vector<std::uint16_t> checksums;
+  std::vector<std::uint32_t> values;
+};
+
+// Per-(job, shard, pass) deterministic injector. It owns the fault RNG
+// stream and the captured ghosts, not a queue: begin_wave, deliver and
+// shuffle edit the wave engine's guarded WaveQueue in place, which then
+// lands through the switch's guarded add path.
 class FaultEngine {
  public:
   // stream_seed identifies this engine's RNG stream (derive it per shard
-  // and pass so replays are independent); lanes is the payload width of
-  // every delivered copy.
-  FaultEngine(const FaultOptions& opts, std::uint64_t stream_seed,
-              int lanes);
+  // and pass so replays are independent).
+  FaultEngine(const FaultOptions& opts, std::uint64_t stream_seed);
 
   const FaultOptions& options() const { return opts_; }
 
@@ -135,32 +172,23 @@ class FaultEngine {
     return true;
   }
 
-  // Start a wave: ghosts captured in earlier waves are released to the
-  // FRONT of this wave's pending batch (they are "in flight" longer than
-  // one wave, landing after their slot was reused).
-  void begin_wave(std::size_t wave);
+  // Start a wave: every ghost captured in an earlier wave is pushed onto
+  // the (empty) queue ahead of the wave's fresh traffic (they are "in
+  // flight" longer than one wave, landing after their slot was reused).
+  // Waves begin in order, and drop_ghosts() precedes a restart.
+  void begin_wave(WaveQueue& queue);
 
-  // Inject one delivered copy into the pending batch. Returns false when
-  // this copy was corrupted in flight — the switch guard will reject it,
-  // so the caller must treat the attempt as undelivered (keep
+  // Push one delivered copy onto the queue, then inject into it. Returns
+  // false when this copy was corrupted in flight -- the switch guard will
+  // reject it, so the caller must treat the attempt as undelivered (keep
   // retransmitting, no ack possible).
-  bool deliver(std::uint16_t slot, std::uint8_t worker, std::uint32_t stamp,
-               std::span<const std::uint32_t> values);
+  bool deliver(WaveQueue& queue, std::uint16_t slot, std::uint8_t worker,
+               std::uint32_t stamp, std::span<const std::uint32_t> values);
 
-  // Reorder the pending batch: adjacent swaps across different slots only,
+  // Reorder the queue: adjacent swaps across different slots only,
   // preserving per-slot FIFO order (results stay bit-identical).
-  void shuffle_pending();
+  void shuffle(WaveQueue& queue);
 
-  // Flat pending-batch accessors; entry i's payload is
-  // values()[i*lanes .. i*lanes+lanes).
-  std::size_t pending() const { return slots_.size(); }
-  std::span<const std::uint16_t> slots() const { return slots_; }
-  std::span<const std::uint8_t> workers() const { return workers_; }
-  std::span<const std::uint32_t> stamps() const { return stamps_; }
-  std::span<const std::uint16_t> checksums() const { return checksums_; }
-  std::span<const std::uint32_t> values() const { return values_; }
-
-  void clear_pending();
   // Forget captured ghosts (degrade restart: the replayed job must not
   // receive stale copies from the aborted attempt).
   void drop_ghosts() { ghosts_.clear(); }
@@ -170,25 +198,12 @@ class FaultEngine {
     std::uint16_t slot;
     std::uint8_t worker;
     std::uint32_t stamp;
-    std::uint16_t checksum;
     std::vector<std::uint32_t> values;
-    std::size_t captured_wave;
   };
-
-  void push(std::uint16_t slot, std::uint8_t worker, std::uint32_t stamp,
-            std::uint16_t checksum, std::span<const std::uint32_t> values);
 
   FaultOptions opts_;
   util::Rng rng_;
-  int lanes_;
-  std::size_t wave_ = 0;
   bool wipe_fired_ = false;
-
-  std::vector<std::uint16_t> slots_;
-  std::vector<std::uint8_t> workers_;
-  std::vector<std::uint32_t> stamps_;
-  std::vector<std::uint16_t> checksums_;
-  std::vector<std::uint32_t> values_;
   std::vector<Ghost> ghosts_;
 };
 

@@ -1,7 +1,6 @@
 #include "switchml/aggregator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 #include "core/packed.h"
@@ -10,7 +9,7 @@ namespace fpisa::switchml {
 
 void ExactAggregator::reduce(std::span<const std::span<const float>> workers,
                              std::span<float> out) {
-  assert(!workers.empty());
+  core::check_views(workers, out.size(), name());
   std::vector<double> acc(out.size(), 0.0);
   for (const auto w : workers) {
     for (std::size_t i = 0; i < w.size(); ++i) {
@@ -24,7 +23,7 @@ void ExactAggregator::reduce(std::span<const std::span<const float>> workers,
 
 void FloatSumAggregator::reduce(
     std::span<const std::span<const float>> workers, std::span<float> out) {
-  assert(!workers.empty());
+  core::check_views(workers, out.size(), name());
   std::fill(out.begin(), out.end(), 0.0f);
   for (const auto w : workers) {
     for (std::size_t i = 0; i < w.size(); ++i) out[i] += w[i];
@@ -33,7 +32,7 @@ void FloatSumAggregator::reduce(
 
 void PackedSumAggregator::reduce(
     std::span<const std::span<const float>> workers, std::span<float> out) {
-  assert(!workers.empty());
+  core::check_views(workers, out.size(), name());
   std::fill(out.begin(), out.end(), 0.0f);
   for (const auto w : workers) {
     for (std::size_t i = 0; i < w.size(); ++i) {
@@ -49,7 +48,7 @@ void PackedSumAggregator::reduce(
 
 void SwitchMlAggregator::reduce(
     std::span<const std::span<const float>> workers, std::span<float> out) {
-  assert(!workers.empty());
+  core::check_views(workers, out.size(), name());
   const std::size_t n = out.size();
   const auto w_count = static_cast<double>(workers.size());
   std::fill(out.begin(), out.end(), 0.0f);

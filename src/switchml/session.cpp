@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+
+#include "core/vector_accumulator.h"
 
 namespace fpisa::switchml {
 namespace {
@@ -17,6 +18,7 @@ SessionOptions validated(SessionOptions opts) {
   if (opts.num_workers > 32) {
     throw std::invalid_argument("session: bitmap is 32 bits wide");
   }
+  check_wire_params(opts.loss_rate, opts.max_retransmits, opts.fault);
   return opts;
 }
 
@@ -79,15 +81,8 @@ void AggregationSession::reduce_into(
     throw std::invalid_argument(
         "session: worker count does not match num_workers");
   }
-  const std::size_t n = workers.front().size();
-  for (const auto w : workers) {
-    if (w.size() != n) {
-      throw std::invalid_argument("session: worker vectors differ in length");
-    }
-  }
-  if (out.size() != n) {
-    throw std::invalid_argument("session: out span length mismatch");
-  }
+  core::check_views(workers, out.size(), "session");
+  const std::size_t n = out.size();
   std::fill(out.begin(), out.end(), 0.0f);
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   if (chunk_ids_.size() != (n + lanes - 1) / lanes) {
@@ -112,18 +107,16 @@ void AggregationSession::reduce_into(
   }
   // Guarded protocol: one deterministic fault stream per reduce, and a
   // dead-worker policy around the engine.
-  fault::FaultEngine faults(opts_.fault, opts_.fault.seed, opts_.lanes);
+  fault::FaultEngine faults(opts_.fault, opts_.fault.seed);
   job.faults = &faults;
   for (;;) {
     try {
       engine_.run(access, job);
       return;
     } catch (const fault::WorkerDeadError& e) {
-      stats_.faults.workers_declared_dead++;
-      stats_.dead_workers |= 1u << e.worker();
-      job.dead_mask |= 1u << e.worker();
-      if (opts_.fault.dead_worker_policy == fault::DeadWorkerPolicy::kAbort ||
-          std::popcount(job.dead_mask) >= opts_.num_workers) {
+      if (!declare_dead_worker(e.worker(), workers.size(),
+                               opts_.fault.dead_worker_policy, stats_,
+                               job.dead_mask)) {
         throw;
       }
       // Degrade: abandon the partial attempt — scrub every slot (bumps the
@@ -131,7 +124,6 @@ void AggregationSession::reduce_into(
       // stale), forget the engine's ghosts, and rerun the job over the
       // survivors.
       engine_.scrub(access, 0, opts_.slots);
-      faults.clear_pending();
       faults.drop_ghosts();
       stats_.faults.epoch_bumps++;
     }

@@ -15,7 +15,38 @@ std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+std::size_t checked_lanes(int lanes) {
+  if (lanes < 1) {
+    throw std::invalid_argument("wave engine: lanes must be at least 1");
+  }
+  return static_cast<std::size_t>(lanes);
+}
+
 }  // namespace
+
+void check_wire_params(double loss_rate, int max_retransmits,
+                       const fault::FaultOptions& fault) {
+  for (const double p : {loss_rate, fault.corrupt_rate, fault.reorder_rate,
+                         fault.dup_rate, fault.stale_dup_rate}) {
+    if (!(p >= 0.0 && p <= 1.0)) {
+      throw std::invalid_argument("loss and fault rates must be in [0, 1]");
+    }
+  }
+  if (max_retransmits < 0) {
+    throw std::invalid_argument("max_retransmits must be non-negative");
+  }
+}
+
+bool declare_dead_worker(int worker, std::size_t num_workers,
+                         fault::DeadWorkerPolicy policy, SessionStats& stats,
+                         std::uint32_t& dead_mask) {
+  const std::uint32_t bit = 1u << static_cast<unsigned>(worker);
+  ++stats.faults.workers_declared_dead;
+  stats.dead_workers |= bit;
+  dead_mask |= bit;
+  return policy == fault::DeadWorkerPolicy::kDegrade &&
+         static_cast<std::size_t>(std::popcount(dead_mask)) < num_workers;
+}
 
 CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
                                       int max_retransmits, util::Rng& rng,
@@ -82,7 +113,7 @@ void WaveHooks::fail(WaveFailure failure, std::uint16_t slot, int worker) {
 }
 
 WaveEngine::WaveEngine(int lanes)
-    : lanes_(static_cast<std::size_t>(lanes)), lane_buf_(lanes_, 0) {}
+    : lanes_(checked_lanes(lanes)), lane_buf_(lanes_, 0), queue_(lanes_) {}
 
 void WaveEngine::load_lanes(const WaveJob& job, std::size_t w,
                             std::size_t c) {
@@ -91,6 +122,25 @@ void WaveEngine::load_lanes(const WaveJob& job, std::size_t w,
   for (std::size_t l = 0; l < lanes_; ++l) {
     lane_buf_[l] = i0 + l < v.size() ? core::fp32_bits(v[i0 + l]) : 0;
   }
+}
+
+template <class Fn>
+bool WaveEngine::pack(const WaveJob& job, std::size_t wave, std::size_t k0,
+                      std::size_t k1, Fn&& fn) {
+  const std::size_t base = wave * job.wave;
+  for (std::size_t k = k0; k < k1; ++k) {
+    const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
+    for (std::size_t w = 0; w < job.workers.size(); ++w) {
+      if ((job.dead_mask >> w) & 1u) continue;
+      if (job.faults != nullptr &&
+          job.faults->worker_silent(static_cast<int>(w), wave)) {
+        continue;  // injected death: this worker's packets never arrive
+      }
+      load_lanes(job, w, job.chunks[k]);
+      if (!fn(slot, w)) return false;
+    }
+  }
+  return true;
 }
 
 bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
@@ -105,16 +155,13 @@ bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
       ++st.packets_lost;
       continue;  // request lost: retransmit after "timeout"
     }
-    if (job.faults != nullptr) {
+    if (job.faults == nullptr) {
+      queue_.push(slot, id, 0, lane_buf_);
+    } else if (!job.faults->deliver(queue_, slot, id, stamps_[slot - job.lo],
+                                    lane_buf_)) {
       // A corrupted copy still reaches the switch (whose guard rejects
       // it) but can never be acked: keep retransmitting.
-      if (!job.faults->deliver(slot, id, stamps_[slot - job.lo], lane_buf_)) {
-        continue;
-      }
-    } else {
-      slots_.push_back(slot);
-      workers_.push_back(id);
-      values_.insert(values_.end(), lane_buf_.begin(), lane_buf_.end());
+      continue;
     }
     if (delivered_before) ++st.duplicates_absorbed;
     delivered_before = true;
@@ -134,56 +181,33 @@ WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
   const std::size_t base = wave * job.wave;
   const std::size_t end = std::min(base + job.wave, job.chunks.size());
   const std::size_t mid = base + (end - base) / 2;
-  if (job.faults != nullptr) job.faults->begin_wave(wave);
-  for (std::size_t k = base; k < end && e.ok; ++k) {
-    if (k == mid && hooks.kill_mid_add(wave)) {
-      e.killed = true;
-      break;
-    }
-    const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
-    for (std::size_t w = 0; w < job.workers.size(); ++w) {
-      if ((job.dead_mask >> w) & 1u) continue;
-      if (job.faults != nullptr &&
-          job.faults->worker_silent(static_cast<int>(w), wave)) {
-        continue;  // injected death: this worker's packets never arrive
-      }
-      load_lanes(job, w, job.chunks[k]);
-      if (!send(job, slot, id_of(job, w))) {
-        e.ok = false;
-        e.slot = slot;
-        e.worker = static_cast<int>(w);
-        break;
-      }
-    }
+  if (job.faults != nullptr) job.faults->begin_wave(queue_);
+  const auto send_one = [&](std::uint16_t slot, std::size_t w) {
+    if (send(job, slot, id_of(job, w))) return true;
+    e.ok = false;
+    e.slot = slot;
+    e.worker = static_cast<int>(w);
+    return false;
+  };
+  if (pack(job, wave, base, mid, send_one)) {
+    e.killed = hooks.kill_mid_add(wave);
+    if (!e.killed) pack(job, wave, mid, end, send_one);
   }
   e.ns = ns_between(t0, Clock::now());
   return e;
 }
 
-void WaveEngine::flush(SwitchAccess& sw, const WaveJob& job) {
-  if (job.faults != nullptr) {
-    fault::FaultEngine& f = *job.faults;
-    f.shuffle_pending();
-    if (f.pending() != 0) {
-      pisa::FpisaSwitch::GuardStats guard;
-      sw.with([&](pisa::FpisaSwitch& s) {
-        s.add_batch_guarded(f.slots(), f.workers(), f.stamps(),
-                            f.checksums(), f.values(), guard);
-      });
-      job.stats->faults.corrupt_rejected += guard.corrupt_rejected;
-      job.stats->faults.stale_dups_rejected += guard.stale_rejected;
-    }
-    f.clear_pending();
-    return;
+void WaveEngine::land(pisa::FpisaSwitch& sw, const WaveJob& job) {
+  if (queue_.guarded) {
+    pisa::FpisaSwitch::GuardStats guard;
+    sw.add_batch_guarded(queue_.slots, queue_.workers, queue_.stamps,
+                         queue_.checksums, queue_.values, guard);
+    job.stats->faults.corrupt_rejected += guard.corrupt_rejected;
+    job.stats->faults.stale_dups_rejected += guard.stale_rejected;
+  } else {
+    sw.add_batch(queue_.slots, queue_.workers, queue_.values);
   }
-  if (!slots_.empty()) {
-    sw.with([&](pisa::FpisaSwitch& s) {
-      s.add_batch(slots_, workers_, values_);
-    });
-  }
-  slots_.clear();
-  workers_.clear();
-  values_.clear();
+  queue_.clear();
 }
 
 void WaveEngine::resync(pisa::FpisaSwitch& sw, const WaveJob& job) {
@@ -221,32 +245,11 @@ void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
       }
       resync(s, job);
       ++st.faults.epoch_bumps;
-      replay_stamps_.clear();
-      replay_checksums_.clear();
-      for (std::size_t k = base; k < end; ++k) {
-        const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
-        const std::uint32_t stamp = stamps_[k - base];
-        for (std::size_t w = 0; w < job.workers.size(); ++w) {
-          if ((job.dead_mask >> w) & 1u) continue;
-          if (f.worker_silent(static_cast<int>(w), wave)) continue;
-          load_lanes(job, w, job.chunks[k]);
-          const std::uint8_t id = id_of(job, w);
-          slots_.push_back(slot);
-          workers_.push_back(id);
-          values_.insert(values_.end(), lane_buf_.begin(), lane_buf_.end());
-          replay_stamps_.push_back(stamp);
-          replay_checksums_.push_back(
-              pisa::fpisa_checksum(slot, id, stamp, lane_buf_));
-        }
-      }
-      pisa::FpisaSwitch::GuardStats guard;
-      s.add_batch_guarded(slots_, workers_, replay_stamps_, replay_checksums_,
-                          values_, guard);
-      st.faults.corrupt_rejected += guard.corrupt_rejected;
-      st.faults.stale_dups_rejected += guard.stale_rejected;
-      slots_.clear();
-      workers_.clear();
-      values_.clear();
+      pack(job, wave, base, end, [&](std::uint16_t slot, std::size_t w) {
+        queue_.push(slot, id_of(job, w), stamps_[slot - job.lo], lane_buf_);
+        return true;
+      });
+      land(s, job);
       ++st.faults.waves_replayed;
     }
     s.read_batch(job.lo, wave_n, {wave_values_.data(), wave_n * lanes_},
@@ -314,6 +317,8 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
   // stamps that wave k's collect produces (and that a replay after state
   // loss may resync), so they cannot be packed before that collect.
   const bool pipeline = job.pipeline && job.faults == nullptr;
+  queue_.clear();
+  queue_.guarded = job.faults != nullptr;
   wave_values_.resize(job.wave * lanes_);
   if (job.faults != nullptr) {
     sw.with([&](pisa::FpisaSwitch& s) { resync(s, job); });
@@ -326,7 +331,10 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
     const Clock::time_point t_add = Clock::now();
     // The packets queued before a failure still land, so the switch holds
     // exactly the state the per-packet protocol would leave.
-    flush(sw, job);
+    if (job.faults != nullptr) job.faults->shuffle(queue_);
+    if (queue_.size() != 0) {
+      sw.with([&](pisa::FpisaSwitch& s) { land(s, job); });
+    }
     if (enc.killed) hooks.fail(WaveFailure::kKilledMidAdd, job.lo, -1);
     if (!enc.ok) {
       hooks.fail(WaveFailure::kAddExhausted, enc.slot, enc.worker);

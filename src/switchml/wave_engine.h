@@ -21,13 +21,16 @@
 // results, stats and register evolution bit for bit (pinned against the
 // per-packet oracle in tests/wave_oracle.h).
 //
-// Guarded mode (a fault::FaultEngine is supplied) adds the Byzantine-wire
-// recovery protocol: delivered copies pass through the fault engine and
-// carry epoch stamps from a host mirror, the batch lands through
-// add_batch_guarded, a switch wipe is recovered by replaying the wave from
-// the host-held gradients, a worker absent from every slot of a wave is
-// declared dead at the wave deadline, and the mirror epochs advance with
-// every collect.
+// Guarded mode (a fault::FaultEngine is supplied) runs the Byzantine-wire
+// recovery protocol through the same queue, packing loop and landing
+// helper: each copy also carries an epoch stamp from a host mirror and a
+// checksum over its clean payload, the fault engine edits the queue in
+// place, and the wave lands through add_batch_guarded. A wipe is recovered
+// by re-packing the wave, landed under the same switch hold as the wipe and
+// the wave-deadline bitmap probe that finds a silent worker. Guarded waves
+// never pipeline; on the lossy_switch shape (4 x 256K values, 32 lanes, 64
+// slots, 1% loss, fault rates 0) their session p50 is 30-33% above plain
+// (20 alternating plain/guarded sessions per run, 8 runs, 4-core Xeon).
 #pragma once
 
 #include <chrono>
@@ -247,8 +250,24 @@ struct WaveJob {
   WaveHooks* hooks = nullptr;  ///< null: the defaults
 };
 
+/// Throws std::invalid_argument unless loss_rate and every fault rate lie
+/// in [0, 1] (NaN and infinities do not) and max_retransmits >= 0. A NaN
+/// loss rate would book every ack as lost and still return a sum.
+void check_wire_params(double loss_rate, int max_retransmits,
+                       const fault::FaultOptions& fault = {});
+
+/// The one dead-worker declaration (session, cluster job loop, wire-less
+/// collective backends): books `worker` into stats.faults,
+/// stats.dead_workers and `dead_mask`, and returns whether the job may
+/// rerun over the survivors -- only under kDegrade with one of
+/// `num_workers` still alive. On false the caller throws WorkerDeadError.
+bool declare_dead_worker(int worker, std::size_t num_workers,
+                         fault::DeadWorkerPolicy policy, SessionStats& stats,
+                         std::uint32_t& dead_mask);
+
 class WaveEngine {
  public:
+  /// Throws std::invalid_argument unless lanes >= 1.
   explicit WaveEngine(int lanes);
 
   /// Runs every wave of `job`, writing each collected chunk into
@@ -270,10 +289,18 @@ class WaveEngine {
     std::uint64_t ns = 0;
   };
   Encoded encode(const WaveJob& job, WaveHooks& hooks, std::size_t wave);
+  /// The one packing loop: for chunks [k0, k1) of `wave`, packs each live
+  /// worker's payload into lane_buf_ and calls fn(slot, w), in protocol
+  /// order; false as soon as fn returns false.
+  template <class Fn>
+  bool pack(const WaveJob& job, std::size_t wave, std::size_t k0,
+            std::size_t k1, Fn&& fn);
   /// Draws one packet's add loss schedule and queues each delivered copy;
   /// false when the packet exhausts its retransmit budget.
   bool send(const WaveJob& job, std::uint16_t slot, std::uint8_t id);
-  void flush(SwitchAccess& sw, const WaveJob& job);
+  /// Lands the queue on an already-held switch through the plain or the
+  /// guarded batch ingress, books the guard's rejects, and empties it.
+  void land(pisa::FpisaSwitch& sw, const WaveJob& job);
   /// Guarded only: injected wipe, replay after state loss, wave deadline.
   void recover(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave);
@@ -288,18 +315,14 @@ class WaveEngine {
 
   std::size_t lanes_;
   // Reused across waves and runs: no steady-state allocation.
-  std::vector<std::uint16_t> slots_;
-  std::vector<std::uint8_t> workers_;
-  std::vector<std::uint32_t> values_;
   std::vector<std::uint32_t> lane_buf_;
+  fault::WaveQueue queue_;  ///< the only packet queue
   std::vector<std::uint32_t> wave_values_;
-  // Guarded mode: host mirror of the range's slot stamps, the wave
-  // deadline's bitmap probe, and the stamp/checksum columns of a replay.
+  // Guarded mode: host mirror of the range's slot stamps and the wave
+  // deadline's bitmap probe.
   std::vector<std::uint32_t> stamps_;
   std::uint16_t mirror_generation_ = 0;
   std::vector<std::uint32_t> bitmaps_;
-  std::vector<std::uint32_t> replay_stamps_;
-  std::vector<std::uint16_t> replay_checksums_;
 };
 
 }  // namespace fpisa::switchml

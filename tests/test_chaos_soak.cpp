@@ -71,13 +71,45 @@ void expect_bits_equal(const std::vector<float>& got,
   }
 }
 
+// Folds a run's observable outcome into one 64-bit digest (FNV-1a over
+// 64-bit words), so a golden table can pin the guarded path's books.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void fold(std::uint64_t v) { h = (h ^ v) * 0x100000001b3ULL; }
+  void fold(const std::vector<float>& result) {
+    fold(result.size());
+    for (const float v : result) fold(core::fp32_bits(v));
+  }
+  void fold(const fault::WorkerDeadError& e) {
+    fold(0xDEADu);
+    fold(static_cast<std::uint64_t>(e.worker()));
+  }
+  void fold(const switchml::SessionStats& s) {
+    for (const std::uint64_t v :
+         {s.packets_sent, s.packets_lost, s.retransmissions,
+          s.duplicates_absorbed, s.slot_reuses, s.shard_failures,
+          s.chunks_rerouted, s.failover_retries, s.faults.corrupt_rejected,
+          s.faults.stale_dups_rejected, s.faults.epoch_bumps,
+          s.faults.workers_declared_dead, s.faults.waves_replayed,
+          std::uint64_t{s.dead_workers}, s.ops.adds, s.ops.rounded_adds,
+          s.ops.overwrites, s.ops.lshift_overflows, s.ops.saturations,
+          s.ops.nonfinite_inputs, s.ops.zero_inputs}) {
+      fold(v);
+    }
+  }
+};
+
 bool expects_abort(const fault::ChaosMix& mix) {
   return mix.fault.dead_worker >= 0 &&
          mix.fault.dead_worker_policy == fault::DeadWorkerPolicy::kAbort;
 }
 
-void run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
-                      fault::FaultCounters& totals) {
+// Runs one seed through a session; returns the run's digest: the result
+// bits (or the typed error), every SessionStats field, and the switch's
+// dedup hits and packet count.
+std::uint64_t run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
+                               fault::FaultCounters& totals) {
+  Digest d;
   const auto workers =
       make_exact_workers(mix.num_workers, kVectorLen, seed * 7 + 1);
 
@@ -96,9 +128,10 @@ void run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
   if (expects_abort(mix)) {
     try {
       (void)testkit::reduce(session, workers);
-      FAIL() << "kAbort worker death must surface WorkerDeadError";
+      ADD_FAILURE() << "kAbort worker death must surface WorkerDeadError";
     } catch (const fault::WorkerDeadError& e) {
       EXPECT_EQ(e.worker(), mix.fault.dead_worker);
+      d.fold(e);
     }
     // Books intact after the typed failure.
     EXPECT_EQ(session.stats().dead_workers,
@@ -106,6 +139,7 @@ void run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
     EXPECT_GE(session.stats().faults.workers_declared_dead, 1u);
   } else {
     const auto got = testkit::reduce(session, workers);
+    d.fold(got);
     if (mix.fault.dead_worker >= 0) {
       // Degrade: the survivors' clean sum, bit for bit.
       switchml::SessionOptions ref = opts;
@@ -123,10 +157,18 @@ void run_session_seed(std::uint64_t seed, const fault::ChaosMix& mix,
     EXPECT_EQ(session.fpisa_switch().occupied_slots(), 0);
   }
   totals += session.stats().faults;
+  d.fold(session.stats());
+  d.fold(session.fpisa_switch().dedup_hits());
+  d.fold(session.fpisa_switch().sim().packets_processed());
+  return d.h;
 }
 
-void run_cluster_seed(std::uint64_t seed, const fault::ChaosMix& mix,
-                      fault::FaultCounters& totals) {
+// Runs one seed through the cluster fabric; returns the run's digest: the
+// result bits (or the typed error), every SessionStats field of the job
+// and of each shard, and the fabric's cumulative books.
+std::uint64_t run_cluster_seed(std::uint64_t seed, const fault::ChaosMix& mix,
+                               fault::FaultCounters& totals) {
+  Digest d;
   const auto workers =
       make_exact_workers(mix.num_workers, kVectorLen, seed * 7 + 1);
 
@@ -151,9 +193,10 @@ void run_cluster_seed(std::uint64_t seed, const fault::ChaosMix& mix,
   if (expects_abort(mix)) {
     try {
       (void)testkit::reduce(svc, "soak", workers);
-      FAIL() << "kAbort worker death must surface WorkerDeadError";
+      ADD_FAILURE() << "kAbort worker death must surface WorkerDeadError";
     } catch (const fault::WorkerDeadError& e) {
       EXPECT_EQ(e.worker(), mix.fault.dead_worker);
+      d.fold(e);
     }
     // SLO and job books survive the typed failure.
     EXPECT_EQ(svc.jobs_failed(), 1u);
@@ -161,6 +204,9 @@ void run_cluster_seed(std::uint64_t seed, const fault::ChaosMix& mix,
     EXPECT_EQ(svc.tenant_slo("soak").jobs_failed, 1u);
   } else {
     const testkit::JobResult report = testkit::reduce(svc, "soak", workers);
+    d.fold(report.result);
+    d.fold(report.stats);
+    for (const auto& shard : report.per_shard) d.fold(shard);
     if (mix.fault.dead_worker >= 0) {
       expect_bits_equal(report.result,
                         clean_run(survivors_of(workers,
@@ -174,6 +220,8 @@ void run_cluster_seed(std::uint64_t seed, const fault::ChaosMix& mix,
     EXPECT_EQ(svc.jobs_completed(), 1u);
     totals += report.stats.faults;
   }
+  d.fold(svc.total_stats());
+  return d.h;
 }
 
 TEST(ChaosSoak, SeededFaultMixesConvergeOrFailTyped) {
@@ -194,6 +242,46 @@ TEST(ChaosSoak, SeededFaultMixesConvergeOrFailTyped) {
                 totals.epoch_bumps + totals.waves_replayed,
             0u)
       << "no fault ever fired across " << seeds << " seeds";
+}
+
+// Golden books for chaos seeds 0..63, run exactly as the soak runs them.
+// The digests were recorded before the guarded path's packet queue and
+// dead-worker declaration were unified; any drift in results, error
+// outcomes, SessionStats fields, dedup hits or switch packet counts shows
+// up here even where the soak's own checks still pass.
+TEST(ChaosSoak, GoldenDigestsPinTheGuardedPathBooks) {
+  constexpr std::uint64_t kGolden[64] = {
+      0x8c88403db19ebab6ULL, 0xaa692efe52c4bbf4ULL, 0xf7353090a40bcb5eULL,
+      0x2839b24736beb7bfULL, 0x21ed6b0f96968b64ULL, 0x24bdcc3c3407d7eaULL,
+      0x9487f203ca9bb30dULL, 0x98d0f920d6f38a37ULL, 0x912a2676fc0a2129ULL,
+      0xfee0add9fa31370dULL, 0xec62d4bf0f0b2e28ULL, 0xbcada5a127ee9d95ULL,
+      0xbab807796128b7ffULL, 0xed5e89fdfc719203ULL, 0xcbd1f5d2a17ee7e6ULL,
+      0xa10d72740351da51ULL, 0xc243968075d92ddeULL, 0x53b71ad7fa42c9feULL,
+      0xc64232100cc0dca1ULL, 0xfe19bb98aab1dd72ULL, 0x0d68b2cafdf01a09ULL,
+      0xc9dac6a0c75115a9ULL, 0x3769f81d69ea02caULL, 0x3acf02bd20375fddULL,
+      0x5e8b22388b2708fdULL, 0x6218ca0c06e010c6ULL, 0x42ad76b9be5e2b03ULL,
+      0xc459d04049574182ULL, 0xbdcf73429ef8fdb3ULL, 0x61042478b5506fb3ULL,
+      0xbedf342a0543f432ULL, 0x81dce8a109666a1cULL, 0x96517bf8d43df9edULL,
+      0x41a7689ee3992337ULL, 0xadd251eb12c2f037ULL, 0xf36ecc85e94e21ddULL,
+      0xba49d5106d54e3caULL, 0x6dff9e608246b305ULL, 0x3c6491b4a480b8b1ULL,
+      0x2b655c5654df6537ULL, 0x9bbd1b43cc84425aULL, 0x9ba604060ac6f8a2ULL,
+      0x5de157d37d00e66aULL, 0x9fa2cbb193595c3cULL, 0x3b61d71f95552abdULL,
+      0x6225bea88b04ec72ULL, 0xe31023b5adf5d9c9ULL, 0x4b193ce1fc8f0ee2ULL,
+      0xd7642a383c486359ULL, 0xba8914c76c802320ULL, 0x86a109f6cfbffe82ULL,
+      0x7f3e6f4a45ffd1a0ULL, 0xe2449e999d74c5a8ULL, 0x7be6d72625a58a0bULL,
+      0xe06a44e2f622ad9eULL, 0x284b809a139605a0ULL, 0x6315b9e627955436ULL,
+      0x3dc7864dfa025609ULL, 0x1461fc9840c4ff80ULL, 0x597289798bb6dc49ULL,
+      0xb32093947f2913a9ULL, 0x21d00771a2230846ULL, 0x5cb6707fca286c67ULL,
+      0xa7ba3ef190fcba22ULL,
+  };
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const fault::ChaosMix mix = fault::draw_chaos_mix(seed);
+    SCOPED_TRACE(repro(seed));
+    fault::FaultCounters totals{};
+    const std::uint64_t got = mix.cluster ? run_cluster_seed(seed, mix, totals)
+                                          : run_session_seed(seed, mix, totals);
+    EXPECT_EQ(got, kGolden[seed]) << "0x" << std::hex << got;
+  }
 }
 
 // Replaying one seed twice is bit-for-bit stable — the property the

@@ -309,6 +309,38 @@ TEST(ClusterService, RejectsShardSwitchesTheWireCannotAddress) {
   EXPECT_THROW(AggregationService{opts}, std::invalid_argument);
 }
 
+TEST(ClusterService, RejectsLossParametersOutsideTheirRange) {
+  // Release builds included, for the service's options and for a job's
+  // overrides alike. A negative override still inherits the service's
+  // value; NaN is not negative and is rejected rather than inherited.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, kInf, -0.1, 1.5}) {
+    SCOPED_TRACE(bad);
+    ClusterOptions opts;
+    opts.loss_rate = bad;
+    EXPECT_THROW(AggregationService{opts}, std::invalid_argument);
+    opts = {};
+    opts.fault.dup_rate = bad;
+    EXPECT_THROW(AggregationService{opts}, std::invalid_argument);
+  }
+  ClusterOptions opts;
+  opts.max_retransmits = -1;
+  EXPECT_THROW(AggregationService{opts}, std::invalid_argument);
+
+  AggregationService service(ClusterOptions{});
+  const auto workers = make_workers(2, 32, 97);
+  for (const double bad : {kNaN, kInf, 1.5}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(testkit::reduce(service, "t", workers, bad),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(service.total_stats().packets_sent, 0u)
+      << "rejected before the wire";
+  EXPECT_NO_THROW(testkit::reduce(service, "t", workers, -1.0, -1));
+  EXPECT_NO_THROW(testkit::reduce(service, "t", workers, 0.0, 0));
+}
+
 TEST(ClusterService, RetransmitExhaustionFailsLoudly) {
   ClusterOptions opts;
   opts.num_shards = 2;

@@ -3,6 +3,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/accumulator.h"
@@ -485,6 +487,23 @@ TEST(FpisaVector, AggregateHelper) {
     EXPECT_NEAR(static_cast<double>(r.sum[i]), ref[i], 1e-6);
   }
   EXPECT_EQ(r.counters.adds, 8u * 64u);
+}
+
+TEST(FpisaVector, AggregateIntoRejectsMalformedShapesInEveryBuild) {
+  // Release builds included: a view longer than `out` used to write past
+  // the accumulator.
+  const std::vector<float> a(8, 1.0f), long_(12, 2.0f);
+  std::vector<float> out(8);
+  using Views = std::vector<std::span<const float>>;
+  EXPECT_THROW(aggregate_into(Views{}, out), std::invalid_argument);
+  EXPECT_THROW(aggregate_into(Views{a, long_}, out), std::invalid_argument);
+  EXPECT_THROW(aggregate_into(Views{long_}, out), std::invalid_argument);
+  EXPECT_THROW(aggregate_into(Views{a}, std::span<float>(out).first(7)),
+               std::invalid_argument);
+  EXPECT_THROW(aggregate(std::span<const std::vector<float>>{}),
+               std::invalid_argument);
+  (void)aggregate_into(Views{a, a}, out);
+  for (const float v : out) EXPECT_EQ(v, 2.0f);
 }
 
 TEST(FpisaVector, ResetClearsStateAndCounters) {

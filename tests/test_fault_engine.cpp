@@ -28,23 +28,25 @@ TEST(FaultEngine, SameSeedReplaysTheExactSchedule) {
   opts.reorder_rate = 0.5;
 
   const auto run = [&opts] {
-    FaultEngine engine(opts, /*stream_seed=*/42, /*lanes=*/2);
-    engine.begin_wave(0);
+    FaultEngine engine(opts, /*stream_seed=*/42);
+    WaveQueue queue(/*lanes=*/2);
+    queue.guarded = true;
+    engine.begin_wave(queue);
     for (std::uint16_t slot = 0; slot < 4; ++slot) {
       for (std::uint8_t w = 0; w < 3; ++w) {
         const auto values = payload(0x40000000u + slot, 0x3f800000u + w);
-        (void)engine.deliver(slot, w, /*stamp=*/7, values);
+        (void)engine.deliver(queue, slot, w, /*stamp=*/7, values);
       }
     }
-    engine.shuffle_pending();
+    engine.shuffle(queue);
     std::vector<std::uint64_t> fingerprint;
-    for (std::size_t i = 0; i < engine.pending(); ++i) {
-      fingerprint.push_back((static_cast<std::uint64_t>(engine.slots()[i])
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+      fingerprint.push_back((static_cast<std::uint64_t>(queue.slots[i])
                              << 40) ^
-                            (static_cast<std::uint64_t>(engine.workers()[i])
+                            (static_cast<std::uint64_t>(queue.workers[i])
                              << 32) ^
-                            engine.values()[2 * i] ^
-                            (static_cast<std::uint64_t>(engine.checksums()[i])
+                            queue.values[2 * i] ^
+                            (static_cast<std::uint64_t>(queue.checksums[i])
                              << 16));
     }
     return fingerprint;
@@ -56,23 +58,25 @@ TEST(FaultEngine, CorruptionFlipsExactlyOneBitAndFailsTheChecksum) {
   FaultOptions opts;
   opts.enabled = true;
   opts.corrupt_rate = 1.0;  // every delivery corrupts
-  FaultEngine engine(opts, 7, /*lanes=*/2);
-  engine.begin_wave(0);
+  FaultEngine engine(opts, 7);
+  WaveQueue queue(/*lanes=*/2);
+  queue.guarded = true;
+  engine.begin_wave(queue);
 
   const auto values = payload(0x41000000u, 0x42000000u);
-  EXPECT_FALSE(engine.deliver(3, 1, /*stamp=*/5, values));
-  ASSERT_EQ(engine.pending(), 1u);
+  EXPECT_FALSE(engine.deliver(queue, 3, 1, /*stamp=*/5, values));
+  ASSERT_EQ(queue.size(), 1u);
 
   // Exactly one bit differs from the clean payload...
-  const std::uint32_t d0 = engine.values()[0] ^ values[0];
-  const std::uint32_t d1 = engine.values()[1] ^ values[1];
+  const std::uint32_t d0 = queue.values[0] ^ values[0];
+  const std::uint32_t d1 = queue.values[1] ^ values[1];
   EXPECT_EQ(std::popcount(d0) + std::popcount(d1), 1);
   // ...and the carried checksum was computed over the CLEAN payload, so it
   // cannot match the corrupted one.
-  EXPECT_NE(engine.checksums()[0],
+  EXPECT_NE(queue.checksums[0],
             pisa::fpisa_checksum(3, 1, 5,
-                                 {engine.values().data(), 2}));
-  EXPECT_EQ(engine.checksums()[0], pisa::fpisa_checksum(3, 1, 5, values));
+                                 {queue.values.data(), 2}));
+  EXPECT_EQ(queue.checksums[0], pisa::fpisa_checksum(3, 1, 5, values));
 }
 
 TEST(FaultEngine, ChecksumDetectsEverySingleBitFlip) {
@@ -92,20 +96,22 @@ TEST(FaultEngine, ReorderNeverSwapsSameSlotEntries) {
   FaultOptions opts;
   opts.enabled = true;
   opts.reorder_rate = 1.0;  // swap at every eligible boundary
-  FaultEngine engine(opts, 11, /*lanes=*/1);
-  engine.begin_wave(0);
+  FaultEngine engine(opts, 11);
+  WaveQueue queue(/*lanes=*/1);
+  queue.guarded = true;
+  engine.begin_wave(queue);
   // Two slots, three workers each, interleaved: per-slot arrival order is
   // worker 0, 1, 2 and must survive any amount of shuffling.
   for (std::uint8_t w = 0; w < 3; ++w) {
     for (std::uint16_t slot = 0; slot < 2; ++slot) {
       const std::vector<std::uint32_t> v{0x40000000u + w};
-      ASSERT_TRUE(engine.deliver(slot, w, 1, v));
+      ASSERT_TRUE(engine.deliver(queue, slot, w, 1, v));
     }
   }
-  engine.shuffle_pending();
+  engine.shuffle(queue);
   std::vector<std::uint8_t> order0, order1;
-  for (std::size_t i = 0; i < engine.pending(); ++i) {
-    (engine.slots()[i] == 0 ? order0 : order1).push_back(engine.workers()[i]);
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    (queue.slots[i] == 0 ? order0 : order1).push_back(queue.workers[i]);
   }
   EXPECT_EQ(order0, (std::vector<std::uint8_t>{0, 1, 2}));
   EXPECT_EQ(order1, (std::vector<std::uint8_t>{0, 1, 2}));
@@ -115,20 +121,22 @@ TEST(FaultEngine, GhostsComeBackInALaterWaveWithTheOldStamp) {
   FaultOptions opts;
   opts.enabled = true;
   opts.stale_dup_rate = 1.0;  // capture a ghost of every delivery
-  FaultEngine engine(opts, 13, /*lanes=*/1);
+  FaultEngine engine(opts, 13);
+  WaveQueue queue(/*lanes=*/1);
+  queue.guarded = true;
 
-  engine.begin_wave(0);
+  engine.begin_wave(queue);
   const std::vector<std::uint32_t> v{0x41800000u};
-  ASSERT_TRUE(engine.deliver(5, 2, /*stamp=*/3, v));
-  EXPECT_EQ(engine.pending(), 1u);
-  engine.clear_pending();
+  ASSERT_TRUE(engine.deliver(queue, 5, 2, /*stamp=*/3, v));
+  EXPECT_EQ(queue.size(), 1u);
+  queue.clear();
 
   // The ghost is "in flight" until a LATER wave begins.
-  engine.begin_wave(1);
-  ASSERT_GE(engine.pending(), 1u);
-  EXPECT_EQ(engine.slots()[0], 5);
-  EXPECT_EQ(engine.workers()[0], 2);
-  EXPECT_EQ(engine.stamps()[0], 3u);  // stamped at capture time: stale now
+  engine.begin_wave(queue);
+  ASSERT_GE(queue.size(), 1u);
+  EXPECT_EQ(queue.slots[0], 5);
+  EXPECT_EQ(queue.workers[0], 2);
+  EXPECT_EQ(queue.stamps[0], 3u);  // stamped at capture time: stale now
 }
 
 TEST(FaultEngine, WorkerSilenceAndWipeSchedules) {
@@ -138,7 +146,7 @@ TEST(FaultEngine, WorkerSilenceAndWipeSchedules) {
   opts.dead_worker_wave = 2;
   opts.wipe_switch = true;
   opts.wipe_wave = 1;
-  FaultEngine engine(opts, 17, 1);
+  FaultEngine engine(opts, 17);
 
   EXPECT_FALSE(engine.worker_silent(1, 0));
   EXPECT_FALSE(engine.worker_silent(1, 1));

@@ -403,6 +403,33 @@ TEST(CollectiveFaults, EveryBackendHonorsTheUnifiedFaultSurface) {
   }
 }
 
+// kDegrade finishes over the survivors only when there is one: a job whose
+// every worker is dead has no sum to return, so every backend raises the
+// typed error instead of handing back zeros.
+TEST(CollectiveFaults, NoSurvivorUnderDegradeThrowsOnEveryBackend) {
+  const auto workers = make_exact_workers(1, 32, 232);
+  for (const auto backend :
+       {collective::Backend::kHost, collective::Backend::kSwitch,
+        collective::Backend::kCluster, collective::Backend::kTree}) {
+    collective::CommunicatorOptions copts;
+    copts.backend = backend;
+    copts.session.slots = 8;
+    copts.cluster = base_cluster_opts();
+    copts.hierarchy.leaves = 1;
+    copts.hierarchy.workers_per_leaf = 1;
+    copts.fault.enabled = true;
+    copts.fault.dead_worker = 0;
+    copts.fault.dead_worker_wave = 0;
+    copts.fault.dead_worker_policy = fault::DeadWorkerPolicy::kDegrade;
+    const auto comm = collective::make_communicator(copts);
+    std::vector<float> out(workers.front().size());
+    EXPECT_THROW(comm->allreduce(collective::WorkerViews(workers), out,
+                                 collective::ReduceOp::kMean),
+                 fault::WorkerDeadError)
+        << collective::backend_name(backend);
+  }
+}
+
 TEST(CollectiveFaults, AbortPolicySurfacesTypedErrorThroughAllreduce) {
   const auto workers = make_exact_workers(3, 32, 231);
   collective::CommunicatorOptions copts;

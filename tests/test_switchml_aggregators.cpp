@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "switchml/aggregator.h"
 #include "util/rng.h"
@@ -82,6 +85,32 @@ TEST(Aggregators, FpisaAOverwriteEventsAreRareOnGradientData) {
   const auto& c = agg.counters();
   EXPECT_LT(static_cast<double>(c.overwrites) / c.adds, 0.009);
   EXPECT_LT(static_cast<double>(c.lshift_overflows) / c.adds, 0.001);
+}
+
+TEST(Aggregators, RejectMalformedShapesInEveryBuild) {
+  // Release builds included: a view longer than `out` used to write past
+  // `out` (or past ExactAggregator's double accumulator).
+  std::vector<std::unique_ptr<GradientAggregator>> aggs;
+  aggs.push_back(std::make_unique<ExactAggregator>());
+  aggs.push_back(std::make_unique<FloatSumAggregator>());
+  aggs.push_back(std::make_unique<PackedSumAggregator>(core::kFp16));
+  aggs.push_back(std::make_unique<SwitchMlAggregator>());
+  aggs.push_back(std::make_unique<FpisaAggregator>());
+  const std::vector<float> a(8, 1.0f), b(8, 2.0f), long_(12, 3.0f);
+  std::vector<float> out(8);
+  for (const auto& agg : aggs) {
+    SCOPED_TRACE(agg->name());
+    const auto run = [&](std::vector<std::span<const float>> views,
+                         std::span<float> o) { agg->reduce(views, o); };
+    EXPECT_THROW(run({}, out), std::invalid_argument);
+    EXPECT_THROW(run({a, long_}, out), std::invalid_argument);
+    EXPECT_THROW(run({long_, a}, out), std::invalid_argument);
+    EXPECT_THROW(run({long_}, out), std::invalid_argument);
+    EXPECT_THROW(run({a, b}, std::span<float>(out).first(7)),
+                 std::invalid_argument);
+    run({a, b}, out);
+    for (const float v : out) EXPECT_EQ(v, 3.0f);
+  }
 }
 
 TEST(Aggregators, PackedFp16SumLosesMorePrecisionThanFpisaFp16) {

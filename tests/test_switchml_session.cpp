@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -284,6 +285,35 @@ TEST(Session, RejectsSwitchShapesTheWireCannotAddress) {
   const std::vector<std::span<const float>> views{a, a};
   session.reduce_into(views, out);
   for (const float v : out) ASSERT_EQ(v, 5.0f);
+}
+
+TEST(Session, RejectsLossParametersOutsideTheirRange) {
+  // Release builds included. A NaN loss rate fails every `>= loss_rate`
+  // ack test, so each reset would count as lost while the sum still came
+  // back normal.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](auto tweak) {
+    SessionOptions opts;
+    tweak(opts);
+    EXPECT_THROW(AggregationSession(pisa::SwitchConfig{}, opts),
+                 std::invalid_argument);
+  };
+  for (const double bad : {kNaN, kInf, -kInf, -0.1, 1.5}) {
+    SCOPED_TRACE(bad);
+    rejects([bad](SessionOptions& o) { o.loss_rate = bad; });
+    rejects([bad](SessionOptions& o) { o.fault.corrupt_rate = bad; });
+    rejects([bad](SessionOptions& o) { o.fault.reorder_rate = bad; });
+    rejects([bad](SessionOptions& o) { o.fault.dup_rate = bad; });
+    rejects([bad](SessionOptions& o) { o.fault.stale_dup_rate = bad; });
+  }
+  rejects([](SessionOptions& o) { o.max_retransmits = -1; });
+
+  SessionOptions edge;
+  edge.loss_rate = 1.0;
+  edge.max_retransmits = 0;
+  edge.fault.corrupt_rate = 1.0;
+  EXPECT_NO_THROW(AggregationSession(pisa::SwitchConfig{}, edge));
 }
 
 TEST(SessionStatsMerge, OperatorPlusEqualsSumsEveryField) {

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -173,6 +174,16 @@ TEST(WaveEngine, MatchesPerPacketOracle) {
       }
     }
   }
+}
+
+TEST(WaveEngine, RejectsLanesBelowOne) {
+  // Release builds included: a negative width used to surface as a
+  // std::length_error from a buffer allocation, before any switch check.
+  EXPECT_THROW(switchml::WaveEngine(0), std::invalid_argument);
+  EXPECT_THROW(switchml::WaveEngine(-1), std::invalid_argument);
+  cluster::HierarchyOptions opts;
+  opts.lanes = -1;
+  EXPECT_THROW(cluster::HierarchicalAggregator{opts}, std::invalid_argument);
 }
 
 TEST(WaveEngine, FailsWhereAndAsTheOracleDoes) {
