@@ -37,8 +37,15 @@ Rules:
   R4 tests      Every tests/test_*.cpp must be registered in
                 CMakeLists.txt, either by name or by a tests/*.cpp glob.
 
-Comments and (for R1/R2) string literals are stripped before matching, so
-prose about std::mutex does not trip the lint.
+  R5 punning    No reinterpret_cast to float* or to a std::(u)int*_t*
+                pointer in src/: reading one type's storage through
+                another's pointer breaks strict aliasing. Read bytes with
+                std::memcpy / std::bit_cast, or pass std::as_bytes spans.
+                SIMD casts (__m256i*, __m128i*) for loadu/storeu stay
+                legal.
+
+Comments and (for R1/R2/R5) string literals are stripped before matching,
+so prose about std::mutex does not trip the lint.
 """
 
 import argparse
@@ -111,6 +118,11 @@ DATAPATH_BANS = [
     (re.compile(r'(?<![\w:.])getenv\s*\('), "getenv()"),
 ]
 
+PUNNING_RE = re.compile(
+    r'reinterpret_cast\s*<\s*(?:(?:const|volatile)\s+)*'
+    r'(float|(?:std\s*::\s*)?u?int(?:8|16|32|64)_t)'
+    r'\s*(?:(?:const|volatile)\s*)*\*')
+
 SERIES_CALL_RE = re.compile(
     r'\.\s*(counter|gauge|histogram)\s*\(\s*("?)', re.S)
 SERIES_LITERAL_RE = re.compile(
@@ -146,6 +158,20 @@ def lint_datapath(root, findings):
                     f"{rel}:{line_of(text, m.start())}: [datapath] {label} "
                     f"in src/; datapaths must stay seeded/replayable "
                     f"(util::Rng, steady_clock) and env-independent")
+
+
+def lint_punning(root, findings):
+    for path in cpp_files(root, ("src",)):
+        rel = os.path.relpath(path, root)
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
+        text = strip_comments(raw, strip_strings=True)
+        for m in PUNNING_RE.finditer(text):
+            target = re.sub(r"\s+", "", m.group(1))
+            findings.append(
+                f"{rel}:{line_of(text, m.start())}: [punning] "
+                f"reinterpret_cast to {target}* in src/; load the bytes "
+                f"with std::memcpy / std::bit_cast or pass std::as_bytes")
 
 
 def load_catalog(root):
@@ -227,6 +253,7 @@ def lint_repo(root, sync_layer=SYNC_LAYER):
     findings = []
     lint_raw_sync(root, findings, set(sync_layer))
     lint_datapath(root, findings)
+    lint_punning(root, findings)
     lint_series(root, findings)
     lint_tests_registered(root, findings)
     return findings
@@ -246,7 +273,12 @@ GOOD_FILES = {
         'util::OrderedMutex mu{util::lock_rank::kStats};\n'
         'std::condition_variable_any cv;  // _any is legal\n'
         'auto& c = reg.counter(\n'
-        '    "demo_ops_total", "ops", {});\n'),
+        '    "demo_ops_total", "ops", {});\n'
+        '// reinterpret_cast<float*>(p) in a comment is fine.\n'
+        'const __m256i v = _mm256_loadu_si256(\n'
+        '    reinterpret_cast<const __m256i*>(bytes + 4 * i));\n'
+        'auto lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));\n'
+        'const std::byte* b = reinterpret_cast<const std::byte*>(p);\n'),
     "tests/test_good.cpp": "// registered via the glob\n",
 }
 
@@ -265,6 +297,11 @@ BAD_FILES = {
     "src/bad_series.cpp": (
         'auto& c = reg.counter("undeclared_series_total", "x", {});\n'
         'auto& g = reg.gauge(dynamic_name, "x", {});\n'),
+    "src/bad_punning.cpp": (
+        'const float* f = reinterpret_cast<const float*>(bytes);\n'
+        'auto* u = reinterpret_cast<std::uint32_t*>(values.data());\n'
+        'auto* w = reinterpret_cast< const volatile std :: int64_t * >(p);\n'
+        'auto* h = reinterpret_cast<uint16_t const*>(p);\n'),
     "tests/test_registered.cpp": "// fine\n",
     "tests/test_orphan.cpp": "// never added to CMakeLists\n",
 }
@@ -278,6 +315,10 @@ BAD_EXPECT = [
     "bad_datapath.cpp:2: [datapath] std::random_device",
     "bad_datapath.cpp:3: [datapath] system_clock",
     "bad_datapath.cpp:4: [datapath] getenv()",
+    "bad_punning.cpp:1: [punning] reinterpret_cast to float*",
+    "bad_punning.cpp:2: [punning] reinterpret_cast to std::uint32_t*",
+    "bad_punning.cpp:3: [punning] reinterpret_cast to std::int64_t*",
+    "bad_punning.cpp:4: [punning] reinterpret_cast to uint16_t*",
     "bad_series.cpp:1: [series] series 'undeclared_series_total'",
     "bad_series.cpp:2: [series] .gauge() call whose name is not a string",
     "catalog entry 'ghost_series_total' is registered nowhere",
@@ -332,7 +373,8 @@ def report(findings):
         for f in findings:
             print(f"  - {f}")
         return 1
-    print("OK: static lint clean (raw-sync, datapath, series, tests)")
+    print("OK: static lint clean (raw-sync, datapath, punning, series, "
+          "tests)")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "core/batch_lane.h"
 #include "core/decompose.h"
@@ -23,15 +24,15 @@ bool g_forced = false;
 BatchBackend g_forced_backend = BatchBackend::kScalar;
 
 template <Variant V, OverflowPolicy P, LaneMode M>
-void run_scalar(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
-                std::int64_t* man, const AccumulatorConfig& cfg,
+void run_scalar(const detail::GatherBatch& g, const detail::LaneParams& p,
                 detail::BatchTallies& t) {
-  const detail::LaneParams p = detail::LaneParams::from(cfg);
-  detail::lane_add_range<V, P, M>(bits, n, exp, man, p, t);
+  detail::for_each_row(g, [&](const std::byte* bits, std::size_t n,
+                              std::int32_t* exp, std::int64_t* man) {
+    detail::lane_add_range<V, P, M>(bits, n, exp, man, p, t);
+  });
 }
 
-using Kernel = void (*)(const std::uint32_t*, std::size_t, std::int32_t*,
-                        std::int64_t*, const AccumulatorConfig&,
+using Kernel = void (*)(const detail::GatherBatch&, const detail::LaneParams&,
                         detail::BatchTallies&);
 
 template <LaneMode M>
@@ -48,20 +49,66 @@ Kernel pick_scalar(const AccumulatorConfig& cfg) {
 
 /// Reference fallback for configs outside the fast path (non-FP32 layouts,
 /// 64-bit registers): the scalar per-element loop, unchanged semantics.
-void run_reference(std::span<const std::uint32_t> bits,
-                   std::span<std::int32_t> exp, std::span<std::int64_t> man,
-                   const AccumulatorConfig& cfg, OpCounters& counters) {
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    const ExtractResult ex = extract(bits[i], cfg.format);
-    if (ex.cls == FpClass::kInf || ex.cls == FpClass::kNaN) {
-      ++counters.nonfinite_inputs;
-      continue;
+void run_reference(const detail::GatherBatch& g, const AccumulatorConfig& cfg,
+                   OpCounters& counters) {
+  detail::for_each_row(g, [&](const std::byte* bits, std::size_t n,
+                              std::int32_t* exp, std::int64_t* man) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const ExtractResult ex = extract(detail::load_lane(bits, i), cfg.format);
+      if (ex.cls == FpClass::kInf || ex.cls == FpClass::kNaN) {
+        ++counters.nonfinite_inputs;
+        continue;
+      }
+      FpState s{exp[i], man[i]};
+      fpisa_add(s, ex.value, cfg, counters);
+      exp[i] = s.exp;
+      man[i] = s.man;
     }
-    FpState s{exp[i], man[i]};
-    fpisa_add(s, ex.value, cfg, counters);
-    exp[i] = s.exp;
-    man[i] = s.man;
+  });
+}
+
+/// The one add body behind fpisa_add_batch and fpisa_add_gather, on a
+/// batch whose spans and rows are already checked.
+void add_rows(const detail::GatherBatch& g, const AccumulatorConfig& cfg,
+              OpCounters& counters, LaneMode mode, const char* who) {
+  if (!batch_eligible(cfg)) {
+    if (mode == LaneMode::kSwitch) {
+      throw std::invalid_argument(
+          std::string(who) +
+          ": LaneMode::kSwitch needs a batch-eligible config "
+          "(FP32, register narrower than 64 bits)");
+    }
+    run_reference(g, cfg, counters);
+    return;
   }
+  const int need = cfg.format.significand_bits() + cfg.guard_bits + 1;
+  if (need > cfg.effective_reg_bits()) {
+    throw std::invalid_argument(
+        std::string(who) + ": a " + std::to_string(need) +
+        "-bit shifted significand does not fit the " +
+        std::to_string(cfg.effective_reg_bits()) + "-bit register");
+  }
+
+  detail::BatchTallies t;
+#if defined(FPISA_HAVE_AVX2)
+  if (batch_backend() == BatchBackend::kAvx2) {
+    detail::add_gather_avx2(g, cfg, mode, t);
+  } else
+#endif
+  {
+    const Kernel k = mode == LaneMode::kSwitch
+                         ? pick_scalar<LaneMode::kSwitch>(cfg)
+                         : pick_scalar<LaneMode::kAccumulator>(cfg);
+    k(g, detail::LaneParams::from(cfg), t);
+  }
+
+  counters.adds += t.adds;
+  counters.rounded_adds += t.rounded;
+  counters.overwrites += t.overwrites;
+  counters.lshift_overflows += t.lshift_overflows;
+  counters.saturations += t.saturations;
+  counters.nonfinite_inputs += t.nonfinite;
+  counters.zero_inputs += t.zeros;
 }
 
 }  // namespace
@@ -105,40 +152,38 @@ void fpisa_add_batch(std::span<const std::uint32_t> bits,
     throw std::invalid_argument(
         "fpisa_add_batch: bits, exp and man spans differ in length");
   }
-  if (!batch_eligible(cfg)) {
-    if (mode == LaneMode::kSwitch) {
-      throw std::invalid_argument(
-          "fpisa_add_batch: LaneMode::kSwitch needs a batch-eligible config "
-          "(FP32, register narrower than 64 bits)");
+  // One row spanning the whole batch.
+  const std::byte* const payload = std::as_bytes(bits).data();
+  const std::uint32_t row = 0;
+  add_rows({&payload, &row, 1, bits.size(), exp.data(), man.data()}, cfg,
+           counters, mode, "fpisa_add_batch");
+}
+
+void fpisa_add_gather(std::span<const std::byte* const> payloads,
+                      std::span<const std::uint32_t> rows, std::size_t lanes,
+                      std::span<std::int32_t> exp, std::span<std::int64_t> man,
+                      const AccumulatorConfig& cfg, OpCounters& counters,
+                      LaneMode mode) {
+  if (payloads.size() != rows.size()) {
+    throw std::invalid_argument(
+        "fpisa_add_gather: payloads and rows differ in length");
+  }
+  if (exp.size() != man.size()) {
+    throw std::invalid_argument(
+        "fpisa_add_gather: exp and man spans differ in length");
+  }
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if ((std::size_t{rows[r]} + 1) * lanes > exp.size()) {
+      throw std::out_of_range(
+          "fpisa_add_gather: payload " + std::to_string(r) + " targets row " +
+          std::to_string(rows[r]) + ", past the end of a " +
+          std::to_string(exp.size()) + "-register bank of " +
+          std::to_string(lanes) + "-lane rows");
     }
-    run_reference(bits, exp, man, cfg, counters);
-    return;
   }
-  assert(cfg.format.significand_bits() + cfg.guard_bits + 1 <=
-             cfg.effective_reg_bits() &&
-         "value does not fit the accumulator register");
-
-  detail::BatchTallies t;
-#if defined(FPISA_HAVE_AVX2)
-  if (batch_backend() == BatchBackend::kAvx2) {
-    detail::add_batch_avx2(bits.data(), bits.size(), exp.data(), man.data(),
-                           cfg, mode, t);
-  } else
-#endif
-  {
-    const Kernel k = mode == LaneMode::kSwitch
-                         ? pick_scalar<LaneMode::kSwitch>(cfg)
-                         : pick_scalar<LaneMode::kAccumulator>(cfg);
-    k(bits.data(), bits.size(), exp.data(), man.data(), cfg, t);
-  }
-
-  counters.adds += t.adds;
-  counters.rounded_adds += t.rounded;
-  counters.overwrites += t.overwrites;
-  counters.lshift_overflows += t.lshift_overflows;
-  counters.saturations += t.saturations;
-  counters.nonfinite_inputs += t.nonfinite;
-  counters.zero_inputs += t.zeros;
+  add_rows({payloads.data(), rows.data(), rows.size(), lanes, exp.data(),
+            man.data()},
+           cfg, counters, mode, "fpisa_add_gather");
 }
 
 }  // namespace fpisa::core

@@ -41,6 +41,7 @@
 //    reports AVX2 support.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string_view>
@@ -115,16 +116,36 @@ void reset_batch_backend();
 bool batch_eligible(const AccumulatorConfig& cfg);
 
 /// Element-wise batched accumulate: bits[i] (packed FP32) adds into
-/// (exp[i], man[i]). Spans must have equal length. Semantics per element
-/// match FpisaVector's scalar loop exactly: non-finite inputs bump
-/// `nonfinite_inputs` and are skipped (no `adds` tick), zeros tick
-/// `adds`/`zero_inputs` and leave the register untouched, everything else
-/// runs the configured variant's datapath. LaneMode::kSwitch applies the
-/// switch's ingress semantics instead.
+/// (exp[i], man[i]). Spans must have equal length (std::invalid_argument
+/// otherwise). Semantics per element match FpisaVector's scalar loop
+/// exactly: non-finite inputs bump `nonfinite_inputs` and are skipped (no
+/// `adds` tick), zeros tick `adds`/`zero_inputs` and leave the register
+/// untouched, everything else runs the configured variant's datapath.
+/// LaneMode::kSwitch applies the switch's ingress semantics instead. A
+/// batch-eligible config whose register cannot hold a shifted significand
+/// (significand + guard + sign bits > reg_bits) throws
+/// std::invalid_argument in every build.
 void fpisa_add_batch(std::span<const std::uint32_t> bits,
                      std::span<std::int32_t> exp, std::span<std::int64_t> man,
                      const AccumulatorConfig& cfg, OpCounters& counters,
                      LaneMode mode = LaneMode::kAccumulator);
+
+/// Gathered accumulate into a bank of `lanes`-wide rows: payload r adds
+/// into row rows[r], i.e. (exp, man)[rows[r] * lanes, + lanes), one row
+/// after another, so a repeated row accumulates in order. A payload is
+/// `lanes` packed FP32 values as raw bytes at any alignment -- typically
+/// std::as_bytes of the caller's float storage, read in place and never
+/// written. Per row the semantics are fpisa_add_batch's; the shapes are
+/// checked, the backend picked and the counters flushed once per call.
+/// Throws before any register changes, in every build: std::out_of_range
+/// when a row ends past the bank, std::invalid_argument when payloads and
+/// rows differ in length, exp and man differ in length, or the config
+/// fails fpisa_add_batch's register check.
+void fpisa_add_gather(std::span<const std::byte* const> payloads,
+                      std::span<const std::uint32_t> rows, std::size_t lanes,
+                      std::span<std::int32_t> exp, std::span<std::int64_t> man,
+                      const AccumulatorConfig& cfg, OpCounters& counters,
+                      LaneMode mode = LaneMode::kAccumulator);
 
 /// True when `cfg` can take the batched *read* fast path: packed binary32
 /// layout, a register narrower than 64 bits, and the hardware-faithful
@@ -171,13 +192,22 @@ struct BatchTallies {
   std::uint64_t zeros = 0;
 };
 
+/// A checked gather batch: row r's `lanes` packed FP32 values are the
+/// bytes at payloads[r], and they add into exp/man at rows[r] * lanes.
+struct GatherBatch {
+  const std::byte* const* payloads = nullptr;
+  const std::uint32_t* rows = nullptr;
+  std::size_t n = 0;  ///< rows in the batch
+  std::size_t lanes = 0;
+  std::int32_t* exp = nullptr;
+  std::int64_t* man = nullptr;
+};
+
 /// AVX2 kernel entry (defined in batch_accumulator_avx2.cpp, only built
-/// when FPISA_ENABLE_AVX2 is on). Tail elements are finished by the scalar
-/// lane primitive inside.
-void add_batch_avx2(const std::uint32_t* bits, std::size_t n,
-                    std::int32_t* exp, std::int64_t* man,
-                    const AccumulatorConfig& cfg, LaneMode mode,
-                    BatchTallies& t);
+/// when FPISA_ENABLE_AVX2 is on): picks the kernel once, then runs it per
+/// row. Tail elements are finished by the scalar lane primitive inside.
+void add_gather_avx2(const GatherBatch& g, const AccumulatorConfig& cfg,
+                     LaneMode mode, BatchTallies& t);
 
 /// AVX2 egress kernel entry (defined in batch_read_avx2.cpp, only built
 /// when FPISA_ENABLE_AVX2 is on). Tail elements are finished by the scalar

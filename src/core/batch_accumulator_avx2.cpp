@@ -1,8 +1,9 @@
-// AVX2 backend for fpisa_add_batch: four 64-bit lanes per iteration, a
-// literal translation of the branchless lane primitive in batch_lane.h
-// into vector selects. This translation unit is compiled with -mavx2 (and
-// only when FPISA_ENABLE_AVX2 is on); callers reach it solely through the
-// runtime-dispatched fpisa_add_batch, which checks CPU support first.
+// AVX2 backend for fpisa_add_batch and fpisa_add_gather: four 64-bit lanes
+// per iteration, a literal translation of the branchless lane primitive in
+// batch_lane.h into vector selects. This translation unit is compiled with
+// -mavx2 (and only when FPISA_ENABLE_AVX2 is on); callers reach it solely
+// through the runtime-dispatched entry points, which check CPU support
+// first. Payloads are raw bytes at any alignment, loaded with loadu.
 //
 // Notes on the emulated pieces (AVX2 has no 64-bit arithmetic shift and no
 // 64-bit min/max):
@@ -101,6 +102,15 @@ inline __m256i asr_inexact32(__m256i v, __m256i s) {
   return _mm256_and_si256(pos, blend(below, at64, ge64));
 }
 
+/// asr_inexact32 for counts in [0, 32], the switch's clamped align range:
+/// the >= 64 rule cannot apply, a count of 0 masks nothing, and a count of
+/// 32 (vpsllvd yields 0, so the mask is all ones) tests the whole value.
+inline __m256i asr_inexact32_clamped(__m256i v, __m256i s) {
+  const __m256i one = _mm256_set1_epi32(1);
+  const __m256i low_mask = _mm256_sub_epi32(_mm256_sllv_epi32(one, s), one);
+  return is_nonzero32(_mm256_and_si256(v, low_mask));
+}
+
 /// Pack 8 x int64 (two 256-bit halves, values known to fit int32) into one
 /// 8 x int32 vector, and the inverse via sign extension.
 inline __m256i pack_man32(__m256i lo, __m256i hi) {
@@ -111,7 +121,7 @@ inline __m256i pack_man32(__m256i lo, __m256i hi) {
 }
 
 template <Variant V, OverflowPolicy P, LaneMode M>
-void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
+void run32(const std::byte* bits, std::size_t n, std::int32_t* exp,
            std::int64_t* man, const LaneParams& p, BatchTallies& t) {
   constexpr bool kSwitch = M == LaneMode::kSwitch;
   const __m256i k_exp_mask = _mm256_set1_epi32(0xFF);
@@ -128,7 +138,7 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256i u =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bits + i));
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bits + 4 * i));
     const __m256i se =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(exp + i));
     const __m256i man_lo =
@@ -148,7 +158,7 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
                 : _mm256_andnot_si256(_mm256_or_si256(nonfinite, zero), k_all);
 
     const __m256i sub = _mm256_cmpeq_epi32(e_raw, k_zero);
-    const __m256i e = blend(e_raw, k_one, sub);
+    const __m256i e = _mm256_max_epi32(e_raw, k_one);  // subnormal: 1
     const __m256i sig =
         _mm256_or_si256(frac, _mm256_andnot_si256(sub, k_implied));
     const __m256i negm = _mm256_srai_epi32(u, 31);
@@ -167,9 +177,10 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
     __m256i is_lsh = k_zero, is_ovw = k_zero;
     if (V == Variant::kFull) {
       const __m256i grow = _mm256_cmpgt_epi32(d, k_zero);
-      const __m256i sh = blend(d_neg, d, grow);
+      const __m256i sh = _mm256_abs_epi32(d);
       const __m256i shifted = blend(m_in, sm, grow);
-      rounded = asr_inexact32(shifted, sh);
+      rounded = kSwitch ? asr_inexact32_clamped(shifted, sh)
+                        : asr_inexact32(shifted, sh);
       a = _mm256_srav_epi32(shifted, sh);  // counts > 31 sign-fill natively
       b = blend(sm, m_in, grow);
       ne = blend(se, e, grow);
@@ -178,7 +189,8 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
       const __m256i pos = _mm256_cmpgt_epi32(d, k_zero);
       is_lsh = _mm256_andnot_si256(is_ovw, pos);
       const __m256i sh = _mm256_andnot_si256(pos, d_neg);  // max(-d, 0)
-      rounded = asr_inexact32(m_in, sh);
+      rounded = kSwitch ? asr_inexact32_clamped(m_in, sh)
+                        : asr_inexact32(m_in, sh);
       const __m256i dl = _mm256_and_si256(d, is_lsh);
       const __m256i lshifted = _mm256_sllv_epi32(m_in, dl);
       b = blend(_mm256_srav_epi32(m_in, sh), lshifted, is_lsh);
@@ -217,17 +229,13 @@ void run32(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
         reinterpret_cast<__m256i*>(man + i + 4),
         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(sm_out, 1)));
   }
-  lane_add_range<V, P, M>(bits + i, n - i, exp + i, man + i, p, t);
+  lane_add_range<V, P, M>(bits + 4 * i, n - i, exp + i, man + i, p, t);
 }
 
 template <Variant V, OverflowPolicy P, LaneMode M>
-void run(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
-         std::int64_t* man, const LaneParams& p, BatchTallies& t) {
+void run64(const std::byte* bits, std::size_t n, std::int32_t* exp,
+           std::int64_t* man, const LaneParams& p, BatchTallies& t) {
   constexpr bool kSwitch = M == LaneMode::kSwitch;
-  if (p.reg_bits == 32) {
-    run32<V, P, M>(bits, n, exp, man, p, t);
-    return;
-  }
   const __m256i k_exp_mask = set1(0xFF);
   const __m256i k_frac_mask = set1(0x7FFFFF);
   const __m256i k_implied = set1(std::int64_t{1} << 23);
@@ -245,7 +253,7 @@ void run(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256i u = _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bits + i)));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bits + 4 * i)));
     const __m256i se =
         _mm256_cvtepi32_epi64(_mm_loadu_si128(reinterpret_cast<const __m128i*>(
             exp + i)));  // loads 4x int32 (upper lanes ignored by cvt)
@@ -341,43 +349,54 @@ void run(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
     _mm_storeu_si128(reinterpret_cast<__m128i*>(exp + i),
                      _mm256_castsi256_si128(packed));
   }
-  lane_add_range<V, P, M>(bits + i, n - i, exp + i, man + i, p, t);
+  lane_add_range<V, P, M>(bits + 4 * i, n - i, exp + i, man + i, p, t);
+}
+
+/// The kernel is picked once per batch (the register width here, the
+/// variant, policy and mode by the callers below), then runs per row.
+template <Variant V, OverflowPolicy P, LaneMode M>
+void run_rows(const GatherBatch& g, const LaneParams& p, BatchTallies& t) {
+  if (p.reg_bits == 32) {
+    for_each_row(g, [&](const std::byte* bits, std::size_t n,
+                        std::int32_t* exp, std::int64_t* man) {
+      run32<V, P, M>(bits, n, exp, man, p, t);
+    });
+  } else {
+    for_each_row(g, [&](const std::byte* bits, std::size_t n,
+                        std::int32_t* exp, std::int64_t* man) {
+      run64<V, P, M>(bits, n, exp, man, p, t);
+    });
+  }
 }
 
 template <Variant V, OverflowPolicy P>
-void run_mode(const std::uint32_t* bits, std::size_t n, std::int32_t* exp,
-              std::int64_t* man, const LaneParams& p, LaneMode mode,
+void run_mode(const GatherBatch& g, const LaneParams& p, LaneMode mode,
               BatchTallies& t) {
   if (mode == LaneMode::kSwitch) {
-    run<V, P, LaneMode::kSwitch>(bits, n, exp, man, p, t);
+    run_rows<V, P, LaneMode::kSwitch>(g, p, t);
   } else {
-    run<V, P, LaneMode::kAccumulator>(bits, n, exp, man, p, t);
+    run_rows<V, P, LaneMode::kAccumulator>(g, p, t);
   }
 }
 
 }  // namespace
 
-void add_batch_avx2(const std::uint32_t* bits, std::size_t n,
-                    std::int32_t* exp, std::int64_t* man,
-                    const AccumulatorConfig& cfg, LaneMode mode,
-                    BatchTallies& t) {
+void add_gather_avx2(const GatherBatch& g, const AccumulatorConfig& cfg,
+                     LaneMode mode, BatchTallies& t) {
   const LaneParams p = LaneParams::from(cfg);
   const bool wrap = cfg.overflow == OverflowPolicy::kWrap;
   if (cfg.variant == Variant::kFull) {
     if (wrap) {
-      run_mode<Variant::kFull, OverflowPolicy::kWrap>(bits, n, exp, man, p,
-                                                      mode, t);
+      run_mode<Variant::kFull, OverflowPolicy::kWrap>(g, p, mode, t);
     } else {
-      run_mode<Variant::kFull, OverflowPolicy::kSaturate>(bits, n, exp, man,
-                                                          p, mode, t);
+      run_mode<Variant::kFull, OverflowPolicy::kSaturate>(g, p, mode, t);
     }
   } else {
     if (wrap) {
-      run_mode<Variant::kApproximate, OverflowPolicy::kWrap>(bits, n, exp,
-                                                             man, p, mode, t);
+      run_mode<Variant::kApproximate, OverflowPolicy::kWrap>(g, p, mode, t);
     } else {
-      run_mode<Variant::kApproximate, OverflowPolicy::kSaturate>(
-          bits, n, exp, man, p, mode, t);
+      run_mode<Variant::kApproximate, OverflowPolicy::kSaturate>(g, p, mode,
+                                                                 t);
     }
   }
 }

@@ -27,7 +27,9 @@
 // wrap, the counter lane sums — is one code path for both.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "core/accumulator.h"
 #include "core/batch_accumulator.h"
@@ -212,21 +214,40 @@ inline void lane_read_range(const std::int32_t* exp, const std::int64_t* man,
   for (; i < n; ++i) out[i] = lane_read<M>(exp[i], man[i], guard);
 }
 
+/// Lane i of a packed FP32 payload held as raw bytes (any alignment).
+inline std::uint32_t load_lane(const std::byte* bits, std::size_t i) {
+  std::uint32_t u;
+  std::memcpy(&u, bits + i * sizeof u, sizeof u);
+  return u;
+}
+
 /// Runs the lane primitive over a range (the portable backend's core and
 /// the AVX2 backend's tail loop).
 template <Variant V, OverflowPolicy P, LaneMode M>
-inline void lane_add_range(const std::uint32_t* bits, std::size_t n,
+inline void lane_add_range(const std::byte* bits, std::size_t n,
                            std::int32_t* exp, std::int64_t* man,
                            const LaneParams& p, BatchTallies& t) {
   const std::size_t n4 = n - n % 4;
   std::size_t i = 0;
   for (; i < n4; i += 4) {  // unrolled: independent lanes pipeline
-    lane_add<V, P, M>(bits[i + 0], exp[i + 0], man[i + 0], p, t);
-    lane_add<V, P, M>(bits[i + 1], exp[i + 1], man[i + 1], p, t);
-    lane_add<V, P, M>(bits[i + 2], exp[i + 2], man[i + 2], p, t);
-    lane_add<V, P, M>(bits[i + 3], exp[i + 3], man[i + 3], p, t);
+    lane_add<V, P, M>(load_lane(bits, i + 0), exp[i + 0], man[i + 0], p, t);
+    lane_add<V, P, M>(load_lane(bits, i + 1), exp[i + 1], man[i + 1], p, t);
+    lane_add<V, P, M>(load_lane(bits, i + 2), exp[i + 2], man[i + 2], p, t);
+    lane_add<V, P, M>(load_lane(bits, i + 3), exp[i + 3], man[i + 3], p, t);
   }
-  for (; i < n; ++i) lane_add<V, P, M>(bits[i], exp[i], man[i], p, t);
+  for (; i < n; ++i) {
+    lane_add<V, P, M>(load_lane(bits, i), exp[i], man[i], p, t);
+  }
+}
+
+/// Calls range(payload, lanes, exp_row, man_row) for each row of a gather
+/// batch, in order.
+template <class Range>
+inline void for_each_row(const GatherBatch& g, Range&& range) {
+  for (std::size_t r = 0; r < g.n; ++r) {
+    const std::size_t off = std::size_t{g.rows[r]} * g.lanes;
+    range(g.payloads[r], g.lanes, g.exp + off, g.man + off);
+  }
 }
 
 }  // namespace fpisa::core::detail

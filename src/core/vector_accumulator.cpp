@@ -1,7 +1,6 @@
 #include "core/vector_accumulator.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -9,8 +8,19 @@
 namespace fpisa::core {
 namespace {
 
-/// Stack chunk for narrowing/bit-casting inputs without heap churn.
+/// Stack chunk for narrowing inputs and bit-casting outputs without heap
+/// churn.
 constexpr std::size_t kChunk = 256;
+
+/// Caller-supplied spans are checked in every build: a wrong length would
+/// read or write past the register file.
+void require_size(const char* who, std::size_t got, std::size_t want) {
+  if (got != want) {
+    throw std::invalid_argument(std::string("FpisaVector::") + who +
+                                ": span has " + std::to_string(got) +
+                                " entries, expected " + std::to_string(want));
+  }
+}
 
 }  // namespace
 
@@ -18,21 +28,20 @@ FpisaVector::FpisaVector(std::size_t size, AccumulatorConfig cfg)
     : cfg_(cfg), regs_(size) {}
 
 void FpisaVector::add(std::span<const float> values) {
-  assert(values.size() == size());
-  assert(cfg_.format.total_bits == 32 && "use add_bits for non-FP32 formats");
-  // float and its bit pattern share a layout: reinterpret in place, chunked
-  // through a stack buffer only to stay strict-aliasing clean.
-  std::uint32_t bits[kChunk];
-  for (std::size_t base = 0; base < values.size(); base += kChunk) {
-    const std::size_t n = std::min(kChunk, values.size() - base);
-    for (std::size_t i = 0; i < n; ++i) bits[i] = fp32_bits(values[base + i]);
-    fpisa_add_batch({bits, n}, {regs_.exp.data() + base, n},
-                    {regs_.man.data() + base, n}, cfg_, counters_);
+  require_size("add", values.size(), size());
+  if (cfg_.format.total_bits != 32) {
+    throw std::invalid_argument(
+        "FpisaVector::add: the config is not FP32; use add_bits");
   }
+  // The floats' bytes are the packed FP32 payload: one row, read in place.
+  const std::byte* const payload = std::as_bytes(values).data();
+  const std::uint32_t row = 0;
+  fpisa_add_gather({&payload, 1}, {&row, 1}, values.size(), regs_.exp,
+                   regs_.man, cfg_, counters_);
 }
 
 void FpisaVector::add_bits(std::span<const std::uint64_t> bits) {
-  assert(bits.size() == size());
+  require_size("add_bits", bits.size(), size());
   if (batch_eligible(cfg_)) {
     // FP32 layout: narrow to 32-bit lanes chunk-wise and batch.
     std::uint32_t narrow[kChunk];
@@ -60,12 +69,12 @@ void FpisaVector::add_bits(std::span<const std::uint64_t> bits) {
 }
 
 void FpisaVector::read(std::span<float> out) const {
-  assert(out.size() == size());
+  require_size("read", out.size(), size());
   if (read_batch_eligible(cfg_)) {
     // Hardware-faithful truncating read: the batched renormalize kernel
     // (CLZ + shift + pack, bit-identical to the general assemble — proven
     // in tests/test_core_batch_equivalence.cpp), chunked through a stack
-    // buffer like the add path.
+    // buffer of result bits.
     std::uint32_t bits[kChunk];
     for (std::size_t base = 0; base < out.size(); base += kChunk) {
       const std::size_t n = std::min(kChunk, out.size() - base);
@@ -86,7 +95,7 @@ void FpisaVector::read(std::span<float> out) const {
 }
 
 void FpisaVector::read_bits(std::span<std::uint64_t> out) const {
-  assert(out.size() == size());
+  require_size("read_bits", out.size(), size());
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = fpisa_read({regs_.exp[i], regs_.man[i]}, cfg_).bits;
   }

@@ -27,8 +27,12 @@ class FpisaVector {
 
   std::size_t size() const { return regs_.size(); }
 
-  /// Element-wise add of one worker's packed vector (FP32 fast path:
-  /// batched branchless kernel when the config is batch-eligible).
+  // Every span below must be size() long, and add needs an FP32 config;
+  // otherwise they throw std::invalid_argument, in every build.
+
+  /// Element-wise add of one worker's packed vector (FP32 fast path: the
+  /// batched branchless kernel reads `values` in place when the config is
+  /// batch-eligible).
   void add(std::span<const float> values);
   /// Element-wise add in the configured format's packed encoding.
   void add_bits(std::span<const std::uint64_t> bits);

@@ -1,9 +1,25 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 namespace fpisa::fault {
+
+std::span<std::uint32_t> WaveQueue::materialize(
+    std::span<const std::byte> src) {
+  const std::size_t block = stored_ / kBlockPayloads;
+  if (block == store_.size()) store_.emplace_back(kBlockPayloads * lanes);
+  const std::span<std::uint32_t> copy(
+      store_[block].data() + (stored_ % kBlockPayloads) * lanes, lanes);
+  ++stored_;
+  std::fill(copy.begin(), copy.end(), 0u);
+  if (!src.empty()) {
+    std::memcpy(copy.data(), src.data(),
+                std::min(src.size(), copy.size_bytes()));
+  }
+  return copy;
+}
 
 FaultEngine::FaultEngine(const FaultOptions& opts, std::uint64_t stream_seed)
     : opts_(opts), rng_(stream_seed) {}
@@ -13,36 +29,36 @@ void FaultEngine::begin_wave(WaveQueue& queue) {
   // traffic: by this point their slot has been reset (epoch bumped) and
   // reused, so only the stamp distinguishes them from real contributions.
   for (const Ghost& g : ghosts_) {
-    queue.push(g.slot, g.worker, g.stamp, g.values);
+    queue.push(g.slot, g.worker, g.stamp,
+               std::as_bytes(queue.materialize(g.payload)).data());
   }
   ghosts_.clear();
 }
 
 bool FaultEngine::deliver(WaveQueue& queue, std::uint16_t slot,
                           std::uint8_t worker, std::uint32_t stamp,
-                          std::span<const std::uint32_t> values) {
-  // The push checksums the clean payload first: a bit flipped in flight
-  // afterwards is exactly what the switch-side guard is meant to catch.
-  const bool corrupted = rng_.next_double() < opts_.corrupt_rate;
-  queue.push(slot, worker, stamp, values);
-  if (corrupted) {
-    const int last = static_cast<int>(values.size()) - 1;
+                          std::span<const std::byte> payload) {
+  if (rng_.next_double() < opts_.corrupt_rate) {
+    // The push checksums the clean copy first: a bit flipped in flight
+    // afterwards is exactly what the switch-side guard is meant to catch.
+    const std::span<std::uint32_t> copy = queue.materialize(payload);
+    queue.push(slot, worker, stamp, std::as_bytes(copy).data());
+    const int last = static_cast<int>(queue.lanes) - 1;
     const int lane = last > 0 ? rng_.uniform_int(0, last) : 0;
     const int bit = rng_.uniform_int(0, 31);
-    queue.values[queue.values.size() - values.size() +
-                 static_cast<std::size_t>(lane)] ^= 1u << bit;
+    copy[static_cast<std::size_t>(lane)] ^= 1u << bit;
     return false;
   }
+  queue.push(slot, worker, stamp, payload.data());
   if (rng_.next_double() < opts_.dup_rate) {
     // Immediate duplicate in the same wave: the dedup bitmap absorbs it.
-    queue.push(slot, worker, stamp, values);
+    queue.push(slot, worker, stamp, payload.data());
   }
   if (rng_.next_double() < opts_.stale_dup_rate) {
     // Capture a ghost: this copy is "still in flight" and will land in a
     // later wave, after round-robin slot reuse.
-    ghosts_.push_back(Ghost{slot, worker, stamp,
-                            std::vector<std::uint32_t>(values.begin(),
-                                                       values.end())});
+    ghosts_.push_back(
+        Ghost{slot, worker, stamp, {payload.begin(), payload.end()}});
   }
   return true;
 }
@@ -61,8 +77,7 @@ void FaultEngine::shuffle(WaveQueue& queue) {
     std::swap(queue.workers[i], queue.workers[i + 1]);
     std::swap(queue.stamps[i], queue.stamps[i + 1]);
     std::swap(queue.checksums[i], queue.checksums[i + 1]);
-    std::uint32_t* a = queue.values.data() + i * queue.lanes;
-    std::swap_ranges(a, a + queue.lanes, a + queue.lanes);
+    std::swap(queue.payloads[i], queue.payloads[i + 1]);
   }
 }
 

@@ -106,33 +106,47 @@ class WorkerDeadError : public std::runtime_error {
   std::size_t wave_;
 };
 
-// One wave's packets in arrival order, in the column layout the switch's
-// batch ingress takes; entry i's payload is values[i*lanes .. +lanes). The
-// wave engine owns the only queue: every copy that reaches the switch --
-// clean, duplicated, corrupted, ghost, or replayed after a wipe -- enters
-// through push(). Guarded queues also fill the stamp column and the
-// checksum column, computed here over the clean payload; plain queues
-// leave both empty.
+// One wave's packets in arrival order, as descriptors in the column layout
+// the switch's ingress takes: entry i's `lanes` packed FP32 values are the
+// raw bytes at payloads[i]. The wave engine owns the only queue: every
+// copy that reaches the switch -- clean, duplicated, corrupted, ghost, or
+// replayed after a wipe -- enters through push(). Guarded queues also fill
+// the stamp column and the checksum column, computed in place over the
+// clean payload; plain queues leave both empty.
+//
+// Ownership. A payload points either into a worker's input view or into
+// the queue's side store. Input views are the caller's: they must stay
+// alive and unchanged until the queue is cleared, and nothing that edits a
+// queue ever writes through a payload pointer. Only a copy that differs
+// from or outlives its source is materialized into the side store: the
+// zero-padded tail chunk of a view, a corrupted copy, a ghost. The store
+// grows in fixed blocks that never move, so a stored payload stays valid
+// until clear(), which recycles the blocks without freeing them.
 struct WaveQueue {
   explicit WaveQueue(std::size_t lanes) : lanes(lanes) {}
 
   void push(std::uint16_t slot, std::uint8_t worker, std::uint32_t stamp,
-            std::span<const std::uint32_t> payload) {
+            const std::byte* payload) {
     slots.push_back(slot);
     workers.push_back(worker);
-    values.insert(values.end(), payload.begin(), payload.end());
+    payloads.push_back(payload);
     if (guarded) {
       stamps.push_back(stamp);
-      checksums.push_back(pisa::fpisa_checksum(slot, worker, stamp, payload));
+      checksums.push_back(pisa::fpisa_checksum(
+          slot, worker, stamp, {payload, lanes * sizeof(std::uint32_t)}));
     }
   }
+  // Copies `src` (at most `lanes` values' bytes) into the side store,
+  // zero-padding the rest of the lanes. The copy is valid until clear().
+  std::span<std::uint32_t> materialize(std::span<const std::byte> src);
   std::size_t size() const { return slots.size(); }
   void clear() {
     slots.clear();
     workers.clear();
     stamps.clear();
     checksums.clear();
-    values.clear();
+    payloads.clear();
+    stored_ = 0;
   }
 
   std::size_t lanes;
@@ -141,7 +155,14 @@ struct WaveQueue {
   std::vector<std::uint8_t> workers;
   std::vector<std::uint32_t> stamps;
   std::vector<std::uint16_t> checksums;
-  std::vector<std::uint32_t> values;
+  std::vector<const std::byte*> payloads;
+
+ private:
+  static constexpr std::size_t kBlockPayloads = 64;
+  // Side-store blocks of kBlockPayloads payloads each; a block is sized once
+  // and never resized, so its buffer never moves.
+  std::vector<std::vector<std::uint32_t>> store_;
+  std::size_t stored_ = 0;  // payloads handed out since clear()
 };
 
 // Per-(job, shard, pass) deterministic injector. It owns the fault RNG
@@ -178,15 +199,18 @@ class FaultEngine {
   // Waves begin in order, and drop_ghosts() precedes a restart.
   void begin_wave(WaveQueue& queue);
 
-  // Push one delivered copy onto the queue, then inject into it. Returns
-  // false when this copy was corrupted in flight -- the switch guard will
-  // reject it, so the caller must treat the attempt as undelivered (keep
-  // retransmitting, no ack possible).
+  // Push one delivered copy of `payload` (queue.lanes packed FP32 values)
+  // onto the queue, then inject into it. Returns false when this copy was
+  // corrupted in flight -- the switch guard will reject it, so the caller
+  // must treat the attempt as undelivered (keep retransmitting, no ack
+  // possible). Only the corrupted copy is materialized; `payload` itself is
+  // never written.
   bool deliver(WaveQueue& queue, std::uint16_t slot, std::uint8_t worker,
-               std::uint32_t stamp, std::span<const std::uint32_t> values);
+               std::uint32_t stamp, std::span<const std::byte> payload);
 
-  // Reorder the queue: adjacent swaps across different slots only,
-  // preserving per-slot FIFO order (results stay bit-identical).
+  // Reorder the queue: adjacent swaps of descriptors across different
+  // slots only, preserving per-slot FIFO order (results stay
+  // bit-identical).
   void shuffle(WaveQueue& queue);
 
   // Forget captured ghosts (degrade restart: the replayed job must not
@@ -198,7 +222,7 @@ class FaultEngine {
     std::uint16_t slot;
     std::uint8_t worker;
     std::uint32_t stamp;
-    std::vector<std::uint32_t> values;
+    std::vector<std::byte> payload;
   };
 
   FaultOptions opts_;

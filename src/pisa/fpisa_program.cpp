@@ -783,25 +783,33 @@ void FpisaSwitch::check_packets(const char* what,
 // (MAU0-4). The shared per-packet state — guard checks, the MAU1 worker
 // bitmap and the MAU4 completion counter — never reads a lane register, so
 // one scalar pre-pass settles it for every packet in order. The accepted
-// packets' lanes then run the core lane-add in LaneMode::kSwitch over each
-// packet's contiguous bank row: the same selects, 32-bit wrap and counter
-// lane sums as the core accumulator, with the switch tables' edges (zeros
-// and non-finite values run the datapath, the ±32 align clamp, the
-// exponent update on every lane). tests/test_pisa_fpisa_program.cpp proves
+// packets' lanes then run the core lane-add in LaneMode::kSwitch as one
+// gather over their contiguous bank rows, reading each payload in place:
+// the same selects, 32-bit wrap and counter lane sums as the core
+// accumulator, with the switch tables' edges (zeros and non-finite values
+// run the datapath, the ±32 align clamp, the exponent update on every
+// lane). tests/test_pisa_fpisa_program.cpp proves
 // it bit-identical to per-packet `add` calls through the interpreter.
 // Egress (result emission) is skipped: batch callers collect aggregates
 // with read_batch()/read_and_reset_batch() — the compiled egress below.
 // ---------------------------------------------------------------------------
 
+std::span<const std::byte* const> FpisaSwitch::flat_payloads(
+    const char* what, std::size_t n, std::span<const std::uint32_t> values) {
+  const auto lanes = static_cast<std::size_t>(opts_.lanes);
+  require_size(what, "values", values.size(), n * lanes);
+  const std::span<const std::byte> bytes = std::as_bytes(values);
+  flat_payloads_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    flat_payloads_[p] = bytes.data() + p * lanes * sizeof(std::uint32_t);
+  }
+  return flat_payloads_;
+}
+
 void FpisaSwitch::add_batch(std::span<const std::uint16_t> slots,
                             std::span<const std::uint8_t> workers,
                             std::span<const std::uint32_t> values) {
-  const std::size_t n = slots.size();
-  require_size("add_batch", "workers", workers.size(), n);
-  require_size("add_batch", "values", values.size(),
-               n * static_cast<std::size_t>(opts_.lanes));
-  check_packets("add_batch", slots, workers);
-  ingress(slots, workers, {}, {}, values, nullptr);
+  ingress(slots, workers, flat_payloads("add_batch", slots.size(), values));
 }
 
 void FpisaSwitch::add_batch_guarded(std::span<const std::uint16_t> slots,
@@ -810,34 +818,40 @@ void FpisaSwitch::add_batch_guarded(std::span<const std::uint16_t> slots,
                                     std::span<const std::uint16_t> checksums,
                                     std::span<const std::uint32_t> values,
                                     GuardStats& guard) {
-  const std::size_t n = slots.size();
-  require_size("add_batch_guarded", "workers", workers.size(), n);
-  require_size("add_batch_guarded", "stamps", stamps.size(), n);
-  require_size("add_batch_guarded", "checksums", checksums.size(), n);
-  require_size("add_batch_guarded", "values", values.size(),
-               n * static_cast<std::size_t>(opts_.lanes));
-  check_packets("add_batch_guarded", slots, workers);
-  ingress(slots, workers, stamps, checksums, values, &guard);
+  ingress(slots, workers,
+          flat_payloads("add_batch_guarded", slots.size(), values), stamps,
+          checksums, &guard);
 }
 
 void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
                           std::span<const std::uint8_t> workers,
+                          std::span<const std::byte* const> payloads,
                           std::span<const std::uint32_t> stamps,
                           std::span<const std::uint16_t> checksums,
-                          std::span<const std::uint32_t> values,
                           GuardStats* guard) {
+  const std::size_t n = slots.size();
+  require_size("ingress", "workers", workers.size(), n);
+  require_size("ingress", "payloads", payloads.size(), n);
+  if (guard != nullptr) {
+    require_size("ingress", "stamps", stamps.size(), n);
+    require_size("ingress", "checksums", checksums.size(), n);
+  }
+  check_packets("ingress", slots, workers);
+
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
+  const std::size_t payload_bytes = lanes * sizeof(std::uint32_t);
   RegisterArray& bitmap = sim_.reg(2 * opts_.lanes);
   RegisterArray& count = sim_.reg(2 * opts_.lanes + 1);
 
-  accepted_.clear();
-  for (std::size_t p = 0; p < slots.size(); ++p) {
+  gather_payloads_.clear();
+  gather_rows_.clear();
+  for (std::size_t p = 0; p < n; ++p) {
     const std::uint16_t slot = slots[p];
     if (guard != nullptr) {
       // Guard 1: payload integrity. A bit flipped in flight breaks the
       // checksum the sender computed over the clean bytes.
       if (fpisa_checksum(slot, workers[p], stamps[p],
-                         values.subspan(p * lanes, lanes)) != checksums[p]) {
+                         {payloads[p], payload_bytes}) != checksums[p]) {
         guard->corrupt_rejected++;
         guard_corrupt_++;
         continue;
@@ -861,20 +875,15 @@ void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
     bitmap.write(slot, old_bm | wbit);
     if (old_bm == 0) occupied_++;
     count.write(slot, count.read(slot) + 1);  // MAU4 completion counter
-    accepted_.push_back(static_cast<std::uint32_t>(p));
+    gather_payloads_.push_back(payloads[p]);
+    gather_rows_.push_back(slot);
   }
 
   core::RegisterFile& bank = sim_.bank();
-  const std::span<std::int32_t> exp(bank.exp);
-  const std::span<std::int64_t> man(bank.man);
-  for (const std::uint32_t p : accepted_) {
-    const std::size_t row = slots[p] * lanes;
-    core::fpisa_add_batch(values.subspan(p * lanes, lanes),
-                          exp.subspan(row, lanes), man.subspan(row, lanes),
-                          lane_cfg_, ops_, core::LaneMode::kSwitch);
-  }
-  sim_.account_packets(slots.size());
-  flush_metrics(slots.size());
+  core::fpisa_add_gather(gather_payloads_, gather_rows_, lanes, bank.exp,
+                         bank.man, lane_cfg_, ops_, core::LaneMode::kSwitch);
+  sim_.account_packets(n);
+  flush_metrics(n);
 }
 
 void FpisaSwitch::wipe_state() {

@@ -25,7 +25,9 @@
 // slot-major register bank.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -60,18 +62,29 @@ struct FpisaProgramOptions {
 inline constexpr int kFpisaHeaderBytes = 16;
 
 /// Internet-checksum-style fold of (slot, worker, stamp, payload) to 16
-/// bits: the end-around-carry folding detects any single flipped bit.
+/// bits: the end-around-carry folding detects any single flipped bit. The
+/// payload is the packet's packed FP32 lanes as raw bytes (any alignment),
+/// summed as one 32-bit word per lane.
 inline std::uint16_t fpisa_checksum(std::uint16_t slot, std::uint8_t worker,
                                     std::uint32_t stamp,
-                                    std::span<const std::uint32_t> values) {
+                                    std::span<const std::byte> payload) {
   std::uint64_t sum = slot;
   sum += static_cast<std::uint64_t>(worker) << 16;
   sum += stamp;
-  for (const std::uint32_t v : values) sum += v;
+  for (std::size_t i = 0; i + 4 <= payload.size(); i += 4) {
+    std::uint32_t v;
+    std::memcpy(&v, payload.data() + i, sizeof v);
+    sum += v;
+  }
   sum = (sum & 0xFFFFFFFFull) + (sum >> 32);
   sum = (sum & 0xFFFFull) + (sum >> 16);
   sum = (sum & 0xFFFFull) + (sum >> 16);
   return static_cast<std::uint16_t>(~sum);
+}
+inline std::uint16_t fpisa_checksum(std::uint16_t slot, std::uint8_t worker,
+                                    std::uint32_t stamp,
+                                    std::span<const std::uint32_t> values) {
+  return fpisa_checksum(slot, worker, stamp, std::as_bytes(values));
 }
 
 Packet make_fpisa_packet(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
@@ -113,8 +126,8 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 ///
 /// Two datapaths share one register state. The interpreted one (add, read,
 /// read_and_reset) encodes a packet and runs it through every table and
-/// stateful ALU of the simulator. The compiled one (add_batch,
-/// add_batch_guarded, read_batch, read_and_reset_batch) is MAU0-8 lowered
+/// stateful ALU of the simulator. The compiled one (ingress and its flat
+/// adapters, read_batch, read_and_reset_batch) is MAU0-8 lowered
 /// onto the core lane kernels in core::LaneMode::kSwitch: the lane
 /// registers are strided views onto one slot-major bank
 /// (SwitchProgram::bank), so a packet's lanes — or a run of consecutive
@@ -158,33 +171,45 @@ class FpisaSwitch {
   void read_into(std::uint16_t slot, FpisaResult& out);
   void read_and_reset_into(std::uint16_t slot, FpisaResult& out);
 
-  /// Batched add fast path: applies `slots.size()` add packets in order,
-  /// packet i carrying the `lanes` FP32 values at values[i*lanes ..]. The
-  /// register / dedup-bitmap / completion-counter evolution is bit-identical
-  /// to calling add() per packet (enforced by tests), but the packets skip
-  /// wire encode/parse and table interpretation entirely and no per-packet
-  /// result is materialized — callers that want the aggregate use read().
-  /// One scalar pre-pass settles each packet's shared state (dedup bitmap,
-  /// completion counter, occupancy); each accepted packet's lanes then go
-  /// through the core lane-add in LaneMode::kSwitch over the packet's
-  /// contiguous bank row.
-  void add_batch(std::span<const std::uint16_t> slots,
-                 std::span<const std::uint8_t> workers,
-                 std::span<const std::uint32_t> values);
-
-  /// Per-batch guard rejection counts from add_batch_guarded.
+  /// Per-batch guard rejection counts from the guarded ingress.
   struct GuardStats {
     std::uint64_t corrupt_rejected = 0;  ///< checksum mismatch
     std::uint64_t stale_rejected = 0;    ///< epoch/generation stamp mismatch
   };
 
-  /// Guarded batched add: like add_batch, but packet i additionally carries
-  /// an epoch/generation stamp and a payload checksum. A packet whose
-  /// checksum does not cover its bytes (bit flipped in flight) or whose
-  /// stamp disagrees with the slot's current stamp (a stale duplicate from
-  /// before the slot was reset, or a pre-wipe packet) is dropped before it
-  /// can touch register state; the drops are tallied in `guard` and in the
-  /// registry. Accepted packets update state exactly as add_batch would.
+  /// Batched add fast path over packet descriptors: applies
+  /// `slots.size()` add packets in order, packet i targeting slots[i] from
+  /// workers[i] with the `lanes` packed FP32 values at payloads[i] (raw
+  /// bytes at any alignment, typically std::as_bytes of a worker's float
+  /// span: read in place, never written). The register / dedup-bitmap /
+  /// completion-counter evolution is bit-identical to calling add() per
+  /// packet (enforced by tests), but the packets skip wire encode/parse
+  /// and table interpretation entirely and no per-packet result is
+  /// materialized — callers that want the aggregate use read(). One scalar
+  /// pre-pass settles each packet's shared state (guard, dedup bitmap,
+  /// completion counter, occupancy); the accepted packets' lanes then land
+  /// through one core::fpisa_add_gather over their bank rows in
+  /// LaneMode::kSwitch.
+  ///
+  /// Guarded when `guard` is non-null: packet i then also carries
+  /// stamps[i] and checksums[i]. A packet whose checksum does not cover its
+  /// bytes (bit flipped in flight) or whose stamp disagrees with the slot's
+  /// current stamp (a stale duplicate from before the slot was reset, or a
+  /// pre-wipe packet) is dropped before it can touch register state; the
+  /// drops are tallied in `*guard` and in the registry. Accepted packets
+  /// update state exactly as unguarded ones would.
+  void ingress(std::span<const std::uint16_t> slots,
+               std::span<const std::uint8_t> workers,
+               std::span<const std::byte* const> payloads,
+               std::span<const std::uint32_t> stamps = {},
+               std::span<const std::uint16_t> checksums = {},
+               GuardStats* guard = nullptr);
+
+  /// Flat adapters over ingress: packet i's lanes are
+  /// values[i*lanes, +lanes).
+  void add_batch(std::span<const std::uint16_t> slots,
+                 std::span<const std::uint8_t> workers,
+                 std::span<const std::uint32_t> values);
   void add_batch_guarded(std::span<const std::uint16_t> slots,
                          std::span<const std::uint8_t> workers,
                          std::span<const std::uint32_t> stamps,
@@ -269,13 +294,9 @@ class FpisaSwitch {
   /// Throws unless every packet's slot and worker id is in range.
   void check_packets(const char* what, std::span<const std::uint16_t> slots,
                      std::span<const std::uint8_t> workers) const;
-  /// Shared body of the batched add paths (the compiled form of MAU0-4);
-  /// `guard` null means unguarded. Shapes are already checked.
-  void ingress(std::span<const std::uint16_t> slots,
-               std::span<const std::uint8_t> workers,
-               std::span<const std::uint32_t> stamps,
-               std::span<const std::uint16_t> checksums,
-               std::span<const std::uint32_t> values, GuardStats* guard);
+  /// One payload pointer per packet into flat `values` (the adapters).
+  std::span<const std::byte* const> flat_payloads(
+      const char* what, std::size_t n, std::span<const std::uint32_t> values);
   /// Shared body of the batched read paths (the compiled form of MAU5-8).
   void collect_batch(const char* what, std::uint16_t slot0, std::size_t n,
                      bool reset, std::span<std::uint32_t> out_values,
@@ -293,7 +314,10 @@ class FpisaSwitch {
   SwitchSim sim_;
   Packet scratch_pkt_;                  ///< reused by the *_into paths
   std::vector<std::uint32_t> zeros_;    ///< read/reset payload template
-  std::vector<std::uint32_t> accepted_;  ///< ingress: packets that add
+  // Ingress: the accepted packets' payloads and bank rows.
+  std::vector<const std::byte*> gather_payloads_;
+  std::vector<std::uint32_t> gather_rows_;
+  std::vector<const std::byte*> flat_payloads_;  ///< flat adapters
   /// Interpreted add: copy of the packet's pre-packet lane registers, which
   /// the core lane-add classifies for §5.2.1 accounting.
   core::RegisterFile pre_packet_;

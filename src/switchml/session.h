@@ -11,9 +11,9 @@
 // pipeline), with failure injection for the loss-recovery path.
 //
 // Every wave runs through the one WaveEngine (switchml/wave_engine.h): the
-// whole wave is encoded into reused buffers with its loss schedule drawn
-// up front, applied through FpisaSwitch::add_batch, and collected through
-// one read_and_reset_batch. The per-packet protocol it reproduces bit for
+// whole wave is queued as descriptors into the worker views with its loss
+// schedule drawn up front, applied through FpisaSwitch::ingress, and
+// collected through one read_and_reset_batch. The per-packet protocol it reproduces bit for
 // bit survives only as the test oracle in tests/wave_oracle.h. The session
 // adds input validation and, with fault injection on, the dead-worker
 // degrade loop on top.

@@ -113,21 +113,13 @@ void WaveHooks::fail(WaveFailure failure, std::uint16_t slot, int worker) {
 }
 
 WaveEngine::WaveEngine(int lanes)
-    : lanes_(checked_lanes(lanes)), lane_buf_(lanes_, 0), queue_(lanes_) {}
-
-void WaveEngine::load_lanes(const WaveJob& job, std::size_t w,
-                            std::size_t c) {
-  const std::span<const float> v = job.workers[w];
-  const std::size_t i0 = c * lanes_;
-  for (std::size_t l = 0; l < lanes_; ++l) {
-    lane_buf_[l] = i0 + l < v.size() ? core::fp32_bits(v[i0 + l]) : 0;
-  }
-}
+    : lanes_(checked_lanes(lanes)), queue_(lanes_) {}
 
 template <class Fn>
 bool WaveEngine::pack(const WaveJob& job, std::size_t wave, std::size_t k0,
                       std::size_t k1, Fn&& fn) {
   const std::size_t base = wave * job.wave;
+  const std::size_t payload_bytes = lanes_ * sizeof(float);
   for (std::size_t k = k0; k < k1; ++k) {
     const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
     for (std::size_t w = 0; w < job.workers.size(); ++w) {
@@ -136,15 +128,24 @@ bool WaveEngine::pack(const WaveJob& job, std::size_t wave, std::size_t k0,
           job.faults->worker_silent(static_cast<int>(w), wave)) {
         continue;  // injected death: this worker's packets never arrive
       }
-      load_lanes(job, w, job.chunks[k]);
-      if (!fn(slot, w)) return false;
+      // The payload is the chunk's bytes in the worker's own view; only a
+      // short tail chunk is copied, zero-padded, into the queue's store.
+      const std::span<const std::byte> view = std::as_bytes(job.workers[w]);
+      const std::size_t i0 =
+          std::min(job.chunks[k] * payload_bytes, view.size());
+      std::span<const std::byte> payload =
+          view.subspan(i0, std::min(payload_bytes, view.size() - i0));
+      if (payload.size() < payload_bytes) {
+        payload = std::as_bytes(queue_.materialize(payload));
+      }
+      if (!fn(slot, w, payload)) return false;
     }
   }
   return true;
 }
 
 bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
-                      std::uint8_t id) {
+                      std::uint8_t id, std::span<const std::byte> payload) {
   SessionStats& st = *job.stats;
   util::Rng& rng = *job.rng;
   bool delivered_before = false;
@@ -156,9 +157,9 @@ bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
       continue;  // request lost: retransmit after "timeout"
     }
     if (job.faults == nullptr) {
-      queue_.push(slot, id, 0, lane_buf_);
+      queue_.push(slot, id, 0, payload.data());
     } else if (!job.faults->deliver(queue_, slot, id, stamps_[slot - job.lo],
-                                    lane_buf_)) {
+                                    payload)) {
       // A corrupted copy still reaches the switch (whose guard rejects
       // it) but can never be acked: keep retransmitting.
       continue;
@@ -182,8 +183,9 @@ WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
   const std::size_t end = std::min(base + job.wave, job.chunks.size());
   const std::size_t mid = base + (end - base) / 2;
   if (job.faults != nullptr) job.faults->begin_wave(queue_);
-  const auto send_one = [&](std::uint16_t slot, std::size_t w) {
-    if (send(job, slot, id_of(job, w))) return true;
+  const auto send_one = [&](std::uint16_t slot, std::size_t w,
+                            std::span<const std::byte> payload) {
+    if (send(job, slot, id_of(job, w), payload)) return true;
     e.ok = false;
     e.slot = slot;
     e.worker = static_cast<int>(w);
@@ -198,15 +200,11 @@ WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
 }
 
 void WaveEngine::land(pisa::FpisaSwitch& sw, const WaveJob& job) {
-  if (queue_.guarded) {
-    pisa::FpisaSwitch::GuardStats guard;
-    sw.add_batch_guarded(queue_.slots, queue_.workers, queue_.stamps,
-                         queue_.checksums, queue_.values, guard);
-    job.stats->faults.corrupt_rejected += guard.corrupt_rejected;
-    job.stats->faults.stale_dups_rejected += guard.stale_rejected;
-  } else {
-    sw.add_batch(queue_.slots, queue_.workers, queue_.values);
-  }
+  pisa::FpisaSwitch::GuardStats guard;
+  sw.ingress(queue_.slots, queue_.workers, queue_.payloads, queue_.stamps,
+             queue_.checksums, queue_.guarded ? &guard : nullptr);
+  job.stats->faults.corrupt_rejected += guard.corrupt_rejected;
+  job.stats->faults.stale_dups_rejected += guard.stale_rejected;
   queue_.clear();
 }
 
@@ -245,10 +243,13 @@ void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
       }
       resync(s, job);
       ++st.faults.epoch_bumps;
-      pack(job, wave, base, end, [&](std::uint16_t slot, std::size_t w) {
-        queue_.push(slot, id_of(job, w), stamps_[slot - job.lo], lane_buf_);
-        return true;
-      });
+      pack(job, wave, base, end,
+           [&](std::uint16_t slot, std::size_t w,
+               std::span<const std::byte> payload) {
+             queue_.push(slot, id_of(job, w), stamps_[slot - job.lo],
+                         payload.data());
+             return true;
+           });
       land(s, job);
       ++st.faults.waves_replayed;
     }

@@ -6,13 +6,15 @@
 // A job is a list of chunks (each chunk is `lanes` consecutive values of
 // every worker's vector) run wave by wave over a slot range [lo, lo+wave)
 // of one switch. Per wave:
-//  1. encode: every live worker's packet for every chunk of the wave is
-//     packed into reused flat buffers while the add loss schedule is drawn
-//     in per-packet protocol order (request drop, delivery, ack drop,
-//     retransmit); every copy the switch would receive is queued in
-//     arrival order, so the dedup bitmap absorbs duplicates exactly as it
-//     would packet by packet;
-//  2. add: the queued wave lands through one add_batch;
+//  1. encode: the add loss schedule of every live worker's packet for
+//     every chunk of the wave is drawn in per-packet protocol order
+//     (request drop, delivery, ack drop, retransmit), and every copy the
+//     switch would receive is queued in arrival order as a descriptor: a
+//     pointer to the chunk's bytes in the worker's own view (only a short
+//     tail chunk is copied, zero-padded). Nothing is packed, and the dedup
+//     bitmap absorbs duplicates exactly as it would packet by packet;
+//  2. add: the queued wave lands through one descriptor ingress, which
+//     gathers the accepted packets' lanes in place in one kernel call;
 //  3. collect: the per-slot read/reset loss schedule is drawn
 //     (draw_collect_schedule) and the wave's slots drain through one
 //     read_and_reset_batch, scattered into the result by chunk id.
@@ -24,13 +26,18 @@
 // Guarded mode (a fault::FaultEngine is supplied) runs the Byzantine-wire
 // recovery protocol through the same queue, packing loop and landing
 // helper: each copy also carries an epoch stamp from a host mirror and a
-// checksum over its clean payload, the fault engine edits the queue in
-// place, and the wave lands through add_batch_guarded. A wipe is recovered
-// by re-packing the wave, landed under the same switch hold as the wipe and
-// the wave-deadline bitmap probe that finds a silent worker. Guarded waves
-// never pipeline; on the lossy_switch shape (4 x 256K values, 32 lanes, 64
-// slots, 1% loss, fault rates 0) their session p50 is 30-33% above plain
-// (20 alternating plain/guarded sessions per run, 8 runs, 4-core Xeon).
+// checksum computed in place over its clean payload, the fault engine
+// edits the queue in place (copying only the payloads it corrupts or
+// holds back as ghosts), and the wave lands through the guarded ingress. A
+// wipe is recovered by re-packing the wave, landed under the same switch
+// hold as the wipe and the wave-deadline bitmap probe that finds a silent
+// worker. Guarded waves never pipeline; on the lossy_switch shape (4 x
+// 256K values, 32 lanes, 64 slots, 1% loss, fault rates 0) their session
+// p50 is 45-49% above plain (20 alternating plain/guarded sessions per
+// run, medians of 8 runs, 4-core Xeon; 31-35% before ingress read
+// payloads in place). The plain path gained more than the guarded one,
+// whose per-copy checksums and per-wave bitmap probe (a full read_batch)
+// stayed.
 #pragma once
 
 #include <chrono>
@@ -289,17 +296,20 @@ class WaveEngine {
     std::uint64_t ns = 0;
   };
   Encoded encode(const WaveJob& job, WaveHooks& hooks, std::size_t wave);
-  /// The one packing loop: for chunks [k0, k1) of `wave`, packs each live
-  /// worker's payload into lane_buf_ and calls fn(slot, w), in protocol
-  /// order; false as soon as fn returns false.
+  /// The one packing loop: for chunks [k0, k1) of `wave`, calls
+  /// fn(slot, w, payload) for each live worker in protocol order, the
+  /// payload being the chunk's bytes in the worker's view (a short tail
+  /// chunk zero-padded in the queue's store); false as soon as fn returns
+  /// false.
   template <class Fn>
   bool pack(const WaveJob& job, std::size_t wave, std::size_t k0,
             std::size_t k1, Fn&& fn);
   /// Draws one packet's add loss schedule and queues each delivered copy;
   /// false when the packet exhausts its retransmit budget.
-  bool send(const WaveJob& job, std::uint16_t slot, std::uint8_t id);
-  /// Lands the queue on an already-held switch through the plain or the
-  /// guarded batch ingress, books the guard's rejects, and empties it.
+  bool send(const WaveJob& job, std::uint16_t slot, std::uint8_t id,
+            std::span<const std::byte> payload);
+  /// Lands the queue on an already-held switch through its descriptor
+  /// ingress (guarded or not), books the guard's rejects, and empties it.
   void land(pisa::FpisaSwitch& sw, const WaveJob& job);
   /// Guarded only: injected wipe, replay after state loss, wave deadline.
   void recover(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
@@ -307,15 +317,12 @@ class WaveEngine {
   void collect(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave, const CollectSchedule& sched);
   void resync(pisa::FpisaSwitch& sw, const WaveJob& job);
-  /// Packs chunk `c` of view `w` into lane_buf_ (zero past the end).
-  void load_lanes(const WaveJob& job, std::size_t w, std::size_t c);
   std::uint8_t id_of(const WaveJob& job, std::size_t w) const {
     return job.ids.empty() ? static_cast<std::uint8_t>(w) : job.ids[w];
   }
 
   std::size_t lanes_;
   // Reused across waves and runs: no steady-state allocation.
-  std::vector<std::uint32_t> lane_buf_;
   fault::WaveQueue queue_;  ///< the only packet queue
   std::vector<std::uint32_t> wave_values_;
   // Guarded mode: host mirror of the range's slot stamps and the wave

@@ -506,6 +506,28 @@ TEST(FpisaVector, AggregateIntoRejectsMalformedShapesInEveryBuild) {
   for (const float v : out) EXPECT_EQ(v, 2.0f);
 }
 
+TEST(FpisaVector, RejectsWrongSizedSpansInEveryBuild) {
+  // A wrong-sized span used to read or write past the register file in
+  // Release (the checks were Debug asserts).
+  FpisaVector vec(4);
+  const std::vector<float> three(3, 1.0f);
+  const std::vector<std::uint64_t> five(5, 0);
+  std::vector<float> out3(3);
+  std::vector<std::uint64_t> out5(5);
+  EXPECT_THROW(vec.add(three), std::invalid_argument);
+  EXPECT_THROW(vec.add_bits(five), std::invalid_argument);
+  EXPECT_THROW(vec.read(out3), std::invalid_argument);
+  EXPECT_THROW(vec.read_bits(out5), std::invalid_argument);
+  EXPECT_EQ(vec.counters().adds, 0u);
+
+  // add() reads its floats as packed FP32; other formats go via add_bits.
+  AccumulatorConfig fp16;
+  fp16.format = kFp16;
+  FpisaVector half(4, fp16);
+  const std::vector<float> four(4, 1.0f);
+  EXPECT_THROW(half.add(four), std::invalid_argument);
+}
+
 TEST(FpisaVector, ResetClearsStateAndCounters) {
   FpisaVector vec(4);
   const std::vector<float> vals{1.0f, 2.0f, 3.0f, 4.0f};

@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/batch_accumulator.h"
@@ -602,6 +605,167 @@ TEST(BatchEquivalence, BatchEntryPointsRejectBadInputs) {
                std::invalid_argument);
   EXPECT_THROW(fpisa_read_batch(rf.exp, rf.man, out, wide, LaneMode::kSwitch),
                std::invalid_argument);
+}
+
+/// A bank-shaped gather: payload bytes at an odd offset (so no lane is
+/// 4-byte aligned), rows that repeat and one that ends at the bank end.
+struct GatherCase {
+  std::size_t lanes = 0;
+  std::size_t bank_rows = 0;
+  std::vector<std::uint32_t> rows;
+  std::vector<std::byte> bytes;  ///< 1 pad byte, then lanes*4 per payload
+  std::vector<const std::byte*> payloads;
+
+  GatherCase(std::size_t lanes_in, std::size_t bank_rows_in,
+             std::vector<std::uint32_t> rows_in, std::uint64_t seed)
+      : lanes(lanes_in), bank_rows(bank_rows_in), rows(std::move(rows_in)) {
+    util::Rng rng(seed);
+    bytes.resize(1 + rows.size() * lanes * 4);
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        // Wide exponents plus zeros, subnormals and non-finite values.
+        std::uint32_t u = rng.next_u32();
+        switch (rng.next_below(8)) {
+          case 0: u &= 0x80000000u; break;               // ±0
+          case 1: u &= 0x807FFFFFu; break;               // subnormal
+          case 2: u |= 0x7F800000u; break;               // inf / NaN
+          default: u = (u & 0x807FFFFFu) |
+                       static_cast<std::uint32_t>(100 + rng.next_below(56))
+                           << 23;                        // near 1.0
+        }
+        std::memcpy(bytes.data() + 1 + (r * lanes + l) * 4, &u, 4);
+      }
+    }
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      payloads.push_back(bytes.data() + 1 + r * lanes * 4);
+    }
+  }
+
+  /// The payload's lanes as an aligned word vector (oracle input).
+  std::vector<std::uint32_t> words(std::size_t r) const {
+    std::vector<std::uint32_t> w(lanes);
+    std::memcpy(w.data(), payloads[r], lanes * 4);
+    return w;
+  }
+};
+
+TEST(GatherEquivalence, MatchesPerRowAddBatchOnEveryBackend) {
+  // fpisa_add_gather is fpisa_add_batch once per row, in row order: same
+  // registers, same counters, on every backend and in both lane modes.
+  // Rows repeat (2 and 0 accumulate twice) and row 5 ends at the bank's
+  // last register. 13 lanes = one 8-lane vector body plus a scalar tail.
+  for (const std::size_t lanes : {std::size_t{13}, std::size_t{32}}) {
+    const GatherCase g(lanes, 6, {2, 0, 5, 2, 1, 0, 5, 3}, lanes);
+    for (const LaneMode mode : {LaneMode::kAccumulator, LaneMode::kSwitch}) {
+      for (const Variant v : {Variant::kFull, Variant::kApproximate}) {
+        for (const OverflowPolicy pol :
+             {OverflowPolicy::kWrap, OverflowPolicy::kSaturate}) {
+          for (const int reg_bits : {32, 40}) {
+            AccumulatorConfig cfg;
+            cfg.variant = v;
+            cfg.overflow = pol;
+            cfg.reg_bits = reg_bits;
+            for (const BatchBackend backend : available_batch_backends()) {
+              force_batch_backend(backend);
+              RegisterFile want(g.bank_rows * lanes);
+              OpCounters want_ops;
+              for (std::size_t r = 0; r < g.rows.size(); ++r) {
+                const std::size_t off = g.rows[r] * lanes;
+                fpisa_add_batch(g.words(r),
+                                std::span(want.exp).subspan(off, lanes),
+                                std::span(want.man).subspan(off, lanes), cfg,
+                                want_ops, mode);
+              }
+              RegisterFile got(g.bank_rows * lanes);
+              OpCounters got_ops;
+              fpisa_add_gather(g.payloads, g.rows, lanes, got.exp, got.man,
+                               cfg, got_ops, mode);
+              reset_batch_backend();
+              const std::string tag =
+                  std::string(mode == LaneMode::kSwitch ? "switch" : "acc") +
+                  (v == Variant::kFull ? " full" : " approx") +
+                  (pol == OverflowPolicy::kWrap ? " wrap" : " sat") +
+                  " reg=" + std::to_string(reg_bits) +
+                  " lanes=" + std::to_string(lanes) + " [" +
+                  backend_tag(backend) + "]";
+              EXPECT_EQ(got.exp, want.exp) << tag;
+              EXPECT_EQ(got.man, want.man) << tag;
+              expect_counters_eq(got_ops, want_ops, tag);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GatherEquivalence, IneligibleConfigFallsBackPerRow) {
+  // A 64-bit register is outside the fast path: the reference loop still
+  // gathers row by row.
+  AccumulatorConfig wide;
+  wide.reg_bits = 64;
+  const GatherCase g(5, 3, {1, 2, 1}, 9);
+  RegisterFile want(15);
+  OpCounters want_ops;
+  for (std::size_t r = 0; r < g.rows.size(); ++r) {
+    const std::size_t off = g.rows[r] * 5;
+    fpisa_add_batch(g.words(r), std::span(want.exp).subspan(off, 5),
+                    std::span(want.man).subspan(off, 5), wide, want_ops);
+  }
+  RegisterFile got(15);
+  OpCounters got_ops;
+  fpisa_add_gather(g.payloads, g.rows, 5, got.exp, got.man, wide, got_ops);
+  EXPECT_EQ(got.exp, want.exp);
+  EXPECT_EQ(got.man, want.man);
+  expect_counters_eq(got_ops, want_ops, "reference gather");
+}
+
+TEST(GatherEquivalence, RejectsBadShapesBeforeTouchingTheBank) {
+  const GatherCase g(8, 4, {0, 3, 4}, 3);  // row 4 is one past the bank
+  for (const BatchBackend backend : available_batch_backends()) {
+    force_batch_backend(backend);
+    RegisterFile bank(4 * 8);
+    OpCounters ops;
+    EXPECT_THROW(fpisa_add_gather(g.payloads, g.rows, 8, bank.exp, bank.man,
+                                  {}, ops, LaneMode::kSwitch),
+                 std::out_of_range);
+    // Rows 0 and 3 precede the bad row, yet nothing landed.
+    EXPECT_EQ(bank.exp, std::vector<std::int32_t>(32, 0));
+    EXPECT_EQ(bank.man, std::vector<std::int64_t>(32, 0));
+    EXPECT_EQ(ops.adds, 0u);
+    // Payloads and rows of different lengths; exp and man of different
+    // lengths.
+    EXPECT_THROW(fpisa_add_gather(std::span(g.payloads).first(2), g.rows, 8,
+                                  bank.exp, bank.man, {}, ops),
+                 std::invalid_argument);
+    EXPECT_THROW(fpisa_add_gather(std::span(g.payloads).first(2),
+                                  std::span(g.rows).first(2), 8, bank.exp,
+                                  std::span(bank.man).first(31), {}, ops),
+                 std::invalid_argument);
+    reset_batch_backend();
+    EXPECT_EQ(ops.adds, 0u);
+  }
+}
+
+TEST(BatchEquivalence, TooNarrowRegisterThrowsInEveryBuild) {
+  // Batch-eligible (FP32, under 64 bits) but a 24-bit significand plus
+  // guard and sign bits cannot fit: a typed error, not a wrong sum.
+  AccumulatorConfig narrow;
+  narrow.reg_bits = 26;
+  narrow.guard_bits = 4;
+  ASSERT_TRUE(batch_eligible(narrow));
+  RegisterFile rf(1);
+  OpCounters ops;
+  const std::uint32_t one[] = {fp32_bits(1.0f)};
+  EXPECT_THROW(fpisa_add_batch(one, rf.exp, rf.man, narrow, ops),
+               std::invalid_argument);
+  const std::byte* const payload = std::as_bytes(std::span(one)).data();
+  const std::uint32_t row = 0;
+  EXPECT_THROW(fpisa_add_gather({&payload, 1}, {&row, 1}, 1, rf.exp, rf.man,
+                                narrow, ops),
+               std::invalid_argument);
+  EXPECT_EQ(rf.exp[0], 0);
+  EXPECT_EQ(ops.adds, 0u);
 }
 
 TEST(BatchEquivalence, BackendReportsAndDispatch) {

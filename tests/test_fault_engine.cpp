@@ -7,6 +7,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "fault/fault.h"
@@ -17,6 +19,17 @@ namespace {
 
 std::vector<std::uint32_t> payload(std::uint32_t a, std::uint32_t b) {
   return {a, b};
+}
+
+std::span<const std::byte> bytes(const std::vector<std::uint32_t>& v) {
+  return std::as_bytes(std::span(v));
+}
+
+/// Lane `l` of queued packet `i`, read through its payload descriptor.
+std::uint32_t lane(const WaveQueue& queue, std::size_t i, std::size_t l) {
+  std::uint32_t u;
+  std::memcpy(&u, queue.payloads[i] + l * sizeof u, sizeof u);
+  return u;
 }
 
 TEST(FaultEngine, SameSeedReplaysTheExactSchedule) {
@@ -32,10 +45,17 @@ TEST(FaultEngine, SameSeedReplaysTheExactSchedule) {
     WaveQueue queue(/*lanes=*/2);
     queue.guarded = true;
     engine.begin_wave(queue);
+    // Queued payloads point into the inputs, which outlive the queue.
+    std::vector<std::vector<std::uint32_t>> inputs;
     for (std::uint16_t slot = 0; slot < 4; ++slot) {
       for (std::uint8_t w = 0; w < 3; ++w) {
-        const auto values = payload(0x40000000u + slot, 0x3f800000u + w);
-        (void)engine.deliver(queue, slot, w, /*stamp=*/7, values);
+        inputs.push_back(payload(0x40000000u + slot, 0x3f800000u + w));
+      }
+    }
+    for (std::uint16_t slot = 0; slot < 4; ++slot) {
+      for (std::uint8_t w = 0; w < 3; ++w) {
+        (void)engine.deliver(queue, slot, w, /*stamp=*/7,
+                             bytes(inputs[slot * 3u + w]));
       }
     }
     engine.shuffle(queue);
@@ -45,7 +65,7 @@ TEST(FaultEngine, SameSeedReplaysTheExactSchedule) {
                              << 40) ^
                             (static_cast<std::uint64_t>(queue.workers[i])
                              << 32) ^
-                            queue.values[2 * i] ^
+                            lane(queue, i, 0) ^
                             (static_cast<std::uint64_t>(queue.checksums[i])
                              << 16));
     }
@@ -64,18 +84,17 @@ TEST(FaultEngine, CorruptionFlipsExactlyOneBitAndFailsTheChecksum) {
   engine.begin_wave(queue);
 
   const auto values = payload(0x41000000u, 0x42000000u);
-  EXPECT_FALSE(engine.deliver(queue, 3, 1, /*stamp=*/5, values));
+  EXPECT_FALSE(engine.deliver(queue, 3, 1, /*stamp=*/5, bytes(values)));
   ASSERT_EQ(queue.size(), 1u);
 
   // Exactly one bit differs from the clean payload...
-  const std::uint32_t d0 = queue.values[0] ^ values[0];
-  const std::uint32_t d1 = queue.values[1] ^ values[1];
+  const std::uint32_t d0 = lane(queue, 0, 0) ^ values[0];
+  const std::uint32_t d1 = lane(queue, 0, 1) ^ values[1];
   EXPECT_EQ(std::popcount(d0) + std::popcount(d1), 1);
   // ...and the carried checksum was computed over the CLEAN payload, so it
   // cannot match the corrupted one.
   EXPECT_NE(queue.checksums[0],
-            pisa::fpisa_checksum(3, 1, 5,
-                                 {queue.values.data(), 2}));
+            pisa::fpisa_checksum(3, 1, 5, {queue.payloads[0], 8}));
   EXPECT_EQ(queue.checksums[0], pisa::fpisa_checksum(3, 1, 5, values));
 }
 
@@ -102,10 +121,11 @@ TEST(FaultEngine, ReorderNeverSwapsSameSlotEntries) {
   engine.begin_wave(queue);
   // Two slots, three workers each, interleaved: per-slot arrival order is
   // worker 0, 1, 2 and must survive any amount of shuffling.
+  const std::vector<std::vector<std::uint32_t>> inputs{
+      {0x40000000u}, {0x40000001u}, {0x40000002u}};
   for (std::uint8_t w = 0; w < 3; ++w) {
     for (std::uint16_t slot = 0; slot < 2; ++slot) {
-      const std::vector<std::uint32_t> v{0x40000000u + w};
-      ASSERT_TRUE(engine.deliver(queue, slot, w, 1, v));
+      ASSERT_TRUE(engine.deliver(queue, slot, w, 1, bytes(inputs[w])));
     }
   }
   engine.shuffle(queue);
@@ -127,7 +147,7 @@ TEST(FaultEngine, GhostsComeBackInALaterWaveWithTheOldStamp) {
 
   engine.begin_wave(queue);
   const std::vector<std::uint32_t> v{0x41800000u};
-  ASSERT_TRUE(engine.deliver(queue, 5, 2, /*stamp=*/3, v));
+  ASSERT_TRUE(engine.deliver(queue, 5, 2, /*stamp=*/3, bytes(v)));
   EXPECT_EQ(queue.size(), 1u);
   queue.clear();
 

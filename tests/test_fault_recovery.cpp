@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/aggregation_service.h"
@@ -337,6 +339,63 @@ TEST(ClusterFaults, ShardAndWorkerDeathInOnePassBookBoth) {
   EXPECT_EQ(after.counter_total("cluster_failover_shard_deaths_total") -
                 before.counter_total("cluster_failover_shard_deaths_total"),
             1u);
+}
+
+// --- caller memory ---------------------------------------------------------
+
+std::vector<std::uint32_t> bits_of(
+    const std::vector<std::vector<float>>& workers) {
+  std::vector<std::uint32_t> bits;
+  for (const auto& w : workers) {
+    for (const float v : w) bits.push_back(core::fp32_bits(v));
+  }
+  return bits;
+}
+
+// Wave packets point into the callers' views, so a fault that edits a copy
+// must edit a private one. Guarded session and cluster runs with every copy
+// (then half the copies) corrupted in flight, duplicates, ghosts, reorder,
+// a wipe and its replay, and a zero-padded tail chunk leave every input
+// view byte-identical.
+TEST(FaultInputs, GuardedRunsNeverWriteTheCallersViews) {
+  auto workers = make_exact_workers(4, 97, 230);  // 97 = 48 chunks + a tail
+  const std::vector<std::uint32_t> before = bits_of(workers);
+  const auto want = clean_reduce(workers, base_session_opts());
+  for (const double corrupt : {1.0, 0.5}) {
+    fault::FaultOptions f;
+    f.enabled = true;
+    f.seed = 41;
+    f.corrupt_rate = corrupt;
+    f.dup_rate = 0.5;
+    f.stale_dup_rate = 0.5;
+    f.reorder_rate = 0.5;
+    f.wipe_switch = true;
+    f.wipe_wave = 0;
+    auto sopts = base_session_opts();
+    sopts.loss_rate = 0.05;
+    sopts.fault = f;
+    switchml::AggregationSession session(pisa::SwitchConfig{}, sopts);
+    auto copts = base_cluster_opts();
+    copts.loss_rate = 0.05;
+    copts.fault = f;
+    cluster::AggregationService svc(copts);
+    const std::string tag = "corrupt_rate " + std::to_string(corrupt);
+    if (corrupt == 1.0) {
+      // No copy is ever acked, so both runs give up.
+      EXPECT_THROW((void)testkit::reduce(session, workers),
+                   switchml::RetransmitExhaustedError)
+          << tag;
+      EXPECT_THROW((void)testkit::reduce(svc, "t", workers), std::exception)
+          << tag;
+    } else {
+      expect_bits_equal(testkit::reduce(session, workers), want);
+      expect_bits_equal(testkit::reduce(svc, "t", workers).result, want);
+      EXPECT_GT(session.stats().faults.corrupt_rejected, 0u) << tag;
+      EXPECT_GT(session.stats().faults.stale_dups_rejected, 0u) << tag;
+      EXPECT_GE(session.stats().faults.waves_replayed, 1u) << tag;
+    }
+    EXPECT_EQ(bits_of(workers), before) << tag;
+  }
 }
 
 TEST(ClusterFaults, FaultTelemetryCountersReachTheRegistry) {

@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -480,6 +483,89 @@ TEST(FpisaSwitch, BatchAddBitIdenticalToPerPacketPipeline) {
       ASSERT_EQ(a.values, b.values) << tag << " slot " << s;
     }
   }
+}
+
+TEST(FpisaSwitch, DescriptorIngressMatchesFlatAdapterAndInterpreter) {
+  // The descriptor ingress reads each packet's lanes in place. Here they
+  // sit in one byte buffer at an odd offset, in reverse packet order, and
+  // the stream ends with repeated descriptors (the same payload pointer
+  // again, as a duplicate delivery queues it). Interpreter, flat adapter,
+  // unguarded and guarded descriptor ingress must leave the same
+  // registers, bitmap, counter, OpCounters, dedup and packet counts.
+  for (const SwitchCase& c : switch_cases()) {
+    const ScopedBackend pin(c.backend);
+    const std::string tag = case_tag(c);
+    FpisaSwitch per_packet(eq_config(c.variant), eq_options(c));
+    FpisaSwitch flat(eq_config(c.variant), eq_options(c));
+    FpisaSwitch desc(eq_config(c.variant), eq_options(c));
+    FpisaSwitch guarded(eq_config(c.variant), eq_options(c));
+    PacketStream in = adversarial_stream(0xDE5C, 300, c.lanes, 8);
+    const auto lanes = static_cast<std::size_t>(c.lanes);
+    const std::size_t fresh = in.slots.size();
+
+    std::vector<std::byte> store(1 + fresh * lanes * 4);
+    std::vector<const std::byte*> payloads(fresh);
+    for (std::size_t p = 0; p < fresh; ++p) {
+      std::byte* dst = store.data() + 1 + (fresh - 1 - p) * lanes * 4;
+      std::memcpy(dst, in.payload(p, c.lanes).data(), lanes * 4);
+      payloads[p] = dst;
+    }
+    for (std::size_t p = 0; p < 40; ++p) {  // repeated descriptors
+      in.slots.push_back(in.slots[p]);
+      in.workers.push_back(in.workers[p]);
+      const std::vector<std::uint32_t> copy(in.payload(p, c.lanes).begin(),
+                                            in.payload(p, c.lanes).end());
+      in.values.insert(in.values.end(), copy.begin(), copy.end());
+      payloads.push_back(payloads[p]);
+    }
+    const std::size_t n = in.slots.size();
+    std::vector<std::uint32_t> stamps(n);
+    std::vector<std::uint16_t> sums(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      stamps[p] = guarded.slot_stamp(in.slots[p]);
+      sums[p] = fpisa_checksum(in.slots[p], in.workers[p], stamps[p],
+                               {payloads[p], lanes * 4});
+    }
+
+    for (std::size_t p = 0; p < n; ++p) {
+      (void)per_packet.add(in.slots[p], in.workers[p],
+                           in.payload(p, c.lanes));
+    }
+    flat.add_batch(in.slots, in.workers, in.values);
+    desc.ingress(in.slots, in.workers, payloads);
+    FpisaSwitch::GuardStats guard;
+    guarded.ingress(in.slots, in.workers, payloads, stamps, sums, &guard);
+
+    EXPECT_GT(per_packet.dedup_hits(), 40u) << tag;
+    EXPECT_EQ(guard.corrupt_rejected, 0u) << tag;
+    EXPECT_EQ(guard.stale_rejected, 0u) << tag;
+    expect_same_switch(flat, per_packet, tag + " flat adapter");
+    expect_same_switch(desc, per_packet, tag + " descriptor ingress");
+    expect_same_switch(guarded, per_packet, tag + " guarded descriptors");
+  }
+}
+
+TEST(FpisaSwitch, DescriptorIngressChecksShapesBeforeAnyStateChange) {
+  FpisaSwitch sw(eq_config(core::Variant::kFull),
+                 eq_options(switch_cases().front()));
+  const auto lanes = static_cast<std::size_t>(sw.options().lanes);
+  const std::vector<std::uint32_t> values(lanes, core::fp32_bits(1.0f));
+  const std::byte* const payload = std::as_bytes(std::span(values)).data();
+  const std::vector<const std::byte*> one{payload};
+  const std::vector<const std::byte*> two{payload, payload};
+  const std::vector<std::uint16_t> slots{0, 1};
+  const std::vector<std::uint8_t> workers{0, 1};
+  EXPECT_THROW(sw.ingress(slots, workers, one), std::invalid_argument);
+  const std::vector<std::uint32_t> stamps{0, 0};
+  FpisaSwitch::GuardStats guard;
+  EXPECT_THROW(sw.ingress(slots, workers, two, stamps, {}, &guard),
+               std::invalid_argument);
+  const std::vector<std::uint16_t> bad_slot{
+      0, static_cast<std::uint16_t>(kEqSlots)};
+  EXPECT_THROW(sw.ingress(bad_slot, workers, two), std::out_of_range);
+  EXPECT_EQ(sw.occupied_slots(), 0);
+  EXPECT_EQ(sw.op_counters().adds, 0u);
+  EXPECT_EQ(sw.sim().packets_processed(), 0u);
 }
 
 TEST(FpisaSwitch, ReadBatchBitIdenticalToPerPacketPipeline) {
