@@ -54,8 +54,7 @@ struct RunResult {
 RunResult run_once(int shards, int lanes, std::size_t values,
                    const std::vector<std::vector<float>>& workers,
                    double gbps, double latency_us,
-                   int kill_shard = -1, bool fault_guard = false,
-                   bool pipeline = true) {
+                   int kill_shard = -1, bool fault_guard = false) {
   using namespace fpisa;
   using namespace fpisa::cluster;
   ClusterOptions opts;
@@ -63,7 +62,6 @@ RunResult run_once(int shards, int lanes, std::size_t values,
   opts.lanes = lanes;
   opts.slots_per_shard = 64;
   opts.slots_per_job = 64;
-  opts.pipeline_waves = pipeline;
   opts.failover.enabled = kill_shard >= 0;
   // Guarded datapath with every injection rate at zero: measures what the
   // epoch/checksum machinery itself costs, with no faults to recover.
@@ -211,31 +209,6 @@ int main() {
                 "inline %.1f us/pass, mailbox workers %.1f us/pass = "
                 "%+.1f us fan-out/join cost\n",
                 kDispatchReps, inline_us, workers_us, overhead_us);
-  }
-
-  // Wave-pipeline A/B on the same fabric: encode wave N+1 while wave N's
-  // collect drains, vs the serial wave loop (ClusterOptions::pipeline_waves
-  // off). Same results either way — this row prices the overlap.
-  {
-    double on_ms = 1e300, off_ms = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-      on_ms = std::min(on_ms, run_once(4, kLanes, kValues, workers, kGbps,
-                                       kLatencyUs, -1, false,
-                                       /*pipeline=*/true)
-                                  .wall_ms);
-      off_ms = std::min(off_ms, run_once(4, kLanes, kValues, workers, kGbps,
-                                         kLatencyUs, -1, false,
-                                         /*pipeline=*/false)
-                                    .wall_ms);
-    }
-    const double on_rate = static_cast<double>(kValues) / (on_ms * 1e-3);
-    const double off_rate = static_cast<double>(kValues) / (off_ms * 1e-3);
-    json.set("wall_values_per_s_shards_4_pipeline_on", on_rate);
-    json.set("wall_values_per_s_shards_4_pipeline_off", off_rate);
-    json.set("pipeline_speedup_shards_4", on_rate / off_rate);
-    std::printf("wave pipeline A/B (4 shards): off %.2f ms, on %.2f ms = "
-                "%.2fx\n",
-                off_ms, on_ms, on_rate / off_rate);
   }
 
   const double speedup_4 = rate_at_4 / base_rate;

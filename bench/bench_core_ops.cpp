@@ -301,7 +301,6 @@ pisa::FpisaSwitch make_bench_switch() {
   opts.variant = core::Variant::kFull;
   opts.lanes = kSwitchLanes;
   opts.slots = kSwitchSlots;
-  opts.num_workers = kSwitchWorkers;
   return pisa::FpisaSwitch(cfg, opts);
 }
 

@@ -6,9 +6,9 @@ Usage:
 
 Stdlib only (runs in CI right after the Release bench). Two layers:
 
-  presence — the execution-engine keys the pipelined engine must emit:
+  presence — the execution-engine keys the multi-core engine must emit:
   wall_values_per_s_shards_{1,2,4,8}, wall_scaling_efficiency_shards_{2,4,8},
-  dispatch_overhead_us_per_pass, the pipeline A/B pair, and host_cpus.
+  dispatch_overhead_us_per_pass, and host_cpus.
 
   scaling — wall_values_per_s_shards_8 / wall_values_per_s_shards_1 > 2.0.
   Wall-clock scaling needs cores to scale ON, so this assertion only arms
@@ -31,9 +31,6 @@ REQUIRED_KEYS = [
     "dispatch_overhead_us_per_pass",
     "dispatch_pass_us_inline",
     "dispatch_pass_us_workers",
-    "wall_values_per_s_shards_4_pipeline_on",
-    "wall_values_per_s_shards_4_pipeline_off",
-    "pipeline_speedup_shards_4",
     "host_cpus",
 ]
 
@@ -71,8 +68,7 @@ def main():
           f"eff_2={metrics['wall_scaling_efficiency_shards_2']:.2f} "
           f"eff_4={metrics['wall_scaling_efficiency_shards_4']:.2f} "
           f"eff_8={metrics['wall_scaling_efficiency_shards_8']:.2f} "
-          f"dispatch_overhead={metrics['dispatch_overhead_us_per_pass']:.1f}us "
-          f"pipeline_speedup={metrics['pipeline_speedup_shards_4']:.2f}x")
+          f"dispatch_overhead={metrics['dispatch_overhead_us_per_pass']:.1f}us")
 
     if host_cpus < MIN_CORES_FOR_SCALING:
         print(f"SKIP scaling assertion: bench host has {host_cpus:.0f} "

@@ -18,7 +18,6 @@ pisa::FpisaProgramOptions shard_program_options(const ClusterOptions& opts) {
                                           : core::Variant::kApproximate;
   p.lanes = opts.lanes;
   p.slots = opts.slots_per_shard;
-  p.num_workers = 32;  // bitmap width: any job with <= 32 workers fits
   return p;
 }
 
@@ -430,9 +429,8 @@ struct AggregationService::ShardHooks final : switchml::WaveHooks {
     collect_ns += t.collect_ns;
     if (trace == nullptr) return;
     // The spans are sized by the same integer nanoseconds the histograms
-    // sum, so traced wave time equals phase_breakdown() exactly. Packing a
-    // pipelined wave overlaps the previous collect_wave span, and the
-    // trace shows that overlap.
+    // sum, so traced wave time equals phase_breakdown() exactly, and the
+    // windows tile: one shard's add_wave/collect_wave spans never overlap.
     const std::string wave = std::to_string(t.wave);
     const auto add_span = trace->begin_at(
         "add_wave", span, t.add_end - std::chrono::nanoseconds(t.add_ns));
@@ -533,7 +531,6 @@ void AggregationService::run_pass_task(PassContext& ctx, int shard) {
     job.stats = &slot.stats;
     job.dead_mask = ctx.dead_mask;
     job.faults = faults.get();
-    job.pipeline = opts_.pipeline_waves;
     job.hooks = &hooks;
     switchml::WaveEngine(opts_.lanes).run(access, job);
   } catch (...) {

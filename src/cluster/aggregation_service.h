@@ -66,12 +66,8 @@ struct ClusterOptions {
   /// (job, shard, pass), never scheduled.
   enum class DispatchMode { kAuto, kWorkers, kInline };
   DispatchMode dispatch = DispatchMode::kAuto;
-  /// Where the wave engine packs wave N+1: before wave N's collect drains
-  /// (true) or after it. The rng draw order (add0, collect0, add1, ...) is
-  /// the same either way, so results and SessionStats are bit-identical
-  /// (pinned by test_cluster_pipeline). Guarded runs (fault.enabled)
-  /// always pack after: wave N+1's epoch stamps come out of wave N's
-  /// collect.
+  /// No effect; kept only because `perfbench/` assigns it. Every shard
+  /// task runs the wave engine's one wave order.
   bool pipeline_waves = true;
   /// Control threads that run submitted jobs' reduce loops (the shard work
   /// itself always shares the worker pool). Bounds the service's thread

@@ -40,7 +40,6 @@ pisa::FpisaProgramOptions tree_program_options(const HierarchyOptions& opts) {
                                           : core::Variant::kApproximate;
   p.lanes = opts.lanes;
   p.slots = opts.slots;
-  p.num_workers = 32;
   return p;
 }
 

@@ -65,7 +65,7 @@ struct FaultOptions {
 struct FaultCounters {
   std::uint64_t corrupt_rejected = 0;     // checksum-failed copies dropped
   std::uint64_t stale_dups_rejected = 0;  // stamp-mismatched copies dropped
-  std::uint64_t epoch_bumps = 0;          // mirror resyncs after wipe/scrub
+  std::uint64_t epoch_bumps = 0;          // stamp resyncs after wipe/scrub
   std::uint64_t workers_declared_dead = 0;
   std::uint64_t waves_replayed = 0;
 

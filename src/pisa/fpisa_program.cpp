@@ -89,16 +89,6 @@ PrimOp op2(OpCode op, FieldId dst, FieldId a, FieldId b) {
 
 }  // namespace
 
-Packet make_fpisa_packet(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
-                         std::span<const std::uint32_t> values,
-                         bool little_endian_payload, std::uint32_t stamp,
-                         std::uint16_t checksum) {
-  Packet pkt;
-  make_fpisa_packet_into(pkt, op, slot, worker, values, little_endian_payload,
-                         stamp, checksum);
-  return pkt;
-}
-
 void make_fpisa_packet_into(Packet& pkt, FpisaOp op, std::uint16_t slot,
                             std::uint8_t worker,
                             std::span<const std::uint32_t> values,
@@ -117,13 +107,6 @@ void make_fpisa_packet_into(Packet& pkt, FpisaOp op, std::uint16_t slot,
     if (little_endian_payload) v = byteswap(v, 4);
     write_be(&pkt.bytes[kFpisaHeaderBytes + 4 * i], 4, v);
   }
-}
-
-FpisaResult parse_fpisa_result(const Packet& pkt, int lanes,
-                               bool little_endian_payload) {
-  FpisaResult r;
-  parse_fpisa_result_into(pkt, lanes, r, little_endian_payload);
-  return r;
 }
 
 void parse_fpisa_result_into(const Packet& pkt, int lanes, FpisaResult& r,
@@ -686,15 +669,6 @@ void FpisaSwitch::flush_metrics(std::size_t packets) {
 FpisaResult FpisaSwitch::roundtrip(FpisaOp op, std::uint16_t slot,
                                    std::uint8_t worker,
                                    std::span<const std::uint32_t> values) {
-  FpisaResult r;
-  roundtrip_into(op, slot, worker, values, r);
-  return r;
-}
-
-void FpisaSwitch::roundtrip_into(FpisaOp op, std::uint16_t slot,
-                                 std::uint8_t worker,
-                                 std::span<const std::uint32_t> values,
-                                 FpisaResult& out) {
   check_packets("FpisaSwitch", {&slot, 1}, {&worker, 1});
   // Accounting happens against the pre-packet register state, so the
   // interpreted path classifies exactly like the compiled batch path.
@@ -730,9 +704,11 @@ void FpisaSwitch::roundtrip_into(FpisaOp op, std::uint16_t slot,
   make_fpisa_packet_into(scratch_pkt_, op, slot, worker, values,
                          opts_.convert_endianness, stamp, cs);
   sim_.process(scratch_pkt_);
+  FpisaResult out;
   parse_fpisa_result_into(scratch_pkt_, opts_.lanes, out,
                           opts_.convert_endianness);
   flush_metrics(1);
+  return out;
 }
 
 FpisaResult FpisaSwitch::add(std::uint16_t slot, std::uint8_t worker,
@@ -748,14 +724,6 @@ FpisaResult FpisaSwitch::read(std::uint16_t slot) {
 
 FpisaResult FpisaSwitch::read_and_reset(std::uint16_t slot) {
   return roundtrip(FpisaOp::kReset, slot, 0, zeros_);
-}
-
-void FpisaSwitch::read_into(std::uint16_t slot, FpisaResult& out) {
-  roundtrip_into(FpisaOp::kRead, slot, 0, zeros_, out);
-}
-
-void FpisaSwitch::read_and_reset_into(std::uint16_t slot, FpisaResult& out) {
-  roundtrip_into(FpisaOp::kReset, slot, 0, zeros_, out);
 }
 
 void FpisaSwitch::check_packets(const char* what,

@@ -44,7 +44,8 @@ struct FpisaProgramOptions {
   core::Variant variant = core::Variant::kFull;  ///< kFull requires RSAW ext
   int lanes = 1;               ///< parallel FPISA modules (FP values/packet)
   std::size_t slots = 256;     ///< aggregation slots per lane
-  int num_workers = 8;         ///< completion threshold for the counter
+  /// No effect; kept only because `perfbench/` assigns it.
+  int num_workers = 8;
   bool convert_endianness = false;  ///< hosts send little-endian payloads
 };
 
@@ -87,11 +88,7 @@ inline std::uint16_t fpisa_checksum(std::uint16_t slot, std::uint8_t worker,
   return fpisa_checksum(slot, worker, stamp, std::as_bytes(values));
 }
 
-Packet make_fpisa_packet(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
-                         std::span<const std::uint32_t> values,
-                         bool little_endian_payload = false,
-                         std::uint32_t stamp = 0, std::uint16_t checksum = 0);
-/// Zero-allocation variant: reuses `pkt`'s byte buffer across packets.
+/// Encodes one packet into `pkt`, reusing its byte buffer across packets.
 void make_fpisa_packet_into(Packet& pkt, FpisaOp op, std::uint16_t slot,
                             std::uint8_t worker,
                             std::span<const std::uint32_t> values,
@@ -104,9 +101,7 @@ struct FpisaResult {
   std::uint32_t bitmap = 0;
   std::uint16_t count = 0;
 };
-FpisaResult parse_fpisa_result(const Packet& pkt, int lanes,
-                               bool little_endian_payload = false);
-/// Zero-allocation variant: reuses `out.values` across packets.
+/// Decodes a result packet into `out`, reusing `out.values` across packets.
 void parse_fpisa_result_into(const Packet& pkt, int lanes, FpisaResult& out,
                              bool little_endian_payload = false);
 
@@ -166,10 +161,6 @@ class FpisaSwitch {
   FpisaResult read(std::uint16_t slot);
   /// Reads and clears a slot (SwitchML-style slot reuse).
   FpisaResult read_and_reset(std::uint16_t slot);
-
-  /// Zero-allocation reads for hot protocol loops (reuse `out.values`).
-  void read_into(std::uint16_t slot, FpisaResult& out);
-  void read_and_reset_into(std::uint16_t slot, FpisaResult& out);
 
   /// Per-batch guard rejection counts from the guarded ingress.
   struct GuardStats {
@@ -287,10 +278,10 @@ class FpisaSwitch {
     std::size_t id_;
   };
 
+  /// The interpreted datapath: encodes one packet, runs it through every
+  /// table and stateful ALU, and decodes the switch's reply.
   FpisaResult roundtrip(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
                         std::span<const std::uint32_t> values);
-  void roundtrip_into(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
-                      std::span<const std::uint32_t> values, FpisaResult& out);
   /// Throws unless every packet's slot and worker id is in range.
   void check_packets(const char* what, std::span<const std::uint16_t> slots,
                      std::span<const std::uint8_t> workers) const;
@@ -312,7 +303,7 @@ class FpisaSwitch {
   core::AccumulatorConfig lane_cfg_;
   SeriesId series_id_;
   SwitchSim sim_;
-  Packet scratch_pkt_;                  ///< reused by the *_into paths
+  Packet scratch_pkt_;                  ///< reused by every roundtrip
   std::vector<std::uint32_t> zeros_;    ///< read/reset payload template
   // Ingress: the accepted packets' payloads and bank rows.
   std::vector<const std::byte*> gather_payloads_;

@@ -34,7 +34,6 @@ AggregationSession::AggregationSession(pisa::SwitchConfig config,
                                             : core::Variant::kApproximate;
                 p.lanes = opts.lanes;
                 p.slots = opts.slots;
-                p.num_workers = opts.num_workers;
                 return p;
               }()),
       loss_rng_(opts.loss_seed),

@@ -68,7 +68,7 @@ CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
       have = true;
     }
     if (!have) {
-      sched.failure = 1;
+      sched.failure = WaveFailure::kReadExhausted;
       return sched;
     }
     bool cleared_slot = false;
@@ -85,7 +85,7 @@ CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
       ++stats.packets_lost;  // ack lost: re-clearing is harmless
     }
     if (!cleared_slot) {
-      sched.failure = 2;
+      sched.failure = WaveFailure::kResetExhausted;
       return sched;
     }
     ++sched.cleared;
@@ -177,7 +177,6 @@ bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
 
 WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
                                        std::size_t wave) {
-  const Clock::time_point t0 = Clock::now();
   Encoded e;
   const std::size_t base = wave * job.wave;
   const std::size_t end = std::min(base + job.wave, job.chunks.size());
@@ -195,7 +194,6 @@ WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
     e.killed = hooks.kill_mid_add(wave);
     if (!e.killed) pack(job, wave, mid, end, send_one);
   }
-  e.ns = ns_between(t0, Clock::now());
   return e;
 }
 
@@ -213,7 +211,7 @@ void WaveEngine::resync(pisa::FpisaSwitch& sw, const WaveJob& job) {
   for (std::size_t k = 0; k < job.wave; ++k) {
     stamps_[k] = sw.slot_stamp(static_cast<std::uint16_t>(job.lo + k));
   }
-  mirror_generation_ = sw.generation();
+  stamp_generation_ = sw.generation();
 }
 
 void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
@@ -234,10 +232,10 @@ void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
     // moment it hurts most.
     if (wipe) s.wipe_state();
     // A generation bump means every register, this wave's partial sums
-    // included, is gone: resync the stamp mirror and replay the wave from
+    // included, is gone: re-read the stamps and replay the wave from
     // the host-held gradients in one guarded batch (the dedup bitmap
     // absorbs anything that did survive).
-    for (int replays = 0; s.generation() != mirror_generation_; ++replays) {
+    for (int replays = 0; s.generation() != stamp_generation_; ++replays) {
       if (replays >= f.options().max_wave_replays) {
         hooks.fail(WaveFailure::kReplayBudget, job.lo, -1);
       }
@@ -278,15 +276,20 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
     s.read_and_reset_batch(job.lo, sched.cleared,
                            {wave_values_.data(), sched.cleared * lanes_});
     s.sim().account_packets(sched.delivered - sched.cleared);
+    if (job.faults != nullptr) {
+      // Each reset bumped its slot's epoch, and the reset ack carries the
+      // new stamp: the next wave's packets carry it, and any ghost still
+      // buffered from this one is provably stale.
+      for (std::size_t k = 0; k < sched.cleared; ++k) {
+        stamps_[k] = s.slot_stamp(static_cast<std::uint16_t>(job.lo + k));
+      }
+    }
   });
-  const auto failed_slot = static_cast<std::uint16_t>(job.lo + sched.cleared);
-  if (sched.failure == 1) {
-    hooks.fail(WaveFailure::kReadExhausted, failed_slot, -1);
-  }
-  if (sched.failure == 2) {
+  if (sched.failure) {
     // A never-reset slot would swallow the next wave's adds through the
     // dedup bitmap: fail loudly rather than aggregate silently wrong.
-    hooks.fail(WaveFailure::kResetExhausted, failed_slot, -1);
+    hooks.fail(*sched.failure,
+               static_cast<std::uint16_t>(job.lo + sched.cleared), -1);
   }
   const std::size_t n = job.out.size();
   for (std::size_t k = base; k < end; ++k) {
@@ -294,14 +297,6 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
     const std::uint32_t* v = &wave_values_[(k - base) * lanes_];
     for (std::size_t l = 0; l < lanes_ && i0 + l < n; ++l) {
       job.out[i0 + l] = core::fp32_value(v[l]);
-    }
-  }
-  if (job.faults != nullptr) {
-    // Every wave slot was reset, bumping its epoch on the switch: advance
-    // the mirror in lockstep so the next wave carries the fresh stamp and
-    // any ghost still buffered from this one is provably stale.
-    for (std::size_t k = 0; k < end - base; ++k) {
-      stamps_[k] = (stamps_[k] & 0xFFFF0000u) | ((stamps_[k] + 1u) & 0xFFFFu);
     }
   }
 }
@@ -314,10 +309,6 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
   }
   WaveHooks default_hooks;
   WaveHooks& hooks = job.hooks != nullptr ? *job.hooks : default_hooks;
-  // Guarded waves never pipeline: wave k+1's packets carry the epoch
-  // stamps that wave k's collect produces (and that a replay after state
-  // loss may resync), so they cannot be packed before that collect.
-  const bool pipeline = job.pipeline && job.faults == nullptr;
   queue_.clear();
   queue_.guarded = job.faults != nullptr;
   wave_values_.resize(job.wave * lanes_);
@@ -325,11 +316,11 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
     sw.with([&](pisa::FpisaSwitch& s) { resync(s, job); });
   }
   const std::size_t n_waves = (total + job.wave - 1) / job.wave;
-  Encoded enc = encode(job, hooks, 0);
   for (std::size_t k = 0; k < n_waves; ++k) {
     const std::size_t wave_n = std::min(job.wave, total - k * job.wave);
     hooks.begin_wave(k);
     const Clock::time_point t_add = Clock::now();
+    const Encoded enc = encode(job, hooks, k);
     // The packets queued before a failure still land, so the switch holds
     // exactly the state the per-packet protocol would leave.
     if (job.faults != nullptr) job.faults->shuffle(queue_);
@@ -342,35 +333,20 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
     }
     if (job.faults != nullptr) recover(sw, job, hooks, k);
     const Clock::time_point t_add_end = Clock::now();
-    const std::uint64_t add_ns = enc.ns + ns_between(t_add, t_add_end);
-
-    if (hooks.kill_mid_collect(k)) {
-      // Half the wave's slots get their read-and-reset through; the rest
-      // keep their sums and dedup bits for the caller's scrub to clean.
-      const std::size_t half = wave_n / 2;
-      sw.with([&](pisa::FpisaSwitch& s) {
-        s.read_and_reset_batch(job.lo, half,
-                               {wave_values_.data(), half * lanes_});
-      });
-      hooks.fail(WaveFailure::kKilledMidCollect, job.lo, -1);
-    }
-    const Clock::time_point t_collect = Clock::now();
-    const CollectSchedule sched = draw_collect_schedule(
-        wave_n, job.loss_rate, job.max_retransmits, *job.rng, *job.stats);
-    // A wave whose collect will fail is the last one: the next wave's
-    // encode (and its rng draws) never happens.
-    const bool more = k + 1 < n_waves && sched.failure == 0;
-    std::uint64_t overlap_ns = 0;
-    if (pipeline && more) {
-      enc = encode(job, hooks, k + 1);
-      overlap_ns = enc.ns;
-    }
+    // A kill mid-collect gets half the wave's read-and-resets through; the
+    // other slots keep their sums and dedup bits for the caller's scrub.
+    const CollectSchedule sched =
+        hooks.kill_mid_collect(k)
+            ? CollectSchedule{wave_n / 2, wave_n / 2,
+                              WaveFailure::kKilledMidCollect}
+            : draw_collect_schedule(wave_n, job.loss_rate,
+                                    job.max_retransmits, *job.rng,
+                                    *job.stats);
     collect(sw, job, hooks, k, sched);
     const Clock::time_point t_collect_end = Clock::now();
-    hooks.end_wave({k, add_ns,
-                    ns_between(t_collect, t_collect_end) - overlap_ns,
-                    t_add_end, t_collect_end});
-    if (!pipeline && more) enc = encode(job, hooks, k + 1);
+    hooks.end_wave({k, ns_between(t_add, t_add_end),
+                    ns_between(t_add_end, t_collect_end), t_add_end,
+                    t_collect_end});
   }
 }
 

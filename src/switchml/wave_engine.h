@@ -5,7 +5,10 @@
 //
 // A job is a list of chunks (each chunk is `lanes` consecutive values of
 // every worker's vector) run wave by wave over a slot range [lo, lo+wave)
-// of one switch. Per wave:
+// of one switch. Every wave runs the same steps in the same order on every
+// layer, between the begin_wave and end_wave hooks, and no step of one
+// wave moves into another: as in the paper's protocol, a slot's next packet
+// waits for its result, and one wave's slot pool is the concurrency.
 //  1. encode: the add loss schedule of every live worker's packet for
 //     every chunk of the wave is drawn in per-packet protocol order
 //     (request drop, delivery, ack drop, retransmit), and every copy the
@@ -14,7 +17,8 @@
 //     tail chunk is copied, zero-padded). Nothing is packed, and the dedup
 //     bitmap absorbs duplicates exactly as it would packet by packet;
 //  2. add: the queued wave lands through one descriptor ingress, which
-//     gathers the accepted packets' lanes in place in one kernel call;
+//     gathers the accepted packets' lanes in place in one kernel call
+//     (guarded mode then recovers, below);
 //  3. collect: the per-slot read/reset loss schedule is drawn
 //     (draw_collect_schedule) and the wave's slots drain through one
 //     read_and_reset_batch, scattered into the result by chunk id.
@@ -25,23 +29,24 @@
 //
 // Guarded mode (a fault::FaultEngine is supplied) runs the Byzantine-wire
 // recovery protocol through the same queue, packing loop and landing
-// helper: each copy also carries an epoch stamp from a host mirror and a
-// checksum computed in place over its clean payload, the fault engine
-// edits the queue in place (copying only the payloads it corrupts or
-// holds back as ghosts), and the wave lands through the guarded ingress. A
-// wipe is recovered by re-packing the wave, landed under the same switch
-// hold as the wipe and the wave-deadline bitmap probe that finds a silent
-// worker. Guarded waves never pipeline; on the lossy_switch shape (4 x
-// 256K values, 32 lanes, 64 slots, 1% loss, fault rates 0) their session
-// p50 is 45-49% above plain (20 alternating plain/guarded sessions per
-// run, medians of 8 runs, 4-core Xeon; 31-35% before ingress read
-// payloads in place). The plain path gained more than the guarded one,
-// whose per-copy checksums and per-wave bitmap probe (a full read_batch)
-// stayed.
+// helper: each copy also carries an epoch stamp and a checksum computed in
+// place over its clean payload, the fault engine edits the queue in place
+// (copying only the payloads it corrupts or holds back as ghosts), and the
+// wave lands through the guarded ingress. The switch owns the epoch rule:
+// the stamps come back with each collect (the reset ack carries the slot's
+// new epoch), and a run's first wave reads them from the switch. A wipe is
+// recovered by re-packing the wave, landed under the same switch hold as
+// the wipe and the wave-deadline bitmap probe that finds a silent worker.
+// On the lossy_switch shape (4 x 256K values, 32 lanes, 64 slots, 1% loss,
+// fault rates 0) the guarded session p50 is 45-49% above plain (20
+// alternating plain/guarded sessions per run, medians of 8 runs, 4-core
+// Xeon): the per-copy checksums and the per-wave bitmap probe (a full
+// read_batch) are the guarded side's own cost.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -143,12 +148,27 @@ struct SessionStats {
   }
 };
 
-/// Outcome of drawing a wave's collect (read + reset) loss schedule in the
-/// per-packet protocol order, without touching the switch.
+/// Where a wave run gave up; WaveHooks::fail turns it into the caller's
+/// typed error.
+enum class WaveFailure {
+  kAddExhausted,      ///< an add packet exhausted its retransmit budget
+  kReadExhausted,     ///< a read packet exhausted its retransmit budget
+  kResetExhausted,    ///< a reset packet exhausted its retransmit budget
+  kReplayBudget,      ///< switch state loss outlived max_wave_replays
+  kKilledMidAdd,      ///< WaveHooks::kill_mid_add fired
+  kKilledMidCollect,  ///< WaveHooks::kill_mid_collect fired
+};
+
+/// A wave's collect: the prefix of slots that get their read-and-reset
+/// through, the switch traversals that implies, and why the collect stops
+/// short, if it does. Drawn by draw_collect_schedule, or half a wave for an
+/// injected kill mid-collect.
 struct CollectSchedule {
   std::uint64_t delivered = 0;  ///< switch traversals the schedule implies
   std::size_t cleared = 0;      ///< prefix of slots whose reset was delivered
-  int failure = 0;              ///< 0: none, 1: read failed, 2: reset failed
+  /// kReadExhausted / kResetExhausted from the draw, kKilledMidCollect
+  /// from the kill hook; empty when every slot was collected.
+  std::optional<WaveFailure> failure;
 };
 
 /// Draws the per-slot read/reset retry schedule for `n` slots exactly as
@@ -191,20 +211,11 @@ class DirectAccess final : public SwitchAccess {
   pisa::FpisaSwitch& sw_;
 };
 
-/// Where a wave run gave up; WaveHooks::fail turns it into the caller's
-/// typed error.
-enum class WaveFailure {
-  kAddExhausted,      ///< an add packet exhausted its retransmit budget
-  kReadExhausted,     ///< a read packet exhausted its retransmit budget
-  kResetExhausted,    ///< a reset packet exhausted its retransmit budget
-  kReplayBudget,      ///< switch state loss outlived max_wave_replays
-  kKilledMidAdd,      ///< WaveHooks::kill_mid_add fired
-  kKilledMidCollect,  ///< WaveHooks::kill_mid_collect fired
-};
-
 /// One finished wave's phase split. The add phase covers encode, add and
 /// any guarded recovery; the collect phase the schedule draw, drain and
-/// scatter. The windows end at `add_end` / `collect_end`.
+/// scatter. The windows end at `add_end` / `collect_end` and never
+/// overlap: the collect window opens at `add_end`, and the next wave's add
+/// window opens after `collect_end`.
 struct WaveTiming {
   std::size_t wave = 0;
   std::uint64_t add_ns = 0;
@@ -224,8 +235,8 @@ class WaveHooks {
   /// stops the encode there; the packets already queued still land, then
   /// the run fails with kKilledMidAdd.
   virtual bool kill_mid_add(std::size_t /*wave*/) { return false; }
-  /// Asked once per wave after its adds: true resets the first half of the
-  /// wave's slots, then the run fails with kKilledMidCollect.
+  /// Asked once per wave after its adds: true collects only the first half
+  /// of the wave's slots, then the run fails with kKilledMidCollect.
   virtual bool kill_mid_collect(std::size_t /*wave*/) { return false; }
   virtual void end_wave(const WaveTiming& /*timing*/) {}
   /// Must throw. `slot` is absolute; `worker` is -1 where none applies.
@@ -251,9 +262,6 @@ struct WaveJob {
   SessionStats* stats = nullptr;
   std::uint32_t dead_mask = 0;  ///< views that send nothing
   fault::FaultEngine* faults = nullptr;  ///< non-null: guarded mode
-  /// Encode wave k+1 before wave k's collect instead of after it. The rng
-  /// draw order is the same either way, so results and stats are too.
-  bool pipeline = false;
   WaveHooks* hooks = nullptr;  ///< null: the defaults
 };
 
@@ -293,7 +301,6 @@ class WaveEngine {
     bool killed = false;  ///< kill_mid_add fired
     std::uint16_t slot = 0;
     int worker = -1;
-    std::uint64_t ns = 0;
   };
   Encoded encode(const WaveJob& job, WaveHooks& hooks, std::size_t wave);
   /// The one packing loop: for chunks [k0, k1) of `wave`, calls
@@ -314,8 +321,13 @@ class WaveEngine {
   /// Guarded only: injected wipe, replay after state loss, wave deadline.
   void recover(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave);
+  /// The only place a wave drains: read-and-resets the schedule's cleared
+  /// prefix in one switch hold (guarded: taking back each reset slot's new
+  /// stamp), then hands a failure to hooks.fail or scatters the wave into
+  /// job.out.
   void collect(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave, const CollectSchedule& sched);
+  /// Reads the range's stamps and the switch generation they belong to.
   void resync(pisa::FpisaSwitch& sw, const WaveJob& job);
   std::uint8_t id_of(const WaveJob& job, std::size_t w) const {
     return job.ids.empty() ? static_cast<std::uint8_t>(w) : job.ids[w];
@@ -325,10 +337,11 @@ class WaveEngine {
   // Reused across waves and runs: no steady-state allocation.
   fault::WaveQueue queue_;  ///< the only packet queue
   std::vector<std::uint32_t> wave_values_;
-  // Guarded mode: host mirror of the range's slot stamps and the wave
-  // deadline's bitmap probe.
+  // Guarded mode: the range's slot stamps as the switch last handed them
+  // back, the generation resync last read, and the wave deadline's bitmap
+  // probe.
   std::vector<std::uint32_t> stamps_;
-  std::uint16_t mirror_generation_ = 0;
+  std::uint16_t stamp_generation_ = 0;
   std::vector<std::uint32_t> bitmaps_;
 };
 

@@ -1,8 +1,8 @@
-// The pipelined multi-core execution engine must be an invisible
-// optimization: per-shard mailbox workers + the two-stage wave pipeline
-// (encode wave N+1 while wave N's collect drains) produce bit-identical
-// results, SessionStats, and switch state to the serial single-thread
-// reference — across loss rates up to 0.99, Byzantine fault mixes,
+// The multi-core execution engine must be an invisible optimization:
+// per-shard mailbox workers (kWorkers, and whatever kAuto resolves to)
+// produce bit-identical results, SessionStats, and switch state to the
+// inline reference that runs every shard task on the job's own thread
+// (kInline) — across loss rates up to 0.99, Byzantine fault mixes,
 // mid-wave shard kills, and a 64-job concurrent burst. Also pins the
 // fan-out economics: a pass wakes only the shards it feeds (idle shards'
 // mailbox counters never move, spurious wakeups stay zero) and the SPSC
@@ -68,10 +68,9 @@ void expect_stats_eq(const switchml::SessionStats& got,
   EXPECT_EQ(got.faults.waves_replayed, want.faults.waves_replayed) << what;
 }
 
-/// Reference configuration: serial wave loop on the calling thread.
+/// Reference configuration: every shard task on the calling thread.
 ClusterOptions serial_reference(ClusterOptions opts) {
   opts.dispatch = ClusterOptions::DispatchMode::kInline;
-  opts.pipeline_waves = false;
   return opts;
 }
 
@@ -91,7 +90,7 @@ void expect_matches_serial(const ClusterOptions& opts,
     expect_stats_eq(got.per_shard[s], want.per_shard[s], what);
   }
   // Switch-state / cumulative books: per-shard cumulative traffic and the
-  // service totals must agree too (the pipeline may not shift accounting
+  // service totals must agree too (dispatch may not shift accounting
   // between shards).
   for (int s = 0; s < opts.num_shards; ++s) {
     expect_stats_eq(svc.shard_stats(s), ref.shard_stats(s), what);
@@ -116,15 +115,13 @@ TEST(ClusterPipeline, LossSweepBitIdenticalToSerial) {
     // per-packet exhaustion probability negligible.
     opts.max_retransmits = loss > 0.95 ? 500000 : 4096;
     opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-    opts.pipeline_waves = true;
     SCOPED_TRACE(loss);
     expect_matches_serial(opts, workers, "loss sweep");
   }
 }
 
-TEST(ClusterPipeline, PipelineOffWorkersStillMatchesSerial) {
-  // Isolate the dispatch rebuild from the wave pipeline: mailbox workers
-  // with the serial wave loop must also be exact.
+TEST(ClusterPipeline, DefaultShapeWorkersMatchesSerial) {
+  // Mailbox workers at the default slot ranges and lanes.
   const auto workers = make_workers(3, 200, 31);
   ClusterOptions opts;
   opts.num_shards = 4;
@@ -132,8 +129,7 @@ TEST(ClusterPipeline, PipelineOffWorkersStillMatchesSerial) {
   opts.loss_seed = 5;
   opts.max_retransmits = 256;
   opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-  opts.pipeline_waves = false;
-  expect_matches_serial(opts, workers, "workers, pipeline off");
+  expect_matches_serial(opts, workers, "workers, default shape");
 }
 
 TEST(ClusterPipeline, AutoDispatchMatchesSerial) {
@@ -149,10 +145,8 @@ TEST(ClusterPipeline, AutoDispatchMatchesSerial) {
 // --- fault mixes ------------------------------------------------------------
 
 TEST(ClusterPipeline, ByzantineFaultMixBitIdenticalToSerial) {
-  // The guarded protocol keeps the serial wave loop (wave N+1's stamps
-  // depend on wave N's collect), but the engine rebuild underneath it —
-  // mailbox dispatch, shard-local stats, join protocol — must not move a
-  // single counter.
+  // Under the guarded protocol, mailbox dispatch, shard-local stats and
+  // the join protocol must not move a single counter.
   const auto workers = make_workers(4, 240, 51);
   ClusterOptions opts;
   opts.num_shards = 4;
@@ -162,7 +156,6 @@ TEST(ClusterPipeline, ByzantineFaultMixBitIdenticalToSerial) {
   opts.loss_rate = 0.1;
   opts.max_retransmits = 512;
   opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-  opts.pipeline_waves = true;
   opts.fault.enabled = true;
   opts.fault.seed = 9;
   opts.fault.corrupt_rate = 0.05;
@@ -188,7 +181,6 @@ TEST(ClusterPipeline, MidWaveKillFailoverBitIdenticalToSerialAndHealthy) {
       opts.loss_rate = 0.15;
       opts.max_retransmits = 256;
       opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-      opts.pipeline_waves = true;
       opts.failover.enabled = true;
       opts.failover.faults = {
           ShardFault{1, FaultKind::kKill, phase, wave, 0.0}};
@@ -219,7 +211,6 @@ TEST(ClusterPipeline, MidWaveKillWithoutFailoverFailsIdentically) {
   opts.slots_per_shard = 8;
   opts.slots_per_job = 4;
   opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-  opts.pipeline_waves = true;
   opts.failover.enabled = false;
   opts.failover.faults = {
       ShardFault{0, FaultKind::kKill, FaultPhase::kMidCollect, 1, 0.0}};
@@ -245,7 +236,6 @@ TEST(ClusterPipeline, SixtyFourJobBurstBitIdentical) {
   opts.max_retransmits = 256;
   opts.job_runner_threads = 4;
   opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
-  opts.pipeline_waves = true;
   AggregationService svc(opts);
   AggregationService ref(serial_reference(opts));
 

@@ -231,20 +231,17 @@ TEST(ClusterService, LossInjectionIsBitExactVsLossless) {
 }
 
 TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
-  // Every shard task, pipelined or serial, must be observably
-  // indistinguishable from the per-packet, per-slot protocol oracle run
-  // over the shard's routed chunk list and slot range with the task's own
-  // loss stream: identical results, per-shard protocol stats and kernel op
-  // counts, with and without loss.
+  // Every shard task must be observably indistinguishable from the
+  // per-packet, per-slot protocol oracle run over the shard's routed chunk
+  // list and slot range with the task's own loss stream: identical
+  // results, per-shard protocol stats and kernel op counts, with and
+  // without loss.
   const auto workers = make_workers(4, 150, 190);
   const std::vector<std::span<const float>> views(workers.begin(),
                                                   workers.end());
-  for (const auto& [loss, pipeline] :
-       {std::pair{0.0, true}, std::pair{0.2, true}, std::pair{0.2, false}}) {
-    SCOPED_TRACE(testing::Message() << "loss=" << loss
-                                    << " pipeline=" << pipeline);
+  for (const double loss : {0.0, 0.2, 0.4}) {
+    SCOPED_TRACE(testing::Message() << "loss=" << loss);
     ClusterOptions opts;
-    opts.pipeline_waves = pipeline;
     opts.num_shards = 3;
     opts.slots_per_shard = 16;
     opts.slots_per_job = 8;
@@ -263,7 +260,6 @@ TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
       p.variant = core::Variant::kApproximate;
       p.lanes = opts.lanes;
       p.slots = opts.slots_per_shard;
-      p.num_workers = 32;
       pisa::FpisaSwitch sw(opts.switch_config, p);
       util::Rng rng(task_seed(opts.loss_seed, got.job_id, s, 0));
       switchml::SessionStats stats{};

@@ -34,7 +34,7 @@ TEST(CollectSchedule, LosslessScheduleClearsEverySlotInTwoTraversals) {
   const CollectSchedule sched =
       draw_collect_schedule(16, /*loss_rate=*/0.0, /*max_retransmits=*/0,
                             rng, stats);
-  EXPECT_EQ(sched.failure, 0);
+  EXPECT_FALSE(sched.failure.has_value());
   EXPECT_EQ(sched.cleared, 16u);
   EXPECT_EQ(sched.delivered, 32u);  // one read + one reset per slot
   EXPECT_EQ(stats.packets_lost, 0u);
@@ -49,12 +49,12 @@ TEST(CollectSchedule, ExtremeLossInvariantsHoldAcrossSeeds) {
         const CollectSchedule sched =
             draw_collect_schedule(8, loss, budget, rng, stats);
         // The cleared prefix can never outrun the slot count, a failure
-        // code is always one of the three, and a failed schedule must
+        // is always a read or reset exhaustion, and a failed schedule must
         // leave at least one slot uncleared.
         EXPECT_LE(sched.cleared, 8u);
-        EXPECT_GE(sched.failure, 0);
-        EXPECT_LE(sched.failure, 2);
-        if (sched.failure != 0) {
+        if (sched.failure) {
+          EXPECT_TRUE(*sched.failure == WaveFailure::kReadExhausted ||
+                      *sched.failure == WaveFailure::kResetExhausted);
           EXPECT_LT(sched.cleared, 8u);
         } else {
           EXPECT_EQ(sched.cleared, 8u);
@@ -79,8 +79,9 @@ TEST(CollectSchedule, ZeroBudgetAtNinetyPercentLossFailsDeterministically) {
   };
   EXPECT_EQ(draw(), draw());
   const auto [delivered, cleared, failure, sent] = draw();
-  EXPECT_NE(failure, 0) << "0.9 loss with zero retries cannot clear 8 slots "
-                           "(p ~ 0.01 per slot) under this seed";
+  EXPECT_TRUE(failure.has_value())
+      << "0.9 loss with zero retries cannot clear 8 slots "
+         "(p ~ 0.01 per slot) under this seed";
 }
 
 TEST(CollectSchedule, SessionSurvivesNinetyPercentLossWithDeepBudget) {

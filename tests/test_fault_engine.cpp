@@ -187,7 +187,6 @@ TEST(GuardedIngress, WipeBumpsGenerationAndRejectsPreWipeStamps) {
   pisa::FpisaProgramOptions p;
   p.lanes = 1;
   p.slots = 4;
-  p.num_workers = 8;
   pisa::FpisaSwitch sw(cfg, p);
 
   const std::uint32_t stamp = sw.slot_stamp(2);

@@ -1,6 +1,8 @@
 // End-to-end recovery coverage for the guarded protocol: corrupted,
 // duplicated, reordered and stale-duplicate deliveries never change the
-// aggregated bits; a wiped switch is recovered by wave replay; a dead
+// aggregated bits; a wiped switch is recovered by wave replay; the
+// stamps the switch hands back with each collect are the ones its guard
+// expects; a dead
 // worker either aborts with a typed error or degrades to the survivor sum
 // — at the session, cluster and collective layers.
 #include <gtest/gtest.h>
@@ -116,7 +118,6 @@ TEST(SessionFaults, PlainIngressWouldAbsorbTheStaleDuplicate) {
   pisa::FpisaProgramOptions p;
   p.lanes = 1;
   p.slots = 2;
-  p.num_workers = 4;
   pisa::SwitchConfig cfg;
   cfg.ext.rsaw = true;  // full FPISA needs the RSAW extension
   cfg.ext.two_operand_shift = true;
@@ -165,6 +166,37 @@ TEST(SessionFaults, SwitchWipeIsRecoveredByWaveReplay) {
   EXPECT_GE(session.stats().faults.waves_replayed, 1u);
   EXPECT_GE(session.stats().faults.epoch_bumps, 1u);
   EXPECT_EQ(session.fpisa_switch().occupied_slots(), 0);
+}
+
+TEST(SessionFaults, SwitchHandsBackTheStampsTheGuardExpects) {
+  // The guard's stamps come back from the switch with every collect. Over
+  // 125 waves at 1% loss, with one wipe and no other injection, a stamp
+  // the switch did not expect would be rejected and its contribution lost:
+  // none is, and the sums and the loss books match the plain run's. Two
+  // reduces: the second starts from the epochs the first left behind.
+  auto opts = base_session_opts();
+  opts.slots = 8;
+  opts.lanes = 4;
+  opts.loss_rate = 0.01;
+  opts.loss_seed = 7;
+  const auto workers = make_exact_workers(4, 125 * 8 * 4, 214);
+  switchml::AggregationSession plain(pisa::SwitchConfig{}, opts);
+  opts.fault.enabled = true;
+  opts.fault.wipe_switch = true;
+  opts.fault.wipe_wave = 60;
+  switchml::AggregationSession guarded(pisa::SwitchConfig{}, opts);
+  for (int rep = 0; rep < 2; ++rep) {
+    SCOPED_TRACE(rep);
+    expect_bits_equal(testkit::reduce(guarded, workers),
+                      testkit::reduce(plain, workers));
+  }
+  const switchml::SessionStats& st = guarded.stats();
+  EXPECT_EQ(st.faults.corrupt_rejected, 0u);
+  EXPECT_EQ(st.faults.stale_dups_rejected, 0u);
+  EXPECT_EQ(st.faults.waves_replayed, 2u);  // one wipe per reduce
+  EXPECT_GT(st.retransmissions, 0u);
+  EXPECT_EQ(st.packets_sent, plain.stats().packets_sent);
+  EXPECT_EQ(st.retransmissions, plain.stats().retransmissions);
 }
 
 TEST(SessionFaults, DeadWorkerAbortsWithTypedError) {
@@ -259,6 +291,28 @@ TEST(ClusterFaults, SwitchWipeIsRecoveredByWaveReplay) {
   const auto got = cluster_reduce(opts, workers, &stats);
   expect_bits_equal(got, want);
   EXPECT_GE(stats.faults.waves_replayed, 1u);
+}
+
+TEST(ClusterFaults, SwitchHandsBackTheStampsTheGuardExpects) {
+  // The cluster form of the session test: each shard task runs over 100
+  // waves of its 8-slot range at 1% loss and wipes its switch once.
+  const auto workers = make_exact_workers(4, 3600, 222);
+  auto opts = base_cluster_opts();
+  opts.loss_rate = 0.01;
+  switchml::SessionStats plain;
+  const auto want = cluster_reduce(opts, workers, &plain);
+
+  opts.fault.enabled = true;
+  opts.fault.wipe_switch = true;
+  opts.fault.wipe_wave = 50;
+  switchml::SessionStats stats;
+  expect_bits_equal(cluster_reduce(opts, workers, &stats), want);
+  EXPECT_EQ(stats.faults.corrupt_rejected, 0u);
+  EXPECT_EQ(stats.faults.stale_dups_rejected, 0u);
+  EXPECT_EQ(stats.faults.waves_replayed, 2u);  // one wipe per shard
+  EXPECT_GT(stats.retransmissions, 0u);
+  EXPECT_EQ(stats.packets_sent, plain.packets_sent);
+  EXPECT_EQ(stats.retransmissions, plain.retransmissions);
 }
 
 TEST(ClusterFaults, DeadWorkerAbortFailsTheJobWithBooksIntact) {

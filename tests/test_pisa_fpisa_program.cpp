@@ -265,15 +265,18 @@ TEST(FpisaSwitch, NativeEndianPayloadNeedsParserExtension) {
     FpisaProgramOptions opts;
     opts.variant = core::Variant::kApproximate;
     FpisaSwitch sw(baseline_tofino(), opts);
-    Packet p1 = make_fpisa_packet(FpisaOp::kAdd, 0, 0,
-                                  std::vector<std::uint32_t>{core::fp32_bits(x)},
-                                  /*little_endian_payload=*/true);
+    const std::uint32_t xv[] = {core::fp32_bits(x)};
+    const std::uint32_t yv[] = {core::fp32_bits(y)};
+    Packet p1;
+    make_fpisa_packet_into(p1, FpisaOp::kAdd, 0, 0, xv,
+                           /*little_endian_payload=*/true);
     sw.sim().process(p1);
-    Packet p2 = make_fpisa_packet(FpisaOp::kAdd, 0, 1,
-                                  std::vector<std::uint32_t>{core::fp32_bits(y)},
-                                  /*little_endian_payload=*/true);
+    Packet p2;
+    make_fpisa_packet_into(p2, FpisaOp::kAdd, 0, 1, yv,
+                           /*little_endian_payload=*/true);
     sw.sim().process(p2);
-    const FpisaResult r = parse_fpisa_result(p2, 1, true);
+    FpisaResult r;
+    parse_fpisa_result_into(p2, 1, r, /*little_endian_payload=*/true);
     EXPECT_NE(core::fp32_value(r.values[0]), 1.75f);
   }
 }

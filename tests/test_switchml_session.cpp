@@ -361,7 +361,7 @@ TEST(CollectSchedule, LosslessScheduleClearsEverySlotWithTwoPacketsEach) {
   const CollectSchedule sched =
       draw_collect_schedule(/*n=*/17, /*loss_rate=*/0.0,
                             /*max_retransmits=*/4, rng, stats);
-  EXPECT_EQ(sched.failure, 0);
+  EXPECT_FALSE(sched.failure.has_value());
   EXPECT_EQ(sched.cleared, 17u);
   EXPECT_EQ(sched.delivered, 2u * 17u);  // one read + one reset per slot
   EXPECT_EQ(stats.packets_sent, 2u * 17u);
@@ -369,16 +369,17 @@ TEST(CollectSchedule, LosslessScheduleClearsEverySlotWithTwoPacketsEach) {
   EXPECT_EQ(stats.slot_reuses, 17u);
 }
 
-TEST(CollectSchedule, ReadFailureReportsCode1AndClearedPrefix) {
+TEST(CollectSchedule, ReadFailureReportsReadExhaustedAndClearedPrefix) {
   // Total loss with a tiny retransmit budget: the FIRST slot's read can
-  // never be delivered, so failure == 1 and nothing was cleared — but the
-  // doomed attempts must still be accounted as sent + lost.
+  // never be delivered, so failure == kReadExhausted and nothing was
+  // cleared — but the doomed attempts must still be accounted as sent +
+  // lost.
   util::Rng rng(301);
   SessionStats stats{};
   const CollectSchedule sched =
       draw_collect_schedule(8, /*loss_rate=*/1.0, /*max_retransmits=*/3, rng,
                             stats);
-  EXPECT_EQ(sched.failure, 1);
+  EXPECT_EQ(sched.failure, WaveFailure::kReadExhausted);
   EXPECT_EQ(sched.cleared, 0u);
   EXPECT_EQ(sched.delivered, 0u);
   EXPECT_EQ(stats.packets_sent, 4u);  // initial + 3 retransmits
@@ -386,9 +387,9 @@ TEST(CollectSchedule, ReadFailureReportsCode1AndClearedPrefix) {
   EXPECT_EQ(stats.slot_reuses, 0u);
 }
 
-TEST(CollectSchedule, ResetFailureReportsCode2AndCountsDeliveredRead) {
+TEST(CollectSchedule, ResetFailureIsTypedAndCountsDeliveredRead) {
   // A loss stream crafted so the read succeeds but every reset attempt is
-  // lost on the request leg: failure == 2, the read's switch traversal is
+  // lost on the request leg: failure == kResetExhausted, the read's switch traversal is
   // still in `delivered`, and the slot is NOT counted cleared or reused.
   // Rng draw order per slot: read-request, read-ack, then per reset
   // attempt: request, [ack]. We search seeds for a stream whose first two
@@ -411,7 +412,7 @@ TEST(CollectSchedule, ResetFailureReportsCode2AndCountsDeliveredRead) {
     SessionStats stats{};
     const CollectSchedule sched =
         draw_collect_schedule(4, loss, max_retransmits, rng, stats);
-    EXPECT_EQ(sched.failure, 2);
+    EXPECT_EQ(sched.failure, WaveFailure::kResetExhausted);
     EXPECT_EQ(sched.cleared, 0u);
     EXPECT_EQ(sched.delivered, 1u);          // only the read reached the switch
     EXPECT_EQ(stats.packets_sent, 1u + 4u);  // 1 read + 4 doomed resets
@@ -436,7 +437,7 @@ TEST(CollectSchedule, DeliveredCountsSwitchTraversalsNotAcks) {
     SessionStats stats{};
     const CollectSchedule sched =
         draw_collect_schedule(n, loss, retx, rng, stats);
-    ASSERT_EQ(sched.failure, 0);
+    ASSERT_FALSE(sched.failure.has_value());
     EXPECT_EQ(sched.cleared, n);
 
     // Independent replay of the identical protocol order.

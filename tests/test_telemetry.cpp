@@ -3,13 +3,15 @@
 // exposition formats (Prometheus text, JSON), span tracing (nesting,
 // explicit timestamps, Chrome export), and the cross-layer integration
 // contracts: the cluster job span tree covers submit → partition → shard
-// waves → merge (+failover), traced wave time agrees with
-// phase_breakdown(), and all four collective backends expose the same
+// waves → merge (+failover), a shard's wave spans never overlap, traced
+// wave time agrees with phase_breakdown(), and all four collective backends expose the same
 // metrics()/phase_breakdown()/set_trace surface.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -320,6 +322,52 @@ TEST(TelemetryCluster, JobSpanTreeCoversEveryPhase) {
               1e-9 + 1e-9 * pb.add_s);
   EXPECT_NEAR(tr.total_seconds_of("collect_wave"), pb.collect_s,
               1e-9 + 1e-9 * pb.collect_s);
+}
+
+TEST(TelemetryCluster, ShardWaveSpansAreOrderedAndNeverOverlap) {
+  // One wave order: within a shard, add_wave k, collect_wave k, add_wave
+  // k+1, ... follow each other without overlap. The payload makes one
+  // wave's encode (8 workers x 64 slots of 32 lanes) outlast the span
+  // bookkeeping between waves, so an encode timed into the wrong wave's
+  // window would show up as an overlap.
+  cluster::ClusterOptions opts;
+  opts.num_shards = 2;
+  opts.slots_per_shard = 64;
+  opts.slots_per_job = 64;
+  opts.lanes = 32;
+  opts.loss_rate = 0.01;
+  cluster::AggregationService svc(opts);
+  Trace tr;
+  svc.attach_trace(&tr);
+  const auto workers = make_workers(8, 2 * 4 * 64 * 32, 8);
+  (void)testkit::reduce(svc, "trace-test", workers);
+  svc.attach_trace(nullptr);
+
+  std::map<Trace::SpanId, std::vector<Trace::SpanView>> by_shard;
+  for (const auto& s : tr.spans()) {
+    if (s.name == "add_wave" || s.name == "collect_wave") {
+      by_shard[s.parent].push_back(s);
+    }
+  }
+  ASSERT_EQ(by_shard.size(), 2u);
+  for (auto& [shard, spans] : by_shard) {
+    SCOPED_TRACE(shard);
+    // Stable: spans come in open order, add_wave before its collect_wave.
+    std::stable_sort(
+        spans.begin(), spans.end(),
+        [](const auto& a, const auto& b) { return a.start_ns < b.start_ns; });
+    ASSERT_GE(spans.size(), 2u * 4u);
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      SCOPED_TRACE(i);
+      EXPECT_EQ(spans[i].name, i % 2 == 0 ? "add_wave" : "collect_wave");
+      EXPECT_EQ(spans[i].args, spans[i - i % 2].args);  // same wave
+      if (i > 0) {
+        EXPECT_GE(spans[i].start_ns,
+                  spans[i - 1].start_ns + spans[i - 1].dur_ns)
+            << spans[i].name << " overlaps the span before it";
+      }
+    }
+  }
 }
 
 TEST(TelemetryCluster, FailoverJobRecordsFailoverSpanAndCounters) {

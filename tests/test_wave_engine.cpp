@@ -2,10 +2,12 @@
 // per-packet SwitchML protocol, and the tree's interleaved per-slot loop.
 // Bit-identical results, every SessionStats field, the switches' kernel
 // operation counters, packet counts and post-job register state. The
-// tree's closed-form fabric timing against its event-queue replay.
+// tree's closed-form fabric timing against its event-queue replay. And the
+// one wave order: each wave's add and collect windows tile.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -83,7 +85,6 @@ pisa::FpisaSwitch make_switch(bool rsaw, int lanes, std::size_t slots) {
   p.variant = rsaw ? core::Variant::kFull : core::Variant::kApproximate;
   p.lanes = lanes;
   p.slots = slots;
-  p.num_workers = 32;
   return pisa::FpisaSwitch(cfg, p);
 }
 
@@ -154,9 +155,9 @@ TEST(WaveEngine, MatchesPerPacketOracle) {
   std::vector<float> out(kN);
   for (const double loss : {0.0, 0.2, 0.4}) {
     for (const bool rsaw : {false, true}) {
-      for (const bool pipeline : {false, true}) {
+      for (const std::uint32_t dead_mask : {0u, 0b0100u}) {
         SCOPED_TRACE(testing::Message() << "loss=" << loss << " rsaw=" << rsaw
-                                        << " pipeline=" << pipeline);
+                                        << " dead_mask=" << dead_mask);
         switchml::WaveJob job;
         job.workers = views;
         job.ids = ids;
@@ -166,8 +167,7 @@ TEST(WaveEngine, MatchesPerPacketOracle) {
         job.wave = 16;
         job.loss_rate = loss;
         job.max_retransmits = 256;
-        job.dead_mask = pipeline ? 0b0100u : 0u;
-        job.pipeline = pipeline;
+        job.dead_mask = dead_mask;
         EXPECT_EQ(std::get<0>(expect_engine_matches_oracle(job, rsaw, kLanes,
                                                            71)),
                   -1);
@@ -197,27 +197,77 @@ TEST(WaveEngine, FailsWhereAndAsTheOracleDoes) {
   std::vector<float> out(96);
   int phases_seen[3] = {};
   for (std::uint64_t seed = 0; seed < 128; ++seed) {
-    for (const bool pipeline : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "seed=" << seed
-                                      << " pipeline=" << pipeline);
-      switchml::WaveJob job;
-      // One worker makes the collect phases as likely to give up as adds.
-      job.workers = std::span(views).first(seed % 2 == 0 ? 1 : 3);
-      job.chunks = chunks;
-      job.out = out;
-      job.lo = 3;
-      job.wave = 8;
-      job.loss_rate = 0.1;
-      job.max_retransmits = static_cast<int>(seed / 2 % 3);
-      job.pipeline = pipeline;
-      const int phase =
-          std::get<0>(expect_engine_matches_oracle(job, false, 2, seed));
-      if (phase >= 0) ++phases_seen[phase];
-    }
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    switchml::WaveJob job;
+    // One worker makes the collect phases as likely to give up as adds.
+    job.workers = std::span(views).first(seed % 2 == 0 ? 1 : 3);
+    job.chunks = chunks;
+    job.out = out;
+    job.lo = 3;
+    job.wave = 8;
+    job.loss_rate = 0.1;
+    job.max_retransmits = static_cast<int>(seed / 2 % 3);
+    const int phase =
+        std::get<0>(expect_engine_matches_oracle(job, false, 2, seed));
+    if (phase >= 0) ++phases_seen[phase];
   }
   EXPECT_GT(phases_seen[0], 0) << "no add exhaustion";
   EXPECT_GT(phases_seen[1], 0) << "no read exhaustion";
   EXPECT_GT(phases_seen[2], 0) << "no reset exhaustion";
+}
+
+/// Records every finished wave's timing.
+struct RecordingHooks final : switchml::WaveHooks {
+  void end_wave(const switchml::WaveTiming& t) override { waves.push_back(t); }
+  std::vector<switchml::WaveTiming> waves;
+};
+
+TEST(WaveEngine, WaveWindowsTile) {
+  // One wave order: a wave's add window opens no earlier than the previous
+  // wave's collect window closed, and its collect window opens no earlier
+  // than its own add window closed. Plain and guarded alike.
+  constexpr int kLanes = 32;
+  constexpr std::size_t kSlots = 64;
+  constexpr std::size_t kWaves = 6;
+  const auto data = make_workers(8, kWaves * kSlots * kLanes, 33);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  const std::vector<std::size_t> chunks = iota_chunks(kWaves * kSlots);
+  std::vector<float> out(data[0].size());
+  for (const bool guarded : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "guarded=" << guarded);
+    pisa::FpisaSwitch sw = make_switch(false, kLanes, kSlots);
+    fault::FaultOptions fo;
+    fo.enabled = true;
+    fault::FaultEngine faults(fo, 1);
+    util::Rng rng(34);
+    SessionStats stats{};
+    RecordingHooks hooks;
+    switchml::WaveJob job;
+    job.workers = views;
+    job.chunks = chunks;
+    job.out = out;
+    job.wave = kSlots;
+    job.loss_rate = 0.01;
+    job.max_retransmits = 64;
+    job.rng = &rng;
+    job.stats = &stats;
+    job.faults = guarded ? &faults : nullptr;
+    job.hooks = &hooks;
+    switchml::DirectAccess access(sw);
+    switchml::WaveEngine(kLanes).run(access, job);
+    ASSERT_EQ(hooks.waves.size(), kWaves);
+    for (std::size_t k = 0; k < kWaves; ++k) {
+      SCOPED_TRACE(k);
+      const switchml::WaveTiming& t = hooks.waves[k];
+      EXPECT_EQ(t.wave, k);
+      if (k > 0) {
+        EXPECT_GE(t.add_end - std::chrono::nanoseconds(t.add_ns),
+                  hooks.waves[k - 1].collect_end);
+      }
+      EXPECT_GE(t.collect_end - std::chrono::nanoseconds(t.collect_ns),
+                t.add_end);
+    }
+  }
 }
 
 // --- the tree against its per-slot oracle ------------------------------------

@@ -73,7 +73,7 @@ inline void per_packet_run(pisa::FpisaSwitch& sw,
       for (int a = 0; a <= job.max_retransmits && !have; ++a) {
         ++st.packets_sent;
         if (lost()) continue;
-        sw.read_into(slot, r);
+        r = sw.read(slot);
         have = !lost();
       }
       if (!have) throw Error(Error::Phase::kRead, slot, -1);
@@ -85,7 +85,7 @@ inline void per_packet_run(pisa::FpisaSwitch& sw,
       for (int a = 0; a <= job.max_retransmits; ++a) {
         ++st.packets_sent;
         if (lost()) continue;
-        sw.read_and_reset_into(slot, r);
+        (void)sw.read_and_reset(slot);
         ++st.slot_reuses;
         cleared = true;
         if (!lost()) break;  // a lost ack only re-clears an empty slot
@@ -260,7 +260,6 @@ class TreeOracle {
                              : core::Variant::kApproximate;
     p.lanes = opts_.lanes;
     p.slots = opts_.slots;
-    p.num_workers = 32;
     return p;
   }
 
