@@ -1,7 +1,8 @@
 // Microbenchmarks + ablations for the core FPISA operations:
 //   * add throughput: full vs FPISA-A vs host float
 //   * batched branchless datapath vs the scalar reference loop, per backend
-//   * batched egress (read/renormalize) vs the per-slot read loop, per backend
+//   * batched egress (read/renormalize) vs the per-slot read loop, per
+//     backend, and the AVX2 egress scattered to per-row destinations
 //   * the switch's compiled ingress/egress (FpisaSwitch::add_batch /
 //     read_and_reset_batch) on the same kernels, per value
 //   * read (delayed renorm) vs hypothetical renormalize-every-add
@@ -10,6 +11,8 @@
 #include <benchmark/benchmark.h>
 
 #include <bit>
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -255,6 +258,40 @@ void BM_BatchReadAvx2(benchmark::State& state) {
   run_read_batch(state, core::BatchBackend::kAvx2);
 }
 BENCHMARK(BM_BatchReadAvx2);
+
+// Descriptor egress on the 8-lane AVX2 kernel: the same 4096 registers as
+// 128 rows of 32 lanes, each row written to its own place in a float buffer
+// (rows in reverse order, as a wave's slots land at their chunks' places in
+// a result), against the flat row above.
+void BM_BatchReadScatterAvx2(benchmark::State& state) {
+  bool available = false;
+  for (const auto b : core::available_batch_backends()) {
+    available = available || b == core::BatchBackend::kAvx2;
+  }
+  if (!available) {
+    state.SkipWithError("backend not available on this CPU/build");
+    return;
+  }
+  core::force_batch_backend(core::BatchBackend::kAvx2);
+  constexpr std::size_t kLanes = 32;
+  constexpr std::size_t kRows = 4096 / kLanes;
+  const core::AccumulatorConfig cfg = bench_cfg(core::Variant::kFull);
+  const ReadState s = make_read_state(4096, cfg);
+  std::vector<float> out(4096);
+  const std::span<std::byte> bytes = std::as_writable_bytes(std::span(out));
+  std::vector<std::byte*> dests(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    dests[r] = bytes.data() + (kRows - 1 - r) * kLanes * sizeof(float);
+  }
+  for (auto _ : state) {
+    core::fpisa_read_scatter(s.exp, s.man, kLanes, dests, cfg);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  core::reset_batch_backend();
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_BatchReadScatterAvx2);
 
 // 40-bit register: the generic 4x64-bit-lane AVX2 read kernel, kept as the
 // comparison row for the 8-lane specialization above.

@@ -113,6 +113,7 @@ void HierarchicalAggregator::kill_leaf(int i) {
     throw std::invalid_argument("hierarchy: cannot kill the last leaf");
   }
   leaf_alive_[static_cast<std::size_t>(i)] = false;
+  timed_chunks_.reset();
   m_alive_leaves_->set(static_cast<double>(alive_leaves()));
 }
 
@@ -144,13 +145,11 @@ void HierarchicalAggregator::reduce_into(
   // in ToR-worker order where its partial would have been; their bitmap
   // ids sit above the leaf-partial ids [0, leaves) — dead leaf j's worker
   // k sends as dead_base + k (capacity was checked at kill_leaf time).
-  // The tree's links are lossless: the loss draws never drop a packet.
-  util::Rng wire_rng(0);
+  // The tree's links are lossless: the job has no rng and draws nothing.
   switchml::SessionStats wire_stats{};
   switchml::WaveJob job;
   job.chunks = chunk_ids_;
   job.wave = opts_.slots;
-  job.rng = &wire_rng;
   job.stats = &wire_stats;
   partials_.resize(static_cast<std::size_t>(alive_leaves()));
   spine_inputs_.clear();
@@ -184,8 +183,13 @@ void HierarchicalAggregator::reduce_into(
   switchml::DirectAccess spine(*spine_);
   engine_.run(spine, job);
 
-  const HierarchyTiming timing = model_timing(chunks);
-  timing_ = timing;
+  // The model depends only on the chunk count and the live leaves, so it
+  // runs once per shape; kill_leaf forgets it.
+  if (timed_chunks_ != chunks) {
+    timing_ = model_timing(chunks);
+    timed_chunks_ = chunks;
+  }
+  const HierarchyTiming& timing = timing_;
 
   // Registry: per-level fan-in time for THIS reduce (modeled seconds —
   // leaf level is the host->ToR fan-in until the last partial is handed

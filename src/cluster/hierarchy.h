@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -66,9 +67,10 @@ class HierarchicalAggregator {
   const HierarchyOptions& options() const { return opts_; }
 
   /// Reduces `workers` (size == total_workers(); worker w is homed on leaf
-  /// w / workers_per_leaf) through the two-level tree. Also refreshes the
-  /// timing model for this reduction; see timing(). Reads the views in
-  /// place and writes the sum into `out`.
+  /// w / workers_per_leaf) through the two-level tree. Reads the views in
+  /// place and writes the sum into `out`. The timing model runs once per
+  /// shape (chunk count and live leaves) and is reused while the shape
+  /// holds; every reduce books it to telemetry; see timing().
   void reduce_into(std::span<const std::span<const float>> workers,
                    std::span<float> out);
 
@@ -112,6 +114,9 @@ class HierarchicalAggregator {
   std::unique_ptr<pisa::FpisaSwitch> spine_;
   std::vector<bool> leaf_alive_;
   HierarchyTiming timing_{};
+  /// Chunk count timing_ was modeled for under the current live leaves;
+  /// empty until the first reduce and after kill_leaf.
+  std::optional<std::size_t> timed_chunks_;
 
   // Functional datapath buffers, reused across reduces.
   switchml::WaveEngine engine_;

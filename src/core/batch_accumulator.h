@@ -25,7 +25,10 @@
 // renormalize + shift + sign fold + assemble): every register pair is a
 // stateless per-slot transform, so the collect phase vectorizes with no
 // cross-lane dependencies at all. Contract: bit-identical to per-slot
-// `fpisa_read` (same test file).
+// `fpisa_read` (same test file). `fpisa_read_scatter` /
+// `fpisa_read_reset_scatter` run it over `lanes`-wide rows, each row landing
+// at its own destination, as the gather add reads each row from its own
+// payload.
 //
 // Modes: every entry point takes a LaneMode. kAccumulator is the core
 // software accumulator above. kSwitch is the FPISA switch program
@@ -178,6 +181,29 @@ void fpisa_read_reset_batch(std::span<std::int32_t> exp,
                             const AccumulatorConfig& cfg,
                             LaneMode mode = LaneMode::kAccumulator);
 
+/// Scattered egress over `lanes`-wide rows, the read-side twin of
+/// fpisa_add_gather: row r, i.e. (exp, man)[r * lanes, + lanes), is
+/// renormalized into `lanes` packed FP32 values written as raw bytes at
+/// dests[r] (any alignment -- typically a place in
+/// std::as_writable_bytes of the caller's float storage). Per row the
+/// results are fpisa_read_batch's; the backend is picked once per call,
+/// and rows whose destinations follow one another run as one span.
+/// Throws std::invalid_argument, before any write, in every build, unless
+/// exp and man both hold dests.size() * lanes registers.
+void fpisa_read_scatter(std::span<const std::int32_t> exp,
+                        std::span<const std::int64_t> man, std::size_t lanes,
+                        std::span<std::byte* const> dests,
+                        const AccumulatorConfig& cfg,
+                        LaneMode mode = LaneMode::kAccumulator);
+
+/// Read-and-reset variant: identical writes to fpisa_read_scatter, then
+/// every register pair of the rows is cleared to (0, 0).
+void fpisa_read_reset_scatter(std::span<std::int32_t> exp,
+                              std::span<std::int64_t> man, std::size_t lanes,
+                              std::span<std::byte* const> dests,
+                              const AccumulatorConfig& cfg,
+                              LaneMode mode = LaneMode::kAccumulator);
+
 namespace detail {
 
 /// Per-batch event tallies, merged into OpCounters once per call (the
@@ -203,6 +229,17 @@ struct GatherBatch {
   std::int64_t* man = nullptr;
 };
 
+/// A checked scatter batch: row r's `lanes` registers are exp/man at
+/// r * lanes, and their packed FP32 values go to the bytes at dests[r].
+/// The flat read is one row of all its registers.
+struct ScatterBatch {
+  const std::int32_t* exp = nullptr;
+  const std::int64_t* man = nullptr;
+  std::byte* const* dests = nullptr;
+  std::size_t n = 0;  ///< rows in the batch
+  std::size_t lanes = 0;
+};
+
 /// AVX2 kernel entry (defined in batch_accumulator_avx2.cpp, only built
 /// when FPISA_ENABLE_AVX2 is on): picks the kernel once, then runs it per
 /// row. Tail elements are finished by the scalar lane primitive inside.
@@ -210,13 +247,14 @@ void add_gather_avx2(const GatherBatch& g, const AccumulatorConfig& cfg,
                      LaneMode mode, BatchTallies& t);
 
 /// AVX2 egress kernel entry (defined in batch_read_avx2.cpp, only built
-/// when FPISA_ENABLE_AVX2 is on). Tail elements are finished by the scalar
-/// read primitive inside. `reg_bits` picks the lane width: registers of
-/// <= 32 bits take the 8-lane 32-bit kernel (mirroring the add kernel's
-/// run32), wider registers the generic 4x64-bit kernel.
-void read_batch_avx2(const std::int32_t* exp, const std::int64_t* man,
-                     std::uint32_t* out, std::size_t n, int guard,
-                     int reg_bits, LaneMode mode);
+/// when FPISA_ENABLE_AVX2 is on): picks the kernel once, then runs it per
+/// run of rows with adjacent destinations. Each run's tail is finished by
+/// the scalar read primitive inside.
+/// `reg_bits` picks the lane width: registers of <= 32 bits take the
+/// 8-lane 32-bit kernel (mirroring the add kernel's run32), wider
+/// registers the generic 4x64-bit kernel.
+void read_scatter_avx2(const ScatterBatch& s, int guard, int reg_bits,
+                       LaneMode mode);
 
 }  // namespace detail
 

@@ -198,27 +198,32 @@ inline std::uint32_t lane_read(std::int32_t se, std::int64_t sm, int guard) {
 // otherwise derives an impossible trip count for the tail loop and warns
 // under -Waggressive-loop-optimizations.
 
-/// Runs the read primitive over a range (the portable backend's core and
-/// the AVX2 backend's tail loop).
-template <LaneMode M>
-inline void lane_read_range(const std::int32_t* exp, const std::int64_t* man,
-                            std::uint32_t* out, std::size_t n, int guard) {
-  const std::size_t n4 = n - n % 4;
-  std::size_t i = 0;
-  for (; i < n4; i += 4) {  // unrolled: independent lanes pipeline
-    out[i + 0] = lane_read<M>(exp[i + 0], man[i + 0], guard);
-    out[i + 1] = lane_read<M>(exp[i + 1], man[i + 1], guard);
-    out[i + 2] = lane_read<M>(exp[i + 2], man[i + 2], guard);
-    out[i + 3] = lane_read<M>(exp[i + 3], man[i + 3], guard);
-  }
-  for (; i < n; ++i) out[i] = lane_read<M>(exp[i], man[i], guard);
-}
-
 /// Lane i of a packed FP32 payload held as raw bytes (any alignment).
 inline std::uint32_t load_lane(const std::byte* bits, std::size_t i) {
   std::uint32_t u;
   std::memcpy(&u, bits + i * sizeof u, sizeof u);
   return u;
+}
+
+/// Writes lane i of a packed FP32 row held as raw bytes (any alignment).
+inline void store_lane(std::byte* bits, std::size_t i, std::uint32_t u) {
+  std::memcpy(bits + i * sizeof u, &u, sizeof u);
+}
+
+/// Runs the read primitive over a range into raw bytes at any alignment
+/// (the portable backend's core and the AVX2 backend's tail loop).
+template <LaneMode M>
+inline void lane_read_range(const std::int32_t* exp, const std::int64_t* man,
+                            std::byte* out, std::size_t n, int guard) {
+  const std::size_t n4 = n - n % 4;
+  std::size_t i = 0;
+  for (; i < n4; i += 4) {  // unrolled: independent lanes pipeline
+    store_lane(out, i + 0, lane_read<M>(exp[i + 0], man[i + 0], guard));
+    store_lane(out, i + 1, lane_read<M>(exp[i + 1], man[i + 1], guard));
+    store_lane(out, i + 2, lane_read<M>(exp[i + 2], man[i + 2], guard));
+    store_lane(out, i + 3, lane_read<M>(exp[i + 3], man[i + 3], guard));
+  }
+  for (; i < n; ++i) store_lane(out, i, lane_read<M>(exp[i], man[i], guard));
 }
 
 /// Runs the lane primitive over a range (the portable backend's core and
@@ -247,6 +252,22 @@ inline void for_each_row(const GatherBatch& g, Range&& range) {
   for (std::size_t r = 0; r < g.n; ++r) {
     const std::size_t off = std::size_t{g.rows[r]} * g.lanes;
     range(g.payloads[r], g.lanes, g.exp + off, g.man + off);
+  }
+}
+
+/// Calls range(exp, man, dest, n) for each run of a scatter batch's rows
+/// whose destinations follow one another, in order: a run is n = k * lanes
+/// registers read into one span, so a wave landing on consecutive chunks
+/// (or a flat read) runs the kernel once instead of row by row.
+template <class Range>
+inline void for_each_run(const ScatterBatch& s, Range&& range) {
+  const std::size_t row_bytes = s.lanes * sizeof(std::uint32_t);
+  for (std::size_t r = 0; r < s.n;) {
+    std::size_t end = r + 1;
+    while (end < s.n && s.dests[end] == s.dests[end - 1] + row_bytes) ++end;
+    range(s.exp + r * s.lanes, s.man + r * s.lanes, s.dests[r],
+          (end - r) * s.lanes);
+    r = end;
   }
 }
 

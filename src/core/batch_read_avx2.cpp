@@ -1,11 +1,13 @@
-// AVX2 backend for fpisa_read_batch: a literal translation of the
-// branchless read primitive in batch_lane.h into vector selects. Two lane
-// widths, picked by the register width: the generic four 64-bit lanes per
-// iteration, and an 8-lane 32-bit specialization (mirroring the add
-// kernel's run32) for registers of <= 32 bits, where every in-invariant
-// mantissa fits an int32. This translation unit is compiled with -mavx2
-// (and only when FPISA_ENABLE_AVX2 is on); callers reach it solely through
-// the runtime-dispatched fpisa_read_batch, which checks CPU support first.
+// AVX2 backend for fpisa_read_batch and fpisa_read_scatter: a literal
+// translation of the branchless read primitive in batch_lane.h into vector
+// selects, run once per run of rows with adjacent destinations, the values
+// stored with storeu to bytes at any alignment. Two lane widths, picked by
+// the register width: the generic four 64-bit lanes per iteration, and an
+// 8-lane 32-bit specialization (mirroring the add kernel's run32) for
+// registers of <= 32 bits, where every in-invariant mantissa fits an
+// int32. This translation unit is compiled with -mavx2 (and only when
+// FPISA_ENABLE_AVX2 is on); callers reach it solely through the
+// runtime-dispatched read entry points, which check CPU support first.
 //
 // AVX2 has no 64-bit lzcnt; the leading-one position comes from the
 // classic smear-then-popcount identity: OR-smearing the leading 1 down
@@ -86,8 +88,8 @@ inline __m256i leading_one_pos_plus1_32(__m256i u) {
 }
 
 template <LaneMode M>
-void read_batch_avx2_32(const std::int32_t* exp, const std::int64_t* man,
-                        std::uint32_t* out, std::size_t n, int guard) {
+inline void read_run_32(const std::int32_t* exp, const std::int64_t* man,
+                        std::byte* out, std::size_t n, int guard) {
   const __m256i k_zero = _mm256_setzero_si256();
   const __m256i k_one = _mm256_set1_epi32(1);
   const __m256i k_bias = _mm256_set1_epi32(23 + guard);
@@ -132,7 +134,7 @@ void read_batch_avx2_32(const std::int32_t* exp, const std::int64_t* man,
         _mm256_and_si256(_mm256_cmpgt_epi32(k_exp_lim, se),
                          _mm256_cmpgt_epi32(se, k_exp_lim_neg));
     if (_mm256_movemask_epi8(_mm256_and_si256(man_ok, exp_ok)) != -1) {
-      lane_read_range<M>(exp + i, man + i, out + i, 8, guard);
+      lane_read_range<M>(exp + i, man + i, out + i * 4, 8, guard);
       continue;
     }
 
@@ -177,14 +179,14 @@ void read_batch_avx2_32(const std::int32_t* exp, const std::int64_t* man,
     __m256i bits = blend(norm_bits, sub_bits, is_sub);
     bits = blend(bits, _mm256_or_si256(sign, k_inf), is_ovf);
     bits = _mm256_andnot_si256(is_zero, bits);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i), bits);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * 4), bits);
   }
-  lane_read_range<M>(exp + i, man + i, out + i, n - i, guard);
+  lane_read_range<M>(exp + i, man + i, out + i * 4, n - i, guard);
 }
 
 template <LaneMode M>
-void read_batch_avx2_64(const std::int32_t* exp, const std::int64_t* man,
-                        std::uint32_t* out, std::size_t n, int guard) {
+inline void read_run_64(const std::int32_t* exp, const std::int64_t* man,
+                        std::byte* out, std::size_t n, int guard) {
   const __m256i k_zero = _mm256_setzero_si256();
   const __m256i k_one = set1(1);
   const __m256i k_bias = set1(23 + guard);  // norm_exp = se + p - 23 - guard
@@ -246,34 +248,38 @@ void read_batch_avx2_64(const std::int32_t* exp, const std::int64_t* man,
     // Narrow the 4x int64 results (each fits 32 bits) to 4x uint32.
     const __m256i packed = _mm256_permutevar8x32_epi32(
         bits, _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i * 4),
                      _mm256_castsi256_si128(packed));
   }
-  lane_read_range<M>(exp + i, man + i, out + i, n - i, guard);
+  lane_read_range<M>(exp + i, man + i, out + i * 4, n - i, guard);
 }
 
 template <LaneMode M>
-void read_width(const std::int32_t* exp, const std::int64_t* man,
-                std::uint32_t* out, std::size_t n, int guard, int reg_bits) {
+void read_width(const ScatterBatch& s, int guard, int reg_bits) {
   // The read dataflow never consults the register width — it only bounds
   // the values the add path can have stored. <= 32 bits means every
   // in-invariant mantissa fits an int32, unlocking the 8-lane kernel.
   if (reg_bits <= 32) {
-    read_batch_avx2_32<M>(exp, man, out, n, guard);
+    for_each_run(s, [guard](const std::int32_t* exp, const std::int64_t* man,
+                            std::byte* out, std::size_t n) {
+      read_run_32<M>(exp, man, out, n, guard);
+    });
   } else {
-    read_batch_avx2_64<M>(exp, man, out, n, guard);
+    for_each_run(s, [guard](const std::int32_t* exp, const std::int64_t* man,
+                            std::byte* out, std::size_t n) {
+      read_run_64<M>(exp, man, out, n, guard);
+    });
   }
 }
 
 }  // namespace
 
-void read_batch_avx2(const std::int32_t* exp, const std::int64_t* man,
-                     std::uint32_t* out, std::size_t n, int guard,
-                     int reg_bits, LaneMode mode) {
+void read_scatter_avx2(const ScatterBatch& s, int guard, int reg_bits,
+                       LaneMode mode) {
   if (mode == LaneMode::kSwitch) {
-    read_width<LaneMode::kSwitch>(exp, man, out, n, guard, reg_bits);
+    read_width<LaneMode::kSwitch>(s, guard, reg_bits);
   } else {
-    read_width<LaneMode::kAccumulator>(exp, man, out, n, guard, reg_bits);
+    read_width<LaneMode::kAccumulator>(s, guard, reg_bits);
   }
 }
 

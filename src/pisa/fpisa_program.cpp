@@ -759,7 +759,7 @@ void FpisaSwitch::check_packets(const char* what,
 // lane). tests/test_pisa_fpisa_program.cpp proves
 // it bit-identical to per-packet `add` calls through the interpreter.
 // Egress (result emission) is skipped: batch callers collect aggregates
-// with read_batch()/read_and_reset_batch() — the compiled egress below.
+// with egress() or its flat adapters — the compiled egress below.
 // ---------------------------------------------------------------------------
 
 std::span<const std::byte* const> FpisaSwitch::flat_payloads(
@@ -870,21 +870,19 @@ void FpisaSwitch::wipe_state() {
 
 // ---------------------------------------------------------------------------
 // Batched read fast path: the compiled form of the egress program
-// (MAU5-8). Slots [slot0, slot0 + n) are one contiguous span of the bank in
-// exactly the lane-major output order, so the renormalize-and-assemble is
-// one core read kernel call in LaneMode::kSwitch — the 32-bit sign split,
-// the CLZ shift to bit 23, the exponent adjust and the range gateway's
-// zero / FTZ / overflow-to-inf / pack priority order — and the reset is a
-// fill of the same span. Results and register state are bit-identical to
-// per-packet read()/read_and_reset() traversals
-// (tests/test_pisa_fpisa_program.cpp proves it against the interpreter).
+// (MAU5-8). Slots [slot0, slot0 + n) are one contiguous span of the bank,
+// one lanes-wide row per slot, so the renormalize-and-assemble is one core
+// read-scatter call in LaneMode::kSwitch, each row landing at its own
+// destination — the 32-bit sign split, the CLZ shift to bit 23, the
+// exponent adjust and the range gateway's zero / FTZ / overflow-to-inf /
+// pack priority order — and the reset is a fill of the same span. Results
+// and register state are bit-identical to per-packet read() /
+// read_and_reset() traversals (tests/test_pisa_fpisa_program.cpp proves it
+// against the interpreter).
 // ---------------------------------------------------------------------------
 
-void FpisaSwitch::collect_batch(const char* what, std::uint16_t slot0,
-                                std::size_t n, bool reset,
-                                std::span<std::uint32_t> out_values,
-                                std::span<std::uint32_t> out_bitmaps,
-                                std::span<std::uint16_t> out_counts) {
+void FpisaSwitch::check_slot_range(const char* what, std::uint16_t slot0,
+                                   std::size_t n) const {
   if (n > opts_.slots || slot0 > opts_.slots - n) {
     throw std::out_of_range(std::string(what) + ": slots [" +
                             std::to_string(slot0) + ", " +
@@ -892,26 +890,47 @@ void FpisaSwitch::collect_batch(const char* what, std::uint16_t slot0,
                             ") exceed a " + std::to_string(opts_.slots) +
                             "-slot switch");
   }
+}
+
+std::span<std::byte* const> FpisaSwitch::flat_dests(
+    const char* what, std::uint16_t slot0, std::size_t n,
+    std::span<std::uint32_t> values) {
+  check_slot_range(what, slot0, n);
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  require_size(what, "out_values", out_values.size(), n * lanes);
+  require_size(what, "out_values", values.size(), n * lanes);
+  const std::span<std::byte> bytes = std::as_writable_bytes(values);
+  flat_dests_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    flat_dests_[k] = bytes.data() + k * lanes * sizeof(std::uint32_t);
+  }
+  return flat_dests_;
+}
+
+void FpisaSwitch::egress(std::uint16_t slot0,
+                         std::span<std::byte* const> dests, bool reset,
+                         std::span<std::uint32_t> out_bitmaps,
+                         std::span<std::uint16_t> out_counts) {
+  const std::size_t n = dests.size();
+  check_slot_range("egress", slot0, n);
   if (!out_bitmaps.empty()) {
-    require_size(what, "out_bitmaps", out_bitmaps.size(), n);
+    require_size("egress", "out_bitmaps", out_bitmaps.size(), n);
   }
   if (!out_counts.empty()) {
-    require_size(what, "out_counts", out_counts.size(), n);
+    require_size("egress", "out_counts", out_counts.size(), n);
   }
 
+  const auto lanes = static_cast<std::size_t>(opts_.lanes);
   core::RegisterFile& bank = sim_.bank();
   const std::span<std::int32_t> exp =
       std::span(bank.exp).subspan(slot0 * lanes, n * lanes);
   const std::span<std::int64_t> man =
       std::span(bank.man).subspan(slot0 * lanes, n * lanes);
   if (reset) {  // kClear: results computed from the old values
-    core::fpisa_read_reset_batch(exp, man, out_values, lane_cfg_,
-                                 core::LaneMode::kSwitch);
+    core::fpisa_read_reset_scatter(exp, man, lanes, dests, lane_cfg_,
+                                   core::LaneMode::kSwitch);
   } else {
-    core::fpisa_read_batch(exp, man, out_values, lane_cfg_,
-                           core::LaneMode::kSwitch);
+    core::fpisa_read_scatter(exp, man, lanes, dests, lane_cfg_,
+                             core::LaneMode::kSwitch);
   }
 
   RegisterArray& bitmap = sim_.reg(2 * opts_.lanes);
@@ -939,16 +958,16 @@ void FpisaSwitch::read_batch(std::uint16_t slot0, std::size_t n,
                              std::span<std::uint32_t> out_values,
                              std::span<std::uint32_t> out_bitmaps,
                              std::span<std::uint16_t> out_counts) {
-  collect_batch("read_batch", slot0, n, /*reset=*/false, out_values,
-                out_bitmaps, out_counts);
+  egress(slot0, flat_dests("read_batch", slot0, n, out_values),
+         /*reset=*/false, out_bitmaps, out_counts);
 }
 
 void FpisaSwitch::read_and_reset_batch(std::uint16_t slot0, std::size_t n,
                                        std::span<std::uint32_t> out_values,
                                        std::span<std::uint32_t> out_bitmaps,
                                        std::span<std::uint16_t> out_counts) {
-  collect_batch("read_and_reset_batch", slot0, n, /*reset=*/true, out_values,
-                out_bitmaps, out_counts);
+  egress(slot0, flat_dests("read_and_reset_batch", slot0, n, out_values),
+         /*reset=*/true, out_bitmaps, out_counts);
 }
 
 }  // namespace fpisa::pisa

@@ -121,14 +121,14 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 ///
 /// Two datapaths share one register state. The interpreted one (add, read,
 /// read_and_reset) encodes a packet and runs it through every table and
-/// stateful ALU of the simulator. The compiled one (ingress and its flat
-/// adapters, read_batch, read_and_reset_batch) is MAU0-8 lowered
-/// onto the core lane kernels in core::LaneMode::kSwitch: the lane
-/// registers are strided views onto one slot-major bank
-/// (SwitchProgram::bank), so a packet's lanes — or a run of consecutive
-/// slots — are one contiguous span the scalar or AVX2 kernel walks
-/// branch-free. Tests pin the two datapaths bit-identical: results,
-/// registers, bitmap, counter, OpCounters, dedup and packet counts.
+/// stateful ALU of the simulator. The compiled one (ingress, egress and
+/// their flat adapters) is MAU0-8 lowered onto the core lane kernels in
+/// core::LaneMode::kSwitch: the lane registers are strided views onto one
+/// slot-major bank (SwitchProgram::bank), so a packet's lanes — or a run
+/// of consecutive slots — are one contiguous span the scalar or AVX2
+/// kernel walks branch-free. Tests pin the two datapaths bit-identical:
+/// results, registers, bitmap, counter, OpCounters, dedup and packet
+/// counts.
 ///
 /// Shapes are checked in every build: a span of the wrong size throws
 /// std::invalid_argument, a slot outside [0, slots) or a worker id outside
@@ -224,26 +224,33 @@ class FpisaSwitch {
   }
   std::uint16_t generation() const { return generation_; }
 
-  /// Batched egress fast path: reads `n` consecutive slots [slot0,
-  /// slot0 + n) through the compiled renormalize-and-assemble (MAU5-8),
-  /// writing lane-major FP32 results into `out_values` (n * lanes
-  /// entries; slot k's lane l lands at out_values[k*lanes + l]). Results
-  /// and register state are bit-identical to n read() packets — including
-  /// the egress FTZ / overflow-to-inf range handling — but skip wire
-  /// encode/parse and table interpretation (enforced by
+  /// Batched egress over result descriptors: reads the dests.size()
+  /// consecutive slots [slot0, slot0 + dests.size()) through the compiled
+  /// renormalize-and-assemble (MAU5-8), writing slot k's `lanes` FP32
+  /// results as raw bytes at dests[k] (any alignment, typically the
+  /// slot's chunk in std::as_writable_bytes of the caller's float
+  /// storage). With `reset` (SwitchML-style slot recycling) it then clears
+  /// the slots' exponent / mantissa / bitmap / counter registers and bumps
+  /// their epochs exactly as read_and_reset() packets would (the lane
+  /// registers as one fill of the bank span). Results and register state
+  /// are bit-identical to per-slot read() / read_and_reset() packets --
+  /// including the egress FTZ / overflow-to-inf range handling -- but skip
+  /// wire encode/parse and table interpretation (enforced by
   /// tests/test_pisa_fpisa_program.cpp). The slots' bank cells are one
-  /// contiguous span in exactly the output order, so this is one core
-  /// read kernel call in LaneMode::kSwitch. `out_bitmaps` / `out_counts`
-  /// (size n each) capture the per-slot dedup bitmap and completion
-  /// counter the result packets would carry; pass empty spans to skip.
+  /// contiguous span, so this is one core read kernel call in
+  /// LaneMode::kSwitch. `out_bitmaps` / `out_counts` (dests.size() each)
+  /// capture the per-slot dedup bitmap and completion counter the result
+  /// packets would carry; pass empty spans to skip.
+  void egress(std::uint16_t slot0, std::span<std::byte* const> dests,
+              bool reset, std::span<std::uint32_t> out_bitmaps = {},
+              std::span<std::uint16_t> out_counts = {});
+
+  /// Flat adapters over egress: slot k's lane l lands at
+  /// out_values[k*lanes + l] (n * lanes entries).
   void read_batch(std::uint16_t slot0, std::size_t n,
                   std::span<std::uint32_t> out_values,
                   std::span<std::uint32_t> out_bitmaps = {},
                   std::span<std::uint16_t> out_counts = {});
-  /// Read-and-reset variant (SwitchML-style slot recycling): identical
-  /// outputs to read_batch, then clears the slots' exponent / mantissa /
-  /// bitmap / counter registers exactly as n read_and_reset() packets
-  /// would (the lane registers as one fill of the bank span).
   void read_and_reset_batch(std::uint16_t slot0, std::size_t n,
                             std::span<std::uint32_t> out_values,
                             std::span<std::uint32_t> out_bitmaps = {},
@@ -288,11 +295,13 @@ class FpisaSwitch {
   /// One payload pointer per packet into flat `values` (the adapters).
   std::span<const std::byte* const> flat_payloads(
       const char* what, std::size_t n, std::span<const std::uint32_t> values);
-  /// Shared body of the batched read paths (the compiled form of MAU5-8).
-  void collect_batch(const char* what, std::uint16_t slot0, std::size_t n,
-                     bool reset, std::span<std::uint32_t> out_values,
-                     std::span<std::uint32_t> out_bitmaps,
-                     std::span<std::uint16_t> out_counts);
+  /// Throws std::out_of_range unless slots [slot0, slot0 + n) exist.
+  void check_slot_range(const char* what, std::uint16_t slot0,
+                        std::size_t n) const;
+  /// One destination per slot into flat `values` (the read adapters).
+  std::span<std::byte* const> flat_dests(const char* what, std::uint16_t slot0,
+                                         std::size_t n,
+                                         std::span<std::uint32_t> values);
   void init_metrics();
   /// Pushes (packets, dedup, op-count deltas, occupancy) to the registry.
   void flush_metrics(std::size_t packets);
@@ -308,7 +317,8 @@ class FpisaSwitch {
   // Ingress: the accepted packets' payloads and bank rows.
   std::vector<const std::byte*> gather_payloads_;
   std::vector<std::uint32_t> gather_rows_;
-  std::vector<const std::byte*> flat_payloads_;  ///< flat adapters
+  std::vector<const std::byte*> flat_payloads_;  ///< flat add adapters
+  std::vector<std::byte*> flat_dests_;           ///< flat read adapters
   /// Interpreted add: copy of the packet's pre-packet lane registers, which
   /// the core lane-add classifies for §5.2.1 accounting.
   core::RegisterFile pre_packet_;

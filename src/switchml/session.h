@@ -13,10 +13,10 @@
 // Every wave runs through the one WaveEngine (switchml/wave_engine.h): the
 // whole wave is queued as descriptors into the worker views with its loss
 // schedule drawn up front, applied through FpisaSwitch::ingress, and
-// collected through one read_and_reset_batch. The per-packet protocol it reproduces bit for
-// bit survives only as the test oracle in tests/wave_oracle.h. The session
-// adds input validation and, with fault injection on, the dead-worker
-// degrade loop on top.
+// collected through one FpisaSwitch::egress straight into the result. The
+// per-packet protocol it reproduces bit for bit survives only as the test
+// oracle in tests/wave_oracle.h. The session adds input validation and,
+// with fault injection on, the dead-worker degrade loop on top.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +65,7 @@ class AggregationSession : private WaveHooks {
   }
   pisa::FpisaSwitch& fpisa_switch() { return switch_; }
 
-  /// Wall time split between the add (scatter) and collect (read+reset)
+  /// Wall time split between the add (ingress) and collect (read+reset)
   /// protocol phases across all reduces — the same currency the cluster
   /// service exposes, here for the single-switch backend.
   telemetry::PhaseBreakdown phase_breakdown() const {

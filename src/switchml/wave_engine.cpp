@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-
-#include "core/packed.h"
+#include <cstring>
 
 namespace fpisa::switchml {
 namespace {
@@ -49,19 +48,31 @@ bool declare_dead_worker(int worker, std::size_t num_workers,
 }
 
 CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
-                                      int max_retransmits, util::Rng& rng,
+                                      int max_retransmits, util::Rng* rng,
                                       SessionStats& stats) {
   CollectSchedule sched;
+  if (rng == nullptr) {
+    if (loss_rate != 0.0) {
+      throw std::invalid_argument(
+          "draw_collect_schedule: a lossy wire needs an rng");
+    }
+    // Lossless wire: every read and every reset gets through first time.
+    sched.delivered = 2 * n;
+    sched.cleared = n;
+    stats.packets_sent += 2 * n;
+    stats.slot_reuses += n;
+    return sched;
+  }
   for (std::size_t k = 0; k < n; ++k) {
     bool have = false;
     for (int attempt = 0; attempt <= max_retransmits && !have; ++attempt) {
       ++stats.packets_sent;
-      if (rng.next_double() < loss_rate) {
+      if (rng->next_double() < loss_rate) {
         ++stats.packets_lost;
         continue;
       }
       ++sched.delivered;
-      if (rng.next_double() < loss_rate) {
+      if (rng->next_double() < loss_rate) {
         ++stats.packets_lost;
         continue;
       }
@@ -74,14 +85,14 @@ CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
     bool cleared_slot = false;
     for (int attempt = 0; attempt <= max_retransmits; ++attempt) {
       ++stats.packets_sent;
-      if (rng.next_double() < loss_rate) {
+      if (rng->next_double() < loss_rate) {
         ++stats.packets_lost;
         continue;
       }
       ++sched.delivered;
       ++stats.slot_reuses;
       cleared_slot = true;
-      if (rng.next_double() >= loss_rate) break;
+      if (rng->next_double() >= loss_rate) break;
       ++stats.packets_lost;  // ack lost: re-clearing is harmless
     }
     if (!cleared_slot) {
@@ -147,6 +158,11 @@ bool WaveEngine::pack(const WaveJob& job, std::size_t wave, std::size_t k0,
 bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
                       std::uint8_t id, std::span<const std::byte> payload) {
   SessionStats& st = *job.stats;
+  if (job.rng == nullptr) {  // lossless wire: one copy, acked first time
+    ++st.packets_sent;
+    queue_.push(slot, id, 0, payload.data());
+    return true;
+  }
   util::Rng& rng = *job.rng;
   bool delivered_before = false;
   for (int attempt = 0; attempt <= job.max_retransmits; ++attempt) {
@@ -268,13 +284,27 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
                          WaveHooks& hooks, std::size_t wave,
                          const CollectSchedule& sched) {
   const std::size_t base = wave * job.wave;
-  const std::size_t end = std::min(base + job.wave, job.chunks.size());
+  const std::size_t row_bytes = lanes_ * sizeof(float);
+  const std::span<std::byte> out = std::as_writable_bytes(job.out);
+  const std::span<std::byte> bounce =
+      std::as_writable_bytes(std::span(wave_values_));
+  // Each cleared slot drains straight into its chunk's place in out. A
+  // short tail chunk, and every slot of a wave whose schedule failed, goes
+  // through a bounce row instead: a failed wave writes nothing into out.
+  const auto direct = [&](std::size_t k) {
+    return !sched.failure &&
+           (job.chunks[base + k] + 1) * row_bytes <= out.size();
+  };
+  dests_.resize(sched.cleared);
+  for (std::size_t k = 0; k < sched.cleared; ++k) {
+    dests_[k] = direct(k) ? out.data() + job.chunks[base + k] * row_bytes
+                          : bounce.data() + k * row_bytes;
+  }
   // The cleared prefix drains in one compiled-egress call: values are read
   // before the clear, exactly the per-slot read-then-reset order, and a
   // failed slot and everything after it stay untouched, as they would.
   sw.with([&](pisa::FpisaSwitch& s) {
-    s.read_and_reset_batch(job.lo, sched.cleared,
-                           {wave_values_.data(), sched.cleared * lanes_});
+    s.egress(job.lo, dests_, /*reset=*/true);
     s.sim().account_packets(sched.delivered - sched.cleared);
     if (job.faults != nullptr) {
       // Each reset bumped its slot's epoch, and the reset ack carries the
@@ -291,17 +321,22 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
     hooks.fail(*sched.failure,
                static_cast<std::uint16_t>(job.lo + sched.cleared), -1);
   }
-  const std::size_t n = job.out.size();
-  for (std::size_t k = base; k < end; ++k) {
-    const std::size_t i0 = job.chunks[k] * lanes_;
-    const std::uint32_t* v = &wave_values_[(k - base) * lanes_];
-    for (std::size_t l = 0; l < lanes_ && i0 + l < n; ++l) {
-      job.out[i0 + l] = core::fp32_value(v[l]);
-    }
+  // A short tail chunk keeps only the lanes that fall inside out.
+  for (std::size_t k = 0; k < sched.cleared; ++k) {
+    const std::size_t i0 = job.chunks[base + k] * row_bytes;
+    if (direct(k) || i0 >= out.size()) continue;
+    std::memcpy(out.data() + i0, dests_[k], out.size() - i0);
   }
 }
 
 void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
+  if (job.stats == nullptr) {
+    throw std::invalid_argument("wave engine: job has no stats");
+  }
+  if (job.rng == nullptr && (job.loss_rate != 0.0 || job.faults != nullptr)) {
+    throw std::invalid_argument(
+        "wave engine: a lossy or faulty wire needs an rng");
+  }
   const std::size_t total = job.chunks.size();
   if (total == 0) return;
   if (job.wave == 0) {
@@ -340,8 +375,7 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
             ? CollectSchedule{wave_n / 2, wave_n / 2,
                               WaveFailure::kKilledMidCollect}
             : draw_collect_schedule(wave_n, job.loss_rate,
-                                    job.max_retransmits, *job.rng,
-                                    *job.stats);
+                                    job.max_retransmits, job.rng, *job.stats);
     collect(sw, job, hooks, k, sched);
     const Clock::time_point t_collect_end = Clock::now();
     hooks.end_wave({k, ns_between(t_add, t_add_end),

@@ -21,7 +21,11 @@
 //     (guarded mode then recovers, below);
 //  3. collect: the per-slot read/reset loss schedule is drawn
 //     (draw_collect_schedule) and the wave's slots drain through one
-//     read_and_reset_batch, scattered into the result by chunk id.
+//     descriptor egress, each slot's values written straight to its
+//     chunk's place in the result (only a short tail chunk goes through a
+//     bounce row).
+// A job without an rng runs a lossless wire: each packet is queued once
+// and the collect schedule takes its closed form, with no draws at all.
 // The loss schedule depends only on the rng stream, never on the switch,
 // which is why drawing it up front reproduces the per-packet protocol's
 // results, stats and register evolution bit for bit (pinned against the
@@ -177,9 +181,12 @@ struct CollectSchedule {
 /// idempotent and re-clearing an already-reset slot is a no-op, so ONE
 /// physical read-and-reset per fully-collected slot (the `cleared`
 /// prefix) plus `delivered` accounted traversals reproduces the per-slot
-/// protocol's register evolution and packet accounting exactly.
+/// protocol's register evolution and packet accounting exactly. A null
+/// `rng` is a lossless wire and returns the closed form without drawing:
+/// delivered = 2n, cleared = n, packets_sent += 2n, slot_reuses += n; it
+/// throws std::invalid_argument unless loss_rate is 0.
 CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
-                                      int max_retransmits, util::Rng& rng,
+                                      int max_retransmits, util::Rng* rng,
                                       SessionStats& stats);
 
 /// The engine's only route to a switch. `with(fn)` runs fn(switch) with
@@ -212,8 +219,8 @@ class DirectAccess final : public SwitchAccess {
 };
 
 /// One finished wave's phase split. The add phase covers encode, add and
-/// any guarded recovery; the collect phase the schedule draw, drain and
-/// scatter. The windows end at `add_end` / `collect_end` and never
+/// any guarded recovery; the collect phase the schedule draw and the drain
+/// into the result. The windows end at `add_end` / `collect_end` and never
 /// overlap: the collect window opens at `add_end`, and the next wave's add
 /// window opens after `collect_end`.
 struct WaveTiming {
@@ -258,8 +265,10 @@ struct WaveJob {
   std::size_t wave = 1;  ///< slot range size = chunks per wave
   double loss_rate = 0.0;
   int max_retransmits = 0;
+  /// The wire's loss stream; null is a lossless wire (loss_rate 0, no
+  /// faults), which draws nothing.
   util::Rng* rng = nullptr;
-  SessionStats* stats = nullptr;
+  SessionStats* stats = nullptr;  ///< required
   std::uint32_t dead_mask = 0;  ///< views that send nothing
   fault::FaultEngine* faults = nullptr;  ///< non-null: guarded mode
   WaveHooks* hooks = nullptr;  ///< null: the defaults
@@ -286,8 +295,11 @@ class WaveEngine {
   explicit WaveEngine(int lanes);
 
   /// Runs every wave of `job`, writing each collected chunk into
-  /// job.out. Throws through job.hooks->fail, or fault::WorkerDeadError
-  /// when a guarded wave's deadline finds a silent worker.
+  /// job.out; a failed wave writes nothing there. Throws through
+  /// job.hooks->fail, or fault::WorkerDeadError when a guarded wave's
+  /// deadline finds a silent worker. Throws std::invalid_argument, before
+  /// any switch state changes, when job.stats is null, or job.rng is null
+  /// while loss_rate is not 0 or job.faults is set.
   void run(SwitchAccess& sw, const WaveJob& job);
   /// Control-plane cleanup: read-and-resets slots [lo, lo + n), so a
   /// failed or abandoned run leaks no partial sums, dedup bits or epochs
@@ -322,9 +334,12 @@ class WaveEngine {
   void recover(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave);
   /// The only place a wave drains: read-and-resets the schedule's cleared
-  /// prefix in one switch hold (guarded: taking back each reset slot's new
-  /// stamp), then hands a failure to hooks.fail or scatters the wave into
-  /// job.out.
+  /// prefix in one switch hold through the switch's descriptor egress,
+  /// each slot landing at its chunk's place in job.out (guarded: taking
+  /// back each reset slot's new stamp). A failed schedule lands every slot
+  /// in the bounce rows instead and hands the failure to hooks.fail; a
+  /// short tail chunk goes through its bounce row and only its in-range
+  /// lanes are copied out.
   void collect(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave, const CollectSchedule& sched);
   /// Reads the range's stamps and the switch generation they belong to.
@@ -336,6 +351,9 @@ class WaveEngine {
   std::size_t lanes_;
   // Reused across waves and runs: no steady-state allocation.
   fault::WaveQueue queue_;  ///< the only packet queue
+  std::vector<std::byte*> dests_;  ///< collect: one destination per slot
+  /// Bounce rows (a failed wave, a short tail chunk) and the guarded
+  /// deadline probe's values.
   std::vector<std::uint32_t> wave_values_;
   // Guarded mode: the range's slot stamps as the switch last handed them
   // back, the generation resync last read, and the wave deadline's bitmap

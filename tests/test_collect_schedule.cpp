@@ -33,7 +33,7 @@ TEST(CollectSchedule, LosslessScheduleClearsEverySlotInTwoTraversals) {
   SessionStats stats{};
   const CollectSchedule sched =
       draw_collect_schedule(16, /*loss_rate=*/0.0, /*max_retransmits=*/0,
-                            rng, stats);
+                            &rng, stats);
   EXPECT_FALSE(sched.failure.has_value());
   EXPECT_EQ(sched.cleared, 16u);
   EXPECT_EQ(sched.delivered, 32u);  // one read + one reset per slot
@@ -47,7 +47,7 @@ TEST(CollectSchedule, ExtremeLossInvariantsHoldAcrossSeeds) {
         util::Rng rng(seed * 1000003 + 17);
         SessionStats stats{};
         const CollectSchedule sched =
-            draw_collect_schedule(8, loss, budget, rng, stats);
+            draw_collect_schedule(8, loss, budget, &rng, stats);
         // The cleared prefix can never outrun the slot count, a failure
         // is always a read or reset exhaustion, and a failed schedule must
         // leave at least one slot uncleared.
@@ -74,7 +74,7 @@ TEST(CollectSchedule, ZeroBudgetAtNinetyPercentLossFailsDeterministically) {
   const auto draw = [] {
     util::Rng rng(99);
     SessionStats stats{};
-    const CollectSchedule s = draw_collect_schedule(8, 0.9, 0, rng, stats);
+    const CollectSchedule s = draw_collect_schedule(8, 0.9, 0, &rng, stats);
     return std::tuple(s.delivered, s.cleared, s.failure, stats.packets_sent);
   };
   EXPECT_EQ(draw(), draw());

@@ -10,6 +10,7 @@
 // (kSaturate / kWrap), plus guard-bit configs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstring>
@@ -745,6 +746,144 @@ TEST(GatherEquivalence, RejectsBadShapesBeforeTouchingTheBank) {
     reset_batch_backend();
     EXPECT_EQ(ops.adds, 0u);
   }
+}
+
+/// Scattered egress destinations at odd byte offsets in one buffer (no
+/// lane is 4-byte aligned), with 3-byte gaps no write may touch. Reversed:
+/// every row on its own, last row first. In order: two runs of adjacent
+/// rows, split by a gap at the middle row.
+struct ScatterCase {
+  static constexpr std::byte kPad{0xA5};
+  std::size_t lanes = 0;
+  std::vector<std::byte> bytes;
+  std::vector<std::byte*> dests;
+
+  ScatterCase(std::size_t lanes_in, std::size_t rows, bool reversed = true)
+      : lanes(lanes_in) {
+    const std::size_t stride = lanes * 4 + 3;
+    bytes.assign(1 + rows * stride, kPad);
+    for (std::size_t r = 0; r < rows; ++r) {
+      dests.push_back(bytes.data() + 1 +
+                      (reversed ? (rows - 1 - r) * stride
+                                : r * lanes * 4 + (r >= rows / 2 ? 3 : 0)));
+    }
+  }
+
+  /// Row r's bytes equal flat[r*lanes, +lanes), and every gap byte is
+  /// still padding.
+  void expect_rows(std::span<const std::uint32_t> flat,
+                   const std::string& tag) const {
+    for (std::size_t r = 0; r < dests.size(); ++r) {
+      EXPECT_EQ(std::memcmp(dests[r], flat.data() + r * lanes, lanes * 4), 0)
+          << tag << " row " << r;
+    }
+    std::vector<bool> written(bytes.size(), false);
+    for (const std::byte* d : dests) {
+      const auto off = static_cast<std::size_t>(d - bytes.data());
+      std::fill_n(written.begin() + static_cast<std::ptrdiff_t>(off),
+                  lanes * 4, true);
+    }
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      if (written[i]) continue;
+      ASSERT_EQ(bytes[i], kPad) << tag << " byte " << i;
+    }
+  }
+};
+
+TEST(ScatterEquivalence, MatchesFlatReadOnEveryBackend) {
+  // fpisa_read_scatter / fpisa_read_reset_scatter write each row's values
+  // bit for bit as the flat read does, on every backend and in both lane
+  // modes, row by row and over runs of adjacent rows. 5 and 13 lanes
+  // exercise the scalar tail (13 = one 8-lane vector body plus a tail), 32
+  // lanes whole vectors only. States come from the add datapath and from
+  // raw synthesized registers.
+  constexpr std::size_t kRows = 6;
+  for (const std::size_t lanes :
+       {std::size_t{5}, std::size_t{13}, std::size_t{32}}) {
+    util::Rng rng(lanes);
+    std::vector<std::uint32_t> rows(3 * kRows);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      rows[i] = static_cast<std::uint32_t>(i % kRows);
+    }
+    const GatherCase g(lanes, kRows, rows, lanes + 100);
+    for (const LaneMode mode : {LaneMode::kAccumulator, LaneMode::kSwitch}) {
+      for (const int reg_bits : {32, 40}) {
+        AccumulatorConfig cfg;
+        cfg.reg_bits = reg_bits;
+        RegisterFile state(kRows * lanes);
+        OpCounters ops;
+        fpisa_add_gather(g.payloads, g.rows, lanes, state.exp, state.man, cfg,
+                         ops, mode);
+        // Row 0: raw states, including ones outside the add invariant.
+        for (std::size_t l = 0; l < lanes; ++l) {
+          state.exp[l] = static_cast<std::int32_t>(rng.next_below(600)) - 300;
+          state.man[l] = static_cast<std::int64_t>(
+              rng.next_u64() >> (1 + rng.next_below(63)));
+          if (rng.next_below(2) == 0) state.man[l] = -state.man[l];
+        }
+        for (const BatchBackend backend : available_batch_backends()) {
+          force_batch_backend(backend);
+          const std::string tag =
+              std::string(mode == LaneMode::kSwitch ? "switch" : "acc") +
+              " reg=" + std::to_string(reg_bits) +
+              " lanes=" + std::to_string(lanes) + " [" +
+              backend_tag(backend) + "]";
+          std::vector<std::uint32_t> flat(kRows * lanes);
+          fpisa_read_batch(state.exp, state.man, flat, cfg, mode);
+
+          for (const bool reversed : {true, false}) {
+            const std::string layout = reversed ? " reversed" : " runs";
+            ScatterCase read(lanes, kRows, reversed);
+            fpisa_read_scatter(state.exp, state.man, lanes, read.dests, cfg,
+                               mode);
+            read.expect_rows(flat, tag + layout + " read");
+
+            RegisterFile cleared = state;
+            ScatterCase reset(lanes, kRows, reversed);
+            fpisa_read_reset_scatter(cleared.exp, cleared.man, lanes,
+                                     reset.dests, cfg, mode);
+            reset.expect_rows(flat, tag + layout + " read-reset");
+            EXPECT_EQ(cleared.exp,
+                      std::vector<std::int32_t>(kRows * lanes, 0))
+                << tag;
+            EXPECT_EQ(cleared.man,
+                      std::vector<std::int64_t>(kRows * lanes, 0))
+                << tag;
+          }
+          reset_batch_backend();
+        }
+      }
+    }
+  }
+}
+
+TEST(ScatterEquivalence, IneligibleConfigFallsBackAndBadShapesThrow) {
+  // A 64-bit register takes the per-slot reference, row by row.
+  AccumulatorConfig wide;
+  wide.reg_bits = 64;
+  RegisterFile rf(3 * 5);
+  for (std::size_t i = 0; i < rf.exp.size(); ++i) {
+    rf.exp[i] = static_cast<std::int32_t>(100 + i);
+    rf.man[i] = static_cast<std::int64_t>(i * 977) - 7000;
+  }
+  std::vector<std::uint32_t> flat(rf.exp.size());
+  fpisa_read_batch(rf.exp, rf.man, flat, wide);
+  ScatterCase sc(5, 3);
+  fpisa_read_scatter(rf.exp, rf.man, 5, sc.dests, wide);
+  sc.expect_rows(flat, "reference scatter");
+  // Registers that are not dests.size() rows of `lanes`, in every build,
+  // before any write.
+  ScatterCase bad(5, 3);
+  EXPECT_THROW(fpisa_read_scatter(rf.exp, rf.man, 4, bad.dests, {}),
+               std::invalid_argument);
+  EXPECT_THROW(fpisa_read_reset_scatter(rf.exp, std::span(rf.man).first(10),
+                                        5, bad.dests, {}),
+               std::invalid_argument);
+  EXPECT_THROW(fpisa_read_scatter(rf.exp, rf.man, 5, bad.dests, wide,
+                                  LaneMode::kSwitch),
+               std::invalid_argument);
+  for (const std::byte b : bad.bytes) ASSERT_EQ(b, ScatterCase::kPad);
+  EXPECT_EQ(rf.exp[0], 100);
 }
 
 TEST(BatchEquivalence, TooNarrowRegisterThrowsInEveryBuild) {

@@ -360,7 +360,7 @@ TEST(CollectSchedule, LosslessScheduleClearsEverySlotWithTwoPacketsEach) {
   SessionStats stats{};
   const CollectSchedule sched =
       draw_collect_schedule(/*n=*/17, /*loss_rate=*/0.0,
-                            /*max_retransmits=*/4, rng, stats);
+                            /*max_retransmits=*/4, &rng, stats);
   EXPECT_FALSE(sched.failure.has_value());
   EXPECT_EQ(sched.cleared, 17u);
   EXPECT_EQ(sched.delivered, 2u * 17u);  // one read + one reset per slot
@@ -377,7 +377,7 @@ TEST(CollectSchedule, ReadFailureReportsReadExhaustedAndClearedPrefix) {
   util::Rng rng(301);
   SessionStats stats{};
   const CollectSchedule sched =
-      draw_collect_schedule(8, /*loss_rate=*/1.0, /*max_retransmits=*/3, rng,
+      draw_collect_schedule(8, /*loss_rate=*/1.0, /*max_retransmits=*/3, &rng,
                             stats);
   EXPECT_EQ(sched.failure, WaveFailure::kReadExhausted);
   EXPECT_EQ(sched.cleared, 0u);
@@ -411,7 +411,7 @@ TEST(CollectSchedule, ResetFailureIsTypedAndCountsDeliveredRead) {
     util::Rng rng(seed);
     SessionStats stats{};
     const CollectSchedule sched =
-        draw_collect_schedule(4, loss, max_retransmits, rng, stats);
+        draw_collect_schedule(4, loss, max_retransmits, &rng, stats);
     EXPECT_EQ(sched.failure, WaveFailure::kResetExhausted);
     EXPECT_EQ(sched.cleared, 0u);
     EXPECT_EQ(sched.delivered, 1u);          // only the read reached the switch
@@ -436,7 +436,7 @@ TEST(CollectSchedule, DeliveredCountsSwitchTraversalsNotAcks) {
     util::Rng rng(seed);
     SessionStats stats{};
     const CollectSchedule sched =
-        draw_collect_schedule(n, loss, retx, rng, stats);
+        draw_collect_schedule(n, loss, retx, &rng, stats);
     ASSERT_FALSE(sched.failure.has_value());
     EXPECT_EQ(sched.cleared, n);
 

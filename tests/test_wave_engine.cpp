@@ -17,6 +17,7 @@
 #include "cluster/hierarchy.h"
 #include "core/packed.h"
 #include "switchml/wave_engine.h"
+#include "telemetry/metrics.h"
 #include "util/rng.h"
 #include "wave_oracle.h"
 
@@ -216,11 +217,186 @@ TEST(WaveEngine, FailsWhereAndAsTheOracleDoes) {
   EXPECT_GT(phases_seen[2], 0) << "no reset exhaustion";
 }
 
+TEST(WaveEngine, LosslessWireMatchesZeroLossDraws) {
+  // A job without an rng is a lossless wire: it draws nothing, and its
+  // results, books and switch state are those of a zero-loss run that
+  // draws every packet's schedule.
+  constexpr int kLanes = 3;
+  constexpr std::size_t kN = 100;  // last chunk is partly padding
+  const auto data = make_workers(3, kN, 51);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  const std::vector<std::size_t> chunks =
+      iota_chunks((kN + kLanes - 1) / kLanes);
+  std::vector<float> drawn_out(kN), lossless_out(kN);
+  SessionStats drawn_stats{}, lossless_stats{};
+  util::Rng rng(52);
+  pisa::FpisaSwitch drawn_sw = make_switch(false, kLanes, 16);
+  pisa::FpisaSwitch lossless_sw = make_switch(false, kLanes, 16);
+  switchml::WaveEngine engine(kLanes);
+  switchml::WaveJob job;
+  job.workers = views;
+  job.chunks = chunks;
+  job.lo = 2;
+  job.wave = 8;
+  job.max_retransmits = 4;
+
+  job.out = drawn_out;
+  job.rng = &rng;
+  job.stats = &drawn_stats;
+  switchml::DirectAccess drawn_access(drawn_sw);
+  engine.run(drawn_access, job);
+  job.out = lossless_out;
+  job.rng = nullptr;
+  job.stats = &lossless_stats;
+  switchml::DirectAccess lossless_access(lossless_sw);
+  engine.run(lossless_access, job);
+
+  expect_bits_eq(lossless_out, drawn_out);
+  expect_stats_eq(lossless_stats, drawn_stats);
+  expect_switch_eq(lossless_sw, drawn_sw);
+}
+
+TEST(WaveEngine, RejectsJobsWithoutStatsOrRng) {
+  // A job the engine cannot book, or a lossy or faulty wire with no loss
+  // stream, is a typed error raised before the switch sees anything.
+  const auto data = make_workers(2, 32, 53);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  const std::vector<std::size_t> chunks = iota_chunks(16);
+  std::vector<float> out(32);
+  util::Rng rng(54);
+  SessionStats stats{};
+  fault::FaultOptions fo;
+  fo.enabled = true;
+  fault::FaultEngine faults(fo, 1);
+  pisa::FpisaSwitch sw = make_switch(false, 2, 8);
+  switchml::DirectAccess access(sw);
+  switchml::WaveEngine engine(2);
+  const auto base_job = [&] {
+    switchml::WaveJob job;
+    job.workers = views;
+    job.chunks = chunks;
+    job.out = out;
+    job.wave = 8;
+    job.max_retransmits = 4;
+    job.rng = &rng;
+    job.stats = &stats;
+    return job;
+  };
+
+  switchml::WaveJob no_stats = base_job();
+  no_stats.stats = nullptr;
+  EXPECT_THROW(engine.run(access, no_stats), std::invalid_argument);
+  switchml::WaveJob lossy = base_job();
+  lossy.rng = nullptr;
+  lossy.loss_rate = 0.1;
+  EXPECT_THROW(engine.run(access, lossy), std::invalid_argument);
+  switchml::WaveJob faulty = base_job();
+  faulty.rng = nullptr;
+  faulty.faults = &faults;
+  EXPECT_THROW(engine.run(access, faulty), std::invalid_argument);
+  EXPECT_THROW(switchml::draw_collect_schedule(4, 0.1, 4, nullptr, stats),
+               std::invalid_argument);
+
+  EXPECT_EQ(sw.sim().packets_processed(), 0u);
+  EXPECT_EQ(sw.occupied_slots(), 0);
+  EXPECT_EQ(sw.op_counters().adds, 0u);
+  EXPECT_EQ(stats.packets_sent, 0u);
+  const std::uint64_t untouched = util::Rng(54).next_u64();
+  EXPECT_EQ(rng.next_u64(), untouched);
+}
+
 /// Records every finished wave's timing.
 struct RecordingHooks final : switchml::WaveHooks {
   void end_wave(const switchml::WaveTiming& t) override { waves.push_back(t); }
   std::vector<switchml::WaveTiming> waves;
 };
+
+/// Counts finished waves; kills the collect of wave `kill_collect`.
+struct FailingHooks final : switchml::WaveHooks {
+  bool kill_mid_collect(std::size_t wave) override {
+    return wave == kill_collect;
+  }
+  void end_wave(const switchml::WaveTiming&) override { ++finished; }
+  std::size_t kill_collect = SIZE_MAX;
+  std::size_t finished = 0;
+};
+
+TEST(WaveEngine, FailedWaveLeavesOutAlone) {
+  // A wave whose collect gives up -- read exhausted, reset exhausted, or
+  // killed mid-collect -- writes nothing into out, not even the slots its
+  // cleared prefix did read and reset; neither does any later wave. Seeds
+  // are searched, not chosen: each read/reset case must fail with a
+  // non-empty cleared prefix.
+  constexpr int kLanes = 2;
+  constexpr std::size_t kN = 95;  // the last chunk is short
+  constexpr std::uint16_t kLo = 3;
+  constexpr std::size_t kWave = 8;
+  constexpr std::uint32_t kSentinel = 0x7FC0DEADu;
+  const auto data = make_workers(1, kN, 55);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  const std::vector<std::size_t> chunks =
+      iota_chunks((kN + kLanes - 1) / kLanes);
+  // Runs one job; returns the failing wave, or SIZE_MAX when the run
+  // completed or failed anywhere but in a collect with a cleared prefix.
+  const auto run = [&](std::uint64_t seed, double loss, std::size_t kill,
+                       std::vector<float>& out, int& phase) {
+    pisa::FpisaSwitch sw = make_switch(false, kLanes, 16);
+    switchml::DirectAccess access(sw);
+    util::Rng rng(seed);
+    SessionStats stats{};
+    FailingHooks hooks;
+    hooks.kill_collect = kill;
+    switchml::WaveJob job;
+    job.workers = views;
+    job.chunks = chunks;
+    job.out = out;
+    job.lo = kLo;
+    job.wave = kWave;
+    job.loss_rate = loss;
+    job.max_retransmits = 1;
+    job.rng = &rng;
+    job.stats = &stats;
+    job.hooks = &hooks;
+    phase = -1;
+    try {
+      switchml::WaveEngine(kLanes).run(access, job);
+    } catch (const switchml::RetransmitExhaustedError& e) {
+      phase = static_cast<int>(e.phase());
+      if (e.slot() == kLo) return SIZE_MAX;  // nothing was cleared
+    } catch (const std::runtime_error&) {
+      phase = 3;  // killed mid-collect
+    }
+    return phase > 0 ? hooks.finished : SIZE_MAX;
+  };
+  const auto expect_untouched_from = [&](const std::vector<float>& out,
+                                         std::size_t wave) {
+    for (std::size_t i = wave * kWave * kLanes; i < kN; ++i) {
+      ASSERT_EQ(core::fp32_bits(out[i]), kSentinel) << "i=" << i;
+    }
+    for (std::size_t i = 0; i < wave * kWave * kLanes; ++i) {
+      ASSERT_NE(core::fp32_bits(out[i]), kSentinel) << "i=" << i;
+    }
+  };
+  bool seen[4] = {};
+  for (std::uint64_t seed = 0; seed < 512 && !(seen[1] && seen[2]); ++seed) {
+    std::vector<float> out(kN, core::fp32_value(kSentinel));
+    int phase = -1;
+    const std::size_t wave = run(seed, 0.25, SIZE_MAX, out, phase);
+    if (wave == SIZE_MAX || seen[phase]) continue;
+    SCOPED_TRACE(testing::Message() << "seed=" << seed << " phase=" << phase);
+    seen[phase] = true;
+    expect_untouched_from(out, wave);
+  }
+  EXPECT_TRUE(seen[1]) << "no read exhaustion after a cleared slot";
+  EXPECT_TRUE(seen[2]) << "no reset exhaustion after a cleared slot";
+  for (const std::size_t kill : {std::size_t{0}, std::size_t{5}}) {
+    SCOPED_TRACE(testing::Message() << "kill mid-collect of wave " << kill);
+    std::vector<float> out(kN, core::fp32_value(kSentinel));
+    int phase = -1;
+    ASSERT_EQ(run(0, 0.0, kill, out, phase), kill);
+    expect_untouched_from(out, kill);
+  }
+}
 
 TEST(WaveEngine, WaveWindowsTile) {
   // One wave order: a wave's add window opens no earlier than the previous
@@ -391,6 +567,54 @@ TEST(TreeTiming, ClosedFormMatchesEventQueueBitForBit) {
       }
     }
   }
+}
+
+void expect_timing_eq(const cluster::HierarchyTiming& got,
+                      const cluster::HierarchyTiming& want) {
+  EXPECT_EQ(got.done_s, want.done_s);
+  EXPECT_EQ(got.leaf_done_s, want.leaf_done_s);
+  EXPECT_EQ(got.packets, want.packets);
+  EXPECT_EQ(got.wire_bytes, want.wire_bytes);
+}
+
+TEST(TreeTiming, ModelRunsOncePerShape) {
+  // The timing model depends only on the chunk count and the live leaves:
+  // a repeated shape reuses it, and every reduce still books it. A killed
+  // leaf changes the shape, and the timing then matches a tree built
+  // with that leaf dead from the start.
+  cluster::HierarchyOptions opts;
+  opts.leaves = 4;
+  opts.workers_per_leaf = 2;
+  opts.slots = 8;
+  opts.lanes = 4;
+  constexpr std::size_t kN = 203;
+  cluster::HierarchicalAggregator tree(opts);
+  const auto reduce = [&](cluster::HierarchicalAggregator& t,
+                          std::size_t n, std::uint64_t seed) {
+    const auto data = make_workers(t.total_workers(), n, seed);
+    const std::vector<std::span<const float>> views(data.begin(), data.end());
+    std::vector<float> out(n);
+    t.reduce_into(views, out);
+    return t.timing();
+  };
+  const cluster::HierarchyTiming first = reduce(tree, kN, 60);
+  const double leaf_s = tree.phase_breakdown().add_s;
+  const cluster::HierarchyTiming second = reduce(tree, kN, 61);
+  expect_timing_eq(second, first);
+  if (telemetry::enabled()) {
+    EXPECT_EQ(tree.phase_breakdown().add_s, 2 * leaf_s);
+    EXPECT_EQ(leaf_s, first.leaf_done_s);
+  }
+
+  tree.kill_leaf(1);
+  cluster::HierarchicalAggregator fresh(opts);
+  fresh.kill_leaf(1);
+  const cluster::HierarchyTiming killed = reduce(tree, kN, 62);
+  expect_timing_eq(killed, reduce(fresh, kN, 62));
+  EXPECT_NE(killed.done_s, first.done_s);
+  // Another chunk count is another shape.
+  EXPECT_LT(reduce(tree, kN / 2, 63).done_s, killed.done_s);
+  expect_timing_eq(reduce(tree, kN, 64), killed);
 }
 
 }  // namespace
