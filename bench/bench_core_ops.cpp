@@ -375,6 +375,29 @@ void BM_SwitchReadResetBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SwitchReadResetBatch);
 
+// Switch construction at the fabric shape. With no other holder every
+// switch builds the interpreter program (PHV, 9 MAU stages, per-lane align
+// and CLZ tables); with one switch of the shape alive the program is
+// shared and a further switch builds only its register state.
+void BM_FpisaSwitchBuild(benchmark::State& state) {
+  for (auto _ : state) {
+    pisa::FpisaSwitch sw = make_bench_switch();
+    benchmark::DoNotOptimize(&sw);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FpisaSwitchBuild);
+
+void BM_FpisaSwitchBuildShared(benchmark::State& state) {
+  const pisa::FpisaSwitch holder = make_bench_switch();
+  for (auto _ : state) {
+    pisa::FpisaSwitch sw = make_bench_switch();
+    benchmark::DoNotOptimize(&sw);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FpisaSwitchBuildShared);
+
 // Ablation: delayed renormalization (read once at the end) vs
 // renormalizing after every add — the data-dependency the design removes.
 void BM_DelayedRenorm(benchmark::State& state) {

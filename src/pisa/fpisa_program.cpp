@@ -1,7 +1,8 @@
 #include "pisa/fpisa_program.h"
 
 #include <algorithm>
-#include <cassert>
+#include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -121,15 +122,10 @@ void parse_fpisa_result_into(const Packet& pkt, int lanes, FpisaResult& r,
   }
 }
 
-SwitchProgram build_fpisa_program(const SwitchConfig& config,
-                                  const FpisaProgramOptions& opts) {
-  assert(opts.lanes >= 1);
-  assert((opts.variant == core::Variant::kApproximate || config.ext.rsaw) &&
-         "full FPISA needs the RSAW extension; use FPISA-A on baseline");
-  assert((!opts.convert_endianness || config.ext.parser_endianness) &&
-         "little-endian payloads need the in-parser conversion extension");
-  (void)config;  // only consulted by the assertions above
+namespace {
 
+/// Compiles the program for one shape; build_fpisa_program memoizes it.
+SwitchProgram compile_fpisa_program(const FpisaProgramOptions& opts) {
   SwitchProgram prog;
   SharedFields sh;
   sh.opcode = prog.phv.declare("opcode", 8);
@@ -484,6 +480,78 @@ SwitchProgram build_fpisa_program(const SwitchConfig& config,
   return prog;
 }
 
+/// Checks made in every build, before any program is built or looked up: a
+/// packet carries at least one lane, its 16-bit slot field addresses every
+/// slot, and the switch provides the extensions the program needs (the
+/// memo key holds no config, so a program must never reach a switch that
+/// cannot run it).
+void check_fpisa_options(const SwitchConfig& config,
+                         const FpisaProgramOptions& opts) {
+  if (opts.lanes < 1) {
+    throw std::invalid_argument("fpisa switch: need at least one lane, got " +
+                                std::to_string(opts.lanes));
+  }
+  constexpr std::size_t kMax = FpisaSwitch::kMaxSlots;
+  if (opts.slots == 0 || opts.slots > kMax) {
+    throw std::invalid_argument("fpisa switch: slots must be in [1, " +
+                                std::to_string(kMax) + "], got " +
+                                std::to_string(opts.slots));
+  }
+  if (opts.variant == core::Variant::kFull && !config.ext.rsaw) {
+    throw std::invalid_argument(
+        "fpisa switch: full FPISA needs the RSAW extension; use FPISA-A on "
+        "a baseline switch");
+  }
+  if (opts.convert_endianness && !config.ext.parser_endianness) {
+    throw std::invalid_argument(
+        "fpisa switch: little-endian payloads need the parser-endianness "
+        "extension");
+  }
+}
+
+/// The options that determine the compiled program.
+struct ProgramKey {
+  core::Variant variant;
+  int lanes;
+  std::size_t slots;
+  bool convert_endianness;
+  auto operator<=>(const ProgramKey&) const = default;
+};
+
+/// The programs live switches hold, one per shape. Entries are weak: a
+/// shape's program lives exactly as long as some switch uses it.
+struct ProgramMemo {
+  util::OrderedMutex mu{util::lock_rank::kProgramMemo};
+  std::map<ProgramKey, std::weak_ptr<const SwitchProgram>> programs
+      FPISA_GUARDED_BY(mu);
+};
+
+ProgramMemo& program_memo() {
+  static ProgramMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+std::shared_ptr<const SwitchProgram> build_fpisa_program(
+    const SwitchConfig& config, const FpisaProgramOptions& opts) {
+  check_fpisa_options(config, opts);
+  const ProgramKey key{opts.variant, opts.lanes, opts.slots,
+                       opts.convert_endianness};
+  ProgramMemo& memo = program_memo();
+  // Built under the lock, so concurrent switches of one shape build it once.
+  util::LockGuard lk(memo.mu);
+  std::weak_ptr<const SwitchProgram>& entry = memo.programs[key];
+  if (auto held = entry.lock()) return held;
+  auto program =
+      std::make_shared<const SwitchProgram>(compile_fpisa_program(opts));
+  entry = program;
+  // Shapes no switch holds any more leave the table with the next build.
+  std::erase_if(memo.programs,
+                [](const auto& e) { return e.second.expired(); });
+  return program;
+}
+
 std::vector<LogicalTableDesc> fpisa_resource_descriptors(
     const SwitchConfig& config, const FpisaProgramOptions& opts) {
   const bool ext = config.ext.two_operand_shift;
@@ -552,27 +620,10 @@ void require_size(const char* what, const char* span_name, std::size_t got,
   }
 }
 
-/// Shape checks made in every build, before any register is sized: a
-/// packet carries at least one lane, and its 16-bit slot field must be able
-/// to address every slot.
-FpisaProgramOptions validated(FpisaProgramOptions opts) {
-  if (opts.lanes < 1) {
-    throw std::invalid_argument("fpisa switch: need at least one lane, got " +
-                                std::to_string(opts.lanes));
-  }
-  constexpr std::size_t kMax = FpisaSwitch::kMaxSlots;
-  if (opts.slots == 0 || opts.slots > kMax) {
-    throw std::invalid_argument("fpisa switch: slots must be in [1, " +
-                                std::to_string(kMax) + "], got " +
-                                std::to_string(opts.slots));
-  }
-  return opts;
-}
-
 }  // namespace
 
 FpisaSwitch::FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts)
-    : opts_(validated(opts)),
+    : opts_(opts),
       lane_cfg_(lane_config(opts)),
       sim_(config, build_fpisa_program(config, opts)),
       zeros_(static_cast<std::size_t>(opts.lanes), 0),

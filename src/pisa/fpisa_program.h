@@ -21,13 +21,14 @@
 // subnormal output flush to signed zero; exponent overflow clamps to ±inf.
 // These, and the other edges where the tables differ from the software
 // accumulator, are core::LaneMode::kSwitch: FpisaSwitch's compiled batch
-// paths run the core lane kernels in that mode over the program's
+// paths run the core lane kernels in that mode over the switch's
 // slot-major register bank.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -105,11 +106,21 @@ struct FpisaResult {
 void parse_fpisa_result_into(const Packet& pkt, int lanes, FpisaResult& out,
                              bool little_endian_payload = false);
 
-/// Builds the executable program for the given switch configuration.
-/// Asserts (via the simulator) if the options demand extensions the config
-/// does not provide (e.g. kFull variant without ext.rsaw).
-SwitchProgram build_fpisa_program(const SwitchConfig& config,
-                                  const FpisaProgramOptions& opts);
+/// The executable program for `opts` on a switch configured as `config`:
+/// immutable code, shared by every switch of the same shape. The program is
+/// determined by variant, lanes, slots and convert_endianness, and is
+/// memoized on them: while any holder keeps a shape's program alive, every
+/// further call returns that same object; once the last holder lets go it
+/// is freed (the memo holds it weakly) and the next call builds it anew.
+/// Building one takes ~1 ms and ~1.4 MB at 32 lanes, which is why switches
+/// share it.
+///
+/// Throws std::invalid_argument, in every build and before the memo is
+/// consulted, unless opts.lanes >= 1, 1 <= opts.slots <=
+/// FpisaSwitch::kMaxSlots, a kFull variant has config.ext.rsaw, and
+/// convert_endianness has config.ext.parser_endianness.
+std::shared_ptr<const SwitchProgram> build_fpisa_program(
+    const SwitchConfig& config, const FpisaProgramOptions& opts);
 
 /// Resource demand of one FPISA module (plus the shared bitmap/counter
 /// logic) for the Table 3 analysis. VLIW counts are per distinct
@@ -124,11 +135,16 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 /// stateful ALU of the simulator. The compiled one (ingress, egress and
 /// their flat adapters) is MAU0-8 lowered onto the core lane kernels in
 /// core::LaneMode::kSwitch: the lane registers are strided views onto one
-/// slot-major bank (SwitchProgram::bank), so a packet's lanes — or a run
+/// slot-major bank (SwitchSim::bank), so a packet's lanes — or a run
 /// of consecutive slots — are one contiguous span the scalar or AVX2
 /// kernel walks branch-free. Tests pin the two datapaths bit-identical:
 /// results, registers, bitmap, counter, OpCounters, dedup and packet
 /// counts.
+///
+/// The interpreted program is code shared with every switch of the same
+/// shape (build_fpisa_program); a switch owns only its register state and
+/// the host-side books below, so building a further switch of a held shape
+/// costs its registers, not the ~1 ms program build.
 ///
 /// Shapes are checked in every build: a span of the wrong size throws
 /// std::invalid_argument, a slot outside [0, slots) or a worker id outside
@@ -149,8 +165,11 @@ class FpisaSwitch {
   /// Slot ids are 16 bits wide on the wire.
   static constexpr std::size_t kMaxSlots = 65536;
 
-  /// Throws std::invalid_argument, in every build, unless opts.lanes >= 1
-  /// and 1 <= opts.slots <= kMaxSlots.
+  /// Loads the shared program for `opts` (build_fpisa_program) and builds
+  /// this switch's own register state. Throws std::invalid_argument, in
+  /// every build, on the options build_fpisa_program rejects: lanes < 1,
+  /// slots outside [1, kMaxSlots], a kFull variant without ext.rsaw, or
+  /// convert_endianness without ext.parser_endianness.
   FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts);
 
   /// Sends one add packet carrying `values` (one per lane, FP32 bits);

@@ -26,11 +26,10 @@ std::uint64_t byteswap(std::uint64_t v, int len) {
   return out;
 }
 
-RegisterArray& SwitchProgram::add_register(std::string name, int width_bits,
-                                           std::size_t size) {
-  registers.push_back(
-      std::make_unique<RegisterArray>(std::move(name), width_bits, size));
-  return *registers.back();
+int SwitchProgram::add_register(std::string name, int width_bits,
+                                std::size_t size) {
+  registers.push_back({std::move(name), width_bits, size});
+  return static_cast<int>(registers.size()) - 1;
 }
 
 int SwitchProgram::add_bank_registers(const std::string& exp_name,
@@ -38,33 +37,58 @@ int SwitchProgram::add_bank_registers(const std::string& exp_name,
                                       const std::string& man_name,
                                       int man_bits, int lanes,
                                       std::size_t slots) {
-  assert(bank.size() == 0 && "a program has one register bank");
-  const auto stride = static_cast<std::size_t>(lanes);
-  bank = core::RegisterFile(stride * slots);
+  assert(bank_lanes == 0 && "a program has one register bank");
+  bank_lanes = static_cast<std::size_t>(lanes);
+  bank_slots = slots;
   const int first = static_cast<int>(registers.size());
   for (int l = 0; l < lanes; ++l) {
     const std::string s = std::to_string(l);
-    const auto off = static_cast<std::size_t>(l);
-    registers.push_back(std::make_unique<RegisterArray>(
-        exp_name + s, exp_bits, slots, bank.exp.data() + off, stride,
-        RegisterArray::Extend::kZero));
-    registers.push_back(std::make_unique<RegisterArray>(
-        man_name + s, man_bits, slots, bank.man.data() + off, stride,
-        RegisterArray::Extend::kSign));
+    registers.push_back({exp_name + s, exp_bits, slots,
+                         RegisterDecl::Storage::kBankExp, l});
+    registers.push_back({man_name + s, man_bits, slots,
+                         RegisterDecl::Storage::kBankMan, l});
   }
   return first;
 }
 
-SwitchSim::SwitchSim(SwitchConfig config, SwitchProgram program)
-    : config_(config), program_(std::move(program)) {
-  assert(static_cast<int>(program_.ingress.size()) +
-                 static_cast<int>(program_.egress.size()) <=
+SwitchSim::SwitchSim(SwitchConfig config,
+                     std::shared_ptr<const SwitchProgram> program)
+    : config_(config),
+      program_(std::move(program)),
+      bank_(program_->bank_lanes * program_->bank_slots) {
+  assert(static_cast<int>(program_->ingress.size()) +
+                 static_cast<int>(program_->egress.size()) <=
              config_.num_stages &&
          "program uses more MAU stages than the pipe has");
+  const std::size_t stride = program_->bank_lanes;
+  regs_.reserve(program_->registers.size());
+  for (const RegisterDecl& d : program_->registers) {
+    const auto lane = static_cast<std::size_t>(d.lane);
+    switch (d.storage) {
+      case RegisterDecl::Storage::kOwned:
+        regs_.push_back(
+            std::make_unique<RegisterArray>(d.name, d.width_bits, d.size));
+        break;
+      case RegisterDecl::Storage::kBankExp:
+        regs_.push_back(std::make_unique<RegisterArray>(
+            d.name, d.width_bits, d.size, bank_.exp.data() + lane, stride,
+            RegisterArray::Extend::kZero));
+        break;
+      case RegisterDecl::Storage::kBankMan:
+        regs_.push_back(std::make_unique<RegisterArray>(
+            d.name, d.width_bits, d.size, bank_.man.data() + lane, stride,
+            RegisterArray::Extend::kSign));
+        break;
+    }
+  }
 }
 
-void SwitchSim::run_stages(std::vector<StageProgram>& stages, Phv& phv) {
-  for (StageProgram& stage : stages) {
+SwitchSim::SwitchSim(SwitchConfig config, SwitchProgram program)
+    : SwitchSim(config,
+                std::make_shared<const SwitchProgram>(std::move(program))) {}
+
+void SwitchSim::run_stages(const std::vector<StageProgram>& stages, Phv& phv) {
+  for (const StageProgram& stage : stages) {
     for (const MatchTable& table : stage.tables) {
       if (const Action* a = table.lookup(phv)) {
         apply_action(*a, phv, config_.ext.two_operand_shift);
@@ -80,9 +104,7 @@ void SwitchSim::run_stages(std::vector<StageProgram>& stages, Phv& phv) {
           phv.get(call.pred2_field) != call.pred2_value) {
         continue;
       }
-      RegisterArray& reg =
-          *program_.registers[static_cast<std::size_t>(call.register_index)];
-      apply_salu(call.spec, reg, phv, config_.ext.rsaw);
+      apply_salu(call.spec, reg(call.register_index), phv, config_.ext.rsaw);
       if (s < stage.salu_post_ops.size()) {
         apply_action(stage.salu_post_ops[s], phv,
                      config_.ext.two_operand_shift);
@@ -91,14 +113,19 @@ void SwitchSim::run_stages(std::vector<StageProgram>& stages, Phv& phv) {
   }
 }
 
+void SwitchSim::begin_packet() {
+  for (auto& reg : regs_) reg->begin_packet();
+}
+
 void SwitchSim::process(Packet& pkt) {
   ++packets_;
-  for (auto& reg : program_.registers) reg->begin_packet();
+  begin_packet();
 
-  Phv phv(program_.phv);
+  const SwitchProgram& prog = *program_;
+  Phv phv(prog.phv);
   // Parse: extract declared fields (network byte order; optional
   // endianness conversion if the extension is enabled).
-  for (const ParsedField& f : program_.parser) {
+  for (const ParsedField& f : prog.parser) {
     assert(f.byte_offset + f.byte_len <= static_cast<int>(pkt.bytes.size()));
     std::uint64_t v = read_be(pkt.bytes.data() + f.byte_offset, f.byte_len);
     if (f.convert && config_.ext.parser_endianness) {
@@ -107,29 +134,29 @@ void SwitchSim::process(Packet& pkt) {
     phv.set(f.field, v);
   }
 
-  run_stages(program_.ingress, phv);
+  run_stages(prog.ingress, phv);
   // Traffic manager: queueing is modeled by src/net; functionally a pass.
-  run_stages(program_.egress, phv);
+  run_stages(prog.egress, phv);
 
   // Recirculation: bounded re-entry into the ingress pipeline. Each pass
   // is a new packet traversal, so the once-per-packet register guard
   // resets — this is precisely the paper's "exception" to the single
   // register access rule.
-  if (program_.recirc_field.valid()) {
+  if (prog.recirc_field.valid()) {
     int passes = 0;
-    while (phv.get(program_.recirc_field) != 0 &&
+    while (phv.get(prog.recirc_field) != 0 &&
            passes < kMaxRecirculations) {
       ++passes;
       ++recirculations_;
-      phv.set(program_.recirc_field, phv.get(program_.recirc_field) - 1);
-      for (auto& reg : program_.registers) reg->begin_packet();
-      run_stages(program_.ingress, phv);
-      run_stages(program_.egress, phv);
+      phv.set(prog.recirc_field, phv.get(prog.recirc_field) - 1);
+      begin_packet();
+      run_stages(prog.ingress, phv);
+      run_stages(prog.egress, phv);
     }
   }
 
   // Deparse: write fields back into the packet.
-  for (const ParsedField& f : program_.deparser) {
+  for (const ParsedField& f : prog.deparser) {
     assert(f.byte_offset + f.byte_len <= static_cast<int>(pkt.bytes.size()));
     std::uint64_t v = phv.get(f.field);
     if (f.convert && config_.ext.parser_endianness) {

@@ -1,6 +1,14 @@
 // The switch: programmable parser -> ingress MAU stages -> traffic manager
 // -> egress MAU stages -> deparser (paper Fig 1), with the architectural
 // knobs of §4 (baseline Tofino vs the proposed extensions) as configuration.
+//
+// Code and state are split the way a compiled data-plane program is loaded
+// onto hardware: a SwitchProgram is immutable code (PHV layout, parser and
+// deparser bindings, MAU stages, register declarations) that any number of
+// switches may share through a std::shared_ptr<const SwitchProgram>; a
+// SwitchSim owns only the per-switch state, the register cells it builds
+// from the program's declarations. Running a packet never writes the
+// program.
 #pragma once
 
 #include <cstdint>
@@ -79,12 +87,31 @@ struct StageProgram {
   std::vector<Action> salu_post_ops;  ///< parallel to `salus`
 };
 
-/// A complete dataplane program.
+/// A register the program declares: its name, width and element count, and
+/// where its cells live. The declaration is code; the cells are state that
+/// each SwitchSim builds from it.
+struct RegisterDecl {
+  enum class Storage : std::uint8_t {
+    kOwned,    ///< the array owns its cells
+    kBankExp,  ///< zero-extended view of lane `lane` of the bank's exp half
+    kBankMan,  ///< sign-extended view of lane `lane` of the bank's man half
+  };
+  std::string name;
+  int width_bits = 0;
+  std::size_t size = 0;
+  Storage storage = Storage::kOwned;
+  int lane = 0;  ///< bank views only
+};
+
+/// A complete dataplane program: immutable code, shared by every switch
+/// that loads it. It holds no register cells, only their declarations.
 struct SwitchProgram {
   PhvLayout phv;
   std::vector<ParsedField> parser;
   std::vector<ParsedField> deparser;
-  std::vector<std::unique_ptr<RegisterArray>> registers;
+  /// In StatefulCall::register_index order; SwitchSim::reg(i) is the cells
+  /// of registers[i].
+  std::vector<RegisterDecl> registers;
   std::vector<StageProgram> ingress;  ///< one per physical stage used
   std::vector<StageProgram> egress;
   /// Optional recirculation counter field (paper §2.3 footnote: the one
@@ -94,48 +121,54 @@ struct SwitchProgram {
   /// traversal (registers may be touched again). Bounded by
   /// kMaxRecirculations.
   FieldId recirc_field{};
-  /// Slot-major backing store for lane-parallel register pairs (see
-  /// add_bank_registers): lane l of slot s is cell s * lanes + l of
-  /// `bank.exp` / `bank.man`, so one packet's lanes are adjacent and a
-  /// compiled fast path can run the core lane kernels over them as one
-  /// contiguous span. Never resized after add_bank_registers: the views
-  /// hold pointers into it (moving the program keeps them valid).
-  core::RegisterFile bank;
+  /// Shape of the slot-major lane register bank the kBankExp / kBankMan
+  /// declarations view (see add_bank_registers); zero lanes = no bank.
+  std::size_t bank_lanes = 0;
+  std::size_t bank_slots = 0;
 
-  RegisterArray& add_register(std::string name, int width_bits,
-                              std::size_t size);
-  /// Allocates `bank` for `lanes` x `slots` cells and declares, for each
-  /// lane l in order, the registers `<exp_name>l` (zero-extended, in
-  /// bank.exp) and `<man_name>l` (sign-extended, in bank.man) as strided
-  /// views onto it. Returns the index of lane 0's exponent register; lane
+  /// Declares an owned register; returns its index.
+  int add_register(std::string name, int width_bits, std::size_t size);
+  /// Declares a `lanes` x `slots` bank and, for each lane l in order, the
+  /// registers `<exp_name>l` (zero-extended, in bank.exp) and `<man_name>l`
+  /// (sign-extended, in bank.man) as strided views onto it: lane l of slot
+  /// s is cell s * lanes + l, so one packet's lanes are adjacent and a
+  /// compiled fast path can run the core lane kernels over them as one
+  /// contiguous span. Returns the index of lane 0's exponent register; lane
   /// l's pair sits at that index + 2l and + 2l + 1.
   int add_bank_registers(const std::string& exp_name, int exp_bits,
                          const std::string& man_name, int man_bits, int lanes,
                          std::size_t slots);
 };
 
-/// Functional switch simulator: runs a program over packets.
+/// Functional switch simulator: one switch's register state, running a
+/// shared program over packets.
 class SwitchSim {
  public:
+  /// Loads `program` and builds zeroed register cells from its
+  /// declarations. Switches loading the same program share it; each owns
+  /// its own cells.
+  SwitchSim(SwitchConfig config, std::shared_ptr<const SwitchProgram> program);
+  /// Loads a program no other switch shares (hand-built programs).
   SwitchSim(SwitchConfig config, SwitchProgram program);
 
   /// Processes one packet in place (parse, ingress, TM, egress, deparse).
   void process(Packet& pkt);
 
-  /// Direct register inspection for tests.
+  /// Direct register inspection for tests: the cells of
+  /// program().registers[index].
   const RegisterArray& reg(int index) const {
-    return *program_.registers[static_cast<std::size_t>(index)];
+    return *regs_[static_cast<std::size_t>(index)];
   }
   RegisterArray& reg(int index) {
-    return *program_.registers[static_cast<std::size_t>(index)];
+    return *regs_[static_cast<std::size_t>(index)];
   }
 
-  /// The program's slot-major lane register bank (the cells behind its
+  /// This switch's slot-major lane register bank (the cells behind its
   /// banked register views).
-  core::RegisterFile& bank() { return program_.bank; }
+  core::RegisterFile& bank() { return bank_; }
 
   const SwitchConfig& config() const { return config_; }
-  const SwitchProgram& program() const { return program_; }
+  const SwitchProgram& program() const { return *program_; }
 
   std::uint64_t packets_processed() const { return packets_; }
   /// Accounts packets applied through a program's compiled fast path (e.g.
@@ -149,10 +182,15 @@ class SwitchSim {
   static constexpr int kMaxRecirculations = 8;
 
  private:
-  void run_stages(std::vector<StageProgram>& stages, Phv& phv);
+  void run_stages(const std::vector<StageProgram>& stages, Phv& phv);
+  void begin_packet();
 
   SwitchConfig config_;
-  SwitchProgram program_;
+  std::shared_ptr<const SwitchProgram> program_;
+  /// Never resized after construction: the bank views in `regs_` hold
+  /// pointers into it (moving the switch keeps them valid).
+  core::RegisterFile bank_;
+  std::vector<std::unique_ptr<RegisterArray>> regs_;
   std::uint64_t packets_ = 0;
   std::uint64_t recirculations_ = 0;
 };

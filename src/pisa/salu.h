@@ -24,7 +24,7 @@ namespace fpisa::pisa {
 /// `width_bits`; signed reads sign-extend.
 ///
 /// An array either owns its cells or is a strided view onto storage owned
-/// by its program (SwitchProgram::bank): element i then lives at
+/// by its switch (SwitchSim::bank): element i then lives at
 /// cells[i * stride]. Views let a compiled fast path run the core lane
 /// kernels on the very cells the interpreter reads and writes, so the
 /// switch keeps exactly one copy of its register state.

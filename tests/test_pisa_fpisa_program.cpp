@@ -7,11 +7,14 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/accumulator.h"
@@ -20,6 +23,30 @@
 #include "pisa/fpisa_program.h"
 #include "pisa/resources.h"
 #include "util/rng.h"
+
+namespace {
+
+/// Heap accounting for the build-cost test: the operator new calls this
+/// thread makes while `armed`, and the bytes they ask for.
+struct AllocCount {
+  bool armed = false;
+  std::size_t calls = 0;
+  std::size_t bytes = 0;
+};
+thread_local AllocCount g_allocs;
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_allocs.armed) {
+    g_allocs.calls++;
+    g_allocs.bytes += n;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fpisa::pisa {
 namespace {
@@ -924,6 +951,256 @@ TEST(FpisaResources, ReportRenders) {
       analyze(fpisa_resource_descriptors(cfg, opts), cfg).render();
   EXPECT_NE(s.find("VLIW"), std::string::npos);
   EXPECT_NE(s.find("Stages used: 9 of 12"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Code vs state: switches of one shape share one immutable program; each
+// owns only its registers and host-side books.
+// ---------------------------------------------------------------------------
+
+FpisaProgramOptions shared_options() {
+  FpisaProgramOptions opts;
+  opts.variant = core::Variant::kApproximate;
+  opts.lanes = 4;
+  opts.slots = 8;
+  return opts;
+}
+
+TEST(FpisaProgramSharing, ExtensionsAreCheckedInEveryBuild) {
+  // Typed errors instead of Debug-only asserts: in Release a kFull switch
+  // on a baseline config would otherwise run RSAW through tables and
+  // kernels alike. The check runs before the memo lookup, so a held
+  // program of the same shape (built for a config that has the extension)
+  // does not let a baseline switch load it.
+  FpisaProgramOptions full = shared_options();
+  full.variant = core::Variant::kFull;
+  const FpisaSwitch held(extended_switch(), full);
+  EXPECT_THROW(FpisaSwitch(baseline_tofino(), full), std::invalid_argument);
+  SwitchConfig rsaw_only;
+  rsaw_only.ext.rsaw = true;
+  EXPECT_NO_THROW(FpisaSwitch(rsaw_only, full));
+
+  FpisaProgramOptions little = shared_options();
+  little.convert_endianness = true;
+  const FpisaSwitch held_le(extended_switch(), little);
+  EXPECT_THROW(FpisaSwitch(baseline_tofino(), little), std::invalid_argument);
+  EXPECT_THROW(FpisaSwitch(rsaw_only, little), std::invalid_argument);
+  EXPECT_THROW(build_fpisa_program(baseline_tofino(), little),
+               std::invalid_argument);
+  SwitchConfig endian_only;
+  endian_only.ext.parser_endianness = true;
+  EXPECT_NO_THROW(FpisaSwitch(endian_only, little));
+}
+
+TEST(FpisaProgramSharing, IdenticalOptionsShareOneProgram) {
+  const FpisaProgramOptions opts = shared_options();
+  FpisaSwitch a(baseline_tofino(), opts);
+  FpisaSwitch b(baseline_tofino(), opts);
+  EXPECT_EQ(&a.sim().program(), &b.sim().program());
+  EXPECT_EQ(build_fpisa_program(baseline_tofino(), opts).get(),
+            &a.sim().program());
+  // The config is not part of the program: a switch with more extensions
+  // runs the same code. Neither is num_workers.
+  FpisaProgramOptions workers = opts;
+  workers.num_workers = 3;
+  FpisaSwitch c(extended_switch(), workers);
+  EXPECT_EQ(&c.sim().program(), &a.sim().program());
+  // Each switch has its own cells.
+  EXPECT_NE(a.sim().bank().exp.data(), b.sim().bank().exp.data());
+  EXPECT_NE(&a.sim().reg(2 * opts.lanes), &b.sim().reg(2 * opts.lanes));
+}
+
+TEST(FpisaProgramSharing, EachDeterminingOptionGetsItsOwnProgram) {
+  const FpisaProgramOptions base = shared_options();
+  FpisaSwitch ref(extended_switch(), base);
+  std::vector<FpisaProgramOptions> others(4, base);
+  others[0].variant = core::Variant::kFull;
+  others[1].lanes = base.lanes + 1;
+  others[2].slots = base.slots + 1;
+  others[3].convert_endianness = true;
+  std::vector<std::unique_ptr<FpisaSwitch>> held;
+  for (const FpisaProgramOptions& o : others) {
+    held.push_back(std::make_unique<FpisaSwitch>(extended_switch(), o));
+    EXPECT_NE(&held.back()->sim().program(), &ref.sim().program());
+  }
+  for (std::size_t i = 0; i < held.size(); ++i) {
+    for (std::size_t j = i + 1; j < held.size(); ++j) {
+      EXPECT_NE(&held[i]->sim().program(), &held[j]->sim().program())
+          << i << " vs " << j;
+    }
+  }
+  // The program matches its own shape.
+  EXPECT_EQ(held[1]->sim().program().registers.size(),
+            static_cast<std::size_t>(2 * others[1].lanes + 2));
+  EXPECT_EQ(held[2]->sim().reg(0).size(), others[2].slots);
+}
+
+/// Every piece of one switch's state: all registers of every slot, slot
+/// stamps (epochs and generation), packet, dedup and occupancy counts.
+struct SwitchState {
+  std::vector<std::uint64_t> regs;
+  std::vector<std::uint32_t> stamps;
+  std::uint64_t packets = 0;
+  std::uint64_t dedup = 0;
+  std::int64_t occupied = 0;
+  std::uint64_t adds = 0;
+  bool operator==(const SwitchState&) const = default;
+};
+
+SwitchState state_of(FpisaSwitch& sw) {
+  SwitchState st;
+  const auto regs = static_cast<int>(sw.sim().program().registers.size());
+  for (int r = 0; r < regs; ++r) {
+    for (std::size_t s = 0; s < sw.options().slots; ++s) {
+      st.regs.push_back(sw.sim().reg(r).read(s));
+    }
+  }
+  for (std::size_t s = 0; s < sw.options().slots; ++s) {
+    st.stamps.push_back(sw.slot_stamp(static_cast<std::uint16_t>(s)));
+  }
+  st.packets = sw.sim().packets_processed();
+  st.dedup = sw.dedup_hits();
+  st.occupied = sw.occupied_slots();
+  st.adds = sw.op_counters().adds;
+  return st;
+}
+
+TEST(FpisaProgramSharing, SwitchesSharingAProgramKeepSeparateState) {
+  const FpisaProgramOptions opts = shared_options();
+  FpisaSwitch a(baseline_tofino(), opts);
+  FpisaSwitch b(baseline_tofino(), opts);
+  ASSERT_EQ(&a.sim().program(), &b.sim().program());
+  const std::vector<std::uint32_t> one(4, core::fp32_bits(1.5f));
+  b.add(3, 2, one);  // B holds some state of its own
+  b.read_and_reset(5);
+  const SwitchState before = state_of(b);
+
+  // Interpreted and compiled adds, a duplicate, reads and resets on A.
+  a.add(3, 2, one);
+  a.add(3, 2, one);
+  a.add(1, 0, one);
+  a.add_batch(std::vector<std::uint16_t>{4, 4},
+              std::vector<std::uint8_t>{0, 1},
+              std::vector<std::uint32_t>(8, core::fp32_bits(2.0f)));
+  EXPECT_EQ(core::fp32_value(a.read_and_reset(3).values[0]), 1.5f);
+  std::vector<std::uint32_t> out(2 * 4);
+  a.read_and_reset_batch(4, 2, out);
+  EXPECT_EQ(core::fp32_value(out[0]), 4.0f);
+  EXPECT_EQ(state_of(b), before);
+
+  a.wipe_state();
+  EXPECT_EQ(a.generation(), 1u);
+  EXPECT_EQ(b.generation(), 0u);
+  EXPECT_EQ(state_of(b), before);
+
+  // And the other way round: B's traffic leaves A alone.
+  const SwitchState a_before = state_of(a);
+  b.add(0, 7, one);
+  b.wipe_state();
+  b.read_and_reset(0);
+  EXPECT_EQ(state_of(a), a_before);
+}
+
+TEST(FpisaProgramSharing, ProgramIsFreedWithItsLastHolder) {
+  FpisaProgramOptions opts = shared_options();
+  opts.slots = 13;  // a shape no other test holds
+  std::weak_ptr<const SwitchProgram> program;
+  {
+    auto a = std::make_unique<FpisaSwitch>(baseline_tofino(), opts);
+    program = build_fpisa_program(baseline_tofino(), opts);
+    EXPECT_EQ(program.lock().get(), &a->sim().program());
+    {
+      FpisaSwitch b(baseline_tofino(), opts);  // a second holder comes and goes
+    }
+    EXPECT_FALSE(program.expired());
+    a.reset();
+  }
+  EXPECT_TRUE(program.expired());
+  // The next switch of that shape builds it again and runs it.
+  FpisaSwitch c(baseline_tofino(), opts);
+  const std::vector<std::uint32_t> one(4, core::fp32_bits(1.0f));
+  EXPECT_EQ(core::fp32_value(c.add(12, 0, one).values[3]), 1.0f);
+}
+
+TEST(FpisaProgramSharing, FurtherSwitchOfAHeldShapeAllocatesOnlyItsState) {
+  // The fabric shape: 32 lanes x 64 slots.
+  FpisaProgramOptions opts;
+  opts.variant = core::Variant::kApproximate;
+  opts.lanes = 32;
+  opts.slots = 61;  // a shape no other test holds: the first build is full
+  g_allocs = {};
+  g_allocs.armed = true;
+  auto holder = std::make_unique<FpisaSwitch>(baseline_tofino(), opts);
+  g_allocs.armed = false;
+  const AllocCount full = g_allocs;
+  // Registers this switch's telemetry series so the next build only looks
+  // them up.
+  { FpisaSwitch warm(baseline_tofino(), opts); }
+
+  opts.slots = 64;
+  FpisaSwitch held(baseline_tofino(), opts);
+  { FpisaSwitch warm(baseline_tofino(), opts); }
+  g_allocs = {};
+  g_allocs.armed = true;
+  {
+    FpisaSwitch further(baseline_tofino(), opts);
+    g_allocs.armed = false;
+    EXPECT_EQ(&further.sim().program(), &held.sim().program());
+  }
+  const AllocCount shared = g_allocs;
+  RecordProperty("full_build_allocs", static_cast<int>(full.calls));
+  RecordProperty("full_build_bytes", static_cast<int>(full.bytes));
+  RecordProperty("shared_build_allocs", static_cast<int>(shared.calls));
+  RecordProperty("shared_build_bytes", static_cast<int>(shared.bytes));
+  // The full build is the interpreter program (~16K allocations, ~1.4 MB);
+  // a further switch is its bank, 66 register arrays and host books.
+  EXPECT_GT(full.calls, 10000u);
+  EXPECT_LE(shared.calls, 200u);
+  EXPECT_LE(shared.bytes, 64u * 1024u);
+}
+
+/// Runs interpreted adds and read-and-resets from one seeded stream and
+/// returns every reply (lane values, bitmap and count per packet).
+std::vector<std::uint32_t> interpreted_replies(FpisaSwitch& sw,
+                                               std::uint64_t seed) {
+  const int lanes = sw.options().lanes;
+  const PacketStream s = adversarial_stream(seed, 400, lanes, 4);
+  std::vector<std::uint32_t> replies;
+  const auto keep = [&](const FpisaResult& r) {
+    replies.insert(replies.end(), r.values.begin(), r.values.end());
+    replies.push_back(r.bitmap);
+    replies.push_back(r.count);
+  };
+  for (std::size_t p = 0; p < s.slots.size(); ++p) {
+    keep(sw.add(s.slots[p], s.workers[p], s.payload(p, lanes)));
+    if (p % 7 == 6) keep(sw.read_and_reset(s.slots[p]));
+  }
+  return replies;
+}
+
+TEST(FpisaProgramSharing, ConcurrentSwitchesOnOneProgramMatchSerialRuns) {
+  // Two switches on one shared program, driven from two threads at once:
+  // the program is read-only, so each thread's replies equal a serial run
+  // of its stream on a switch of its own (TSan sees any shared write).
+  FpisaProgramOptions opts;
+  opts.variant = core::Variant::kFull;
+  opts.lanes = 5;
+  opts.slots = kEqSlots;
+  std::vector<std::uint32_t> want[2];
+  for (int t = 0; t < 2; ++t) {
+    FpisaSwitch serial(extended_switch(), opts);
+    want[t] = interpreted_replies(serial, 300 + static_cast<std::uint64_t>(t));
+  }
+  FpisaSwitch a(extended_switch(), opts);
+  FpisaSwitch b(extended_switch(), opts);
+  ASSERT_EQ(&a.sim().program(), &b.sim().program());
+  std::vector<std::uint32_t> got[2];
+  std::thread ta([&] { got[0] = interpreted_replies(a, 300); });
+  std::thread tb([&] { got[1] = interpreted_replies(b, 301); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(got[0], want[0]);
+  EXPECT_EQ(got[1], want[1]);
 }
 
 }  // namespace
