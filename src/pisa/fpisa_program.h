@@ -143,8 +143,7 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 ///
 /// The interpreted program is code shared with every switch of the same
 /// shape (build_fpisa_program); a switch owns only its register state and
-/// the host-side books below, so building a further switch of a held shape
-/// costs its registers, not the ~1 ms program build.
+/// the host-side books below.
 ///
 /// Shapes are checked in every build: a span of the wrong size throws
 /// std::invalid_argument, a slot outside [0, slots) or a worker id outside

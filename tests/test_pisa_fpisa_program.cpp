@@ -1123,20 +1123,20 @@ TEST(FpisaProgramSharing, ProgramIsFreedWithItsLastHolder) {
 }
 
 TEST(FpisaProgramSharing, FurtherSwitchOfAHeldShapeAllocatesOnlyItsState) {
-  // The fabric shape: 32 lanes x 64 slots.
+  // A full build first, on a shape no other test holds.
   FpisaProgramOptions opts;
   opts.variant = core::Variant::kApproximate;
   opts.lanes = 32;
-  opts.slots = 61;  // a shape no other test holds: the first build is full
+  opts.slots = 61;
   g_allocs = {};
   g_allocs.armed = true;
   auto holder = std::make_unique<FpisaSwitch>(baseline_tofino(), opts);
   g_allocs.armed = false;
   const AllocCount full = g_allocs;
-  // Registers this switch's telemetry series so the next build only looks
-  // them up.
-  { FpisaSwitch warm(baseline_tofino(), opts); }
 
+  // Then a further switch at the fabric shape, 32 lanes x 64 slots. The
+  // warm-up registers its telemetry series, so the counted build only
+  // looks them up.
   opts.slots = 64;
   FpisaSwitch held(baseline_tofino(), opts);
   { FpisaSwitch warm(baseline_tofino(), opts); }
@@ -1152,8 +1152,8 @@ TEST(FpisaProgramSharing, FurtherSwitchOfAHeldShapeAllocatesOnlyItsState) {
   RecordProperty("full_build_bytes", static_cast<int>(full.bytes));
   RecordProperty("shared_build_allocs", static_cast<int>(shared.calls));
   RecordProperty("shared_build_bytes", static_cast<int>(shared.bytes));
-  // The full build is the interpreter program (~16K allocations, ~1.4 MB);
-  // a further switch is its bank, 66 register arrays and host books.
+  // The full build is the interpreter program (~16K allocations); a
+  // further switch is its bank, 66 register arrays and host books.
   EXPECT_GT(full.calls, 10000u);
   EXPECT_LE(shared.calls, 200u);
   EXPECT_LE(shared.bytes, 64u * 1024u);
