@@ -34,7 +34,8 @@ int main() {
     switchml::ExactAggregator agg;
     ml::TrainerOptions opts;
     opts.batch_per_worker = 32;
-    ml::DataParallelTrainer trainer(cfg.net, cfg.data, agg, opts);
+    collective::HostCommunicator comm(agg);
+    ml::DataParallelTrainer trainer(cfg.net, cfg.data, comm, opts);
 
     util::Log2Histogram hist(0, 20);
     trainer.train_epoch([&](const std::vector<std::vector<float>>& grads) {

@@ -22,7 +22,8 @@ int main() {
   switchml::ExactAggregator exact;
   ml::TrainerOptions opts;
   opts.batch_per_worker = 8;
-  ml::DataParallelTrainer trainer(net, ds, exact, opts);
+  collective::HostCommunicator comm(exact);
+  ml::DataParallelTrainer trainer(net, ds, comm, opts);
 
   const int kEpochs[] = {1, 20, 40};
   int next = 0;

@@ -66,7 +66,8 @@ int main() {
       if (std::string_view(m.name).find("DeepMLP") != std::string_view::npos) {
         opts.lr = 0.02f;
       }
-      ml::DataParallelTrainer trainer(net, m.data, *agg, opts);
+      collective::HostCommunicator comm(*agg);
+      ml::DataParallelTrainer trainer(net, m.data, comm, opts);
       std::vector<std::string> row{label};
       for (int epoch = 1; epoch <= 40; ++epoch) {
         trainer.train_epoch();

@@ -44,8 +44,18 @@ Rules:
                 SIMD casts (__m256i*, __m128i*) for loadu/storeu stay
                 legal.
 
-Comments and (for R1/R2/R5) string literals are stripped before matching,
-so prose about std::mutex does not trip the lint.
+  R6 uncalled   Every function declared in a src/ header must have a
+                caller: some word-boundary occurrence of its name in
+                src/, bench/, examples/, perfbench/ or tests/ that is not
+                a declaration or an out-of-line definition (a type right
+                before `name(`, or `Type Class::name(`). A test counts as
+                a caller; there is no allowlist. Preprocessor lines and
+                #define'd names are ignored, and src/util/
+                thread_annotations.h is skipped: its lowercase names are
+                attribute spellings, not functions.
+
+Comments and (for R1/R2/R5/R6) string literals are stripped before
+matching, so prose about std::mutex does not trip the lint.
 """
 
 import argparse
@@ -242,6 +252,83 @@ def lint_tests_registered(root, findings):
             f"(no glob and no mention); it will never run in CI")
 
 
+# R6: a declaration is `name(` right after a type (after the last `;`, `{`,
+# `}` or access-specifier `:`), optionally behind decl-specifiers and with
+# an out-of-line `Class::` chain between type and name.
+_ID = r'[A-Za-z_]\w*'
+_TARGS = r'(?:\s*<[^;{}]*>)?'
+DECL_PREFIX_RE = re.compile(
+    r'\s*(?:(?:static|inline|constexpr|consteval|virtual|explicit|friend|'
+    r'extern)\s+|\[\[[^\]]*\]\]\s*|template\s*<[^;{}]*>\s*)*'
+    r'(?:(?:const|volatile|unsigned|signed|long|short|typename)\s+)*'
+    rf'(?:::\s*)?(?P<type>{_ID}){_TARGS}(?:\s*::\s*{_ID}{_TARGS})*'
+    r'(?:\s+const)?(?:\s+|\s*[*&]+\s*)'
+    rf'(?:{_ID}{_TARGS}\s*::\s*)*', re.S)
+DECL_BOUNDARY_RE = re.compile(r'[;{}]|(?<!:):(?!:)')
+# Words that can stand right before `name(` without being its type.
+NOT_A_TYPE = {
+    "return", "throw", "new", "delete", "else", "case", "goto", "co_return",
+    "co_yield", "co_await", "sizeof", "alignof", "decltype", "typeid",
+    "operator", "using", "namespace", "class", "struct", "union", "enum",
+    "if", "for", "while", "switch", "do", "catch", "not", "and", "or"}
+IDENT_RE = re.compile(r'\b' + _ID)
+NAME_PAREN_RE = re.compile(rf'\b({_ID})\s*\(')
+PAREN_RE = re.compile(r'\s*\(')
+PREPROCESSOR_RE = re.compile(r'^[ \t]*#(?:[^\n]*\\\n)*[^\n]*', re.M)
+DEFINE_RE = re.compile(rf'#\s*define\s+({_ID})')
+UNCALLED_SCOPE = ("src", "bench", "examples", "perfbench", "tests")
+UNCALLED_SKIP = "src/util/thread_annotations.h"
+
+
+def is_declaration(text, start):
+    """True when the `name(` at `start` declares or defines name."""
+    window = text[max(0, start - 400):start]
+    cut = 0
+    for m in DECL_BOUNDARY_RE.finditer(window):
+        cut = m.end()
+    m = DECL_PREFIX_RE.fullmatch(window[cut:])
+    return m is not None and m.group("type") not in NOT_A_TYPE
+
+
+def lint_uncalled(root, findings):
+    texts = {}
+    macros = set()
+    for path in cpp_files(root, UNCALLED_SCOPE):
+        rel = os.path.relpath(path, root).replace(os.sep, "/")
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
+        macros.update(DEFINE_RE.findall(raw))
+        text = strip_comments(raw, strip_strings=True)
+        texts[rel] = PREPROCESSOR_RE.sub(
+            lambda m: _blank_preserving_newlines(m.group(0)), text)
+    declared = {}
+    for rel, text in texts.items():
+        if not (rel.startswith("src/") and rel.endswith(".h")):
+            continue
+        if rel == UNCALLED_SKIP:
+            continue
+        for m in NAME_PAREN_RE.finditer(text):
+            name = m.group(1)
+            if (name not in declared and name not in macros
+                    and name not in NOT_A_TYPE
+                    and is_declaration(text, m.start())):
+                declared[name] = (rel, line_of(text, m.start()))
+    called = set()
+    for text in texts.values():
+        for m in IDENT_RE.finditer(text):
+            name = m.group(0)
+            if name in declared and name not in called and not (
+                    PAREN_RE.match(text, m.end())
+                    and is_declaration(text, m.start())):
+                called.add(name)
+    for name, (rel, line) in sorted(declared.items(), key=lambda kv: kv[1]):
+        if name not in called:
+            findings.append(
+                f"{rel}:{line}: [uncalled] {name}() has no caller in "
+                f"{'/, '.join(UNCALLED_SCOPE)}/; delete it or call it "
+                f"(a test counts)")
+
+
 SYNC_LAYER = (
     "src/util/ordered_mutex.h",
     # The sync layer's own test: layout static_asserts against std::mutex.
@@ -256,6 +343,7 @@ def lint_repo(root, sync_layer=SYNC_LAYER):
     lint_punning(root, findings)
     lint_series(root, findings)
     lint_tests_registered(root, findings)
+    lint_uncalled(root, findings)
     return findings
 
 
@@ -280,6 +368,37 @@ GOOD_FILES = {
         'auto lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));\n'
         'const std::byte* b = reinterpret_cast<const std::byte*>(p);\n'),
     "tests/test_good.cpp": "// registered via the glob\n",
+    # R6: every declared function has a caller (qualified, member, or a
+    # test); constructors, out-of-line definitions and macros are not
+    # candidates.
+    "src/api.h": (
+        'namespace demo {\n'
+        'std::uint64_t draw(std::uint64_t n);\n'
+        '#define DEMO_GUARDED_BY(x) guarded_by(x)\n'
+        'class Widget {\n'
+        ' public:\n'
+        '  explicit Widget(int n);\n'
+        '  [[nodiscard]] const std::vector<int>& items() const;\n'
+        '  Link& link(int host) { return links_[host]; }\n'
+        '  static constexpr int checked() { return 1; }\n'
+        ' private:\n'
+        '  std::vector<Link> links_ DEMO_GUARDED_BY(mu_);\n'
+        '};\n'
+        '}  // namespace demo\n'),
+    "src/api.cpp": (
+        'std::uint64_t demo::draw(std::uint64_t n) { return n; }\n'
+        'const std::vector<int>& demo::Widget::items() const {\n'
+        '  return {};\n'
+        '}\n'),
+    "bench/use_api.cpp": (
+        'int main() {\n'
+        '  demo::Widget w(3);\n'
+        '  const auto n = demo::draw(4);\n'
+        '  demo::draw(5);\n'
+        '  for (int i : w.items()) (void)i;\n'
+        '  return &w.link(0) != nullptr;\n'
+        '}\n'),
+    "tests/test_api.cpp": 'static_assert(demo::Widget::checked() == 1);\n',
 }
 
 BAD_FILES = {
@@ -304,6 +423,24 @@ BAD_FILES = {
         'auto* h = reinterpret_cast<uint16_t const*>(p);\n'),
     "tests/test_registered.cpp": "// fine\n",
     "tests/test_orphan.cpp": "// never added to CMakeLists\n",
+    # R6: declared, defined out of line, named in a comment and a string,
+    # and called nowhere.
+    "src/dead.h": (
+        'class Rng {\n'
+        ' public:\n'
+        '  std::uint64_t zipf(std::uint64_t n, double alpha);\n'
+        '  [[nodiscard]] static constexpr float next_float() { return 0; }\n'
+        '  Link& uplink(int host) { return up_[host]; }\n'
+        '  std::vector<Point> sweep(const Rates& r) const;\n'
+        '};\n'),
+    "src/dead.cpp": (
+        '// zipf(n, 1.2) draws a skewed key.\n'
+        'std::uint64_t Rng::zipf(std::uint64_t n, double alpha) {\n'
+        '  const char* doc = "zipf(n, alpha)";\n'
+        '  return n;\n'
+        '}\n'
+        'std::vector<Point>\n'
+        'Rng::sweep(const Rates& r) const { return {}; }\n'),
 }
 
 # Every rule tag the bad corpus must trip, with a substring that pins the
@@ -323,6 +460,10 @@ BAD_EXPECT = [
     "bad_series.cpp:2: [series] .gauge() call whose name is not a string",
     "catalog entry 'ghost_series_total' is registered nowhere",
     "tests/test_orphan.cpp: [tests] not registered",
+    "src/dead.h:3: [uncalled] zipf()",
+    "src/dead.h:4: [uncalled] next_float()",
+    "src/dead.h:5: [uncalled] uplink()",
+    "src/dead.h:6: [uncalled] sweep()",
 ]
 
 
@@ -374,7 +515,7 @@ def report(findings):
             print(f"  - {f}")
         return 1
     print("OK: static lint clean (raw-sync, datapath, punning, series, "
-          "tests)")
+          "tests, uncalled)")
     return 0
 
 

@@ -12,15 +12,6 @@
 namespace fpisa::cluster {
 namespace {
 
-pisa::FpisaProgramOptions shard_program_options(const ClusterOptions& opts) {
-  pisa::FpisaProgramOptions p;
-  p.variant = opts.switch_config.ext.rsaw ? core::Variant::kFull
-                                          : core::Variant::kApproximate;
-  p.lanes = opts.lanes;
-  p.slots = opts.slots_per_shard;
-  return p;
-}
-
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point a,
                          std::chrono::steady_clock::time_point b) {
   return static_cast<std::uint64_t>(
@@ -38,7 +29,9 @@ std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
 }
 
 AggregationService::Shard::Shard(const ClusterOptions& opts)
-    : sw(opts.switch_config, shard_program_options(opts)),
+    : sw(opts.switch_config,
+         pisa::fpisa_program_options(opts.switch_config, opts.lanes,
+                                     opts.slots_per_shard)),
       slots(opts.slots_per_shard) {}
 
 AggregationService::AggregationService(ClusterOptions opts)

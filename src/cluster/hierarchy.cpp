@@ -34,30 +34,24 @@ HierarchyOptions validated(HierarchyOptions opts) {
   return opts;
 }
 
-pisa::FpisaProgramOptions tree_program_options(const HierarchyOptions& opts) {
-  pisa::FpisaProgramOptions p;
-  p.variant = opts.switch_config.ext.rsaw ? core::Variant::kFull
-                                          : core::Variant::kApproximate;
-  p.lanes = opts.lanes;
-  p.slots = opts.slots;
-  return p;
-}
-
 }  // namespace
 
 HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
     : opts_(validated(opts)), engine_(opts.lanes) {
   for (int j = 0; j < opts_.leaves; ++j) {
     leaves_.push_back(std::make_unique<pisa::FpisaSwitch>(
-        opts_.switch_config, tree_program_options(opts_)));
+        opts_.switch_config,
+        pisa::fpisa_program_options(opts_.switch_config, opts_.lanes,
+                                    opts_.slots)));
   }
-  HierarchyOptions spine_opts = opts_;
+  pisa::SwitchConfig spine_config = opts_.switch_config;
   if (opts_.full_fpisa_spine) {
-    spine_opts.switch_config.ext.rsaw = true;
-    spine_opts.switch_config.ext.two_operand_shift = true;
+    spine_config.ext.rsaw = true;
+    spine_config.ext.two_operand_shift = true;
   }
   spine_ = std::make_unique<pisa::FpisaSwitch>(
-      spine_opts.switch_config, tree_program_options(spine_opts));
+      spine_config,
+      pisa::fpisa_program_options(spine_config, opts_.lanes, opts_.slots));
   leaf_alive_.assign(static_cast<std::size_t>(opts_.leaves), true);
   init_metrics();
 }

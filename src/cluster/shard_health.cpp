@@ -60,11 +60,6 @@ void ShardHealth::mark_dead(int shard) {
   }
 }
 
-std::uint64_t ShardHealth::consecutive_failures(int shard) const {
-  util::LockGuard lk(mu_);
-  return shards_[static_cast<std::size_t>(shard)].consecutive;
-}
-
 std::uint64_t ShardHealth::total_failures(int shard) const {
   util::LockGuard lk(mu_);
   return shards_[static_cast<std::size_t>(shard)].total;

@@ -101,7 +101,6 @@ class ShardHealth {
   /// Administrative kill (bench degraded mode, operator drain).
   void mark_dead(int shard) FPISA_EXCLUDES(mu_);
 
-  std::uint64_t consecutive_failures(int shard) const FPISA_EXCLUDES(mu_);
   std::uint64_t total_failures(int shard) const FPISA_EXCLUDES(mu_);
   std::uint64_t deaths() const FPISA_EXCLUDES(mu_);
 

@@ -64,9 +64,6 @@ class WorkerViews {
 
   std::span<const std::span<const float>> views() const { return views_; }
   std::size_t count() const { return views_.size(); }
-  std::size_t length() const {
-    return views_.empty() ? 0 : views_.front().size();
-  }
 
  private:
   std::vector<std::span<const float>> storage_;  ///< adapter path only
@@ -107,7 +104,7 @@ class JobHandle {
 class TenantHandle;
 
 /// The unified collective interface. Synchronous `allreduce` writes the
-/// reduction of `workers` into `out` (out.size() == workers.length());
+/// reduction of `workers` into `out` (out.size() == each view's length);
 /// `submit` is the asynchronous flavor; `tenant` returns a persistent
 /// per-tenant handle (multi-tenant backends key accounting and fabric
 /// overrides off the tenant name, others ignore it).
@@ -176,7 +173,6 @@ class Communicator {
   /// throws fault::WorkerDeadError. ReduceOp::kMean always averages over
   /// the *survivors* of the job.
   void set_fault_options(const fault::FaultOptions& fault) { fault_ = fault; }
-  const fault::FaultOptions& fault_options() const { return fault_; }
 
   /// Admission/QoS configuration in effect on this communicator's
   /// substrate, or null when the backend has no admission plane (host /
@@ -287,8 +283,7 @@ enum class HostAlgorithm {
 
 /// Host backend: the aggregator zoo behind the communicator interface.
 /// Either owns an aggregator picked by HostAlgorithm, or wraps a
-/// caller-owned switchml::GradientAggregator (the adapter the trainer's
-/// legacy constructor rides on).
+/// caller-owned switchml::GradientAggregator.
 class HostCommunicator final : public Communicator {
  public:
   explicit HostCommunicator(HostAlgorithm algo = HostAlgorithm::kFpisa,

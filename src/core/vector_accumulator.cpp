@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace fpisa::core {
 namespace {
@@ -143,16 +144,6 @@ void check_views(std::span<const std::span<const float>> workers,
     }
   }
   if (out_size != workers.front().size()) fail("out span length mismatch");
-}
-
-AggregateResult aggregate(std::span<const std::vector<float>> workers,
-                          AccumulatorConfig cfg) {
-  const std::vector<std::span<const float>> views(workers.begin(),
-                                                  workers.end());
-  AggregateResult out;
-  out.sum.resize(workers.empty() ? 0 : workers.front().size());
-  out.counters = aggregate_into(views, out.sum, cfg);
-  return out;
 }
 
 }  // namespace fpisa::core

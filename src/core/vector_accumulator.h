@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "core/accumulator.h"
 #include "core/batch_accumulator.h"
@@ -55,19 +54,9 @@ class FpisaVector {
   OpCounters counters_{};
 };
 
-/// Convenience: sums `workers` vectors of equal length with the given
-/// config; returns the renormalized result and the pooled counters.
-struct AggregateResult {
-  std::vector<float> sum;
-  OpCounters counters;
-};
-AggregateResult aggregate(std::span<const std::vector<float>> workers,
-                          AccumulatorConfig cfg = {});
-
-/// Zero-copy flavor: sums equal-length worker *views* (span-of-spans — the
-/// collective layer's currency) into `out` (out.size() == view length);
-/// returns the pooled counters. `aggregate` above is a thin adapter over
-/// this.
+/// Sums equal-length worker *views* (span-of-spans — the collective
+/// layer's currency) with the given config into `out` (out.size() == view
+/// length); returns the pooled counters.
 OpCounters aggregate_into(std::span<const std::span<const float>> workers,
                           std::span<float> out, AccumulatorConfig cfg = {});
 

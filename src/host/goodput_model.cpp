@@ -84,37 +84,6 @@ double goodput_gbps(Approach a, int cores, double message_bytes,
   return std::min(gbps, p.max_goodput_gbps);
 }
 
-std::vector<GoodputPoint> sweep_cores(const MeasuredRates& rates,
-                                      double message_bytes, int max_cores,
-                                      const PipelineParams& p) {
-  std::vector<GoodputPoint> out;
-  const Approach all[] = {Approach::kFpisaCpu, Approach::kFpisaCpuOpt,
-                          Approach::kFpisaGpu, Approach::kSwitchMlCpu,
-                          Approach::kSwitchMlGpu};
-  for (const Approach a : all) {
-    for (int c = 1; c <= max_cores; ++c) {
-      out.push_back({a, c, message_bytes,
-                     goodput_gbps(a, c, message_bytes, rates, p)});
-    }
-  }
-  return out;
-}
-
-std::vector<GoodputPoint> sweep_message_size(const MeasuredRates& rates,
-                                             int cores,
-                                             const PipelineParams& p) {
-  std::vector<GoodputPoint> out;
-  const Approach all[] = {Approach::kFpisaCpu, Approach::kFpisaCpuOpt,
-                          Approach::kFpisaGpu, Approach::kSwitchMlCpu,
-                          Approach::kSwitchMlGpu};
-  for (const Approach a : all) {
-    for (double s = 4 * 1024; s <= 2 * 1024 * 1024; s *= 2) {
-      out.push_back({a, cores, s, goodput_gbps(a, cores, s, rates, p)});
-    }
-  }
-  return out;
-}
-
 std::vector<ModelCard> paper_model_cards() {
   // Gradient volume from public parameter counts (MB of FP32 gradients);
   // compute_ms positions each model on the comm-/compute-bound axis with

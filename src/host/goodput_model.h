@@ -45,21 +45,6 @@ struct PipelineParams {
 double goodput_gbps(Approach a, int cores, double message_bytes,
                     const MeasuredRates& rates, const PipelineParams& p = {});
 
-/// Fig 10 sweep outputs.
-struct GoodputPoint {
-  Approach approach;
-  int cores;
-  double message_bytes;
-  double goodput_gbps;
-};
-std::vector<GoodputPoint> sweep_cores(const MeasuredRates& rates,
-                                      double message_bytes = 16 * 1024,
-                                      int max_cores = 10,
-                                      const PipelineParams& p = {});
-std::vector<GoodputPoint> sweep_message_size(const MeasuredRates& rates,
-                                             int cores = 4,
-                                             const PipelineParams& p = {});
-
 // ---------------------------------------------------------------------------
 // Fig 11: end-to-end training speedup
 // ---------------------------------------------------------------------------

@@ -20,19 +20,6 @@ DataParallelTrainer::DataParallelTrainer(Network& model, const Dataset& data,
   std::iota(order_.begin(), order_.end(), 0);
 }
 
-DataParallelTrainer::DataParallelTrainer(Network& model, const Dataset& data,
-                                         switchml::GradientAggregator& agg,
-                                         TrainerOptions opts)
-    : model_(model),
-      data_(data),
-      owned_comm_(std::make_unique<collective::HostCommunicator>(agg)),
-      comm_(*owned_comm_),
-      opts_(opts),
-      order_(static_cast<std::size_t>(data.train_size())),
-      shuffle_rng_(opts.shuffle_seed) {
-  std::iota(order_.begin(), order_.end(), 0);
-}
-
 float DataParallelTrainer::train_epoch(const GradHook& on_worker_grads) {
   shuffle_rng_.shuffle(order_.data(), order_.size());
   const int global_batch = opts_.workers * opts_.batch_per_worker;
@@ -85,7 +72,6 @@ float DataParallelTrainer::train_epoch(const GradHook& on_worker_grads) {
                           collective::ReduceOp::kMean);
     model_.set_gradients(mean_grad_);
     model_.sgd_step(opts_.lr, opts_.momentum, opts_.weight_decay);
-    ++steps_;
   }
   return static_cast<float>(loss_sum /
                             std::max(1, steps * opts_.workers));

@@ -3,12 +3,10 @@
 // its shard of the batch; a collective::Communicator (host aggregator zoo,
 // single switch, rack-scale cluster service, or ToR→spine tree — all
 // interchangeable) allreduces them with ReduceOp::kMean; SGD applies the
-// result. A legacy constructor still accepts a bare GradientAggregator and
-// wraps it in a host-backend communicator.
+// result.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -16,7 +14,6 @@
 #include "core/float_format.h"
 #include "ml/data.h"
 #include "ml/nn.h"
-#include "switchml/aggregator.h"
 
 namespace fpisa::ml {
 
@@ -36,10 +33,6 @@ class DataParallelTrainer {
  public:
   DataParallelTrainer(Network& model, const Dataset& data,
                       collective::Communicator& comm, TrainerOptions opts);
-  /// Legacy adapter: trains through `agg` by wrapping it in a host-backend
-  /// communicator (agg must outlive the trainer).
-  DataParallelTrainer(Network& model, const Dataset& data,
-                      switchml::GradientAggregator& agg, TrainerOptions opts);
 
   /// Runs one epoch over the training set; returns mean loss.
   /// `on_worker_grads`, if set, receives every step's per-worker gradient
@@ -51,18 +44,14 @@ class DataParallelTrainer {
   /// Test-set top-1 accuracy in [0,1].
   float evaluate();
 
-  int steps_run() const { return steps_; }
-
  private:
   Network& model_;
   const Dataset& data_;
-  std::unique_ptr<collective::Communicator> owned_comm_;  ///< legacy ctor
   collective::Communicator& comm_;
   TrainerOptions opts_;
   std::vector<int> order_;
   util::Rng shuffle_rng_;
   std::vector<float> mean_grad_;  ///< reused allreduce output buffer
-  int steps_ = 0;
 };
 
 /// Per-element max/min |gradient| ratio across workers (Fig 7). Elements

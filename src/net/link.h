@@ -26,9 +26,7 @@ class Link {
   }
 
   double gbps() const { return gbps_; }
-  double latency_s() const { return latency_s_; }
   double busy_seconds() const { return busy_s_; }
-  double next_free() const { return next_free_; }
   void reset() {
     next_free_ = 0;
     busy_s_ = 0;

@@ -28,9 +28,6 @@ class StarTopology {
   double gather(double t, const std::vector<std::pair<int, std::uint64_t>>& flows,
                 int dst);
 
-  Link& uplink(int host) { return up_[static_cast<std::size_t>(host)]; }
-  Link& downlink(int host) { return down_[static_cast<std::size_t>(host)]; }
-
   void reset();
 
  private:

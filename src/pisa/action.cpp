@@ -1,7 +1,6 @@
 #include "pisa/action.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace fpisa::pisa {
 namespace {
@@ -38,11 +37,8 @@ bool requires_shift_extension(OpCode op) {
          op == OpCode::kAsrField;
 }
 
-void apply_action(const Action& action, Phv& phv, bool shift_extension) {
+void apply_action(const Action& action, Phv& phv) {
   for (const PrimOp& p : action.ops) {
-    assert((!requires_shift_extension(p.op) || shift_extension) &&
-           "2-operand shift used without the hardware extension");
-    (void)shift_extension;
     std::uint64_t r = 0;
     switch (p.op) {
       case OpCode::kSetImm:

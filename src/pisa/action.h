@@ -2,8 +2,8 @@
 // in its stage (the resource Appendix B / Table 3 shows is FPISA's
 // bottleneck). The baseline instruction set has only *immediate* shift
 // distances; kShlField/kShrField/kAsrField model the paper's proposed
-// 2-operand shift instruction (§4.2) and are rejected unless the switch
-// config enables the extension.
+// 2-operand shift instruction (§4.2); SwitchSim refuses to load a program
+// that uses them unless the switch config enables the extension.
 //
 // Semantics: the primitives of one action execute in order. Real Tofino
 // VLIW bundles are parallel, but chains are expressible there by spending
@@ -68,8 +68,8 @@ struct Action {
   int vliw_slots() const { return static_cast<int>(ops.size()); }
 };
 
-/// Executes a bundle against a PHV (used by MauStage). Asserts if an
-/// extension opcode is used while `shift_extension` is false.
-void apply_action(const Action& action, Phv& phv, bool shift_extension);
+/// Executes a bundle against a PHV (used by MauStage). Extension opcodes
+/// are gated when a program loads, not here.
+void apply_action(const Action& action, Phv& phv);
 
 }  // namespace fpisa::pisa

@@ -533,6 +533,16 @@ ProgramMemo& program_memo() {
 
 }  // namespace
 
+FpisaProgramOptions fpisa_program_options(const SwitchConfig& config,
+                                          int lanes, std::size_t slots) {
+  FpisaProgramOptions p;
+  p.variant =
+      config.ext.rsaw ? core::Variant::kFull : core::Variant::kApproximate;
+  p.lanes = lanes;
+  p.slots = slots;
+  return p;
+}
+
 std::shared_ptr<const SwitchProgram> build_fpisa_program(
     const SwitchConfig& config, const FpisaProgramOptions& opts) {
   check_fpisa_options(config, opts);
@@ -813,33 +823,18 @@ void FpisaSwitch::check_packets(const char* what,
 // with egress() or its flat adapters — the compiled egress below.
 // ---------------------------------------------------------------------------
 
-std::span<const std::byte* const> FpisaSwitch::flat_payloads(
-    const char* what, std::size_t n, std::span<const std::uint32_t> values) {
+void FpisaSwitch::add_batch(std::span<const std::uint16_t> slots,
+                            std::span<const std::uint8_t> workers,
+                            std::span<const std::uint32_t> values) {
+  const std::size_t n = slots.size();
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  require_size(what, "values", values.size(), n * lanes);
+  require_size("add_batch", "values", values.size(), n * lanes);
   const std::span<const std::byte> bytes = std::as_bytes(values);
   flat_payloads_.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
     flat_payloads_[p] = bytes.data() + p * lanes * sizeof(std::uint32_t);
   }
-  return flat_payloads_;
-}
-
-void FpisaSwitch::add_batch(std::span<const std::uint16_t> slots,
-                            std::span<const std::uint8_t> workers,
-                            std::span<const std::uint32_t> values) {
-  ingress(slots, workers, flat_payloads("add_batch", slots.size(), values));
-}
-
-void FpisaSwitch::add_batch_guarded(std::span<const std::uint16_t> slots,
-                                    std::span<const std::uint8_t> workers,
-                                    std::span<const std::uint32_t> stamps,
-                                    std::span<const std::uint16_t> checksums,
-                                    std::span<const std::uint32_t> values,
-                                    GuardStats& guard) {
-  ingress(slots, workers,
-          flat_payloads("add_batch_guarded", slots.size(), values), stamps,
-          checksums, &guard);
+  ingress(slots, workers, flat_payloads_);
 }
 
 void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,

@@ -50,6 +50,12 @@ struct FpisaProgramOptions {
   bool convert_endianness = false;  ///< hosts send little-endian payloads
 };
 
+/// Options for `lanes` x `slots` on a switch configured as `config`, and
+/// the one place the variant is chosen: full FPISA when the switch has the
+/// RSAW extension, FPISA-A otherwise.
+FpisaProgramOptions fpisa_program_options(const SwitchConfig& config,
+                                          int lanes, std::size_t slots);
+
 /// Packet layout (big-endian on the wire):
 ///   [0]      opcode        [1..2]   slot        [3]     worker
 ///   [4..7]   bitmap (out)  [8..9]   count (out)
@@ -214,17 +220,11 @@ class FpisaSwitch {
                std::span<const std::uint16_t> checksums = {},
                GuardStats* guard = nullptr);
 
-  /// Flat adapters over ingress: packet i's lanes are
+  /// Flat adapter over unguarded ingress: packet i's lanes are
   /// values[i*lanes, +lanes).
   void add_batch(std::span<const std::uint16_t> slots,
                  std::span<const std::uint8_t> workers,
                  std::span<const std::uint32_t> values);
-  void add_batch_guarded(std::span<const std::uint16_t> slots,
-                         std::span<const std::uint8_t> workers,
-                         std::span<const std::uint32_t> stamps,
-                         std::span<const std::uint16_t> checksums,
-                         std::span<const std::uint32_t> values,
-                         GuardStats& guard);
 
   /// Whole-switch state loss (reboot): every register — per-lane exponent
   /// and mantissa arrays, dedup bitmap, completion counter — is zeroed and
@@ -310,9 +310,6 @@ class FpisaSwitch {
   /// Throws unless every packet's slot and worker id is in range.
   void check_packets(const char* what, std::span<const std::uint16_t> slots,
                      std::span<const std::uint8_t> workers) const;
-  /// One payload pointer per packet into flat `values` (the adapters).
-  std::span<const std::byte* const> flat_payloads(
-      const char* what, std::size_t n, std::span<const std::uint32_t> values);
   /// Throws std::out_of_range unless slots [slot0, slot0 + n) exist.
   void check_slot_range(const char* what, std::uint16_t slot0,
                         std::size_t n) const;
@@ -335,7 +332,7 @@ class FpisaSwitch {
   // Ingress: the accepted packets' payloads and bank rows.
   std::vector<const std::byte*> gather_payloads_;
   std::vector<std::uint32_t> gather_rows_;
-  std::vector<const std::byte*> flat_payloads_;  ///< flat add adapters
+  std::vector<const std::byte*> flat_payloads_;  ///< add_batch's payloads
   std::vector<std::byte*> flat_dests_;           ///< flat read adapters
   /// Interpreted add: copy of the packet's pre-packet lane registers, which
   /// the core lane-add classifies for §5.2.1 accounting.

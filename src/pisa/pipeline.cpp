@@ -1,8 +1,53 @@
 #include "pisa/pipeline.h"
 
+#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace fpisa::pisa {
+namespace {
+
+/// Throws std::invalid_argument, in every build, unless `program` fits in
+/// the pipe's stages and uses only primitives `config` provides.
+void check_program(const SwitchConfig& config, const SwitchProgram& program) {
+  const std::size_t stages = program.ingress.size() + program.egress.size();
+  if (stages > static_cast<std::size_t>(config.num_stages)) {
+    throw std::invalid_argument(
+        "SwitchSim: program uses " + std::to_string(stages) +
+        " MAU stages; the pipe has " + std::to_string(config.num_stages));
+  }
+  if (config.ext.two_operand_shift) return;
+  const auto check = [](const Action& action) {
+    for (const PrimOp& p : action.ops) {
+      if (requires_shift_extension(p.op)) {
+        throw std::invalid_argument(
+            "SwitchSim: action '" + action.name +
+            "' uses a two-operand shift on a switch without the extension");
+      }
+    }
+  };
+  for (const auto* pipe : {&program.ingress, &program.egress}) {
+    for (const StageProgram& stage : *pipe) {
+      for (const MatchTable& table : stage.tables) {
+        for (const Action& action : table.actions()) check(action);
+      }
+      for (const Action& action : stage.salu_post_ops) check(action);
+    }
+  }
+}
+
+/// The shortest packet every parser and deparser field fits in.
+std::size_t min_packet_bytes(const SwitchProgram& program) {
+  std::size_t n = 0;
+  for (const auto* fields : {&program.parser, &program.deparser}) {
+    for (const ParsedField& f : *fields) {
+      n = std::max(n, static_cast<std::size_t>(f.byte_offset + f.byte_len));
+    }
+  }
+  return n;
+}
+
+}  // namespace
 
 std::uint64_t read_be(const std::uint8_t* p, int len) {
   std::uint64_t v = 0;
@@ -55,11 +100,9 @@ SwitchSim::SwitchSim(SwitchConfig config,
                      std::shared_ptr<const SwitchProgram> program)
     : config_(config),
       program_(std::move(program)),
-      bank_(program_->bank_lanes * program_->bank_slots) {
-  assert(static_cast<int>(program_->ingress.size()) +
-                 static_cast<int>(program_->egress.size()) <=
-             config_.num_stages &&
-         "program uses more MAU stages than the pipe has");
+      bank_(program_->bank_lanes * program_->bank_slots),
+      min_packet_bytes_(min_packet_bytes(*program_)) {
+  check_program(config_, *program_);
   const std::size_t stride = program_->bank_lanes;
   regs_.reserve(program_->registers.size());
   for (const RegisterDecl& d : program_->registers) {
@@ -91,7 +134,7 @@ void SwitchSim::run_stages(const std::vector<StageProgram>& stages, Phv& phv) {
   for (const StageProgram& stage : stages) {
     for (const MatchTable& table : stage.tables) {
       if (const Action* a = table.lookup(phv)) {
-        apply_action(*a, phv, config_.ext.two_operand_shift);
+        apply_action(*a, phv);
       }
     }
     for (std::size_t s = 0; s < stage.salus.size(); ++s) {
@@ -106,8 +149,7 @@ void SwitchSim::run_stages(const std::vector<StageProgram>& stages, Phv& phv) {
       }
       apply_salu(call.spec, reg(call.register_index), phv, config_.ext.rsaw);
       if (s < stage.salu_post_ops.size()) {
-        apply_action(stage.salu_post_ops[s], phv,
-                     config_.ext.two_operand_shift);
+        apply_action(stage.salu_post_ops[s], phv);
       }
     }
   }
@@ -118,6 +160,12 @@ void SwitchSim::begin_packet() {
 }
 
 void SwitchSim::process(Packet& pkt) {
+  if (pkt.bytes.size() < min_packet_bytes_) {
+    throw std::invalid_argument(
+        "SwitchSim: " + std::to_string(pkt.bytes.size()) +
+        "-byte packet is shorter than the program's " +
+        std::to_string(min_packet_bytes_) + "-byte header");
+  }
   ++packets_;
   begin_packet();
 
@@ -126,7 +174,6 @@ void SwitchSim::process(Packet& pkt) {
   // Parse: extract declared fields (network byte order; optional
   // endianness conversion if the extension is enabled).
   for (const ParsedField& f : prog.parser) {
-    assert(f.byte_offset + f.byte_len <= static_cast<int>(pkt.bytes.size()));
     std::uint64_t v = read_be(pkt.bytes.data() + f.byte_offset, f.byte_len);
     if (f.convert && config_.ext.parser_endianness) {
       v = byteswap(v, f.byte_len);
@@ -157,7 +204,6 @@ void SwitchSim::process(Packet& pkt) {
 
   // Deparse: write fields back into the packet.
   for (const ParsedField& f : prog.deparser) {
-    assert(f.byte_offset + f.byte_len <= static_cast<int>(pkt.bytes.size()));
     std::uint64_t v = phv.get(f.field);
     if (f.convert && config_.ext.parser_endianness) {
       v = byteswap(v, f.byte_len);

@@ -146,12 +146,17 @@ class SwitchSim {
  public:
   /// Loads `program` and builds zeroed register cells from its
   /// declarations. Switches loading the same program share it; each owns
-  /// its own cells.
+  /// its own cells. Throws std::invalid_argument, in every build, when the
+  /// program needs more MAU stages than config.num_stages, or a table
+  /// action or SALU post-op uses a two-operand shift (kShlField /
+  /// kShrField / kAsrField) without config.ext.two_operand_shift.
   SwitchSim(SwitchConfig config, std::shared_ptr<const SwitchProgram> program);
   /// Loads a program no other switch shares (hand-built programs).
   SwitchSim(SwitchConfig config, SwitchProgram program);
 
   /// Processes one packet in place (parse, ingress, TM, egress, deparse).
+  /// A packet too short for a parser or deparser field throws
+  /// std::invalid_argument, in every build, before any state changes.
   void process(Packet& pkt);
 
   /// Direct register inspection for tests: the cells of
@@ -190,6 +195,7 @@ class SwitchSim {
   /// Never resized after construction: the bank views in `regs_` hold
   /// pointers into it (moving the switch keeps them valid).
   core::RegisterFile bank_;
+  std::size_t min_packet_bytes_;  ///< covers every parser/deparser field
   std::vector<std::unique_ptr<RegisterArray>> regs_;
   std::uint64_t packets_ = 0;
   std::uint64_t recirculations_ = 0;

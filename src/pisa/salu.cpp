@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace fpisa::pisa {
 namespace {
@@ -122,9 +123,11 @@ void apply_salu(const SaluSpec& spec, RegisterArray& reg, Phv& phv,
       if (code == 1) {  // overwrite
         reg.write(i, static_cast<std::uint64_t>(x));
       } else if (code == 2) {  // RSAW: read-shift-add-write
-        assert(rsaw_extension &&
-               "RSAW mantissa update requires the shift+add extension");
-        (void)rsaw_extension;
+        if (!rsaw_extension) {
+          throw std::invalid_argument(
+              "apply_salu: RSAW mantissa update on a switch without the "
+              "RSAW extension");
+        }
         const std::int64_t d =
             spec.distance.valid()
                 ? static_cast<std::int64_t>(phv.get(spec.distance))

@@ -72,11 +72,6 @@ class RegisterArray {
   void begin_packet() { accessed_this_packet_ = false; }
   bool mark_access();
 
-  /// Storage footprint in bits (for the SRAM resource model).
-  std::uint64_t storage_bits() const {
-    return static_cast<std::uint64_t>(width_bits_) * size_;
-  }
-
  private:
   std::int64_t load(std::size_t i) const {
     return cells32_ ? cells32_[i * stride_] : cells64_[i * stride_];
@@ -135,7 +130,8 @@ struct SaluSpec {
 };
 
 /// Executes one stateful ALU invocation. `rsaw_extension` gates the
-/// kManUpdate code-2 path.
+/// kManUpdate code-2 path: without it, that path throws
+/// std::invalid_argument in every build.
 void apply_salu(const SaluSpec& spec, RegisterArray& reg, Phv& phv,
                 bool rsaw_extension);
 

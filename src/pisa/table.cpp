@@ -39,16 +39,4 @@ const Action* MatchTable::lookup(const Phv& phv) const {
   return nullptr;
 }
 
-int MatchTable::max_action_slots() const {
-  int m = 0;
-  for (const Action& a : actions_) m = std::max(m, a.vliw_slots());
-  return m;
-}
-
-int MatchTable::total_action_slots() const {
-  int total = 0;
-  for (const Action& a : actions_) total += a.vliw_slots();
-  return total;
-}
-
 }  // namespace fpisa::pisa

@@ -43,14 +43,8 @@ class MatchTable {
 
   const std::string& name() const { return name_; }
   MatchKind kind() const { return kind_; }
-  std::size_t entry_count() const { return entries_.size(); }
   const std::vector<FieldId>& key_fields() const { return key_fields_; }
   const std::vector<Action>& actions() const { return actions_; }
-
-  /// Largest VLIW bundle across actions: the per-stage slot cost driver.
-  int max_action_slots() const;
-  /// Sum of distinct VLIW slots this table's actions occupy in its stage.
-  int total_action_slots() const;
 
  private:
   std::string name_;

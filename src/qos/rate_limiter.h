@@ -33,9 +33,6 @@ class TokenBucket {
 
   bool unlimited() const { return rate_fp_ == 0; }
 
-  /// Whole tokens currently in the bucket (after the last refill).
-  std::uint64_t tokens() const { return nanotokens_ / kNanotokensPerJob; }
-
  private:
   static constexpr std::uint64_t kNanotokensPerJob = 1'000'000'000ull;
 

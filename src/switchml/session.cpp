@@ -28,14 +28,7 @@ AggregationSession::AggregationSession(pisa::SwitchConfig config,
                                        SessionOptions opts)
     : opts_(validated(opts)),
       switch_(config,
-              [&] {
-                pisa::FpisaProgramOptions p;
-                p.variant = config.ext.rsaw ? core::Variant::kFull
-                                            : core::Variant::kApproximate;
-                p.lanes = opts.lanes;
-                p.slots = opts.slots;
-                return p;
-              }()),
+              pisa::fpisa_program_options(config, opts.lanes, opts.slots)),
       loss_rng_(opts.loss_seed),
       engine_(opts.lanes) {
   init_metrics();

@@ -62,11 +62,6 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform float in [0, 1).
-  constexpr float next_float() {
-    return static_cast<float>(next_u64() >> 40) * 0x1.0p-24f;
-  }
-
   /// Uniform double in [lo, hi).
   constexpr double uniform(double lo, double hi) {
     return lo + (hi - lo) * next_double();
@@ -92,29 +87,6 @@ class Rng {
   /// Log-normal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma) {
     return std::exp(normal(mu, sigma));
-  }
-
-  /// Exponential with given rate (lambda).
-  double exponential(double rate) {
-    double u = next_double();
-    while (u <= 0.0) u = next_double();
-    return -std::log(u) / rate;
-  }
-
-  /// Zipf-like skewed integer in [0, n): P(k) ~ 1/(k+1)^alpha.
-  /// Uses inverse-CDF on a precomputed-free approximation (rejection).
-  std::uint64_t zipf(std::uint64_t n, double alpha) {
-    // Rejection sampling per Devroye; adequate for workload generation.
-    const double b = std::pow(2.0, alpha - 1.0);
-    for (;;) {
-      const double u = next_double();
-      const double v = next_double();
-      const double x = std::floor(std::pow(u, -1.0 / (alpha - 1.0)));
-      const double t = std::pow(1.0 + 1.0 / x, alpha - 1.0);
-      if (v * x * (t - 1.0) / (b - 1.0) <= t / b && x <= double(n)) {
-        return static_cast<std::uint64_t>(x) - 1;
-      }
-    }
   }
 
   /// Fisher-Yates shuffle.

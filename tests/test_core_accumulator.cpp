@@ -10,6 +10,7 @@
 #include "core/accumulator.h"
 #include "core/vector_accumulator.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace fpisa::core {
 namespace {
@@ -481,7 +482,7 @@ TEST(FpisaVector, AggregateHelper) {
       ref[i] += static_cast<double>(w[i]);
     }
   }
-  const AggregateResult r = aggregate(workers);
+  const auto r = testkit::reduce(workers);
   ASSERT_EQ(r.sum.size(), 64u);
   for (std::size_t i = 0; i < 64; ++i) {
     EXPECT_NEAR(static_cast<double>(r.sum[i]), ref[i], 1e-6);
@@ -500,8 +501,7 @@ TEST(FpisaVector, AggregateIntoRejectsMalformedShapesInEveryBuild) {
   EXPECT_THROW(aggregate_into(Views{long_}, out), std::invalid_argument);
   EXPECT_THROW(aggregate_into(Views{a}, std::span<float>(out).first(7)),
                std::invalid_argument);
-  EXPECT_THROW(aggregate(std::span<const std::vector<float>>{}),
-               std::invalid_argument);
+  EXPECT_THROW(testkit::reduce(testkit::Workers{}), std::invalid_argument);
   (void)aggregate_into(Views{a, a}, out);
   for (const float v : out) EXPECT_EQ(v, 2.0f);
 }
@@ -543,7 +543,7 @@ TEST(FpisaVector, NonFp32FormatsViaBits) {
   AccumulatorConfig cfg;
   cfg.format = kFp16;
   std::vector<std::vector<float>> workers(4, std::vector<float>(16, 0.25f));
-  const AggregateResult r = aggregate(workers, cfg);
+  const auto r = testkit::reduce(workers, cfg);
   for (const float v : r.sum) EXPECT_EQ(v, 1.0f);
 }
 

@@ -13,6 +13,7 @@
 
 #include "fault/fault.h"
 #include "pisa/fpisa_program.h"
+#include "testkit.h"
 
 namespace fpisa::fault {
 namespace {
@@ -198,7 +199,7 @@ TEST(GuardedIngress, WipeBumpsGenerationAndRejectsPreWipeStamps) {
       pisa::fpisa_checksum(2, 0, stamp, values)};
 
   pisa::FpisaSwitch::GuardStats guard;
-  sw.add_batch_guarded(slots, workers, stamps, sums, values, guard);
+  testkit::guarded_ingress(sw, slots, workers, stamps, sums, values, guard);
   EXPECT_EQ(guard.corrupt_rejected, 0u);
   EXPECT_EQ(guard.stale_rejected, 0u);
   EXPECT_EQ(sw.occupied_slots(), 1);
@@ -210,7 +211,7 @@ TEST(GuardedIngress, WipeBumpsGenerationAndRejectsPreWipeStamps) {
   // A post-reboot arrival of the pre-wipe packet must be rejected, not
   // silently folded into the fresh sums.
   guard = {};
-  sw.add_batch_guarded(slots, workers, stamps, sums, values, guard);
+  testkit::guarded_ingress(sw, slots, workers, stamps, sums, values, guard);
   EXPECT_EQ(guard.stale_rejected, 1u);
   EXPECT_EQ(sw.occupied_slots(), 0);
 }

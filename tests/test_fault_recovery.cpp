@@ -147,7 +147,7 @@ TEST(SessionFaults, PlainIngressWouldAbsorbTheStaleDuplicate) {
   // Guarded: the stamp pins the packet to epoch e; the slot is now at a
   // later epoch, so the duplicate is dropped before touching registers.
   pisa::FpisaSwitch::GuardStats guard;
-  sw.add_batch_guarded(slots, workers, stamps, sums, values, guard);
+  testkit::guarded_ingress(sw, slots, workers, stamps, sums, values, guard);
   EXPECT_EQ(guard.stale_rejected, 1u);
   EXPECT_EQ(sw.occupied_slots(), 0);
 }

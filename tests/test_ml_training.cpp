@@ -126,7 +126,8 @@ TEST(Network, SoftmaxLossDecreasesUnderSgd) {
   const Dataset ds = make_blobs(4, 8, 512, 128, 20);
   Network net = make_mlp(8, 16, 4, 21);
   switchml::ExactAggregator agg;
-  DataParallelTrainer trainer(net, ds, agg, {});
+  collective::HostCommunicator comm(agg);
+  DataParallelTrainer trainer(net, ds, comm, {});
   const float acc0 = trainer.evaluate();
   float loss_first = 0;
   float loss_last = 0;
@@ -156,7 +157,8 @@ TEST(Trainer, FpisaAAggregationMatchesExactConvergence) {
 
   auto run = [&](switchml::GradientAggregator& agg) {
     Network net = make_mlp(16, 24, 4, 24);  // identical init via same seed
-    DataParallelTrainer trainer(net, ds, agg, {});
+    collective::HostCommunicator comm(agg);
+    DataParallelTrainer trainer(net, ds, comm, {});
     for (int e = 0; e < 8; ++e) trainer.train_epoch();
     return trainer.evaluate();
   };
@@ -179,7 +181,8 @@ TEST(Trainer, GradientRatioDistributionIsNarrow) {
   switchml::ExactAggregator agg;
   TrainerOptions opts;
   opts.batch_per_worker = 16;  // per-worker averaging, as in real training
-  DataParallelTrainer trainer(net, ds, agg, opts);
+  collective::HostCommunicator comm(agg);
+  DataParallelTrainer trainer(net, ds, comm, opts);
 
   std::size_t below = 0;
   std::size_t total = 0;
@@ -202,7 +205,8 @@ TEST(Trainer, Fp16PathTrains) {
   switchml::FpisaAggregator agg(cfg);
   TrainerOptions opts;
   opts.grad_format = core::kFp16;
-  DataParallelTrainer trainer(net, ds, agg, opts);
+  collective::HostCommunicator comm(agg);
+  DataParallelTrainer trainer(net, ds, comm, opts);
   for (int e = 0; e < 8; ++e) trainer.train_epoch();
   EXPECT_GT(trainer.evaluate(), 0.5f);
 }
@@ -213,7 +217,8 @@ TEST(Trainer, CnnModelTrainsOnImages) {
   switchml::ExactAggregator agg;
   TrainerOptions opts;
   opts.lr = 0.05f;
-  DataParallelTrainer trainer(net, ds, agg, opts);
+  collective::HostCommunicator comm(agg);
+  DataParallelTrainer trainer(net, ds, comm, opts);
   for (int e = 0; e < 6; ++e) trainer.train_epoch();
   EXPECT_GT(trainer.evaluate(), 0.6f);
 }

@@ -23,6 +23,7 @@
 #include "pisa/fpisa_program.h"
 #include "pisa/resources.h"
 #include "util/rng.h"
+#include "testkit.h"
 
 namespace {
 
@@ -688,8 +689,8 @@ TEST(FpisaSwitch, GuardedBatchBitIdenticalToInterpreterOnAcceptedPackets) {
                                in.payload(p, c.lanes));
         }
       }
-      guarded.add_batch_guarded(in.slots, in.workers, stamps, sums, in.values,
-                                stats);
+      testkit::guarded_ingress(guarded, in.slots, in.workers, stamps, sums,
+                               in.values, stats);
       // The oracle never saw the rejected packets; the guarded switch
       // accounts them as received. Everything else must match.
       ASSERT_EQ(stats.corrupt_rejected, want_corrupt) << tag;
@@ -856,6 +857,49 @@ TEST(FpisaSwitch, CompiledDatapathDirectedEdges) {
   }
 }
 
+TEST(FpisaSwitch, ShortPacketsAreRejectedBeforeAnyStateChange) {
+  // A packet shorter than a parser or deparser field must fail typed in
+  // every build, not read past its buffer.
+  FpisaProgramOptions opts;
+  opts.variant = core::Variant::kApproximate;
+  opts.lanes = 4;
+  opts.slots = 8;
+  FpisaSwitch sw(baseline_tofino(), opts);
+  const std::vector<std::uint32_t> vals = {
+      core::fp32_bits(1.5f), core::fp32_bits(-2.0f), core::fp32_bits(3.0f),
+      core::fp32_bits(0.25f)};
+  (void)sw.add(1, 0, vals);
+
+  Packet full;
+  make_fpisa_packet_into(full, FpisaOp::kAdd, 1, 1, vals);
+  ASSERT_EQ(full.bytes.size(), std::size_t{kFpisaHeaderBytes + 4 * 4});
+
+  const std::size_t nregs = sw.sim().program().registers.size();
+  const auto cells = [&] {
+    std::vector<std::uint64_t> out;
+    for (std::size_t r = 0; r < nregs; ++r) {
+      const RegisterArray& reg = sw.sim().reg(static_cast<int>(r));
+      for (std::size_t s = 0; s < reg.size(); ++s) out.push_back(reg.read(s));
+    }
+    return out;
+  };
+  const std::vector<std::uint64_t> before = cells();
+  const std::uint64_t packets = sw.sim().packets_processed();
+
+  for (std::size_t len = 0; len < full.bytes.size(); ++len) {
+    Packet pkt;
+    pkt.bytes.assign(full.bytes.begin(),
+                     full.bytes.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_THROW(sw.sim().process(pkt), std::invalid_argument) << len;
+  }
+  EXPECT_EQ(cells(), before);
+  EXPECT_EQ(sw.sim().packets_processed(), packets);
+
+  // The full packet still goes through.
+  sw.sim().process(full);
+  EXPECT_EQ(sw.sim().packets_processed(), packets + 1);
+}
+
 TEST(FpisaSwitch, BatchShapesAreCheckedInEveryBuild) {
   // Typed errors instead of Debug-only asserts: a Release build must not
   // write past the register bank or silently drop a worker's dedup bit.
@@ -886,15 +930,16 @@ TEST(FpisaSwitch, BatchShapesAreCheckedInEveryBuild) {
   const std::vector<std::uint32_t> stamps = {sw.slot_stamp(0),
                                              sw.slot_stamp(1)};
   const std::vector<std::uint16_t> sums = {0, 0};
-  EXPECT_THROW(sw.add_batch_guarded(bad_slot, ok_workers, stamps, sums, two,
-                                    guard),
+  EXPECT_THROW(testkit::guarded_ingress(sw, bad_slot, ok_workers, stamps,
+                                        sums, two, guard),
                std::out_of_range);
-  EXPECT_THROW(sw.add_batch_guarded(ok_slots, ok_workers,
-                                    std::vector<std::uint32_t>{0}, sums, two,
-                                    guard),
+  EXPECT_THROW(testkit::guarded_ingress(sw, ok_slots, ok_workers,
+                                        std::vector<std::uint32_t>{0}, sums,
+                                        two, guard),
                std::invalid_argument);
-  EXPECT_THROW(sw.add_batch_guarded(ok_slots, ok_workers, stamps,
-                                    std::vector<std::uint16_t>{0}, two, guard),
+  EXPECT_THROW(testkit::guarded_ingress(sw, ok_slots, ok_workers, stamps,
+                                        std::vector<std::uint16_t>{0}, two,
+                                        guard),
                std::invalid_argument);
   EXPECT_EQ(guard.corrupt_rejected + guard.stale_rejected, 0u);
 

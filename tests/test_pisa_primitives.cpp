@@ -2,6 +2,10 @@
 // parser/deparser.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "pisa/action.h"
 #include "pisa/phv.h"
 #include "pisa/pipeline.h"
@@ -39,7 +43,7 @@ TEST(Action, ArithmeticAndLogicOps) {
 
   auto run = [&](OpCode op, std::int64_t imm = 0, std::int64_t imm2 = 0) {
     Action act{"t", {PrimOp{op, c, a, b, imm, imm2}}};
-    apply_action(act, phv, /*shift_extension=*/true);
+    apply_action(act, phv);
     return phv.get(c);
   };
   EXPECT_EQ(run(OpCode::kAdd), 107u);
@@ -65,10 +69,10 @@ TEST(Action, ArithmeticShiftAndNegWrapAtFieldWidth) {
   Phv phv(layout);
   phv.set(a, 0xFFFFFFF0u);  // -16 as 32-bit
   Action asr{"t", {PrimOp{OpCode::kAsrImm, c, a, {}, 2, 0}}};
-  apply_action(asr, phv, false);
+  apply_action(asr, phv);
   EXPECT_EQ(phv.get_signed(c), -4);
   Action neg{"t", {PrimOp{OpCode::kNeg, c, a, {}, 0, 0}}};
-  apply_action(neg, phv, false);
+  apply_action(neg, phv);
   EXPECT_EQ(phv.get_signed(c), 16);
 }
 
@@ -87,7 +91,7 @@ TEST(Action, DepositBuildsPackedWords) {
                PrimOp{OpCode::kDeposit, out, man, {}, 0, 23},
                PrimOp{OpCode::kDeposit, out, exp, {}, 23, 8},
                PrimOp{OpCode::kDeposit, out, sign, {}, 31, 1}}};
-  apply_action(pack, phv, false);
+  apply_action(pack, phv);
   EXPECT_EQ(phv.get(out), 0x80000000u | (128u << 23) | 0x400000u);
 }
 
@@ -102,10 +106,10 @@ TEST(Table, ExactMatchAndDefault) {
 
   Phv phv(layout);
   phv.set(k, 42);
-  apply_action(*t.lookup(phv), phv, false);
+  apply_action(*t.lookup(phv), phv);
   EXPECT_EQ(phv.get(v), 1u);
   phv.set(k, 43);
-  apply_action(*t.lookup(phv), phv, false);
+  apply_action(*t.lookup(phv), phv);
   EXPECT_EQ(phv.get(v), 2u);
 }
 
@@ -121,10 +125,10 @@ TEST(Table, TernaryPriorityOrder) {
 
   Phv phv(layout);
   phv.set(k, 0x0123);
-  apply_action(*t.lookup(phv), phv, false);
+  apply_action(*t.lookup(phv), phv);
   EXPECT_EQ(phv.get(v), 10u);  // first (higher priority) entry wins
   phv.set(k, 0x0023);
-  apply_action(*t.lookup(phv), phv, false);
+  apply_action(*t.lookup(phv), phv);
   EXPECT_EQ(phv.get(v), 20u);
 }
 
@@ -322,6 +326,93 @@ TEST(Pipeline, RecirculationIsBounded) {
   sim.process(pkt);
   EXPECT_EQ(sim.reg(0).read(0),
             1u + static_cast<unsigned>(SwitchSim::kMaxRecirculations));
+}
+
+// Release-safe program checks: each program below is hand-built and loaded
+// on a baseline (extension-free) switch config.
+
+TEST(Pipeline, RejectsProgramWithMoreStagesThanThePipe) {
+  const SwitchConfig baseline;
+  SwitchProgram fits;
+  fits.ingress.resize(static_cast<std::size_t>(baseline.num_stages) - 1);
+  fits.egress.resize(1);
+  EXPECT_NO_THROW(SwitchSim(baseline, fits));
+
+  SwitchProgram too_long = fits;
+  too_long.egress.resize(2);
+  EXPECT_THROW(SwitchSim(baseline, std::move(too_long)),
+               std::invalid_argument);
+}
+
+TEST(Pipeline, RejectsTwoOperandShiftInTableActionWithoutExtension) {
+  for (const OpCode op :
+       {OpCode::kShlField, OpCode::kShrField, OpCode::kAsrField}) {
+    SwitchProgram prog;
+    const FieldId a = prog.phv.declare("a", 32);
+    const FieldId d = prog.phv.declare("d", 8);
+    prog.egress.resize(1);
+    prog.egress[0].tables.emplace_back(
+        "align", MatchKind::kExact, std::vector<FieldId>{d},
+        std::vector<Action>{{"shift", {PrimOp{op, a, a, d, 0, 0}}}}, 0);
+    EXPECT_THROW(SwitchSim(SwitchConfig{}, prog), std::invalid_argument)
+        << static_cast<int>(op);
+
+    SwitchConfig extended;
+    extended.ext.two_operand_shift = true;
+    EXPECT_NO_THROW(SwitchSim(extended, std::move(prog)));
+  }
+}
+
+TEST(Pipeline, RejectsTwoOperandShiftInSaluPostOpWithoutExtension) {
+  for (const OpCode op :
+       {OpCode::kShlField, OpCode::kShrField, OpCode::kAsrField}) {
+    SwitchProgram prog;
+    const FieldId idx = prog.phv.declare("idx", 8);
+    const FieldId out = prog.phv.declare("out", 32);
+    prog.add_register("r", 32, 1);
+    prog.ingress.resize(1);
+    SaluSpec spec;
+    spec.kind = SaluKind::kReadOnly;
+    spec.index = idx;
+    spec.out = out;
+    prog.ingress[0].salus.push_back({{}, 0, spec, 0, {}, 0});
+    prog.ingress[0].salu_post_ops.push_back(
+        {"post", {PrimOp{op, out, out, idx, 0, 0}}});
+    EXPECT_THROW(SwitchSim(SwitchConfig{}, prog), std::invalid_argument)
+        << static_cast<int>(op);
+
+    SwitchConfig extended;
+    extended.ext.two_operand_shift = true;
+    EXPECT_NO_THROW(SwitchSim(extended, std::move(prog)));
+  }
+}
+
+TEST(Pipeline, RsawUpdateThrowsWithoutExtension) {
+  SwitchProgram prog;
+  const FieldId code = prog.phv.declare("code", 8);
+  const FieldId x = prog.phv.declare("x", 32);
+  const FieldId idx = prog.phv.declare("idx", 8);
+  prog.parser.push_back({code, 0, 1, false});
+  prog.parser.push_back({x, 1, 4, false});
+  prog.add_register("man", 32, 1);
+  prog.ingress.resize(1);
+  SaluSpec spec;
+  spec.kind = SaluKind::kManUpdate;
+  spec.index = idx;
+  spec.x = x;
+  spec.code = code;
+  prog.ingress[0].salus.push_back({{}, 0, spec, 0, {}, 0});
+  prog.ingress[0].salu_post_ops.push_back({"", {}});
+
+  SwitchSim sim(SwitchConfig{}, std::move(prog));
+  Packet pkt;
+  pkt.bytes = {0, 0, 0, 0, 5};  // code 0: plain add of 5
+  sim.process(pkt);
+  EXPECT_EQ(sim.reg(0).read(0), 5u);
+
+  pkt.bytes = {2, 0, 0, 0, 5};  // code 2: RSAW
+  EXPECT_THROW(sim.process(pkt), std::invalid_argument);
+  EXPECT_EQ(sim.reg(0).read(0), 5u);
 }
 
 TEST(Packets, BigEndianHelpers) {

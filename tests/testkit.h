@@ -4,6 +4,8 @@
 // value. Header-only and test-only.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <future>
 #include <span>
 #include <string_view>
@@ -11,6 +13,8 @@
 #include <vector>
 
 #include "cluster/aggregation_service.h"
+#include "core/vector_accumulator.h"
+#include "pisa/fpisa_program.h"
 #include "switchml/aggregator.h"
 #include "switchml/session.h"
 
@@ -25,6 +29,20 @@ inline std::vector<std::span<const float>> views_of(const Workers& workers) {
 
 inline std::size_t length_of(const Workers& workers) {
   return workers.empty() ? 0 : workers.front().size();
+}
+
+/// A core reduce's sum together with its pooled counters.
+struct CoreSum {
+  std::vector<float> sum;
+  core::OpCounters counters;
+};
+
+inline CoreSum reduce(const Workers& workers,
+                      core::AccumulatorConfig cfg = {}) {
+  CoreSum r;
+  r.sum.assign(length_of(workers), 0.0f);
+  r.counters = core::aggregate_into(views_of(workers), r.sum, cfg);
+  return r;
 }
 
 inline std::vector<float> reduce(switchml::AggregationSession& session,
@@ -88,6 +106,24 @@ inline PendingJob submit(cluster::AggregationService& svc,
   p.fut = svc.submit(
       cluster::JobView{tenant, views, loss_rate, max_retransmits}, p.result);
   return p;
+}
+
+/// Guarded FpisaSwitch::ingress over flat values: packet i's lanes are
+/// values[i*lanes, +lanes). ingress checks the payload count against
+/// slots.size().
+inline void guarded_ingress(pisa::FpisaSwitch& sw,
+                            std::span<const std::uint16_t> slots,
+                            std::span<const std::uint8_t> workers,
+                            std::span<const std::uint32_t> stamps,
+                            std::span<const std::uint16_t> checksums,
+                            std::span<const std::uint32_t> values,
+                            pisa::FpisaSwitch::GuardStats& guard) {
+  const auto lanes = static_cast<std::size_t>(sw.options().lanes);
+  std::vector<const std::byte*> payloads;
+  for (std::size_t i = 0; i + lanes <= values.size(); i += lanes) {
+    payloads.push_back(std::as_bytes(values.subspan(i, lanes)).data());
+  }
+  sw.ingress(slots, workers, payloads, stamps, checksums, &guard);
 }
 
 }  // namespace fpisa::testkit
