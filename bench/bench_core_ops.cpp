@@ -5,6 +5,8 @@
 //     backend, and the AVX2 egress scattered to per-row destinations
 //   * the switch's compiled ingress/egress (FpisaSwitch::add_batch /
 //     read_and_reset_batch) on the same kernels, per value
+//   * communicator churn: build, one allreduce, drop, and the registry's
+//     series count after it (bounded by the objects alive)
 //   * read (delayed renorm) vs hypothetical renormalize-every-add
 //   * LPM-table CLZ vs native countl_zero
 //   * advanced ops (multiply / table-multiply / log2 / sqrt)
@@ -17,12 +19,14 @@
 #include <string_view>
 #include <vector>
 
+#include "collective/communicator.h"
 #include "core/accumulator.h"
 #include "core/advanced_ops.h"
 #include "core/batch_accumulator.h"
 #include "core/clz_table.h"
 #include "core/vector_accumulator.h"
 #include "pisa/fpisa_program.h"
+#include "telemetry/metrics.h"
 #include "util/rng.h"
 
 namespace {
@@ -401,6 +405,45 @@ void BM_FpisaSwitchBuildShared(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FpisaSwitchBuildShared);
+
+// A throwaway tree communicator (4 leaves x 2 workers, 32 lanes x 64
+// slots) beside a live one of the same shape, which holds the switch
+// programs: build, one 4096-value allreduce, drop. `registry_series` is
+// the registry's series count after the loop; `series_growth` is how far
+// the loop moved it. A dropped communicator's series fold into the
+// `retired` ones, so the growth is at most the first fold's new series.
+void BM_CommunicatorChurn(benchmark::State& state) {
+  collective::CommunicatorOptions opts;
+  opts.backend = collective::Backend::kTree;
+  opts.hierarchy.leaves = 4;
+  opts.hierarchy.workers_per_leaf = 2;
+  opts.hierarchy.lanes = 32;
+  opts.hierarchy.slots = 64;
+  constexpr std::size_t kValues = 4096;
+  util::Rng rng(7);
+  std::vector<std::vector<float>> grads(8, std::vector<float>(kValues));
+  for (auto& g : grads) {
+    for (auto& v : g) v = static_cast<float>(rng.normal(0.0, 0.1));
+  }
+  std::vector<float> out(kValues);
+  const auto series = [] {
+    const telemetry::Snapshot s = telemetry::snapshot();
+    return s.counters.size() + s.gauges.size() + s.histograms.size();
+  };
+  const auto holder = collective::make_communicator(opts);
+  const std::size_t before = series();
+  for (auto _ : state) {
+    const auto comm = collective::make_communicator(opts);
+    (void)comm->allreduce(collective::WorkerViews(grads), out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  const std::size_t after = series();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["registry_series"] = static_cast<double>(after);
+  state.counters["series_growth"] =
+      static_cast<double>(after) - static_cast<double>(before);
+}
+BENCHMARK(BM_CommunicatorChurn);
 
 // Ablation: delayed renormalization (read once at the end) vs
 // renormalizing after every add — the data-dependency the design removes.

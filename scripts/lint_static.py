@@ -54,6 +54,13 @@ Rules:
                 thread_annotations.h is skipped: its lowercase names are
                 attribute spellings, not functions.
 
+  R7 instance-label
+                No std::to_string(...fetch_add(...)) in src/ outside
+                src/telemetry/. That is a label value drawn from a
+                private counter, whose series outlive the object; an
+                object labels its series through telemetry::InstanceLabel,
+                which retires them when the object dies.
+
 Comments and (for R1/R2/R5/R6) string literals are stripped before
 matching, so prose about std::mutex does not trip the lint.
 """
@@ -133,6 +140,8 @@ PUNNING_RE = re.compile(
     r'(float|(?:std\s*::\s*)?u?int(?:8|16|32|64)_t)'
     r'\s*(?:(?:const|volatile)\s*)*\*')
 
+TO_STRING_RE = re.compile(r'(?<![\w.>])(?:std\s*::\s*)?to_string\s*\(')
+
 SERIES_CALL_RE = re.compile(
     r'\.\s*(counter|gauge|histogram)\s*\(\s*("?)', re.S)
 SERIES_LITERAL_RE = re.compile(
@@ -182,6 +191,36 @@ def lint_punning(root, findings):
                 f"{rel}:{line_of(text, m.start())}: [punning] "
                 f"reinterpret_cast to {target}* in src/; load the bytes "
                 f"with std::memcpy / std::bit_cast or pass std::as_bytes")
+
+
+def call_args(text, open_paren):
+    """The text between the parenthesis at `open_paren` and its match."""
+    depth = 0
+    for i in range(open_paren, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return text[open_paren + 1:i]
+    return text[open_paren + 1:]
+
+
+def lint_instance_label(root, findings):
+    for path in cpp_files(root, ("src",)):
+        rel = os.path.relpath(path, root)
+        if rel.startswith(os.path.join("src", "telemetry") + os.sep):
+            continue
+        with open(path, encoding="utf-8") as f:
+            raw = f.read()
+        text = strip_comments(raw, strip_strings=True)
+        for m in TO_STRING_RE.finditer(text):
+            if re.search(r'\bfetch_add\b', call_args(text, m.end() - 1)):
+                findings.append(
+                    f"{rel}:{line_of(text, m.start())}: [instance-label] "
+                    f"std::to_string(...fetch_add(...)) label value; its "
+                    f"series would outlive the object: use "
+                    f"telemetry::InstanceLabel")
 
 
 def load_catalog(root):
@@ -344,6 +383,7 @@ def lint_repo(root, sync_layer=SYNC_LAYER):
     lint_series(root, findings)
     lint_tests_registered(root, findings)
     lint_uncalled(root, findings)
+    lint_instance_label(root, findings)
     return findings
 
 
@@ -399,6 +439,16 @@ GOOD_FILES = {
         '  return &w.link(0) != nullptr;\n'
         '}\n'),
     "tests/test_api.cpp": 'static_assert(demo::Widget::checked() == 1);\n',
+    # R7: the telemetry layer may draw label values from a counter; a
+    # fetch_add outside to_string's argument, or in a comment, is fine.
+    "src/telemetry/labels.cpp": (
+        'std::string fresh() { return std::to_string(next.fetch_add(1)); }\n'),
+    "src/labelled.cpp": (
+        '// std::to_string(next_id.fetch_add(1)) was the old way.\n'
+        'const std::string id = label_.value();\n'
+        'pending.fetch_add(1);\n'
+        'const std::string shard = std::to_string(s);\n'
+        'out += to_string(count) + std::to_string(seq.load());\n'),
 }
 
 BAD_FILES = {
@@ -441,6 +491,12 @@ BAD_FILES = {
         '}\n'
         'std::vector<Point>\n'
         'Rng::sweep(const Rates& r) const { return {}; }\n'),
+    # R7: label values drawn from a private counter, on one line and split.
+    "src/leaky.cpp": (
+        'static std::atomic<int> next_id{0};\n'
+        'const std::string id = std::to_string(next_id.fetch_add(1));\n'
+        'svc_id_ = std::to_string(\n'
+        '    next.fetch_add(1, std::memory_order_relaxed));\n'),
 }
 
 # Every rule tag the bad corpus must trip, with a substring that pins the
@@ -464,6 +520,8 @@ BAD_EXPECT = [
     "src/dead.h:4: [uncalled] next_float()",
     "src/dead.h:5: [uncalled] uplink()",
     "src/dead.h:6: [uncalled] sweep()",
+    "src/leaky.cpp:2: [instance-label]",
+    "src/leaky.cpp:3: [instance-label]",
 ]
 
 
@@ -515,7 +573,7 @@ def report(findings):
             print(f"  - {f}")
         return 1
     print("OK: static lint clean (raw-sync, datapath, punning, series, "
-          "tests, uncalled)")
+          "tests, uncalled, instance-label)")
     return 0
 
 

@@ -101,72 +101,63 @@ void AggregationService::init_metrics() {
   // One registration pass at construction; the hot path only ever touches
   // the returned handles. Instance labels keep concurrently-built services
   // (tests spin up dozens) from aliasing each other's series.
-  static std::atomic<std::uint64_t> next_id{0};
-  svc_id_ = std::to_string(next_id.fetch_add(1, std::memory_order_relaxed));
+  const auto& svc = label_.label();
   auto& reg = telemetry::registry();
   const auto bounds = telemetry::MetricsRegistry::time_buckets();
   m_shard_phase_.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::string shard = std::to_string(s);
-    m_shard_phase_[s][0] = &reg.histogram(
-        "cluster_shard_phase_seconds",
-        {{"svc", svc_id_}, {"shard", shard}, {"phase", "add"}}, bounds);
-    m_shard_phase_[s][1] = &reg.histogram(
-        "cluster_shard_phase_seconds",
-        {{"svc", svc_id_}, {"shard", shard}, {"phase", "collect"}}, bounds);
+    m_shard_phase_[s][0] =
+        &reg.histogram("cluster_shard_phase_seconds",
+                       {svc, {"shard", shard}, {"phase", "add"}}, bounds);
+    m_shard_phase_[s][1] =
+        &reg.histogram("cluster_shard_phase_seconds",
+                       {svc, {"shard", shard}, {"phase", "collect"}}, bounds);
   }
-  m_queue_depth_ = &reg.gauge("cluster_job_queue_depth", {{"svc", svc_id_}});
-  m_shard_deaths_ = &reg.counter("cluster_failover_shard_deaths_total",
-                                 {{"svc", svc_id_}});
-  m_rerouted_ = &reg.counter("cluster_failover_chunks_rerouted_total",
-                             {{"svc", svc_id_}});
-  m_retries_ =
-      &reg.counter("cluster_failover_retries_total", {{"svc", svc_id_}});
-  m_jobs_[0] = &reg.counter("cluster_jobs_total",
-                            {{"svc", svc_id_}, {"outcome", "completed"}});
-  m_jobs_[1] = &reg.counter("cluster_jobs_total",
-                            {{"svc", svc_id_}, {"outcome", "failed"}});
-  m_jobs_[2] = &reg.counter("cluster_jobs_total",
-                            {{"svc", svc_id_}, {"outcome", "rejected"}});
+  m_queue_depth_ = &reg.gauge("cluster_job_queue_depth", {svc});
+  m_shard_deaths_ = &reg.counter("cluster_failover_shard_deaths_total", {svc});
+  m_rerouted_ = &reg.counter("cluster_failover_chunks_rerouted_total", {svc});
+  m_retries_ = &reg.counter("cluster_failover_retries_total", {svc});
+  m_jobs_[0] =
+      &reg.counter("cluster_jobs_total", {svc, {"outcome", "completed"}});
+  m_jobs_[1] = &reg.counter("cluster_jobs_total", {svc, {"outcome", "failed"}});
+  m_jobs_[2] =
+      &reg.counter("cluster_jobs_total", {svc, {"outcome", "rejected"}});
   // QoS admission/scheduler series (registered even when QoS is off — a
   // flat zero series is how an operator confirms the limiter is idle).
   for (std::size_t c = 0; c < qos::kNumPriorities; ++c) {
     const char* cls = qos::priority_name(static_cast<qos::Priority>(c));
-    m_qos_class_depth_[c] = &reg.gauge("qos_admission_queue_depth",
-                                       {{"svc", svc_id_}, {"class", cls}});
-    m_qos_admitted_[c] = &reg.counter("qos_jobs_admitted_total",
-                                      {{"svc", svc_id_}, {"class", cls}});
-    m_qos_picks_[c] = &reg.counter("qos_sched_picks_total",
-                                   {{"svc", svc_id_}, {"class", cls}});
+    m_qos_class_depth_[c] =
+        &reg.gauge("qos_admission_queue_depth", {svc, {"class", cls}});
+    m_qos_admitted_[c] =
+        &reg.counter("qos_jobs_admitted_total", {svc, {"class", cls}});
+    m_qos_picks_[c] =
+        &reg.counter("qos_sched_picks_total", {svc, {"class", cls}});
   }
-  m_qos_rejects_[0] = &reg.counter(
-      "qos_jobs_rejected_total", {{"svc", svc_id_}, {"reason", "rate_limit"}});
-  m_qos_rejects_[1] = &reg.counter(
-      "qos_jobs_rejected_total", {{"svc", svc_id_}, {"reason", "queue_full"}});
-  m_qos_rejects_[2] = &reg.counter(
-      "qos_jobs_rejected_total", {{"svc", svc_id_}, {"reason", "deadline"}});
+  for (std::size_t r = 0; r < 3; ++r) {
+    const auto why = qos::reject_reason_name(static_cast<qos::RejectReason>(r));
+    m_qos_rejects_[r] =
+        &reg.counter("qos_jobs_rejected_total", {svc, {"reason", why}});
+  }
   // Per-shard mailbox counters (PR 8's mailbox_stats surface) as gauges,
   // refreshed after every pass join under kWorkers dispatch.
   m_mailbox_.resize(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::string shard = std::to_string(s);
-    m_mailbox_[s][0] = &reg.gauge("cluster_mailbox_enqueued",
-                                  {{"svc", svc_id_}, {"shard", shard}});
-    m_mailbox_[s][1] = &reg.gauge("cluster_mailbox_wakeups",
-                                  {{"svc", svc_id_}, {"shard", shard}});
+    m_mailbox_[s][0] =
+        &reg.gauge("cluster_mailbox_enqueued", {svc, {"shard", shard}});
+    m_mailbox_[s][1] =
+        &reg.gauge("cluster_mailbox_wakeups", {svc, {"shard", shard}});
     m_mailbox_[s][2] = &reg.gauge("cluster_mailbox_spurious_wakeups",
-                                  {{"svc", svc_id_}, {"shard", shard}});
+                                  {svc, {"shard", shard}});
   }
   // Fault-recovery events (wire-level rejections live on the switches'
   // own fpisa_switch_* counters; these are the fabric-level recoveries).
-  m_fault_[0] =
-      &reg.counter("cluster_fault_epoch_bumps_total", {{"svc", svc_id_}});
-  m_fault_[1] = &reg.counter("cluster_fault_workers_declared_dead_total",
-                             {{"svc", svc_id_}});
-  m_fault_[2] =
-      &reg.counter("cluster_fault_waves_replayed_total", {{"svc", svc_id_}});
-  m_job_wall_ =
-      &reg.histogram("cluster_job_wall_seconds", {{"svc", svc_id_}}, bounds);
+  m_fault_[0] = &reg.counter("cluster_fault_epoch_bumps_total", {svc});
+  m_fault_[1] =
+      &reg.counter("cluster_fault_workers_declared_dead_total", {svc});
+  m_fault_[2] = &reg.counter("cluster_fault_waves_replayed_total", {svc});
+  m_job_wall_ = &reg.histogram("cluster_job_wall_seconds", {svc}, bounds);
 }
 
 void AggregationService::attach_trace(telemetry::Trace* trace,

@@ -402,7 +402,7 @@ class AggregationService {
   // the optional attached trace. Wave phase time lives ONLY in the
   // registry's per-shard histograms — phase_breakdown() sums them back.
   void init_metrics();
-  std::string svc_id_;  ///< "svc" label value for this service instance
+  telemetry::InstanceLabel label_{"svc"};
   std::vector<std::array<telemetry::Histogram*, 2>>
       m_shard_phase_;  ///< [shard][0]=add, [1]=collect
   telemetry::Gauge* m_queue_depth_ = nullptr;    ///< job-runner queue

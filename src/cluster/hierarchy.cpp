@@ -1,7 +1,6 @@
 #include "cluster/hierarchy.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -57,19 +56,17 @@ HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
 }
 
 void HierarchicalAggregator::init_metrics() {
-  static std::atomic<std::uint64_t> next_id{0};
-  const std::string tree =
-      std::to_string(next_id.fetch_add(1, std::memory_order_relaxed));
+  const auto& tree = label_.label();
   auto& reg = telemetry::registry();
   const auto bounds = telemetry::MetricsRegistry::time_buckets();
-  m_reduces_ = &reg.counter("tree_reduces_total", {{"tree", tree}});
-  m_packets_ = &reg.counter("tree_packets_total", {{"tree", tree}});
-  m_wire_bytes_ = &reg.counter("tree_wire_bytes_total", {{"tree", tree}});
-  m_alive_leaves_ = &reg.gauge("tree_alive_leaves", {{"tree", tree}});
-  m_level_[0] = &reg.histogram("tree_level_seconds",
-                               {{"tree", tree}, {"level", "leaf"}}, bounds);
-  m_level_[1] = &reg.histogram("tree_level_seconds",
-                               {{"tree", tree}, {"level", "spine"}}, bounds);
+  m_reduces_ = &reg.counter("tree_reduces_total", {tree});
+  m_packets_ = &reg.counter("tree_packets_total", {tree});
+  m_wire_bytes_ = &reg.counter("tree_wire_bytes_total", {tree});
+  m_alive_leaves_ = &reg.gauge("tree_alive_leaves", {tree});
+  m_level_[0] =
+      &reg.histogram("tree_level_seconds", {tree, {"level", "leaf"}}, bounds);
+  m_level_[1] =
+      &reg.histogram("tree_level_seconds", {tree, {"level", "spine"}}, bounds);
   m_alive_leaves_->set(static_cast<double>(opts_.leaves));
 }
 

@@ -138,6 +138,7 @@ class HierarchicalAggregator {
   // Telemetry handles ("tree" instance label), resolved once at
   // construction: modeled per-level fan-in time per reduce, packet/byte
   // accounting deltas, and a live-leaf gauge.
+  telemetry::InstanceLabel label_{"tree"};
   telemetry::Counter* m_reduces_ = nullptr;
   telemetry::Counter* m_packets_ = nullptr;
   telemetry::Counter* m_wire_bytes_ = nullptr;

@@ -1,6 +1,5 @@
 #include "collective/communicator.h"
 
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <stdexcept>
@@ -55,10 +54,8 @@ int wave0_dead_worker(const fault::FaultOptions& fault,
 
 void Communicator::ensure_metrics() const {
   std::call_once(metrics_once_, [this] {
-    static std::atomic<std::uint64_t> next_id{0};
-    comm_id_ = std::to_string(next_id.fetch_add(1, std::memory_order_relaxed));
     auto& reg = telemetry::registry();
-    const telemetry::Labels labels{{"comm", comm_id_},
+    const telemetry::Labels labels{label_.label(),
                                    {"backend", std::string(name())}};
     m_jobs_ = &reg.counter("collective_allreduces_total", labels);
     m_wall_ = &reg.histogram("collective_allreduce_seconds", labels,
@@ -68,7 +65,7 @@ void Communicator::ensure_metrics() const {
 
 telemetry::Snapshot Communicator::metrics() const {
   ensure_metrics();
-  return telemetry::snapshot().with_label("comm", comm_id_);
+  return telemetry::snapshot().with_label("comm", label_.value());
 }
 
 telemetry::PhaseBreakdown Communicator::phase_breakdown() const {

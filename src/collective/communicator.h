@@ -239,8 +239,8 @@ class Communicator {
   std::map<std::string, cluster::SloAccumulator, std::less<>> slo_
       FPISA_GUARDED_BY(slo_mu_);
 
+  telemetry::InstanceLabel label_{"comm"};
   mutable std::once_flag metrics_once_;
-  mutable std::string comm_id_;  ///< "comm" instance label value
   mutable telemetry::Counter* m_jobs_ = nullptr;
   mutable telemetry::Histogram* m_wall_ = nullptr;
   std::atomic<telemetry::Trace*> trace_{nullptr};

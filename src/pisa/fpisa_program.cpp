@@ -644,56 +644,20 @@ FpisaSwitch::FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts)
 
 // --- observability ---------------------------------------------------------
 
-namespace {
-
-/// Which SeriesId values live switches hold.
-struct SeriesIds {
-  util::OrderedMutex mu{util::lock_rank::kSwitchIds};
-  std::vector<bool> taken FPISA_GUARDED_BY(mu);
-};
-
-SeriesIds& series_ids() {
-  static SeriesIds ids;
-  return ids;
-}
-
-}  // namespace
-
-FpisaSwitch::SeriesId::SeriesId() {
-  SeriesIds& ids = series_ids();
-  util::LockGuard lk(ids.mu);
-  const auto free = std::find(ids.taken.begin(), ids.taken.end(), false);
-  id_ = static_cast<std::size_t>(free - ids.taken.begin());
-  if (free == ids.taken.end()) {
-    ids.taken.push_back(true);
-  } else {
-    *free = true;
-  }
-}
-
-FpisaSwitch::SeriesId::~SeriesId() {
-  SeriesIds& ids = series_ids();
-  util::LockGuard lk(ids.mu);
-  ids.taken[id_] = false;
-}
-
 void FpisaSwitch::init_metrics() {
-  const std::string id = std::to_string(series_id_.value());
+  const auto& sw = series_label_.label();
   auto& reg = telemetry::registry();
-  m_packets_ = &reg.counter("fpisa_switch_packets_total", {{"sw", id}});
-  m_dedup_ = &reg.counter("fpisa_switch_dedup_hits_total", {{"sw", id}});
-  m_corrupt_ =
-      &reg.counter("fpisa_switch_corrupt_rejected_total", {{"sw", id}});
-  m_stale_ =
-      &reg.counter("fpisa_switch_stale_dups_rejected_total", {{"sw", id}});
-  m_occupancy_ = &reg.gauge("fpisa_switch_occupied_slots", {{"sw", id}});
-  m_occupancy_->set(0.0);  // not the previous holder's figure
+  m_packets_ = &reg.counter("fpisa_switch_packets_total", {sw});
+  m_dedup_ = &reg.counter("fpisa_switch_dedup_hits_total", {sw});
+  m_corrupt_ = &reg.counter("fpisa_switch_corrupt_rejected_total", {sw});
+  m_stale_ = &reg.counter("fpisa_switch_stale_dups_rejected_total", {sw});
+  m_occupancy_ = &reg.gauge("fpisa_switch_occupied_slots", {sw});
   static constexpr const char* kOps[7] = {
       "adds",        "rounded_adds",     "overwrites", "lshift_overflows",
       "saturations", "nonfinite_inputs", "zero_inputs"};
   for (int i = 0; i < 7; ++i) {
     m_ops_[i] =
-        &reg.counter("fpisa_switch_ops_total", {{"sw", id}, {"op", kOps[i]}});
+        &reg.counter("fpisa_switch_ops_total", {sw, {"op", kOps[i]}});
   }
 }
 

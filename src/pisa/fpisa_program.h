@@ -160,7 +160,7 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 /// (the §5.2.1 add / rounded-add / overwrite / left-shift taxonomy, counted
 /// identically by the interpreted and compiled-batch paths), dedup-hit and
 /// packet counts, and a live occupied-slot figure. All of it is mirrored
-/// into the process telemetry registry under labels {sw=<SeriesId>}.
+/// into the process telemetry registry under the instance label sw=<n>.
 /// The switch is not thread-safe (callers already serialize access — the
 /// cluster holds a per-shard mutex), so the members are plain integers.
 class FpisaSwitch {
@@ -287,22 +287,6 @@ class FpisaSwitch {
   std::int64_t occupied_slots() const { return occupied_; }
 
  private:
-  /// This switch's registry label: the lowest id no other live switch
-  /// holds. A released id's series pass to the next switch and stay
-  /// cumulative, so a process that builds and drops switches keeps a
-  /// bounded registry.
-  class SeriesId {
-   public:
-    SeriesId();
-    ~SeriesId();
-    SeriesId(const SeriesId&) = delete;
-    SeriesId& operator=(const SeriesId&) = delete;
-    std::size_t value() const { return id_; }
-
-   private:
-    std::size_t id_;
-  };
-
   /// The interpreted datapath: encodes one packet, runs it through every
   /// table and stateful ALU, and decodes the switch's reply.
   FpisaResult roundtrip(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
@@ -325,7 +309,7 @@ class FpisaSwitch {
   /// The lane datapath as a core config: FP32 into a 32-bit wrapping
   /// mantissa register with no guard bits, in the program's variant.
   core::AccumulatorConfig lane_cfg_;
-  SeriesId series_id_;
+  telemetry::InstanceLabel series_label_{"sw"};
   SwitchSim sim_;
   Packet scratch_pkt_;                  ///< reused by every roundtrip
   std::vector<std::uint32_t> zeros_;    ///< read/reset payload template

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace fpisa::pisa {
 namespace {
@@ -65,12 +66,14 @@ bool RegisterArray::mark_access() {
 
 void apply_salu(const SaluSpec& spec, RegisterArray& reg, Phv& phv,
                 bool rsaw_extension) {
+  const auto i = static_cast<std::size_t>(phv.get(spec.index));
+  if (i >= reg.size()) {
+    throw std::out_of_range("salu: index " + std::to_string(i) +
+                            " past the end of register '" + reg.name() + "'");
+  }
   const bool first_access = reg.mark_access();
   assert(first_access && "register accessed twice in one packet traversal");
   (void)first_access;
-
-  const auto i = static_cast<std::size_t>(phv.get(spec.index));
-  assert(i < reg.size());
   const std::int64_t old_signed = reg.read_signed(i);
   const std::uint64_t old_raw = reg.read(i);
   const std::int64_t x =

@@ -129,9 +129,9 @@ struct SaluSpec {
   std::int64_t imm = 0;  ///< kExpUpdate: headroom for the FPISA-A predicate
 };
 
-/// Executes one stateful ALU invocation. `rsaw_extension` gates the
-/// kManUpdate code-2 path: without it, that path throws
-/// std::invalid_argument in every build.
+/// Executes one stateful ALU invocation. In every build, an index past the
+/// register's end throws std::out_of_range before any access, and without
+/// `rsaw_extension` the kManUpdate code-2 path throws std::invalid_argument.
 void apply_salu(const SaluSpec& spec, RegisterArray& reg, Phv& phv,
                 bool rsaw_extension);
 

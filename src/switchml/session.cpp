@@ -1,7 +1,6 @@
 #include "switchml/session.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -35,19 +34,16 @@ AggregationSession::AggregationSession(pisa::SwitchConfig config,
 }
 
 void AggregationSession::init_metrics() {
-  static std::atomic<int> next_id{0};
-  const std::string id = std::to_string(next_id.fetch_add(1));
+  const auto& sess = label_.label();
   auto& reg = telemetry::registry();
-  m_waves_ = &reg.counter("switchml_session_waves_total", {{"sess", id}});
-  m_retrans_ =
-      &reg.counter("switchml_session_retransmissions_total", {{"sess", id}});
-  m_lost_ =
-      &reg.counter("switchml_session_packets_lost_total", {{"sess", id}});
+  m_waves_ = &reg.counter("switchml_session_waves_total", {sess});
+  m_retrans_ = &reg.counter("switchml_session_retransmissions_total", {sess});
+  m_lost_ = &reg.counter("switchml_session_packets_lost_total", {sess});
   m_phase_[0] = &reg.histogram("switchml_session_phase_seconds",
-                               {{"sess", id}, {"phase", "add"}},
+                               {sess, {"phase", "add"}},
                                telemetry::MetricsRegistry::time_buckets());
   m_phase_[1] = &reg.histogram("switchml_session_phase_seconds",
-                               {{"sess", id}, {"phase", "collect"}},
+                               {sess, {"phase", "collect"}},
                                telemetry::MetricsRegistry::time_buckets());
 }
 

@@ -88,6 +88,7 @@ class AggregationSession : private WaveHooks {
   std::uint64_t add_ns_ = 0;      ///< add-phase wall time across reduces
   std::uint64_t collect_ns_ = 0;  ///< collect-phase wall time
   SessionStats stats_flushed_{};  ///< registry high-water marks
+  telemetry::InstanceLabel label_{"sess"};
   telemetry::Counter* m_waves_ = nullptr;
   telemetry::Counter* m_retrans_ = nullptr;
   telemetry::Counter* m_lost_ = nullptr;

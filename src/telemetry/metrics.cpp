@@ -317,8 +317,7 @@ MetricsRegistry::Entry& MetricsRegistry::resolve(std::string_view name,
                                                  Labels&& labels, Kind kind,
                                                  std::span<const double> bounds) {
   std::sort(labels.begin(), labels.end());
-  const std::string key = canonical_key(name, labels);
-  util::LockGuard lk(mu_);
+  std::string key = canonical_key(name, labels);
   const auto it = entries_.find(key);
   if (it != entries_.end()) {
     if (it->second.kind != kind) {
@@ -344,19 +343,22 @@ MetricsRegistry::Entry& MetricsRegistry::resolve(std::string_view name,
     case Kind::kGauge: e.gauge.reset(new Gauge()); break;
     case Kind::kHistogram: e.histogram.reset(new Histogram(bounds)); break;
   }
-  return entries_.emplace(key, std::move(e)).first->second;
+  return entries_.emplace(std::move(key), std::move(e)).first->second;
 }
 
 Counter& MetricsRegistry::counter(std::string_view name, Labels labels) {
+  util::LockGuard lk(mu_);
   return *resolve(name, std::move(labels), Kind::kCounter, {}).counter;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, Labels labels) {
+  util::LockGuard lk(mu_);
   return *resolve(name, std::move(labels), Kind::kGauge, {}).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name, Labels labels,
                                       std::span<const double> bounds) {
+  util::LockGuard lk(mu_);
   return *resolve(name, std::move(labels), Kind::kHistogram, bounds)
               .histogram;
 }
@@ -393,6 +395,49 @@ Snapshot MetricsRegistry::snapshot() const {
   return snap;
 }
 
+void MetricsRegistry::retire(std::string_view key, std::string_view value) {
+  const std::pair<std::string, std::string> mine(key, value);
+  util::LockGuard lk(mu_);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    const Entry& e = it->second;
+    const auto at = std::find(e.labels.begin(), e.labels.end(), mine);
+    if (at == e.labels.end()) {
+      ++it;
+      continue;
+    }
+    if (e.kind != Kind::kGauge) {
+      // A new entry may land after `it`; it is labelled "retired", so the
+      // scan skips it.
+      Labels labels = e.labels;
+      labels[static_cast<std::size_t>(at - e.labels.begin())].second =
+          "retired";
+      Entry* into = nullptr;
+      try {
+        into = &resolve(
+            e.name, std::move(labels), e.kind,
+            e.histogram ? e.histogram->bounds_ : std::vector<double>{});
+      } catch (const std::logic_error&) {
+        ++it;  // its twin is of another kind or bounds: keep the series
+        continue;
+      }
+      // Straight into the cells: a fold is no event for the kill switch.
+      if (e.counter) {
+        into->counter->cells_[0].v.fetch_add(e.counter->value(),
+                                             std::memory_order_relaxed);
+      } else {
+        Histogram& h = *into->histogram;
+        for (std::size_t i = 0; i < h.num_buckets(); ++i) {
+          h.counts_[i].fetch_add(e.histogram->bucket_count(i),
+                                 std::memory_order_relaxed);
+        }
+        h.count_.fetch_add(e.histogram->count(), std::memory_order_relaxed);
+        atomic_add_double(h.sum_, e.histogram->sum());
+      }
+    }
+    it = entries_.erase(it);
+  }
+}
+
 std::span<const double> MetricsRegistry::time_buckets() {
   // 1us .. ~8.6s in powers of 4 (12 finite buckets + implicit +Inf): wide
   // enough for a compiled wave (~us) and a straggling failover job (~s).
@@ -408,5 +453,10 @@ MetricsRegistry& registry() {
 }
 
 Snapshot snapshot() { return registry().snapshot(); }
+
+InstanceLabel::InstanceLabel(std::string_view key) : label_(key, "") {
+  static std::atomic<std::uint64_t> next{0};
+  label_.second = std::to_string(next.fetch_add(1, std::memory_order_relaxed));
+}
 
 }  // namespace fpisa::telemetry

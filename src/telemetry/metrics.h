@@ -17,6 +17,9 @@
 //    renders as a Prometheus-style text dump or a JSON object (which
 //    util::BenchJson embeds so BENCH_*.json carries metric state).
 //
+//  * Series under an InstanceLabel fold into `retired` ones when their
+//    object dies: the registry is bounded by the objects alive.
+//
 // A global kill switch (set_enabled) turns every mutation into a relaxed
 // load + branch, so benches can measure the instrumented datapath against
 // a telemetry-off run. Handles stay valid either way.
@@ -163,9 +166,10 @@ struct Snapshot {
 
 class MetricsRegistry {
  public:
-  /// Find-or-create. Handles are stable for the registry's lifetime; a
-  /// name+labels key re-registered as a different metric kind (or a
-  /// histogram with different bounds) throws std::logic_error.
+  /// Find-or-create. A handle is valid for its owning instance's lifetime
+  /// (the registry's, for series with no instance label); a name+labels
+  /// key re-registered as a different metric kind (or a histogram with
+  /// different bounds) throws std::logic_error.
   Counter& counter(std::string_view name, Labels labels = {})
       FPISA_EXCLUDES(mu_);
   Gauge& gauge(std::string_view name, Labels labels = {}) FPISA_EXCLUDES(mu_);
@@ -173,6 +177,14 @@ class MetricsRegistry {
                        std::span<const double> bounds) FPISA_EXCLUDES(mu_);
 
   Snapshot snapshot() const FPISA_EXCLUDES(mu_);
+
+  /// Frees every series labelled (key, value); their handles dangle. Each
+  /// counter and histogram (buckets, count, sum) first folds into its
+  /// `key="retired"` twin, so counter_total(name) reads the same, also to
+  /// a concurrent snapshot(); gauges are dropped. A series whose twin has
+  /// another kind or bounds is kept as it is.
+  void retire(std::string_view key, std::string_view value)
+      FPISA_EXCLUDES(mu_);
 
   /// Exponential wall-time bounds (seconds) shared by the stack's phase /
   /// job-wall histograms: 1us .. ~8s in powers of 4.
@@ -189,7 +201,7 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
   Entry& resolve(std::string_view name, Labels&& labels, Kind kind,
-                 std::span<const double> bounds) FPISA_EXCLUDES(mu_);
+                 std::span<const double> bounds) FPISA_REQUIRES(mu_);
 
   mutable util::OrderedMutex mu_{util::lock_rank::kTelemetry};
   /// key: name + canonical labels
@@ -200,5 +212,24 @@ class MetricsRegistry {
 MetricsRegistry& registry();
 /// Convenience: registry().snapshot().
 Snapshot snapshot();
+
+/// An object's instance label in the process registry: `key` with a value
+/// never handed out before (so no series starts from a dead object's
+/// counts), retired on destruction. Declare it before any member whose
+/// destructor could still write through a handle registered under it.
+class InstanceLabel {
+ public:
+  explicit InstanceLabel(std::string_view key);
+  ~InstanceLabel() { registry().retire(label_.first, label_.second); }
+  InstanceLabel(const InstanceLabel&) = delete;
+  InstanceLabel& operator=(const InstanceLabel&) = delete;
+
+  /// The (key, value) pair to register this object's series under.
+  const std::pair<std::string, std::string>& label() const { return label_; }
+  const std::string& value() const { return label_.second; }
+
+ private:
+  std::pair<std::string, std::string> label_;
+};
 
 }  // namespace fpisa::telemetry

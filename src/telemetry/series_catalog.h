@@ -10,6 +10,9 @@
 // that exposes a series missing from it. A pasted-and-drifted metric name
 // breaks CI instead of silently forking a time series.
 //
+// Instance label values (sw=, sess=, svc=, tree=, comm=) never repeat but
+// one: `retired` is reserved for the series dead instances fold into.
+//
 // Keep entries sorted by name within each section.
 
 #include <array>

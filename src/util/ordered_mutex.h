@@ -54,7 +54,6 @@ struct LockFamily {
 //     60 | cluster.job_mu       | admission queues + job scheduler state
 //     60 | cluster.stats_mu     | tenant/fabric stats (== job rank: never nest)
 //     70 | cluster.shard_mu     | per-shard switch state (nests under stats)
-//     80 | pisa.switch_ids      | live FpisaSwitch registry labels (leaf)
 //     85 | pisa.program_memo    | shared FPISA programs by shape (leaf)
 //     90 | telemetry.registry_mu| metrics registry map (leaf)
 //     90 | telemetry.trace_mu   | trace span buffer (leaf)
@@ -67,7 +66,6 @@ inline constexpr LockFamily kHealth{"cluster.health_mu", 50};
 inline constexpr LockFamily kJobQueue{"cluster.job_mu", 60};
 inline constexpr LockFamily kStats{"cluster.stats_mu", 60};
 inline constexpr LockFamily kShard{"cluster.shard_mu", 70};
-inline constexpr LockFamily kSwitchIds{"pisa.switch_ids", 80};
 inline constexpr LockFamily kProgramMemo{"pisa.program_memo", 85};
 inline constexpr LockFamily kTelemetry{"telemetry.registry_mu", 90};
 inline constexpr LockFamily kTrace{"telemetry.trace_mu", 90};

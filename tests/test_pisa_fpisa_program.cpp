@@ -38,7 +38,10 @@ thread_local AllocCount g_allocs;
 
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Out of line: once GCC inlines a replacement pair into a new-expression's
+// caller, it sees `free` on memory from `new` and reports
+// -Wmismatched-new-delete, although the pair is consistent.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (g_allocs.armed) {
     g_allocs.calls++;
     g_allocs.bytes += n;
@@ -46,8 +49,10 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace fpisa::pisa {
 namespace {

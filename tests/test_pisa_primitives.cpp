@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -413,6 +414,38 @@ TEST(Pipeline, RsawUpdateThrowsWithoutExtension) {
   pkt.bytes = {2, 0, 0, 0, 5};  // code 2: RSAW
   EXPECT_THROW(sim.process(pkt), std::invalid_argument);
   EXPECT_EQ(sim.reg(0).read(0), 5u);
+}
+
+TEST(Pipeline, RegisterIndexPastTheEndThrowsBeforeAnyAccess) {
+  SwitchProgram prog;
+  const FieldId idx = prog.phv.declare("idx", 8);
+  const FieldId out = prog.phv.declare("out", 32);
+  prog.parser.push_back({idx, 0, 1, false});
+  prog.add_register("cells", 32, 4);
+  prog.ingress.resize(1);
+  SaluSpec spec;
+  spec.kind = SaluKind::kIncrement;
+  spec.index = idx;
+  spec.out = out;
+  prog.ingress[0].salus.push_back({{}, 0, spec, 0, {}, 0});
+  prog.ingress[0].salu_post_ops.push_back({"", {}});
+
+  SwitchSim sim(SwitchConfig{}, std::move(prog));
+  Packet pkt;
+  pkt.bytes = {200};
+  try {
+    sim.process(pkt);
+    ADD_FAILURE() << "index 200 into a 4-cell register did not throw";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'cells'"), std::string::npos) << what;
+    EXPECT_NE(what.find("200"), std::string::npos) << what;
+  }
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(sim.reg(0).read(i), 0u) << i;
+
+  pkt.bytes = {3};  // the last cell: in range, and the switch still works
+  sim.process(pkt);
+  EXPECT_EQ(sim.reg(0).read(3), 1u);
 }
 
 TEST(Packets, BigEndianHelpers) {

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -146,6 +147,208 @@ TEST(TelemetryRegistry, KillSwitchStopsRecording) {
   EXPECT_EQ(h.count(), 0u);
   c.inc();
   EXPECT_EQ(c.value(), 2u);  // handles stay valid across the toggle
+}
+
+// --- instance labels and retire ------------------------------------------
+
+std::size_t series_count(const Snapshot& s) {
+  return s.counters.size() + s.gauges.size() + s.histograms.size();
+}
+
+bool has_label(const Labels& labels, std::string_view key,
+               std::string_view value) {
+  return std::any_of(labels.begin(), labels.end(), [&](const auto& kv) {
+    return kv.first == key && kv.second == value;
+  });
+}
+
+TEST(TelemetryRetire, FoldsCountersAndHistogramsIntoRetiredSeries) {
+  MetricsRegistry reg;
+  const double bounds[] = {1.0, 2.0};
+  reg.counter("x_total", {{"inst", "0"}, {"op", "add"}}).inc(3);
+  reg.counter("x_total", {{"inst", "1"}, {"op", "add"}}).inc(4);
+  reg.counter("x_total", {{"op", "add"}}).inc(5);  // no instance: untouched
+  reg.gauge("x_depth", {{"inst", "0"}}).set(7.0);
+  auto& h0 = reg.histogram("x_seconds", {{"inst", "0"}}, bounds);
+  h0.observe(0.5);
+  h0.observe(3.0);
+  reg.histogram("x_seconds", {{"inst", "1"}}, bounds).observe(1.5);
+
+  reg.retire("inst", "0");
+  Snapshot s = reg.snapshot();
+  EXPECT_EQ(s.counter_total("x_total"), 12u);
+  EXPECT_EQ(s.counter_total("x_total", {{"inst", "retired"}, {"op", "add"}}),
+            3u);
+  EXPECT_TRUE(s.with_label("inst", "0").empty());
+  EXPECT_TRUE(s.gauges.empty());  // a dead instance's gauge means nothing
+  ASSERT_EQ(s.histograms.size(), 2u);
+  const auto& retired = s.histograms[1];  // "retired" sorts after "1"
+  EXPECT_TRUE(has_label(retired.labels, "inst", "retired"));
+  EXPECT_EQ(retired.counts, (std::vector<std::uint64_t>{1, 0, 1}));
+  EXPECT_EQ(retired.count, 2u);
+  EXPECT_DOUBLE_EQ(retired.sum, 3.5);
+
+  // A second instance folds into the same retired series.
+  reg.retire("inst", "1");
+  s = reg.snapshot();
+  EXPECT_EQ(s.counter_total("x_total"), 12u);
+  EXPECT_EQ(s.counter_total("x_total", {{"inst", "retired"}}), 7u);
+  ASSERT_EQ(s.histograms.size(), 1u);
+  EXPECT_EQ(s.histograms[0].counts, (std::vector<std::uint64_t>{1, 1, 1}));
+  EXPECT_EQ(s.histograms[0].count, 3u);
+  EXPECT_DOUBLE_EQ(s.histograms[0].sum, 5.0);
+  EXPECT_EQ(series_count(s), 3u);  // two counters, one histogram
+
+  reg.retire("inst", "9");  // nothing to retire: a no-op
+  EXPECT_EQ(series_count(reg.snapshot()), 3u);
+
+  // A twin of another kind cannot take the fold: the series stays whole.
+  reg.gauge("y_total", {{"inst", "retired"}});
+  reg.counter("y_total", {{"inst", "2"}}).inc(9);
+  reg.retire("inst", "2");
+  EXPECT_EQ(reg.snapshot().counter_total("y_total", {{"inst", "2"}}), 9u);
+}
+
+TEST(TelemetryRetire, FoldingIgnoresTheKillSwitch) {
+  MetricsRegistry reg;
+  reg.counter("x_total", {{"inst", "0"}}).inc(2);
+  telemetry::set_enabled(false);
+  reg.retire("inst", "0");
+  telemetry::set_enabled(true);
+  EXPECT_EQ(reg.snapshot().counter_total("x_total"), 2u);
+}
+
+TEST(TelemetryRetire, InstanceLabelsAreNeverReused) {
+  std::string first;
+  {
+    const telemetry::InstanceLabel l("test_inst");
+    first = l.value();
+    EXPECT_EQ(l.label().first, "test_inst");
+    telemetry::registry().counter("test_inst_total", {l.label()}).inc(6);
+  }
+  const telemetry::InstanceLabel next("test_inst");
+  EXPECT_NE(next.value(), first);
+  const Snapshot s = telemetry::snapshot();
+  EXPECT_TRUE(s.with_label("test_inst", first).empty());
+  EXPECT_EQ(s.counter_total("test_inst_total", {{"test_inst", "retired"}}),
+            6u);
+}
+
+TEST(TelemetryRetire, RacesSnapshotWithoutLosingCounts) {
+  // Instances come and go on one thread while another scrapes: every scrape
+  // sees each instance either live or retired, never both or neither, so
+  // the total never moves backwards and ends exact.
+  MetricsRegistry reg;
+  constexpr int kInstances = 2000;
+  std::atomic<bool> done{false};
+  std::thread churn([&] {
+    for (int i = 0; i < kInstances; ++i) {
+      const std::string v = std::to_string(i);
+      reg.counter("x_total", {{"inst", v}}).inc(1);
+      reg.gauge("x_depth", {{"inst", v}}).set(1.0);
+      reg.retire("inst", v);
+    }
+    done.store(true);
+  });
+  std::uint64_t last = 0;
+  while (!done.load()) {
+    const Snapshot s = reg.snapshot();
+    const std::uint64_t total = s.counter_total("x_total");
+    EXPECT_GE(total, last);
+    last = total;
+    EXPECT_LE(series_count(s), 3u);
+  }
+  churn.join();
+  EXPECT_EQ(reg.snapshot().counter_total("x_total"),
+            static_cast<std::uint64_t>(kInstances));
+}
+
+/// Per-name totals of every counter, and per-name bucket/count sums of
+/// every histogram: what a drop must leave unchanged.
+struct NameTotals {
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::vector<std::uint64_t>> buckets;
+  std::map<std::string, std::uint64_t> counts;
+  bool operator==(const NameTotals&) const = default;
+};
+
+NameTotals name_totals(const Snapshot& s) {
+  NameTotals t;
+  for (const auto& c : s.counters) t.counters[c.name] += c.value;
+  for (const auto& h : s.histograms) {
+    auto& b = t.buckets[h.name];
+    b.resize(h.counts.size());
+    for (std::size_t i = 0; i < h.counts.size(); ++i) b[i] += h.counts[i];
+    t.counts[h.name] += h.count;
+  }
+  return t;
+}
+
+/// Every (key, value) label pair in a snapshot.
+std::set<std::pair<std::string, std::string>> label_pairs(const Snapshot& s) {
+  std::set<std::pair<std::string, std::string>> out;
+  const auto add = [&out](const Labels& labels) {
+    out.insert(labels.begin(), labels.end());
+  };
+  for (const auto& c : s.counters) add(c.labels);
+  for (const auto& g : s.gauges) add(g.labels);
+  for (const auto& h : s.histograms) add(h.labels);
+  return out;
+}
+
+TEST(TelemetryRetire, CommunicatorChurnKeepsTheRegistryBounded) {
+  using namespace collective;
+  const auto workers = make_workers(4, 64, 23);
+  std::vector<float> out(64);
+  for (const Backend backend :
+       {Backend::kSwitch, Backend::kTree, Backend::kCluster, Backend::kHost}) {
+    CommunicatorOptions copts;
+    copts.backend = backend;
+    copts.session.slots = 8;
+    copts.session.lanes = 8;
+    copts.cluster.num_shards = 2;
+    copts.cluster.slots_per_shard = 8;
+    copts.cluster.slots_per_job = 4;
+    copts.cluster.lanes = 8;
+    copts.hierarchy.leaves = 2;
+    copts.hierarchy.workers_per_leaf = 2;
+    copts.hierarchy.slots = 8;
+    copts.hierarchy.lanes = 8;
+    // A live communicator of the same shape keeps its switch programs
+    // shared, so a cycle builds only per-instance state.
+    const auto holder = make_communicator(copts);
+    std::size_t after_first = 0;
+    for (int cycle = 0; cycle < 1000; ++cycle) {
+      // The full comparisons run on a few cycles; the count on every one.
+      const bool check = cycle % 250 == 0;
+      const Snapshot base = check ? telemetry::snapshot() : Snapshot{};
+      auto comm = make_communicator(copts);
+      (void)comm->allreduce(WorkerViews(workers), out);
+      const Snapshot live = check ? telemetry::snapshot() : Snapshot{};
+      comm.reset();
+      const Snapshot after = telemetry::snapshot();
+      if (cycle == 0) after_first = series_count(after);
+      ASSERT_EQ(series_count(after), after_first)
+          << backend_name(backend) << " cycle " << cycle;
+      if (!check) continue;
+      EXPECT_TRUE(name_totals(after) == name_totals(live))
+          << backend_name(backend) << " cycle " << cycle;
+      // The instance labels this communicator brought are gone.
+      const auto before_pairs = label_pairs(base);
+      const auto after_pairs = label_pairs(after);
+      int dropped = 0;
+      for (const auto& kv : label_pairs(live)) {
+        const bool instance = kv.first == "sw" || kv.first == "sess" ||
+                              kv.first == "tree" || kv.first == "svc" ||
+                              kv.first == "comm";
+        if (!instance || before_pairs.count(kv) != 0) continue;
+        ++dropped;
+        EXPECT_EQ(after_pairs.count(kv), 0u)
+            << backend_name(backend) << ": " << kv.first << "=" << kv.second;
+      }
+      EXPECT_GT(dropped, 0) << backend_name(backend);
+    }
+  }
 }
 
 // --- exposition ------------------------------------------------------------
