@@ -7,6 +7,7 @@
 //     read_and_reset_batch) on the same kernels, per value
 //   * communicator churn: build, one allreduce, drop, and the registry's
 //     series count after it (bounded by the objects alive)
+//   * one ToR -> spine tree reduce, its leaves running concurrently
 //   * read (delayed renorm) vs hypothetical renormalize-every-add
 //   * LPM-table CLZ vs native countl_zero
 //   * advanced ops (multiply / table-multiply / log2 / sqrt)
@@ -19,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "cluster/hierarchy.h"
 #include "collective/communicator.h"
 #include "core/accumulator.h"
 #include "core/advanced_ops.h"
@@ -384,9 +386,10 @@ void BM_SwitchReadResetBatch(benchmark::State& state) {
 BENCHMARK(BM_SwitchReadResetBatch);
 
 // Switch construction at the fabric shape. With no other holder every
-// switch builds the interpreter program (PHV, 9 MAU stages, per-lane align
-// and CLZ tables); with one switch of the shape alive the program is
-// shared and a further switch builds only its register state.
+// switch builds the program's layout (PHV, parser and deparser bindings,
+// register declarations) but not the interpreter's MAU stages, which wait
+// for a first interpreted packet; with one switch of the shape alive the
+// layout is shared and a further switch builds only its register state.
 void BM_FpisaSwitchBuild(benchmark::State& state) {
   for (auto _ : state) {
     pisa::FpisaSwitch sw = make_bench_switch();
@@ -444,6 +447,36 @@ void BM_CommunicatorChurn(benchmark::State& state) {
       static_cast<double>(after) - static_cast<double>(before);
 }
 BENCHMARK(BM_CommunicatorChurn);
+
+// One reduce through the tree perfbench's tree_allreduce drives: 4 leaves
+// x 2 workers, 16K values, 32 lanes x 64 slots, full FPISA. The leaves run
+// on the tree's helper threads and the caller, so the row is wall time;
+// `helper_threads` is how many the tree started.
+void BM_HierarchyReduce(benchmark::State& state) {
+  cluster::HierarchyOptions opts;
+  opts.leaves = 4;
+  opts.workers_per_leaf = 2;
+  opts.lanes = 32;
+  opts.slots = 64;
+  opts.switch_config.ext.rsaw = true;
+  opts.switch_config.ext.two_operand_shift = true;
+  constexpr std::size_t kValues = 16 * 1024;
+  std::vector<std::vector<float>> grads;
+  for (int w = 0; w < 8; ++w) {
+    grads.push_back(values(kValues, 80 + static_cast<std::uint64_t>(w)));
+  }
+  const std::vector<std::span<const float>> views(grads.begin(), grads.end());
+  std::vector<float> out(kValues);
+  cluster::HierarchicalAggregator tree(opts);
+  for (auto _ : state) {
+    tree.reduce_into(views, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kValues));
+  state.counters["helper_threads"] = tree.helper_threads();
+}
+BENCHMARK(BM_HierarchyReduce)->UseRealTime();
 
 // Ablation: delayed renormalization (read once at the end) vs
 // renormalizing after every add — the data-dependency the design removes.

@@ -18,12 +18,18 @@
 // QoS on stays within 2x of the uncontended baseline while the
 // unthrottled phase shows real degradation — the isolation the subsystem
 // exists to provide.
+//
+// --quick runs 5 victim samples against a 4-job backlog: enough to emit
+// every key and telemetry series (ctest checks those), too few for the
+// latency ratios to mean anything.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <future>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -42,8 +48,8 @@ using cluster::ClusterOptions;
 using cluster::JobReport;
 using cluster::JobView;
 
-constexpr int kVictimSamples = 40;
-constexpr std::size_t kAggressorDepth = 24;  ///< queued jobs kept pending
+int g_victim_samples = 40;
+std::size_t g_aggressor_depth = 24;  ///< queued jobs kept pending
 constexpr std::size_t kVictimValues = 16384;
 constexpr std::size_t kAggressorValues = 4096;
 
@@ -71,6 +77,9 @@ struct PhaseResult {
   std::uint64_t aggressor_submitted = 0;
   std::uint64_t aggressor_completed = 0;
   std::uint64_t aggressor_rejected = 0;
+  /// Registry snapshot (JSON) taken while the phase's service is alive:
+  /// its per-instance gauges vanish with it.
+  std::string telemetry;
 };
 
 PhaseResult run_phase(bool qos_on, bool contended) {
@@ -86,7 +95,7 @@ PhaseResult run_phase(bool qos_on, bool contended) {
     victim.priority = qos::Priority::kTraining;
     qos::TenantQosConfig aggressor;
     aggressor.priority = qos::Priority::kTelemetry;
-    aggressor.max_queued_jobs = 4 * kAggressorDepth;
+    aggressor.max_queued_jobs = 4 * g_aggressor_depth;
     opts.qos.tenants["victim"] = victim;
     opts.qos.tenants["aggressor"] = aggressor;
   }
@@ -127,7 +136,7 @@ PhaseResult run_phase(bool qos_on, bool contended) {
   };
   const auto top_up = [&] {
     drain_ready();
-    while (backlog.size() < kAggressorDepth) {
+    while (backlog.size() < g_aggressor_depth) {
       try {
         const auto t0 = Clock::now();
         std::vector<float> out(kAggressorValues);
@@ -141,7 +150,7 @@ PhaseResult run_phase(bool qos_on, bool contended) {
     }
   };
 
-  for (int i = 0; i < kVictimSamples; ++i) {
+  for (int i = 0; i < g_victim_samples; ++i) {
     if (contended) top_up();
     const auto t0 = Clock::now();
     svc.submit(JobView{"victim", victim_views}, victim_out).get();
@@ -153,17 +162,27 @@ PhaseResult run_phase(bool qos_on, bool contended) {
     backlog.front().fut.wait();
     drain_ready();
   }
+  r.telemetry = telemetry::snapshot().json();
   return r;
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) {
+      g_victim_samples = 5;
+      g_aggressor_depth = 4;
+    } else {
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
+      return 2;
+    }
+  }
   std::printf("=== Multi-tenant QoS isolation: victim latency under "
               "aggressor load ===\n\n");
   std::printf("1 runner thread, 4 shards; victim %zu values (training), "
               "aggressor backlog of %zu x %zu-value jobs (telemetry)\n\n",
-              kVictimValues, kAggressorDepth, kAggressorValues);
+              kVictimValues, g_aggressor_depth, kAggressorValues);
 
   const PhaseResult baseline = run_phase(/*qos_on=*/false, false);
   const PhaseResult qos_idle = run_phase(/*qos_on=*/true, false);
@@ -179,8 +198,8 @@ int main() {
   util::BenchJson json("qos_isolation");
   json.set("host_cpus",
            static_cast<double>(std::thread::hardware_concurrency()));
-  json.set("victim_samples", static_cast<double>(kVictimSamples));
-  json.set("aggressor_depth", static_cast<double>(kAggressorDepth));
+  json.set("victim_samples", static_cast<double>(g_victim_samples));
+  json.set("aggressor_depth", static_cast<double>(g_aggressor_depth));
 
   util::Table t({"Phase", "QoS", "Victim p50 (ms)", "Victim p99 (ms)",
                  "p99 vs baseline", "Aggr p50 (ms)", "Aggr done/rej"});
@@ -234,10 +253,12 @@ int main() {
                 "this machine\n");
   }
 
-  // Embed the registry so BENCH json carries the qos_* series (admission
-  // queue depths, per-class picks/admissions, reject taxonomy) alongside
-  // the fabric metrics.
-  json.set_raw("telemetry", telemetry::snapshot().json());
+  // Embed the registry as the contended QoS phase saw it, so BENCH json
+  // carries the qos_* series (admission queue depths, per-class
+  // picks/admissions, reject taxonomy) and the live service's mailbox
+  // gauges alongside the fabric metrics. A scrape after every service has
+  // gone would hold only their retired counters.
+  json.set_raw("telemetry", qos.telemetry);
   if (!json.write()) std::printf("warning: could not write BENCH json\n");
   return 0;
 }

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "core/vector_accumulator.h"
 #include "net/link.h"
@@ -42,6 +43,7 @@ HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
         opts_.switch_config,
         pisa::fpisa_program_options(opts_.switch_config, opts_.lanes,
                                     opts_.slots)));
+    leaf_passes_.push_back(std::make_unique<LeafPass>(opts_.lanes));
   }
   pisa::SwitchConfig spine_config = opts_.switch_config;
   if (opts_.full_fpisa_spine) {
@@ -53,6 +55,71 @@ HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
       pisa::fpisa_program_options(spine_config, opts_.lanes, opts_.slots));
   leaf_alive_.assign(static_cast<std::size_t>(opts_.leaves), true);
   init_metrics();
+  // Started here rather than at the first reduce, so a communicator's
+  // set-up pays for them once, before its first job.
+  const int cpus = static_cast<int>(std::thread::hardware_concurrency());
+  const int helpers = std::min(opts_.leaves, std::max(cpus, 1)) - 1;
+  for (int h = 0; h < helpers; ++h) {
+    helpers_.push_back(std::make_unique<Helper>());
+  }
+  try {
+    for (auto& h : helpers_) {
+      Helper& helper = *h;
+      helper.thread = std::thread([this, &helper] { helper_loop(helper); });
+    }
+  } catch (...) {
+    stop_helpers();  // the destructor does not run for a failed constructor
+    throw;
+  }
+}
+
+HierarchicalAggregator::~HierarchicalAggregator() { stop_helpers(); }
+
+void HierarchicalAggregator::stop_helpers() {
+  for (auto& h : helpers_) {
+    if (h->thread.joinable()) h->mailbox.push(LeafTicket{0, true});
+  }
+  for (auto& h : helpers_) {
+    if (h->thread.joinable()) h->thread.join();
+  }
+}
+
+void HierarchicalAggregator::helper_loop(Helper& helper) {
+  for (;;) {
+    const LeafTicket t = helper.mailbox.pop_wait();
+    if (t.stop) return;
+    run_leaves(t.part);
+    // The last helper of the reduce rings the doorbell the caller joins on.
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      leaves_done_.fetch_add(1, std::memory_order_release);
+      leaves_done_.notify_all();
+    }
+  }
+}
+
+void HierarchicalAggregator::run_leaves(int part) noexcept {
+  const auto wpl = static_cast<std::size_t>(opts_.workers_per_leaf);
+  int live = -1;  // live leaves seen so far, this one included
+  for (std::size_t j = 0; j < leaves_.size(); ++j) {
+    if (!leaf_alive_[j] || ++live % parts_ != part) continue;
+    LeafPass& pass = *leaf_passes_[j];
+    pass.stats = {};
+    pass.error = nullptr;
+    try {
+      // The tree's links are lossless: the job has no rng and draws
+      // nothing.
+      switchml::WaveJob job;
+      job.workers = reduce_workers_.subspan(j * wpl, wpl);
+      job.chunks = chunk_ids_;
+      job.wave = opts_.slots;
+      job.stats = &pass.stats;
+      job.out = pass.partial;
+      switchml::DirectAccess leaf(*leaves_[j]);
+      pass.engine.run(leaf, job);
+    } catch (...) {
+      pass.error = std::current_exception();
+    }
+  }
 }
 
 void HierarchicalAggregator::init_metrics() {
@@ -104,6 +171,7 @@ void HierarchicalAggregator::kill_leaf(int i) {
     throw std::invalid_argument("hierarchy: cannot kill the last leaf");
   }
   leaf_alive_[static_cast<std::size_t>(i)] = false;
+  leaf_passes_[static_cast<std::size_t>(i)]->partial = {};
   timed_chunks_.reset();
   m_alive_leaves_->set(static_cast<double>(alive_leaves()));
 }
@@ -131,45 +199,63 @@ void HierarchicalAggregator::reduce_into(
   }
 
   // Functional datapath: one engine pass per live leaf aggregates its
-  // rack into a partial, then one spine pass combines them. The spine's
-  // per-slot arrival order is leaf order, a dead leaf's workers standing
-  // in ToR-worker order where its partial would have been; their bitmap
-  // ids sit above the leaf-partial ids [0, leaves) — dead leaf j's worker
-  // k sends as dead_base + k (capacity was checked at kill_leaf time).
-  // The tree's links are lossless: the job has no rng and draws nothing.
-  switchml::SessionStats wire_stats{};
-  switchml::WaveJob job;
-  job.chunks = chunk_ids_;
-  job.wave = opts_.slots;
-  job.stats = &wire_stats;
-  partials_.resize(static_cast<std::size_t>(alive_leaves()));
+  // rack into a partial, the passes running concurrently; then one spine
+  // pass combines them. The spine's per-slot arrival order is leaf order,
+  // a dead leaf's workers standing in ToR-worker order where its partial
+  // would have been; their bitmap ids sit above the leaf-partial ids
+  // [0, leaves) — dead leaf j's worker k sends as dead_base + k (capacity
+  // was checked at kill_leaf time).
+  for (std::size_t j = 0; j < leaves_.size(); ++j) {
+    if (leaf_alive_[j]) leaf_passes_[j]->partial.resize(n);
+  }
+  reduce_workers_ = workers;
+  parts_ = std::min(alive_leaves(), helper_threads() + 1);
+  // Fan-out: one mailbox ticket per helper this reduce needs; the caller
+  // runs share 0 and joins on the doorbell, re-checking the pending count.
+  pending_.store(parts_ - 1, std::memory_order_relaxed);
+  for (int p = 1; p < parts_; ++p) {
+    helpers_[static_cast<std::size_t>(p - 1)]->mailbox.push(
+        LeafTicket{p, false});
+  }
+  run_leaves(0);
+  for (;;) {
+    if (pending_.load(std::memory_order_acquire) == 0) break;
+    const std::uint64_t e = leaves_done_.load(std::memory_order_acquire);
+    if (pending_.load(std::memory_order_acquire) == 0) break;
+    leaves_done_.wait(e, std::memory_order_acquire);
+  }
+  stats_ = {};
+  for (std::size_t j = 0; j < leaves_.size(); ++j) {
+    if (!leaf_alive_[j]) continue;
+    const LeafPass& pass = *leaf_passes_[j];
+    if (pass.error) std::rethrow_exception(pass.error);
+    stats_ += pass.stats;
+  }
+
   spine_inputs_.clear();
   spine_ids_.clear();
-  std::size_t live = 0;
   int dead_base = opts_.leaves;
   for (int j = 0; j < opts_.leaves; ++j) {
-    const auto rack =
-        workers.subspan(static_cast<std::size_t>(j * wpl),
-                        static_cast<std::size_t>(wpl));
-    if (!leaf_alive_[static_cast<std::size_t>(j)]) {
-      for (int k = 0; k < wpl; ++k) {
-        spine_inputs_.push_back(rack[static_cast<std::size_t>(k)]);
-        spine_ids_.push_back(static_cast<std::uint8_t>(dead_base + k));
-      }
-      dead_base += wpl;
+    if (leaf_alive_[static_cast<std::size_t>(j)]) {
+      spine_inputs_.push_back(
+          leaf_passes_[static_cast<std::size_t>(j)]->partial);
+      spine_ids_.push_back(static_cast<std::uint8_t>(j));
       continue;
     }
-    std::vector<float>& partial = partials_[live++];
-    partial.resize(n);
-    job.workers = rack;
-    job.out = partial;
-    switchml::DirectAccess leaf(*leaves_[static_cast<std::size_t>(j)]);
-    engine_.run(leaf, job);
-    spine_inputs_.push_back(partial);
-    spine_ids_.push_back(static_cast<std::uint8_t>(j));
+    const auto rack = workers.subspan(static_cast<std::size_t>(j * wpl),
+                                      static_cast<std::size_t>(wpl));
+    for (int k = 0; k < wpl; ++k) {
+      spine_inputs_.push_back(rack[static_cast<std::size_t>(k)]);
+      spine_ids_.push_back(static_cast<std::uint8_t>(dead_base + k));
+    }
+    dead_base += wpl;
   }
+  switchml::WaveJob job;
   job.workers = spine_inputs_;
   job.ids = spine_ids_;
+  job.chunks = chunk_ids_;
+  job.wave = opts_.slots;
+  job.stats = &stats_;
   job.out = result;
   switchml::DirectAccess spine(*spine_);
   engine_.run(spine, job);

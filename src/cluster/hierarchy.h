@@ -6,14 +6,30 @@
 // closed form over net::Link serializers (worker uplinks, shared switch
 // pipes, ToR uplinks, result return), extending the paper's single-switch
 // goodput argument to a rack.
+//
+// The leaf passes run concurrently, as a rack's ToR switches do: each leaf
+// has its own switch, wave engine, partial buffer and wire books, so no
+// two leaf passes share anything they write. The aggregator starts
+// min(leaves, hardware threads) - 1 helper threads when it is built and
+// parks them between reduces (none on a one-CPU host); a reduce posts one
+// mailbox ticket per helper it needs, runs its own share of the live
+// leaves on the calling thread, joins, and then runs the spine. The
+// result cannot depend on the schedule: a leaf's partial is a function of
+// its rack's inputs and its own switch alone, the spine consumes the
+// partials in leaf order, and the wire books and the first error are
+// merged in leaf order after the join.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
+#include "cluster/mailbox.h"
 #include "pisa/fpisa_program.h"
 #include "switchml/wave_engine.h"
 #include "telemetry/metrics.h"
@@ -59,7 +75,12 @@ struct HierarchyTiming {
 
 class HierarchicalAggregator {
  public:
+  /// Builds the switches and starts the helper threads (see file comment).
   explicit HierarchicalAggregator(HierarchyOptions opts);
+  /// Stops and joins the helper threads.
+  ~HierarchicalAggregator();
+  HierarchicalAggregator(const HierarchicalAggregator&) = delete;
+  HierarchicalAggregator& operator=(const HierarchicalAggregator&) = delete;
 
   int total_workers() const {
     return opts_.leaves * opts_.workers_per_leaf;
@@ -68,14 +89,24 @@ class HierarchicalAggregator {
 
   /// Reduces `workers` (size == total_workers(); worker w is homed on leaf
   /// w / workers_per_leaf) through the two-level tree. Reads the views in
-  /// place and writes the sum into `out`. The timing model runs once per
-  /// shape (chunk count and live leaves) and is reused while the shape
-  /// holds; every reduce books it to telemetry; see timing().
+  /// place and writes the sum into `out`. The live leaves' passes run
+  /// concurrently; a leaf's error is rethrown after the join, the first in
+  /// leaf order, and the spine then does not run. The timing model runs
+  /// once per shape (chunk count and live leaves) and is reused while the
+  /// shape holds; every reduce books it to telemetry; see timing(). One
+  /// caller at a time: the aggregator is not thread-safe.
   void reduce_into(std::span<const std::span<const float>> workers,
                    std::span<float> out);
 
   /// Timing of the most recent reduce_into().
   const HierarchyTiming& timing() const { return timing_; }
+  /// Wire books of the most recent reduce_into(): every live leaf's pass,
+  /// in leaf order, then the spine's.
+  const switchml::SessionStats& stats() const { return stats_; }
+  /// Helper threads started at construction: min(leaves, hardware
+  /// threads) - 1. A reduce uses min(live leaves, helpers + 1) threads,
+  /// counting the caller's.
+  int helper_threads() const { return static_cast<int>(helpers_.size()); }
 
   /// Per-level fan-in timing mapped onto the stack's uniform phase split:
   /// the leaf level (host -> ToR fan-in, partials handed up) is the add
@@ -102,7 +133,35 @@ class HierarchicalAggregator {
   std::size_t packet_bytes() const;
 
  private:
+  /// One leaf's pass state, written only by the thread running that leaf
+  /// and read by the caller after the join; whole cache lines each, so two
+  /// leaves never share one.
+  struct alignas(64) LeafPass {
+    explicit LeafPass(int lanes) : engine(lanes) {}
+    switchml::WaveEngine engine;
+    std::vector<float> partial;
+    switchml::SessionStats stats{};
+    std::exception_ptr error;
+  };
+  /// A helper's work order: run share `part` of the current reduce's live
+  /// leaves, or exit.
+  struct LeafTicket {
+    int part = 0;
+    bool stop = false;
+  };
+  /// A parked helper thread and the mailbox that feeds it.
+  struct alignas(64) Helper {
+    ShardMailbox<LeafTicket> mailbox{4};
+    std::thread thread;
+  };
+
   void init_metrics();
+  void helper_loop(Helper& helper);
+  /// Posts a stop ticket to every started helper and joins it.
+  void stop_helpers();
+  /// Runs the i-th live leaf for every i with i % parts_ == part, each
+  /// into its own LeafPass; never throws (errors land in the LeafPass).
+  void run_leaves(int part) noexcept;
   /// Times the reduce's packet flows. Every link and pipe is a FIFO
   /// serializer and no queue feeds back into an earlier one, so each is a
   /// max-plus recurrence over its sends taken in arrival-time order (ties
@@ -118,12 +177,24 @@ class HierarchicalAggregator {
   /// empty until the first reduce and after kill_leaf.
   std::optional<std::size_t> timed_chunks_;
 
-  // Functional datapath buffers, reused across reduces.
-  switchml::WaveEngine engine_;
+  // Functional datapath, reused across reduces.
+  switchml::WaveEngine engine_;  ///< the spine's
+  std::vector<std::unique_ptr<LeafPass>> leaf_passes_;  ///< one per leaf
+  switchml::SessionStats stats_{};
   std::vector<std::size_t> chunk_ids_;
-  std::vector<std::vector<float>> partials_;  ///< one per live leaf
   std::vector<std::span<const float>> spine_inputs_;
   std::vector<std::uint8_t> spine_ids_;
+
+  // Leaf fan-out: the current reduce's inputs, written by the caller before
+  // it posts the helpers' tickets and read by the helpers after they pop
+  // them (the mailbox orders the two); a pending counter, and a doorbell
+  // the last helper rings.
+  std::span<const std::span<const float>> reduce_workers_;
+  int parts_ = 1;  ///< threads sharing the current reduce's leaves
+  std::atomic<int> pending_{0};
+  std::atomic<std::uint64_t> leaves_done_{0};
+  /// Last of what the helpers use, so it is built after all of it.
+  std::vector<std::unique_ptr<Helper>> helpers_;
 
   // Timing model buffers, reused across reduces.
   struct Hop {

@@ -25,6 +25,10 @@ constexpr std::uint64_t kOpcodeReset =
 constexpr int kManBits = 23;
 constexpr std::int64_t kImpliedOne = std::int64_t{1} << kManBits;
 
+/// MAU0-4 in ingress, MAU5-8 in egress (file comment of the header).
+constexpr int kFpisaIngressStages = 5;
+constexpr int kFpisaEgressStages = 4;
+
 int headroom_fp32() { return core::kFp32.headroom(32); }  // 7
 
 /// Per-lane PHV field bundle.
@@ -124,25 +128,41 @@ void parse_fpisa_result_into(const Packet& pkt, int lanes, FpisaResult& r,
 
 namespace {
 
-/// Compiles the program for one shape; build_fpisa_program memoizes it.
-SwitchProgram compile_fpisa_program(const FpisaProgramOptions& opts) {
-  SwitchProgram prog;
+/// Every PHV field of the program, declared into `phv` in one fixed order,
+/// so the layout and the stages built from a scratch layout agree on ids.
+struct FpisaFields {
   SharedFields sh;
-  sh.opcode = prog.phv.declare("opcode", 8);
-  sh.slot = prog.phv.declare("slot", 16);
-  sh.worker = prog.phv.declare("worker", 8);
-  sh.wbit = prog.phv.declare("wbit", 32);
-  sh.bitmap_old = prog.phv.declare("bitmap_old", 32);
-  sh.bitmap_new = prog.phv.declare("bitmap_new", 32);
-  sh.count = prog.phv.declare("count", 16);
-  sh.dup_raw = prog.phv.declare("dup_raw", 32);
-  sh.dup = prog.phv.declare("dup", 8);
-
   std::vector<LaneFields> lanes;
-  lanes.reserve(static_cast<std::size_t>(opts.lanes));
-  for (int l = 0; l < opts.lanes; ++l) {
-    lanes.push_back(declare_lane(prog.phv, l));
-  }
+};
+
+FpisaFields declare_fields(PhvLayout& phv, int lanes) {
+  FpisaFields f;
+  SharedFields& sh = f.sh;
+  sh.opcode = phv.declare("opcode", 8);
+  sh.slot = phv.declare("slot", 16);
+  sh.worker = phv.declare("worker", 8);
+  sh.wbit = phv.declare("wbit", 32);
+  sh.bitmap_old = phv.declare("bitmap_old", 32);
+  sh.bitmap_new = phv.declare("bitmap_new", 32);
+  sh.count = phv.declare("count", 16);
+  sh.dup_raw = phv.declare("dup_raw", 32);
+  sh.dup = phv.declare("dup", 8);
+  f.lanes.reserve(static_cast<std::size_t>(lanes));
+  for (int l = 0; l < lanes; ++l) f.lanes.push_back(declare_lane(phv, l));
+  return f;
+}
+
+/// Register indices: lane l's exponent and mantissa arrays are 2l and
+/// 2l + 1 (the bank views), then the shared bitmap and counter.
+int bitmap_register(int lanes) { return 2 * lanes; }
+int count_register(int lanes) { return 2 * lanes + 1; }
+
+/// The program's layout for one shape; its stages are built on demand.
+SwitchProgram compile_fpisa_layout(const FpisaProgramOptions& opts) {
+  SwitchProgram prog;
+  const FpisaFields fields = declare_fields(prog.phv, opts.lanes);
+  const SharedFields& sh = fields.sh;
+  const std::vector<LaneFields>& lanes = fields.lanes;
 
   // Parser / deparser bindings.
   prog.parser.push_back({sh.opcode, 0, 1, false});
@@ -162,23 +182,30 @@ SwitchProgram compile_fpisa_program(const FpisaProgramOptions& opts) {
   // Registers: per-lane exponent + mantissa arrays (strided views onto one
   // slot-major bank, so a packet's lanes are adjacent), shared
   // bitmap/counter.
+  prog.add_bank_registers("exp_arr", 8, "man_arr", 32, opts.lanes,
+                          opts.slots);
+  prog.add_register("bitmap", 32, opts.slots);
+  prog.add_register("count", 16, opts.slots);
+  return prog;
+}
+
+/// The program's MAU stages for one shape (fpisa_stages memoizes them).
+PipelineStages compile_fpisa_stages(const FpisaProgramOptions& opts) {
+  PhvLayout scratch;
+  const FpisaFields fields = declare_fields(scratch, opts.lanes);
+  const SharedFields& sh = fields.sh;
+  const std::vector<LaneFields>& lanes = fields.lanes;
   struct LaneRegs {
     int exp, man;
   };
-  const int first_lane_reg =
-      prog.add_bank_registers("exp_arr", 8, "man_arr", 32, opts.lanes,
-                              opts.slots);
   std::vector<LaneRegs> regs;
-  for (int l = 0; l < opts.lanes; ++l) {
-    regs.push_back({first_lane_reg + 2 * l, first_lane_reg + 2 * l + 1});
-  }
-  const int bitmap_reg = first_lane_reg + 2 * opts.lanes;
-  prog.add_register("bitmap", 32, opts.slots);
-  const int count_reg = bitmap_reg + 1;
-  prog.add_register("count", 16, opts.slots);
+  for (int l = 0; l < opts.lanes; ++l) regs.push_back({2 * l, 2 * l + 1});
+  const int bitmap_reg = bitmap_register(opts.lanes);
+  const int count_reg = count_register(opts.lanes);
 
-  prog.ingress.resize(5);
-  prog.egress.resize(4);
+  PipelineStages prog;
+  prog.ingress.resize(kFpisaIngressStages);
+  prog.egress.resize(kFpisaEgressStages);
 
   // --- MAU0: extract -------------------------------------------------------
   {
@@ -482,11 +509,19 @@ SwitchProgram compile_fpisa_program(const FpisaProgramOptions& opts) {
 
 /// Checks made in every build, before any program is built or looked up: a
 /// packet carries at least one lane, its 16-bit slot field addresses every
-/// slot, and the switch provides the extensions the program needs (the
-/// memo key holds no config, so a program must never reach a switch that
-/// cannot run it).
+/// slot, the pipe is deep enough for MAU0-8, and the switch provides the
+/// extensions the program needs (the memo key holds no config, so a
+/// program must never reach a switch that cannot run it). The stages are
+/// built on demand, so the depth is checked here rather than by SwitchSim
+/// at load time.
 void check_fpisa_options(const SwitchConfig& config,
                          const FpisaProgramOptions& opts) {
+  constexpr int kStages = kFpisaIngressStages + kFpisaEgressStages;
+  if (config.num_stages < kStages) {
+    throw std::invalid_argument(
+        "fpisa switch: the program uses " + std::to_string(kStages) +
+        " MAU stages; the pipe has " + std::to_string(config.num_stages));
+  }
   if (opts.lanes < 1) {
     throw std::invalid_argument("fpisa switch: need at least one lane, got " +
                                 std::to_string(opts.lanes));
@@ -518,17 +553,48 @@ struct ProgramKey {
   auto operator<=>(const ProgramKey&) const = default;
 };
 
-/// The programs live switches hold, one per shape. Entries are weak: a
-/// shape's program lives exactly as long as some switch uses it.
+ProgramKey key_of(const FpisaProgramOptions& opts) {
+  return {opts.variant, opts.lanes, opts.slots, opts.convert_endianness};
+}
+
+/// The layouts live switches hold and the stages their interpreters hold,
+/// one of each per shape. Entries are weak: each lives exactly as long as
+/// some switch uses it.
 struct ProgramMemo {
   util::OrderedMutex mu{util::lock_rank::kProgramMemo};
   std::map<ProgramKey, std::weak_ptr<const SwitchProgram>> programs
+      FPISA_GUARDED_BY(mu);
+  std::map<ProgramKey, std::weak_ptr<const PipelineStages>> stages
       FPISA_GUARDED_BY(mu);
 };
 
 ProgramMemo& program_memo() {
   static ProgramMemo memo;
   return memo;
+}
+
+/// The held entry of `table` for `key`, or a new one from `build()`. Built
+/// under the memo lock, so concurrent callers of one shape build it once;
+/// shapes nothing holds any more leave the table with the next build.
+template <class T, class Build>
+std::shared_ptr<const T> memoized(
+    std::map<ProgramKey, std::weak_ptr<const T>>& table, const ProgramKey& key,
+    Build build) {
+  std::weak_ptr<const T>& entry = table[key];
+  if (auto held = entry.lock()) return held;
+  auto made = std::make_shared<const T>(build());
+  entry = made;
+  std::erase_if(table, [](const auto& e) { return e.second.expired(); });
+  return made;
+}
+
+/// The shared stages for `opts`: what a switch's build_stages returns.
+std::shared_ptr<const PipelineStages> fpisa_stages(
+    const FpisaProgramOptions& opts) {
+  ProgramMemo& memo = program_memo();
+  util::LockGuard lk(memo.mu);
+  return memoized(memo.stages, key_of(opts),
+                  [&] { return compile_fpisa_stages(opts); });
 }
 
 }  // namespace
@@ -546,20 +612,13 @@ FpisaProgramOptions fpisa_program_options(const SwitchConfig& config,
 std::shared_ptr<const SwitchProgram> build_fpisa_program(
     const SwitchConfig& config, const FpisaProgramOptions& opts) {
   check_fpisa_options(config, opts);
-  const ProgramKey key{opts.variant, opts.lanes, opts.slots,
-                       opts.convert_endianness};
   ProgramMemo& memo = program_memo();
-  // Built under the lock, so concurrent switches of one shape build it once.
   util::LockGuard lk(memo.mu);
-  std::weak_ptr<const SwitchProgram>& entry = memo.programs[key];
-  if (auto held = entry.lock()) return held;
-  auto program =
-      std::make_shared<const SwitchProgram>(compile_fpisa_program(opts));
-  entry = program;
-  // Shapes no switch holds any more leave the table with the next build.
-  std::erase_if(memo.programs,
-                [](const auto& e) { return e.second.expired(); });
-  return program;
+  return memoized(memo.programs, key_of(opts), [&] {
+    SwitchProgram layout = compile_fpisa_layout(opts);
+    layout.build_stages = [opts] { return fpisa_stages(opts); };
+    return layout;
+  });
 }
 
 std::vector<LogicalTableDesc> fpisa_resource_descriptors(
@@ -698,7 +757,7 @@ FpisaResult FpisaSwitch::roundtrip(FpisaOp op, std::uint16_t slot,
   // Accounting happens against the pre-packet register state, so the
   // interpreted path classifies exactly like the compiled batch path.
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  RegisterArray& bitmap_reg = sim_.reg(2 * opts_.lanes);
+  RegisterArray& bitmap_reg = sim_.reg(bitmap_register(opts_.lanes));
   if (op == FpisaOp::kAdd) {
     const std::uint64_t wbit = std::uint64_t{1} << worker;
     const std::uint64_t old_bm = bitmap_reg.read(slot);
@@ -818,8 +877,8 @@ void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
 
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   const std::size_t payload_bytes = lanes * sizeof(std::uint32_t);
-  RegisterArray& bitmap = sim_.reg(2 * opts_.lanes);
-  RegisterArray& count = sim_.reg(2 * opts_.lanes + 1);
+  RegisterArray& bitmap = sim_.reg(bitmap_register(opts_.lanes));
+  RegisterArray& count = sim_.reg(count_register(opts_.lanes));
 
   gather_payloads_.clear();
   gather_rows_.clear();
@@ -868,8 +927,8 @@ void FpisaSwitch::wipe_state() {
   // Reboot semantics: every register back to power-on zero — the lane
   // bank in one fill, then the shared bitmap and counter.
   sim_.bank().clear();
-  sim_.reg(2 * opts_.lanes).clear();
-  sim_.reg(2 * opts_.lanes + 1).clear();
+  sim_.reg(bitmap_register(opts_.lanes)).clear();
+  sim_.reg(count_register(opts_.lanes)).clear();
   occupied_ = 0;
   // The generation bump alone distinguishes pre-wipe stamps, so the
   // per-slot epochs restart at zero like everything else on the switch.
@@ -943,8 +1002,8 @@ void FpisaSwitch::egress(std::uint16_t slot0,
                              core::LaneMode::kSwitch);
   }
 
-  RegisterArray& bitmap = sim_.reg(2 * opts_.lanes);
-  RegisterArray& count = sim_.reg(2 * opts_.lanes + 1);
+  RegisterArray& bitmap = sim_.reg(bitmap_register(opts_.lanes));
+  RegisterArray& count = sim_.reg(count_register(opts_.lanes));
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t slot = slot0 + k;
     if (!out_bitmaps.empty()) {

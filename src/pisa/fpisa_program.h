@@ -118,13 +118,19 @@ void parse_fpisa_result_into(const Packet& pkt, int lanes, FpisaResult& out,
 /// memoized on them: while any holder keeps a shape's program alive, every
 /// further call returns that same object; once the last holder lets go it
 /// is freed (the memo holds it weakly) and the next call builds it anew.
-/// Building one takes ~1 ms and ~1.4 MB at 32 lanes, which is why switches
-/// share it.
+///
+/// The returned program is the layout only: PHV, parser and deparser
+/// bindings and register declarations. Its MAU0-8 stages are built on
+/// demand (SwitchProgram::build_stages) when a switch interprets its first
+/// packet, memoized per shape the same way and freed with the last switch
+/// that interpreted one. Building them takes ~1 ms and ~1.4 MB at 32
+/// lanes; the compiled ingress / egress paths never need them.
 ///
 /// Throws std::invalid_argument, in every build and before the memo is
-/// consulted, unless opts.lanes >= 1, 1 <= opts.slots <=
-/// FpisaSwitch::kMaxSlots, a kFull variant has config.ext.rsaw, and
-/// convert_endianness has config.ext.parser_endianness.
+/// consulted, unless config.num_stages >= 9 (MAU0-8), opts.lanes >= 1,
+/// 1 <= opts.slots <= FpisaSwitch::kMaxSlots, a kFull variant has
+/// config.ext.rsaw, and convert_endianness has
+/// config.ext.parser_endianness.
 std::shared_ptr<const SwitchProgram> build_fpisa_program(
     const SwitchConfig& config, const FpisaProgramOptions& opts);
 
@@ -147,9 +153,11 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 /// results, registers, bitmap, counter, OpCounters, dedup and packet
 /// counts.
 ///
-/// The interpreted program is code shared with every switch of the same
-/// shape (build_fpisa_program); a switch owns only its register state and
-/// the host-side books below.
+/// The program is code shared with every switch of the same shape
+/// (build_fpisa_program); a switch owns only its register state and the
+/// host-side books below. The interpreter's stages are built on the first
+/// interpreted packet (add, read, read_and_reset), so a switch driven only
+/// through the compiled path never builds them.
 ///
 /// Shapes are checked in every build: a span of the wrong size throws
 /// std::invalid_argument, a slot outside [0, slots) or a worker id outside
@@ -172,9 +180,10 @@ class FpisaSwitch {
 
   /// Loads the shared program for `opts` (build_fpisa_program) and builds
   /// this switch's own register state. Throws std::invalid_argument, in
-  /// every build, on the options build_fpisa_program rejects: lanes < 1,
-  /// slots outside [1, kMaxSlots], a kFull variant without ext.rsaw, or
-  /// convert_endianness without ext.parser_endianness.
+  /// every build, on the options build_fpisa_program rejects: a pipe of
+  /// fewer than 9 stages, lanes < 1, slots outside [1, kMaxSlots], a kFull
+  /// variant without ext.rsaw, or convert_endianness without
+  /// ext.parser_endianness.
   FpisaSwitch(SwitchConfig config, FpisaProgramOptions opts);
 
   /// Sends one add packet carrying `values` (one per lane, FP32 bits);

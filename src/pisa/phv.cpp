@@ -1,23 +1,29 @@
 #include "pisa/phv.h"
 
-#include <cassert>
 #include <numeric>
+#include <stdexcept>
 
 namespace fpisa::pisa {
 
 FieldId PhvLayout::declare(std::string name, int width_bits) {
-  assert(width_bits >= 1 && width_bits <= 64);
-  assert(!find(name).valid() && "duplicate PHV field");
+  if (width_bits < 1 || width_bits > 64) {
+    throw std::invalid_argument("phv: field '" + name + "' is " +
+                                std::to_string(width_bits) +
+                                " bits wide; widths are 1..64");
+  }
+  const FieldId id{static_cast<std::int32_t>(widths_.size())};
+  if (!index_.try_emplace(name, id.index).second) {
+    throw std::invalid_argument("phv: field '" + name +
+                                "' is already declared");
+  }
   names_.push_back(std::move(name));
   widths_.push_back(width_bits);
-  return FieldId{static_cast<std::int32_t>(widths_.size() - 1)};
+  return id;
 }
 
 FieldId PhvLayout::find(std::string_view name) const {
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    if (names_[i] == name) return FieldId{static_cast<std::int32_t>(i)};
-  }
-  return {};
+  const auto it = index_.find(std::string(name));
+  return it == index_.end() ? FieldId{} : FieldId{it->second};
 }
 
 int PhvLayout::total_bits() const {

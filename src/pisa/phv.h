@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace fpisa::pisa {
@@ -25,6 +26,8 @@ struct FieldId {
 /// shifts and signed compares) sign-extends from the declared width.
 class PhvLayout {
  public:
+  /// Throws std::invalid_argument naming the field, in every build, unless
+  /// 1 <= width_bits <= 64 and no field of that name is declared yet.
   FieldId declare(std::string name, int width_bits);
   FieldId find(std::string_view name) const;  ///< invalid id if absent
 
@@ -40,6 +43,7 @@ class PhvLayout {
  private:
   std::vector<std::string> names_;
   std::vector<int> widths_;
+  std::unordered_map<std::string, std::int32_t> index_;  ///< name -> id
 };
 
 /// A packet's field values. Cheap to copy; one per packet traversal.

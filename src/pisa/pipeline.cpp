@@ -1,7 +1,6 @@
 #include "pisa/pipeline.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace fpisa::pisa {
@@ -9,7 +8,7 @@ namespace {
 
 /// Throws std::invalid_argument, in every build, unless `program` fits in
 /// the pipe's stages and uses only primitives `config` provides.
-void check_program(const SwitchConfig& config, const SwitchProgram& program) {
+void check_stages(const SwitchConfig& config, const PipelineStages& program) {
   const std::size_t stages = program.ingress.size() + program.egress.size();
   if (stages > static_cast<std::size_t>(config.num_stages)) {
     throw std::invalid_argument(
@@ -82,7 +81,16 @@ int SwitchProgram::add_bank_registers(const std::string& exp_name,
                                       const std::string& man_name,
                                       int man_bits, int lanes,
                                       std::size_t slots) {
-  assert(bank_lanes == 0 && "a program has one register bank");
+  if (bank_lanes != 0) {
+    const auto held = std::find_if(
+        registers.begin(), registers.end(), [](const RegisterDecl& d) {
+          return d.storage != RegisterDecl::Storage::kOwned;
+        });
+    throw std::invalid_argument(
+        "SwitchProgram: register bank '" + exp_name + "'/'" + man_name +
+        "' would be a second bank beside the one holding '" + held->name +
+        "'");
+  }
   bank_lanes = static_cast<std::size_t>(lanes);
   bank_slots = slots;
   const int first = static_cast<int>(registers.size());
@@ -102,7 +110,11 @@ SwitchSim::SwitchSim(SwitchConfig config,
       program_(std::move(program)),
       bank_(program_->bank_lanes * program_->bank_slots),
       min_packet_bytes_(min_packet_bytes(*program_)) {
-  check_program(config_, *program_);
+  check_stages(config_, *program_);
+  if (!program_->build_stages) {
+    // The program's own stages, kept alive by the program itself.
+    stages_ = std::shared_ptr<const PipelineStages>(program_, program_.get());
+  }
   const std::size_t stride = program_->bank_lanes;
   regs_.reserve(program_->registers.size());
   for (const RegisterDecl& d : program_->registers) {
@@ -166,10 +178,16 @@ void SwitchSim::process(Packet& pkt) {
         "-byte packet is shorter than the program's " +
         std::to_string(min_packet_bytes_) + "-byte header");
   }
+  if (stages_ == nullptr) {
+    std::shared_ptr<const PipelineStages> built = program_->build_stages();
+    check_stages(config_, *built);
+    stages_ = std::move(built);
+  }
   ++packets_;
   begin_packet();
 
   const SwitchProgram& prog = *program_;
+  const PipelineStages& stages = *stages_;
   Phv phv(prog.phv);
   // Parse: extract declared fields (network byte order; optional
   // endianness conversion if the extension is enabled).
@@ -181,9 +199,9 @@ void SwitchSim::process(Packet& pkt) {
     phv.set(f.field, v);
   }
 
-  run_stages(prog.ingress, phv);
+  run_stages(stages.ingress, phv);
   // Traffic manager: queueing is modeled by src/net; functionally a pass.
-  run_stages(prog.egress, phv);
+  run_stages(stages.egress, phv);
 
   // Recirculation: bounded re-entry into the ingress pipeline. Each pass
   // is a new packet traversal, so the once-per-packet register guard
@@ -197,8 +215,8 @@ void SwitchSim::process(Packet& pkt) {
       ++recirculations_;
       phv.set(prog.recirc_field, phv.get(prog.recirc_field) - 1);
       begin_packet();
-      run_stages(prog.ingress, phv);
-      run_stages(prog.egress, phv);
+      run_stages(stages.ingress, phv);
+      run_stages(stages.egress, phv);
     }
   }
 

@@ -3,15 +3,22 @@
 // knobs of §4 (baseline Tofino vs the proposed extensions) as configuration.
 //
 // Code and state are split the way a compiled data-plane program is loaded
-// onto hardware: a SwitchProgram is immutable code (PHV layout, parser and
-// deparser bindings, MAU stages, register declarations) that any number of
+// onto hardware: a SwitchProgram is immutable code that any number of
 // switches may share through a std::shared_ptr<const SwitchProgram>; a
 // SwitchSim owns only the per-switch state, the register cells it builds
 // from the program's declarations. Running a packet never writes the
 // program.
+//
+// A program is a layout (PHV, parser and deparser bindings, register
+// declarations) plus its MAU stages. Only the interpreter
+// (SwitchSim::process) reads the stages, so a program may leave them to be
+// built on demand: the switch then builds or fetches them on its first
+// interpreted packet (SwitchProgram::build_stages), and a switch that only
+// ever runs a compiled fast path over its registers never pays for them.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -103,17 +110,29 @@ struct RegisterDecl {
   int lane = 0;  ///< bank views only
 };
 
+/// A program's MAU stages: the only part of it the interpreter reads that
+/// a compiled fast path does not.
+struct PipelineStages {
+  std::vector<StageProgram> ingress;  ///< one per physical stage used
+  std::vector<StageProgram> egress;
+};
+
 /// A complete dataplane program: immutable code, shared by every switch
 /// that loads it. It holds no register cells, only their declarations.
-struct SwitchProgram {
+/// Hand-built programs fill in their stages directly (the inherited
+/// ingress / egress); a program whose stages are built on demand leaves
+/// them empty and sets build_stages instead.
+struct SwitchProgram : PipelineStages {
   PhvLayout phv;
   std::vector<ParsedField> parser;
   std::vector<ParsedField> deparser;
   /// In StatefulCall::register_index order; SwitchSim::reg(i) is the cells
   /// of registers[i].
   std::vector<RegisterDecl> registers;
-  std::vector<StageProgram> ingress;  ///< one per physical stage used
-  std::vector<StageProgram> egress;
+  /// Set by a program whose stages are built on demand: returns them, built
+  /// against this program's PHV layout and register declarations. A switch
+  /// calls it once, on its first interpreted packet, and holds the result.
+  std::function<std::shared_ptr<const PipelineStages>()> build_stages;
   /// Optional recirculation counter field (paper §2.3 footnote: the one
   /// exception to once-per-packet register access, "costly and bandwidth
   /// constrained"). While nonzero after egress, the packet re-enters the
@@ -134,7 +153,9 @@ struct SwitchProgram {
   /// s is cell s * lanes + l, so one packet's lanes are adjacent and a
   /// compiled fast path can run the core lane kernels over them as one
   /// contiguous span. Returns the index of lane 0's exponent register; lane
-  /// l's pair sits at that index + 2l and + 2l + 1.
+  /// l's pair sits at that index + 2l and + 2l + 1. A program has one
+  /// bank: a second call throws std::invalid_argument naming both, in
+  /// every build.
   int add_bank_registers(const std::string& exp_name, int exp_bits,
                          const std::string& man_name, int man_bits, int lanes,
                          std::size_t slots);
@@ -147,17 +168,26 @@ class SwitchSim {
   /// Loads `program` and builds zeroed register cells from its
   /// declarations. Switches loading the same program share it; each owns
   /// its own cells. Throws std::invalid_argument, in every build, when the
-  /// program needs more MAU stages than config.num_stages, or a table
-  /// action or SALU post-op uses a two-operand shift (kShlField /
-  /// kShrField / kAsrField) without config.ext.two_operand_shift.
+  /// program's stages need more MAU stages than config.num_stages, or a
+  /// table action or SALU post-op uses a two-operand shift (kShlField /
+  /// kShrField / kAsrField) without config.ext.two_operand_shift. Stages
+  /// built on demand get the same checks when they are loaded.
   SwitchSim(SwitchConfig config, std::shared_ptr<const SwitchProgram> program);
   /// Loads a program no other switch shares (hand-built programs).
   SwitchSim(SwitchConfig config, SwitchProgram program);
 
   /// Processes one packet in place (parse, ingress, TM, egress, deparse).
-  /// A packet too short for a parser or deparser field throws
-  /// std::invalid_argument, in every build, before any state changes.
+  /// The first packet on a program with build_stages loads its stages. A
+  /// packet too short for a parser or deparser field throws
+  /// std::invalid_argument, in every build, before any state changes; so
+  /// does a stateful call that touches a register its traversal already
+  /// touched (the error names the register), though the traversal's
+  /// earlier stages have then run.
   void process(Packet& pkt);
+
+  /// The stages process() runs: the program's own, or those it built on
+  /// demand; null until the first packet loads stages built on demand.
+  const PipelineStages* stages() const { return stages_.get(); }
 
   /// Direct register inspection for tests: the cells of
   /// program().registers[index].
@@ -192,6 +222,9 @@ class SwitchSim {
 
   SwitchConfig config_;
   std::shared_ptr<const SwitchProgram> program_;
+  /// Either an alias of program_'s own stages or the shared stages its
+  /// build_stages returned.
+  std::shared_ptr<const PipelineStages> stages_;
   /// Never resized after construction: the bank views in `regs_` hold
   /// pointers into it (moving the switch keeps them valid).
   core::RegisterFile bank_;

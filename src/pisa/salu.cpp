@@ -71,9 +71,10 @@ void apply_salu(const SaluSpec& spec, RegisterArray& reg, Phv& phv,
     throw std::out_of_range("salu: index " + std::to_string(i) +
                             " past the end of register '" + reg.name() + "'");
   }
-  const bool first_access = reg.mark_access();
-  assert(first_access && "register accessed twice in one packet traversal");
-  (void)first_access;
+  if (!reg.mark_access()) {
+    throw std::invalid_argument("salu: register '" + reg.name() +
+                                "' accessed twice in one packet traversal");
+  }
   const std::int64_t old_signed = reg.read_signed(i);
   const std::uint64_t old_raw = reg.read(i);
   const std::int64_t x =

@@ -68,7 +68,7 @@ class RegisterArray {
   int width_bits() const { return width_bits_; }
   const std::string& name() const { return name_; }
 
-  /// Once-per-packet access guard (asserted by MauStage execution).
+  /// Once-per-packet access guard (enforced by apply_salu).
   void begin_packet() { accessed_this_packet_ = false; }
   bool mark_access();
 
@@ -130,8 +130,10 @@ struct SaluSpec {
 };
 
 /// Executes one stateful ALU invocation. In every build, an index past the
-/// register's end throws std::out_of_range before any access, and without
-/// `rsaw_extension` the kManUpdate code-2 path throws std::invalid_argument.
+/// register's end throws std::out_of_range before any access, a second
+/// access to `reg` in one packet traversal (since its begin_packet) throws
+/// std::invalid_argument naming the register, and without `rsaw_extension`
+/// the kManUpdate code-2 path throws std::invalid_argument.
 void apply_salu(const SaluSpec& spec, RegisterArray& reg, Phv& phv,
                 bool rsaw_extension);
 

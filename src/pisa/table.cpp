@@ -1,16 +1,29 @@
 #include "pisa/table.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace fpisa::pisa {
 
 void MatchTable::add_entry(TableEntry entry) {
-  assert(entry.values.size() == key_fields_.size());
-  if (kind_ != MatchKind::kExact) {
-    assert(entry.masks.size() == key_fields_.size());
+  const auto fail = [&](const std::string& why) {
+    throw std::invalid_argument("table '" + name_ + "': entry " +
+                                std::to_string(entries_.size()) + " " + why);
+  };
+  const std::size_t keys = key_fields_.size();
+  if (entry.values.size() != keys) {
+    fail("has " + std::to_string(entry.values.size()) + " key values for " +
+         std::to_string(keys) + " key fields");
   }
-  assert(entry.action_index >= 0 &&
-         entry.action_index < static_cast<int>(actions_.size()));
+  if (kind_ != MatchKind::kExact && entry.masks.size() != keys) {
+    fail("has " + std::to_string(entry.masks.size()) + " masks for " +
+         std::to_string(keys) + " key fields");
+  }
+  if (entry.action_index < 0 ||
+      entry.action_index >= static_cast<int>(actions_.size())) {
+    fail("selects action " + std::to_string(entry.action_index) + " of " +
+         std::to_string(actions_.size()));
+  }
   entries_.push_back(std::move(entry));
 }
 

@@ -35,6 +35,9 @@ class MatchTable {
         actions_(std::move(actions)),
         default_action_(default_action) {}
 
+  /// Throws std::invalid_argument naming the table, in every build, unless
+  /// the entry has one value per key field (and one mask, for ternary and
+  /// LPM tables) and selects one of the table's actions.
   void add_entry(TableEntry entry);
 
   /// Looks up the PHV's key; returns the selected action (default action if

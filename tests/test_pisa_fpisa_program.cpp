@@ -1155,25 +1155,117 @@ TEST(FpisaProgramSharing, ProgramIsFreedWithItsLastHolder) {
   FpisaProgramOptions opts = shared_options();
   opts.slots = 13;  // a shape no other test holds
   std::weak_ptr<const SwitchProgram> program;
+  std::weak_ptr<const PipelineStages> stages;
   {
     auto a = std::make_unique<FpisaSwitch>(baseline_tofino(), opts);
     program = build_fpisa_program(baseline_tofino(), opts);
     EXPECT_EQ(program.lock().get(), &a->sim().program());
+    const std::vector<std::uint32_t> one(4, core::fp32_bits(1.0f));
+    (void)a->add(0, 0, one);  // A holds the interpreter's stages too
     {
       FpisaSwitch b(baseline_tofino(), opts);  // a second holder comes and goes
+      (void)b.read(0);
+      EXPECT_EQ(b.sim().stages(), a->sim().stages());
     }
+    // The stages are not held through the program: only switches that
+    // interpreted a packet hold them.
+    stages = program.lock()->build_stages();
+    EXPECT_EQ(stages.lock().get(), a->sim().stages());
     EXPECT_FALSE(program.expired());
+    EXPECT_FALSE(stages.expired());
     a.reset();
   }
   EXPECT_TRUE(program.expired());
-  // The next switch of that shape builds it again and runs it.
+  EXPECT_TRUE(stages.expired());
+  // The next switch of that shape builds both again and runs them.
   FpisaSwitch c(baseline_tofino(), opts);
   const std::vector<std::uint32_t> one(4, core::fp32_bits(1.0f));
   EXPECT_EQ(core::fp32_value(c.add(12, 0, one).values[3]), 1.0f);
 }
 
+TEST(FpisaProgramSharing, PipeDepthIsCheckedAtConstruction) {
+  // The stages are built on demand, so MAU0-8's depth is checked against
+  // the pipe when the switch is built, not at its first packet.
+  SwitchConfig shallow;
+  shallow.num_stages = 8;
+  EXPECT_THROW(FpisaSwitch(shallow, shared_options()), std::invalid_argument);
+  EXPECT_THROW(build_fpisa_program(shallow, shared_options()),
+               std::invalid_argument);
+  shallow.num_stages = 9;
+  FpisaSwitch fits(shallow, shared_options());
+  const std::vector<std::uint32_t> one(4, core::fp32_bits(1.0f));
+  EXPECT_EQ(core::fp32_value(fits.add(0, 0, one).values[0]), 1.0f);
+}
+
+TEST(FpisaProgramSharing, CompiledOnlySwitchNeverBuildsStages) {
+  // A shape no other test holds, driven through every compiled path: the
+  // construction and the traffic together stay far below one stage build
+  // (~16K allocations at this width, pinned below).
+  FpisaProgramOptions opts;
+  opts.variant = core::Variant::kApproximate;
+  opts.lanes = 32;
+  opts.slots = 59;
+  const std::vector<std::uint32_t> values(2 * 32, core::fp32_bits(1.5f));
+  std::vector<std::uint32_t> out(2 * 32);
+  g_allocs = {};
+  g_allocs.armed = true;
+  {
+    FpisaSwitch sw(baseline_tofino(), opts);
+    sw.add_batch(std::vector<std::uint16_t>{3, 3},
+                 std::vector<std::uint8_t>{0, 1}, values);
+    sw.read_batch(2, 2, out);
+    sw.read_and_reset_batch(3, 1, std::span(out).first(32));
+    sw.wipe_state();
+    g_allocs.armed = false;
+    EXPECT_EQ(core::fp32_value(out[0]), 3.0f);
+    EXPECT_EQ(sw.sim().stages(), nullptr);
+    EXPECT_EQ(sw.sim().program().ingress.size(), 0u);
+  }
+  RecordProperty("compiled_only_allocs", static_cast<int>(g_allocs.calls));
+  EXPECT_LT(g_allocs.calls, 2000u);
+}
+
+TEST(FpisaProgramSharing, FirstInterpretedPacketBuildsStagesOncePerShape) {
+  FpisaProgramOptions opts;
+  opts.variant = core::Variant::kApproximate;
+  opts.lanes = 32;
+  opts.slots = 57;  // a shape no other test holds
+  FpisaSwitch a(baseline_tofino(), opts);
+  FpisaSwitch b(baseline_tofino(), opts);
+  const std::vector<std::uint32_t> one(32, core::fp32_bits(1.0f));
+  EXPECT_EQ(a.sim().stages(), nullptr);
+
+  g_allocs = {};
+  g_allocs.armed = true;
+  (void)a.add(0, 0, one);
+  g_allocs.armed = false;
+  const AllocCount first = g_allocs;
+  ASSERT_NE(a.sim().stages(), nullptr);
+  EXPECT_EQ(a.sim().stages()->ingress.size(), 5u);
+  EXPECT_EQ(a.sim().stages()->egress.size(), 4u);
+  EXPECT_EQ(b.sim().stages(), nullptr);  // b has interpreted nothing yet
+
+  // b's first interpreted packet fetches the same stages instead of
+  // building them again; so does a switch of the shape built later.
+  g_allocs = {};
+  g_allocs.armed = true;
+  (void)b.read(0);
+  g_allocs.armed = false;
+  const AllocCount shared = g_allocs;
+  EXPECT_EQ(b.sim().stages(), a.sim().stages());
+  FpisaSwitch c(extended_switch(), opts);
+  (void)c.read_and_reset(1);
+  EXPECT_EQ(c.sim().stages(), a.sim().stages());
+  RecordProperty("stage_build_allocs", static_cast<int>(first.calls));
+  RecordProperty("stage_fetch_allocs", static_cast<int>(shared.calls));
+  // The build is the interpreter's tables (~16K allocations at 32 lanes);
+  // a fetch is one packet's PHV and reply.
+  EXPECT_GT(first.calls, 10000u);
+  EXPECT_LE(shared.calls, 50u);
+}
+
 TEST(FpisaProgramSharing, FurtherSwitchOfAHeldShapeAllocatesOnlyItsState) {
-  // A full build first, on a shape no other test holds.
+  // A first switch on a shape no other test holds builds the layout only.
   FpisaProgramOptions opts;
   opts.variant = core::Variant::kApproximate;
   opts.lanes = 32;
@@ -1182,7 +1274,7 @@ TEST(FpisaProgramSharing, FurtherSwitchOfAHeldShapeAllocatesOnlyItsState) {
   g_allocs.armed = true;
   auto holder = std::make_unique<FpisaSwitch>(baseline_tofino(), opts);
   g_allocs.armed = false;
-  const AllocCount full = g_allocs;
+  const AllocCount first = g_allocs;
 
   // Then a further switch at the fabric shape, 32 lanes x 64 slots. The
   // warm-up registers its telemetry series, so the counted build only
@@ -1198,13 +1290,14 @@ TEST(FpisaProgramSharing, FurtherSwitchOfAHeldShapeAllocatesOnlyItsState) {
     EXPECT_EQ(&further.sim().program(), &held.sim().program());
   }
   const AllocCount shared = g_allocs;
-  RecordProperty("full_build_allocs", static_cast<int>(full.calls));
-  RecordProperty("full_build_bytes", static_cast<int>(full.bytes));
+  RecordProperty("first_build_allocs", static_cast<int>(first.calls));
+  RecordProperty("first_build_bytes", static_cast<int>(first.bytes));
   RecordProperty("shared_build_allocs", static_cast<int>(shared.calls));
   RecordProperty("shared_build_bytes", static_cast<int>(shared.bytes));
-  // The full build is the interpreter program (~16K allocations); a
-  // further switch is its bank, 66 register arrays and host books.
-  EXPECT_GT(full.calls, 10000u);
+  // The first build is the layout (PHV, bindings, register declarations)
+  // plus the switch's state; a further switch is its bank, 66 register
+  // arrays and host books.
+  EXPECT_LT(first.calls, 2000u);
   EXPECT_LE(shared.calls, 200u);
   EXPECT_LE(shared.bytes, 64u * 1024u);
 }

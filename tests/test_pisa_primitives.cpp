@@ -448,6 +448,103 @@ TEST(Pipeline, RegisterIndexPastTheEndThrowsBeforeAnyAccess) {
   EXPECT_EQ(sim.reg(0).read(3), 1u);
 }
 
+/// Runs `fn`, which must throw E, and returns the error's message.
+template <class E, class Fn>
+std::string thrown(Fn&& fn) {
+  try {
+    fn();
+  } catch (const E& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no exception";
+  return {};
+}
+
+TEST(Pipeline, RegisterTouchedTwiceInOneTraversalThrowsNamingIt) {
+  // Two unconditional stateful calls on one register in one pass: hardware
+  // gives each register one access per packet.
+  SwitchProgram prog;
+  const FieldId idx = prog.phv.declare("idx", 8);
+  prog.add_register("hits", 32, 2);
+  prog.ingress.resize(2);
+  SaluSpec spec;
+  spec.kind = SaluKind::kIncrement;
+  spec.index = idx;
+  for (StageProgram& st : prog.ingress) {
+    st.salus.push_back({{}, 0, spec, 0, {}, 0});
+    st.salu_post_ops.push_back({"", {}});
+  }
+  SwitchSim sim(SwitchConfig{}, std::move(prog));
+  Packet pkt;
+  pkt.bytes = {0};
+  const std::string what =
+      thrown<std::invalid_argument>([&] { sim.process(pkt); });
+  EXPECT_NE(what.find("'hits'"), std::string::npos) << what;
+  EXPECT_NE(what.find("twice"), std::string::npos) << what;
+}
+
+TEST(Table, MalformedEntriesThrowNamingTheTable) {
+  PhvLayout layout;
+  const FieldId a = layout.declare("a", 8);
+  const FieldId b = layout.declare("b", 8);
+  const std::vector<Action> actions{{"one", {}}, {"two", {}}};
+  MatchTable exact("pair", MatchKind::kExact, {a, b}, actions);
+  // Key arity, then the action index on either side of the range.
+  for (const TableEntry& e :
+       {TableEntry{{1}, {}, 0}, TableEntry{{1, 2, 3}, {}, 0},
+        TableEntry{{1, 2}, {}, 2}, TableEntry{{1, 2}, {}, -1}}) {
+    const std::string what =
+        thrown<std::invalid_argument>([&] { exact.add_entry(e); });
+    EXPECT_NE(what.find("'pair'"), std::string::npos) << what;
+  }
+  // Ternary and LPM entries carry one mask per key field.
+  for (const MatchKind kind : {MatchKind::kTernary, MatchKind::kLpm}) {
+    MatchTable masked("masked", kind, {a}, actions);
+    const std::string what = thrown<std::invalid_argument>(
+        [&] { masked.add_entry({{1}, {}, 0}); });
+    EXPECT_NE(what.find("'masked'"), std::string::npos) << what;
+    EXPECT_NO_THROW(masked.add_entry({{1}, {0xFF}, 1}));
+  }
+  // A well-formed exact entry still lands and matches.
+  exact.add_entry({{1, 2}, {}, 1});
+  Phv phv(layout);
+  phv.set(a, 1);
+  phv.set(b, 2);
+  ASSERT_NE(exact.lookup(phv), nullptr);
+  EXPECT_EQ(exact.lookup(phv)->name, "two");
+}
+
+TEST(Phv, BadWidthsAndDuplicateNamesThrowNamingTheField) {
+  SwitchProgram prog;
+  prog.phv.declare("slot", 16);
+  for (const int width : {0, 65, -1}) {
+    const std::string what = thrown<std::invalid_argument>(
+        [&] { prog.phv.declare("wide", width); });
+    EXPECT_NE(what.find("'wide'"), std::string::npos) << what;
+  }
+  const std::string what = thrown<std::invalid_argument>(
+      [&] { prog.phv.declare("slot", 8); });
+  EXPECT_NE(what.find("'slot'"), std::string::npos) << what;
+  // The rejected declarations left the layout as it was.
+  EXPECT_EQ(prog.phv.field_count(), 1u);
+  EXPECT_EQ(prog.phv.declare("wide", 64).index, 1);
+}
+
+TEST(Pipeline, SecondRegisterBankThrowsNamingBoth) {
+  SwitchProgram prog;
+  prog.add_register("bitmap", 32, 4);
+  prog.add_bank_registers("exp", 8, "man", 32, 2, 4);
+  const std::string what = thrown<std::invalid_argument>([&] {
+    prog.add_bank_registers("exp_b", 8, "man_b", 32, 2, 4);
+  });
+  EXPECT_NE(what.find("'exp_b'"), std::string::npos) << what;
+  EXPECT_NE(what.find("'exp0'"), std::string::npos) << what;
+  // The first bank is intact and loads.
+  EXPECT_EQ(prog.registers.size(), 5u);
+  SwitchSim sim(SwitchConfig{}, std::move(prog));
+  EXPECT_EQ(sim.bank().exp.size(), 8u);
+}
+
 TEST(Packets, BigEndianHelpers) {
   std::uint8_t buf[4];
   write_be(buf, 4, 0x11223344u);

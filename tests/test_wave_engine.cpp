@@ -9,8 +9,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -504,6 +508,121 @@ TEST(TreeOracle, KilledLeafMatchesPerSlotLoop) {
   opts.slots = 16;
   opts.lanes = 4;
   expect_tree_matches_oracle(opts, 2, 250);
+}
+
+// --- the tree's concurrent leaves --------------------------------------------
+
+/// Every SessionStats field.
+void expect_all_stats_eq(const SessionStats& got, const SessionStats& want) {
+  expect_stats_eq(got, want);
+  EXPECT_EQ(got.shard_failures, want.shard_failures);
+  EXPECT_EQ(got.chunks_rerouted, want.chunks_rerouted);
+  EXPECT_EQ(got.failover_retries, want.failover_retries);
+  EXPECT_EQ(got.faults.corrupt_rejected, want.faults.corrupt_rejected);
+  EXPECT_EQ(got.faults.stale_dups_rejected, want.faults.stale_dups_rejected);
+  EXPECT_EQ(got.faults.epoch_bumps, want.faults.epoch_bumps);
+  EXPECT_EQ(got.faults.workers_declared_dead,
+            want.faults.workers_declared_dead);
+  EXPECT_EQ(got.faults.waves_replayed, want.faults.waves_replayed);
+  EXPECT_EQ(got.dead_workers, want.dead_workers);
+  expect_ops_eq(got.ops, want.ops);
+}
+
+TEST(TreeConcurrency, FiveHundredReducesAcrossShapesAndAKillMatchOracle) {
+  // One long-lived tree whose leaves run concurrently: chunk counts change
+  // every reduce (so does the slot-range tail), and a leaf dies halfway.
+  // Each reduce must equal the per-slot oracle's answer for its inputs,
+  // bits and wire books. The oracle runs once per distinct (inputs, live
+  // leaves) and its answer is reused: the tree's result may depend on
+  // nothing else, neither its history nor the threads' schedule.
+  cluster::HierarchyOptions opts;
+  opts.leaves = 4;
+  opts.workers_per_leaf = 2;
+  opts.slots = 8;
+  opts.lanes = 4;
+  constexpr std::size_t kSizes[] = {37, 101, 8};  // 10, 26 and 2 chunks
+  constexpr int kReduces = 500;
+  constexpr int kKillAt = kReduces / 2;
+  constexpr int kKilledLeaf = 1;
+  cluster::HierarchicalAggregator tree(opts);
+  oracle::TreeOracle ref(opts);
+  struct Case {
+    std::vector<std::vector<float>> data;
+    std::vector<float> want[2];  ///< [leaf killed]
+    SessionStats stats[2];
+    bool known[2] = {};
+  };
+  std::vector<Case> cases;
+  for (std::size_t c = 0; c < 2 * std::size(kSizes); ++c) {
+    cases.emplace_back().data =
+        make_workers(tree.total_workers(), kSizes[c % 3], 700 + c);
+  }
+  for (int r = 0; r < kReduces; ++r) {
+    SCOPED_TRACE(testing::Message() << "reduce " << r);
+    if (r == kKillAt) {
+      tree.kill_leaf(kKilledLeaf);
+      ref.kill_leaf(kKilledLeaf);
+    }
+    const int killed = r >= kKillAt ? 1 : 0;
+    Case& c = cases[static_cast<std::size_t>(r) % cases.size()];
+    const std::vector<std::span<const float>> views(c.data.begin(),
+                                                    c.data.end());
+    if (!c.known[killed]) {
+      c.want[killed].resize(views.front().size());
+      ref.reduce(views, c.want[killed]);
+      c.stats[killed] = ref.stats();
+      c.known[killed] = true;
+    }
+    std::vector<float> got(views.front().size());
+    tree.reduce_into(views, got);
+    expect_bits_eq(got, c.want[killed]);
+    expect_all_stats_eq(tree.stats(), c.stats[killed]);
+    if (HasFailure()) return;
+  }
+  for (int j = 0; j < opts.leaves; ++j) {
+    EXPECT_EQ(tree.leaf(j).occupied_slots(), 0) << j;
+  }
+  EXPECT_EQ(tree.spine().occupied_slots(), 0);
+}
+
+/// The process's thread count, from /proc/self/status (-1 if unreadable).
+long process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stol(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(TreeConcurrency, ThousandTreesLeaveNoThreadsBehind) {
+  cluster::HierarchyOptions opts;
+  opts.leaves = 4;
+  opts.workers_per_leaf = 2;
+  opts.slots = 4;
+  opts.lanes = 4;
+  const long baseline = process_threads();
+  ASSERT_GT(baseline, 0);
+  const int cpus =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  const int helpers = std::min(opts.leaves, cpus) - 1;
+  const auto data = make_workers(opts.leaves * opts.workers_per_leaf, 29, 9);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  std::vector<float> first(29);
+  std::vector<float> out(29);
+  for (int t = 0; t < 1000; ++t) {
+    cluster::HierarchicalAggregator tree(opts);
+    ASSERT_EQ(tree.helper_threads(), helpers);
+    if (t == 0) {
+      EXPECT_EQ(process_threads(), baseline + helpers);
+      tree.reduce_into(views, first);
+    } else {
+      tree.reduce_into(views, out);
+      expect_bits_eq(out, first);
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(process_threads(), baseline);
 }
 
 // --- the tree's closed-form timing against its event-queue replay ----------

@@ -163,7 +163,10 @@ inline cluster::HierarchyTiming tree_timing(
 
 /// The tree as it ran before the wave engine: its own switches, the same
 /// program options as cluster::HierarchicalAggregator, and the interleaved
-/// per-slot loop. reduce() returns the reduction's tree_timing().
+/// per-slot loop. reduce() returns the reduction's tree_timing(); stats()
+/// holds its wire books as the per-packet protocol (per_packet_run) keeps
+/// them on a lossless wire: one packet per add, and a read and a reset
+/// packet per slot each switch drains.
 class TreeOracle {
  public:
   explicit TreeOracle(const cluster::HierarchyOptions& opts) : opts_(opts) {
@@ -185,6 +188,8 @@ class TreeOracle {
     return *leaves_[static_cast<std::size_t>(j)];
   }
   pisa::FpisaSwitch& spine() { return *spine_; }
+  /// Wire books of the most recent reduce().
+  const switchml::SessionStats& stats() const { return stats_; }
 
   cluster::HierarchyTiming reduce(
       std::span<const std::span<const float>> workers,
@@ -202,6 +207,17 @@ class TreeOracle {
       }
     };
 
+    stats_ = {};
+    const auto add = [&](pisa::FpisaSwitch& sw, std::uint16_t slot,
+                         std::uint8_t id, std::span<const std::uint32_t> v) {
+      ++stats_.packets_sent;
+      (void)sw.add(slot, id, v);
+    };
+    const auto drain = [&](pisa::FpisaSwitch& sw, std::uint16_t slot) {
+      stats_.packets_sent += 2;
+      ++stats_.slot_reuses;
+      return sw.read_and_reset(slot);
+    };
     std::vector<int> dead_base(nl, -1);
     int next_direct_id = opts_.leaves;
     for (std::size_t j = 0; j < nl; ++j) {
@@ -221,7 +237,7 @@ class TreeOracle {
             load(j * static_cast<std::size_t>(wpl) +
                      static_cast<std::size_t>(k),
                  c);
-            (void)leaves_[j]->add(slot, static_cast<std::uint8_t>(k), vals);
+            add(*leaves_[j], slot, static_cast<std::uint8_t>(k), vals);
           }
         }
       }
@@ -229,21 +245,19 @@ class TreeOracle {
         const auto slot = static_cast<std::uint16_t>(c - base);
         for (std::size_t j = 0; j < nl; ++j) {
           if (alive_[j]) {
-            const pisa::FpisaResult partial = leaves_[j]->read_and_reset(slot);
-            (void)spine_->add(slot, static_cast<std::uint8_t>(j),
-                              partial.values);
+            const pisa::FpisaResult partial = drain(*leaves_[j], slot);
+            add(*spine_, slot, static_cast<std::uint8_t>(j), partial.values);
             continue;
           }
           for (int k = 0; k < wpl; ++k) {
             load(j * static_cast<std::size_t>(wpl) +
                      static_cast<std::size_t>(k),
                  c);
-            (void)spine_->add(slot,
-                              static_cast<std::uint8_t>(dead_base[j] + k),
-                              vals);
+            add(*spine_, slot, static_cast<std::uint8_t>(dead_base[j] + k),
+                vals);
           }
         }
-        const pisa::FpisaResult combined = spine_->read_and_reset(slot);
+        const pisa::FpisaResult combined = drain(*spine_, slot);
         for (std::size_t l = 0; l < lanes; ++l) {
           const std::size_t i = c * lanes + l;
           if (i < n) result[i] = core::fp32_value(combined.values[l]);
@@ -267,6 +281,7 @@ class TreeOracle {
   std::vector<std::unique_ptr<pisa::FpisaSwitch>> leaves_;
   std::unique_ptr<pisa::FpisaSwitch> spine_;
   std::vector<bool> alive_;
+  switchml::SessionStats stats_{};
 };
 
 }  // namespace fpisa::oracle
