@@ -8,6 +8,8 @@
 //   * communicator churn: build, one allreduce, drop, and the registry's
 //     series count after it (bounded by the objects alive)
 //   * one ToR -> spine tree reduce, its leaves running concurrently
+//   * one lossy single-switch session reduce at perfbench's lossy_switch
+//     shape
 //   * read (delayed renorm) vs hypothetical renormalize-every-add
 //   * LPM-table CLZ vs native countl_zero
 //   * advanced ops (multiply / table-multiply / log2 / sqrt)
@@ -28,7 +30,9 @@
 #include "core/clz_table.h"
 #include "core/vector_accumulator.h"
 #include "pisa/fpisa_program.h"
+#include "switchml/session.h"
 #include "telemetry/metrics.h"
+#include "util/build_info.h"
 #include "util/rng.h"
 
 namespace {
@@ -478,6 +482,37 @@ void BM_HierarchyReduce(benchmark::State& state) {
 }
 BENCHMARK(BM_HierarchyReduce)->UseRealTime();
 
+// One reduce through the session perfbench's lossy_switch drives: 4
+// workers x 256K values, 32 lanes x 64 slots, 1% loss each way, full
+// FPISA. The session is reused across iterations, so its loss stream runs
+// on and each iteration draws fresh losses; the row is wall time.
+void BM_SessionReduceLossy(benchmark::State& state) {
+  pisa::SwitchConfig cfg;
+  cfg.ext.rsaw = true;
+  cfg.ext.two_operand_shift = true;
+  switchml::SessionOptions opts;
+  opts.num_workers = 4;
+  opts.slots = 64;
+  opts.lanes = 32;
+  opts.loss_rate = 0.01;
+  opts.loss_seed = 1;
+  constexpr std::size_t kValues = 256 * 1024;
+  std::vector<std::vector<float>> grads;
+  for (int w = 0; w < opts.num_workers; ++w) {
+    grads.push_back(values(kValues, 90 + static_cast<std::uint64_t>(w)));
+  }
+  const std::vector<std::span<const float>> views(grads.begin(), grads.end());
+  std::vector<float> out(kValues);
+  switchml::AggregationSession session(cfg, opts);
+  for (auto _ : state) {
+    session.reduce_into(views, out);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kValues));
+}
+BENCHMARK(BM_SessionReduceLossy)->UseRealTime();
+
 // Ablation: delayed renormalization (read once at the end) vs
 // renormalizing after every add — the data-dependency the design removes.
 void BM_DelayedRenorm(benchmark::State& state) {
@@ -572,6 +607,9 @@ BENCHMARK(BM_Log2Table);
 // BENCHMARK_MAIN, plus JSON file output so the results land in
 // BENCH_core_ops.json like every other bench (see src/util/bench_json.h).
 // Explicit --benchmark_out flags still win over the injected defaults.
+// The context block carries this code's build (git describe with its dirty
+// flag, build type, batch backend) next to gbench's own fields, whose
+// library_build_type describes the gbench library, not this code.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   std::string out_flag = "--benchmark_out=BENCH_core_ops.json";
@@ -586,6 +624,13 @@ int main(int argc, char** argv) {
   if (!has_out) args.push_back(out_flag.data());
   if (!has_out && !has_fmt) args.push_back(fmt_flag.data());
   int n = static_cast<int>(args.size());
+  const util::BuildInfo& build = util::build_info();
+  benchmark::AddCustomContext("fpisa_git_describe",
+                              std::string(build.git_describe));
+  benchmark::AddCustomContext("fpisa_build_type",
+                              std::string(build.build_type));
+  benchmark::AddCustomContext("fpisa_batch_backend",
+                              std::string(core::batch_backend_name()));
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
   benchmark::RunSpecifiedBenchmarks();

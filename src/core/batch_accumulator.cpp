@@ -26,9 +26,10 @@ BatchBackend g_forced_backend = BatchBackend::kScalar;
 template <Variant V, OverflowPolicy P, LaneMode M>
 void run_scalar(const detail::GatherBatch& g, const detail::LaneParams& p,
                 detail::BatchTallies& t) {
-  detail::for_each_row(g, [&](const std::byte* bits, std::size_t n,
-                              std::int32_t* exp, std::int64_t* man) {
-    detail::lane_add_range<V, P, M>(bits, n, exp, man, p, t);
+  detail::for_each_row_run(g, [&](const std::byte* const* payloads,
+                                  std::size_t k, std::int32_t* exp,
+                                  std::int64_t* man) {
+    detail::lane_add_run<V, P, M>(payloads, k, 0, g.lanes, exp, man, p, t);
   });
 }
 
@@ -51,18 +52,22 @@ Kernel pick_scalar(const AccumulatorConfig& cfg) {
 /// 64-bit registers): the scalar per-element loop, unchanged semantics.
 void run_reference(const detail::GatherBatch& g, const AccumulatorConfig& cfg,
                    OpCounters& counters) {
-  detail::for_each_row(g, [&](const std::byte* bits, std::size_t n,
-                              std::int32_t* exp, std::int64_t* man) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const ExtractResult ex = extract(detail::load_lane(bits, i), cfg.format);
-      if (ex.cls == FpClass::kInf || ex.cls == FpClass::kNaN) {
-        ++counters.nonfinite_inputs;
-        continue;
+  detail::for_each_row_run(g, [&](const std::byte* const* payloads,
+                                  std::size_t k, std::int32_t* exp,
+                                  std::int64_t* man) {
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t i = 0; i < g.lanes; ++i) {
+        const ExtractResult ex =
+            extract(detail::load_lane(payloads[j], i), cfg.format);
+        if (ex.cls == FpClass::kInf || ex.cls == FpClass::kNaN) {
+          ++counters.nonfinite_inputs;
+          continue;
+        }
+        FpState s{exp[i], man[i]};
+        fpisa_add(s, ex.value, cfg, counters);
+        exp[i] = s.exp;
+        man[i] = s.man;
       }
-      FpState s{exp[i], man[i]};
-      fpisa_add(s, ex.value, cfg, counters);
-      exp[i] = s.exp;
-      man[i] = s.man;
     }
   });
 }

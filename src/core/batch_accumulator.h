@@ -231,27 +231,31 @@ struct GatherBatch {
 
 /// A checked scatter batch: row r's `lanes` registers are exp/man at
 /// r * lanes, and their packed FP32 values go to the bytes at dests[r].
-/// The flat read is one row of all its registers.
+/// The flat read is one row of all its registers. The registers are
+/// written only when `reset`: each pair is cleared as the kernel reads it.
 struct ScatterBatch {
-  const std::int32_t* exp = nullptr;
-  const std::int64_t* man = nullptr;
+  std::int32_t* exp = nullptr;
+  std::int64_t* man = nullptr;
   std::byte* const* dests = nullptr;
   std::size_t n = 0;  ///< rows in the batch
   std::size_t lanes = 0;
+  bool reset = false;
 };
 
 /// AVX2 kernel entry (defined in batch_accumulator_avx2.cpp, only built
 /// when FPISA_ENABLE_AVX2 is on): picks the kernel once, then runs it per
-/// row. Tail elements are finished by the scalar lane primitive inside.
+/// run of payloads on one row. Tail lanes are finished by the scalar lane
+/// primitive inside.
 void add_gather_avx2(const GatherBatch& g, const AccumulatorConfig& cfg,
                      LaneMode mode, BatchTallies& t);
 
 /// AVX2 egress kernel entry (defined in batch_read_avx2.cpp, only built
 /// when FPISA_ENABLE_AVX2 is on): picks the kernel once, then runs it per
-/// run of rows with adjacent destinations. Each run's tail is finished by
-/// the scalar read primitive inside.
+/// run of rows with adjacent destinations, clearing each block as it reads
+/// it when `s.reset`. Each run's tail is finished by the scalar read
+/// primitive inside.
 /// `reg_bits` picks the lane width: registers of <= 32 bits take the
-/// 8-lane 32-bit kernel (mirroring the add kernel's run32), wider
+/// 8-lane 32-bit kernel (mirroring the add kernel's gather32), wider
 /// registers the generic 4x64-bit kernel.
 void read_scatter_avx2(const ScatterBatch& s, int guard, int reg_bits,
                        LaneMode mode);

@@ -11,7 +11,16 @@
 //     is folded into the same adder as `0 + m_in`, which can never
 //     saturate because an extracted value always fits the register).
 //   * counters: every event is a 0/1 lane contribution summed into
-//     BatchTallies.
+//     BatchTallies (the AVX2 kernels keep the sums as vector lane counts
+//     and drain them into BatchTallies before a lane can wrap).
+// A gather runs per run of consecutive payloads on one row
+// (for_each_row_run). The AVX2 kernels load the row's registers once, add
+// every payload of the run into them in order while they stay in YMM
+// registers, and store them once -- a wave queued slot-major touches each
+// slot's registers once, not once per worker packet. The portable lane
+// loop (lane_add_run) applies the run's payloads in order over the row in
+// memory: holding four lanes' state in locals instead spills the sixteen
+// general registers and measured slower.
 // Shift distances are clamped to 63 — identical results to the reference's
 // 64-clamp because every operand fits in well under 63 magnitude bits —
 // and the reference's asymmetric `asr_inexact` rule at the >=64 boundary
@@ -193,7 +202,7 @@ inline std::uint32_t lane_read(std::int32_t se, std::int64_t sm, int guard) {
                            : norm_bits;
 }
 
-// The range loops below bound the unrolled body by `n - n % 4` rather than
+// The loops below bound the unrolled body by `n - n % 4` rather than
 // `i + 4 <= n`: with a constant n inlined (the AVX2 fallback blocks), GCC
 // otherwise derives an impossible trip count for the tail loop and warns
 // under -Waggressive-loop-optimizations.
@@ -211,47 +220,67 @@ inline void store_lane(std::byte* bits, std::size_t i, std::uint32_t u) {
 }
 
 /// Runs the read primitive over a range into raw bytes at any alignment
-/// (the portable backend's core and the AVX2 backend's tail loop).
-template <LaneMode M>
-inline void lane_read_range(const std::int32_t* exp, const std::int64_t* man,
+/// (the portable backend's core and the AVX2 backend's tail loop). With
+/// `Reset` each register pair is cleared to (0, 0) once it has been read,
+/// so a read-and-reset touches the registers in one pass.
+template <LaneMode M, bool Reset>
+inline void lane_read_range(std::int32_t* exp, std::int64_t* man,
                             std::byte* out, std::size_t n, int guard) {
+  const auto one = [&](std::size_t i) {
+    store_lane(out, i, lane_read<M>(exp[i], man[i], guard));
+    if (Reset) {
+      exp[i] = 0;
+      man[i] = 0;
+    }
+  };
   const std::size_t n4 = n - n % 4;
   std::size_t i = 0;
   for (; i < n4; i += 4) {  // unrolled: independent lanes pipeline
-    store_lane(out, i + 0, lane_read<M>(exp[i + 0], man[i + 0], guard));
-    store_lane(out, i + 1, lane_read<M>(exp[i + 1], man[i + 1], guard));
-    store_lane(out, i + 2, lane_read<M>(exp[i + 2], man[i + 2], guard));
-    store_lane(out, i + 3, lane_read<M>(exp[i + 3], man[i + 3], guard));
+    one(i + 0);
+    one(i + 1);
+    one(i + 2);
+    one(i + 3);
   }
-  for (; i < n; ++i) store_lane(out, i, lane_read<M>(exp[i], man[i], guard));
+  for (; i < n; ++i) one(i);
 }
 
-/// Runs the lane primitive over a range (the portable backend's core and
-/// the AVX2 backend's tail loop).
+/// Adds a run of `k` payloads, in order, into lanes [first, n) of one
+/// row (the portable backend's core and the AVX2 backend's tail loop).
+/// `n - (n - first) % 4` bounds the unrolled body (see above).
 template <Variant V, OverflowPolicy P, LaneMode M>
-inline void lane_add_range(const std::byte* bits, std::size_t n,
-                           std::int32_t* exp, std::int64_t* man,
-                           const LaneParams& p, BatchTallies& t) {
-  const std::size_t n4 = n - n % 4;
-  std::size_t i = 0;
-  for (; i < n4; i += 4) {  // unrolled: independent lanes pipeline
-    lane_add<V, P, M>(load_lane(bits, i + 0), exp[i + 0], man[i + 0], p, t);
-    lane_add<V, P, M>(load_lane(bits, i + 1), exp[i + 1], man[i + 1], p, t);
-    lane_add<V, P, M>(load_lane(bits, i + 2), exp[i + 2], man[i + 2], p, t);
-    lane_add<V, P, M>(load_lane(bits, i + 3), exp[i + 3], man[i + 3], p, t);
-  }
-  for (; i < n; ++i) {
-    lane_add<V, P, M>(load_lane(bits, i), exp[i], man[i], p, t);
+inline void lane_add_run(const std::byte* const* payloads, std::size_t k,
+                         std::size_t first, std::size_t n, std::int32_t* exp,
+                         std::int64_t* man, const LaneParams& p,
+                         BatchTallies& t) {
+  const std::size_t n4 = n - (n - first) % 4;
+  for (std::size_t j = 0; j < k; ++j) {
+    const std::byte* bits = payloads[j];
+    std::size_t i = first;
+    for (; i < n4; i += 4) {  // unrolled: independent lanes pipeline
+      lane_add<V, P, M>(load_lane(bits, i + 0), exp[i + 0], man[i + 0], p, t);
+      lane_add<V, P, M>(load_lane(bits, i + 1), exp[i + 1], man[i + 1], p, t);
+      lane_add<V, P, M>(load_lane(bits, i + 2), exp[i + 2], man[i + 2], p, t);
+      lane_add<V, P, M>(load_lane(bits, i + 3), exp[i + 3], man[i + 3], p, t);
+    }
+    for (; i < n; ++i) {
+      lane_add<V, P, M>(load_lane(bits, i), exp[i], man[i], p, t);
+    }
   }
 }
 
-/// Calls range(payload, lanes, exp_row, man_row) for each row of a gather
-/// batch, in order.
-template <class Range>
-inline void for_each_row(const GatherBatch& g, Range&& range) {
-  for (std::size_t r = 0; r < g.n; ++r) {
+/// Calls run(payloads, k, exp_row, man_row) for each run of a gather
+/// batch's consecutive payloads that target the same row, in order: a
+/// wave queued slot-major lands its W workers' packets for a slot as one
+/// run, so the kernels load and store that row once per run, not once per
+/// payload. Non-adjacent repeats of a row are separate runs, in order.
+template <class Run>
+inline void for_each_row_run(const GatherBatch& g, Run&& run) {
+  for (std::size_t r = 0; r < g.n;) {
+    std::size_t end = r + 1;
+    while (end < g.n && g.rows[end] == g.rows[r]) ++end;
     const std::size_t off = std::size_t{g.rows[r]} * g.lanes;
-    range(g.payloads[r], g.lanes, g.exp + off, g.man + off);
+    run(g.payloads + r, end - r, g.exp + off, g.man + off);
+    r = end;
   }
 }
 

@@ -753,7 +753,7 @@ void FpisaSwitch::flush_metrics(std::size_t packets) {
 FpisaResult FpisaSwitch::roundtrip(FpisaOp op, std::uint16_t slot,
                                    std::uint8_t worker,
                                    std::span<const std::uint32_t> values) {
-  check_packets("FpisaSwitch", {&slot, 1}, {&worker, 1});
+  check_packet("FpisaSwitch", 0, slot, worker);
   // Accounting happens against the pre-packet register state, so the
   // interpreted path classifies exactly like the compiled batch path.
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
@@ -810,23 +810,20 @@ FpisaResult FpisaSwitch::read_and_reset(std::uint16_t slot) {
   return roundtrip(FpisaOp::kReset, slot, 0, zeros_);
 }
 
-void FpisaSwitch::check_packets(const char* what,
-                                std::span<const std::uint16_t> slots,
-                                std::span<const std::uint8_t> workers) const {
-  for (std::size_t p = 0; p < slots.size(); ++p) {
-    if (slots[p] >= opts_.slots) {
-      throw std::out_of_range(std::string(what) + ": packet " +
-                              std::to_string(p) + " targets slot " +
-                              std::to_string(slots[p]) + " of a " +
-                              std::to_string(opts_.slots) + "-slot switch");
-    }
-    if (workers[p] >= kMaxWorkers) {
-      throw std::out_of_range(
-          std::string(what) + ": packet " + std::to_string(p) +
-          " carries worker id " + std::to_string(workers[p]) +
-          ", outside the " + std::to_string(kMaxWorkers) +
-          "-bit dedup bitmap");
-    }
+void FpisaSwitch::check_packet(const char* what, std::size_t p,
+                               std::uint16_t slot, std::uint8_t worker) const {
+  if (slot >= opts_.slots) {
+    throw std::out_of_range(std::string(what) + ": packet " +
+                            std::to_string(p) + " targets slot " +
+                            std::to_string(slot) + " of a " +
+                            std::to_string(opts_.slots) + "-slot switch");
+  }
+  if (worker >= kMaxWorkers) {
+    throw std::out_of_range(std::string(what) + ": packet " +
+                            std::to_string(p) + " carries worker id " +
+                            std::to_string(worker) + ", outside the " +
+                            std::to_string(kMaxWorkers) +
+                            "-bit dedup bitmap");
   }
 }
 
@@ -834,16 +831,19 @@ void FpisaSwitch::check_packets(const char* what,
 // Batched add fast path: the compiled form of the ingress program
 // (MAU0-4). The shared per-packet state — guard checks, the MAU1 worker
 // bitmap and the MAU4 completion counter — never reads a lane register, so
-// one scalar pre-pass settles it for every packet in order. The accepted
+// one scalar pre-pass checks each packet and settles that state for every
+// packet in order, on the bitmap and counter cells directly. The accepted
 // packets' lanes then run the core lane-add in LaneMode::kSwitch as one
 // gather over their contiguous bank rows, reading each payload in place:
 // the same selects, 32-bit wrap and counter lane sums as the core
 // accumulator, with the switch tables' edges (zeros and non-finite values
 // run the datapath, the ±32 align clamp, the exponent update on every
-// lane). tests/test_pisa_fpisa_program.cpp proves
-// it bit-identical to per-packet `add` calls through the interpreter.
-// Egress (result emission) is skipped: batch callers collect aggregates
-// with egress() or its flat adapters — the compiled egress below.
+// lane). The gather adds each run of packets on one slot — a slot-major
+// wave's workers — with the slot's lane registers held in CPU registers.
+// tests/test_pisa_fpisa_program.cpp proves it bit-identical to per-packet
+// `add` calls through the interpreter. Egress (result emission) is
+// skipped: batch callers collect aggregates with egress() or its flat
+// adapters — the compiled egress below.
 // ---------------------------------------------------------------------------
 
 void FpisaSwitch::add_batch(std::span<const std::uint16_t> slots,
@@ -873,52 +873,87 @@ void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
     require_size("ingress", "stamps", stamps.size(), n);
     require_size("ingress", "checksums", checksums.size(), n);
   }
-  check_packets("ingress", slots, workers);
 
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   const std::size_t payload_bytes = lanes * sizeof(std::uint32_t);
-  RegisterArray& bitmap = sim_.reg(bitmap_register(opts_.lanes));
-  RegisterArray& count = sim_.reg(count_register(opts_.lanes));
-
-  gather_payloads_.clear();
-  gather_rows_.clear();
+  const std::span<std::int64_t> bitmap =
+      sim_.reg(bitmap_register(opts_.lanes)).owned_cells();
+  RegisterArray& count_reg = sim_.reg(count_register(opts_.lanes));
+  const std::span<std::int64_t> count = count_reg.owned_cells();
+  const std::int64_t count_mask =
+      (std::int64_t{1} << count_reg.width_bits()) - 1;
+  // Room for every packet, written by index: no growth check per packet.
+  if (gather_rows_.size() < n) {
+    gather_payloads_.resize(n);
+    gather_rows_.resize(n);
+    gather_workers_.resize(n);
+  }
+  const std::byte** const accepted_payloads = gather_payloads_.data();
+  std::uint32_t* const accepted_rows = gather_rows_.data();
+  std::uint8_t* const accepted_workers = gather_workers_.data();
+  // The batch's books stay local until every packet has passed its
+  // check, so a batch rejected for a bad packet only has to undo the
+  // bitmap and counter cells the packets before it settled.
+  std::size_t accepted = 0;
+  std::int64_t occupied = 0;
+  std::uint64_t dedup = 0;
+  GuardStats rejected;
   for (std::size_t p = 0; p < n; ++p) {
     const std::uint16_t slot = slots[p];
+    const std::uint8_t worker = workers[p];
+    if (slot >= opts_.slots || worker >= kMaxWorkers) [[unlikely]] {
+      for (std::size_t a = accepted; a-- > 0;) {
+        const std::uint32_t row = accepted_rows[a];
+        bitmap[row] &= ~(std::int64_t{1} << accepted_workers[a]);
+        count[row] = (count[row] - 1) & count_mask;
+      }
+      check_packet("ingress", p, slot, worker);
+    }
     if (guard != nullptr) {
       // Guard 1: payload integrity. A bit flipped in flight breaks the
       // checksum the sender computed over the clean bytes.
-      if (fpisa_checksum(slot, workers[p], stamps[p],
+      if (fpisa_checksum(slot, worker, stamps[p],
                          {payloads[p], payload_bytes}) != checksums[p]) {
-        guard->corrupt_rejected++;
-        guard_corrupt_++;
+        rejected.corrupt_rejected++;
         continue;
       }
       // Guard 2: liveness of the slot's epoch. A copy stamped before the
       // slot was reset (stale duplicate after round-robin reuse) or before
       // the switch rebooted must not be absorbed as a fresh contribution.
       if (stamps[p] != slot_stamp(slot)) {
-        guard->stale_rejected++;
-        guard_stale_++;
+        rejected.stale_rejected++;
         continue;
       }
     }
     // MAU1 shared bitmap (kOrX): the old value exposes retransmissions.
-    const std::uint64_t wbit = std::uint64_t{1} << workers[p];
-    const std::uint64_t old_bm = bitmap.read(slot);
+    const std::int64_t wbit = std::int64_t{1} << worker;
+    const std::int64_t old_bm = bitmap[slot];
     if (old_bm & wbit) {  // duplicate: absorbed, no state change
-      dedup_hits_++;
+      dedup++;
       continue;
     }
-    bitmap.write(slot, old_bm | wbit);
-    if (old_bm == 0) occupied_++;
-    count.write(slot, count.read(slot) + 1);  // MAU4 completion counter
-    gather_payloads_.push_back(payloads[p]);
-    gather_rows_.push_back(slot);
+    bitmap[slot] = old_bm | wbit;
+    occupied += old_bm == 0;
+    count[slot] = (count[slot] + 1) & count_mask;  // MAU4 counter
+    accepted_payloads[accepted] = payloads[p];
+    accepted_rows[accepted] = slot;
+    accepted_workers[accepted] = worker;
+    ++accepted;
+  }
+  occupied_ += occupied;
+  dedup_hits_ += dedup;
+  guard_corrupt_ += rejected.corrupt_rejected;
+  guard_stale_ += rejected.stale_rejected;
+  if (guard != nullptr) {
+    guard->corrupt_rejected += rejected.corrupt_rejected;
+    guard->stale_rejected += rejected.stale_rejected;
   }
 
   core::RegisterFile& bank = sim_.bank();
-  core::fpisa_add_gather(gather_payloads_, gather_rows_, lanes, bank.exp,
-                         bank.man, lane_cfg_, ops_, core::LaneMode::kSwitch);
+  core::fpisa_add_gather(std::span(gather_payloads_).first(accepted),
+                         std::span(gather_rows_).first(accepted), lanes,
+                         bank.exp, bank.man, lane_cfg_, ops_,
+                         core::LaneMode::kSwitch);
   sim_.account_packets(n);
   flush_metrics(n);
 }
@@ -944,10 +979,10 @@ void FpisaSwitch::wipe_state() {
 // read-scatter call in LaneMode::kSwitch, each row landing at its own
 // destination — the 32-bit sign split, the CLZ shift to bit 23, the
 // exponent adjust and the range gateway's zero / FTZ / overflow-to-inf /
-// pack priority order — and the reset is a fill of the same span. Results
-// and register state are bit-identical to per-packet read() /
-// read_and_reset() traversals (tests/test_pisa_fpisa_program.cpp proves it
-// against the interpreter).
+// pack priority order — and the reset clears each register as the kernel
+// reads it. Results and register state are bit-identical to per-packet
+// read() / read_and_reset() traversals (tests/test_pisa_fpisa_program.cpp
+// proves it against the interpreter).
 // ---------------------------------------------------------------------------
 
 void FpisaSwitch::check_slot_range(const char* what, std::uint16_t slot0,
@@ -1002,20 +1037,22 @@ void FpisaSwitch::egress(std::uint16_t slot0,
                              core::LaneMode::kSwitch);
   }
 
-  RegisterArray& bitmap = sim_.reg(bitmap_register(opts_.lanes));
-  RegisterArray& count = sim_.reg(count_register(opts_.lanes));
+  const std::span<std::int64_t> bitmap =
+      sim_.reg(bitmap_register(opts_.lanes)).owned_cells();
+  const std::span<std::int64_t> count =
+      sim_.reg(count_register(opts_.lanes)).owned_cells();
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t slot = slot0 + k;
     if (!out_bitmaps.empty()) {
-      out_bitmaps[k] = static_cast<std::uint32_t>(bitmap.read(slot));
+      out_bitmaps[k] = static_cast<std::uint32_t>(bitmap[slot]);
     }
     if (!out_counts.empty()) {
-      out_counts[k] = static_cast<std::uint16_t>(count.read(slot));
+      out_counts[k] = static_cast<std::uint16_t>(count[slot]);
     }
     if (reset) {
-      if (bitmap.read(slot) != 0) occupied_--;
-      bitmap.write(slot, 0);
-      count.write(slot, 0);
+      occupied_ -= bitmap[slot] != 0;
+      bitmap[slot] = 0;
+      count[slot] = 0;
       slot_epoch_[slot]++;  // the slot's next occupant is a new epoch
     }
   }

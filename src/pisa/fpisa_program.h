@@ -210,10 +210,11 @@ class FpisaSwitch {
   /// packet (enforced by tests), but the packets skip wire encode/parse
   /// and table interpretation entirely and no per-packet result is
   /// materialized — callers that want the aggregate use read(). One scalar
-  /// pre-pass settles each packet's shared state (guard, dedup bitmap,
-  /// completion counter, occupancy); the accepted packets' lanes then land
-  /// through one core::fpisa_add_gather over their bank rows in
-  /// LaneMode::kSwitch.
+  /// pre-pass checks each packet's slot and worker id and settles its
+  /// shared state (guard, dedup bitmap, completion counter, occupancy); the
+  /// accepted packets' lanes then land through one core::fpisa_add_gather
+  /// over their bank rows in LaneMode::kSwitch, which adds each run of
+  /// packets on one slot with the slot's registers held in registers.
   ///
   /// Guarded when `guard` is non-null: packet i then also carries
   /// stamps[i] and checksums[i]. A packet whose checksum does not cover its
@@ -258,10 +259,11 @@ class FpisaSwitch {
   /// slot's chunk in std::as_writable_bytes of the caller's float
   /// storage). With `reset` (SwitchML-style slot recycling) it then clears
   /// the slots' exponent / mantissa / bitmap / counter registers and bumps
-  /// their epochs exactly as read_and_reset() packets would (the lane
-  /// registers as one fill of the bank span). Results and register state
-  /// are bit-identical to per-slot read() / read_and_reset() packets --
-  /// including the egress FTZ / overflow-to-inf range handling -- but skip
+  /// their epochs exactly as read_and_reset() packets would (the read
+  /// kernel clears each lane register as it reads it). Results and
+  /// register state are bit-identical to per-slot read() /
+  /// read_and_reset() packets -- including the egress FTZ /
+  /// overflow-to-inf range handling -- but skip
   /// wire encode/parse and table interpretation (enforced by
   /// tests/test_pisa_fpisa_program.cpp). The slots' bank cells are one
   /// contiguous span, so this is one core read kernel call in
@@ -300,9 +302,10 @@ class FpisaSwitch {
   /// table and stateful ALU, and decodes the switch's reply.
   FpisaResult roundtrip(FpisaOp op, std::uint16_t slot, std::uint8_t worker,
                         std::span<const std::uint32_t> values);
-  /// Throws unless every packet's slot and worker id is in range.
-  void check_packets(const char* what, std::span<const std::uint16_t> slots,
-                     std::span<const std::uint8_t> workers) const;
+  /// Throws std::out_of_range unless packet p's slot and worker id are in
+  /// range.
+  void check_packet(const char* what, std::size_t p, std::uint16_t slot,
+                    std::uint8_t worker) const;
   /// Throws std::out_of_range unless slots [slot0, slot0 + n) exist.
   void check_slot_range(const char* what, std::uint16_t slot0,
                         std::size_t n) const;
@@ -322,9 +325,11 @@ class FpisaSwitch {
   SwitchSim sim_;
   Packet scratch_pkt_;                  ///< reused by every roundtrip
   std::vector<std::uint32_t> zeros_;    ///< read/reset payload template
-  // Ingress: the accepted packets' payloads and bank rows.
+  // Ingress: the accepted packets' payloads, bank rows and worker ids
+  // (the ids only to undo a batch that a bad packet rejects).
   std::vector<const std::byte*> gather_payloads_;
   std::vector<std::uint32_t> gather_rows_;
+  std::vector<std::uint8_t> gather_workers_;
   std::vector<const std::byte*> flat_payloads_;  ///< add_batch's payloads
   std::vector<std::byte*> flat_dests_;           ///< flat read adapters
   /// Interpreted add: copy of the packet's pre-packet lane registers, which

@@ -1,8 +1,9 @@
 #include "pisa/resources.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "util/table.h"
 
@@ -83,8 +84,13 @@ std::vector<StageUsage> stage_usage(const std::vector<LogicalTableDesc>& descs,
                                     int num_stages, bool shared_only) {
   std::vector<StageUsage> stages(static_cast<std::size_t>(num_stages));
   for (const auto& d : descs) {
+    if (d.stage < 0 || d.stage >= num_stages) {
+      throw std::out_of_range("stage_usage: table " + d.name +
+                              " is laid out in stage " +
+                              std::to_string(d.stage) + " of a " +
+                              std::to_string(num_stages) + "-stage pipe");
+    }
     if (shared_only && d.per_instance) continue;
-    assert(d.stage >= 0 && d.stage < num_stages);
     add_desc(stages[static_cast<std::size_t>(d.stage)], d);
   }
   return stages;

@@ -66,7 +66,10 @@ struct StageUsage {
 
 /// Computes per-stage usage from descriptors (SRAM blocks = 128 Kb;
 /// TCAM blocks = 44b x 512 entries; hash bits modeled as
-/// 4 ways * ceil(log2(entries)) for exact tables).
+/// 4 ways * ceil(log2(entries)) for exact tables). Throws
+/// std::out_of_range, in every build, naming the table, when a descriptor
+/// (shared or not) lies outside stages [0, num_stages); analyze() and
+/// max_instances() check through it.
 std::vector<StageUsage> stage_usage(const std::vector<LogicalTableDesc>& descs,
                                     int num_stages, bool shared_only = false);
 

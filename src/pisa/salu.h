@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,12 @@ class RegisterArray {
   void clear() {
     for (std::size_t i = 0; i < size_; ++i) store(i, 0);
   }
+
+  /// An owning array's cells, one per element, each holding its value as
+  /// read() returns it; empty for a view. For a compiled fast path that
+  /// settles many packets' shared state in one loop: it indexes the cells
+  /// directly and keeps each value inside width_bits() itself.
+  std::span<std::int64_t> owned_cells() { return owned_; }
 
   std::size_t size() const { return size_; }
   int width_bits() const { return width_bits_; }

@@ -50,6 +50,7 @@ bool declare_dead_worker(int worker, std::size_t num_workers,
 CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
                                       int max_retransmits, util::Rng* rng,
                                       SessionStats& stats) {
+  check_wire_params(loss_rate, max_retransmits);
   CollectSchedule sched;
   if (rng == nullptr) {
     if (loss_rate != 0.0) {
@@ -63,16 +64,17 @@ CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
     stats.slot_reuses += n;
     return sched;
   }
+  const std::uint64_t lost = util::Rng::bernoulli_cut(loss_rate);
   for (std::size_t k = 0; k < n; ++k) {
     bool have = false;
     for (int attempt = 0; attempt <= max_retransmits && !have; ++attempt) {
       ++stats.packets_sent;
-      if (rng->next_double() < loss_rate) {
+      if (rng->next_bernoulli(lost)) {
         ++stats.packets_lost;
         continue;
       }
       ++sched.delivered;
-      if (rng->next_double() < loss_rate) {
+      if (rng->next_bernoulli(lost)) {
         ++stats.packets_lost;
         continue;
       }
@@ -85,14 +87,14 @@ CollectSchedule draw_collect_schedule(std::size_t n, double loss_rate,
     bool cleared_slot = false;
     for (int attempt = 0; attempt <= max_retransmits; ++attempt) {
       ++stats.packets_sent;
-      if (rng->next_double() < loss_rate) {
+      if (rng->next_bernoulli(lost)) {
         ++stats.packets_lost;
         continue;
       }
       ++sched.delivered;
       ++stats.slot_reuses;
       cleared_slot = true;
-      if (rng->next_double() >= loss_rate) break;
+      if (!rng->next_bernoulli(lost)) break;
       ++stats.packets_lost;  // ack lost: re-clearing is harmless
     }
     if (!cleared_slot) {
@@ -126,6 +128,18 @@ void WaveHooks::fail(WaveFailure failure, std::uint16_t slot, int worker) {
 WaveEngine::WaveEngine(int lanes)
     : lanes_(checked_lanes(lanes)), queue_(lanes_) {}
 
+void WaveEngine::gather_sources(const WaveJob& job, std::size_t wave) {
+  sources_.clear();
+  for (std::size_t w = 0; w < job.workers.size(); ++w) {
+    if ((job.dead_mask >> w) & 1u) continue;
+    if (job.faults != nullptr &&
+        job.faults->worker_silent(static_cast<int>(w), wave)) {
+      continue;  // injected death: this worker's packets never arrive
+    }
+    sources_.push_back({w, id_of(job, w), std::as_bytes(job.workers[w])});
+  }
+}
+
 template <class Fn>
 bool WaveEngine::pack(const WaveJob& job, std::size_t wave, std::size_t k0,
                       std::size_t k1, Fn&& fn) {
@@ -133,34 +147,28 @@ bool WaveEngine::pack(const WaveJob& job, std::size_t wave, std::size_t k0,
   const std::size_t payload_bytes = lanes_ * sizeof(float);
   for (std::size_t k = k0; k < k1; ++k) {
     const auto slot = static_cast<std::uint16_t>(job.lo + (k - base));
-    for (std::size_t w = 0; w < job.workers.size(); ++w) {
-      if ((job.dead_mask >> w) & 1u) continue;
-      if (job.faults != nullptr &&
-          job.faults->worker_silent(static_cast<int>(w), wave)) {
-        continue;  // injected death: this worker's packets never arrive
-      }
+    const std::size_t i0 = job.chunks[k] * payload_bytes;
+    for (const Source& src : sources_) {
       // The payload is the chunk's bytes in the worker's own view; only a
       // short tail chunk is copied, zero-padded, into the queue's store.
-      const std::span<const std::byte> view = std::as_bytes(job.workers[w]);
-      const std::size_t i0 =
-          std::min(job.chunks[k] * payload_bytes, view.size());
-      std::span<const std::byte> payload =
-          view.subspan(i0, std::min(payload_bytes, view.size() - i0));
-      if (payload.size() < payload_bytes) {
-        payload = std::as_bytes(queue_.materialize(payload));
-      }
-      if (!fn(slot, w, payload)) return false;
+      const std::byte* payload =
+          i0 + payload_bytes <= src.view.size()
+              ? src.view.data() + i0
+              : std::as_bytes(queue_.materialize(src.view.subspan(
+                                  std::min(i0, src.view.size()))))
+                    .data();
+      if (!fn(slot, src, payload)) return false;
     }
   }
   return true;
 }
 
 bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
-                      std::uint8_t id, std::span<const std::byte> payload) {
+                      std::uint8_t id, const std::byte* payload) {
   SessionStats& st = *job.stats;
   if (job.rng == nullptr) {  // lossless wire: one copy, acked first time
     ++st.packets_sent;
-    queue_.push(slot, id, 0, payload.data());
+    queue_.push(slot, id, 0, payload);
     return true;
   }
   util::Rng& rng = *job.rng;
@@ -168,21 +176,21 @@ bool WaveEngine::send(const WaveJob& job, std::uint16_t slot,
   for (int attempt = 0; attempt <= job.max_retransmits; ++attempt) {
     if (attempt > 0) ++st.retransmissions;
     ++st.packets_sent;
-    if (rng.next_double() < job.loss_rate) {
+    if (rng.next_bernoulli(loss_cut_)) {
       ++st.packets_lost;
       continue;  // request lost: retransmit after "timeout"
     }
     if (job.faults == nullptr) {
-      queue_.push(slot, id, 0, payload.data());
+      queue_.push(slot, id, 0, payload);
     } else if (!job.faults->deliver(queue_, slot, id, stamps_[slot - job.lo],
-                                    payload)) {
+                                    {payload, lanes_ * sizeof(float)})) {
       // A corrupted copy still reaches the switch (whose guard rejects
       // it) but can never be acked: keep retransmitting.
       continue;
     }
     if (delivered_before) ++st.duplicates_absorbed;
     delivered_before = true;
-    if (rng.next_double() < job.loss_rate) {
+    if (rng.next_bernoulli(loss_cut_)) {
       ++st.packets_lost;
       continue;  // ack lost: the worker retransmits, the bitmap dedups
     }
@@ -198,12 +206,13 @@ WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
   const std::size_t end = std::min(base + job.wave, job.chunks.size());
   const std::size_t mid = base + (end - base) / 2;
   if (job.faults != nullptr) job.faults->begin_wave(queue_);
-  const auto send_one = [&](std::uint16_t slot, std::size_t w,
-                            std::span<const std::byte> payload) {
-    if (send(job, slot, id_of(job, w), payload)) return true;
+  gather_sources(job, wave);
+  const auto send_one = [&](std::uint16_t slot, const Source& src,
+                            const std::byte* payload) {
+    if (send(job, slot, src.id, payload)) return true;
     e.ok = false;
     e.slot = slot;
-    e.worker = static_cast<int>(w);
+    e.worker = static_cast<int>(src.w);
     return false;
   };
   if (pack(job, wave, base, mid, send_one)) {
@@ -257,11 +266,11 @@ void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
       }
       resync(s, job);
       ++st.faults.epoch_bumps;
+      gather_sources(job, wave);
       pack(job, wave, base, end,
-           [&](std::uint16_t slot, std::size_t w,
-               std::span<const std::byte> payload) {
-             queue_.push(slot, id_of(job, w), stamps_[slot - job.lo],
-                         payload.data());
+           [&](std::uint16_t slot, const Source& src,
+               const std::byte* payload) {
+             queue_.push(slot, src.id, stamps_[slot - job.lo], payload);
              return true;
            });
       land(s, job);
@@ -346,6 +355,7 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
   WaveHooks& hooks = job.hooks != nullptr ? *job.hooks : default_hooks;
   queue_.clear();
   queue_.guarded = job.faults != nullptr;
+  loss_cut_ = util::Rng::bernoulli_cut(job.loss_rate);
   wave_values_.resize(job.wave * lanes_);
   if (job.faults != nullptr) {
     sw.with([&](pisa::FpisaSwitch& s) { resync(s, job); });

@@ -11,19 +11,25 @@
 // waits for its result, and one wave's slot pool is the concurrency.
 //  1. encode: the add loss schedule of every live worker's packet for
 //     every chunk of the wave is drawn in per-packet protocol order
-//     (request drop, delivery, ack drop, retransmit), and every copy the
-//     switch would receive is queued in arrival order as a descriptor: a
-//     pointer to the chunk's bytes in the worker's own view (only a short
+//     (request drop, delivery, ack drop, retransmit), each draw compared
+//     against the loss rate as an integer cut (util::Rng::bernoulli_cut),
+//     and every copy the switch would receive is queued in arrival order
+//     as a descriptor: a pointer to the chunk's bytes in the worker's own
+//     view, whose base the wave looks up once per worker (only a short
 //     tail chunk is copied, zero-padded). Nothing is packed, and the dedup
-//     bitmap absorbs duplicates exactly as it would packet by packet;
-//  2. add: the queued wave lands through one descriptor ingress, which
-//     gathers the accepted packets' lanes in place in one kernel call
-//     (guarded mode then recovers, below);
+//     bitmap absorbs duplicates exactly as it would packet by packet. The
+//     queue is slot-major: a slot's workers, each retransmit right after
+//     its first copy;
+//  2. add: the queued wave lands through one descriptor ingress: one
+//     pre-pass checks, dedups and counts every packet, then one kernel
+//     call gathers the accepted packets' lanes in place, adding each
+//     slot's run of packets with the slot's registers held in CPU
+//     registers (guarded mode then recovers, below);
 //  3. collect: the per-slot read/reset loss schedule is drawn
 //     (draw_collect_schedule) and the wave's slots drain through one
 //     descriptor egress, each slot's values written straight to its
 //     chunk's place in the result (only a short tail chunk goes through a
-//     bounce row).
+//     bounce row) and its registers cleared as they are read.
 // A job without an rng runs a lossless wire: each packet is queued once
 // and the collect schedule takes its closed form, with no draws at all.
 // The loss schedule depends only on the rng stream, never on the switch,
@@ -315,18 +321,28 @@ class WaveEngine {
     int worker = -1;
   };
   Encoded encode(const WaveJob& job, WaveHooks& hooks, std::size_t wave);
+  /// A worker that sends in the current wave: its index, bitmap id and
+  /// input bytes.
+  struct Source {
+    std::size_t w = 0;
+    std::uint8_t id = 0;
+    std::span<const std::byte> view;
+  };
+  /// Lists the workers that send in `wave` (neither dead nor silenced by
+  /// an injected death) into sources_, once per wave.
+  void gather_sources(const WaveJob& job, std::size_t wave);
   /// The one packing loop: for chunks [k0, k1) of `wave`, calls
-  /// fn(slot, w, payload) for each live worker in protocol order, the
-  /// payload being the chunk's bytes in the worker's view (a short tail
-  /// chunk zero-padded in the queue's store); false as soon as fn returns
-  /// false.
+  /// fn(slot, source, payload) for each of sources_ in protocol order, the
+  /// payload being the chunk's lanes_ values' bytes in the worker's view
+  /// (a short tail chunk zero-padded in the queue's store); false as soon
+  /// as fn returns false.
   template <class Fn>
   bool pack(const WaveJob& job, std::size_t wave, std::size_t k0,
             std::size_t k1, Fn&& fn);
   /// Draws one packet's add loss schedule and queues each delivered copy;
   /// false when the packet exhausts its retransmit budget.
   bool send(const WaveJob& job, std::uint16_t slot, std::uint8_t id,
-            std::span<const std::byte> payload);
+            const std::byte* payload);
   /// Lands the queue on an already-held switch through its descriptor
   /// ingress (guarded or not), books the guard's rejects, and empties it.
   void land(pisa::FpisaSwitch& sw, const WaveJob& job);
@@ -349,8 +365,13 @@ class WaveEngine {
   }
 
   std::size_t lanes_;
+  /// The run's loss rate as an integer cut on the rng's draws
+  /// (util::Rng::bernoulli_cut): the same decisions, no per-draw
+  /// conversion to double.
+  std::uint64_t loss_cut_ = 0;
   // Reused across waves and runs: no steady-state allocation.
   fault::WaveQueue queue_;  ///< the only packet queue
+  std::vector<Source> sources_;  ///< the current wave's sending workers
   std::vector<std::byte*> dests_;  ///< collect: one destination per slot
   /// Bounce rows (a failed wave, a short tail chunk) and the guarded
   /// deadline probe's values.

@@ -62,6 +62,25 @@ class Rng {
     return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
   }
 
+  /// The cut that makes next_bernoulli(cut) decide exactly as
+  /// `next_double() < p` does on the same draw: next_double() is
+  /// k * 2^-53 for the integer k = next_u64() >> 11, and k * 2^-53 < p
+  /// holds iff k < ceil(p * 2^53). p <= 0 and NaN never pass (cut 0),
+  /// p >= 1 always does (cut 2^53).
+  static std::uint64_t bernoulli_cut(double p) {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    const double y = p * 0x1.0p53;  // exact: a power-of-two scale
+    const auto k = static_cast<std::uint64_t>(y);
+    return static_cast<double>(k) < y ? k + 1 : k;
+  }
+
+  /// `next_double() < p` as one integer compare, for cut = bernoulli_cut(p):
+  /// the same draw, the same decision.
+  constexpr bool next_bernoulli(std::uint64_t cut) {
+    return (next_u64() >> 11) < cut;
+  }
+
   /// Uniform double in [lo, hi).
   constexpr double uniform(double lo, double hi) {
     return lo + (hi - lo) * next_double();

@@ -4,7 +4,9 @@
 // a budget runs out.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -38,6 +40,24 @@ TEST(CollectSchedule, LosslessScheduleClearsEverySlotInTwoTraversals) {
   EXPECT_EQ(sched.cleared, 16u);
   EXPECT_EQ(sched.delivered, 32u);  // one read + one reset per slot
   EXPECT_EQ(stats.packets_lost, 0u);
+}
+
+TEST(CollectSchedule, RatesOutsideTheUnitIntervalThrowBeforeAnyDraw) {
+  // A NaN rate would book every reset ack as lost; the schedule rejects
+  // it, and a negative budget, as the session does, without drawing.
+  for (const double bad : {std::nan(""), -0.1, 1.5}) {
+    util::Rng rng(3);
+    SessionStats stats{};
+    EXPECT_THROW(draw_collect_schedule(4, bad, 2, &rng, stats),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_EQ(stats.packets_sent, 0u);
+    EXPECT_EQ(rng.next_u64(), util::Rng(3).next_u64());
+  }
+  util::Rng rng(3);
+  SessionStats stats{};
+  EXPECT_THROW(draw_collect_schedule(4, 0.1, -1, &rng, stats),
+               std::invalid_argument);
 }
 
 TEST(CollectSchedule, ExtremeLossInvariantsHoldAcrossSeeds) {

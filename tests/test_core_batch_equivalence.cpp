@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/batch_accumulator.h"
+#include "core/batch_lane.h"
 #include "core/packed.h"
 #include "core/vector_accumulator.h"
 #include "util/rng.h"
@@ -920,6 +921,258 @@ TEST(BatchEquivalence, BackendReportsAndDispatch) {
     EXPECT_EQ(batch_backend(), BatchBackend::kAvx2);
   }
 #endif
+}
+
+// --- runs of equal rows ------------------------------------------------------
+// The gather kernels add a run of consecutive payloads on one row with the
+// row held in registers. The oracle below is independent of that iteration
+// and of the vector kernels: the scalar lane primitive, one value at a
+// time, with the tallies summed per value.
+
+template <Variant V, OverflowPolicy P, LaneMode M>
+void lane_oracle_t(const std::vector<std::vector<std::uint32_t>>& payloads,
+                   std::span<const std::uint32_t> rows, std::size_t lanes,
+                   const AccumulatorConfig& cfg, RegisterFile& bank,
+                   OpCounters& ops) {
+  const detail::LaneParams p = detail::LaneParams::from(cfg);
+  detail::BatchTallies t;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const std::size_t i = rows[r] * lanes + l;
+      detail::lane_add<V, P, M>(payloads[r][l], bank.exp[i], bank.man[i], p,
+                                t);
+    }
+  }
+  ops.adds += t.adds;
+  ops.rounded_adds += t.rounded;
+  ops.overwrites += t.overwrites;
+  ops.lshift_overflows += t.lshift_overflows;
+  ops.saturations += t.saturations;
+  ops.nonfinite_inputs += t.nonfinite;
+  ops.zero_inputs += t.zeros;
+}
+
+template <Variant V, OverflowPolicy P>
+void lane_oracle_p(const std::vector<std::vector<std::uint32_t>>& payloads,
+                   std::span<const std::uint32_t> rows, std::size_t lanes,
+                   const AccumulatorConfig& cfg, LaneMode mode,
+                   RegisterFile& bank, OpCounters& ops) {
+  if (mode == LaneMode::kSwitch) {
+    lane_oracle_t<V, P, LaneMode::kSwitch>(payloads, rows, lanes, cfg, bank,
+                                           ops);
+  } else {
+    lane_oracle_t<V, P, LaneMode::kAccumulator>(payloads, rows, lanes, cfg,
+                                                bank, ops);
+  }
+}
+
+/// Payload r adds into row rows[r], value by value through the lane
+/// primitive.
+void lane_oracle(const std::vector<std::vector<std::uint32_t>>& payloads,
+                 std::span<const std::uint32_t> rows, std::size_t lanes,
+                 const AccumulatorConfig& cfg, LaneMode mode,
+                 RegisterFile& bank, OpCounters& ops) {
+  const bool wrap = cfg.overflow == OverflowPolicy::kWrap;
+  if (cfg.variant == Variant::kFull) {
+    wrap ? lane_oracle_p<Variant::kFull, OverflowPolicy::kWrap>(
+               payloads, rows, lanes, cfg, mode, bank, ops)
+         : lane_oracle_p<Variant::kFull, OverflowPolicy::kSaturate>(
+               payloads, rows, lanes, cfg, mode, bank, ops);
+  } else {
+    wrap ? lane_oracle_p<Variant::kApproximate, OverflowPolicy::kWrap>(
+               payloads, rows, lanes, cfg, mode, bank, ops)
+         : lane_oracle_p<Variant::kApproximate, OverflowPolicy::kSaturate>(
+               payloads, rows, lanes, cfg, mode, bank, ops);
+  }
+}
+
+/// One FP32 input drawn across the edges: ±0, subnormals, ±inf, NaN, the
+/// extreme exponents 1 and 254, values near 1.0 and wide random ones.
+std::uint32_t edge_value(util::Rng& rng) {
+  const std::uint32_t sign = static_cast<std::uint32_t>(rng.next_below(2))
+                             << 31;
+  const std::uint32_t frac = rng.next_u32() & 0x7FFFFFu;
+  switch (rng.next_below(9)) {
+    case 0: return sign;                                    // ±0
+    case 1: return sign | (frac | 1u);                      // subnormal
+    case 2: return sign | 0x7F800000u;                      // ±inf
+    case 3: return sign | 0x7F800000u | (frac | 1u);        // NaN
+    case 4: return sign | (1u << 23) | frac;                // exponent 1
+    case 5: return sign | (254u << 23) | frac;              // exponent 254
+    case 6:
+      return sign | static_cast<std::uint32_t>(120 + rng.next_below(16))
+                        << 23 |
+             frac;                                          // near 1.0
+    default:
+      return sign |
+             static_cast<std::uint32_t>(1 + rng.next_below(254)) << 23 |
+             frac;                                          // any normal
+  }
+}
+
+/// Runs the gather on every backend against the lane oracle, for both
+/// lane modes, both variants, both overflow policies and reg_bits 32 / 40.
+void expect_gather_matches_oracle(
+    const std::vector<std::vector<std::uint32_t>>& payloads,
+    const std::vector<std::uint32_t>& rows, std::size_t lanes,
+    std::size_t bank_rows, const std::string& what) {
+  // Odd byte offset: no lane of any payload is 4-byte aligned.
+  std::vector<std::byte> bytes(1 + payloads.size() * lanes * 4);
+  std::vector<const std::byte*> ptrs;
+  for (std::size_t r = 0; r < payloads.size(); ++r) {
+    std::memcpy(bytes.data() + 1 + r * lanes * 4, payloads[r].data(),
+                lanes * 4);
+    ptrs.push_back(bytes.data() + 1 + r * lanes * 4);
+  }
+  for (const LaneMode mode : {LaneMode::kAccumulator, LaneMode::kSwitch}) {
+    for (const Variant v : {Variant::kFull, Variant::kApproximate}) {
+      for (const OverflowPolicy pol :
+           {OverflowPolicy::kWrap, OverflowPolicy::kSaturate}) {
+        for (const int reg_bits : {32, 40}) {
+          AccumulatorConfig cfg;
+          cfg.variant = v;
+          cfg.overflow = pol;
+          cfg.reg_bits = reg_bits;
+          RegisterFile want(bank_rows * lanes);
+          OpCounters want_ops;
+          lane_oracle(payloads, rows, lanes, cfg, mode, want, want_ops);
+          for (const BatchBackend backend : available_batch_backends()) {
+            force_batch_backend(backend);
+            RegisterFile got(bank_rows * lanes);
+            OpCounters got_ops;
+            fpisa_add_gather(ptrs, rows, lanes, got.exp, got.man, cfg,
+                             got_ops, mode);
+            reset_batch_backend();
+            const std::string tag =
+                what + (mode == LaneMode::kSwitch ? " switch" : " acc") +
+                (v == Variant::kFull ? " full" : " approx") +
+                (pol == OverflowPolicy::kWrap ? " wrap" : " sat") +
+                " reg=" + std::to_string(reg_bits) +
+                " lanes=" + std::to_string(lanes) + " [" +
+                backend_tag(backend) + "]";
+            ASSERT_EQ(got.exp, want.exp) << tag;
+            ASSERT_EQ(got.man, want.man) << tag;
+            expect_counters_eq(got_ops, want_ops, tag);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(GatherEquivalence, RunsOfEqualRowsMatchTheLanePrimitive) {
+  // Runs of 1 to 9 payloads on one row, single rows between them, and
+  // rows that come back after other rows (3, 5 and 0 recur non-adjacent).
+  // 5 lanes are all tail, 13 one 8-lane block plus a tail, 32 whole blocks
+  // only, 40 five blocks.
+  const std::vector<std::uint32_t> rows = {
+      3, 3, 3, 0, 5, 5, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0,
+      2, 5, 5, 5, 5, 5, 5, 5, 4, 4, 4, 4, 4, 4, 3, 3, 3, 3, 3, 3,
+      3, 3, 0, 5, 2, 2, 2, 2, 2, 2, 2, 2, 2};
+  for (const std::size_t lanes : {std::size_t{5}, std::size_t{13},
+                                  std::size_t{32}, std::size_t{40}}) {
+    util::Rng rng(1000 + lanes);
+    std::vector<std::vector<std::uint32_t>> payloads(rows.size());
+    for (auto& pl : payloads) {
+      pl.resize(lanes);
+      for (std::uint32_t& u : pl) u = edge_value(rng);
+    }
+    expect_gather_matches_oracle(payloads, rows, lanes, 6, "runs");
+  }
+}
+
+TEST(GatherEquivalence, LongRunCrossesTheTallyDrain) {
+  // 70,000 payloads on one row, after a short run on another: more steps
+  // than a lane count holds between drains (65,535), so the kernels must
+  // drain their register tallies mid-run, with the first run's steps
+  // already pending. Every lane sees the same event on every payload in
+  // its group — non-finite, zero, or a huge value that overflows or
+  // saturates — so an undrained count would wrap well before the end.
+  constexpr std::size_t kPayloads = 70003;
+  constexpr std::size_t kLanes = 13;
+  util::Rng rng(77);
+  std::vector<std::vector<std::uint32_t>> payloads(kPayloads);
+  for (auto& pl : payloads) {
+    pl.resize(kLanes);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const std::uint32_t frac = rng.next_u32() & 0x7FFFFFu;
+      switch (l % 4) {
+        case 0: pl[l] = 0x7F800000u | (frac | 1u); break;  // NaN
+        case 1: pl[l] = (l & 4u) << 29; break;              // ±0
+        case 2: pl[l] = (254u << 23) | frac; break;         // huge
+        default: pl[l] = edge_value(rng);
+      }
+    }
+  }
+  std::vector<std::uint32_t> rows(kPayloads, 1);
+  rows[0] = rows[1] = rows[2] = 0;
+  expect_gather_matches_oracle(payloads, rows, kLanes, 2, "long run");
+}
+
+TEST(ScatterEquivalence, ReadResetClearsExactlyItsSpan) {
+  // A read-and-reset clears the registers it reads as it reads them: its
+  // span ends all-zero, the bank's registers outside the span keep their
+  // values, and no byte outside the destinations is written.
+  for (const std::size_t lanes : {std::size_t{5}, std::size_t{13},
+                                  std::size_t{32}, std::size_t{40}}) {
+    constexpr std::size_t kBankRows = 8;
+    constexpr std::size_t kFirst = 2;
+    constexpr std::size_t kRows = 4;
+    util::Rng rng(500 + lanes);
+    std::vector<std::uint32_t> rows;
+    for (std::size_t i = 0; i < 3 * kBankRows; ++i) {
+      rows.push_back(static_cast<std::uint32_t>(i % kBankRows));
+    }
+    std::vector<std::vector<std::uint32_t>> payloads(rows.size());
+    for (auto& pl : payloads) {
+      pl.resize(lanes);
+      for (std::uint32_t& u : pl) u = edge_value(rng);
+    }
+    for (const LaneMode mode : {LaneMode::kAccumulator, LaneMode::kSwitch}) {
+      for (const int reg_bits : {32, 40}) {
+        AccumulatorConfig cfg;
+        cfg.reg_bits = reg_bits;
+        RegisterFile bank(kBankRows * lanes);
+        OpCounters ops;
+        lane_oracle(payloads, rows, lanes, cfg, mode, bank, ops);
+        // One out-of-invariant register inside the span takes the 8-lane
+        // kernel's scalar fallback block.
+        bank.man[kFirst * lanes] = std::int64_t{1} << 40;
+        const std::size_t off = kFirst * lanes;
+        const std::size_t n = kRows * lanes;
+        std::vector<std::uint32_t> flat(n);
+        fpisa_read_batch(std::span(bank.exp).subspan(off, n),
+                         std::span(bank.man).subspan(off, n), flat, cfg,
+                         mode);
+        for (const BatchBackend backend : available_batch_backends()) {
+          force_batch_backend(backend);
+          for (const bool reversed : {true, false}) {
+            const std::string tag =
+                std::string(mode == LaneMode::kSwitch ? "switch" : "acc") +
+                " reg=" + std::to_string(reg_bits) +
+                " lanes=" + std::to_string(lanes) +
+                (reversed ? " reversed" : " runs") + " [" +
+                backend_tag(backend) + "]";
+            RegisterFile cleared = bank;
+            ScatterCase out(lanes, kRows, reversed);
+            fpisa_read_reset_scatter(
+                std::span(cleared.exp).subspan(off, n),
+                std::span(cleared.man).subspan(off, n), lanes, out.dests, cfg,
+                mode);
+            out.expect_rows(flat, tag);
+            for (std::size_t i = 0; i < cleared.size(); ++i) {
+              const bool in_span = i >= off && i < off + n;
+              ASSERT_EQ(cleared.exp[i], in_span ? 0 : bank.exp[i])
+                  << tag << " exp " << i;
+              ASSERT_EQ(cleared.man[i], in_span ? 0 : bank.man[i])
+                  << tag << " man " << i;
+            }
+          }
+          reset_batch_backend();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

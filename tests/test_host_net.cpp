@@ -2,6 +2,8 @@
 // speedup cards (Fig 11), and the network timing substrate.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "event_sim.h"
 #include "host/endianness.h"
 #include "host/goodput_model.h"
@@ -190,6 +192,24 @@ TEST(StarTopology, GatherAccountsForDownlinkContention) {
   // downlink serializes both: >= 20 us (+ propagation hops).
   EXPECT_GT(done, 20e-6);
   EXPECT_LT(done, 36e-6);
+}
+
+TEST(StarTopology, BadHostsThrowInEveryBuildBeforeAnyLinkMoves) {
+  net::StarTopology star(3, 10.0, 1.0);
+  EXPECT_THROW(star.send(0.0, 1, 1, 100), std::invalid_argument);
+  EXPECT_THROW(star.send(0.0, -1, 2, 100), std::out_of_range);
+  EXPECT_THROW(star.send(0.0, 0, 3, 100), std::out_of_range);
+  // gather checks every flow, zero-byte ones included, before it sends
+  // any: the good first flow must not have occupied its links.
+  const std::vector<std::pair<int, std::uint64_t>> bad_src{{0, 12500},
+                                                           {5, 0}};
+  EXPECT_THROW(star.gather(0.0, bad_src, 2), std::out_of_range);
+  const std::vector<std::pair<int, std::uint64_t>> to_self{{0, 12500},
+                                                           {2, 12500}};
+  EXPECT_THROW(star.gather(0.0, to_self, 2), std::invalid_argument);
+  EXPECT_THROW(star.gather(0.0, {{0, 1}}, 7), std::out_of_range);
+  net::StarTopology fresh(3, 10.0, 1.0);
+  EXPECT_EQ(star.send(0.0, 0, 2, 12500), fresh.send(0.0, 0, 2, 12500));
 }
 
 }  // namespace

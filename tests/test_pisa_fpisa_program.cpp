@@ -604,6 +604,77 @@ TEST(FpisaSwitch, DescriptorIngressChecksShapesBeforeAnyStateChange) {
   EXPECT_EQ(sw.sim().packets_processed(), 0u);
 }
 
+TEST(FpisaSwitch, BadPacketMidBatchLeavesEveryBookAsItWas) {
+  // The ingress pre-pass checks each packet as it settles it. A bad slot
+  // or worker id after packets that were accepted, absorbed as duplicates
+  // or rejected by the guard must still leave the switch exactly as it
+  // was: bitmap, counter, occupancy, dedup, guard books and lanes.
+  for (const bool guarded : {false, true}) {
+    FpisaSwitch sw(eq_config(core::Variant::kFull),
+                   eq_options(switch_cases().front()));
+    const auto lanes = static_cast<std::size_t>(sw.options().lanes);
+    const std::vector<std::uint32_t> values(lanes, core::fp32_bits(1.5f));
+    const std::byte* const payload = std::as_bytes(std::span(values)).data();
+    const std::vector<std::uint16_t> warm_slots{2, 3};
+    const std::vector<std::uint8_t> warm_workers{0, 4};
+    const std::vector<const std::byte*> warm_payloads{payload, payload};
+    sw.ingress(warm_slots, warm_workers, warm_payloads);
+    const int regs = 2 * sw.options().lanes + 2;
+    std::vector<std::vector<std::uint64_t>> before(
+        static_cast<std::size_t>(regs));
+    for (int r = 0; r < regs; ++r) {
+      for (std::size_t s = 0; s < kEqSlots; ++s) {
+        before[static_cast<std::size_t>(r)].push_back(sw.sim().reg(r).read(s));
+      }
+    }
+    const std::int64_t occupied = sw.occupied_slots();
+    const std::uint64_t dedup = sw.dedup_hits();
+    const std::uint64_t adds = sw.op_counters().adds;
+
+    // New bit on an occupied slot, a duplicate, a fresh slot, a second
+    // worker on the fresh slot, a corrupt copy (guarded), then the bad
+    // packet.
+    const std::vector<std::uint16_t> slots{2, 2, 7, 7, 9, 1};
+    const std::vector<std::uint8_t> workers{1, 0, 0, 31, 2, 32};
+    const std::vector<const std::byte*> payloads(slots.size(), payload);
+    FpisaSwitch::GuardStats guard{5, 6};
+    if (guarded) {
+      std::vector<std::uint32_t> stamps;
+      std::vector<std::uint16_t> sums;
+      for (std::size_t p = 0; p < slots.size(); ++p) {
+        stamps.push_back(sw.slot_stamp(slots[p] % kEqSlots));
+        sums.push_back(fpisa_checksum(slots[p], workers[p], stamps[p],
+                                      {payload, lanes * 4}));
+      }
+      sums[4] ^= 1;  // the copy on slot 9 arrives corrupted
+      EXPECT_THROW(sw.ingress(slots, workers, payloads, stamps, sums, &guard),
+                   std::out_of_range);
+      EXPECT_EQ(guard.corrupt_rejected, 5u);
+      EXPECT_EQ(guard.stale_rejected, 6u);
+    } else {
+      EXPECT_THROW(sw.ingress(slots, workers, payloads), std::out_of_range);
+    }
+    for (int r = 0; r < regs; ++r) {
+      for (std::size_t s = 0; s < kEqSlots; ++s) {
+        EXPECT_EQ(sw.sim().reg(r).read(s),
+                  before[static_cast<std::size_t>(r)][s])
+            << (guarded ? "guarded" : "plain") << " reg " << r << " slot "
+            << s;
+      }
+    }
+    EXPECT_EQ(sw.occupied_slots(), occupied);
+    EXPECT_EQ(sw.dedup_hits(), dedup);
+    EXPECT_EQ(sw.op_counters().adds, adds);
+    // The same packets without the bad one then land as they would have.
+    sw.ingress(std::span(slots).first(4), std::span(workers).first(4),
+               std::span(payloads).first(4));
+    EXPECT_EQ(sw.dedup_hits(), dedup + 1);
+    EXPECT_EQ(sw.occupied_slots(), occupied + 1);
+    EXPECT_EQ(sw.sim().reg(2 * sw.options().lanes).read(2), 0b11u);
+    EXPECT_EQ(sw.sim().reg(2 * sw.options().lanes + 1).read(7), 2u);
+  }
+}
+
 TEST(FpisaSwitch, ReadBatchBitIdenticalToPerPacketPipeline) {
   // The compiled egress must emit exactly what interpreted read /
   // read_and_reset packets emit — values (FTZ and overflow-to-inf range
@@ -992,6 +1063,38 @@ TEST(FpisaResources, ShiftExtensionUnlocksParallelInstances) {
   const SwitchConfig cfg = extended_switch();
   const int n = max_instances(fpisa_resource_descriptors(cfg, opts), cfg);
   EXPECT_GE(n, 4) << "the 2-operand shift should unlock multiple modules";
+}
+
+TEST(FpisaResources, StageOutsideThePipeThrowsNamingTheTable) {
+  // A descriptor laid out past the pipe (or before it) is a typed error in
+  // every build, through analyze() and max_instances() alike, whether it
+  // is per-instance or shared.
+  const SwitchConfig cfg = baseline_tofino();
+  for (const bool per_instance : {true, false}) {
+    for (const int stage : {cfg.num_stages, -1, 1000}) {
+      std::vector<LogicalTableDesc> descs =
+          fpisa_resource_descriptors(cfg, FpisaProgramOptions{});
+      LogicalTableDesc stray;
+      stray.name = "stray_table";
+      stray.stage = stage;
+      stray.per_instance = per_instance;
+      descs.push_back(stray);
+      for (const auto& run :
+           {+[](const std::vector<LogicalTableDesc>& d,
+                const SwitchConfig& c) { analyze(d, c); },
+            +[](const std::vector<LogicalTableDesc>& d,
+                const SwitchConfig& c) { max_instances(d, c); }}) {
+        try {
+          run(descs, cfg);
+          ADD_FAILURE() << "stage " << stage << " accepted";
+        } catch (const std::out_of_range& e) {
+          EXPECT_NE(std::string(e.what()).find("stray_table"),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+  }
 }
 
 TEST(FpisaResources, ReportRenders) {

@@ -21,6 +21,32 @@ TEST(Rng, DeterministicAcrossInstances) {
   EXPECT_NE(Rng(42).next_u64(), c.next_u64());
 }
 
+TEST(Rng, BernoulliCutDecidesExactlyAsNextDouble) {
+  // next_bernoulli(bernoulli_cut(p)) and next_double() < p see the same
+  // draw and must agree on every one, at the rates the wire uses, at
+  // exact multiples of 2^-53 and one ulp either side, and at the edges.
+  const double k = 0x1.0p-53;
+  const double rates[] = {0.0,   0.01,  0.001,         0.5,
+                          0.999, 1.0,   1.5,           -0.25,
+                          k,     3 * k, std::nextafter(3 * k, 1.0),
+                          std::nextafter(3 * k, 0.0),  0x1.0p-1074,
+                          std::nextafter(1.0, 0.0),    std::nan("")};
+  for (const double p : rates) {
+    const std::uint64_t cut = Rng::bernoulli_cut(p);
+    Rng a(7);
+    Rng b(7);
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(a.next_bernoulli(cut), b.next_double() < p)
+          << "p=" << p << " draw " << i;
+    }
+  }
+  // The boundary itself: draw k * 2^-53 passes for p just above it only.
+  EXPECT_EQ(Rng::bernoulli_cut(3 * k), 3u);
+  EXPECT_EQ(Rng::bernoulli_cut(std::nextafter(3 * k, 1.0)), 4u);
+  EXPECT_EQ(Rng::bernoulli_cut(std::nan("")), 0u);
+  EXPECT_EQ(Rng::bernoulli_cut(2.0), std::uint64_t{1} << 53);
+}
+
 TEST(Rng, UniformBoundsRespected) {
   Rng rng(1);
   for (int i = 0; i < 100000; ++i) {
