@@ -64,36 +64,23 @@ AggregationService::AggregationService(ClusterOptions opts)
   // there is real parallelism to win, inline otherwise (a single core or a
   // single shard gains nothing from the handoff). Results are identical
   // either way — only wall time differs.
-  switch (opts_.dispatch) {
-    case ClusterOptions::DispatchMode::kInline:
-      inline_dispatch_ = true;
-      break;
-    case ClusterOptions::DispatchMode::kWorkers:
-      inline_dispatch_ = false;
-      break;
-    case ClusterOptions::DispatchMode::kAuto:
-      inline_dispatch_ = opts_.num_shards <= 1 ||
-                         std::thread::hardware_concurrency() <= 1;
-      break;
-  }
-  if (!inline_dispatch_) {
-    workers_.reserve(static_cast<std::size_t>(opts_.num_shards));
-    for (int s = 0; s < opts_.num_shards; ++s) {
-      workers_.push_back(std::make_unique<ShardWorker>());
-    }
-    // Spawn after every mailbox exists: a worker never touches another
-    // shard's state, but the vector itself must be complete first.
-    for (int s = 0; s < opts_.num_shards; ++s) {
-      workers_[static_cast<std::size_t>(s)]->thread =
-          std::thread([this, s] { shard_worker_loop(s); });
-    }
+  using Mode = ClusterOptions::DispatchMode;
+  if (opts_.dispatch == Mode::kWorkers ||
+      (opts_.dispatch == Mode::kAuto && opts_.num_shards > 1 &&
+       std::thread::hardware_concurrency() > 1)) {
+    pool_ = std::make_unique<ForkJoinPool>(opts_.num_shards, 256);
   }
   const int job_threads = opts_.job_runner_threads > 0
                               ? opts_.job_runner_threads
                               : std::max(2, opts_.num_shards);
   job_pool_.reserve(static_cast<std::size_t>(job_threads));
-  for (int t = 0; t < job_threads; ++t) {
-    job_pool_.emplace_back([this] { job_runner_loop(); });
+  try {
+    for (int t = 0; t < job_threads; ++t) {
+      job_pool_.emplace_back([this] { job_runner_loop(); });
+    }
+  } catch (...) {
+    stop_job_runners();  // the destructor does not run for a failed constructor
+    throw;
   }
 }
 
@@ -168,11 +155,10 @@ void AggregationService::attach_trace(telemetry::Trace* trace,
   trace_.store(trace, std::memory_order_release);
 }
 
-AggregationService::~AggregationService() {
-  // Stop the job runners first (they feed the shard workers), draining any
-  // still-queued submissions so their futures resolve; then poison each
-  // shard mailbox with a stop ticket — the workers drain in FIFO order, so
-  // nothing a runner posted is lost.
+// Members then stop the shard pool: the runners feed it, so they go first.
+AggregationService::~AggregationService() { stop_job_runners(); }
+
+void AggregationService::stop_job_runners() {
   {
     util::LockGuard lk(job_mu_);
     stopping_jobs_ = true;
@@ -180,15 +166,11 @@ AggregationService::~AggregationService() {
   job_cv_.notify_all();
   admission_cv_.notify_all();  // unblock any kBlock submitter immediately
   for (std::thread& t : job_pool_) t.join();
-  for (auto& w : workers_) w->mailbox.push(PassTicket{nullptr, true});
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
 }
 
 /// One in-flight fan-out/join (see header). Lives on run_pass's stack;
-/// shard workers reach it through their mailbox ticket and write only
-/// their own cache-line-aligned slot.
+/// shard workers reach it through their pool task and write only their
+/// own cache-line-aligned slot.
 struct AggregationService::PassContext {
   const Parts* parts = nullptr;
   const std::vector<SlotRange>* ranges = nullptr;
@@ -209,27 +191,8 @@ struct AggregationService::PassContext {
     std::exception_ptr error;
   };
   std::vector<ShardSlot> slots;
-  std::atomic<int> pending{0};
+  AggregationService* svc = nullptr;
 };
-
-void AggregationService::shard_worker_loop(int shard) {
-  ShardMailbox<PassTicket>& mb =
-      workers_[static_cast<std::size_t>(shard)]->mailbox;
-  for (;;) {
-    const PassTicket t = mb.pop_wait();
-    if (t.stop) return;
-    PassContext& ctx = *t.ctx;
-    run_pass_task(ctx, shard);
-    // Retire the ticket. The LAST shard of the pass rings the service-wide
-    // doorbell — and touches NOTHING of ctx after its decrement: once
-    // pending hits zero the joining frame (which owns ctx on its stack) is
-    // free to return.
-    if (ctx.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      pass_epoch_.fetch_add(1, std::memory_order_release);
-      pass_epoch_.notify_all();
-    }
-  }
-}
 
 void AggregationService::refresh_queue_gauges() {
   m_queue_depth_->set(static_cast<double>(job_sched_.size()));
@@ -541,39 +504,27 @@ std::vector<std::exception_ptr> AggregationService::run_pass(
   ctx.trace = trace;
   ctx.pass_span = pass_span;
   ctx.slots.resize(shards_.size());
+  ctx.svc = this;
   std::vector<std::exception_ptr> errors(shards_.size());
-  int active = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!parts[s].empty()) ++active;
-  }
-  if (active == 0) return errors;
-  if (inline_dispatch_) {
+  if (!pool_) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (!parts[s].empty()) run_pass_task(ctx, static_cast<int>(s));
     }
   } else {
-    // Fan-out: one mailbox ticket per ACTIVE shard — a ring store plus one
-    // futex wake each; idle shards' workers stay asleep. (The old pool
-    // pushed lambdas into one locked deque and notify_all'd EVERY worker
-    // for every pass.)
-    ctx.pending.store(active, std::memory_order_relaxed);
+    // Fan-out: one task per ACTIVE shard, on that shard's worker; idle
+    // shards' workers stay asleep.
+    const ForkJoinPool::Fn task = [](void* c, int shard) noexcept {
+      auto& pc = *static_cast<PassContext*>(c);
+      pc.svc->run_pass_task(pc, shard);
+    };
+    ForkJoinPool::Join join;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (!parts[s].empty()) {
-        workers_[s]->mailbox.push(PassTicket{&ctx, false});
+        const int shard = static_cast<int>(s);
+        pool_->post(shard, join, task, &ctx, shard);
       }
     }
-    // Join on the service-wide pass-epoch doorbell, re-checking our own
-    // pending counter: the last worker's notify lands on a service member,
-    // never on this dying frame (the lifetime bug the old Join condvar
-    // needed a lock in the notify path to dodge). Every pass completion
-    // wakes all concurrent joiners; they re-check and go back to sleep —
-    // passes complete at wave granularity, so the cross-talk is noise.
-    for (;;) {
-      if (ctx.pending.load(std::memory_order_acquire) == 0) break;
-      const std::uint64_t e = pass_epoch_.load(std::memory_order_acquire);
-      if (ctx.pending.load(std::memory_order_acquire) == 0) break;
-      pass_epoch_.wait(e, std::memory_order_acquire);
-    }
+    pool_->wait(join);
   }
   // Merge under the join — single-threaded, after every worker's release
   // decrement — instead of from N workers into adjacent vector elements.
@@ -581,13 +532,13 @@ std::vector<std::exception_ptr> AggregationService::run_pass(
     report.per_shard[s] += ctx.slots[s].stats;  // += : retry passes merge in
     errors[s] = ctx.slots[s].error;
   }
-  if (!inline_dispatch_) {
+  if (pool_) {
     // Refresh the scrapeable mailbox gauges from the per-shard counters
     // (three relaxed loads + stores per active shard — noise next to the
     // pass itself).
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       if (parts[s].empty()) continue;
-      const MailboxStats ms = workers_[s]->mailbox.stats();
+      const MailboxStats ms = pool_->stats(static_cast<int>(s));
       m_mailbox_[s][0]->set(static_cast<double>(ms.enqueued));
       m_mailbox_[s][1]->set(static_cast<double>(ms.wakeups));
       m_mailbox_[s][2]->set(static_cast<double>(ms.spurious_wakeups));
@@ -600,8 +551,7 @@ MailboxStats AggregationService::mailbox_stats(int shard) const {
   if (shard < 0 || shard >= opts_.num_shards) {
     throw std::invalid_argument("cluster: mailbox_stats: unknown shard");
   }
-  if (inline_dispatch_) return {};
-  return workers_[static_cast<std::size_t>(shard)]->mailbox.stats();
+  return pool_ ? pool_->stats(shard) : MailboxStats{};
 }
 
 std::size_t AggregationService::route(Parts& parts,

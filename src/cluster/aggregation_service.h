@@ -1,7 +1,7 @@
 // Rack-scale, multi-tenant aggregation service: routes reduce jobs across a
 // pool of pisa::FpisaSwitch shards (element-space sharding via ShardRouter),
-// drives the shards concurrently from per-shard persistent workers fed
-// through lock-free mailboxes, and keeps per-tenant and per-shard protocol
+// drives the shards concurrently on a ForkJoinPool with one worker per
+// shard (cluster/mailbox.h), and keeps per-tenant and per-shard protocol
 // statistics. Each shard task runs the one switchml::WaveEngine (the same
 // wave protocol as AggregationSession: add with retransmission, idempotent
 // read, read-and-reset slot recycling) over a tenant-private SlotRange so
@@ -53,9 +53,9 @@ struct ClusterOptions {
   std::uint64_t loss_seed = 1;
   int max_retransmits = 64;
   /// How shard tasks of a pass execute.
-  ///  * kWorkers: one persistent worker thread per shard, each owning its
-  ///    switch, fed through a lock-free mailbox — a pass dispatch is one
-  ///    ring store + one futex wake per ACTIVE shard (idle shards sleep).
+  ///  * kWorkers: a ForkJoinPool with one persistent worker per shard —
+  ///    a pass dispatch is one ring store + one futex wake per ACTIVE
+  ///    shard, on that shard's worker (idle shards sleep).
   ///  * kInline: shard tasks run sequentially on the calling job thread;
   ///    zero fan-out threads (concurrent jobs still overlap on the
   ///    job-runner pool, serialized per shard by the shard mutex).
@@ -218,8 +218,8 @@ class AggregationService {
   MailboxStats mailbox_stats(int shard) const;
   /// The dispatch mode actually running (kAuto resolved at construction).
   ClusterOptions::DispatchMode dispatch_mode() const {
-    return inline_dispatch_ ? ClusterOptions::DispatchMode::kInline
-                            : ClusterOptions::DispatchMode::kWorkers;
+    return pool_ ? ClusterOptions::DispatchMode::kWorkers
+                 : ClusterOptions::DispatchMode::kInline;
   }
 
   /// QoS admission snapshot for one tenant: jobs currently queued
@@ -254,24 +254,11 @@ class AggregationService {
   };
 
   /// One in-flight fan-out/join: lives on the dispatching frame's stack,
-  /// workers reach it through their mailbox ticket. Each shard writes ONLY
-  /// its own cache-line-aligned slot; the joining thread merges after the
-  /// join — no cross-shard false sharing, no shared-state writes from
-  /// workers.
+  /// workers reach it through their pool task. Each shard writes ONLY its
+  /// own cache-line-aligned slot; the joining thread merges after the join
+  /// — no cross-shard false sharing, no shared-state writes from workers.
   struct PassContext;
-  struct PassTicket {
-    PassContext* ctx = nullptr;
-    bool stop = false;
-  };
-  /// Per-shard persistent worker: owns its shard's switch work for every
-  /// pass, fed through a lock-free mailbox. Aligned so two workers' ring
-  /// cursors never share a line.
-  struct alignas(64) ShardWorker {
-    ShardMailbox<PassTicket> mailbox;
-    std::thread thread;
-  };
 
-  void shard_worker_loop(int shard);
   /// Runs one shard's slice of a pass through the wave engine (rng + fault
   /// engine seeded per (job, shard, pass)); errors land in the shard's
   /// PassContext slot.
@@ -282,6 +269,9 @@ class AggregationService {
   struct ShardAccess;
   struct ShardHooks;
   void job_runner_loop();
+  /// Stops the job runners: queued submissions still run, so their futures
+  /// resolve. Then joins every runner started.
+  void stop_job_runners() FPISA_EXCLUDES(job_mu_);
   /// Runs one job end to end (validation, range acquisition, shard fan-out,
   /// failover recovery, accounting), writing the sum into `out`. reduce()
   /// and submit() both land here — admission happens strictly BEFORE this
@@ -349,17 +339,10 @@ class AggregationService {
   ShardRouter router_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Per-shard persistent workers (kWorkers dispatch): worker s owns
-  // shards_[s]'s pass work; a pass posts one lock-free mailbox ticket per
-  // ACTIVE shard and joins on an atomic pending counter. Empty under
-  // inline dispatch. (Replaces the old shared deque + condvar broadcast,
-  // which woke every worker and contended one mutex on every pass.)
-  std::vector<std::unique_ptr<ShardWorker>> workers_;
-  bool inline_dispatch_ = false;
-  /// Pass-completion doorbell: the LAST shard of any pass bumps the epoch
-  /// and notifies; joiners wait here (re-checking their own pending
-  /// counter), so the final wake never touches a pass's dying stack frame.
-  std::atomic<std::uint64_t> pass_epoch_{0};
+  /// Per-shard persistent workers (kWorkers dispatch): pool worker s runs
+  /// every pass task of shards_[s]; a pass posts one task per ACTIVE shard
+  /// and joins. Null under inline dispatch.
+  std::unique_ptr<ForkJoinPool> pool_;
 
   // Bounded job-runner pool (submitted jobs' control loops). Kept separate
   // from the shard workers because a job's control loop BLOCKS on its

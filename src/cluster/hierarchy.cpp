@@ -58,43 +58,7 @@ HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
   // Started here rather than at the first reduce, so a communicator's
   // set-up pays for them once, before its first job.
   const int cpus = static_cast<int>(std::thread::hardware_concurrency());
-  const int helpers = std::min(opts_.leaves, std::max(cpus, 1)) - 1;
-  for (int h = 0; h < helpers; ++h) {
-    helpers_.push_back(std::make_unique<Helper>());
-  }
-  try {
-    for (auto& h : helpers_) {
-      Helper& helper = *h;
-      helper.thread = std::thread([this, &helper] { helper_loop(helper); });
-    }
-  } catch (...) {
-    stop_helpers();  // the destructor does not run for a failed constructor
-    throw;
-  }
-}
-
-HierarchicalAggregator::~HierarchicalAggregator() { stop_helpers(); }
-
-void HierarchicalAggregator::stop_helpers() {
-  for (auto& h : helpers_) {
-    if (h->thread.joinable()) h->mailbox.push(LeafTicket{0, true});
-  }
-  for (auto& h : helpers_) {
-    if (h->thread.joinable()) h->thread.join();
-  }
-}
-
-void HierarchicalAggregator::helper_loop(Helper& helper) {
-  for (;;) {
-    const LeafTicket t = helper.mailbox.pop_wait();
-    if (t.stop) return;
-    run_leaves(t.part);
-    // The last helper of the reduce rings the doorbell the caller joins on.
-    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      leaves_done_.fetch_add(1, std::memory_order_release);
-      leaves_done_.notify_all();
-    }
-  }
+  helpers_.emplace(std::min(opts_.leaves, std::max(cpus, 1)) - 1, 4);
 }
 
 void HierarchicalAggregator::run_leaves(int part) noexcept {
@@ -210,20 +174,15 @@ void HierarchicalAggregator::reduce_into(
   }
   reduce_workers_ = workers;
   parts_ = std::min(alive_leaves(), helper_threads() + 1);
-  // Fan-out: one mailbox ticket per helper this reduce needs; the caller
-  // runs share 0 and joins on the doorbell, re-checking the pending count.
-  pending_.store(parts_ - 1, std::memory_order_relaxed);
-  for (int p = 1; p < parts_; ++p) {
-    helpers_[static_cast<std::size_t>(p - 1)]->mailbox.push(
-        LeafTicket{p, false});
-  }
+  // Fan-out: one task per helper this reduce needs; the caller runs share
+  // 0 and then joins.
+  const ForkJoinPool::Fn task = [](void* self, int part) noexcept {
+    static_cast<HierarchicalAggregator*>(self)->run_leaves(part);
+  };
+  ForkJoinPool::Join join;
+  for (int p = 1; p < parts_; ++p) helpers_->post(p - 1, join, task, this, p);
   run_leaves(0);
-  for (;;) {
-    if (pending_.load(std::memory_order_acquire) == 0) break;
-    const std::uint64_t e = leaves_done_.load(std::memory_order_acquire);
-    if (pending_.load(std::memory_order_acquire) == 0) break;
-    leaves_done_.wait(e, std::memory_order_acquire);
-  }
+  helpers_->wait(join);
   stats_ = {};
   for (std::size_t j = 0; j < leaves_.size(); ++j) {
     if (!leaf_alive_[j]) continue;

@@ -9,24 +9,22 @@
 //
 // The leaf passes run concurrently, as a rack's ToR switches do: each leaf
 // has its own switch, wave engine, partial buffer and wire books, so no
-// two leaf passes share anything they write. The aggregator starts
-// min(leaves, hardware threads) - 1 helper threads when it is built and
-// parks them between reduces (none on a one-CPU host); a reduce posts one
-// mailbox ticket per helper it needs, runs its own share of the live
-// leaves on the calling thread, joins, and then runs the spine. The
+// two leaf passes share anything they write. The aggregator owns a
+// ForkJoinPool (cluster/mailbox.h) of min(leaves, hardware threads) - 1
+// helper threads, parked between reduces (none on a one-CPU host); a
+// reduce posts one task per helper it needs, runs its own share of the
+// live leaves on the calling thread, joins, and then runs the spine. The
 // result cannot depend on the schedule: a leaf's partial is a function of
 // its rack's inputs and its own switch alone, the spine consumes the
 // partials in leaf order, and the wire books and the first error are
 // merged in leaf order after the join.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "cluster/mailbox.h"
@@ -75,10 +73,9 @@ struct HierarchyTiming {
 
 class HierarchicalAggregator {
  public:
-  /// Builds the switches and starts the helper threads (see file comment).
+  /// Builds the switches and starts the helper threads (see file comment);
+  /// the destructor stops and joins them.
   explicit HierarchicalAggregator(HierarchyOptions opts);
-  /// Stops and joins the helper threads.
-  ~HierarchicalAggregator();
   HierarchicalAggregator(const HierarchicalAggregator&) = delete;
   HierarchicalAggregator& operator=(const HierarchicalAggregator&) = delete;
 
@@ -106,7 +103,7 @@ class HierarchicalAggregator {
   /// Helper threads started at construction: min(leaves, hardware
   /// threads) - 1. A reduce uses min(live leaves, helpers + 1) threads,
   /// counting the caller's.
-  int helper_threads() const { return static_cast<int>(helpers_.size()); }
+  int helper_threads() const { return helpers_->size(); }
 
   /// Per-level fan-in timing mapped onto the stack's uniform phase split:
   /// the leaf level (host -> ToR fan-in, partials handed up) is the add
@@ -143,22 +140,7 @@ class HierarchicalAggregator {
     switchml::SessionStats stats{};
     std::exception_ptr error;
   };
-  /// A helper's work order: run share `part` of the current reduce's live
-  /// leaves, or exit.
-  struct LeafTicket {
-    int part = 0;
-    bool stop = false;
-  };
-  /// A parked helper thread and the mailbox that feeds it.
-  struct alignas(64) Helper {
-    ShardMailbox<LeafTicket> mailbox{4};
-    std::thread thread;
-  };
-
   void init_metrics();
-  void helper_loop(Helper& helper);
-  /// Posts a stop ticket to every started helper and joins it.
-  void stop_helpers();
   /// Runs the i-th live leaf for every i with i % parts_ == part, each
   /// into its own LeafPass; never throws (errors land in the LeafPass).
   void run_leaves(int part) noexcept;
@@ -186,15 +168,12 @@ class HierarchicalAggregator {
   std::vector<std::uint8_t> spine_ids_;
 
   // Leaf fan-out: the current reduce's inputs, written by the caller before
-  // it posts the helpers' tickets and read by the helpers after they pop
-  // them (the mailbox orders the two); a pending counter, and a doorbell
-  // the last helper rings.
+  // it posts the helpers' tasks and read by the helpers after they pop them
+  // (the mailbox orders the two).
   std::span<const std::span<const float>> reduce_workers_;
   int parts_ = 1;  ///< threads sharing the current reduce's leaves
-  std::atomic<int> pending_{0};
-  std::atomic<std::uint64_t> leaves_done_{0};
-  /// Last of what the helpers use, so it is built after all of it.
-  std::vector<std::unique_ptr<Helper>> helpers_;
+  /// The leaf helpers, started last: after all of what they use is built.
+  std::optional<ForkJoinPool> helpers_;
 
   // Timing model buffers, reused across reduces.
   struct Hop {

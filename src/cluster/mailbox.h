@@ -1,36 +1,49 @@
-// Lock-free shard mailbox: the fan-out primitive of the cluster execution
-// engine. Each shard's persistent worker owns one mailbox; a pass dispatch
-// posts one ticket per ACTIVE shard (a relaxed ring store + one futex-style
-// wake), so idle shards are never woken and no two producers ever contend a
-// mutex — the replacement for the old shared task deque + condvar broadcast.
+// The cluster's one fan-out/join primitive: a lock-free mailbox and the
+// fork-join pool built on it. Both the service's per-shard workers and the
+// tree's leaf helpers are this pool's threads — see README "Execution
+// model".
 //
-// The ring is a Vyukov-style bounded sequence-ticket queue:
+// ShardMailbox is a Vyukov-style bounded sequence-ticket queue:
 //  * each cell carries an atomic sequence number; a producer claims a cell
 //    with one fetch_add on the tail ticket, writes the payload, and
 //    publishes it by storing seq = pos + 1 (release);
 //  * the single consumer knows exactly which cell is next, so when the ring
 //    is empty it parks on THAT cell's sequence word via C++20
-//    std::atomic::wait — a futex on Linux — and the publishing producer's
-//    notify_one wakes exactly this worker, nobody else.
+//    std::atomic::wait — a futex on Linux — and the publishing producer
+//    notifies that word.
 //
-// Single-consumer by construction (the shard worker). Producers are the
-// job control loops — usually one, but any number are safe: the ticket
-// fetch_add linearizes them. Capacity bounds in-flight passes per shard;
-// a full ring makes the producer spin-yield until the consumer frees a
-// cell (consumers never block on producers, so this always drains).
+// Single-consumer by construction (the pool worker that owns it).
+// Producers are the callers posting tasks — usually one, but any number
+// are safe: the ticket fetch_add linearizes them. Capacity bounds the
+// tasks in flight per worker; a full ring makes the producer spin-yield
+// until the consumer frees a cell (consumers never block on producers, so
+// this always drains).
 //
-// Wakeup accounting: `wakeups` counts every return from the futex wait,
-// `spurious_wakeups` the returns that found the awaited cell still empty.
-// With per-cell parking a worker is only ever notified for a ticket it is
-// about to consume, so spurious counts stay at zero — pinned by a
-// regression test so the broadcast bug can't come back.
+// Wakeup accounting: `wakeups` counts every return from the wait,
+// `spurious_wakeups` the returns that found the awaited cell still empty;
+// a regression test pins the latter at zero. They see only what
+// std::atomic::wait returns: libstdc++ parks a 64-bit word on a proxy
+// futex shared by every address hashing to it (every 64-byte-aligned
+// cell shares one), so each notify wakes all parked consumers and the
+// ones whose cell did not change re-park inside the wait, uncounted.
+//
+// ForkJoinPool: N threads, each parked on its own mailbox. A caller posts
+// tasks to the workers it picks, each task counted on a Join that lives on
+// the caller's stack, and waits on that Join. The worker that retires a
+// Join's last task rings the pool's one doorbell (an epoch word every
+// waiter parks on, re-checking its own count), so the final wake never
+// touches a caller's dying frame. Any number of callers may post to, and
+// wait on, one pool at once.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
+#include <vector>
 
 namespace fpisa::cluster {
 
@@ -43,17 +56,14 @@ struct MailboxStats {
 
 template <typename T>
 class ShardMailbox {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "mailbox payloads are raw tickets");
+
  public:
-  explicit ShardMailbox(std::size_t capacity = 256)
-      : mask_(capacity - 1), cells_(new Cell[capacity]) {
-    // Power-of-two capacity so `pos & mask_` is the ring index.
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "mailbox payloads are raw tickets");
-    if (capacity < 2 || (capacity & (capacity - 1)) != 0) {
-      capacity = 256;
-      mask_ = capacity - 1;
-      cells_.reset(new Cell[capacity]);
-    }
+  /// `capacity` must be a power of two >= 2 (so `pos & mask_` is the ring
+  /// index); anything else throws std::invalid_argument.
+  explicit ShardMailbox(std::size_t capacity)
+      : mask_(capacity - 1), cells_(checked(capacity)) {
     for (std::size_t i = 0; i <= mask_; ++i) {
       cells_[i].seq.store(i, std::memory_order_relaxed);
     }
@@ -61,7 +71,7 @@ class ShardMailbox {
 
   /// Producer side (any thread): claims a cell, publishes the ticket, and
   /// wakes the consumer if it is parked on that cell. Spin-yields while the
-  /// ring is full (in-flight passes per shard are far below capacity).
+  /// ring is full.
   void push(const T& value) {
     const std::uint64_t pos =
         enqueue_pos_.fetch_add(1, std::memory_order_relaxed);
@@ -75,22 +85,9 @@ class ShardMailbox {
     enqueued_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Consumer side (the single shard worker): non-blocking pop.
-  bool try_pop(T& out) {
-    Cell& cell = cells_[dequeue_pos_ & mask_];
-    if (cell.seq.load(std::memory_order_acquire) != dequeue_pos_ + 1) {
-      return false;
-    }
-    out = cell.value;
-    // Free the cell for the producer one lap ahead.
-    cell.seq.store(dequeue_pos_ + mask_ + 1, std::memory_order_release);
-    ++dequeue_pos_;
-    return true;
-  }
-
-  /// Consumer side: blocking pop. Parks on the NEXT cell's sequence word
-  /// (futex wait) while the ring is empty — only a producer publishing
-  /// into exactly that cell wakes this worker.
+  /// Consumer side (the single owner): blocking pop. Parks on the NEXT
+  /// cell's sequence word while the ring is empty, and returns once a
+  /// producer has published into that cell.
   T pop_wait() {
     Cell& cell = cells_[dequeue_pos_ & mask_];
     const std::uint64_t ready = dequeue_pos_ + 1;
@@ -104,6 +101,7 @@ class ShardMailbox {
       }
     }
     T out = cell.value;
+    // Free the cell for the producer one lap ahead.
     cell.seq.store(dequeue_pos_ + mask_ + 1, std::memory_order_release);
     ++dequeue_pos_;
     return out;
@@ -123,6 +121,14 @@ class ShardMailbox {
     T value{};
   };
 
+  static std::unique_ptr<Cell[]> checked(std::size_t capacity) {
+    if (capacity < 2 || (capacity & (capacity - 1)) != 0) {
+      throw std::invalid_argument(
+          "mailbox: capacity must be a power of two >= 2");
+    }
+    return std::unique_ptr<Cell[]>(new Cell[capacity]);
+  }
+
   std::size_t mask_;
   std::unique_ptr<Cell[]> cells_;
   /// Producer ticket — its own cache line so fan-out stores never bounce
@@ -132,6 +138,110 @@ class ShardMailbox {
   std::atomic<std::uint64_t> enqueued_{0};
   std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> spurious_wakeups_{0};
+};
+
+class ForkJoinPool {
+ public:
+  /// A task: `fn(ctx, arg)`, run once on the worker it was posted to.
+  using Fn = void (*)(void* ctx, int arg) noexcept;
+
+  /// One caller's fan-out: the count of its posted tasks still to run,
+  /// plus one for the caller until it waits. Lives on the caller's stack.
+  class Join {
+    friend class ForkJoinPool;
+    std::atomic<int> pending_{1};
+  };
+
+  /// Starts `threads` workers, each parked on a mailbox of
+  /// `mailbox_capacity` cells. If a thread fails to start, the workers
+  /// already started are stopped and joined before the error propagates.
+  ForkJoinPool(int threads, std::size_t mailbox_capacity) {
+    for (int i = 0; i < threads; ++i) {
+      workers_.push_back(std::make_unique<Worker>(mailbox_capacity));
+    }
+    try {
+      for (auto& w : workers_) {
+        Worker& worker = *w;
+        worker.thread = std::thread([this, &worker] { loop(worker); });
+      }
+    } catch (...) {
+      stop();  // the destructor does not run for a failed constructor
+      throw;
+    }
+  }
+  /// Stops and joins every worker; tasks already posted run first.
+  ~ForkJoinPool() { stop(); }
+  ForkJoinPool(const ForkJoinPool&) = delete;
+  ForkJoinPool& operator=(const ForkJoinPool&) = delete;
+
+  int size() const { return static_cast<int>(workers_.size()); }
+
+  /// Posts `fn(ctx, arg)` to worker `worker`, counted on `join`.
+  void post(int worker, Join& join, Fn fn, void* ctx, int arg) {
+    join.pending_.fetch_add(1, std::memory_order_relaxed);
+    workers_[static_cast<std::size_t>(worker)]->mailbox.push(
+        Task{fn, ctx, arg, &join.pending_});
+  }
+
+  /// Returns once every task posted on `join` has run; their writes are
+  /// visible to the caller. Call once per Join, after its last post.
+  void wait(Join& join) {
+    if (join.pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) return;
+    for (;;) {
+      const std::uint32_t e = doorbell_.load(std::memory_order_acquire);
+      if (join.pending_.load(std::memory_order_acquire) == 0) return;
+      doorbell_.wait(e, std::memory_order_acquire);
+    }
+  }
+
+  MailboxStats stats(int worker) const {
+    return workers_[static_cast<std::size_t>(worker)]->mailbox.stats();
+  }
+
+ private:
+  /// A mailbox ticket; a null `fn` tells the worker to exit.
+  struct Task {
+    Fn fn = nullptr;
+    void* ctx = nullptr;
+    int arg = 0;
+    std::atomic<int>* pending = nullptr;
+  };
+  /// Aligned so two workers' ring cursors never share a line.
+  struct alignas(64) Worker {
+    explicit Worker(std::size_t capacity) : mailbox(capacity) {}
+    ShardMailbox<Task> mailbox;
+    std::thread thread;
+  };
+
+  void loop(Worker& worker) {
+    for (;;) {
+      const Task t = worker.mailbox.pop_wait();
+      if (t.fn == nullptr) return;
+      t.fn(t.ctx, t.arg);
+      // The task that retires its Join rings the doorbell, and touches
+      // nothing of the Join after its decrement: the caller may return.
+      if (t.pending->fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        doorbell_.fetch_add(1, std::memory_order_release);
+        doorbell_.notify_all();
+      }
+    }
+  }
+
+  /// Posts a stop ticket to every started worker and joins it.
+  void stop() {
+    for (auto& w : workers_) {
+      if (w->thread.joinable()) w->mailbox.push(Task{});
+    }
+    for (auto& w : workers_) {
+      if (w->thread.joinable()) w->thread.join();
+    }
+  }
+
+  /// 32 bits: the width the futex waits on directly. libstdc++ parks a
+  /// wider atomic on a proxy word shared by every address that hashes to
+  /// it, and a notify_all there wakes all of their waiters.
+  std::atomic<std::uint32_t> doorbell_{0};
+  std::vector<std::unique_ptr<Worker>> workers_;  ///< last: threads use all
 };
 
 }  // namespace fpisa::cluster

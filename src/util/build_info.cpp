@@ -1,7 +1,11 @@
 #include "util/build_info.h"
 
-// CMake passes these as per-source compile definitions on this file only,
-// so a new git revision re-compiles one TU instead of the whole tree.
+// CMake passes these to this file only, so a new git revision re-compiles
+// one TU instead of the whole tree: the git stamp as a header it rewrites
+// at build time, the rest as per-source compile definitions.
+#if __has_include("fpisa_git_describe.h")
+#include "fpisa_git_describe.h"
+#endif
 #ifndef FPISA_BUILD_GIT_DESCRIBE
 #define FPISA_BUILD_GIT_DESCRIBE "unknown"
 #endif

@@ -1,18 +1,23 @@
-// The multi-core execution engine must be an invisible optimization:
-// per-shard mailbox workers (kWorkers, and whatever kAuto resolves to)
-// produce bit-identical results, SessionStats, and switch state to the
+// The multi-core execution engine must be an invisible optimization: the
+// service's per-shard pool workers (kWorkers, and whatever kAuto resolves
+// to) produce bit-identical results, SessionStats, and switch state to the
 // inline reference that runs every shard task on the job's own thread
 // (kInline) — across loss rates up to 0.99, Byzantine fault mixes,
 // mid-wave shard kills, and a 64-job concurrent burst. Also pins the
-// fan-out economics: a pass wakes only the shards it feeds (idle shards'
-// mailbox counters never move, spurious wakeups stay zero) and the SPSC
-// mailbox survives a multi-producer stress run (TSan leg).
+// fan-out economics: a pass posts only to the shards it feeds (idle shards'
+// mailbox counters never move, spurious wakeups stay zero). The fork-join
+// pool the service and the tree share is tested on its own: concurrent
+// callers posting overlapping worker sets (each task runs once, no join
+// returns early), the 0-thread and idle pools, and the mailbox under a
+// multi-producer stress and across ring wraps (the TSan leg runs all of
+// it).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -353,23 +358,117 @@ TEST(ClusterPipeline, MailboxMultiProducerStress) {
   }
 }
 
-TEST(ClusterPipeline, MailboxTryPopAndCapacityRounding) {
-  ShardMailbox<int> box(3);  // not a power of two: falls back to 256
-  int v = -1;
-  EXPECT_FALSE(box.try_pop(v));
-  box.push(7);
-  ASSERT_TRUE(box.try_pop(v));
-  EXPECT_EQ(v, 7);
-  EXPECT_FALSE(box.try_pop(v));
-  // Wrap the ring twice through try_pop to exercise cell recycling.
-  for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < 256; ++i) box.push(i);
-    for (int i = 0; i < 256; ++i) {
-      ASSERT_TRUE(box.try_pop(v));
-      ASSERT_EQ(v, i);
+TEST(ClusterPipeline, MailboxRingWrapAndCapacityCheck) {
+  // A capacity that is not a power of two >= 2 is a caller error.
+  for (const std::size_t bad : {0u, 1u, 3u, 6u, 100u}) {
+    EXPECT_THROW(ShardMailbox<int>{bad}, std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(ForkJoinPool(2, 3), std::invalid_argument);
+  // Three laps of a 4-cell ring through pop_wait, filling it each lap:
+  // every cell is recycled and FIFO order holds across the wrap. A
+  // non-empty ring never parks the consumer.
+  ShardMailbox<int> box(4);
+  int next = 0;
+  for (int lap = 0; lap < 3; ++lap) {
+    for (int i = 0; i < 4; ++i) box.push(lap * 4 + i);
+    for (int i = 0; i < 4; ++i) ASSERT_EQ(box.pop_wait(), next++);
+  }
+  // Interleaved: one in, one out, across the wrap point again.
+  for (int i = 0; i < 9; ++i) {
+    box.push(next);
+    ASSERT_EQ(box.pop_wait(), next++);
+  }
+  const MailboxStats stats = box.stats();
+  EXPECT_EQ(stats.enqueued, 21u);
+  EXPECT_EQ(stats.wakeups, 0u);
+}
+
+// --- the fork-join pool (TSan target) ---------------------------------------
+
+TEST(ForkJoinPool, ConcurrentCallersOverlappingWorkersRunEachTaskOnce) {
+  // Several callers post to overlapping worker sets of one pool at once,
+  // as concurrent job runners do. Every task must run exactly once per
+  // post, and a join must not return before its tasks are done: each task
+  // writes a plain (non-atomic) word the caller reads after the join, so a
+  // join that returned early reads a stale word here and races under TSan.
+  constexpr int kWorkers = 4;
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 3000;
+  ForkJoinPool pool(kWorkers, 2);  // 2-cell rings: posts spin when full
+  ASSERT_EQ(pool.size(), kWorkers);
+  struct Round {
+    int id = 0;
+    std::atomic<int> runs[kWorkers] = {};
+    int seen[kWorkers] = {};
+  };
+  const ForkJoinPool::Fn task = [](void* ctx, int w) noexcept {
+    auto& r = *static_cast<Round*>(ctx);
+    if (w % 2 == 1) std::this_thread::yield();  // finish late
+    r.seen[w] = r.id;
+    r.runs[w].fetch_add(1, std::memory_order_relaxed);
+  };
+  std::atomic<int> errors{0};
+  std::vector<std::uint64_t> posted(kCallers * kWorkers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      util::Rng rng(static_cast<std::uint64_t>(c) + 1);
+      for (int i = 1; i <= kRounds; ++i) {
+        Round r;
+        r.id = i;
+        const std::uint64_t mask = rng.next_below(1u << kWorkers);
+        ForkJoinPool::Join join;
+        for (int w = 0; w < kWorkers; ++w) {
+          if ((mask >> w & 1u) == 0) continue;
+          pool.post(w, join, task, &r, w);
+          ++posted[static_cast<std::size_t>(c * kWorkers + w)];
+        }
+        pool.wait(join);
+        for (int w = 0; w < kWorkers; ++w) {
+          const bool want = (mask >> w & 1u) != 0;
+          if (r.runs[w].load(std::memory_order_relaxed) != (want ? 1 : 0) ||
+              r.seen[w] != (want ? i : 0)) {
+            errors.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  for (int w = 0; w < kWorkers; ++w) {
+    std::uint64_t want = 0;
+    for (int c = 0; c < kCallers; ++c) {
+      want += posted[static_cast<std::size_t>(c * kWorkers + w)];
+    }
+    const MailboxStats stats = pool.stats(w);
+    EXPECT_EQ(stats.enqueued, want) << "worker " << w;
+    // No wait returns with the worker's next cell still empty.
+    EXPECT_EQ(stats.spurious_wakeups, 0u) << "worker " << w;
+  }
+}
+
+TEST(ForkJoinPool, ZeroThreadPoolJoinsAtOnce) {
+  // The tree builds one on a one-CPU host: the caller runs everything.
+  const long baseline = testkit::process_threads();
+  ForkJoinPool pool(0, 4);
+  EXPECT_EQ(pool.size(), 0);
+  EXPECT_EQ(testkit::process_threads(), baseline);
+  ForkJoinPool::Join join;
+  pool.wait(join);  // nothing posted: returns without parking
+}
+
+TEST(ForkJoinPool, IdlePoolStopsAndJoinsItsThreads) {
+  const long baseline = testkit::process_threads();
+  ASSERT_GT(baseline, 0);
+  {
+    ForkJoinPool pool(3, 4);
+    EXPECT_EQ(testkit::process_threads(), baseline + 3);
+    for (int w = 0; w < pool.size(); ++w) {
+      EXPECT_EQ(pool.stats(w).enqueued, 0u);
     }
   }
-  EXPECT_EQ(box.stats().enqueued, 513u);
+  EXPECT_EQ(testkit::process_threads(), baseline);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iterator>
 #include <numeric>
 #include <stdexcept>
@@ -22,6 +21,7 @@
 #include "core/packed.h"
 #include "switchml/wave_engine.h"
 #include "telemetry/metrics.h"
+#include "testkit.h"
 #include "util/rng.h"
 #include "wave_oracle.h"
 
@@ -29,6 +29,7 @@ namespace fpisa {
 namespace {
 
 using switchml::SessionStats;
+using testkit::process_threads;
 
 std::vector<std::vector<float>> make_workers(int w, std::size_t n,
                                              std::uint64_t seed) {
@@ -583,16 +584,6 @@ TEST(TreeConcurrency, FiveHundredReducesAcrossShapesAndAKillMatchOracle) {
     EXPECT_EQ(tree.leaf(j).occupied_slots(), 0) << j;
   }
   EXPECT_EQ(tree.spine().occupied_slots(), 0);
-}
-
-/// The process's thread count, from /proc/self/status (-1 if unreadable).
-long process_threads() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) return std::stol(line.substr(8));
-  }
-  return -1;
 }
 
 TEST(TreeConcurrency, ThousandTreesLeaveNoThreadsBehind) {

@@ -6,8 +6,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
 #include <future>
 #include <span>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -29,6 +31,16 @@ inline std::vector<std::span<const float>> views_of(const Workers& workers) {
 
 inline std::size_t length_of(const Workers& workers) {
   return workers.empty() ? 0 : workers.front().size();
+}
+
+/// The process's thread count, from /proc/self/status (-1 if unreadable).
+inline long process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stol(line.substr(8));
+  }
+  return -1;
 }
 
 /// A core reduce's sum together with its pooled counters.
