@@ -4,21 +4,13 @@
 #include <chrono>
 #include <exception>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 
 #include "core/vector_accumulator.h"
 
 namespace fpisa::cluster {
-namespace {
-
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point a,
-                         std::chrono::steady_clock::time_point b) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-}
-
-}  // namespace
 
 std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
                         std::uint64_t pass) {
@@ -36,14 +28,19 @@ AggregationService::Shard::Shard(const ClusterOptions& opts)
 
 AggregationService::AggregationService(ClusterOptions opts)
     : opts_(opts),
-      router_(opts.num_shards, opts.routing, opts.routing_salt),
+      planner_(ShardRouter(opts.num_shards, opts.routing, opts.routing_salt),
+               opts.slots_per_job),
       job_sched_(opts.qos.class_weights),
       admission_(opts.qos),
       qos_enabled_(opts.qos.enabled),
       health_(opts.num_shards, opts.failover.max_consecutive_failures),
       fault_fired_(opts.failover.faults.size(), false) {
-  // num_shards <= 0 already rejected by the ShardRouter initializer.
-  if (opts_.slots_per_job == 0) opts_.slots_per_job = 1;
+  // num_shards <= 0 and slots_per_job == 0 are rejected by the planner's
+  // initializer, max_consecutive_failures < 1 by the health tracker's.
+  if (opts_.job_runner_threads < 0 || opts_.failover.max_reroutes_per_job < 0) {
+    throw std::invalid_argument(
+        "cluster: job_runner_threads and max_reroutes_per_job must be >= 0");
+  }
   for (const ShardFault& f : opts_.failover.faults) {
     if (f.shard < 0 || f.shard >= opts_.num_shards) {
       throw std::invalid_argument("cluster: fault targets unknown shard");
@@ -168,15 +165,16 @@ void AggregationService::stop_job_runners() {
   for (std::thread& t : job_pool_) t.join();
 }
 
-/// One in-flight fan-out/join (see header). Lives on run_pass's stack;
+/// One job's fan-out/join state (see header). Lives on run_job's stack;
 /// shard workers reach it through their pool task and write only their
 /// own cache-line-aligned slot.
 struct AggregationService::PassContext {
-  const Parts* parts = nullptr;
+  const JobPlan* plan = nullptr;
   const std::vector<SlotRange>* ranges = nullptr;
   std::span<const std::span<const float>> workers;
   std::span<float> out;
-  JobParams params;
+  double loss_rate = 0.0;  ///< the job's, ClusterOptions unless overridden
+  int max_retransmits = 0;
   std::uint64_t job_id = 0;
   std::uint64_t pass = 0;
   std::uint32_t dead_mask = 0;
@@ -184,8 +182,7 @@ struct AggregationService::PassContext {
   telemetry::Trace::SpanId pass_span = telemetry::Trace::kNone;
   /// Per-shard result slot, one cache line (or whole lines) each: stats
   /// and error are written by exactly one worker and read only after the
-  /// join — the fix for the old run_pass, where workers updated
-  /// report.per_shard[s] and errors[s] on adjacent lines from N threads.
+  /// join, so no two shards' writes share a line.
   struct alignas(64) ShardSlot {
     switchml::SessionStats stats{};
     std::exception_ptr error;
@@ -415,12 +412,6 @@ struct AggregationService::ShardHooks final : switchml::WaveHooks {
   std::uint64_t collect_ns = 0;
 };
 
-void AggregationService::scrub_range(Shard& shard, const SlotRange& range) {
-  ShardAccess access(shard);
-  switchml::WaveEngine(opts_.lanes)
-      .scrub(access, static_cast<std::uint16_t>(range.lo), range.size());
-}
-
 JobReport AggregationService::reduce(const JobView& job,
                                      std::span<float> out) {
   if (qos_enabled_) {
@@ -438,7 +429,7 @@ JobReport AggregationService::reduce(const JobView& job,
 void AggregationService::run_pass_task(PassContext& ctx, int shard) {
   const auto s = static_cast<std::size_t>(shard);
   PassContext::ShardSlot& slot = ctx.slots[s];
-  const std::vector<std::size_t>& chunks = (*ctx.parts)[s];
+  const std::vector<std::size_t>& chunks = ctx.plan->chunks[s];
   const SlotRange& range = (*ctx.ranges)[s];
   telemetry::ScopedSpan shard_span(ctx.trace, "shard", ctx.pass_span);
   shard_span.annotate("shard", std::to_string(shard));
@@ -449,10 +440,10 @@ void AggregationService::run_pass_task(PassContext& ctx, int shard) {
                            "cluster: shard killed before job (injected)");
     }
     if (range.empty() && !chunks.empty()) {
-      // Belt-and-braces: run_job's liveness snapshot makes this
-      // unreachable. A logic_error, NOT a ShardDeadError, so the failover
-      // machinery cannot misread an internal bug as an organic shard death
-      // and silently "recover" from it.
+      // Belt-and-braces: run_job acquires every range its plan names, so
+      // this is unreachable. A logic_error, NOT a ShardDeadError, so the
+      // failover machinery cannot misread an internal bug as an organic
+      // shard death and silently "recover" from it.
       throw std::logic_error("cluster: shard task has no slot range");
     }
     // One deterministic loss and fault stream per (job, shard, pass):
@@ -472,8 +463,8 @@ void AggregationService::run_pass_task(PassContext& ctx, int shard) {
     job.out = ctx.out;
     job.lo = static_cast<std::uint16_t>(range.lo);
     job.wave = range.size();
-    job.loss_rate = ctx.params.loss_rate;
-    job.max_retransmits = ctx.params.max_retransmits;
+    job.loss_rate = ctx.loss_rate;
+    job.max_retransmits = ctx.max_retransmits;
     job.rng = &rng;
     job.stats = &slot.stats;
     job.dead_mask = ctx.dead_mask;
@@ -485,66 +476,37 @@ void AggregationService::run_pass_task(PassContext& ctx, int shard) {
   }
 }
 
-std::vector<std::exception_ptr> AggregationService::run_pass(
-    const Parts& parts,
-    const std::vector<SlotRange>& ranges,
-    std::span<const std::span<const float>> workers, std::span<float> out,
-    const JobParams& params, std::uint64_t job_id, std::uint64_t pass,
-    std::uint32_t dead_mask, JobReport& report, telemetry::Trace* trace,
-    telemetry::Trace::SpanId pass_span) {
-  PassContext ctx;
-  ctx.parts = &parts;
-  ctx.ranges = &ranges;
-  ctx.workers = workers;
-  ctx.out = out;
-  ctx.params = params;
-  ctx.job_id = job_id;
-  ctx.pass = pass;
-  ctx.dead_mask = dead_mask;
-  ctx.trace = trace;
-  ctx.pass_span = pass_span;
-  ctx.slots.resize(shards_.size());
-  ctx.svc = this;
-  std::vector<std::exception_ptr> errors(shards_.size());
-  if (!pool_) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!parts[s].empty()) run_pass_task(ctx, static_cast<int>(s));
+void AggregationService::run_pass(PassContext& ctx, JobReport& report) {
+  const JobPlan& plan = *ctx.plan;
+  ctx.slots.assign(shards_.size(), {});
+  // Fan-out: one task per ACTIVE shard, on that shard's worker (idle
+  // shards' workers stay asleep), or in turn on this thread with no pool.
+  const ForkJoinPool::Fn task = [](void* c, int shard) noexcept {
+    auto& pc = *static_cast<PassContext*>(c);
+    pc.svc->run_pass_task(pc, shard);
+  };
+  ForkJoinPool::Join join;
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const int shard = static_cast<int>(s);
+    if (plan.chunks[s].empty()) continue;
+    if (pool_) {
+      pool_->post(shard, join, task, &ctx, shard);
+    } else {
+      run_pass_task(ctx, shard);
     }
-  } else {
-    // Fan-out: one task per ACTIVE shard, on that shard's worker; idle
-    // shards' workers stay asleep.
-    const ForkJoinPool::Fn task = [](void* c, int shard) noexcept {
-      auto& pc = *static_cast<PassContext*>(c);
-      pc.svc->run_pass_task(pc, shard);
-    };
-    ForkJoinPool::Join join;
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (!parts[s].empty()) {
-        const int shard = static_cast<int>(s);
-        pool_->post(shard, join, task, &ctx, shard);
-      }
-    }
-    pool_->wait(join);
   }
+  if (pool_) pool_->wait(join);
   // Merge under the join — single-threaded, after every worker's release
-  // decrement — instead of from N workers into adjacent vector elements.
+  // decrement — and refresh the scrapeable mailbox gauges of the shards
+  // that ran (three relaxed loads + stores each).
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     report.per_shard[s] += ctx.slots[s].stats;  // += : retry passes merge in
-    errors[s] = ctx.slots[s].error;
+    if (!pool_ || plan.chunks[s].empty()) continue;
+    const MailboxStats ms = pool_->stats(static_cast<int>(s));
+    m_mailbox_[s][0]->set(static_cast<double>(ms.enqueued));
+    m_mailbox_[s][1]->set(static_cast<double>(ms.wakeups));
+    m_mailbox_[s][2]->set(static_cast<double>(ms.spurious_wakeups));
   }
-  if (pool_) {
-    // Refresh the scrapeable mailbox gauges from the per-shard counters
-    // (three relaxed loads + stores per active shard — noise next to the
-    // pass itself).
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      if (parts[s].empty()) continue;
-      const MailboxStats ms = pool_->stats(static_cast<int>(s));
-      m_mailbox_[s][0]->set(static_cast<double>(ms.enqueued));
-      m_mailbox_[s][1]->set(static_cast<double>(ms.wakeups));
-      m_mailbox_[s][2]->set(static_cast<double>(ms.spurious_wakeups));
-    }
-  }
-  return errors;
 }
 
 MailboxStats AggregationService::mailbox_stats(int shard) const {
@@ -554,28 +516,8 @@ MailboxStats AggregationService::mailbox_stats(int shard) const {
   return pool_ ? pool_->stats(shard) : MailboxStats{};
 }
 
-std::size_t AggregationService::route(Parts& parts,
-                                     std::span<const int> alive) const {
-  std::vector<char> live(parts.size(), 0);
-  for (const int a : alive) live[static_cast<std::size_t>(a)] = 1;
-  std::size_t moved = 0;
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    if (parts[s].empty() || live[s]) continue;
-    const auto re = router_.reroute(parts[s], static_cast<int>(s), alive);
-    moved += parts[s].size();
-    parts[s].clear();
-    for (std::size_t t = 0; t < re.size(); ++t) {
-      parts[t].insert(parts[t].end(), re[t].begin(), re[t].end());
-    }
-  }
-  if (moved != 0) {
-    for (auto& p : parts) std::sort(p.begin(), p.end());
-  }
-  return moved;
-}
-
 void AggregationService::swap_ranges(std::vector<SlotRange>& ranges,
-                                     const Parts& want) {
+                                     const JobPlan& want) {
   util::UniqueLock lk(alloc_mu_);
   bool freed = false;
   for (std::size_t s = 0; s < ranges.size(); ++s) {
@@ -585,10 +527,10 @@ void AggregationService::swap_ranges(std::vector<SlotRange>& ranges,
     freed = true;
   }
   if (freed) alloc_cv_.notify_all();
-  for (std::size_t s = 0; s < want.size(); ++s) {
-    if (want[s].empty()) continue;
+  for (std::size_t s = 0; s < want.slots.size(); ++s) {
+    if (want.slots[s] == 0) continue;
     for (;;) {
-      if (auto r = shards_[s]->slots.allocate(opts_.slots_per_job)) {
+      if (auto r = shards_[s]->slots.allocate(want.slots[s])) {
         ranges[s] = *r;
         break;
       }
@@ -597,30 +539,65 @@ void AggregationService::swap_ranges(std::vector<SlotRange>& ranges,
   }
 }
 
+AggregationService::PassOutcome AggregationService::classify(
+    const PassContext& ctx) {
+  // Shard deaths are failover candidates, a dead WORKER is a job-level
+  // event run_job handles by policy, anything else fails the job.
+  PassOutcome o;
+  for (std::size_t s = 0; s < ctx.slots.size(); ++s) {
+    const int shard = static_cast<int>(s);
+    const std::exception_ptr& error = ctx.slots[s].error;
+    if (!error) {
+      if (!ctx.plan->chunks[s].empty()) health_.record_success(shard);
+      continue;
+    }
+    if (!o.first) o.first = error;
+    try {
+      std::rethrow_exception(error);
+    } catch (const fault::WorkerDeadError& e) {
+      // The shard answered every probe — the WORKER's data is what's
+      // never coming. Leave shard health alone.
+      if (!o.worker_dead) {
+        o.worker_dead = error;
+        o.dead_worker = e.worker();
+      }
+    } catch (const ShardDeadError&) {
+      if (health_.record_failure(shard) && opts_.failover.enabled) {
+        o.died.push_back(shard);
+      } else if (!o.fatal) {
+        // Below the death threshold (or failover off): surface it.
+        o.fatal = error;
+      }
+    } catch (...) {
+      if (!o.fatal) o.fatal = error;
+    }
+  }
+  return o;
+}
+
 void AggregationService::run_job(const JobView& job, std::span<float> out,
                                  JobReport& report) {
   core::check_views(job.workers, out.size(), "cluster");
   if (job.workers.size() > 32) {
     throw std::invalid_argument("cluster: bitmap is 32 bits wide");
   }
+  PassContext ctx;
   // A negative override inherits the service's value; NaN does not.
-  const JobParams params{
-      job.loss_rate < 0.0 ? opts_.loss_rate : job.loss_rate,
-      job.max_retransmits < 0 ? opts_.max_retransmits : job.max_retransmits};
-  switchml::check_wire_params(params.loss_rate, params.max_retransmits);
+  ctx.loss_rate = job.loss_rate < 0.0 ? opts_.loss_rate : job.loss_rate;
+  ctx.max_retransmits =
+      job.max_retransmits < 0 ? opts_.max_retransmits : job.max_retransmits;
+  switchml::check_wire_params(ctx.loss_rate, ctx.max_retransmits);
   const std::size_t n = out.size();
 
   // Tracing is opt-in per service: acquire pairs with attach_trace's
   // release, so the parent id is coherent with the pointer. Validation
   // rejects above are untraced — a rejected job never started.
   telemetry::Trace* const trace = trace_.load(std::memory_order_acquire);
-  const telemetry::Trace::SpanId job_span =
-      trace ? trace->begin("job",
-                           trace_parent_.load(std::memory_order_relaxed))
-            : telemetry::Trace::kNone;
-  if (trace) trace->annotate(job_span, "tenant", std::string(job.tenant));
+  telemetry::ScopedSpan job_span(
+      trace, "job", trace_parent_.load(std::memory_order_relaxed));
+  if (trace) job_span.annotate("tenant", std::string(job.tenant));
   const telemetry::Trace::SpanId submit_span =
-      trace ? trace->begin("submit", job_span) : telemetry::Trace::kNone;
+      trace ? trace->begin("submit", job_span.id()) : telemetry::Trace::kNone;
 
   // High-water accounting for the bounded-concurrency guarantee.
   const std::uint64_t running =
@@ -643,156 +620,113 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
     report.job_id = next_job_id_++;
   }
   if (trace) {
-    trace->annotate(job_span, "job_id", std::to_string(report.job_id));
+    job_span.annotate("job_id", std::to_string(report.job_id));
     trace->end(submit_span);
   }
-  if (n == 0) {
-    if (trace) trace->end(job_span);
-    return;
-  }
+  if (n == 0) return;
   const auto job_t0 = std::chrono::steady_clock::now();
 
+  // Failover plans around dead shards; without it every shard stays in the
+  // plan and a dead one fails the job.
   const bool fo = opts_.failover.enabled;
+  const auto live = [&] {
+    std::vector<int> all(shards_.size());
+    std::iota(all.begin(), all.end(), 0);
+    return fo ? health_.alive_shards() : all;
+  };
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   const std::size_t chunks = (n + lanes - 1) / lanes;
-  const telemetry::Trace::SpanId part_span =
-      trace ? trace->begin("partition", job_span) : telemetry::Trace::kNone;
-  Parts parts = router_.partition(chunks);
 
   // Job-level failover accounting: lives on the job total (and tenant
   // stats), not on any one shard — a re-route is a fabric event.
   switchml::SessionStats failover_delta{};
+  std::exception_ptr error;
 
-  // One liveness snapshot per job: the fold below routes around shards
-  // dead at snapshot time, and range acquisition follows the folded parts
-  // (non-empty chunks ⟹ a range), so a concurrent death can never hand a
-  // task chunks without a slot range. A shard that dies after the
-  // snapshot just fails this job's pass and the recovery below takes over.
-  if (fo) {
-    const std::vector<int> alive = health_.alive_shards();
-    if (alive.empty()) {
-      {
-        util::LockGuard lk(stats_mu_);
-        ++jobs_failed_;
-        // The tenant's SLO book must agree with the service-level counter.
-        tenant_account_locked(job.tenant)
-            .slo.record(0.0, /*completed=*/false, /*failed_over=*/false);
-      }
-      m_jobs_[1]->inc();
-      if (trace) {
-        trace->annotate(job_span, "outcome", "failed");
-        trace->end(part_span);
-        trace->end(job_span);
-      }
-      throw std::runtime_error("cluster: no alive shards");
-    }
-    // Route around shards already known dead before sending a packet: the
-    // degraded (N-1) steady state after a death.
-    failover_delta.chunks_rerouted += route(parts, alive);
-  }
-  if (trace) trace->end(part_span);
-
-  // The healthy path acquires ranges only for the shards it routes to.
-  std::vector<SlotRange> ranges(shards_.size());
+  // One liveness snapshot per plan: range acquisition follows the plan,
+  // so a concurrent death can never hand a task chunks without a slot
+  // range. A shard that dies after the snapshot just fails this job's pass
+  // and the recovery below takes over.
+  JobPlan plan;
   {
-    telemetry::ScopedSpan acq(trace, "acquire_slots", job_span);
-    swap_ranges(ranges, parts);
+    telemetry::ScopedSpan part(trace, "partition", job_span.id());
+    try {
+      plan = planner_.plan(chunks, live());
+    } catch (const NoLiveShardsError&) {
+      error = std::current_exception();
+    }
   }
-  // Control-plane reset of one held range (see scrub_range).
+  failover_delta.chunks_rerouted += plan.rerouted;
+  std::vector<SlotRange> ranges(shards_.size());
+  if (!error) {
+    telemetry::ScopedSpan acq(trace, "acquire_slots", job_span.id());
+    swap_ranges(ranges, plan);
+  }
+  // Control-plane reset of one held range: clears every slot so an aborted
+  // attempt cannot leak register state or dedup-bitmap bits to the range's
+  // next tenant.
   const auto scrub = [&](std::size_t s) {
-    if (!ranges[s].empty()) scrub_range(*shards_[s], ranges[s]);
+    if (ranges[s].empty()) return;
+    ShardAccess access(*shards_[s]);
+    switchml::WaveEngine(opts_.lanes)
+        .scrub(access, static_cast<std::uint16_t>(ranges[s].lo),
+               ranges[s].size());
   };
 
-  const auto num_workers = static_cast<int>(job.workers.size());
-
-  std::exception_ptr error;
+  ctx.plan = &plan;
+  ctx.ranges = &ranges;
+  ctx.workers = job.workers;
+  ctx.out = out;
+  ctx.job_id = report.job_id;
+  ctx.trace = trace;
+  ctx.svc = this;
   int reroutes = 0;
-  // Worker-death recovery state: the mask of workers declared dead so far
-  // (threaded into every pass so shard tasks skip them). The pass number
-  // salts every task's seeds, so each replay or retry draws a fresh,
-  // deterministic fault/loss stream.
-  std::uint32_t dead_mask = 0;
+  // Worker-death recovery: ctx.dead_mask holds the workers declared dead so
+  // far (shard tasks skip them); ctx.pass salts every task's seeds, so each
+  // replay or retry draws a fresh, deterministic fault/loss stream.
   int worker_replays = 0;
-  for (std::uint64_t pass_no = 0;; ++pass_no) {
-    std::vector<std::exception_ptr> errors;
+  for (; !error; ++ctx.pass) {
     {
-      telemetry::ScopedSpan pass_span(trace, "pass", job_span);
-      if (trace) pass_span.annotate("pass", std::to_string(pass_no));
-      errors = run_pass(parts, ranges, job.workers, out, params,
-                        report.job_id, pass_no, dead_mask, report, trace,
-                        pass_span.id());
+      telemetry::ScopedSpan pass_span(trace, "pass", job_span.id());
+      if (trace) pass_span.annotate("pass", std::to_string(ctx.pass));
+      ctx.pass_span = pass_span.id();
+      run_pass(ctx, report);
     }
-
-    // Classify this pass's outcome: shard deaths are failover candidates,
-    // a dead WORKER is a job-level event handled by policy below, anything
-    // else fails the job.
-    std::exception_ptr first;
-    std::exception_ptr fatal;
-    std::exception_ptr worker_dead;
-    int dead_worker = -1;
-    std::vector<int> dead_now;
-    for (std::size_t s = 0; s < errors.size(); ++s) {
-      if (!errors[s]) {
-        if (!parts[s].empty()) health_.record_success(static_cast<int>(s));
-        continue;
-      }
-      if (!first) first = errors[s];
-      try {
-        std::rethrow_exception(errors[s]);
-      } catch (const fault::WorkerDeadError& e) {
-        // The shard answered every probe — the WORKER's data is what's
-        // never coming. Leave shard health alone.
-        if (!worker_dead) {
-          worker_dead = errors[s];
-          dead_worker = e.worker();
-        }
-      } catch (const ShardDeadError&) {
-        const bool dead = health_.record_failure(static_cast<int>(s));
-        if (fo && dead) {
-          dead_now.push_back(static_cast<int>(s));
-        } else if (!fatal) {
-          // Below the death threshold (or failover off): surface it.
-          fatal = errors[s];
-        }
-      } catch (...) {
-        if (!fatal) fatal = errors[s];
-      }
-    }
-    if (!first) break;  // pass completed cleanly
+    const PassOutcome o = classify(ctx);
+    if (!o.first) break;  // pass completed cleanly
 
     // Recover, or fail the job. Worker death outranks shard retries:
     // shards with fewer waves finished before the death wave WITH the dead
     // worker's data, so patching per shard cannot excise it — under
     // kDegrade the whole job replays over the survivors. Otherwise only
     // the dead shards' chunks retry (failover).
-    const bool replay = worker_dead && !fatal;
+    const bool replay = o.worker_dead && !o.fatal;
     if (replay) {
-      if (!switchml::declare_dead_worker(dead_worker, job.workers.size(),
+      if (!switchml::declare_dead_worker(o.dead_worker, job.workers.size(),
                                          opts_.fault.dead_worker_policy,
-                                         failover_delta, dead_mask) ||
-          ++worker_replays > num_workers) {
-        error = worker_dead;
+                                         failover_delta, ctx.dead_mask) ||
+          ++worker_replays > static_cast<int>(job.workers.size())) {
+        error = o.worker_dead;
         break;
       }
-    } else if (!fo || fatal || dead_now.empty() ||
-               reroutes >= opts_.failover.max_reroutes_per_job) {
-      error = fatal ? fatal : first;
+    } else if (o.fatal || reroutes >= opts_.failover.max_reroutes_per_job) {
+      // Without a fatal error every error is a failover death.
+      error = o.fatal ? o.fatal : o.first;
       break;
     }
-    const std::vector<int> alive =
-        fo ? health_.alive_shards() : std::vector<int>{};
-    if (fo && alive.empty()) {
-      error = replay ? worker_dead : errors[dead_now.front()];
+    JobPlan next;
+    try {
+      next = replay ? planner_.replay(chunks, live(), o.died)
+                    : planner_.failover(plan, o.died, live());
+    } catch (const NoLiveShardsError&) {
+      error = replay ? o.worker_dead : o.first;  // what the pass raised
       break;
     }
 
-    Parts next;
     telemetry::Trace::SpanId fo_span = telemetry::Trace::kNone;
     if (replay) {
-      // Replay against a freshly computed partition. Scrub everything the
-      // aborted attempt touched: the resets bump the slot epochs, so any
-      // straggler packet of that attempt is provably stale.
-      next = router_.partition(chunks);
+      // Scrub everything the aborted attempt touched: the resets bump the
+      // slot epochs, so any straggler packet of that attempt is provably
+      // stale.
       for (std::size_t s = 0; s < shards_.size(); ++s) scrub(s);
       ++failover_delta.faults.epoch_bumps;
     } else {
@@ -804,38 +738,29 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
       // order — so the retried values are bit-identical to a no-failure
       // run.
       if (trace) {
-        fo_span = trace->begin("failover", job_span);
+        fo_span = trace->begin("failover", job_span.id());
         std::string dead;
-        for (const int d : dead_now) {
+        for (const int d : o.died) {
           if (!dead.empty()) dead += ",";
           dead += std::to_string(d);
         }
         trace->annotate(fo_span, "dead_shards", dead);
         trace->annotate(fo_span, "retry", std::to_string(reroutes + 1));
       }
-      next.resize(shards_.size());
-      for (const int d : dead_now) {
-        const auto ds = static_cast<std::size_t>(d);
-        scrub(ds);
-        next[ds] = std::move(parts[ds]);
-      }
+      for (const int d : o.died) scrub(static_cast<std::size_t>(d));
       ++failover_delta.failover_retries;
       ++reroutes;
     }
     // A shard that died in this pass is booked as a failover books it,
     // even when the pass replays for a dead worker (which charges no
     // reroute budget and no retry).
-    for (const int d : dead_now) {
-      ++failover_delta.shard_failures;
-      failover_delta.chunks_rerouted +=
-          next[static_cast<std::size_t>(d)].size();
-    }
-    if (fo) route(next, alive);
+    failover_delta.shard_failures += o.died.size();
+    failover_delta.chunks_rerouted += next.rerouted;
     // Holding nothing while waiting on the allocator cannot deadlock with
     // other tenants, and the freed slots let their jobs make progress.
     swap_ranges(ranges, next);
     if (fo_span != telemetry::Trace::kNone) trace->end(fo_span);
-    parts = std::move(next);
+    plan = std::move(next);
   }
 
   const bool failed = error != nullptr;
@@ -847,12 +772,11 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   }
   swap_ranges(ranges, {});
 
-  const double wall_s =
-      static_cast<double>(
-          elapsed_ns(job_t0, std::chrono::steady_clock::now())) *
-      1e-9;
+  const double wall_s = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - job_t0)
+                            .count();
   const telemetry::Trace::SpanId merge_span =
-      trace ? trace->begin("merge", job_span) : telemetry::Trace::kNone;
+      trace ? trace->begin("merge", job_span.id()) : telemetry::Trace::kNone;
   {
     util::LockGuard lk(stats_mu_);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -874,28 +798,18 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   // Registry: job outcome, wall time and fabric-level failover events.
   m_jobs_[failed ? 1 : 0]->inc();
   m_job_wall_->observe(wall_s);
-  if (failover_delta.shard_failures != 0) {
-    m_shard_deaths_->inc(failover_delta.shard_failures);
-  }
-  if (failover_delta.chunks_rerouted != 0) {
-    m_rerouted_->inc(failover_delta.chunks_rerouted);
-  }
-  if (failover_delta.failover_retries != 0) {
-    m_retries_->inc(failover_delta.failover_retries);
-  }
-  if (report.stats.faults.epoch_bumps != 0) {
-    m_fault_[0]->inc(report.stats.faults.epoch_bumps);
-  }
-  if (report.stats.faults.workers_declared_dead != 0) {
-    m_fault_[1]->inc(report.stats.faults.workers_declared_dead);
-  }
-  if (report.stats.faults.waves_replayed != 0) {
-    m_fault_[2]->inc(report.stats.faults.waves_replayed);
-  }
+  const auto bump = [](telemetry::Counter* c, std::uint64_t v) {
+    if (v != 0) c->inc(v);
+  };
+  bump(m_shard_deaths_, failover_delta.shard_failures);
+  bump(m_rerouted_, failover_delta.chunks_rerouted);
+  bump(m_retries_, failover_delta.failover_retries);
+  bump(m_fault_[0], report.stats.faults.epoch_bumps);
+  bump(m_fault_[1], report.stats.faults.workers_declared_dead);
+  bump(m_fault_[2], report.stats.faults.waves_replayed);
   if (trace) {
     trace->end(merge_span);
-    trace->annotate(job_span, "outcome", failed ? "failed" : "completed");
-    trace->end(job_span);
+    job_span.annotate("outcome", failed ? "failed" : "completed");
   }
   if (failed) std::rethrow_exception(error);
 }

@@ -1,19 +1,19 @@
-// Rack-scale, multi-tenant aggregation service: routes reduce jobs across a
-// pool of pisa::FpisaSwitch shards (element-space sharding via ShardRouter),
-// drives the shards concurrently on a ForkJoinPool with one worker per
-// shard (cluster/mailbox.h), and keeps per-tenant and per-shard protocol
-// statistics. Each shard task runs the one switchml::WaveEngine (the same
-// wave protocol as AggregationSession: add with retransmission, idempotent
-// read, read-and-reset slot recycling) over a tenant-private SlotRange so
-// concurrent jobs never collide; the task itself only routes, injects
-// faults and accounts — see README "Execution model".
+// Rack-scale, multi-tenant aggregation service: runs reduce jobs across a
+// pool of pisa::FpisaSwitch shards on the JobPlanner's plans
+// (cluster/shard_router.h: run_job executes a plan and takes a new one
+// after a failure), drives the shards concurrently on a ForkJoinPool with
+// one worker per shard (cluster/mailbox.h), and keeps per-tenant and
+// per-shard protocol statistics. Each shard task runs the one
+// switchml::WaveEngine (the same wave protocol as AggregationSession: add
+// with retransmission, idempotent read, read-and-reset slot recycling) over
+// a tenant-private SlotRange so concurrent jobs never collide; the task
+// itself only injects faults and accounts — see README "Execution model".
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <future>
@@ -45,7 +45,8 @@ namespace fpisa::cluster {
 struct ClusterOptions {
   int num_shards = 4;
   std::size_t slots_per_shard = 64;  ///< aggregation slots per shard switch
-  std::size_t slots_per_job = 16;    ///< slot-range size requested per shard
+  /// Slot-range size requested per shard; must be > 0.
+  std::size_t slots_per_job = 16;
   int lanes = 1;                     ///< FP values per packet
   RoutingPolicy routing = RoutingPolicy::kHash;
   std::uint64_t routing_salt = 0x5eedULL;
@@ -72,12 +73,12 @@ struct ClusterOptions {
   /// Control threads that run submitted jobs' reduce loops (the shard work
   /// itself always shares the worker pool). Bounds the service's thread
   /// count no matter how many jobs are in flight: excess submissions queue.
-  /// 0: max(2, num_shards).
+  /// 0: max(2, num_shards); negative is rejected.
   int job_runner_threads = 0;
   /// Shard-failure failover: when enabled, a shard that exhausts its
   /// retransmit budget is declared dead (after `max_consecutive_failures`),
   /// its slot range is scrubbed and released, its chunk set is re-routed
-  /// onto the survivors (ShardRouter::reroute, salt-stable) and retried
+  /// onto the survivors (JobPlanner::failover, salt-stable) and retried
   /// once cleanly — the job completes with a sum bit-identical to the
   /// no-failure run. Jobs arriving after a death route around the corpse at
   /// partition time. Also carries kill/slowdown fault injection for tests.
@@ -144,7 +145,7 @@ class AggregationService {
   std::future<JobReport> submit(const JobView& job, std::span<float> out);
 
   const ClusterOptions& options() const { return opts_; }
-  const ShardRouter& router() const { return router_; }
+  const JobPlanner& planner() const { return planner_; }
   int num_shards() const { return opts_.num_shards; }
 
   /// Cumulative protocol stats across all jobs (completed AND failed —
@@ -246,17 +247,10 @@ class AggregationService {
     switchml::SessionStats stats;  ///< cumulative, guarded by stats_mu_
   };
 
-  /// Effective per-job fabric parameters (ClusterOptions + JobView
-  /// overrides).
-  struct JobParams {
-    double loss_rate = 0.0;
-    int max_retransmits = 0;
-  };
-
-  /// One in-flight fan-out/join: lives on the dispatching frame's stack,
-  /// workers reach it through their pool task. Each shard writes ONLY its
-  /// own cache-line-aligned slot; the joining thread merges after the join
-  /// — no cross-shard false sharing, no shared-state writes from workers.
+  /// One job's fan-out/join state: lives on run_job's stack, workers reach
+  /// it through their pool task. Each shard writes ONLY its own
+  /// cache-line-aligned slot; the joining thread merges after the join —
+  /// no cross-shard false sharing, no shared-state writes from workers.
   struct PassContext;
 
   /// Runs one shard's slice of a pass through the wave engine (rng + fault
@@ -300,43 +294,37 @@ class AggregationService {
   /// Refreshes the queue-depth gauges (total + per-class). Caller holds
   /// job_mu_.
   void refresh_queue_gauges() FPISA_REQUIRES(job_mu_);
-  /// A job's chunk ids per shard (each list ascending).
-  using Parts = std::vector<std::vector<std::size_t>>;
-  /// Folds the parts of every shard missing from `alive` onto the survivors
-  /// (ShardRouter::reroute: salt-stable, so a retry pass and a later job
-  /// routing around the same corpse agree on placement) and re-sorts the
-  /// lists. Returns how many chunks moved.
-  std::size_t route(Parts& parts, std::span<const int> alive) const;
   /// Releases every range in `ranges`, wakes the jobs waiting on the
-  /// allocator, then acquires one range per shard with chunks in `want`, in
+  /// allocator, then acquires the range `want` asks of each shard, in
   /// ascending shard order (the same order for every job: no circular wait
-  /// between tenants). An empty `want` just releases.
-  void swap_ranges(std::vector<SlotRange>& ranges, const Parts& want)
+  /// between tenants). An empty plan just releases.
+  void swap_ranges(std::vector<SlotRange>& ranges, const JobPlan& want)
       FPISA_EXCLUDES(alloc_mu_);
-  /// One fan-out/join pass: a task per shard with chunks, stats merged into
-  /// `report.per_shard`. Returns one exception slot per shard (null =
-  /// succeeded or inactive). `pass` salts the per-task loss streams so a
-  /// retry pass draws fresh, deterministic schedules.
-  std::vector<std::exception_ptr> run_pass(
-      const Parts& parts,
-      const std::vector<SlotRange>& ranges,
-      std::span<const std::span<const float>> workers, std::span<float> out,
-      const JobParams& params, std::uint64_t job_id, std::uint64_t pass,
-      std::uint32_t dead_mask, JobReport& report, telemetry::Trace* trace,
-      telemetry::Trace::SpanId pass_span);
+  /// One fan-out/join pass of `ctx.plan`: a task per shard with chunks,
+  /// stats merged into `report.per_shard`, each shard's error (null =
+  /// succeeded or inactive) left in its slot. `ctx.pass` salts the per-task
+  /// loss streams so a retry pass draws fresh, deterministic schedules.
+  void run_pass(PassContext& ctx, JobReport& report);
+  /// What a pass's errors mean for its job.
+  struct PassOutcome {
+    std::exception_ptr first;        ///< first error in shard order
+    std::exception_ptr fatal;        ///< an error no recovery covers
+    std::exception_ptr worker_dead;  ///< first fault::WorkerDeadError
+    int dead_worker = -1;
+    std::vector<int> died;  ///< shards this pass declared dead (failover)
+  };
+  /// Sorts a pass's errors (shard deaths, a dead worker, anything else)
+  /// and books each active shard's health.
+  PassOutcome classify(const PassContext& ctx);
   /// Claims a one-shot kill fault for (shard, phase, wave); true when the
   /// caller should die now (throw ShardDeadError).
   bool fire_kill_fault(int shard, FaultPhase phase, std::size_t wave)
       FPISA_EXCLUDES(fault_mu_);
   /// Persistent straggler injection: extra wall time per wave for `shard`.
   double slowdown_ms(int shard) const;
-  /// Control-plane cleanup: clears every slot of `range` so a failed job
-  /// cannot leak register state or dedup-bitmap bits to the range's next
-  /// tenant.
-  void scrub_range(Shard& shard, const SlotRange& range);
 
   ClusterOptions opts_;
-  ShardRouter router_;
+  JobPlanner planner_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   /// Per-shard persistent workers (kWorkers dispatch): pool worker s runs
@@ -403,8 +391,7 @@ class AggregationService {
   /// [2]=deadline.
   telemetry::Counter* m_qos_rejects_[3] = {};
   /// Per-shard mailbox counters as gauges (enqueued / wakeups / spurious),
-  /// refreshed after every pass join under kWorkers dispatch — the PR 8
-  /// mailbox_stats() surface, now scrapeable like every other layer.
+  /// refreshed after every pass join under kWorkers dispatch.
   std::vector<std::array<telemetry::Gauge*, 3>> m_mailbox_;
   /// Fault-recovery events: [0]=epoch_bumps, [1]=workers_declared_dead,
   /// [2]=waves_replayed (cluster_fault_* counters; wire-level rejections

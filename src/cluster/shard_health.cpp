@@ -6,9 +6,13 @@ namespace fpisa::cluster {
 
 ShardHealth::ShardHealth(int num_shards, int max_consecutive_failures)
     : shards_(static_cast<std::size_t>(std::max(num_shards, 0))),
-      threshold_(std::max(max_consecutive_failures, 1)) {
+      threshold_(max_consecutive_failures) {
   if (num_shards <= 0) {
     throw std::invalid_argument("shard health: need at least one shard");
+  }
+  if (max_consecutive_failures < 1) {
+    throw std::invalid_argument(
+        "shard health: max_consecutive_failures must be >= 1");
   }
 }
 

@@ -1,7 +1,7 @@
 // Shard liveness tracking and fault injection for the rack-scale
 // aggregation service. A shard that keeps exhausting retransmit budgets is
 // declared dead; the service then re-routes its chunk set onto survivors
-// (ShardRouter::reroute) instead of failing every tenant's job — the
+// (JobPlanner::failover) instead of failing every tenant's job — the
 // paper's rack-scale capacity argument only survives production if one
 // dead switch doesn't stall the fabric.
 //
@@ -53,10 +53,10 @@ struct ShardFault {
 struct FailoverOptions {
   bool enabled = false;
   /// Consecutive retransmit-exhaustion failures before a shard is declared
-  /// dead (and its chunks become eligible for re-routing).
+  /// dead (and its chunks become eligible for re-routing); must be >= 1.
   int max_consecutive_failures = 1;
   /// Clean retry passes a single job may run after re-routing; past this
-  /// the job fails even with survivors left.
+  /// the job fails even with survivors left. Must be >= 0.
   int max_reroutes_per_job = 1;
   /// Test/bench fault injection; empty in production.
   std::vector<ShardFault> faults;
@@ -81,12 +81,9 @@ class ShardDeadError : public std::runtime_error {
 /// concurrent jobs report failures from the job-runner pool.
 class ShardHealth {
  public:
+  /// Throws std::invalid_argument for no shards or a threshold below 1.
   ShardHealth(int num_shards, int max_consecutive_failures);
 
-  int num_shards() const FPISA_EXCLUDES(mu_) {
-    util::LockGuard lk(mu_);
-    return static_cast<int>(shards_.size());
-  }
   bool alive(int shard) const FPISA_EXCLUDES(mu_);
   int num_alive() const FPISA_EXCLUDES(mu_);
   /// Ascending ids of every live shard.

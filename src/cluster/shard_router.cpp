@@ -1,8 +1,8 @@
 #include "cluster/shard_router.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "util/rng.h"
 
@@ -23,7 +23,9 @@ ShardRouter::ShardRouter(int num_shards, RoutingPolicy policy,
 }
 
 int ShardRouter::route(std::size_t chunk, std::size_t total_chunks) const {
-  assert(chunk < total_chunks);
+  if (chunk >= total_chunks) {
+    throw std::out_of_range("shard router: chunk outside the job");
+  }
   if (num_shards_ == 1) return 0;
   switch (policy_) {
     case RoutingPolicy::kHash: {
@@ -56,39 +58,93 @@ std::vector<std::vector<std::size_t>> ShardRouter::partition(
   return out;
 }
 
-std::vector<std::vector<std::size_t>> ShardRouter::reroute(
-    std::span<const std::size_t> chunks, int dead_shard,
-    std::span<const int> alive) const {
-  if (alive.empty()) {
-    throw std::invalid_argument("reroute: no surviving shards");
+JobPlanner::JobPlanner(ShardRouter router, std::size_t slots_per_job)
+    : router_(router), slots_per_job_(slots_per_job) {
+  if (slots_per_job == 0) {
+    throw std::invalid_argument("cluster: slots_per_job must be > 0");
   }
-  std::vector<std::vector<std::size_t>> out(
-      static_cast<std::size_t>(num_shards_));
-  for (const std::size_t c : chunks) {
+}
+
+void JobPlanner::check(std::span<const int> live,
+                       std::span<const int> died) const {
+  if (live.empty()) throw NoLiveShardsError();
+  const int n = router_.num_shards();
+  std::vector<char> seen(static_cast<std::size_t>(n), 0);
+  for (const std::span<const int> ids : {live, died}) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] < 0 || ids[i] >= n || (i > 0 && ids[i] <= ids[i - 1]) ||
+          std::exchange(seen[static_cast<std::size_t>(ids[i])], 1) != 0) {
+        throw std::invalid_argument(
+            "cluster planner: shard lists must be ascending, in range and "
+            "disjoint");
+      }
+    }
+  }
+}
+
+JobPlan JobPlanner::fold(std::vector<std::vector<std::size_t>> parts,
+                         std::span<const int> live) const {
+  JobPlan plan;
+  std::vector<char> is_live(parts.size(), 0);
+  for (const int s : live) is_live[static_cast<std::size_t>(s)] = 1;
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    if (is_live[s] || parts[s].empty()) continue;
     // Mix the dead shard's id into the hash so the failover placement of a
     // chunk is decorrelated from its primary placement (and from other
     // shards' failovers), while staying a pure function of (chunk, salt,
-    // dead_shard).
-    std::uint64_t state = static_cast<std::uint64_t>(c) ^ salt_ ^
-                          ((static_cast<std::uint64_t>(dead_shard) + 1) *
-                           0x9e3779b97f4a7c15ULL);
-    const std::size_t pick = static_cast<std::size_t>(
-        util::splitmix64(state) % static_cast<std::uint64_t>(alive.size()));
-    const int target = alive[pick];
-    assert(target != dead_shard && target >= 0 && target < num_shards_);
-    out[static_cast<std::size_t>(target)].push_back(c);
+    // dead shard).
+    const std::uint64_t dead_mix =
+        (static_cast<std::uint64_t>(s) + 1) * 0x9e3779b97f4a7c15ULL;
+    for (const std::size_t c : parts[s]) {
+      std::uint64_t state =
+          static_cast<std::uint64_t>(c) ^ router_.salt() ^ dead_mix;
+      const std::size_t pick = static_cast<std::size_t>(
+          util::splitmix64(state) % static_cast<std::uint64_t>(live.size()));
+      parts[static_cast<std::size_t>(live[pick])].push_back(c);
+    }
+    plan.rerouted += parts[s].size();
+    parts[s].clear();
   }
-  return out;
+  plan.slots.resize(parts.size());
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    if (plan.rerouted != 0) std::sort(parts[s].begin(), parts[s].end());
+    plan.slots[s] = parts[s].empty() ? 0 : slots_per_job_;
+  }
+  plan.chunks = std::move(parts);
+  return plan;
 }
 
-std::vector<std::vector<std::size_t>> ShardRouter::reroute(
-    std::span<const std::size_t> chunks, int dead_shard) const {
-  std::vector<int> alive;
-  alive.reserve(static_cast<std::size_t>(num_shards_));
-  for (int s = 0; s < num_shards_; ++s) {
-    if (s != dead_shard) alive.push_back(s);
+JobPlan JobPlanner::plan(std::size_t total_chunks,
+                         std::span<const int> live) const {
+  check(live, {});
+  return fold(router_.partition(total_chunks), live);
+}
+
+JobPlan JobPlanner::replay(std::size_t total_chunks,
+                           std::span<const int> live,
+                           std::span<const int> died) const {
+  check(live, died);
+  std::vector<std::vector<std::size_t>> parts =
+      router_.partition(total_chunks);
+  std::size_t rerouted = 0;
+  for (const int d : died) {
+    rerouted += parts[static_cast<std::size_t>(d)].size();
   }
-  return reroute(chunks, dead_shard, alive);
+  JobPlan plan = fold(std::move(parts), live);
+  plan.rerouted = rerouted;
+  return plan;
+}
+
+JobPlan JobPlanner::failover(const JobPlan& last, std::span<const int> died,
+                             std::span<const int> live) const {
+  check(live, died);
+  std::vector<std::vector<std::size_t>> parts(
+      static_cast<std::size_t>(router_.num_shards()));
+  for (const int d : died) {
+    parts[static_cast<std::size_t>(d)] =
+        last.chunks.at(static_cast<std::size_t>(d));
+  }
+  return fold(std::move(parts), live);
 }
 
 SlotRangeAllocator::SlotRangeAllocator(std::size_t total_slots)
@@ -126,7 +182,9 @@ std::optional<SlotRange> SlotRangeAllocator::allocate(std::size_t want) {
 
 void SlotRangeAllocator::release(const SlotRange& r) {
   if (r.empty()) return;
-  assert(r.hi <= total_);
+  if (r.hi > total_) {
+    throw std::out_of_range("slot allocator: range past the pool's end");
+  }
   const auto it = std::lower_bound(
       free_.begin(), free_.end(), r,
       [](const SlotRange& a, const SlotRange& b) { return a.lo < b.lo; });

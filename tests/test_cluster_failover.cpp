@@ -7,13 +7,11 @@
 // around it (degraded N-1 mode) without another retry pass.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <stdexcept>
 
 #include "cluster/aggregation_service.h"
 #include "cluster/hierarchy.h"
 #include "cluster/shard_health.h"
-#include "cluster/shard_router.h"
 #include "core/packed.h"
 #include "util/rng.h"
 #include "testkit.h"
@@ -70,42 +68,6 @@ TEST(ShardHealth, ConsecutiveFailuresCrossThreshold) {
   EXPECT_EQ(health.deaths(), 2u);
   health.mark_dead(0);  // idempotent
   EXPECT_EQ(health.deaths(), 2u);
-}
-
-// --- ShardRouter::reroute --------------------------------------------------
-
-TEST(ShardRouterReroute, DeterministicSaltStableAndComplete) {
-  std::vector<std::size_t> chunks;
-  for (std::size_t c = 0; c < 61; ++c) chunks.push_back(c * 3);
-
-  const ShardRouter a(4, RoutingPolicy::kHash, 42);
-  const ShardRouter b(4, RoutingPolicy::kRange, 42);  // policy-independent
-  const auto ra = a.reroute(chunks, 2);
-  EXPECT_EQ(ra, b.reroute(chunks, 2)) << "reroute must be salt-stable";
-
-  ASSERT_EQ(ra.size(), 4u);
-  EXPECT_TRUE(ra[2].empty()) << "nothing may land on the corpse";
-  std::set<std::size_t> seen;
-  for (const auto& p : ra) {
-    for (const std::size_t c : p) {
-      EXPECT_TRUE(seen.insert(c).second) << "chunk rerouted twice: " << c;
-    }
-  }
-  EXPECT_EQ(seen.size(), chunks.size());
-  // Survivors absorb the load roughly evenly (61 chunks over 3 shards).
-  for (const int s : {0, 1, 3}) {
-    EXPECT_GT(ra[static_cast<std::size_t>(s)].size(), 8u);
-  }
-
-  // Restricted survivor set: only the listed shards receive chunks.
-  const std::vector<int> alive{1, 3};
-  const auto rr = a.reroute(chunks, 0, alive);
-  EXPECT_TRUE(rr[0].empty());
-  EXPECT_TRUE(rr[2].empty());
-  EXPECT_EQ(rr[1].size() + rr[3].size(), chunks.size());
-
-  EXPECT_THROW(a.reroute(chunks, 0, std::span<const int>{}),
-               std::invalid_argument);
 }
 
 // --- failover matrix -------------------------------------------------------

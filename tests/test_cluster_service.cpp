@@ -230,9 +230,9 @@ TEST(ClusterService, LossInjectionIsBitExactVsLossless) {
   EXPECT_GT(report.stats.retransmissions, 0u);
 }
 
-TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
+TEST(ClusterService, ShardTasksMatchPerPacketOracle) {
   // Every shard task must be observably indistinguishable from the
-  // per-packet, per-slot protocol oracle run over the shard's routed chunk
+  // per-packet, per-slot protocol oracle run over the shard's planned chunk
   // list and slot range with the task's own loss stream: identical
   // results, per-shard protocol stats and kernel op counts, with and
   // without loss.
@@ -253,7 +253,7 @@ TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
     const auto got = testkit::reduce(fast, "t", workers);
 
     std::vector<float> want(150);
-    const auto parts = fast.router().partition(75);
+    const JobPlan plan = fast.planner().plan(75, std::vector<int>{0, 1, 2});
     for (int s = 0; s < opts.num_shards; ++s) {
       SCOPED_TRACE(s);
       pisa::FpisaProgramOptions p;
@@ -265,10 +265,10 @@ TEST(ClusterService, BatchedCollectIsBitExactVsPerSlot) {
       switchml::SessionStats stats{};
       switchml::WaveJob job;
       job.workers = views;
-      job.chunks = parts[static_cast<std::size_t>(s)];
+      job.chunks = plan.chunks[static_cast<std::size_t>(s)];
       job.out = want;
       job.lo = 0;  // a fresh service hands its first job each range's start
-      job.wave = opts.slots_per_job;
+      job.wave = plan.slots[static_cast<std::size_t>(s)];
       job.loss_rate = loss;
       job.max_retransmits = opts.max_retransmits;
       job.rng = &rng;

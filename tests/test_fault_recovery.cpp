@@ -377,7 +377,8 @@ TEST(ClusterFaults, ShardAndWorkerDeathInOnePassBookBoth) {
   cluster::AggregationService svc(opts);
   const std::size_t chunks = workers.front().size() /
                              static_cast<std::size_t>(opts.lanes);
-  const std::size_t shard1_chunks = svc.router().partition(chunks)[1].size();
+  const std::size_t shard1_chunks =
+      svc.planner().plan(chunks, std::vector<int>{0, 1, 2, 3}).chunks[1].size();
   ASSERT_GT(shard1_chunks, 0u);
 
   const telemetry::Snapshot before = telemetry::snapshot();
