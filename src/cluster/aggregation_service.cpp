@@ -630,9 +630,10 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   // plan and a dead one fails the job.
   const bool fo = opts_.failover.enabled;
   const auto live = [&] {
+    if (fo) return health_.alive_shards();
     std::vector<int> all(shards_.size());
     std::iota(all.begin(), all.end(), 0);
-    return fo ? health_.alive_shards() : all;
+    return all;
   };
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   const std::size_t chunks = (n + lanes - 1) / lanes;
