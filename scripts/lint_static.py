@@ -45,11 +45,14 @@ Rules:
                 legal.
 
   R6 uncalled   Every function declared in a src/ header must have a
-                caller: some word-boundary occurrence of its name in
-                src/, bench/, examples/, perfbench/ or tests/ that is not
-                a declaration or an out-of-line definition (a type right
-                before `name(`, or `Type Class::name(`). A test counts as
-                a caller; there is no allowlist. Preprocessor lines and
+                caller in src/, bench/, examples/, perfbench/ or tests/:
+                a call `name(` (plain, qualified, or through `.` or `->`)
+                that is not a declaration or an out-of-line definition (a
+                type right before `name(`, or `Type Class::name(`), or an
+                address `&Class::name`. A bare `name` -- a parameter, a
+                variable or a data member of the same name -- is not a
+                call. A test counts as a caller; there is no allowlist.
+                Preprocessor lines and
                 #define'd names are ignored, and src/util/
                 thread_annotations.h is skipped: its lowercase names are
                 attribute spellings, not functions.
@@ -310,13 +313,32 @@ NOT_A_TYPE = {
     "co_yield", "co_await", "sizeof", "alignof", "decltype", "typeid",
     "operator", "using", "namespace", "class", "struct", "union", "enum",
     "if", "for", "while", "switch", "do", "catch", "not", "and", "or"}
-IDENT_RE = re.compile(r'\b' + _ID)
 NAME_PAREN_RE = re.compile(rf'\b({_ID})\s*\(')
-PAREN_RE = re.compile(r'\s*\(')
+# A call: `name(` or `name<targs>(`.
+CALL_RE = re.compile(rf'\b({_ID})(?:\s*<[^;{{}}()]*>)?\s*\(')
+# A class's name: its constructors are not candidates.
+CLASS_RE = re.compile(rf'\b(?:class|struct)\s+(?:alignas\s*\([^)]*\)\s*)?({_ID})')
+# `&Class::name` (or `&ns::Class::name`): a member function's address.
+ADDRESS_RE = re.compile(rf'&\s*(?:{_ID}{_TARGS}\s*::\s*)+({_ID})\b')
 PREPROCESSOR_RE = re.compile(r'^[ \t]*#(?:[^\n]*\\\n)*[^\n]*', re.M)
 DEFINE_RE = re.compile(rf'#\s*define\s+({_ID})')
 UNCALLED_SCOPE = ("src", "bench", "examples", "perfbench", "tests")
 UNCALLED_SKIP = "src/util/thread_annotations.h"
+
+
+BUILTIN_TYPES = {
+    "void", "bool", "char", "short", "int", "long", "float", "double",
+    "unsigned", "signed", "auto"}
+
+
+def is_initializer(text, open_paren, classes):
+    """True when the parentheses at `open_paren` hold one bare name that is
+    no type: `std::vector<double> sorted(xs_);` makes a variable, not a
+    function."""
+    close = text.find(")", open_paren)
+    inner = text[open_paren + 1:close].strip() if close >= 0 else ""
+    return (re.fullmatch(_ID, inner) is not None
+            and inner not in BUILTIN_TYPES and inner not in classes)
 
 
 def is_declaration(text, start):
@@ -340,6 +362,9 @@ def lint_uncalled(root, findings):
         text = strip_comments(raw, strip_strings=True)
         texts[rel] = PREPROCESSOR_RE.sub(
             lambda m: _blank_preserving_newlines(m.group(0)), text)
+    classes = set()
+    for text in texts.values():
+        classes.update(CLASS_RE.findall(text))
     declared = {}
     for rel, text in texts.items():
         if not (rel.startswith("src/") and rel.endswith(".h")):
@@ -349,17 +374,18 @@ def lint_uncalled(root, findings):
         for m in NAME_PAREN_RE.finditer(text):
             name = m.group(1)
             if (name not in declared and name not in macros
-                    and name not in NOT_A_TYPE
-                    and is_declaration(text, m.start())):
+                    and name not in classes and name not in NOT_A_TYPE
+                    and is_declaration(text, m.start())
+                    and not is_initializer(text, m.end() - 1, classes)):
                 declared[name] = (rel, line_of(text, m.start()))
     called = set()
     for text in texts.values():
-        for m in IDENT_RE.finditer(text):
-            name = m.group(0)
-            if name in declared and name not in called and not (
-                    PAREN_RE.match(text, m.end())
-                    and is_declaration(text, m.start())):
+        for m in CALL_RE.finditer(text):
+            name = m.group(1)
+            if (name in declared and name not in called
+                    and not is_declaration(text, m.start())):
                 called.add(name)
+        called.update(m.group(1) for m in ADDRESS_RE.finditer(text))
     for name, (rel, line) in sorted(declared.items(), key=lambda kv: kv[1]):
         if name not in called:
             findings.append(
@@ -421,6 +447,11 @@ GOOD_FILES = {
         '  [[nodiscard]] const std::vector<int>& items() const;\n'
         '  Link& link(int host) { return links_[host]; }\n'
         '  static constexpr int checked() { return 1; }\n'
+        '  int spare() const { return 0; }\n'
+        '  std::vector<int> copy() const {\n'
+        '    std::vector<int> sorted(links_);\n'
+        '    return sorted;\n'
+        '  }\n'
         ' private:\n'
         '  std::vector<Link> links_ DEMO_GUARDED_BY(mu_);\n'
         '};\n'
@@ -436,6 +467,8 @@ GOOD_FILES = {
         '  const auto n = demo::draw(4);\n'
         '  demo::draw(5);\n'
         '  for (int i : w.items()) (void)i;\n'
+        '  (void)w.copy();\n'
+        '  auto by_pointer = &demo::Widget::spare;\n'
         '  return &w.link(0) != nullptr;\n'
         '}\n'),
     "tests/test_api.cpp": 'static_assert(demo::Widget::checked() == 1);\n',
@@ -491,6 +524,22 @@ BAD_FILES = {
         '}\n'
         'std::vector<Point>\n'
         'Rng::sweep(const Rates& r) const { return {}; }\n'),
+    # R6: accessors whose names occur only as a parameter, a local and
+    # another struct's data member -- never called.
+    "src/cluster.h": (
+        'class ShardRouter {\n'
+        ' public:\n'
+        '  RoutingPolicy policy() const { return policy_; }\n'
+        '  std::size_t total_slots() const { return total_; }\n'
+        '  int num_shards() const { return n_; }\n'
+        '};\n'),
+    "src/cluster.cpp": (
+        'ShardRouter::ShardRouter(RoutingPolicy policy, int n)\n'
+        '    : policy_(policy), n_(n) {}\n'
+        'void plan(const Options& opts) {\n'
+        '  const std::size_t total_slots = opts.slots * 2;\n'
+        '  use(opts.num_shards, total_slots);\n'
+        '}\n'),
     # R7: label values drawn from a private counter, on one line and split.
     "src/leaky.cpp": (
         'static std::atomic<int> next_id{0};\n'
@@ -520,6 +569,9 @@ BAD_EXPECT = [
     "src/dead.h:4: [uncalled] next_float()",
     "src/dead.h:5: [uncalled] uplink()",
     "src/dead.h:6: [uncalled] sweep()",
+    "src/cluster.h:3: [uncalled] policy()",
+    "src/cluster.h:4: [uncalled] total_slots()",
+    "src/cluster.h:5: [uncalled] num_shards()",
     "src/leaky.cpp:2: [instance-label]",
     "src/leaky.cpp:3: [instance-label]",
 ]

@@ -5,10 +5,10 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/vector_accumulator.h"
 #include "net/link.h"
+#include "util/cpus.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -57,8 +57,7 @@ HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
   init_metrics();
   // Started here rather than at the first reduce, so a communicator's
   // set-up pays for them once, before its first job.
-  const int cpus = static_cast<int>(std::thread::hardware_concurrency());
-  helpers_.emplace(std::min(opts_.leaves, std::max(cpus, 1)) - 1, 4);
+  helpers_.emplace(std::min(opts_.leaves, util::usable_cpus()) - 1, 4);
 }
 
 void HierarchicalAggregator::run_leaves(int part) noexcept {

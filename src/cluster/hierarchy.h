@@ -10,7 +10,7 @@
 // The leaf passes run concurrently, as a rack's ToR switches do: each leaf
 // has its own switch, wave engine, partial buffer and wire books, so no
 // two leaf passes share anything they write. The aggregator owns a
-// ForkJoinPool (cluster/mailbox.h) of min(leaves, hardware threads) - 1
+// ForkJoinPool (cluster/mailbox.h) of min(leaves, usable CPUs) - 1
 // helper threads, parked between reduces (none on a one-CPU host); a
 // reduce posts one task per helper it needs, runs its own share of the
 // live leaves on the calling thread, joins, and then runs the spine. The
@@ -100,8 +100,8 @@ class HierarchicalAggregator {
   /// Wire books of the most recent reduce_into(): every live leaf's pass,
   /// in leaf order, then the spine's.
   const switchml::SessionStats& stats() const { return stats_; }
-  /// Helper threads started at construction: min(leaves, hardware
-  /// threads) - 1. A reduce uses min(live leaves, helpers + 1) threads,
+  /// Helper threads started at construction: min(leaves, usable
+  /// CPUs) - 1. A reduce uses min(live leaves, helpers + 1) threads,
   /// counting the caller's.
   int helper_threads() const { return helpers_->size(); }
 

@@ -19,6 +19,17 @@
 // until the consumer frees a cell (consumers never block on producers, so
 // this always drains).
 //
+// A lost wakeup to keep out: a `seq` narrowed to 32 bits (so the futex
+// waits on it directly, with no proxy word) and published with a release
+// store hung a 10,000-reduce tree loop with every thread parked in
+// futex_do_wait, three runs out of three; a seq_cst store ran 34,000
+// reduces clean. Under GCC 12 the likely cause is libstdc++'s notify fast
+// path, which reads its waiter count first and skips the futex call when
+// it is zero: a release store may be reordered after that read, so the
+// producer sees no waiter while the consumer parks on the old value. The
+// protocol stays as it is (64-bit seq, release store) until the schedule
+// explorer (ROADMAP) can check a change to it.
+//
 // Wakeup accounting: `wakeups` counts every return from the wait,
 // `spurious_wakeups` the returns that found the awaited cell still empty;
 // a regression test pins the latter at zero. They see only what

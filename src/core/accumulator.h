@@ -137,7 +137,6 @@ class FpisaAccumulator {
   void reset() { state_ = {}; }
   const FpState& state() const { return state_; }
   const OpCounters& counters() const { return counters_; }
-  const AccumulatorConfig& config() const { return cfg_; }
 
  private:
   AccumulatorConfig cfg_;

@@ -49,7 +49,6 @@ class BlockFpisaAccumulator {
   std::vector<float> read() const;
 
   const OpCounters& counters() const { return counters_; }
-  std::int32_t shared_exp() const { return exp_; }
 
  private:
   BlockFpFormat fmt_;

@@ -45,7 +45,6 @@ class FpisaVector {
   void reset();
 
   const OpCounters& counters() const { return counters_; }
-  const AccumulatorConfig& config() const { return cfg_; }
   FpState state(std::size_t i) const { return {regs_.exp[i], regs_.man[i]}; }
 
  private:

@@ -121,7 +121,9 @@ class WorkerDeadError : public std::runtime_error {
 // from or outlives its source is materialized into the side store: the
 // zero-padded tail chunk of a view, a corrupted copy, a ghost. The store
 // grows in fixed blocks that never move, so a stored payload stays valid
-// until clear(), which recycles the blocks without freeing them.
+// until recycle(), which reuses the blocks without freeing them. clear()
+// empties the descriptor columns only: the wave engine's log keeps
+// pointing at stored payloads after their wave's queue is cleared.
 struct WaveQueue {
   explicit WaveQueue(std::size_t lanes) : lanes(lanes) {}
 
@@ -137,7 +139,7 @@ struct WaveQueue {
     }
   }
   // Copies `src` (at most `lanes` values' bytes) into the side store,
-  // zero-padding the rest of the lanes. The copy is valid until clear().
+  // zero-padding the rest of the lanes. The copy is valid until recycle().
   std::span<std::uint32_t> materialize(std::span<const std::byte> src);
   std::size_t size() const { return slots.size(); }
   void clear() {
@@ -146,8 +148,10 @@ struct WaveQueue {
     stamps.clear();
     checksums.clear();
     payloads.clear();
-    stored_ = 0;
   }
+  // Hands the side store out again from its start: every stored payload
+  // is void.
+  void recycle() { stored_ = 0; }
 
   std::size_t lanes;
   bool guarded = false;
@@ -162,7 +166,7 @@ struct WaveQueue {
   // Side-store blocks of kBlockPayloads payloads each; a block is sized once
   // and never resized, so its buffer never moves.
   std::vector<std::vector<std::uint32_t>> store_;
-  std::size_t stored_ = 0;  // payloads handed out since clear()
+  std::size_t stored_ = 0;  // payloads handed out since recycle()
 };
 
 // Per-(job, shard, pass) deterministic injector. It owns the fault RNG

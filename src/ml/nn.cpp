@@ -156,8 +156,8 @@ std::vector<float> Conv3x3::backward(std::span<const float> dy, int n) {
 }
 
 Network::Network(int input_size, std::vector<std::unique_ptr<Layer>> layers)
-    : input_size_(input_size), layers_(std::move(layers)) {
-  int size = input_size_;
+    : layers_(std::move(layers)) {
+  int size = input_size;
   for (const auto& l : layers_) size = l->output_size(size);
   output_size_ = size;
   velocity_.assign(parameter_count(), 0.0f);

@@ -90,7 +90,6 @@ class Network {
  public:
   Network(int input_size, std::vector<std::unique_ptr<Layer>> layers);
 
-  int input_size() const { return input_size_; }
   int output_size() const { return output_size_; }
 
   std::vector<float> forward(std::span<const float> x, int n);
@@ -112,7 +111,6 @@ class Network {
   void sgd_step(float lr, float momentum, float weight_decay);
 
  private:
-  int input_size_;
   int output_size_;
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<float> velocity_;

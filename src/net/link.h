@@ -25,7 +25,6 @@ class Link {
     return next_free_ + latency_s_;
   }
 
-  double gbps() const { return gbps_; }
   double busy_seconds() const { return busy_s_; }
   void reset() {
     next_free_ = 0;

@@ -64,8 +64,6 @@ struct PrimOp {
 struct Action {
   std::string name;
   std::vector<PrimOp> ops;
-
-  int vliw_slots() const { return static_cast<int>(ops.size()); }
 };
 
 /// Executes a bundle against a PHV (used by MauStage). Extension opcodes

@@ -867,11 +867,49 @@ void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
                           std::span<const std::uint16_t> checksums,
                           GuardStats* guard) {
   const std::size_t n = slots.size();
+  if (gather_rows_.size() < n) {
+    gather_payloads_.resize(n);
+    gather_rows_.resize(n);
+  }
+  const std::size_t accepted = settle(slots, workers, payloads, stamps,
+                                      checksums, guard, gather_payloads_,
+                                      gather_rows_);
+  gather(std::span(gather_payloads_).first(accepted),
+         std::span(gather_rows_).first(accepted), ops_);
+  flush_metrics(n);
+}
+
+std::size_t FpisaSwitch::admit(std::span<const std::uint16_t> slots,
+                               std::span<const std::uint8_t> workers,
+                               std::span<const std::byte* const> payloads,
+                               std::span<const std::uint32_t> stamps,
+                               std::span<const std::uint16_t> checksums,
+                               GuardStats* guard,
+                               std::span<const std::byte*> out_payloads,
+                               std::span<std::uint32_t> out_rows) {
+  const std::size_t accepted = settle(slots, workers, payloads, stamps,
+                                      checksums, guard, out_payloads, out_rows);
+  flush_metrics(slots.size());
+  return accepted;
+}
+
+std::size_t FpisaSwitch::settle(std::span<const std::uint16_t> slots,
+                                std::span<const std::uint8_t> workers,
+                                std::span<const std::byte* const> payloads,
+                                std::span<const std::uint32_t> stamps,
+                                std::span<const std::uint16_t> checksums,
+                                GuardStats* guard,
+                                std::span<const std::byte*> out_payloads,
+                                std::span<std::uint32_t> out_rows) {
+  const std::size_t n = slots.size();
   require_size("ingress", "workers", workers.size(), n);
   require_size("ingress", "payloads", payloads.size(), n);
   if (guard != nullptr) {
     require_size("ingress", "stamps", stamps.size(), n);
     require_size("ingress", "checksums", checksums.size(), n);
+  }
+  if (out_payloads.size() < n || out_rows.size() < n) {
+    throw std::invalid_argument("ingress: accepted-packet spans too short");
   }
 
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
@@ -883,13 +921,9 @@ void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
   const std::int64_t count_mask =
       (std::int64_t{1} << count_reg.width_bits()) - 1;
   // Room for every packet, written by index: no growth check per packet.
-  if (gather_rows_.size() < n) {
-    gather_payloads_.resize(n);
-    gather_rows_.resize(n);
-    gather_workers_.resize(n);
-  }
-  const std::byte** const accepted_payloads = gather_payloads_.data();
-  std::uint32_t* const accepted_rows = gather_rows_.data();
+  if (gather_workers_.size() < n) gather_workers_.resize(n);
+  const std::byte** const accepted_payloads = out_payloads.data();
+  std::uint32_t* const accepted_rows = out_rows.data();
   std::uint8_t* const accepted_workers = gather_workers_.data();
   // The batch's books stay local until every packet has passed its
   // check, so a batch rejected for a bad packet only has to undo the
@@ -949,13 +983,23 @@ void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
     guard->stale_rejected += rejected.stale_rejected;
   }
 
-  core::RegisterFile& bank = sim_.bank();
-  core::fpisa_add_gather(std::span(gather_payloads_).first(accepted),
-                         std::span(gather_rows_).first(accepted), lanes,
-                         bank.exp, bank.man, lane_cfg_, ops_,
-                         core::LaneMode::kSwitch);
   sim_.account_packets(n);
-  flush_metrics(n);
+  return accepted;
+}
+
+void FpisaSwitch::gather(std::span<const std::byte* const> payloads,
+                         std::span<const std::uint32_t> rows,
+                         core::OpCounters& ops) {
+  require_size("gather", "rows", rows.size(), payloads.size());
+  core::RegisterFile& bank = sim_.bank();
+  core::fpisa_add_gather(payloads, rows, static_cast<std::size_t>(opts_.lanes),
+                         bank.exp, bank.man, lane_cfg_, ops,
+                         core::LaneMode::kSwitch);
+}
+
+void FpisaSwitch::book_ops(const core::OpCounters& ops) {
+  ops_ += ops;
+  flush_metrics(0);
 }
 
 void FpisaSwitch::wipe_state() {
@@ -1014,15 +1058,16 @@ void FpisaSwitch::egress(std::uint16_t slot0,
                          std::span<std::byte* const> dests, bool reset,
                          std::span<std::uint32_t> out_bitmaps,
                          std::span<std::uint16_t> out_counts) {
+  // The halves touch disjoint registers; release goes first because it
+  // checks every span before either changes any state.
+  release(slot0, dests.size(), reset, out_bitmaps, out_counts);
+  drain(slot0, dests, reset);
+}
+
+void FpisaSwitch::drain(std::uint16_t slot0, std::span<std::byte* const> dests,
+                        bool reset) {
   const std::size_t n = dests.size();
   check_slot_range("egress", slot0, n);
-  if (!out_bitmaps.empty()) {
-    require_size("egress", "out_bitmaps", out_bitmaps.size(), n);
-  }
-  if (!out_counts.empty()) {
-    require_size("egress", "out_counts", out_counts.size(), n);
-  }
-
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   core::RegisterFile& bank = sim_.bank();
   const std::span<std::int32_t> exp =
@@ -1036,7 +1081,18 @@ void FpisaSwitch::egress(std::uint16_t slot0,
     core::fpisa_read_scatter(exp, man, lanes, dests, lane_cfg_,
                              core::LaneMode::kSwitch);
   }
+}
 
+void FpisaSwitch::release(std::uint16_t slot0, std::size_t n, bool reset,
+                          std::span<std::uint32_t> out_bitmaps,
+                          std::span<std::uint16_t> out_counts) {
+  check_slot_range("egress", slot0, n);
+  if (!out_bitmaps.empty()) {
+    require_size("egress", "out_bitmaps", out_bitmaps.size(), n);
+  }
+  if (!out_counts.empty()) {
+    require_size("egress", "out_counts", out_counts.size(), n);
+  }
   const std::span<std::int64_t> bitmap =
       sim_.reg(bitmap_register(opts_.lanes)).owned_cells();
   const std::span<std::int64_t> count =

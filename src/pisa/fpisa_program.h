@@ -171,6 +171,9 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 /// into the process telemetry registry under the instance label sw=<n>.
 /// The switch is not thread-safe (callers already serialize access — the
 /// cluster holds a per-shard mutex), so the members are plain integers.
+/// The one exception is the datapath halves, gather() and drain(): they
+/// touch only the bank rows they are given, so a caller that holds the
+/// switch may run them on disjoint rows from several threads at once.
 class FpisaSwitch {
  public:
   /// Worker ids index the 32-bit dedup bitmap register.
@@ -223,12 +226,36 @@ class FpisaSwitch {
   /// pre-wipe packet) is dropped before it can touch register state; the
   /// drops are tallied in `*guard` and in the registry. Accepted packets
   /// update state exactly as unguarded ones would.
+  ///
+  /// Ingress is admit() followed by gather() over what it accepted.
   void ingress(std::span<const std::uint16_t> slots,
                std::span<const std::uint8_t> workers,
                std::span<const std::byte* const> payloads,
                std::span<const std::uint32_t> stamps = {},
                std::span<const std::uint16_t> checksums = {},
                GuardStats* guard = nullptr);
+
+  /// The protocol half of ingress: its pre-pass alone. Checks every packet,
+  /// runs the guard, and settles the dedup bitmap, completion counter,
+  /// occupancy and packet books in order, touching no lane register. The
+  /// accepted packets' payloads and bank rows (= slots) land in
+  /// out_payloads / out_rows, each at least slots.size() long; returns how
+  /// many. Their lanes take effect only once gather() runs over them.
+  std::size_t admit(std::span<const std::uint16_t> slots,
+                    std::span<const std::uint8_t> workers,
+                    std::span<const std::byte* const> payloads,
+                    std::span<const std::uint32_t> stamps,
+                    std::span<const std::uint16_t> checksums,
+                    GuardStats* guard, std::span<const std::byte*> out_payloads,
+                    std::span<std::uint32_t> out_rows);
+  /// The datapath half of ingress: adds payload i's lanes into bank row
+  /// rows[i], in order, counting the §5.2.1 operations into `ops` (fold
+  /// them in with book_ops). Touches nothing but those rows, so calls on
+  /// disjoint rows may run on different threads at once.
+  void gather(std::span<const std::byte* const> payloads,
+              std::span<const std::uint32_t> rows, core::OpCounters& ops);
+  /// Adds a datapath's operation counts to op_counters() and the registry.
+  void book_ops(const core::OpCounters& ops);
 
   /// Flat adapter over unguarded ingress: packet i's lanes are
   /// values[i*lanes, +lanes).
@@ -270,9 +297,26 @@ class FpisaSwitch {
   /// LaneMode::kSwitch. `out_bitmaps` / `out_counts` (dests.size() each)
   /// capture the per-slot dedup bitmap and completion counter the result
   /// packets would carry; pass empty spans to skip.
+  ///
+  /// Egress is release() and drain() over the same slots.
   void egress(std::uint16_t slot0, std::span<std::byte* const> dests,
               bool reset, std::span<std::uint32_t> out_bitmaps = {},
               std::span<std::uint16_t> out_counts = {});
+
+  /// The datapath half of egress: the MAU5-8 read (with `reset`, the
+  /// read-and-clear) of the lane registers of slots [slot0, slot0 +
+  /// dests.size()) into dests. Touches nothing but those bank rows, so
+  /// calls on disjoint slots may run on different threads at once.
+  void drain(std::uint16_t slot0, std::span<std::byte* const> dests,
+             bool reset);
+  /// The protocol half of egress over slots [slot0, slot0 + n): captures
+  /// each slot's dedup bitmap and completion counter (empty spans skip),
+  /// books the n read packets and, with `reset`, clears the bitmap and
+  /// counter and bumps the slot's epoch. Reads no lane register: a probe of
+  /// the bitmaps alone is release(slot0, n, false, bitmaps).
+  void release(std::uint16_t slot0, std::size_t n, bool reset,
+               std::span<std::uint32_t> out_bitmaps = {},
+               std::span<std::uint16_t> out_counts = {});
 
   /// Flat adapters over egress: slot k's lane l lands at
   /// out_values[k*lanes + l] (n * lanes entries).
@@ -309,6 +353,14 @@ class FpisaSwitch {
   /// Throws std::out_of_range unless slots [slot0, slot0 + n) exist.
   void check_slot_range(const char* what, std::uint16_t slot0,
                         std::size_t n) const;
+  /// admit() without the registry push.
+  std::size_t settle(std::span<const std::uint16_t> slots,
+                     std::span<const std::uint8_t> workers,
+                     std::span<const std::byte* const> payloads,
+                     std::span<const std::uint32_t> stamps,
+                     std::span<const std::uint16_t> checksums,
+                     GuardStats* guard, std::span<const std::byte*> out_payloads,
+                     std::span<std::uint32_t> out_rows);
   /// One destination per slot into flat `values` (the read adapters).
   std::span<std::byte* const> flat_dests(const char* what, std::uint16_t slot0,
                                          std::size_t n,

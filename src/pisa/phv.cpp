@@ -1,6 +1,5 @@
 #include "pisa/phv.h"
 
-#include <numeric>
 #include <stdexcept>
 
 namespace fpisa::pisa {
@@ -24,10 +23,6 @@ FieldId PhvLayout::declare(std::string name, int width_bits) {
 FieldId PhvLayout::find(std::string_view name) const {
   const auto it = index_.find(std::string(name));
   return it == index_.end() ? FieldId{} : FieldId{it->second};
-}
-
-int PhvLayout::total_bits() const {
-  return std::accumulate(widths_.begin(), widths_.end(), 0);
 }
 
 std::int64_t Phv::get_signed(FieldId f) const {

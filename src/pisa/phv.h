@@ -37,9 +37,6 @@ class PhvLayout {
   }
   std::size_t field_count() const { return widths_.size(); }
 
-  /// Total PHV bits declared (a crude capacity check; Tofino has ~4Kb).
-  int total_bits() const;
-
  private:
   std::vector<std::string> names_;
   std::vector<int> widths_;
@@ -60,8 +57,6 @@ class Phv {
   std::int64_t get_signed(FieldId f) const;
 
   void set(FieldId f, std::uint64_t v);
-
-  const PhvLayout& layout() const { return *layout_; }
 
  private:
   const PhvLayout* layout_;

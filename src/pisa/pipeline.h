@@ -202,7 +202,6 @@ class SwitchSim {
   /// banked register views).
   core::RegisterFile& bank() { return bank_; }
 
-  const SwitchConfig& config() const { return config_; }
   const SwitchProgram& program() const { return *program_; }
 
   std::uint64_t packets_processed() const { return packets_; }

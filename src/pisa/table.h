@@ -45,8 +45,6 @@ class MatchTable {
   const Action* lookup(const Phv& phv) const;
 
   const std::string& name() const { return name_; }
-  MatchKind kind() const { return kind_; }
-  const std::vector<FieldId>& key_fields() const { return key_fields_; }
   const std::vector<Action>& actions() const { return actions_; }
 
  private:

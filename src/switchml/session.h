@@ -17,12 +17,19 @@
 // per-packet protocol it reproduces bit for bit survives only as the test
 // oracle in tests/wave_oracle.h. The session adds input validation and,
 // with fault injection on, the dead-worker degrade loop on top.
+//
+// The session owns its switch outright, so it is the one layer that gives
+// the engine a team: min(usable CPUs, datapath ranges) - 1 threads, started
+// by the constructor, which replay each reduce's lane kernels range by
+// range alongside the caller (a single-range session starts none).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "cluster/mailbox.h"
 #include "fault/fault.h"
 #include "pisa/fpisa_program.h"
 #include "switchml/wave_engine.h"
@@ -64,6 +71,8 @@ class AggregationSession : private WaveHooks {
     return stats_;
   }
   pisa::FpisaSwitch& fpisa_switch() { return switch_; }
+  /// Threads this session's reduces share their datapath pass with.
+  int team_threads() const { return team_ ? team_->size() : 0; }
 
   /// Wall time split between the add (ingress) and collect (read+reset)
   /// protocol phases across all reduces — the same currency the cluster
@@ -93,6 +102,8 @@ class AggregationSession : private WaveHooks {
   telemetry::Counter* m_retrans_ = nullptr;
   telemetry::Counter* m_lost_ = nullptr;
   telemetry::Histogram* m_phase_[2] = {};  ///< [0]=add, [1]=collect
+  /// The datapath team, started last: after all of what it uses is built.
+  std::optional<cluster::ForkJoinPool> team_;
 };
 
 }  // namespace fpisa::switchml

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstring>
 
+#include "cluster/mailbox.h"
+
 namespace fpisa::switchml {
 namespace {
 
@@ -222,13 +224,56 @@ WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
   return e;
 }
 
-void WaveEngine::land(pisa::FpisaSwitch& sw, const WaveJob& job) {
+void WaveEngine::admit(pisa::FpisaSwitch& sw, const WaveJob& job,
+                       std::size_t wave) {
+  Log& log = log_;
+  const std::size_t n = queue_.size();
+  const std::size_t at = log.rows.size();
+  log.payloads.resize(at + n);
+  log.rows.resize(at + n);
   pisa::FpisaSwitch::GuardStats guard;
-  sw.ingress(queue_.slots, queue_.workers, queue_.payloads, queue_.stamps,
-             queue_.checksums, queue_.guarded ? &guard : nullptr);
+  const std::size_t accepted = sw.admit(
+      queue_.slots, queue_.workers, queue_.payloads, queue_.stamps,
+      queue_.checksums, queue_.guarded ? &guard : nullptr,
+      std::span(log.payloads).subspan(at), std::span(log.rows).subspan(at));
+  log.payloads.resize(at + accepted);
+  log.rows.resize(at + accepted);
   job.stats->faults.corrupt_rejected += guard.corrupt_rejected;
   job.stats->faults.stale_dups_rejected += guard.stale_rejected;
   queue_.clear();
+  if (!deferred_) {  // inline: the wave's gather runs now
+    sw.gather(std::span(log.payloads).subspan(at),
+              std::span(log.rows).subspan(at), members_[0].ops);
+    close(job);
+    return;
+  }
+  if (ranges_ > 1 && queue_.guarded) {
+    // A plain queue is slot-major, so its accepted rows already ascend;
+    // ghosts and shuffles break that, so a guarded wave is grouped by range
+    // here (stably: each slot keeps its packets' order).
+    const auto range_of = [&](std::uint32_t row) {
+      return (row - job.lo) / kRangeSlots;
+    };
+    range_counts_.assign(ranges_ + 1, 0);
+    for (std::size_t i = at; i < at + accepted; ++i) {
+      ++range_counts_[range_of(log.rows[i]) + 1];
+    }
+    for (std::size_t r = 1; r <= ranges_; ++r) {
+      range_counts_[r] += range_counts_[r - 1];
+    }
+    sort_payloads_.resize(accepted);
+    sort_rows_.resize(accepted);
+    for (std::size_t i = at; i < at + accepted; ++i) {
+      const std::size_t to = range_counts_[range_of(log.rows[i])]++;
+      sort_payloads_[to] = log.payloads[i];
+      sort_rows_[to] = log.rows[i];
+    }
+    std::copy(sort_payloads_.begin(), sort_payloads_.end(),
+              log.payloads.begin() + static_cast<std::ptrdiff_t>(at));
+    std::copy(sort_rows_.begin(), sort_rows_.end(),
+              log.rows.begin() + static_cast<std::ptrdiff_t>(at));
+  }
+  log.steps.push_back({wave, false, at, at + accepted});
 }
 
 void WaveEngine::resync(pisa::FpisaSwitch& sw, const WaveJob& job) {
@@ -254,8 +299,11 @@ void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
   bitmaps_.resize(wave_n);
   sw.with([&](pisa::FpisaSwitch& s) {
     // Injected whole-switch state loss lands after the wave's adds, the
-    // moment it hurts most.
-    if (wipe) s.wipe_state();
+    // moment it hurts most: everything logged so far runs first.
+    if (wipe) {
+      replay(s, job, false);
+      s.wipe_state();
+    }
     // A generation bump means every register, this wave's partial sums
     // included, is gone: re-read the stamps and replay the wave from
     // the host-held gradients in one guarded batch (the dedup bitmap
@@ -273,11 +321,10 @@ void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
              queue_.push(slot, src.id, stamps_[slot - job.lo], payload);
              return true;
            });
-      land(s, job);
+      admit(s, job, wave);
       ++st.faults.waves_replayed;
     }
-    s.read_batch(job.lo, wave_n, {wave_values_.data(), wave_n * lanes_},
-                 bitmaps_);
+    s.release(job.lo, wave_n, /*reset=*/false, bitmaps_);
   });
   // Wave deadline: loss is retried to acknowledgment, so a live worker
   // reaches at least one slot of every wave. One whose dedup bit is clear
@@ -295,25 +342,29 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
   const std::size_t base = wave * job.wave;
   const std::size_t row_bytes = lanes_ * sizeof(float);
   const std::span<std::byte> out = std::as_writable_bytes(job.out);
-  const std::span<std::byte> bounce =
-      std::as_writable_bytes(std::span(wave_values_));
+  std::byte* const bounce =
+      std::as_writable_bytes(std::span(wave_values_)).data();
   // Each cleared slot drains straight into its chunk's place in out. A
-  // short tail chunk, and every slot of a wave whose schedule failed, goes
-  // through a bounce row instead: a failed wave writes nothing into out.
-  const auto direct = [&](std::size_t k) {
-    return !sched.failure &&
-           (job.chunks[base + k] + 1) * row_bytes <= out.size();
-  };
-  dests_.resize(sched.cleared);
+  // short tail chunk goes through a bounce row, and every slot of a wave
+  // whose schedule failed through the wave's: it writes nothing into out.
+  Log& log = log_;
+  const std::size_t at = log.dests.size();
+  log.dests.resize(at + sched.cleared);
   for (std::size_t k = 0; k < sched.cleared; ++k) {
-    dests_[k] = direct(k) ? out.data() + job.chunks[base + k] * row_bytes
-                          : bounce.data() + k * row_bytes;
+    const std::size_t i0 = job.chunks[base + k] * row_bytes;
+    if (sched.failure) {
+      log.dests[at + k] = bounce + k * row_bytes;
+    } else if (i0 + row_bytes <= out.size()) {
+      log.dests[at + k] = out.data() + i0;
+    } else {
+      log.tails.push_back({at + k, i0});
+    }
   }
-  // The cleared prefix drains in one compiled-egress call: values are read
-  // before the clear, exactly the per-slot read-then-reset order, and a
-  // failed slot and everything after it stay untouched, as they would.
+  if (deferred_) log.steps.push_back({wave, true, at, at + sched.cleared});
+  // The cleared prefix is released in one hold: a failed slot and
+  // everything after it stay untouched, as they would.
   sw.with([&](pisa::FpisaSwitch& s) {
-    s.egress(job.lo, dests_, /*reset=*/true);
+    s.release(job.lo, sched.cleared, /*reset=*/true);
     s.sim().account_packets(sched.delivered - sched.cleared);
     if (job.faults != nullptr) {
       // Each reset bumped its slot's epoch, and the reset ack carries the
@@ -323,6 +374,11 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
         stamps_[k] = s.slot_stamp(static_cast<std::uint16_t>(job.lo + k));
       }
     }
+    if (!deferred_) {  // inline: the wave's drain runs now
+      place_tails();
+      s.drain(job.lo, log.dests, /*reset=*/true);
+      close(job);
+    }
   });
   if (sched.failure) {
     // A never-reset slot would swallow the next wave's adds through the
@@ -330,11 +386,208 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
     hooks.fail(*sched.failure,
                static_cast<std::uint16_t>(job.lo + sched.cleared), -1);
   }
+}
+
+void WaveEngine::replay(pisa::FpisaSwitch& sw, const WaveJob& job,
+                        bool timed) {
+  if (log_.steps.empty()) return;
+  place_tails();
+  replay_sw_ = &sw;
+  replay_job_ = &job;
+  replay_timed_ = timed;
+  next_range_.store(0, std::memory_order_relaxed);
+  const int most =
+      job.team == nullptr
+          ? 0
+          : static_cast<int>(std::min(
+                static_cast<std::size_t>(job.team->size()), ranges_ - 1));
+  if (most == 0) {
+    replay_ranges(0);
+    close(job);
+    return;
+  }
+  const int helpers = std::min(most, helpers_);
+  const cluster::ForkJoinPool::Fn task = [](void* self, int member) noexcept {
+    static_cast<WaveEngine*>(self)->replay_ranges(member);
+  };
+  cluster::ForkJoinPool::Join join;
+  for (int h = 1; h <= helpers; ++h) {
+    job.team->post(h - 1, join, task, this, h);
+  }
+  const Clock::time_point t0 = Clock::now();
+  replay_ranges(0);
+  const Clock::time_point t1 = Clock::now();
+  job.team->wait(join);
+  // A helper that keeps the caller waiting longer than the caller's own
+  // share took was not running: the host's CPUs are busy, and waiting for
+  // it costs more than doing its ranges. Post one fewer next time; after
+  // kCalmReplays replays without such a wait, try one more.
+  if (helpers > 0 && ns_between(t1, Clock::now()) > ns_between(t0, t1)) {
+    helpers_ = helpers - 1;
+    calm_ = 0;
+  } else if (++calm_ >= kCalmReplays) {
+    helpers_ = std::min(most, helpers + 1);
+    calm_ = 0;
+  }
+  close(job);
+}
+
+void WaveEngine::place_tails() {
+  // The tails' bounce rows are placed only now: the log may have grown
+  // (and moved them) since each tail was written.
+  const std::size_t row_bytes = lanes_ * sizeof(float);
+  log_.tail_rows.resize(log_.tails.size() * lanes_);
+  std::byte* const rows =
+      std::as_writable_bytes(std::span(log_.tail_rows)).data();
+  for (std::size_t t = 0; t < log_.tails.size(); ++t) {
+    log_.dests[log_.tails[t].dest] = rows + t * row_bytes;
+  }
+}
+
+void WaveEngine::book(pisa::FpisaSwitch& sw) {
+  core::OpCounters ops{};
+  for (Member& m : members_) {
+    ops += m.ops;
+    m.ops = {};
+  }
+  sw.book_ops(ops);
+}
+
+void WaveEngine::close(const WaveJob& job) {
+  Log& log = log_;
   // A short tail chunk keeps only the lanes that fall inside out.
-  for (std::size_t k = 0; k < sched.cleared; ++k) {
-    const std::size_t i0 = job.chunks[base + k] * row_bytes;
-    if (direct(k) || i0 >= out.size()) continue;
-    std::memcpy(out.data() + i0, dests_[k], out.size() - i0);
+  const std::size_t row_bytes = lanes_ * sizeof(float);
+  const std::span<std::byte> out = std::as_writable_bytes(job.out);
+  const std::byte* const rows =
+      std::as_bytes(std::span(log.tail_rows)).data();
+  for (std::size_t t = 0; t < log.tails.size(); ++t) {
+    if (log.tails[t].at < out.size()) {
+      std::memcpy(out.data() + log.tails[t].at, rows + t * row_bytes,
+                  out.size() - log.tails[t].at);
+    }
+  }
+  log.payloads.clear();
+  log.rows.clear();
+  log.steps.clear();
+  log.dests.clear();
+  log.tails.clear();
+  queue_.recycle();  // no logged payload points into its store any more
+}
+
+void WaveEngine::replay_ranges(int member) noexcept {
+  const auto m = static_cast<std::size_t>(member);
+  for (;;) {
+    const std::size_t r = next_range_.fetch_add(1, std::memory_order_relaxed);
+    if (r >= ranges_) return;
+    replay_range(r, m);
+  }
+}
+
+void WaveEngine::replay_range(std::size_t r, std::size_t member) {
+  pisa::FpisaSwitch& sw = *replay_sw_;
+  const WaveJob& job = *replay_job_;
+  const Log& log = log_;
+  Member& m = members_[member];
+  // Slots [first, last) of the job's range, as offsets from job.lo.
+  const std::size_t first = ranges_ == 1 ? 0 : r * kRangeSlots;
+  const std::size_t last =
+      ranges_ == 1 ? job.wave : std::min(first + kRangeSlots, job.wave);
+  const auto range_of = [&](std::uint32_t row) {
+    return (row - job.lo) / kRangeSlots;
+  };
+  // This range's entries of every gather step, found up front so that each
+  // step can prefetch the next one's payloads: the protocol pass never
+  // reads them, and a range reads each worker's view in short strides one
+  // wave apart, which the hardware prefetchers do not follow.
+  m.spans.clear();
+  for (const Step& step : log.steps) {
+    if (step.drain) continue;
+    const auto lo = log.rows.begin() + static_cast<std::ptrdiff_t>(step.begin);
+    const auto hi = log.rows.begin() + static_cast<std::ptrdiff_t>(step.end);
+    const auto from =
+        ranges_ == 1 ? lo
+                     : std::partition_point(lo, hi, [&](std::uint32_t row) {
+                         return range_of(row) < r;
+                       });
+    const auto to =
+        ranges_ == 1 ? hi
+                     : std::partition_point(from, hi, [&](std::uint32_t row) {
+                         return range_of(row) == r;
+                       });
+    m.spans.push_back({static_cast<std::size_t>(from - log.rows.begin()),
+                       static_cast<std::size_t>(to - log.rows.begin())});
+  }
+  const std::size_t payload_bytes = lanes_ * sizeof(float);
+  const auto prefetch = [&](std::pair<std::size_t, std::size_t> span) {
+    for (std::size_t i = span.first; i < span.second; ++i) {
+      const std::byte* p = log.payloads[i];
+      for (std::size_t at = 0; at < payload_bytes; at += 64) {
+        __builtin_prefetch(p + at);
+      }
+      __builtin_prefetch(p + payload_bytes - 1);
+    }
+  };
+  // One range reads the views in order, which the prefetchers follow.
+  const bool ahead = ranges_ > 1;
+  if (ahead && !m.spans.empty()) prefetch(m.spans[0]);
+  std::size_t g = 0;  // gather steps seen
+  Clock::time_point t0 = replay_timed_ ? Clock::now() : Clock::time_point{};
+  for (const Step& step : log.steps) {
+    if (step.drain) {
+      const std::size_t b = std::min(last, step.end - step.begin);
+      if (first >= b) continue;
+      sw.drain(static_cast<std::uint16_t>(job.lo + first),
+               std::span(log.dests).subspan(step.begin + first, b - first),
+               /*reset=*/true);
+    } else {
+      const auto [a, b] = m.spans[g++];
+      if (ahead && g < m.spans.size()) prefetch(m.spans[g]);
+      if (a == b) continue;
+      sw.gather(std::span(log.payloads).subspan(a, b - a),
+                std::span(log.rows).subspan(a, b - a), m.ops);
+    }
+    if (replay_timed_) {
+      const Clock::time_point t1 = Clock::now();
+      m.ns[2 * step.wave + (step.drain ? 1 : 0)] += ns_between(t0, t1);
+      t0 = t1;
+    }
+  }
+}
+
+void WaveEngine::finish(SwitchAccess& sw, const WaveJob& job,
+                        WaveHooks& hooks, std::size_t waves,
+                        Clock::time_point start) {
+  const Clock::time_point t0 = Clock::now();
+  sw.with([&](pisa::FpisaSwitch& s) {
+    replay(s, job, true);
+    book(s);
+  });
+  // The datapath pass's wall time on the caller is the waves' kernel
+  // work. Each (wave, phase) gets the share of it that its steps took of
+  // the members' summed kernel time; rounding carries over, so the shares
+  // add up to the whole.
+  const double extra = static_cast<double>(ns_between(t0, Clock::now()));
+  std::uint64_t busy = 0;
+  for (const Member& m : members_) {
+    for (const std::uint64_t ns : m.ns) busy += ns;
+  }
+  std::uint64_t seen = 0;
+  std::uint64_t given = 0;
+  Clock::time_point at = start;
+  for (std::size_t k = 0; k < waves; ++k) {
+    std::uint64_t ns[2];
+    for (std::size_t phase = 0; phase < 2; ++phase) {
+      for (const Member& m : members_) seen += m.ns[2 * k + phase];
+      const auto upto = busy == 0 ? std::uint64_t{0}
+                                  : static_cast<std::uint64_t>(
+                                        extra * static_cast<double>(seen) /
+                                        static_cast<double>(busy));
+      ns[phase] = protocol_ns_[2 * k + phase] + (upto - given);
+      given = upto;
+    }
+    const Clock::time_point add_end = at + std::chrono::nanoseconds(ns[0]);
+    at = add_end + std::chrono::nanoseconds(ns[1]);
+    hooks.end_wave({k, ns[0], ns[1], add_end, at});
   }
 }
 
@@ -354,43 +607,76 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
   WaveHooks default_hooks;
   WaveHooks& hooks = job.hooks != nullptr ? *job.hooks : default_hooks;
   queue_.clear();
+  queue_.recycle();
   queue_.guarded = job.faults != nullptr;
   loss_cut_ = util::Rng::bernoulli_cut(job.loss_rate);
   wave_values_.resize(job.wave * lanes_);
+  const std::size_t n_waves = (total + job.wave - 1) / job.wave;
+  deferred_ = job.team != nullptr;
+  ranges_ = deferred_ ? (job.wave + kRangeSlots - 1) / kRangeSlots : 1;
+  members_.resize(deferred_ ? static_cast<std::size_t>(job.team->size()) + 1
+                            : 1);
+  if (deferred_) {
+    for (Member& m : members_) m.ns.assign(2 * n_waves, 0);
+    protocol_ns_.assign(2 * n_waves, 0);
+  }
   if (job.faults != nullptr) {
     sw.with([&](pisa::FpisaSwitch& s) { resync(s, job); });
   }
-  const std::size_t n_waves = (total + job.wave - 1) / job.wave;
-  for (std::size_t k = 0; k < n_waves; ++k) {
-    const std::size_t wave_n = std::min(job.wave, total - k * job.wave);
-    hooks.begin_wave(k);
-    const Clock::time_point t_add = Clock::now();
-    const Encoded enc = encode(job, hooks, k);
-    // The packets queued before a failure still land, so the switch holds
-    // exactly the state the per-packet protocol would leave.
-    if (job.faults != nullptr) job.faults->shuffle(queue_);
-    if (queue_.size() != 0) {
-      sw.with([&](pisa::FpisaSwitch& s) { land(s, job); });
+  const Clock::time_point start = Clock::now();
+  std::size_t done = 0;  // waves whose collect went through
+  try {
+    for (std::size_t k = 0; k < n_waves; ++k) {
+      const std::size_t wave_n = std::min(job.wave, total - k * job.wave);
+      hooks.begin_wave(k);
+      const Clock::time_point t_add = Clock::now();
+      const Encoded enc = encode(job, hooks, k);
+      // The packets queued before a failure still land, so the switch
+      // holds exactly the state the per-packet protocol would leave.
+      if (job.faults != nullptr) job.faults->shuffle(queue_);
+      if (queue_.size() != 0) {
+        sw.with([&](pisa::FpisaSwitch& s) { admit(s, job, k); });
+      }
+      if (enc.killed) hooks.fail(WaveFailure::kKilledMidAdd, job.lo, -1);
+      if (!enc.ok) {
+        hooks.fail(WaveFailure::kAddExhausted, enc.slot, enc.worker);
+      }
+      if (job.faults != nullptr) recover(sw, job, hooks, k);
+      const Clock::time_point t_add_end = Clock::now();
+      // A kill mid-collect gets half the wave's read-and-resets through;
+      // the other slots keep their sums and dedup bits for the caller's
+      // scrub.
+      const CollectSchedule sched =
+          hooks.kill_mid_collect(k)
+              ? CollectSchedule{wave_n / 2, wave_n / 2,
+                                WaveFailure::kKilledMidCollect}
+              : draw_collect_schedule(wave_n, job.loss_rate,
+                                      job.max_retransmits, job.rng,
+                                      *job.stats);
+      collect(sw, job, hooks, k, sched);
+      const Clock::time_point t_collect_end = Clock::now();
+      if (deferred_) {
+        protocol_ns_[2 * k] = ns_between(t_add, t_add_end);
+        protocol_ns_[2 * k + 1] = ns_between(t_add_end, t_collect_end);
+      } else {
+        hooks.end_wave({k, ns_between(t_add, t_add_end),
+                        ns_between(t_add_end, t_collect_end), t_add_end,
+                        t_collect_end});
+      }
+      done = k + 1;
     }
-    if (enc.killed) hooks.fail(WaveFailure::kKilledMidAdd, job.lo, -1);
-    if (!enc.ok) {
-      hooks.fail(WaveFailure::kAddExhausted, enc.slot, enc.worker);
+  } catch (...) {
+    if (deferred_) {
+      finish(sw, job, hooks, done, start);
+    } else {
+      sw.with([&](pisa::FpisaSwitch& s) { book(s); });
     }
-    if (job.faults != nullptr) recover(sw, job, hooks, k);
-    const Clock::time_point t_add_end = Clock::now();
-    // A kill mid-collect gets half the wave's read-and-resets through; the
-    // other slots keep their sums and dedup bits for the caller's scrub.
-    const CollectSchedule sched =
-        hooks.kill_mid_collect(k)
-            ? CollectSchedule{wave_n / 2, wave_n / 2,
-                              WaveFailure::kKilledMidCollect}
-            : draw_collect_schedule(wave_n, job.loss_rate,
-                                    job.max_retransmits, job.rng, *job.stats);
-    collect(sw, job, hooks, k, sched);
-    const Clock::time_point t_collect_end = Clock::now();
-    hooks.end_wave({k, ns_between(t_add, t_add_end),
-                    ns_between(t_add_end, t_collect_end), t_add_end,
-                    t_collect_end});
+    throw;
+  }
+  if (deferred_) {
+    finish(sw, job, hooks, n_waves, start);
+  } else {
+    sw.with([&](pisa::FpisaSwitch& s) { book(s); });
   }
 }
 

@@ -20,16 +20,15 @@
 //     bitmap absorbs duplicates exactly as it would packet by packet. The
 //     queue is slot-major: a slot's workers, each retransmit right after
 //     its first copy;
-//  2. add: the queued wave lands through one descriptor ingress: one
-//     pre-pass checks, dedups and counts every packet, then one kernel
-//     call gathers the accepted packets' lanes in place, adding each
-//     slot's run of packets with the slot's registers held in CPU
-//     registers (guarded mode then recovers, below);
+//  2. add: FpisaSwitch::admit runs the ingress pre-pass over the queue
+//     (checks, guard, dedup bitmap, completion counter, occupancy), and
+//     the accepted packets' (payload, bank row) pairs go into the job's
+//     log (guarded mode then recovers, below);
 //  3. collect: the per-slot read/reset loss schedule is drawn
-//     (draw_collect_schedule) and the wave's slots drain through one
-//     descriptor egress, each slot's values written straight to its
-//     chunk's place in the result (only a short tail chunk goes through a
-//     bounce row) and its registers cleared as they are read.
+//     (draw_collect_schedule), FpisaSwitch::release clears the cleared
+//     slots' bitmaps and counters and bumps their epochs, and each cleared
+//     slot's destination goes into the log: its chunk's place in the
+//     result (only a short tail chunk goes through a bounce row).
 // A job without an rng runs a lossless wire: each packet is queued once
 // and the collect schedule takes its closed form, with no draws at all.
 // The loss schedule depends only on the rng stream, never on the switch,
@@ -37,32 +36,52 @@
 // results, stats and register evolution bit for bit (pinned against the
 // per-packet oracle in tests/wave_oracle.h).
 //
+// Two passes. The steps above are the protocol pass: one thread, the
+// rng's draw order, and only the state the paper's pipeline keeps apart
+// from the lanes (Fig 2's MAU1 bitmap and MAU4 counter). The datapath pass
+// replays the log through the lane kernels: FpisaSwitch::gather adds each
+// logged run of payloads into its bank rows, FpisaSwitch::drain reads and
+// clears each collected slot into its destination. No lane register feeds
+// the protocol, so replaying later gives the same bits. A job with a team
+// (WaveJob::team) runs the protocol pass over the whole job first, then
+// cuts the slot range into kRangeSlots-slot ranges that the caller and
+// the team claim from one counter; whoever claims a range replays every
+// wave of it in order, so each bank row has one writer. Each thread counts
+// its own operations and the sums are booked on the switch. A replay whose
+// caller waited on a helper longer than its own share took (the host's
+// CPUs are busy) posts one helper fewer next time; kCalmReplays replays
+// without such a wait add one back. A job without
+// a team replays each wave's log as soon as it is written, inside the same
+// switch hold, so a cluster shard's lock holds and wave windows stay what
+// they were. A throw from the protocol pass first replays what is logged,
+// leaving the switch as the per-packet protocol would.
+//
 // Guarded mode (a fault::FaultEngine is supplied) runs the Byzantine-wire
-// recovery protocol through the same queue, packing loop and landing
-// helper: each copy also carries an epoch stamp and a checksum computed in
-// place over its clean payload, the fault engine edits the queue in place
-// (copying only the payloads it corrupts or holds back as ghosts), and the
-// wave lands through the guarded ingress. The switch owns the epoch rule:
-// the stamps come back with each collect (the reset ack carries the slot's
-// new epoch), and a run's first wave reads them from the switch. A wipe is
-// recovered by re-packing the wave, landed under the same switch hold as
-// the wipe and the wave-deadline bitmap probe that finds a silent worker.
-// On the lossy_switch shape (4 x 256K values, 32 lanes, 64 slots, 1% loss,
-// fault rates 0) the guarded session p50 is 45-49% above plain (20
-// alternating plain/guarded sessions per run, medians of 8 runs, 4-core
-// Xeon): the per-copy checksums and the per-wave bitmap probe (a full
-// read_batch) are the guarded side's own cost.
+// recovery protocol through the same queue, packing loop and log: each
+// copy also carries an epoch stamp and a checksum computed in place over
+// its clean payload, the fault engine edits the queue in place (copying
+// only the payloads it corrupts or holds back as ghosts), and the pre-pass
+// guards. The switch owns the epoch rule: the stamps come back with each
+// release (the reset ack carries the slot's new epoch), and a run's first
+// wave reads them from the switch. An injected wipe first replays the log,
+// then wipes; the wave is then re-packed and admitted under the same
+// switch hold as the wipe and the wave-deadline probe, which reads the
+// dedup bitmaps alone (no lane register) to find a silent worker.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "cluster/mailbox.h"
 #include "core/accumulator.h"
 #include "fault/fault.h"
 #include "pisa/fpisa_program.h"
@@ -224,11 +243,16 @@ class DirectAccess final : public SwitchAccess {
   pisa::FpisaSwitch& sw_;
 };
 
-/// One finished wave's phase split. The add phase covers encode, add and
-/// any guarded recovery; the collect phase the schedule draw and the drain
-/// into the result. The windows end at `add_end` / `collect_end` and never
-/// overlap: the collect window opens at `add_end`, and the next wave's add
-/// window opens after `collect_end`.
+/// One finished wave's phase split. The add phase covers encode, add (its
+/// pre-pass and its gather kernel) and any guarded recovery; the collect
+/// phase the schedule draw, the release and the drain into the result. The
+/// windows end at `add_end` / `collect_end` and never overlap: the collect
+/// window opens at `add_end`, and the next wave's add window opens after
+/// `collect_end`. In a job with a team, a wave's kernel work runs in the
+/// datapath pass, spread over several threads: each wave then gets its
+/// protocol time plus its share of that pass's wall time on the calling
+/// thread (shared by the kernel time each wave's steps took), and its
+/// windows are laid end to end from the start of the run.
 struct WaveTiming {
   std::size_t wave = 0;
   std::uint64_t add_ns = 0;
@@ -278,6 +302,10 @@ struct WaveJob {
   std::uint32_t dead_mask = 0;  ///< views that send nothing
   fault::FaultEngine* faults = nullptr;  ///< non-null: guarded mode
   WaveHooks* hooks = nullptr;  ///< null: the defaults
+  /// Threads that share the datapath pass with the caller, which must not
+  /// post anything else to them during the run; null replays each wave's
+  /// log inline as it is written.
+  cluster::ForkJoinPool* team = nullptr;
 };
 
 /// Throws std::invalid_argument unless loss_rate and every fault rate lie
@@ -297,6 +325,9 @@ bool declare_dead_worker(int worker, std::size_t num_workers,
 
 class WaveEngine {
  public:
+  /// Slots per range of a team's datapath pass.
+  static constexpr std::size_t kRangeSlots = 16;
+
   /// Throws std::invalid_argument unless lanes >= 1.
   explicit WaveEngine(int lanes);
 
@@ -313,6 +344,7 @@ class WaveEngine {
   void scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n);
 
  private:
+  using Clock = std::chrono::steady_clock;
   /// Outcome of encoding one wave.
   struct Encoded {
     bool ok = true;       ///< false: a packet exhausted its retransmits
@@ -343,21 +375,42 @@ class WaveEngine {
   /// false when the packet exhausts its retransmit budget.
   bool send(const WaveJob& job, std::uint16_t slot, std::uint8_t id,
             const std::byte* payload);
-  /// Lands the queue on an already-held switch through its descriptor
-  /// ingress (guarded or not), books the guard's rejects, and empties it.
-  void land(pisa::FpisaSwitch& sw, const WaveJob& job);
+  /// Admits the queue on an already-held switch (guarded or not), books
+  /// the guard's rejects, logs the accepted packets as one gather step of
+  /// `wave` (inline: gathers them at once), and empties the queue.
+  void admit(pisa::FpisaSwitch& sw, const WaveJob& job, std::size_t wave);
   /// Guarded only: injected wipe, replay after state loss, wave deadline.
   void recover(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave);
-  /// The only place a wave drains: read-and-resets the schedule's cleared
-  /// prefix in one switch hold through the switch's descriptor egress,
-  /// each slot landing at its chunk's place in job.out (guarded: taking
-  /// back each reset slot's new stamp). A failed schedule lands every slot
-  /// in the bounce rows instead and hands the failure to hooks.fail; a
-  /// short tail chunk goes through its bounce row and only its in-range
-  /// lanes are copied out.
+  /// The only place a wave drains: releases the schedule's cleared prefix
+  /// in one switch hold (guarded: taking back each reset slot's new stamp)
+  /// and logs its drain (inline: drains it in the same hold), each slot
+  /// landing at its chunk's place in job.out.
+  /// A failed schedule drains every slot into the bounce rows instead and
+  /// hands the failure to hooks.fail; a short tail chunk goes through its
+  /// own bounce row and only its in-range lanes are copied out.
   void collect(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave, const CollectSchedule& sched);
+  /// The datapath pass over everything logged, on an already-held switch:
+  /// every range, each on whichever of the caller and job.team claims it.
+  /// `timed` records each step's kernel time for finish().
+  void replay(pisa::FpisaSwitch& sw, const WaveJob& job, bool timed);
+  /// Points each tail's destination at its bounce row.
+  void place_tails();
+  /// After a replay: the tail chunks go into job.out, and the log is
+  /// emptied.
+  void close(const WaveJob& job);
+  /// Books the members' operation counts on the switch, once per run.
+  void book(pisa::FpisaSwitch& sw);
+  /// One team member's share of a replay: claims ranges until none is
+  /// left.
+  void replay_ranges(int member) noexcept;
+  /// Replays every logged step in range `r`, in order.
+  void replay_range(std::size_t r, std::size_t member);
+  /// A teamed run's end (or, rethrowing, its failure): replays the log and
+  /// reports the first `waves` waves' timings to hooks.end_wave.
+  void finish(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
+              std::size_t waves, Clock::time_point start);
   /// Reads the range's stamps and the switch generation they belong to.
   void resync(pisa::FpisaSwitch& sw, const WaveJob& job);
   std::uint8_t id_of(const WaveJob& job, std::size_t w) const {
@@ -372,9 +425,7 @@ class WaveEngine {
   // Reused across waves and runs: no steady-state allocation.
   fault::WaveQueue queue_;  ///< the only packet queue
   std::vector<Source> sources_;  ///< the current wave's sending workers
-  std::vector<std::byte*> dests_;  ///< collect: one destination per slot
-  /// Bounce rows (a failed wave, a short tail chunk) and the guarded
-  /// deadline probe's values.
+  /// Bounce rows of a failed wave.
   std::vector<std::uint32_t> wave_values_;
   // Guarded mode: the range's slot stamps as the switch last handed them
   // back, the generation resync last read, and the wave deadline's bitmap
@@ -382,6 +433,56 @@ class WaveEngine {
   std::vector<std::uint32_t> stamps_;
   std::uint16_t stamp_generation_ = 0;
   std::vector<std::uint32_t> bitmaps_;
+
+  // The log: what the protocol pass decided and the datapath pass has not
+  // yet replayed. A step is one gather of accepted packets, its entries
+  // grouped by range in ascending order, or one wave's drain of its
+  // cleared slots lo, lo + 1, ...
+  struct Step {
+    std::size_t wave = 0;
+    bool drain = false;
+    std::size_t begin = 0;  ///< into payloads / rows, or dests
+    std::size_t end = 0;
+  };
+  /// A short tail chunk: dests[dest] is placed on a bounce row at replay,
+  /// and its lanes inside job.out are copied from there to byte `at`.
+  struct Tail {
+    std::size_t dest = 0;
+    std::size_t at = 0;
+  };
+  struct Log {
+    std::vector<const std::byte*> payloads;
+    std::vector<std::uint32_t> rows;
+    std::vector<Step> steps;
+    std::vector<std::byte*> dests;  ///< one destination per cleared slot
+    std::vector<Tail> tails;
+    std::vector<std::uint32_t> tail_rows;  ///< the tails' bounce rows
+  };
+  /// One datapath thread's books: its operation counts, in a timed replay
+  /// its kernel nanoseconds per (wave, phase), and replay_range's scratch.
+  struct alignas(64) Member {
+    core::OpCounters ops{};
+    std::vector<std::uint64_t> ns;
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+  };
+  bool deferred_ = false;   ///< a teamed run: one replay, at the end
+  std::size_t ranges_ = 1;  ///< datapath ranges of this run
+  Log log_;
+  std::vector<std::size_t> range_counts_;  ///< guarded grouping scratch
+  std::vector<const std::byte*> sort_payloads_;
+  std::vector<std::uint32_t> sort_rows_;
+  std::vector<Member> members_;  ///< [0] is the caller
+  std::vector<std::uint64_t> protocol_ns_;  ///< teamed: per (wave, phase)
+  // The replay in flight, read by the team's tasks.
+  pisa::FpisaSwitch* replay_sw_ = nullptr;
+  const WaveJob* replay_job_ = nullptr;
+  bool replay_timed_ = false;
+  std::atomic<std::size_t> next_range_{0};
+  /// Helpers the next replay posts (at most the team's size), and the
+  /// replays since one last kept the caller waiting: see replay().
+  static constexpr int kCalmReplays = 8;
+  int helpers_ = std::numeric_limits<int>::max();
+  int calm_ = 0;
 };
 
 }  // namespace fpisa::switchml

@@ -3,13 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
+#include "util/cpus.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 namespace fpisa::util {
 namespace {
+
+TEST(UsableCpus, BetweenOneAndTheOnlineCount) {
+  // The affinity mask can only narrow the online CPUs.
+  const int cpus = usable_cpus();
+  EXPECT_GE(cpus, 1);
+  const auto online = static_cast<int>(std::thread::hardware_concurrency());
+  if (online > 0) {
+    EXPECT_LE(cpus, online);
+  }
+}
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42);

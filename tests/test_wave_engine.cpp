@@ -3,7 +3,10 @@
 // Bit-identical results, every SessionStats field, the switches' kernel
 // operation counters, packet counts and post-job register state. The
 // tree's closed-form fabric timing against its event-queue replay. And the
-// one wave order: each wave's add and collect windows tile.
+// one wave order: each wave's add and collect windows tile. Every engine
+// check runs inline and with a datapath team (WaveJob::team) of 1, 2 and 4
+// threads counting the caller's, over slot ranges that do and do not split
+// into whole datapath ranges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +21,13 @@
 #include <vector>
 
 #include "cluster/hierarchy.h"
+#include "cluster/mailbox.h"
 #include "core/packed.h"
+#include "switchml/session.h"
 #include "switchml/wave_engine.h"
 #include "telemetry/metrics.h"
 #include "testkit.h"
+#include "util/cpus.h"
 #include "util/rng.h"
 #include "wave_oracle.h"
 
@@ -48,6 +54,12 @@ void expect_stats_eq(const SessionStats& got, const SessionStats& want) {
   EXPECT_EQ(got.retransmissions, want.retransmissions);
   EXPECT_EQ(got.duplicates_absorbed, want.duplicates_absorbed);
   EXPECT_EQ(got.slot_reuses, want.slot_reuses);
+  EXPECT_EQ(got.faults.corrupt_rejected, want.faults.corrupt_rejected);
+  EXPECT_EQ(got.faults.stale_dups_rejected, want.faults.stale_dups_rejected);
+  EXPECT_EQ(got.faults.epoch_bumps, want.faults.epoch_bumps);
+  EXPECT_EQ(got.faults.workers_declared_dead,
+            want.faults.workers_declared_dead);
+  EXPECT_EQ(got.faults.waves_replayed, want.faults.waves_replayed);
 }
 
 void expect_ops_eq(const core::OpCounters& got, const core::OpCounters& want) {
@@ -94,6 +106,20 @@ pisa::FpisaSwitch make_switch(bool rsaw, int lanes, std::size_t slots) {
   return pisa::FpisaSwitch(cfg, p);
 }
 
+/// Datapath teams of 1, 2 and 4 threads, the caller counted: the engine
+/// with no team replays inline, each pool's threads join the caller.
+struct Teams {
+  cluster::ForkJoinPool one{0, 4};
+  cluster::ForkJoinPool two{1, 4};
+  cluster::ForkJoinPool four{3, 4};
+  /// Null (inline) first, then each pool.
+  std::vector<cluster::ForkJoinPool*> all() { return {nullptr, &one, &two, &four}; }
+};
+
+int team_size(const cluster::ForkJoinPool* team) {
+  return team == nullptr ? 0 : team->size() + 1;
+}
+
 /// Runs `job` through the engine and through the oracle, each on its own
 /// switch and rng stream (seeded alike), and expects identical results,
 /// stats, switch state and rng position. Returns the error both sides
@@ -110,8 +136,9 @@ std::tuple<int, int, int> expect_engine_matches_oracle(
     return {-1, 0, 0};
   };
   const std::size_t n = job.out.size();
-  pisa::FpisaSwitch engine_sw = make_switch(rsaw, lanes, 24);
-  pisa::FpisaSwitch oracle_sw = make_switch(rsaw, lanes, 24);
+  const std::size_t slots = std::max<std::size_t>(24, job.lo + job.wave + 2);
+  pisa::FpisaSwitch engine_sw = make_switch(rsaw, lanes, slots);
+  pisa::FpisaSwitch oracle_sw = make_switch(rsaw, lanes, slots);
   std::vector<float> engine_out(n), oracle_out(n);
   SessionStats engine_stats{}, oracle_stats{};
   util::Rng engine_rng(seed), oracle_rng(seed);
@@ -125,6 +152,7 @@ std::tuple<int, int, int> expect_engine_matches_oracle(
   job.out = oracle_out;
   job.rng = &oracle_rng;
   job.stats = &oracle_stats;
+  job.team = nullptr;
   const Outcome want =
       outcome([&] { oracle::per_packet_run(oracle_sw, job); });
 
@@ -159,24 +187,33 @@ TEST(WaveEngine, MatchesPerPacketOracle) {
     std::swap(chunks[i - 1], chunks[shuffle.next_below(i)]);
   }
   std::vector<float> out(kN);
-  for (const double loss : {0.0, 0.2, 0.4}) {
-    for (const bool rsaw : {false, true}) {
-      for (const std::uint32_t dead_mask : {0u, 0b0100u}) {
-        SCOPED_TRACE(testing::Message() << "loss=" << loss << " rsaw=" << rsaw
-                                        << " dead_mask=" << dead_mask);
-        switchml::WaveJob job;
-        job.workers = views;
-        job.ids = ids;
-        job.chunks = chunks;
-        job.out = out;
-        job.lo = 5;  // a tenant's range in the middle of the switch
-        job.wave = 16;
-        job.loss_rate = loss;
-        job.max_retransmits = 256;
-        job.dead_mask = dead_mask;
-        EXPECT_EQ(std::get<0>(expect_engine_matches_oracle(job, rsaw, kLanes,
-                                                           71)),
-                  -1);
+  Teams teams;
+  // 16 slots are one datapath range; 37 are two whole ranges and a part.
+  for (const std::size_t wave : {std::size_t{16}, std::size_t{37}}) {
+    for (cluster::ForkJoinPool* team : teams.all()) {
+      for (const double loss : {0.0, 0.2, 0.4}) {
+        for (const bool rsaw : {false, true}) {
+          for (const std::uint32_t dead_mask : {0u, 0b0100u}) {
+            SCOPED_TRACE(testing::Message()
+                         << "wave=" << wave << " team=" << team_size(team)
+                         << " loss=" << loss << " rsaw=" << rsaw
+                         << " dead_mask=" << dead_mask);
+            switchml::WaveJob job;
+            job.workers = views;
+            job.ids = ids;
+            job.chunks = chunks;
+            job.out = out;
+            job.lo = 5;  // a tenant's range in the middle of the switch
+            job.wave = wave;
+            job.loss_rate = loss;
+            job.max_retransmits = 256;
+            job.dead_mask = dead_mask;
+            job.team = team;
+            EXPECT_EQ(std::get<0>(expect_engine_matches_oracle(
+                          job, rsaw, kLanes, 71)),
+                      -1);
+          }
+        }
       }
     }
   }
@@ -195,31 +232,40 @@ TEST(WaveEngine, RejectsLanesBelowOne) {
 TEST(WaveEngine, FailsWhereAndAsTheOracleDoes) {
   // Each phase of the protocol exhausting its budget mid-job: the engine
   // throws the oracle's error (phase, slot, worker) and leaves identical
-  // books and switch state behind. Seeds are searched, not chosen: every
-  // phase must be hit at least once.
-  const auto data = make_workers(3, 96, 27);
+  // books and switch state behind, inline and with a team alike (a teamed
+  // run replays what it logged before the error surfaces). Seeds are
+  // searched, not chosen: every phase must be hit at least once.
+  const auto data = make_workers(3, 160, 27);
   const std::vector<std::span<const float>> views(data.begin(), data.end());
-  const std::vector<std::size_t> chunks = iota_chunks(48);
-  std::vector<float> out(96);
-  int phases_seen[3] = {};
-  for (std::uint64_t seed = 0; seed < 128; ++seed) {
-    SCOPED_TRACE(testing::Message() << "seed=" << seed);
-    switchml::WaveJob job;
-    // One worker makes the collect phases as likely to give up as adds.
-    job.workers = std::span(views).first(seed % 2 == 0 ? 1 : 3);
-    job.chunks = chunks;
-    job.out = out;
-    job.lo = 3;
-    job.wave = 8;
-    job.loss_rate = 0.1;
-    job.max_retransmits = static_cast<int>(seed / 2 % 3);
-    const int phase =
-        std::get<0>(expect_engine_matches_oracle(job, false, 2, seed));
-    if (phase >= 0) ++phases_seen[phase];
+  const std::vector<std::size_t> chunks = iota_chunks(80);
+  std::vector<float> out(160);
+  Teams teams;
+  for (const std::size_t wave : {std::size_t{8}, std::size_t{40}}) {
+    for (cluster::ForkJoinPool* team : {teams.all()[0], teams.all()[3]}) {
+      int phases_seen[3] = {};
+      for (std::uint64_t seed = 0; seed < 128; ++seed) {
+        SCOPED_TRACE(testing::Message() << "wave=" << wave << " team="
+                                        << team_size(team) << " seed=" << seed);
+        switchml::WaveJob job;
+        // One worker makes the collect phases as likely to give up as adds.
+        job.workers = std::span(views).first(seed % 2 == 0 ? 1 : 3);
+        job.chunks = chunks;
+        job.out = out;
+        job.lo = 3;
+        job.wave = wave;
+        job.loss_rate = 0.1;
+        job.max_retransmits = static_cast<int>(seed / 2 % 3);
+        job.team = team;
+        const int phase =
+            std::get<0>(expect_engine_matches_oracle(job, false, 2, seed));
+        if (phase >= 0) ++phases_seen[phase];
+        if (HasFailure()) return;
+      }
+      EXPECT_GT(phases_seen[0], 0) << "no add exhaustion";
+      EXPECT_GT(phases_seen[1], 0) << "no read exhaustion";
+      EXPECT_GT(phases_seen[2], 0) << "no reset exhaustion";
+    }
   }
-  EXPECT_GT(phases_seen[0], 0) << "no add exhaustion";
-  EXPECT_GT(phases_seen[1], 0) << "no read exhaustion";
-  EXPECT_GT(phases_seen[2], 0) << "no reset exhaustion";
 }
 
 TEST(WaveEngine, LosslessWireMatchesZeroLossDraws) {
@@ -406,7 +452,8 @@ TEST(WaveEngine, FailedWaveLeavesOutAlone) {
 TEST(WaveEngine, WaveWindowsTile) {
   // One wave order: a wave's add window opens no earlier than the previous
   // wave's collect window closed, and its collect window opens no earlier
-  // than its own add window closed. Plain and guarded alike.
+  // than its own add window closed. Plain and guarded, inline and teamed
+  // (where each wave's kernel share is laid after its protocol time).
   constexpr int kLanes = 32;
   constexpr std::size_t kSlots = 64;
   constexpr std::size_t kWaves = 6;
@@ -414,41 +461,208 @@ TEST(WaveEngine, WaveWindowsTile) {
   const std::vector<std::span<const float>> views(data.begin(), data.end());
   const std::vector<std::size_t> chunks = iota_chunks(kWaves * kSlots);
   std::vector<float> out(data[0].size());
-  for (const bool guarded : {false, true}) {
-    SCOPED_TRACE(testing::Message() << "guarded=" << guarded);
-    pisa::FpisaSwitch sw = make_switch(false, kLanes, kSlots);
-    fault::FaultOptions fo;
-    fo.enabled = true;
-    fault::FaultEngine faults(fo, 1);
-    util::Rng rng(34);
-    SessionStats stats{};
-    RecordingHooks hooks;
-    switchml::WaveJob job;
-    job.workers = views;
-    job.chunks = chunks;
-    job.out = out;
-    job.wave = kSlots;
-    job.loss_rate = 0.01;
-    job.max_retransmits = 64;
-    job.rng = &rng;
-    job.stats = &stats;
-    job.faults = guarded ? &faults : nullptr;
-    job.hooks = &hooks;
-    switchml::DirectAccess access(sw);
-    switchml::WaveEngine(kLanes).run(access, job);
-    ASSERT_EQ(hooks.waves.size(), kWaves);
-    for (std::size_t k = 0; k < kWaves; ++k) {
-      SCOPED_TRACE(k);
-      const switchml::WaveTiming& t = hooks.waves[k];
-      EXPECT_EQ(t.wave, k);
-      if (k > 0) {
-        EXPECT_GE(t.add_end - std::chrono::nanoseconds(t.add_ns),
-                  hooks.waves[k - 1].collect_end);
+  cluster::ForkJoinPool team(3, 4);
+  for (const bool teamed : {false, true}) {
+    for (const bool guarded : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "teamed=" << teamed << " guarded=" << guarded);
+      pisa::FpisaSwitch sw = make_switch(false, kLanes, kSlots);
+      fault::FaultOptions fo;
+      fo.enabled = true;
+      fault::FaultEngine faults(fo, 1);
+      util::Rng rng(34);
+      SessionStats stats{};
+      RecordingHooks hooks;
+      switchml::WaveJob job;
+      job.workers = views;
+      job.chunks = chunks;
+      job.out = out;
+      job.wave = kSlots;
+      job.loss_rate = 0.01;
+      job.max_retransmits = 64;
+      job.rng = &rng;
+      job.stats = &stats;
+      job.faults = guarded ? &faults : nullptr;
+      job.hooks = &hooks;
+      job.team = teamed ? &team : nullptr;
+      switchml::DirectAccess access(sw);
+      const auto start = std::chrono::steady_clock::now();
+      switchml::WaveEngine(kLanes).run(access, job);
+      const auto end = std::chrono::steady_clock::now();
+      ASSERT_EQ(hooks.waves.size(), kWaves);
+      for (std::size_t k = 0; k < kWaves; ++k) {
+        SCOPED_TRACE(k);
+        const switchml::WaveTiming& t = hooks.waves[k];
+        EXPECT_EQ(t.wave, k);
+        if (k > 0) {
+          EXPECT_GE(t.add_end - std::chrono::nanoseconds(t.add_ns),
+                    hooks.waves[k - 1].collect_end);
+        }
+        EXPECT_GE(t.collect_end - std::chrono::nanoseconds(t.collect_ns),
+                  t.add_end);
       }
-      EXPECT_GE(t.collect_end - std::chrono::nanoseconds(t.collect_ns),
-                t.add_end);
+      // Every window lies inside the run.
+      EXPECT_GE(hooks.waves[0].add_end -
+                    std::chrono::nanoseconds(hooks.waves[0].add_ns),
+                start);
+      EXPECT_LE(hooks.waves.back().collect_end, end);
     }
   }
+}
+
+/// Runs `job` guarded -- one fault stream seeded `fault_seed` -- with no
+/// team and with `team`, each on its own switch and loss stream (seeded
+/// alike), and expects the same outcome, results, books, switch state and
+/// stream positions. Returns the outcome: "" for a completed run, else the
+/// error's what().
+std::string expect_team_matches_inline(switchml::WaveJob job,
+                                       const fault::FaultOptions& fo,
+                                       cluster::ForkJoinPool& team,
+                                       int lanes) {
+  const std::size_t n = job.out.size();
+  const std::size_t slots = job.lo + job.wave + 2;
+  pisa::FpisaSwitch inline_sw = make_switch(false, lanes, slots);
+  pisa::FpisaSwitch team_sw = make_switch(false, lanes, slots);
+  std::vector<float> inline_out(n), team_out(n);
+  SessionStats inline_stats{}, team_stats{};
+  util::Rng inline_rng(91), team_rng(91);
+  fault::FaultEngine inline_faults(fo, fo.seed), team_faults(fo, fo.seed);
+  const auto run = [&](pisa::FpisaSwitch& sw, std::span<float> out,
+                       SessionStats& stats, util::Rng& rng,
+                       fault::FaultEngine& faults,
+                       cluster::ForkJoinPool* pool) -> std::string {
+    job.out = out;
+    job.stats = &stats;
+    job.rng = &rng;
+    job.faults = &faults;
+    job.team = pool;
+    switchml::DirectAccess access(sw);
+    try {
+      switchml::WaveEngine(lanes).run(access, job);
+    } catch (const std::exception& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string want =
+      run(inline_sw, inline_out, inline_stats, inline_rng, inline_faults,
+          nullptr);
+  const std::string got =
+      run(team_sw, team_out, team_stats, team_rng, team_faults, &team);
+  EXPECT_EQ(got, want);
+  expect_bits_eq(team_out, inline_out);
+  expect_stats_eq(team_stats, inline_stats);
+  expect_switch_eq(team_sw, inline_sw);
+  // The guard's stamps too (the per-packet oracle bumps an epoch per reset
+  // packet, the engine per cleared slot, so only here do they compare).
+  EXPECT_EQ(team_sw.generation(), inline_sw.generation());
+  for (std::size_t s = 0; s < slots; ++s) {
+    EXPECT_EQ(team_sw.slot_stamp(static_cast<std::uint16_t>(s)),
+              inline_sw.slot_stamp(static_cast<std::uint16_t>(s)))
+        << "slot=" << s;
+  }
+  EXPECT_EQ(team_rng.next_u64(), inline_rng.next_u64());
+  return want;
+}
+
+TEST(WaveEngine, GuardedTeamMatchesInline) {
+  // The guarded path has no oracle, so a teamed run is held to the inline
+  // run: a wipe (the log replays before the wipe lands, then the wave is
+  // re-admitted), Byzantine copies, and a dead worker the wave deadline's
+  // bitmap probe catches mid-job.
+  constexpr int kLanes = 3;
+  constexpr std::size_t kN = 700;  // the last chunk is short
+  const auto data = make_workers(4, kN, 61);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  const std::vector<std::size_t> chunks =
+      iota_chunks((kN + kLanes - 1) / kLanes);
+  std::vector<float> out(kN);
+  cluster::ForkJoinPool team(3, 4);
+  switchml::WaveJob job;
+  job.workers = views;
+  job.chunks = chunks;
+  job.out = out;
+  job.lo = 2;
+  job.wave = 37;  // two whole datapath ranges and a part
+  job.loss_rate = 0.05;
+  job.max_retransmits = 64;
+
+  fault::FaultOptions fo;
+  fo.enabled = true;
+  fo.seed = 5;
+  fo.corrupt_rate = 0.05;
+  fo.reorder_rate = 0.3;
+  fo.dup_rate = 0.1;
+  fo.stale_dup_rate = 0.1;
+  fo.wipe_switch = true;
+  fo.wipe_wave = 2;
+  {
+    SCOPED_TRACE("wipe and replay");
+    EXPECT_EQ(expect_team_matches_inline(job, fo, team, kLanes), "");
+  }
+  fo.dead_worker = 2;
+  fo.dead_worker_wave = 4;
+  {
+    SCOPED_TRACE("dead worker");
+    const std::string what = expect_team_matches_inline(job, fo, team, kLanes);
+    EXPECT_NE(what.find("worker 2 dead"), std::string::npos) << what;
+  }
+  // The books show what was exercised.
+  SessionStats stats{};
+  util::Rng rng(91);
+  fault::FaultEngine faults(fo, fo.seed);
+  fo.dead_worker = -1;
+  fault::FaultEngine clean(fo, fo.seed);
+  pisa::FpisaSwitch sw = make_switch(false, kLanes, job.lo + job.wave);
+  switchml::DirectAccess access(sw);
+  job.stats = &stats;
+  job.rng = &rng;
+  job.faults = &clean;
+  job.team = &team;
+  switchml::WaveEngine(kLanes).run(access, job);
+  EXPECT_GT(stats.faults.waves_replayed, 0u);
+  EXPECT_GT(stats.faults.corrupt_rejected, 0u);
+  EXPECT_GT(stats.faults.stale_dups_rejected, 0u);
+  EXPECT_GT(stats.duplicates_absorbed, 0u);
+}
+
+TEST(WaveEngine, ThousandSessionsLeaveNoThreadsBehind) {
+  // A session starts its datapath team when it is built and joins it when
+  // it is dropped: min(usable CPUs, ranges) - 1 threads, none for a
+  // single-range session.
+  const long baseline = process_threads();
+  ASSERT_GT(baseline, 0);
+  switchml::SessionOptions opts;
+  opts.num_workers = 3;
+  opts.slots = 50;  // four datapath ranges, the last a part
+  opts.lanes = 4;
+  opts.loss_rate = 0.01;
+  const std::size_t ranges =
+      (opts.slots + switchml::WaveEngine::kRangeSlots - 1) /
+      switchml::WaveEngine::kRangeSlots;
+  const int threads =
+      std::min(util::usable_cpus(), static_cast<int>(ranges)) - 1;
+  const auto data = make_workers(opts.num_workers, 299, 19);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  std::vector<float> first(299);
+  std::vector<float> out(299);
+  for (int t = 0; t < 1000; ++t) {
+    switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
+    ASSERT_EQ(session.team_threads(), threads);
+    if (t == 0) {
+      EXPECT_EQ(process_threads(), baseline + threads);
+      session.reduce_into(views, first);
+    } else {
+      session.reduce_into(views, out);
+      expect_bits_eq(out, first);
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(process_threads(), baseline);
+  opts.slots = switchml::WaveEngine::kRangeSlots;
+  EXPECT_EQ(switchml::AggregationSession(pisa::SwitchConfig{}, opts)
+                .team_threads(),
+            0);
 }
 
 // --- the tree against its per-slot oracle ------------------------------------
@@ -594,9 +808,7 @@ TEST(TreeConcurrency, ThousandTreesLeaveNoThreadsBehind) {
   opts.lanes = 4;
   const long baseline = process_threads();
   ASSERT_GT(baseline, 0);
-  const int cpus =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int helpers = std::min(opts.leaves, cpus) - 1;
+  const int helpers = std::min(opts.leaves, util::usable_cpus()) - 1;
   const auto data = make_workers(opts.leaves * opts.workers_per_leaf, 29, 9);
   const std::vector<std::span<const float>> views(data.begin(), data.end());
   std::vector<float> first(29);
