@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cluster/hierarchy.h"
+#include "cluster/mailbox.h"
 #include "collective/communicator.h"
 #include "core/accumulator.h"
 #include "core/advanced_ops.h"
@@ -454,8 +455,9 @@ BENCHMARK(BM_CommunicatorChurn);
 
 // One reduce through the tree perfbench's tree_allreduce drives: 4 leaves
 // x 2 workers, 16K values, 32 lanes x 64 slots, full FPISA. The leaves run
-// on the tree's helper threads and the caller, so the row is wall time;
-// `helper_threads` is how many the tree started.
+// on the caller and the process's datapath pool, so the row is wall time;
+// `pool_threads` is that pool's size (a reduce uses at most live leaves - 1
+// of them).
 void BM_HierarchyReduce(benchmark::State& state) {
   cluster::HierarchyOptions opts;
   opts.leaves = 4;
@@ -478,7 +480,7 @@ void BM_HierarchyReduce(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(kValues));
-  state.counters["helper_threads"] = tree.helper_threads();
+  state.counters["pool_threads"] = cluster::datapath_pool().size();
 }
 BENCHMARK(BM_HierarchyReduce)->UseRealTime();
 

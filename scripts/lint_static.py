@@ -52,6 +52,8 @@ Rules:
                 address `&Class::name`. A bare `name` -- a parameter, a
                 variable or a data member of the same name -- is not a
                 call. A test counts as a caller; there is no allowlist.
+                A name with no call is reported at every declaration,
+                so same-name dead functions surface in one run.
                 Preprocessor lines and
                 #define'd names are ignored, and src/util/
                 thread_annotations.h is skipped: its lowercase names are
@@ -365,6 +367,8 @@ def lint_uncalled(root, findings):
     classes = set()
     for text in texts.values():
         classes.update(CLASS_RE.findall(text))
+    # Every declaration of a name, not just its first: two dead functions
+    # of one name (overloads, or two classes' methods) are two findings.
     declared = {}
     for rel, text in texts.items():
         if not (rel.startswith("src/") and rel.endswith(".h")):
@@ -373,11 +377,12 @@ def lint_uncalled(root, findings):
             continue
         for m in NAME_PAREN_RE.finditer(text):
             name = m.group(1)
-            if (name not in declared and name not in macros
+            if (name not in macros
                     and name not in classes and name not in NOT_A_TYPE
                     and is_declaration(text, m.start())
                     and not is_initializer(text, m.end() - 1, classes)):
-                declared[name] = (rel, line_of(text, m.start()))
+                declared.setdefault(name, []).append(
+                    (rel, line_of(text, m.start())))
     called = set()
     for text in texts.values():
         for m in CALL_RE.finditer(text):
@@ -386,12 +391,13 @@ def lint_uncalled(root, findings):
                     and not is_declaration(text, m.start())):
                 called.add(name)
         called.update(m.group(1) for m in ADDRESS_RE.finditer(text))
-    for name, (rel, line) in sorted(declared.items(), key=lambda kv: kv[1]):
-        if name not in called:
-            findings.append(
-                f"{rel}:{line}: [uncalled] {name}() has no caller in "
-                f"{'/, '.join(UNCALLED_SCOPE)}/; delete it or call it "
-                f"(a test counts)")
+    uncalled = sorted((where, name) for name, wheres in declared.items()
+                      if name not in called for where in wheres)
+    for (rel, line), name in uncalled:
+        findings.append(
+            f"{rel}:{line}: [uncalled] {name}() has no caller in "
+            f"{'/, '.join(UNCALLED_SCOPE)}/; delete it or call it "
+            f"(a test counts)")
 
 
 SYNC_LAYER = (
@@ -540,6 +546,16 @@ BAD_FILES = {
         '  const std::size_t total_slots = opts.slots * 2;\n'
         '  use(opts.num_shards, total_slots);\n'
         '}\n'),
+    # R6: two classes' same-name methods, both uncalled: two findings.
+    "src/twins.h": (
+        'class Star {\n'
+        ' public:\n'
+        '  void rewind();\n'
+        '};\n'
+        'class Wire {\n'
+        ' public:\n'
+        '  void rewind() { t_ = 0; }\n'
+        '};\n'),
     # R7: label values drawn from a private counter, on one line and split.
     "src/leaky.cpp": (
         'static std::atomic<int> next_id{0};\n'
@@ -572,6 +588,8 @@ BAD_EXPECT = [
     "src/cluster.h:3: [uncalled] policy()",
     "src/cluster.h:4: [uncalled] total_slots()",
     "src/cluster.h:5: [uncalled] num_shards()",
+    "src/twins.h:3: [uncalled] rewind()",
+    "src/twins.h:7: [uncalled] rewind()",
     "src/leaky.cpp:2: [instance-label]",
     "src/leaky.cpp:3: [instance-label]",
 ]

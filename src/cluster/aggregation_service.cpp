@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/vector_accumulator.h"
+#include "util/cpus.h"
 
 namespace fpisa::cluster {
 
@@ -58,13 +59,13 @@ AggregationService::AggregationService(ClusterOptions opts)
   }
   init_metrics();
   // Resolve the dispatch mode once: kAuto picks per-shard workers when
-  // there is real parallelism to win, inline otherwise (a single core or a
-  // single shard gains nothing from the handoff). Results are identical
+  // there is real parallelism to win, inline otherwise (one usable CPU or
+  // a single shard gains nothing from the handoff). Results are identical
   // either way — only wall time differs.
   using Mode = ClusterOptions::DispatchMode;
   if (opts_.dispatch == Mode::kWorkers ||
       (opts_.dispatch == Mode::kAuto && opts_.num_shards > 1 &&
-       std::thread::hardware_concurrency() > 1)) {
+       util::usable_cpus() > 1)) {
     pool_ = std::make_unique<ForkJoinPool>(opts_.num_shards, 256);
   }
   const int job_threads = opts_.job_runner_threads > 0

@@ -60,9 +60,9 @@ struct ClusterOptions {
   ///  * kInline: shard tasks run sequentially on the calling job thread;
   ///    zero fan-out threads (concurrent jobs still overlap on the
   ///    job-runner pool, serialized per shard by the shard mutex).
-  ///  * kAuto (default): kWorkers when the host has >1 core and the
-  ///    service >1 shard; on a single-core host the handoff can only add
-  ///    context switches.
+  ///  * kAuto (default): kWorkers when the process may run on more than
+  ///    one CPU (util::usable_cpus) and the service has >1 shard; on one
+  ///    CPU the handoff can only add context switches.
   /// Results are bit-identical across modes: determinism is seeded per
   /// (job, shard, pass), never scheduled.
   enum class DispatchMode { kAuto, kWorkers, kInline };

@@ -8,7 +8,6 @@
 
 #include "core/vector_accumulator.h"
 #include "net/link.h"
-#include "util/cpus.h"
 
 namespace fpisa::cluster {
 namespace {
@@ -55,16 +54,14 @@ HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
       pisa::fpisa_program_options(spine_config, opts_.lanes, opts_.slots));
   leaf_alive_.assign(static_cast<std::size_t>(opts_.leaves), true);
   init_metrics();
-  // Started here rather than at the first reduce, so a communicator's
-  // set-up pays for them once, before its first job.
-  helpers_.emplace(std::min(opts_.leaves, util::usable_cpus()) - 1, 4);
 }
 
-void HierarchicalAggregator::run_leaves(int part) noexcept {
+void HierarchicalAggregator::run_leaves() noexcept {
   const auto wpl = static_cast<std::size_t>(opts_.workers_per_leaf);
-  int live = -1;  // live leaves seen so far, this one included
-  for (std::size_t j = 0; j < leaves_.size(); ++j) {
-    if (!leaf_alive_[j] || ++live % parts_ != part) continue;
+  for (;;) {
+    const std::size_t j = next_leaf_.fetch_add(1, std::memory_order_relaxed);
+    if (j >= leaves_.size()) return;
+    if (!leaf_alive_[j]) continue;
     LeafPass& pass = *leaf_passes_[j];
     pass.stats = {};
     pass.error = nullptr;
@@ -172,16 +169,11 @@ void HierarchicalAggregator::reduce_into(
     if (leaf_alive_[j]) leaf_passes_[j]->partial.resize(n);
   }
   reduce_workers_ = workers;
-  parts_ = std::min(alive_leaves(), helper_threads() + 1);
-  // Fan-out: one task per helper this reduce needs; the caller runs share
-  // 0 and then joins.
-  const ForkJoinPool::Fn task = [](void* self, int part) noexcept {
-    static_cast<HierarchicalAggregator*>(self)->run_leaves(part);
+  next_leaf_.store(0, std::memory_order_relaxed);
+  const ForkJoinPool::Fn task = [](void* self, int) noexcept {
+    static_cast<HierarchicalAggregator*>(self)->run_leaves();
   };
-  ForkJoinPool::Join join;
-  for (int p = 1; p < parts_; ++p) helpers_->post(p - 1, join, task, this, p);
-  run_leaves(0);
-  helpers_->wait(join);
+  fan_out_.run(datapath_pool(), alive_leaves() - 1, task, this);
   stats_ = {};
   for (std::size_t j = 0; j < leaves_.size(); ++j) {
     if (!leaf_alive_[j]) continue;

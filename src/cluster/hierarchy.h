@@ -9,17 +9,20 @@
 //
 // The leaf passes run concurrently, as a rack's ToR switches do: each leaf
 // has its own switch, wave engine, partial buffer and wire books, so no
-// two leaf passes share anything they write. The aggregator owns a
-// ForkJoinPool (cluster/mailbox.h) of min(leaves, usable CPUs) - 1
-// helper threads, parked between reduces (none on a one-CPU host); a
-// reduce posts one task per helper it needs, runs its own share of the
-// live leaves on the calling thread, joins, and then runs the spine. The
-// result cannot depend on the schedule: a leaf's partial is a function of
-// its rack's inputs and its own switch alone, the spine consumes the
-// partials in leaf order, and the wire books and the first error are
-// merged in leaf order after the join.
+// two leaf passes share anything they write. The aggregator starts no
+// thread: a reduce posts up to live leaves - 1 tasks to the process's
+// datapath pool (cluster::datapath_pool), and the caller and those helpers
+// claim live leaves from one counter until none is left; the caller then
+// joins and runs the spine. A helper held up by another object's task or
+// a busy host costs the caller only the join, never a leaf, and the next
+// reduces post fewer helpers (cluster::FanOut). The result cannot depend
+// on the schedule: a leaf's partial is a function of its rack's inputs and
+// its own switch alone, the spine consumes the partials in leaf order, and
+// the wire books and the first error are merged in leaf order after the
+// join.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -73,8 +76,6 @@ struct HierarchyTiming {
 
 class HierarchicalAggregator {
  public:
-  /// Builds the switches and starts the helper threads (see file comment);
-  /// the destructor stops and joins them.
   explicit HierarchicalAggregator(HierarchyOptions opts);
   HierarchicalAggregator(const HierarchicalAggregator&) = delete;
   HierarchicalAggregator& operator=(const HierarchicalAggregator&) = delete;
@@ -100,10 +101,6 @@ class HierarchicalAggregator {
   /// Wire books of the most recent reduce_into(): every live leaf's pass,
   /// in leaf order, then the spine's.
   const switchml::SessionStats& stats() const { return stats_; }
-  /// Helper threads started at construction: min(leaves, usable
-  /// CPUs) - 1. A reduce uses min(live leaves, helpers + 1) threads,
-  /// counting the caller's.
-  int helper_threads() const { return helpers_->size(); }
 
   /// Per-level fan-in timing mapped onto the stack's uniform phase split:
   /// the leaf level (host -> ToR fan-in, partials handed up) is the add
@@ -141,9 +138,10 @@ class HierarchicalAggregator {
     std::exception_ptr error;
   };
   void init_metrics();
-  /// Runs the i-th live leaf for every i with i % parts_ == part, each
-  /// into its own LeafPass; never throws (errors land in the LeafPass).
-  void run_leaves(int part) noexcept;
+  /// Claims live leaves from next_leaf_ and runs each into its own
+  /// LeafPass until none is left; never throws (errors land in the
+  /// LeafPass).
+  void run_leaves() noexcept;
   /// Times the reduce's packet flows. Every link and pipe is a FIFO
   /// serializer and no queue feeds back into an earlier one, so each is a
   /// max-plus recurrence over its sends taken in arrival-time order (ties
@@ -171,9 +169,8 @@ class HierarchicalAggregator {
   // it posts the helpers' tasks and read by the helpers after they pop them
   // (the mailbox orders the two).
   std::span<const std::span<const float>> reduce_workers_;
-  int parts_ = 1;  ///< threads sharing the current reduce's leaves
-  /// The leaf helpers, started last: after all of what they use is built.
-  std::optional<ForkJoinPool> helpers_;
+  std::atomic<std::size_t> next_leaf_{0};  ///< next leaf index to claim
+  FanOut fan_out_;  ///< how many pool workers a reduce posts
 
   // Timing model buffers, reused across reduces.
   struct Hop {

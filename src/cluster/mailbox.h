@@ -1,7 +1,7 @@
-// The cluster's one fan-out/join primitive: a lock-free mailbox and the
-// fork-join pool built on it. Both the service's per-shard workers and the
-// tree's leaf helpers are this pool's threads — see README "Execution
-// model".
+// The stack's one fan-out/join primitive: a lock-free mailbox and the
+// fork-join pool built on it. The service's per-shard workers are one
+// pool; every session's and tree's datapath helpers are another, the
+// process-wide datapath_pool() — see README "Execution model".
 //
 // ShardMailbox is a Vyukov-style bounded sequence-ticket queue:
 //  * each cell carries an atomic sequence number; a producer claims a cell
@@ -44,17 +44,30 @@
 // Join's last task rings the pool's one doorbell (an epoch word every
 // waiter parks on, re-checking its own count), so the final wake never
 // touches a caller's dying frame. Any number of callers may post to, and
-// wait on, one pool at once.
+// wait on, one pool at once. FanOut sizes one caller's fan-outs to what
+// the last ones cost.
+//
+// datapath_pool(): the pool every AggregationSession and
+// HierarchicalAggregator reduce shares its datapath with, usable CPUs - 1
+// workers (none on a one-CPU host) built on first call. It is never
+// destroyed, so no reduce, however late, posts to a dead pool; its threads
+// end with the process. Its tasks never post or wait themselves, so a
+// caller's join always drains.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "util/cpus.h"
 
 namespace fpisa::cluster {
 
@@ -254,5 +267,56 @@ class ForkJoinPool {
   std::atomic<std::uint32_t> doorbell_{0};
   std::vector<std::unique_ptr<Worker>> workers_;  ///< last: threads use all
 };
+
+/// One caller's repeated fan-outs over a pool it may share with others:
+/// how many helpers each one posts. A fan-out whose join kept the caller
+/// waiting longer than its own share took had a helper that was not
+/// running (the host's CPUs are busy, or the worker was running another
+/// caller's task), and waiting for it cost more than doing its work: the
+/// next one posts a helper fewer. kCalm fan-outs without such a wait add
+/// one back. The members must claim their work, not be assigned it, so
+/// that any number of them does all of it.
+class FanOut {
+ public:
+  /// Runs fn(ctx, 0) on the calling thread and fn(ctx, m) on worker m - 1
+  /// for m = 1..h, h at most `most` and the pool's size; returns once
+  /// every one has run.
+  void run(ForkJoinPool& pool, int most, ForkJoinPool::Fn fn, void* ctx) {
+    most = std::min(most, pool.size());
+    if (most <= 0) {
+      fn(ctx, 0);
+      return;
+    }
+    const int helpers = std::min(most, helpers_);
+    ForkJoinPool::Join join;
+    for (int m = 1; m <= helpers; ++m) pool.post(m - 1, join, fn, ctx, m);
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point t0 = Clock::now();
+    fn(ctx, 0);
+    const Clock::time_point t1 = Clock::now();
+    pool.wait(join);
+    if (helpers > 0 && Clock::now() - t1 > t1 - t0) {
+      helpers_ = helpers - 1;
+      calm_ = 0;
+    } else if (++calm_ >= kCalm) {
+      helpers_ = std::min(most, helpers + 1);
+      calm_ = 0;
+    }
+  }
+
+ private:
+  static constexpr int kCalm = 8;
+  int helpers_ = std::numeric_limits<int>::max();
+  int calm_ = 0;  ///< fan-outs since one last kept the caller waiting
+};
+
+/// The process's one datapath pool (see file comment). A caller posts at
+/// most one task per worker before it waits, so a ring needs a cell per
+/// concurrent caller: posts spin only past 64 callers at once.
+inline ForkJoinPool& datapath_pool() {
+  static ForkJoinPool* const pool =
+      new ForkJoinPool(util::usable_cpus() - 1, 64);
+  return *pool;
+}
 
 }  // namespace fpisa::cluster

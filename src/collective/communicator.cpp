@@ -255,11 +255,6 @@ telemetry::PhaseBreakdown SwitchCommunicator::phase_breakdown() const {
   return p;
 }
 
-switchml::AggregationSession& SwitchCommunicator::session() {
-  ensure_session(opts_.num_workers);
-  return *session_;
-}
-
 ReduceStats SwitchCommunicator::run(
     std::span<const std::span<const float>> workers, std::span<float> out,
     std::string_view /*tenant*/) {

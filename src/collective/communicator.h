@@ -319,8 +319,6 @@ class SwitchCommunicator final : public Communicator {
   switchml::SessionStats total_stats() const override { return total_; }
   /// Session phase split, accumulated across session recreations.
   telemetry::PhaseBreakdown phase_breakdown() const override;
-  /// The underlying session (created on first use).
-  switchml::AggregationSession& session();
 
  protected:
   ReduceStats run(std::span<const std::span<const float>> workers,

@@ -1,7 +1,6 @@
 #include "core/vector_accumulator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,12 +99,6 @@ void FpisaVector::read_bits(std::span<std::uint64_t> out) const {
   for (std::size_t i = 0; i < out.size(); ++i) {
     out[i] = fpisa_read({regs_.exp[i], regs_.man[i]}, cfg_).bits;
   }
-}
-
-double FpisaVector::read_value(std::size_t i) const {
-  return std::ldexp(
-      static_cast<double>(regs_.man[i]),
-      regs_.exp[i] - cfg_.format.bias() - cfg_.format.man_bits - cfg_.guard_bits);
 }
 
 void FpisaVector::reset() {

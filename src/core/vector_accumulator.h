@@ -39,8 +39,6 @@ class FpisaVector {
   /// Renormalize every element into `out` (state unchanged).
   void read(std::span<float> out) const;
   void read_bits(std::span<std::uint64_t> out) const;
-  /// Exact arithmetic value of element i's denormalized state.
-  double read_value(std::size_t i) const;
 
   void reset();
 

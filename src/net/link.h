@@ -26,10 +26,6 @@ class Link {
   }
 
   double busy_seconds() const { return busy_s_; }
-  void reset() {
-    next_free_ = 0;
-    busy_s_ = 0;
-  }
 
  private:
   double gbps_;

@@ -52,9 +52,4 @@ double StarTopology::gather(
   return done;
 }
 
-void StarTopology::reset() {
-  for (auto& l : up_) l.reset();
-  for (auto& l : down_) l.reset();
-}
-
 }  // namespace fpisa::net

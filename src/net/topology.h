@@ -31,8 +31,6 @@ class StarTopology {
   double gather(double t, const std::vector<std::pair<int, std::uint64_t>>& flows,
                 int dst);
 
-  void reset();
-
  private:
   /// Throws unless src and dst are distinct hosts of this star.
   void check_hosts(const char* what, int src, int dst) const;

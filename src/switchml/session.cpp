@@ -6,7 +6,6 @@
 #include <string>
 
 #include "core/vector_accumulator.h"
-#include "util/cpus.h"
 
 namespace fpisa::switchml {
 namespace {
@@ -32,13 +31,6 @@ AggregationSession::AggregationSession(pisa::SwitchConfig config,
       loss_rng_(opts.loss_seed),
       engine_(opts.lanes) {
   init_metrics();
-  const std::size_t ranges =
-      (opts_.slots + WaveEngine::kRangeSlots - 1) / WaveEngine::kRangeSlots;
-  const auto threads = static_cast<int>(std::min<std::size_t>(
-                           static_cast<std::size_t>(util::usable_cpus()),
-                           ranges)) -
-                       1;
-  if (threads > 0) team_.emplace(threads, 4);
 }
 
 void AggregationSession::init_metrics() {
@@ -96,7 +88,11 @@ void AggregationSession::reduce_into(
   job.rng = &loss_rng_;
   job.stats = &stats_;
   job.hooks = this;
-  job.team = team_ ? &*team_ : nullptr;
+  // A single-range job, or a one-CPU host, has no datapath to share.
+  cluster::ForkJoinPool& pool = cluster::datapath_pool();
+  if (opts_.slots > WaveEngine::kRangeSlots && pool.size() > 0) {
+    job.team = &pool;
+  }
   DirectAccess access(switch_);
   if (!opts_.fault.enabled) {
     engine_.run(access, job);

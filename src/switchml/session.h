@@ -19,13 +19,13 @@
 // with fault injection on, the dead-worker degrade loop on top.
 //
 // The session owns its switch outright, so it is the one layer that gives
-// the engine a team: min(usable CPUs, datapath ranges) - 1 threads, started
-// by the constructor, which replay each reduce's lane kernels range by
-// range alongside the caller (a single-range session starts none).
+// the engine a team: the process's datapath pool (cluster::datapath_pool),
+// whose workers replay each reduce's lane kernels range by range alongside
+// the caller. A session starts no thread of its own; a single-range one
+// replays each wave inline.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -71,8 +71,6 @@ class AggregationSession : private WaveHooks {
     return stats_;
   }
   pisa::FpisaSwitch& fpisa_switch() { return switch_; }
-  /// Threads this session's reduces share their datapath pass with.
-  int team_threads() const { return team_ ? team_->size() : 0; }
 
   /// Wall time split between the add (ingress) and collect (read+reset)
   /// protocol phases across all reduces — the same currency the cluster
@@ -102,8 +100,6 @@ class AggregationSession : private WaveHooks {
   telemetry::Counter* m_retrans_ = nullptr;
   telemetry::Counter* m_lost_ = nullptr;
   telemetry::Histogram* m_phase_[2] = {};  ///< [0]=add, [1]=collect
-  /// The datapath team, started last: after all of what it uses is built.
-  std::optional<cluster::ForkJoinPool> team_;
 };
 
 }  // namespace fpisa::switchml

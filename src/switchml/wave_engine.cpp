@@ -396,38 +396,13 @@ void WaveEngine::replay(pisa::FpisaSwitch& sw, const WaveJob& job,
   replay_job_ = &job;
   replay_timed_ = timed;
   next_range_.store(0, std::memory_order_relaxed);
-  const int most =
-      job.team == nullptr
-          ? 0
-          : static_cast<int>(std::min(
-                static_cast<std::size_t>(job.team->size()), ranges_ - 1));
-  if (most == 0) {
+  if (job.team == nullptr) {
     replay_ranges(0);
-    close(job);
-    return;
-  }
-  const int helpers = std::min(most, helpers_);
-  const cluster::ForkJoinPool::Fn task = [](void* self, int member) noexcept {
-    static_cast<WaveEngine*>(self)->replay_ranges(member);
-  };
-  cluster::ForkJoinPool::Join join;
-  for (int h = 1; h <= helpers; ++h) {
-    job.team->post(h - 1, join, task, this, h);
-  }
-  const Clock::time_point t0 = Clock::now();
-  replay_ranges(0);
-  const Clock::time_point t1 = Clock::now();
-  job.team->wait(join);
-  // A helper that keeps the caller waiting longer than the caller's own
-  // share took was not running: the host's CPUs are busy, and waiting for
-  // it costs more than doing its ranges. Post one fewer next time; after
-  // kCalmReplays replays without such a wait, try one more.
-  if (helpers > 0 && ns_between(t1, Clock::now()) > ns_between(t0, t1)) {
-    helpers_ = helpers - 1;
-    calm_ = 0;
-  } else if (++calm_ >= kCalmReplays) {
-    helpers_ = std::min(most, helpers + 1);
-    calm_ = 0;
+  } else {
+    const cluster::ForkJoinPool::Fn task = [](void* self, int m) noexcept {
+      static_cast<WaveEngine*>(self)->replay_ranges(m);
+    };
+    fan_out_.run(*job.team, static_cast<int>(ranges_ - 1), task, this);
   }
   close(job);
 }

@@ -43,18 +43,20 @@
 // logged run of payloads into its bank rows, FpisaSwitch::drain reads and
 // clears each collected slot into its destination. No lane register feeds
 // the protocol, so replaying later gives the same bits. A job with a team
-// (WaveJob::team) runs the protocol pass over the whole job first, then
-// cuts the slot range into kRangeSlots-slot ranges that the caller and
-// the team claim from one counter; whoever claims a range replays every
-// wave of it in order, so each bank row has one writer. Each thread counts
-// its own operations and the sums are booked on the switch. A replay whose
-// caller waited on a helper longer than its own share took (the host's
-// CPUs are busy) posts one helper fewer next time; kCalmReplays replays
-// without such a wait add one back. A job without
-// a team replays each wave's log as soon as it is written, inside the same
-// switch hold, so a cluster shard's lock holds and wave windows stay what
-// they were. A throw from the protocol pass first replays what is logged,
-// leaving the switch as the per-packet protocol would.
+// (WaveJob::team; a session passes the process's datapath pool, shared
+// with every other session and tree) runs the protocol pass over the
+// whole job first, then cuts the slot range into kRangeSlots-slot ranges
+// that the caller and the team claim from one counter; whoever claims a
+// range replays every wave of it in order, so each bank row has one
+// writer. Each thread counts its own operations and the sums are booked
+// on the switch. How many of the team a replay posts adapts to what the
+// last replays cost (cluster::FanOut): a helper that kept the caller
+// waiting, on a busy host or behind another caller's task, is posted no
+// more until replays run calm again. A job without a team replays
+// each wave's log as soon as it is written, inside the same switch hold,
+// so a cluster shard's lock holds and wave windows stay what they were. A
+// throw from the protocol pass first replays what is logged, leaving the
+// switch as the per-packet protocol would.
 //
 // Guarded mode (a fault::FaultEngine is supplied) runs the Byzantine-wire
 // recovery protocol through the same queue, packing loop and log: each
@@ -72,7 +74,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -302,9 +303,13 @@ struct WaveJob {
   std::uint32_t dead_mask = 0;  ///< views that send nothing
   fault::FaultEngine* faults = nullptr;  ///< non-null: guarded mode
   WaveHooks* hooks = nullptr;  ///< null: the defaults
-  /// Threads that share the datapath pass with the caller, which must not
-  /// post anything else to them during the run; null replays each wave's
-  /// log inline as it is written.
+  /// Threads that share the datapath pass with the caller; null replays
+  /// each wave's log inline as it is written. Other callers may post to
+  /// the same pool during the run (sessions and trees share
+  /// cluster::datapath_pool): ranges are claimed, not assigned, so a
+  /// helper that starts after the caller has claimed every range finds
+  /// none and returns, and one held up by another caller's task costs
+  /// this run only the join, which the adaptive helper count backs off.
   cluster::ForkJoinPool* team = nullptr;
 };
 
@@ -478,11 +483,7 @@ class WaveEngine {
   const WaveJob* replay_job_ = nullptr;
   bool replay_timed_ = false;
   std::atomic<std::size_t> next_range_{0};
-  /// Helpers the next replay posts (at most the team's size), and the
-  /// replays since one last kept the caller waiting: see replay().
-  static constexpr int kCalmReplays = 8;
-  int helpers_ = std::numeric_limits<int>::max();
-  int calm_ = 0;
+  cluster::FanOut fan_out_;  ///< how many of the team a replay posts
 };
 
 }  // namespace fpisa::switchml

@@ -47,10 +47,6 @@ void BenchJson::set(const std::string& key, double value) {
   entries_.push_back({key, Entry::Kind::kNumber, value, {}});
 }
 
-void BenchJson::set(const std::string& key, const std::string& value) {
-  entries_.push_back({key, Entry::Kind::kText, 0.0, value});
-}
-
 void BenchJson::set_raw(const std::string& key, std::string json) {
   entries_.push_back({key, Entry::Kind::kRaw, 0.0, std::move(json)});
 }
@@ -74,7 +70,6 @@ std::string BenchJson::render() const {
     out += "\"" + escape(e.key) + "\": ";
     switch (e.kind) {
       case Entry::Kind::kNumber: out += number(e.number); break;
-      case Entry::Kind::kText: out += "\"" + escape(e.text) + "\""; break;
       case Entry::Kind::kRaw: out += e.text; break;
     }
   }

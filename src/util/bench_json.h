@@ -18,10 +18,6 @@ class BenchJson {
   explicit BenchJson(std::string bench_name) : name_(std::move(bench_name)) {}
 
   void set(const std::string& key, double value);
-  void set(const std::string& key, const std::string& value);
-  void set(const std::string& key, const char* value) {
-    set(key, std::string(value));
-  }
   /// Embeds `json` verbatim as the value (caller guarantees it is valid
   /// JSON) — how benches attach a telemetry::Snapshot::json() dump.
   void set_raw(const std::string& key, std::string json);
@@ -35,7 +31,7 @@ class BenchJson {
  private:
   struct Entry {
     std::string key;
-    enum class Kind { kNumber, kText, kRaw } kind = Kind::kNumber;
+    enum class Kind { kNumber, kRaw } kind = Kind::kNumber;
     double number = 0.0;
     std::string text;
   };

@@ -3,17 +3,21 @@
 // to) produce bit-identical results, SessionStats, and switch state to the
 // inline reference that runs every shard task on the job's own thread
 // (kInline) — across loss rates up to 0.99, Byzantine fault mixes,
-// mid-wave shard kills, and a 64-job concurrent burst. Also pins the
+// mid-wave shard kills, and a 64-job concurrent burst. kAuto resolves to
+// kInline when the process may run on one CPU only. Also pins the
 // fan-out economics: a pass posts only to the shards it feeds (idle shards'
 // mailbox counters never move, spurious wakeups stay zero). The fork-join
-// pool the service and the tree share is tested on its own: concurrent
+// pool the service and the datapath share is tested on its own: concurrent
 // callers posting overlapping worker sets (each task runs once, no join
-// returns early), the 0-thread and idle pools, and the mailbox under a
+// returns early), the 0-thread and idle pools, FanOut's back-off from a
+// helper that kept its caller waiting, and the mailbox under a
 // multi-producer stress and across ring wraps (the TSan leg runs all of
 // it).
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <stdexcept>
@@ -24,6 +28,7 @@
 #include "cluster/aggregation_service.h"
 #include "cluster/mailbox.h"
 #include "core/packed.h"
+#include "util/cpus.h"
 #include "util/rng.h"
 #include "testkit.h"
 
@@ -316,6 +321,31 @@ TEST(ClusterPipeline, InlineDispatchReportsZeroMailboxTraffic) {
   EXPECT_THROW(svc.mailbox_stats(2), std::invalid_argument);
 }
 
+TEST(ClusterPipeline, AutoDispatchIsInlineOnOneUsableCpu) {
+  // kAuto counts the CPUs the process may run on, not the host's: pinned
+  // to one, a 2-shard service starts no shard workers. Only this thread is
+  // pinned, and only while it builds and drops the service, which touches
+  // no datapath pool (one built here would be sized for the one CPU).
+  ClusterOptions opts;
+  opts.num_shards = 2;
+  if (util::usable_cpus() > 1) {
+    EXPECT_EQ(AggregationService(opts).dispatch_mode(),
+              ClusterOptions::DispatchMode::kWorkers);
+  }
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const ClusterOptions::DispatchMode pinned =
+      AggregationService(opts).dispatch_mode();
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(pinned, ClusterOptions::DispatchMode::kInline);
+}
+
 // --- SPSC mailbox stress (TSan target) --------------------------------------
 
 TEST(ClusterPipeline, MailboxMultiProducerStress) {
@@ -449,7 +479,8 @@ TEST(ForkJoinPool, ConcurrentCallersOverlappingWorkersRunEachTaskOnce) {
 }
 
 TEST(ForkJoinPool, ZeroThreadPoolJoinsAtOnce) {
-  // The tree builds one on a one-CPU host: the caller runs everything.
+  // The datapath pool is one on a one-CPU host: the caller runs
+  // everything.
   const long baseline = testkit::process_threads();
   ForkJoinPool pool(0, 4);
   EXPECT_EQ(pool.size(), 0);
@@ -469,6 +500,39 @@ TEST(ForkJoinPool, IdlePoolStopsAndJoinsItsThreads) {
     }
   }
   EXPECT_EQ(testkit::process_threads(), baseline);
+}
+
+TEST(FanOut, PostsNoHelperAfterOneKeptTheCallerWaitingUntilCalm) {
+  // The one worker is busy with another caller's task, so the fan-out's
+  // helper keeps the caller waiting far longer than its own share took:
+  // the next fan-outs run on the caller alone, and after eight of those a
+  // helper is posted again.
+  ForkJoinPool pool(1, 4);
+  std::atomic<bool> release{false};
+  const ForkJoinPool::Fn block = [](void* flag, int) noexcept {
+    while (!static_cast<std::atomic<bool>*>(flag)->load()) {
+      std::this_thread::yield();
+    }
+  };
+  ForkJoinPool::Join other;
+  pool.post(0, other, block, &release, 0);
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    release = true;
+  });
+  std::atomic<int> helpers{0};
+  const ForkJoinPool::Fn count = [](void* n, int member) noexcept {
+    if (member > 0) static_cast<std::atomic<int>*>(n)->fetch_add(1);
+  };
+  FanOut fan;
+  fan.run(pool, 1, count, &helpers);
+  releaser.join();
+  pool.wait(other);
+  EXPECT_EQ(helpers.load(), 1);
+  for (int i = 0; i < 8; ++i) fan.run(pool, 1, count, &helpers);
+  EXPECT_EQ(helpers.load(), 1);
+  fan.run(pool, 1, count, &helpers);
+  EXPECT_EQ(helpers.load(), 2);
 }
 
 }  // namespace

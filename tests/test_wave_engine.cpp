@@ -6,13 +6,16 @@
 // one wave order: each wave's add and collect windows tile. Every engine
 // check runs inline and with a datapath team (WaveJob::team) of 1, 2 and 4
 // threads counting the caller's, over slot ranges that do and do not split
-// into whole datapath ranges.
+// into whole datapath ranges. And the process's shared datapath pool:
+// sessions and trees start no thread of their own, and objects reducing
+// through it at once each get their single-caller results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -27,7 +30,6 @@
 #include "switchml/wave_engine.h"
 #include "telemetry/metrics.h"
 #include "testkit.h"
-#include "util/cpus.h"
 #include "util/rng.h"
 #include "wave_oracle.h"
 
@@ -626,45 +628,6 @@ TEST(WaveEngine, GuardedTeamMatchesInline) {
   EXPECT_GT(stats.duplicates_absorbed, 0u);
 }
 
-TEST(WaveEngine, ThousandSessionsLeaveNoThreadsBehind) {
-  // A session starts its datapath team when it is built and joins it when
-  // it is dropped: min(usable CPUs, ranges) - 1 threads, none for a
-  // single-range session.
-  const long baseline = process_threads();
-  ASSERT_GT(baseline, 0);
-  switchml::SessionOptions opts;
-  opts.num_workers = 3;
-  opts.slots = 50;  // four datapath ranges, the last a part
-  opts.lanes = 4;
-  opts.loss_rate = 0.01;
-  const std::size_t ranges =
-      (opts.slots + switchml::WaveEngine::kRangeSlots - 1) /
-      switchml::WaveEngine::kRangeSlots;
-  const int threads =
-      std::min(util::usable_cpus(), static_cast<int>(ranges)) - 1;
-  const auto data = make_workers(opts.num_workers, 299, 19);
-  const std::vector<std::span<const float>> views(data.begin(), data.end());
-  std::vector<float> first(299);
-  std::vector<float> out(299);
-  for (int t = 0; t < 1000; ++t) {
-    switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
-    ASSERT_EQ(session.team_threads(), threads);
-    if (t == 0) {
-      EXPECT_EQ(process_threads(), baseline + threads);
-      session.reduce_into(views, first);
-    } else {
-      session.reduce_into(views, out);
-      expect_bits_eq(out, first);
-    }
-    if (HasFailure()) return;
-  }
-  EXPECT_EQ(process_threads(), baseline);
-  opts.slots = switchml::WaveEngine::kRangeSlots;
-  EXPECT_EQ(switchml::AggregationSession(pisa::SwitchConfig{}, opts)
-                .team_threads(),
-            0);
-}
-
 // --- the tree against its per-slot oracle ------------------------------------
 
 void expect_tree_matches_oracle(const cluster::HierarchyOptions& opts,
@@ -800,32 +763,138 @@ TEST(TreeConcurrency, FiveHundredReducesAcrossShapesAndAKillMatchOracle) {
   EXPECT_EQ(tree.spine().occupied_slots(), 0);
 }
 
-TEST(TreeConcurrency, ThousandTreesLeaveNoThreadsBehind) {
-  cluster::HierarchyOptions opts;
-  opts.leaves = 4;
-  opts.workers_per_leaf = 2;
-  opts.slots = 4;
-  opts.lanes = 4;
+// --- the shared datapath pool ------------------------------------------------
+
+TEST(DatapathPool, ThousandSessionsAndTreesStartNoThreads) {
+  // Sessions and trees share the process's datapath pool and start no
+  // thread of their own: once the pool is up, building, reducing through
+  // and dropping 1,000 of each (eight of each alive at once every 100th
+  // iteration) never moves the process's thread count, and every output
+  // equals the first.
+  cluster::datapath_pool();
   const long baseline = process_threads();
   ASSERT_GT(baseline, 0);
-  const int helpers = std::min(opts.leaves, util::usable_cpus()) - 1;
-  const auto data = make_workers(opts.leaves * opts.workers_per_leaf, 29, 9);
-  const std::vector<std::span<const float>> views(data.begin(), data.end());
-  std::vector<float> first(29);
-  std::vector<float> out(29);
+  switchml::SessionOptions sopts;
+  sopts.num_workers = 3;
+  sopts.slots = 50;  // four datapath ranges, the last a part
+  sopts.lanes = 4;
+  sopts.loss_rate = 0.01;
+  cluster::HierarchyOptions topts;
+  topts.leaves = 4;
+  topts.workers_per_leaf = 2;
+  topts.slots = 4;
+  topts.lanes = 4;
+  const auto sdata = make_workers(sopts.num_workers, 299, 19);
+  const auto tdata = make_workers(topts.leaves * topts.workers_per_leaf, 29, 9);
+  const std::vector<std::span<const float>> sviews(sdata.begin(), sdata.end());
+  const std::vector<std::span<const float>> tviews(tdata.begin(), tdata.end());
+  std::vector<float> sfirst;
+  std::vector<float> tfirst;
+  std::vector<float> sout(299);
+  std::vector<float> tout(29);
   for (int t = 0; t < 1000; ++t) {
-    cluster::HierarchicalAggregator tree(opts);
-    ASSERT_EQ(tree.helper_threads(), helpers);
-    if (t == 0) {
-      EXPECT_EQ(process_threads(), baseline + helpers);
-      tree.reduce_into(views, first);
-    } else {
-      tree.reduce_into(views, out);
-      expect_bits_eq(out, first);
+    SCOPED_TRACE(t);
+    const int alive = t % 100 == 0 ? 8 : 1;
+    std::vector<std::unique_ptr<switchml::AggregationSession>> sessions;
+    std::vector<std::unique_ptr<cluster::HierarchicalAggregator>> trees;
+    for (int k = 0; k < alive; ++k) {
+      sessions.push_back(std::make_unique<switchml::AggregationSession>(
+          pisa::SwitchConfig{}, sopts));
+      trees.push_back(std::make_unique<cluster::HierarchicalAggregator>(topts));
     }
+    for (int k = 0; k < alive; ++k) {
+      sessions[static_cast<std::size_t>(k)]->reduce_into(sviews, sout);
+      trees[static_cast<std::size_t>(k)]->reduce_into(tviews, tout);
+      if (sfirst.empty()) {
+        sfirst = sout;
+        tfirst = tout;
+      }
+      expect_bits_eq(sout, sfirst);
+      expect_bits_eq(tout, tfirst);
+    }
+    EXPECT_EQ(process_threads(), baseline);
     if (HasFailure()) return;
   }
   EXPECT_EQ(process_threads(), baseline);
+}
+
+TEST(DatapathPool, SessionsAndTreeShareThePoolFromThreeCallers) {
+  // A lossy session, a guarded session and a tree reduce at once, each
+  // from its own thread, all through the one datapath pool. Each object's
+  // outputs and books, reduce by reduce, equal its single-caller run: who
+  // ran which range or leaf, and whose task a helper was busy with, never
+  // shows.
+  constexpr int kReduces = 200;
+  constexpr std::size_t kN = 1000;  // five waves of 50 slots x 4 lanes
+  switchml::SessionOptions lossy;
+  lossy.num_workers = 4;
+  lossy.slots = 50;
+  lossy.lanes = 4;
+  lossy.loss_rate = 0.02;
+  lossy.loss_seed = 3;
+  switchml::SessionOptions guarded = lossy;
+  guarded.loss_seed = 4;
+  guarded.fault.enabled = true;
+  guarded.fault.seed = 5;
+  guarded.fault.corrupt_rate = 0.05;
+  guarded.fault.reorder_rate = 0.3;
+  guarded.fault.dup_rate = 0.1;
+  guarded.fault.stale_dup_rate = 0.1;
+  guarded.fault.wipe_switch = true;
+  guarded.fault.wipe_wave = 2;
+  cluster::HierarchyOptions topts;
+  topts.leaves = 4;
+  topts.workers_per_leaf = 2;
+  topts.slots = 8;
+  topts.lanes = 4;
+  const auto sdata = make_workers(lossy.num_workers, kN, 81);
+  const auto tdata =
+      make_workers(topts.leaves * topts.workers_per_leaf, kN, 82);
+  const std::vector<std::span<const float>> sviews(sdata.begin(), sdata.end());
+  const std::vector<std::span<const float>> tviews(tdata.begin(), tdata.end());
+
+  struct Run {
+    std::vector<std::vector<float>> out;
+    std::vector<SessionStats> books;
+  };
+  const auto session_run = [&](const switchml::SessionOptions& opts) {
+    Run run;
+    switchml::AggregationSession session(pisa::SwitchConfig{}, opts);
+    for (int r = 0; r < kReduces; ++r) {
+      session.reduce_into(sviews, run.out.emplace_back(kN));
+      run.books.push_back(session.stats());
+    }
+    return run;
+  };
+  const auto tree_run = [&] {
+    Run run;
+    cluster::HierarchicalAggregator tree(topts);
+    for (int r = 0; r < kReduces; ++r) {
+      tree.reduce_into(tviews, run.out.emplace_back(kN));
+      run.books.push_back(tree.stats());
+    }
+    return run;
+  };
+  const Run want[3] = {session_run(lossy), session_run(guarded), tree_run()};
+  Run got[3];
+  {
+    std::thread a([&] { got[0] = session_run(lossy); });
+    std::thread b([&] { got[1] = session_run(guarded); });
+    std::thread c([&] { got[2] = tree_run(); });
+    a.join();
+    b.join();
+    c.join();
+  }
+  EXPECT_GT(want[1].books.back().faults.waves_replayed, 0u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    ASSERT_EQ(got[k].out.size(), static_cast<std::size_t>(kReduces));
+    for (std::size_t r = 0; r < got[k].out.size(); ++r) {
+      SCOPED_TRACE(testing::Message() << "object " << k << " reduce " << r);
+      expect_bits_eq(got[k].out[r], want[k].out[r]);
+      expect_all_stats_eq(got[k].books[r], want[k].books[r]);
+      if (HasFailure()) return;
+    }
+  }
 }
 
 // --- the tree's closed-form timing against its event-queue replay ----------
