@@ -768,9 +768,9 @@ TEST(TreeConcurrency, FiveHundredReducesAcrossShapesAndAKillMatchOracle) {
 TEST(DatapathPool, ThousandSessionsAndTreesStartNoThreads) {
   // Sessions and trees share the process's datapath pool and start no
   // thread of their own: once the pool is up, building, reducing through
-  // and dropping 1,000 of each (eight of each alive at once every 100th
-  // iteration) never moves the process's thread count, and every output
-  // equals the first.
+  // and dropping a session and a tree per iteration for 1,000 iterations
+  // (eight of each alive at once every 100th) never moves the process's
+  // thread count, and every output equals the first.
   cluster::datapath_pool();
   const long baseline = process_threads();
   ASSERT_GT(baseline, 0);
