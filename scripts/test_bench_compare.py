@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Self-test of bench_compare.py on the two fixtures in scripts/fixtures.
+"""Self-test of bench_compare.py on the fixtures in scripts/fixtures.
 
 Stdlib only; registered with ctest.
 """
@@ -17,6 +17,8 @@ import bench_compare  # noqa: E402
 
 OLD = os.path.join(HERE, "fixtures", "bench_compare_old.json")
 NEW = os.path.join(HERE, "fixtures", "bench_compare_new.json")
+# OLD's rows run with 3 repetitions each, with gbench's aggregate rows.
+REPS = os.path.join(HERE, "fixtures", "bench_compare_reps.json")
 
 
 def run(old, new):
@@ -41,6 +43,23 @@ class BenchCompareTest(unittest.TestCase):
                          ["0.750", "1.333"])
         # A row that counts no items has no throughput ratio.
         self.assertEqual(row(text, "BM_Build"), ["1.250", "-"])
+
+    def test_repetitions_compare_by_median_with_their_spread(self):
+        _, text = run(OLD, REPS)
+        # The medians (100 ns, 3 ms), not the last repetitions (130 ns,
+        # 4.5 ms); each side's min-max real_time, "-" without repetitions.
+        self.assertEqual(row(text, "BM_Kernel"),
+                         ["0.500", "2.000", "-", "90ns-130ns"])
+        self.assertEqual(row(text, "BM_Session/real_time"),
+                         ["0.750", "1.333", "-", "2.5ms-4.5ms"])
+        _, text = run(REPS, REPS)
+        self.assertEqual(row(text, "BM_Kernel"),
+                         ["1.000", "1.000", "90ns-130ns", "90ns-130ns"])
+
+    def test_aggregates_are_not_rows(self):
+        _, text = run(OLD, REPS)
+        for suffix in ("_mean", "_median", "_stddev", "_cv"):
+            self.assertNotIn(suffix, text)
 
     def test_rows_on_one_side_are_listed(self):
         _, text = run(OLD, NEW)

@@ -56,29 +56,24 @@ HierarchicalAggregator::HierarchicalAggregator(HierarchyOptions opts)
   init_metrics();
 }
 
-void HierarchicalAggregator::run_leaves() noexcept {
+void HierarchicalAggregator::run_leaf(std::size_t j) noexcept {
+  if (!leaf_alive_[j]) return;
   const auto wpl = static_cast<std::size_t>(opts_.workers_per_leaf);
-  for (;;) {
-    const std::size_t j = next_leaf_.fetch_add(1, std::memory_order_relaxed);
-    if (j >= leaves_.size()) return;
-    if (!leaf_alive_[j]) continue;
-    LeafPass& pass = *leaf_passes_[j];
-    pass.stats = {};
-    pass.error = nullptr;
-    try {
-      // The tree's links are lossless: the job has no rng and draws
-      // nothing.
-      switchml::WaveJob job;
-      job.workers = reduce_workers_.subspan(j * wpl, wpl);
-      job.chunks = chunk_ids_;
-      job.wave = opts_.slots;
-      job.stats = &pass.stats;
-      job.out = pass.partial;
-      switchml::DirectAccess leaf(*leaves_[j]);
-      pass.engine.run(leaf, job);
-    } catch (...) {
-      pass.error = std::current_exception();
-    }
+  LeafPass& pass = *leaf_passes_[j];
+  pass.stats = {};
+  pass.error = nullptr;
+  try {
+    // The tree's links are lossless: the job has no rng and draws nothing.
+    switchml::WaveJob job;
+    job.workers = reduce_workers_.subspan(j * wpl, wpl);
+    job.chunks = chunk_ids_;
+    job.wave = opts_.slots;
+    job.stats = &pass.stats;
+    job.out = pass.partial;
+    switchml::DirectAccess leaf(*leaves_[j]);
+    pass.engine.run(leaf, job);
+  } catch (...) {
+    pass.error = std::current_exception();
   }
 }
 
@@ -169,11 +164,11 @@ void HierarchicalAggregator::reduce_into(
     if (leaf_alive_[j]) leaf_passes_[j]->partial.resize(n);
   }
   reduce_workers_ = workers;
-  next_leaf_.store(0, std::memory_order_relaxed);
-  const ForkJoinPool::Fn task = [](void* self, int) noexcept {
-    static_cast<HierarchicalAggregator*>(self)->run_leaves();
+  const FanOut::Item leaf = [](void* self, int, std::size_t j) noexcept {
+    static_cast<HierarchicalAggregator*>(self)->run_leaf(j);
   };
-  fan_out_.run(datapath_pool(), alive_leaves() - 1, task, this);
+  fan_out_.for_each(&datapath_pool(), leaves_.size(), alive_leaves() - 1,
+                    leaf, this);
   stats_ = {};
   for (std::size_t j = 0; j < leaves_.size(); ++j) {
     if (!leaf_alive_[j]) continue;

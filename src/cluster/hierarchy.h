@@ -10,10 +10,11 @@
 // The leaf passes run concurrently, as a rack's ToR switches do: each leaf
 // has its own switch, wave engine, partial buffer and wire books, so no
 // two leaf passes share anything they write. The aggregator starts no
-// thread: a reduce posts up to live leaves - 1 tasks to the process's
-// datapath pool (cluster::datapath_pool), and the caller and those helpers
-// claim live leaves from one counter until none is left; the caller then
-// joins and runs the spine. A helper held up by another object's task or
+// thread: each leaf pass is one item of a cluster::FanOut::for_each over
+// the process's datapath pool (cluster::datapath_pool), which posts up to
+// live leaves - 1 helpers and has the caller and those helpers claim the
+// leaves from one counter until none is left; the caller then joins and
+// runs the spine. A helper held up by another object's task or
 // a busy host costs the caller only the join, never a leaf, and the next
 // reduces post fewer helpers (cluster::FanOut). The result cannot depend
 // on the schedule: a leaf's partial is a function of its rack's inputs and
@@ -22,7 +23,6 @@
 // join.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -138,10 +138,9 @@ class HierarchicalAggregator {
     std::exception_ptr error;
   };
   void init_metrics();
-  /// Claims live leaves from next_leaf_ and runs each into its own
-  /// LeafPass until none is left; never throws (errors land in the
-  /// LeafPass).
-  void run_leaves() noexcept;
+  /// Runs leaf `j`'s pass, if the leaf is alive, into its own LeafPass;
+  /// never throws (errors land in the LeafPass).
+  void run_leaf(std::size_t j) noexcept;
   /// Times the reduce's packet flows. Every link and pipe is a FIFO
   /// serializer and no queue feeds back into an earlier one, so each is a
   /// max-plus recurrence over its sends taken in arrival-time order (ties
@@ -169,8 +168,7 @@ class HierarchicalAggregator {
   // it posts the helpers' tasks and read by the helpers after they pop them
   // (the mailbox orders the two).
   std::span<const std::span<const float>> reduce_workers_;
-  std::atomic<std::size_t> next_leaf_{0};  ///< next leaf index to claim
-  FanOut fan_out_;  ///< how many pool workers a reduce posts
+  FanOut fan_out_;  ///< claims a reduce's leaves
 
   // Timing model buffers, reused across reduces.
   struct Hop {

@@ -44,8 +44,10 @@
 // Join's last task rings the pool's one doorbell (an epoch word every
 // waiter parks on, re-checking its own count), so the final wake never
 // touches a caller's dying frame. Any number of callers may post to, and
-// wait on, one pool at once. FanOut sizes one caller's fan-outs to what
-// the last ones cost.
+// wait on, one pool at once. FanOut is the stack's one claim loop: the
+// caller and the helpers it posts claim a fan-out's items (a session's
+// 16-slot ranges, a tree's leaves) from one counter, and it sizes each
+// caller's fan-outs to what the last ones cost.
 //
 // datapath_pool(): the pool every AggregationSession and
 // HierarchicalAggregator reduce shares its datapath with, usable CPUs - 1
@@ -269,15 +271,46 @@ class ForkJoinPool {
 };
 
 /// One caller's repeated fan-outs over a pool it may share with others:
-/// how many helpers each one posts. A fan-out whose join kept the caller
-/// waiting longer than its own share took had a helper that was not
-/// running (the host's CPUs are busy, or the worker was running another
-/// caller's task), and waiting for it cost more than doing its work: the
-/// next one posts a helper fewer. kCalm fan-outs without such a wait add
-/// one back. The members must claim their work, not be assigned it, so
-/// that any number of them does all of it.
+/// how many helpers each one posts, and the loop in which they claim the
+/// items. A fan-out whose join kept the caller waiting longer than its own
+/// share took had a helper that was not running (the host's CPUs are busy,
+/// or the worker was running another caller's task), and waiting for it
+/// cost more than doing its work: the next one posts a helper fewer. kCalm
+/// fan-outs without such a wait add one back. The members claim their
+/// items rather than being assigned them, so any number of them does all;
+/// a helper that starts after the last item is gone returns at once.
 class FanOut {
  public:
+  using Item = void (*)(void* ctx, int member, std::size_t item) noexcept;
+
+  /// Runs fn(ctx, member, i) once for each i in [0, n): the caller (member
+  /// 0) and the helpers run() posts (members 1..), at most `most`, claim
+  /// the items from one counter. A null pool runs every item on the
+  /// caller. Returns once every item has run.
+  void for_each(ForkJoinPool* pool, std::size_t n, int most, Item fn,
+                void* ctx) {
+    // On the caller's stack: run() returns only after every helper has.
+    struct Items {
+      Item fn;
+      void* ctx;
+      std::size_t n;
+      std::atomic<std::size_t> next{0};
+    } items{fn, ctx, n};
+    const ForkJoinPool::Fn claim = [](void* p, int member) noexcept {
+      Items& it = *static_cast<Items*>(p);
+      for (;;) {
+        const std::size_t i = it.next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= it.n) return;
+        it.fn(it.ctx, member, i);
+      }
+    };
+    if (pool == nullptr) {
+      claim(&items, 0);
+    } else {
+      run(*pool, most, claim, &items);
+    }
+  }
+
   /// Runs fn(ctx, 0) on the calling thread and fn(ctx, m) on worker m - 1
   /// for m = 1..h, h at most `most` and the pool's size; returns once
   /// every one has run.

@@ -1,8 +1,8 @@
 #include "core/advanced_ops.h"
 
-#include <cassert>
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/decompose.h"
 #include "core/packed.h"
@@ -104,9 +104,12 @@ Log2Table::Log2Table(const FloatFormat& fmt, int index_bits)
 }
 
 std::int64_t Log2Table::log2_q16(std::uint64_t bits) const {
-  assert(classify(bits, fmt_) == FpClass::kNormal ||
-         classify(bits, fmt_) == FpClass::kSubnormal);
-  assert((bits & fmt_.sign_mask()) == 0 && "log2 requires positive input");
+  const FpClass c = classify(bits, fmt_);
+  if ((c != FpClass::kNormal && c != FpClass::kSubnormal) ||
+      (bits & fmt_.sign_mask()) != 0) {
+    throw std::invalid_argument(
+        "Log2Table::log2_q16: input must be positive and finite");
+  }
   Decomposed d = extract(bits, fmt_).value;
   auto mag = static_cast<std::uint64_t>(d.man);
   normalize(d.exp, mag, fmt_);

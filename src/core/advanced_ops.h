@@ -42,7 +42,8 @@ class Log2Table {
  public:
   explicit Log2Table(const FloatFormat& fmt = kFp32, int index_bits = 11);
 
-  /// Q16 fixed-point log2(x); x must be positive finite.
+  /// Q16 fixed-point log2(x). Throws std::invalid_argument unless x is
+  /// positive and finite (zero, negatives, infinities and NaN are not).
   std::int64_t log2_q16(std::uint64_t bits) const;
   /// Convenience: as double.
   double log2(std::uint64_t bits) const {

@@ -1,6 +1,6 @@
 #include "core/batch_accumulator.h"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -136,7 +136,11 @@ std::span<const BatchBackend> available_batch_backends() {
 }
 
 void force_batch_backend(BatchBackend backend) {
-  assert(backend == BatchBackend::kScalar || avx2_available());
+  const std::span<const BatchBackend> avail = available_batch_backends();
+  if (std::find(avail.begin(), avail.end(), backend) == avail.end()) {
+    throw std::invalid_argument(
+        "force_batch_backend: backend not available on this CPU or build");
+  }
   g_forced = true;
   g_forced_backend = backend;
 }

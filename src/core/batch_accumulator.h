@@ -108,8 +108,9 @@ std::string_view batch_backend_name();
 /// available). For differential testing across backends.
 std::span<const BatchBackend> available_batch_backends();
 
-/// Test hook: pin the dispatch to one backend (must be available), or pass
-/// kScalar to restore the default choice after forcing.
+/// Test hook: pin the dispatch to one backend, or pass kScalar to restore
+/// the default choice after forcing. Throws std::invalid_argument, leaving
+/// the dispatch as it was, for a backend not in available_batch_backends().
 void force_batch_backend(BatchBackend backend);
 void reset_batch_backend();
 

@@ -1,8 +1,9 @@
 #include "core/block_fp.h"
 
-#include <cassert>
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace fpisa::core {
 
@@ -45,7 +46,12 @@ BlockFpisaAccumulator::BlockFpisaAccumulator(std::size_t lanes,
     : fmt_(fmt), variant_(variant), reg_bits_(reg_bits), man_(lanes, 0) {}
 
 void BlockFpisaAccumulator::add_block(const BlockFp& block) {
-  assert(block.mantissas.size() == man_.size());
+  if (block.mantissas.size() != man_.size()) {
+    throw std::invalid_argument(
+        "BlockFpisaAccumulator::add_block: block has " +
+        std::to_string(block.mantissas.size()) + " mantissas for " +
+        std::to_string(man_.size()) + " lanes");
+  }
   ++counters_.adds;
 
   if (empty_) {

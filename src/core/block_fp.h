@@ -43,6 +43,8 @@ class BlockFpisaAccumulator {
   BlockFpisaAccumulator(std::size_t lanes, BlockFpFormat fmt,
                         Variant variant = Variant::kFull, int reg_bits = 32);
 
+  /// Throws std::invalid_argument, before any state changes, unless the
+  /// block has one mantissa per lane.
   void add_block(const BlockFp& block);
 
   /// Renormalized result per lane.

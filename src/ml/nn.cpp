@@ -1,7 +1,7 @@
 #include "ml/nn.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace fpisa::ml {
 namespace {
@@ -214,13 +214,19 @@ std::vector<float> Network::gradient_vector() const {
 }
 
 void Network::set_gradients(std::span<const float> flat) {
+  std::size_t n = 0;
+  for (const auto& l : layers_) n += l->grads().size();
+  if (flat.size() != n) {
+    throw std::invalid_argument(
+        "set_gradients: " + std::to_string(flat.size()) + " values for " +
+        std::to_string(n) + " gradients");
+  }
   std::size_t off = 0;
   for (const auto& l : layers_) {
     auto g = l->grads();
     for (std::size_t i = 0; i < g.size(); ++i) g[i] = flat[off + i];
     off += g.size();
   }
-  assert(off == flat.size());
 }
 
 std::size_t Network::parameter_count() const {

@@ -102,7 +102,9 @@ class Network {
   void zero_grads();
   /// Flattened copy of all parameter gradients (the "gradient vector").
   std::vector<float> gradient_vector() const;
-  /// Overwrites gradients from a flat vector (post-aggregation).
+  /// Overwrites gradients from a flat vector (post-aggregation). Throws
+  /// std::invalid_argument, writing nothing, unless flat holds exactly one
+  /// value per gradient.
   void set_gradients(std::span<const float> flat);
   std::size_t parameter_count() const;
 

@@ -1040,10 +1040,24 @@ void FpisaSwitch::check_slot_range(const char* what, std::uint16_t slot0,
   }
 }
 
+void FpisaSwitch::check_release(
+    const char* what, std::uint16_t slot0, std::size_t n,
+    std::span<const std::uint32_t> out_bitmaps,
+    std::span<const std::uint16_t> out_counts) const {
+  check_slot_range(what, slot0, n);
+  if (!out_bitmaps.empty()) {
+    require_size(what, "out_bitmaps", out_bitmaps.size(), n);
+  }
+  if (!out_counts.empty()) {
+    require_size(what, "out_counts", out_counts.size(), n);
+  }
+}
+
 std::span<std::byte* const> FpisaSwitch::flat_dests(
     const char* what, std::uint16_t slot0, std::size_t n,
-    std::span<std::uint32_t> values) {
-  check_slot_range(what, slot0, n);
+    std::span<std::uint32_t> values, std::span<const std::uint32_t> out_bitmaps,
+    std::span<const std::uint16_t> out_counts) {
+  check_release(what, slot0, n, out_bitmaps, out_counts);
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   require_size(what, "out_values", values.size(), n * lanes);
   const std::span<std::byte> bytes = std::as_writable_bytes(values);
@@ -1058,8 +1072,9 @@ void FpisaSwitch::egress(std::uint16_t slot0,
                          std::span<std::byte* const> dests, bool reset,
                          std::span<std::uint32_t> out_bitmaps,
                          std::span<std::uint16_t> out_counts) {
-  // The halves touch disjoint registers; release goes first because it
-  // checks every span before either changes any state.
+  // The halves touch disjoint registers; every span is checked before
+  // either changes any state.
+  check_release("egress", slot0, dests.size(), out_bitmaps, out_counts);
   release(slot0, dests.size(), reset, out_bitmaps, out_counts);
   drain(slot0, dests, reset);
 }
@@ -1067,7 +1082,7 @@ void FpisaSwitch::egress(std::uint16_t slot0,
 void FpisaSwitch::drain(std::uint16_t slot0, std::span<std::byte* const> dests,
                         bool reset) {
   const std::size_t n = dests.size();
-  check_slot_range("egress", slot0, n);
+  check_slot_range("drain", slot0, n);
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   core::RegisterFile& bank = sim_.bank();
   const std::span<std::int32_t> exp =
@@ -1086,13 +1101,7 @@ void FpisaSwitch::drain(std::uint16_t slot0, std::span<std::byte* const> dests,
 void FpisaSwitch::release(std::uint16_t slot0, std::size_t n, bool reset,
                           std::span<std::uint32_t> out_bitmaps,
                           std::span<std::uint16_t> out_counts) {
-  check_slot_range("egress", slot0, n);
-  if (!out_bitmaps.empty()) {
-    require_size("egress", "out_bitmaps", out_bitmaps.size(), n);
-  }
-  if (!out_counts.empty()) {
-    require_size("egress", "out_counts", out_counts.size(), n);
-  }
+  check_release("release", slot0, n, out_bitmaps, out_counts);
   const std::span<std::int64_t> bitmap =
       sim_.reg(bitmap_register(opts_.lanes)).owned_cells();
   const std::span<std::int64_t> count =
@@ -1120,7 +1129,9 @@ void FpisaSwitch::read_batch(std::uint16_t slot0, std::size_t n,
                              std::span<std::uint32_t> out_values,
                              std::span<std::uint32_t> out_bitmaps,
                              std::span<std::uint16_t> out_counts) {
-  egress(slot0, flat_dests("read_batch", slot0, n, out_values),
+  egress(slot0,
+         flat_dests("read_batch", slot0, n, out_values, out_bitmaps,
+                    out_counts),
          /*reset=*/false, out_bitmaps, out_counts);
 }
 
@@ -1128,7 +1139,9 @@ void FpisaSwitch::read_and_reset_batch(std::uint16_t slot0, std::size_t n,
                                        std::span<std::uint32_t> out_values,
                                        std::span<std::uint32_t> out_bitmaps,
                                        std::span<std::uint16_t> out_counts) {
-  egress(slot0, flat_dests("read_and_reset_batch", slot0, n, out_values),
+  egress(slot0,
+         flat_dests("read_and_reset_batch", slot0, n, out_values, out_bitmaps,
+                    out_counts),
          /*reset=*/true, out_bitmaps, out_counts);
 }
 

@@ -353,6 +353,11 @@ class FpisaSwitch {
   /// Throws std::out_of_range unless slots [slot0, slot0 + n) exist.
   void check_slot_range(const char* what, std::uint16_t slot0,
                         std::size_t n) const;
+  /// release()'s checks, each error naming the entry point `what`: the
+  /// slot range, and n entries in each capture span that is not empty.
+  void check_release(const char* what, std::uint16_t slot0, std::size_t n,
+                     std::span<const std::uint32_t> out_bitmaps,
+                     std::span<const std::uint16_t> out_counts) const;
   /// admit() without the registry push.
   std::size_t settle(std::span<const std::uint16_t> slots,
                      std::span<const std::uint8_t> workers,
@@ -361,10 +366,13 @@ class FpisaSwitch {
                      std::span<const std::uint16_t> checksums,
                      GuardStats* guard, std::span<const std::byte*> out_payloads,
                      std::span<std::uint32_t> out_rows);
-  /// One destination per slot into flat `values` (the read adapters).
-  std::span<std::byte* const> flat_dests(const char* what, std::uint16_t slot0,
-                                         std::size_t n,
-                                         std::span<std::uint32_t> values);
+  /// One destination per slot into flat `values` (the read adapters),
+  /// after the adapter's egress checks under its own name.
+  std::span<std::byte* const> flat_dests(
+      const char* what, std::uint16_t slot0, std::size_t n,
+      std::span<std::uint32_t> values,
+      std::span<const std::uint32_t> out_bitmaps,
+      std::span<const std::uint16_t> out_counts);
   void init_metrics();
   /// Pushes (packets, dedup, op-count deltas, occupancy) to the registry.
   void flush_metrics(std::size_t packets);

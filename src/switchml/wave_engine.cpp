@@ -128,7 +128,7 @@ void WaveHooks::fail(WaveFailure failure, std::uint16_t slot, int worker) {
 }
 
 WaveEngine::WaveEngine(int lanes)
-    : lanes_(checked_lanes(lanes)), queue_(lanes_) {}
+    : lanes_(checked_lanes(lanes)), queue_(lanes_), tail_row_(lanes_) {}
 
 void WaveEngine::gather_sources(const WaveJob& job, std::size_t wave) {
   sources_.clear();
@@ -241,18 +241,12 @@ void WaveEngine::admit(pisa::FpisaSwitch& sw, const WaveJob& job,
   job.stats->faults.corrupt_rejected += guard.corrupt_rejected;
   job.stats->faults.stale_dups_rejected += guard.stale_rejected;
   queue_.clear();
-  if (!deferred_) {  // inline: the wave's gather runs now
-    sw.gather(std::span(log.payloads).subspan(at),
-              std::span(log.rows).subspan(at), members_[0].ops);
-    close(job);
-    return;
-  }
   if (ranges_ > 1 && queue_.guarded) {
     // A plain queue is slot-major, so its accepted rows already ascend;
     // ghosts and shuffles break that, so a guarded wave is grouped by range
     // here (stably: each slot keeps its packets' order).
     const auto range_of = [&](std::uint32_t row) {
-      return (row - job.lo) / kRangeSlots;
+      return (row - job.lo) / range_slots_;
     };
     range_counts_.assign(ranges_ + 1, 0);
     for (std::size_t i = at; i < at + accepted; ++i) {
@@ -274,6 +268,7 @@ void WaveEngine::admit(pisa::FpisaSwitch& sw, const WaveJob& job,
               log.rows.begin() + static_cast<std::ptrdiff_t>(at));
   }
   log.steps.push_back({wave, false, at, at + accepted});
+  if (!deferred_) replay(sw, job, false);  // inline: the gather runs now
 }
 
 void WaveEngine::resync(pisa::FpisaSwitch& sw, const WaveJob& job) {
@@ -344,23 +339,6 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
   const std::span<std::byte> out = std::as_writable_bytes(job.out);
   std::byte* const bounce =
       std::as_writable_bytes(std::span(wave_values_)).data();
-  // Each cleared slot drains straight into its chunk's place in out. A
-  // short tail chunk goes through a bounce row, and every slot of a wave
-  // whose schedule failed through the wave's: it writes nothing into out.
-  Log& log = log_;
-  const std::size_t at = log.dests.size();
-  log.dests.resize(at + sched.cleared);
-  for (std::size_t k = 0; k < sched.cleared; ++k) {
-    const std::size_t i0 = job.chunks[base + k] * row_bytes;
-    if (sched.failure) {
-      log.dests[at + k] = bounce + k * row_bytes;
-    } else if (i0 + row_bytes <= out.size()) {
-      log.dests[at + k] = out.data() + i0;
-    } else {
-      log.tails.push_back({at + k, i0});
-    }
-  }
-  if (deferred_) log.steps.push_back({wave, true, at, at + sched.cleared});
   // The cleared prefix is released in one hold: a failed slot and
   // everything after it stay untouched, as they would.
   sw.with([&](pisa::FpisaSwitch& s) {
@@ -374,11 +352,27 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
         stamps_[k] = s.slot_stamp(static_cast<std::uint16_t>(job.lo + k));
       }
     }
-    if (!deferred_) {  // inline: the wave's drain runs now
-      place_tails();
-      s.drain(job.lo, log.dests, /*reset=*/true);
-      close(job);
+    // Each cleared slot drains straight into its chunk's place in out. The
+    // short tail chunk goes through the tail row, and every slot of a wave
+    // whose schedule failed through the wave's bounce rows: it writes
+    // nothing into out.
+    Log& log = log_;
+    const std::size_t at = log.dests.size();
+    log.dests.resize(at + sched.cleared);
+    for (std::size_t k = 0; k < sched.cleared; ++k) {
+      const std::size_t i0 = job.chunks[base + k] * row_bytes;
+      if (sched.failure) {
+        log.dests[at + k] = bounce + k * row_bytes;
+      } else if (i0 + row_bytes <= out.size()) {
+        log.dests[at + k] = out.data() + i0;
+      } else {
+        log.dests[at + k] =
+            std::as_writable_bytes(std::span(tail_row_)).data();
+        tail_at_ = i0;
+      }
     }
+    log.steps.push_back({wave, true, at, at + sched.cleared});
+    if (!deferred_) replay(s, job, false);  // inline: the drain runs now
   });
   if (sched.failure) {
     // A never-reset slot would swallow the next wave's adds through the
@@ -391,32 +385,17 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
 void WaveEngine::replay(pisa::FpisaSwitch& sw, const WaveJob& job,
                         bool timed) {
   if (log_.steps.empty()) return;
-  place_tails();
   replay_sw_ = &sw;
   replay_job_ = &job;
   replay_timed_ = timed;
-  next_range_.store(0, std::memory_order_relaxed);
-  if (job.team == nullptr) {
-    replay_ranges(0);
-  } else {
-    const cluster::ForkJoinPool::Fn task = [](void* self, int m) noexcept {
-      static_cast<WaveEngine*>(self)->replay_ranges(m);
-    };
-    fan_out_.run(*job.team, static_cast<int>(ranges_ - 1), task, this);
-  }
+  const cluster::FanOut::Item range = [](void* self, int member,
+                                         std::size_t r) noexcept {
+    static_cast<WaveEngine*>(self)->replay_range(
+        r, static_cast<std::size_t>(member));
+  };
+  fan_out_.for_each(job.team, ranges_, static_cast<int>(ranges_) - 1, range,
+                    this);
   close(job);
-}
-
-void WaveEngine::place_tails() {
-  // The tails' bounce rows are placed only now: the log may have grown
-  // (and moved them) since each tail was written.
-  const std::size_t row_bytes = lanes_ * sizeof(float);
-  log_.tail_rows.resize(log_.tails.size() * lanes_);
-  std::byte* const rows =
-      std::as_writable_bytes(std::span(log_.tail_rows)).data();
-  for (std::size_t t = 0; t < log_.tails.size(); ++t) {
-    log_.dests[log_.tails[t].dest] = rows + t * row_bytes;
-  }
 }
 
 void WaveEngine::book(pisa::FpisaSwitch& sw) {
@@ -429,33 +408,18 @@ void WaveEngine::book(pisa::FpisaSwitch& sw) {
 }
 
 void WaveEngine::close(const WaveJob& job) {
-  Log& log = log_;
-  // A short tail chunk keeps only the lanes that fall inside out.
-  const std::size_t row_bytes = lanes_ * sizeof(float);
+  // The short tail chunk keeps only the lanes that fall inside out.
   const std::span<std::byte> out = std::as_writable_bytes(job.out);
-  const std::byte* const rows =
-      std::as_bytes(std::span(log.tail_rows)).data();
-  for (std::size_t t = 0; t < log.tails.size(); ++t) {
-    if (log.tails[t].at < out.size()) {
-      std::memcpy(out.data() + log.tails[t].at, rows + t * row_bytes,
-                  out.size() - log.tails[t].at);
-    }
+  if (tail_at_ && *tail_at_ < out.size()) {
+    std::memcpy(out.data() + *tail_at_, tail_row_.data(),
+                out.size() - *tail_at_);
   }
-  log.payloads.clear();
-  log.rows.clear();
-  log.steps.clear();
-  log.dests.clear();
-  log.tails.clear();
+  tail_at_.reset();
+  log_.payloads.clear();
+  log_.rows.clear();
+  log_.steps.clear();
+  log_.dests.clear();
   queue_.recycle();  // no logged payload points into its store any more
-}
-
-void WaveEngine::replay_ranges(int member) noexcept {
-  const auto m = static_cast<std::size_t>(member);
-  for (;;) {
-    const std::size_t r = next_range_.fetch_add(1, std::memory_order_relaxed);
-    if (r >= ranges_) return;
-    replay_range(r, m);
-  }
 }
 
 void WaveEngine::replay_range(std::size_t r, std::size_t member) {
@@ -464,11 +428,10 @@ void WaveEngine::replay_range(std::size_t r, std::size_t member) {
   const Log& log = log_;
   Member& m = members_[member];
   // Slots [first, last) of the job's range, as offsets from job.lo.
-  const std::size_t first = ranges_ == 1 ? 0 : r * kRangeSlots;
-  const std::size_t last =
-      ranges_ == 1 ? job.wave : std::min(first + kRangeSlots, job.wave);
+  const std::size_t first = r * range_slots_;
+  const std::size_t last = std::min(first + range_slots_, job.wave);
   const auto range_of = [&](std::uint32_t row) {
-    return (row - job.lo) / kRangeSlots;
+    return (row - job.lo) / range_slots_;
   };
   // This range's entries of every gather step, found up front so that each
   // step can prefetch the next one's payloads: the protocol pass never
@@ -479,16 +442,10 @@ void WaveEngine::replay_range(std::size_t r, std::size_t member) {
     if (step.drain) continue;
     const auto lo = log.rows.begin() + static_cast<std::ptrdiff_t>(step.begin);
     const auto hi = log.rows.begin() + static_cast<std::ptrdiff_t>(step.end);
-    const auto from =
-        ranges_ == 1 ? lo
-                     : std::partition_point(lo, hi, [&](std::uint32_t row) {
-                         return range_of(row) < r;
-                       });
-    const auto to =
-        ranges_ == 1 ? hi
-                     : std::partition_point(from, hi, [&](std::uint32_t row) {
-                         return range_of(row) == r;
-                       });
+    const auto from = std::partition_point(
+        lo, hi, [&](std::uint32_t row) { return range_of(row) < r; });
+    const auto to = std::partition_point(
+        from, hi, [&](std::uint32_t row) { return range_of(row) == r; });
     m.spans.push_back({static_cast<std::size_t>(from - log.rows.begin()),
                        static_cast<std::size_t>(to - log.rows.begin())});
   }
@@ -534,9 +491,10 @@ void WaveEngine::finish(SwitchAccess& sw, const WaveJob& job,
                         Clock::time_point start) {
   const Clock::time_point t0 = Clock::now();
   sw.with([&](pisa::FpisaSwitch& s) {
-    replay(s, job, true);
+    replay(s, job, deferred_);  // inline: empty, each hold replayed its own
     book(s);
   });
+  if (!deferred_) return;  // inline waves reported their own timing
   // The datapath pass's wall time on the caller is the waves' kernel
   // work. Each (wave, phase) gets the share of it that its steps took of
   // the members' summed kernel time; rounding carries over, so the shares
@@ -588,7 +546,8 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
   wave_values_.resize(job.wave * lanes_);
   const std::size_t n_waves = (total + job.wave - 1) / job.wave;
   deferred_ = job.team != nullptr;
-  ranges_ = deferred_ ? (job.wave + kRangeSlots - 1) / kRangeSlots : 1;
+  range_slots_ = deferred_ ? kRangeSlots : job.wave;  // inline: one range
+  ranges_ = (job.wave + range_slots_ - 1) / range_slots_;
   members_.resize(deferred_ ? static_cast<std::size_t>(job.team->size()) + 1
                             : 1);
   if (deferred_) {
@@ -641,18 +600,10 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
       done = k + 1;
     }
   } catch (...) {
-    if (deferred_) {
-      finish(sw, job, hooks, done, start);
-    } else {
-      sw.with([&](pisa::FpisaSwitch& s) { book(s); });
-    }
+    finish(sw, job, hooks, done, start);
     throw;
   }
-  if (deferred_) {
-    finish(sw, job, hooks, n_waves, start);
-  } else {
-    sw.with([&](pisa::FpisaSwitch& s) { book(s); });
-  }
+  finish(sw, job, hooks, n_waves, start);
 }
 
 void WaveEngine::scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n) {

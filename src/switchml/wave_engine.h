@@ -28,7 +28,7 @@
 //     (draw_collect_schedule), FpisaSwitch::release clears the cleared
 //     slots' bitmaps and counters and bumps their epochs, and each cleared
 //     slot's destination goes into the log: its chunk's place in the
-//     result (only a short tail chunk goes through a bounce row).
+//     result (only the short tail chunk goes through the tail row).
 // A job without an rng runs a lossless wire: each packet is queued once
 // and the collect schedule takes its closed form, with no draws at all.
 // The loss schedule depends only on the rng stream, never on the switch,
@@ -45,18 +45,19 @@
 // the protocol, so replaying later gives the same bits. A job with a team
 // (WaveJob::team; a session passes the process's datapath pool, shared
 // with every other session and tree) runs the protocol pass over the
-// whole job first, then cuts the slot range into kRangeSlots-slot ranges
-// that the caller and the team claim from one counter; whoever claims a
-// range replays every wave of it in order, so each bank row has one
-// writer. Each thread counts its own operations and the sums are booked
-// on the switch. How many of the team a replay posts adapts to what the
-// last replays cost (cluster::FanOut): a helper that kept the caller
-// waiting, on a busy host or behind another caller's task, is posted no
-// more until replays run calm again. A job without a team replays
-// each wave's log as soon as it is written, inside the same switch hold,
-// so a cluster shard's lock holds and wave windows stay what they were. A
-// throw from the protocol pass first replays what is logged, leaving the
-// switch as the per-packet protocol would.
+// whole job first, then replays it once, cut into kRangeSlots-slot ranges
+// that the caller and the team claim from one counter
+// (cluster::FanOut::for_each); whoever claims a range replays every wave
+// of it in order, so each bank row has one writer. Each thread counts its
+// own operations and the sums are booked on the switch. How many of the
+// team a replay posts adapts to what the last replays cost: a helper that
+// kept the caller waiting, on a busy host or behind another caller's
+// task, is posted no more until replays run calm again. A job without a
+// team runs the same replay, over one range, at the end of each switch
+// hold that logs a step, so a cluster shard's lock holds and wave windows
+// stay what they were. A run's one ending replays what is still logged,
+// so a throw from the protocol pass leaves the switch as the per-packet
+// protocol would.
 //
 // Guarded mode (a fault::FaultEngine is supplied) runs the Byzantine-wire
 // recovery protocol through the same queue, packing loop and log: each
@@ -71,7 +72,6 @@
 // dedup bitmaps alone (no lane register) to find a silent worker.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -289,7 +289,9 @@ struct WaveJob {
   /// Bitmap id of each view; empty means the view's index.
   std::span<const std::uint8_t> ids;
   /// Chunk ids in wave order: the k-th listed chunk rides slot
-  /// lo + k % wave of wave k / wave.
+  /// lo + k % wave of wave k / wave. The ids are distinct (two slots
+  /// draining one chunk would race on out), so a run has at most one short
+  /// chunk: the one that ends out.
   std::span<const std::size_t> chunks;
   std::span<float> out;
   std::uint16_t lo = 0;
@@ -382,38 +384,34 @@ class WaveEngine {
             const std::byte* payload);
   /// Admits the queue on an already-held switch (guarded or not), books
   /// the guard's rejects, logs the accepted packets as one gather step of
-  /// `wave` (inline: gathers them at once), and empties the queue.
+  /// `wave` (inline: replays it at once), and empties the queue.
   void admit(pisa::FpisaSwitch& sw, const WaveJob& job, std::size_t wave);
   /// Guarded only: injected wipe, replay after state loss, wave deadline.
   void recover(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave);
   /// The only place a wave drains: releases the schedule's cleared prefix
   /// in one switch hold (guarded: taking back each reset slot's new stamp)
-  /// and logs its drain (inline: drains it in the same hold), each slot
+  /// and logs its drain (inline: replays it in the same hold), each slot
   /// landing at its chunk's place in job.out.
   /// A failed schedule drains every slot into the bounce rows instead and
-  /// hands the failure to hooks.fail; a short tail chunk goes through its
-  /// own bounce row and only its in-range lanes are copied out.
+  /// hands the failure to hooks.fail; the short tail chunk goes through
+  /// the tail row and only its in-range lanes are copied out.
   void collect(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave, const CollectSchedule& sched);
   /// The datapath pass over everything logged, on an already-held switch:
   /// every range, each on whichever of the caller and job.team claims it.
   /// `timed` records each step's kernel time for finish().
   void replay(pisa::FpisaSwitch& sw, const WaveJob& job, bool timed);
-  /// Points each tail's destination at its bounce row.
-  void place_tails();
-  /// After a replay: the tail chunks go into job.out, and the log is
+  /// After a replay: the tail chunk goes into job.out, and the log is
   /// emptied.
   void close(const WaveJob& job);
   /// Books the members' operation counts on the switch, once per run.
   void book(pisa::FpisaSwitch& sw);
-  /// One team member's share of a replay: claims ranges until none is
-  /// left.
-  void replay_ranges(int member) noexcept;
   /// Replays every logged step in range `r`, in order.
   void replay_range(std::size_t r, std::size_t member);
-  /// A teamed run's end (or, rethrowing, its failure): replays the log and
-  /// reports the first `waves` waves' timings to hooks.end_wave.
+  /// A run's only end (or, rethrowing, its failure): replays what is
+  /// logged and books the operation counts; a teamed run then reports the
+  /// first `waves` waves' timings to hooks.end_wave.
   void finish(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
               std::size_t waves, Clock::time_point start);
   /// Reads the range's stamps and the switch generation they belong to.
@@ -449,19 +447,11 @@ class WaveEngine {
     std::size_t begin = 0;  ///< into payloads / rows, or dests
     std::size_t end = 0;
   };
-  /// A short tail chunk: dests[dest] is placed on a bounce row at replay,
-  /// and its lanes inside job.out are copied from there to byte `at`.
-  struct Tail {
-    std::size_t dest = 0;
-    std::size_t at = 0;
-  };
   struct Log {
     std::vector<const std::byte*> payloads;
     std::vector<std::uint32_t> rows;
     std::vector<Step> steps;
     std::vector<std::byte*> dests;  ///< one destination per cleared slot
-    std::vector<Tail> tails;
-    std::vector<std::uint32_t> tail_rows;  ///< the tails' bounce rows
   };
   /// One datapath thread's books: its operation counts, in a timed replay
   /// its kernel nanoseconds per (wave, phase), and replay_range's scratch.
@@ -471,8 +461,13 @@ class WaveEngine {
     std::vector<std::pair<std::size_t, std::size_t>> spans;
   };
   bool deferred_ = false;   ///< a teamed run: one replay, at the end
+  std::size_t range_slots_ = kRangeSlots;  ///< slots per datapath range
   std::size_t ranges_ = 1;  ///< datapath ranges of this run
   Log log_;
+  /// The short tail chunk's drain row (a run has at most one, see
+  /// WaveJob::chunks), and its chunk's byte offset in job.out while logged.
+  std::vector<std::uint32_t> tail_row_;
+  std::optional<std::size_t> tail_at_;
   std::vector<std::size_t> range_counts_;  ///< guarded grouping scratch
   std::vector<const std::byte*> sort_payloads_;
   std::vector<std::uint32_t> sort_rows_;
@@ -482,8 +477,7 @@ class WaveEngine {
   pisa::FpisaSwitch* replay_sw_ = nullptr;
   const WaveJob* replay_job_ = nullptr;
   bool replay_timed_ = false;
-  std::atomic<std::size_t> next_range_{0};
-  cluster::FanOut fan_out_;  ///< how many of the team a replay posts
+  cluster::FanOut fan_out_;  ///< claims a replay's ranges
 };
 
 }  // namespace fpisa::switchml

@@ -10,9 +10,10 @@
 // pool the service and the datapath share is tested on its own: concurrent
 // callers posting overlapping worker sets (each task runs once, no join
 // returns early), the 0-thread and idle pools, FanOut's back-off from a
-// helper that kept its caller waiting, and the mailbox under a
-// multi-producer stress and across ring wraps (the TSan leg runs all of
-// it).
+// helper that kept its caller waiting, its claim loop (every item once,
+// on any pool, behind a blocked worker and with no pool), and the mailbox
+// under a multi-producer stress and across ring wraps (the TSan leg runs
+// all of it).
 #include <gtest/gtest.h>
 #include <sched.h>
 
@@ -533,6 +534,101 @@ TEST(FanOut, PostsNoHelperAfterOneKeptTheCallerWaitingUntilCalm) {
   EXPECT_EQ(helpers.load(), 1);
   fan.run(pool, 1, count, &helpers);
   EXPECT_EQ(helpers.load(), 2);
+}
+
+// --- FanOut's claim loop ----------------------------------------------------
+
+/// Counts each for_each item's runs and flags a member id outside
+/// [0, pool size] or an item run off the caller when none may be.
+struct Tally {
+  static constexpr std::size_t kMax = 10;
+  std::atomic<int> runs[kMax] = {};
+  std::atomic<int> done{0};
+  std::atomic<int> bad_members{0};
+  std::atomic<int> off_caller{0};
+  int pool_size = 0;
+  std::thread::id caller = std::this_thread::get_id();
+};
+
+const FanOut::Item tally = [](void* ctx, int member,
+                              std::size_t item) noexcept {
+  Tally& t = *static_cast<Tally*>(ctx);
+  if (member < 0 || member > t.pool_size) t.bad_members.fetch_add(1);
+  if (std::this_thread::get_id() != t.caller) t.off_caller.fetch_add(1);
+  if (item < Tally::kMax) t.runs[item].fetch_add(1);
+  t.done.fetch_add(1);
+};
+
+void expect_each_once(const Tally& t, std::size_t n, const char* what) {
+  for (std::size_t i = 0; i < Tally::kMax; ++i) {
+    EXPECT_EQ(t.runs[i].load(), i < n ? 1 : 0)
+        << what << ": n " << n << ", item " << i;
+  }
+  EXPECT_EQ(t.bad_members.load(), 0) << what << ": n " << n;
+}
+
+TEST(FanOut, ForEachRunsEveryItemOnceOnAnyPool) {
+  // One FanOut across every count, so its helper count moves as it will.
+  for (const int workers : {0, 1, 3}) {
+    ForkJoinPool pool(workers, 4);
+    FanOut fan;
+    for (std::size_t n = 0; n < Tally::kMax; ++n) {
+      Tally t;
+      t.pool_size = workers;
+      fan.for_each(&pool, n, static_cast<int>(n) - 1, tally, &t);
+      expect_each_once(t, n, workers == 0   ? "0 workers"
+                             : workers == 1 ? "1 worker"
+                                            : "3 workers");
+    }
+  }
+}
+
+TEST(FanOut, ForEachRunsEveryItemOnceBehindABlockedWorker) {
+  // Worker 0 is busy with another caller's task for the whole fan-out:
+  // the caller and the other helpers claim every item, and the helper
+  // queued behind the block finds none left once it runs.
+  const ForkJoinPool::Fn block = [](void* flag, int) noexcept {
+    while (!static_cast<std::atomic<bool>*>(flag)->load()) {
+      std::this_thread::yield();
+    }
+  };
+  for (const int workers : {1, 3}) {
+    ForkJoinPool pool(workers, 4);
+    for (std::size_t n = 0; n < Tally::kMax; ++n) {
+      std::atomic<bool> release{false};
+      ForkJoinPool::Join other;
+      pool.post(0, other, block, &release, 0);
+      Tally t;
+      t.pool_size = workers;
+      FanOut fan;  // fresh: posts a helper to the blocked worker
+      std::thread caller([&] {
+        t.caller = std::this_thread::get_id();
+        fan.for_each(&pool, n, static_cast<int>(n) - 1, tally, &t);
+      });
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (t.done.load() < static_cast<int>(n) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      EXPECT_EQ(t.done.load(), static_cast<int>(n))
+          << workers << " workers: items left behind the blocked worker";
+      release = true;
+      caller.join();
+      pool.wait(other);
+      expect_each_once(t, n, workers == 1 ? "1 worker" : "3 workers");
+    }
+  }
+}
+
+TEST(FanOut, ForEachWithoutAPoolRunsEveryItemOnTheCaller) {
+  FanOut fan;
+  for (std::size_t n = 0; n < Tally::kMax; ++n) {
+    Tally t;
+    fan.for_each(nullptr, n, static_cast<int>(n) - 1, tally, &t);
+    expect_each_once(t, n, "no pool");
+    EXPECT_EQ(t.off_caller.load(), 0) << "n " << n;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <vector>
 
 #include "core/advanced_ops.h"
 #include "core/block_fp.h"
@@ -75,6 +78,23 @@ TEST(BlockFp, ApproximateVariantOverwritesOnLargeJump) {
   EXPECT_EQ(acc.counters().overwrites, 2u);  // both lanes dropped state
   const auto out = acc.read();
   EXPECT_NEAR(out[0], 1e12f, 1e10f);
+}
+
+TEST(BlockFp, AddBlockRejectsAWrongLaneCountInEveryBuild) {
+  // A short block used to be read past its end in Release.
+  const BlockFpFormat fmt;
+  const BlockFp block = block_encode(std::vector<float>{1, 2, 3, 4}, fmt);
+  BlockFpisaAccumulator acc(4, fmt);
+  BlockFpisaAccumulator ref(4, fmt);
+  acc.add_block(block);
+  ref.add_block(block);
+  EXPECT_THROW(acc.add_block(block_encode(std::vector<float>{1, 2}, fmt)),
+               std::invalid_argument);
+  EXPECT_THROW(
+      acc.add_block(block_encode(std::vector<float>{1, 2, 3, 4, 5}, fmt)),
+      std::invalid_argument);
+  EXPECT_EQ(acc.counters().adds, 1u);
+  EXPECT_EQ(acc.read(), ref.read());
 }
 
 // ---------------------------------------------------------------------------
@@ -181,6 +201,18 @@ TEST(Log2Table, HandlesSubnormals) {
   const Log2Table table(kFp32, 11);
   const float sub = 1e-41f;
   EXPECT_NEAR(table.log2(fp32_bits(sub)), std::log2(1e-41), 0.01);
+}
+
+TEST(Log2Table, RejectsZeroNegativeAndNonFiniteInEveryBuild) {
+  const Log2Table table(kFp32, 11);
+  for (const float x : {0.0f, -0.0f, -1.0f, -1e-41f,
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity(),
+                        std::numeric_limits<float>::quiet_NaN()}) {
+    EXPECT_THROW(table.log2_q16(fp32_bits(x)), std::invalid_argument) << x;
+  }
+  EXPECT_NO_THROW(table.log2_q16(fp32_bits(1.0f)));
+  EXPECT_NO_THROW(table.log2_q16(fp32_bits(1e-41f)));  // subnormal
 }
 
 TEST(SqrtTable, RelativeErrorBounded) {

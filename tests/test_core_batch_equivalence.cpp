@@ -579,6 +579,21 @@ TEST(BatchEquivalence, SwitchModeBackendsAgreeAndDifferOnlyAtTheEdges) {
   }
 }
 
+TEST(BatchEquivalence, ForcingAnUnavailableBackendThrowsInEveryBuild) {
+  // Forcing AVX2 where the CPU or build lacks it used to run AVX2 code
+  // later in Release; an unknown backend is never available.
+  const auto avail = available_batch_backends();
+  const BatchBackend before = batch_backend();
+  for (const BatchBackend b :
+       {BatchBackend::kScalar, BatchBackend::kAvx2,
+        static_cast<BatchBackend>(2)}) {
+    if (std::find(avail.begin(), avail.end(), b) != avail.end()) continue;
+    EXPECT_THROW(force_batch_backend(b), std::invalid_argument)
+        << static_cast<int>(b);
+    EXPECT_EQ(batch_backend(), before) << static_cast<int>(b);
+  }
+}
+
 TEST(BatchEquivalence, BatchEntryPointsRejectBadInputs) {
   // Spans of unequal length, in every build.
   {

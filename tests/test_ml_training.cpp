@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "ml/data.h"
 #include "ml/nn.h"
@@ -148,6 +150,18 @@ TEST(Network, GradientVectorRoundTrips) {
   for (std::size_t i = 0; i < n; ++i) flat[i] = static_cast<float>(i % 7) - 3;
   net.set_gradients(flat);
   EXPECT_EQ(net.gradient_vector(), flat);
+}
+
+TEST(Network, SetGradientsRejectsAWrongLengthInEveryBuild) {
+  // A short span used to be read past its end in Release.
+  Network net = make_mlp(8, 16, 4, 22);
+  const std::size_t n = net.parameter_count();
+  const std::vector<float> before = net.gradient_vector();
+  for (const std::size_t len : {std::size_t{0}, n - 1, n + 1}) {
+    const std::vector<float> flat(len, 1.0f);
+    EXPECT_THROW(net.set_gradients(flat), std::invalid_argument) << len;
+    EXPECT_EQ(net.gradient_vector(), before) << len;
+  }
 }
 
 TEST(Trainer, FpisaAAggregationMatchesExactConvergence) {

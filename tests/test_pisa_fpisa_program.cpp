@@ -1057,6 +1057,54 @@ TEST(FpisaSwitch, BatchShapesAreCheckedInEveryBuild) {
   EXPECT_EQ(counts[0], 1u);
 }
 
+TEST(FpisaSwitch, EgressErrorsNameTheirOwnEntryPoint) {
+  // release and drain are entry points of their own (the wave engine's
+  // collect and replay call them, its scrub calls read_and_reset_batch):
+  // each error names the call that was made, not egress.
+  FpisaProgramOptions opts;
+  opts.variant = core::Variant::kApproximate;
+  opts.lanes = 4;
+  opts.slots = 8;
+  FpisaSwitch sw(baseline_tofino(), opts);
+  const auto what = [](auto&& call) {
+    try {
+      call();
+    } catch (const std::exception& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const auto starts = [](const std::string& msg, const char* entry) {
+    return msg.rfind(std::string(entry) + ": ", 0) == 0;
+  };
+  std::vector<std::uint32_t> row(4);
+  const std::vector<std::byte*> dests(
+      2, std::as_writable_bytes(std::span(row)).data());
+  std::vector<std::uint32_t> vals(2 * 4);
+  std::vector<std::uint32_t> one_bitmap(1);
+  std::vector<std::uint16_t> one_count(1);
+
+  std::string msg = what([&] { sw.release(7, 2, true); });
+  EXPECT_TRUE(starts(msg, "release")) << msg;
+  msg = what([&] { sw.release(0, 2, false, one_bitmap); });
+  EXPECT_TRUE(starts(msg, "release")) << msg;
+  msg = what([&] { sw.release(0, 2, false, {}, one_count); });
+  EXPECT_TRUE(starts(msg, "release")) << msg;
+  msg = what([&] { sw.drain(7, dests, true); });
+  EXPECT_TRUE(starts(msg, "drain")) << msg;
+  msg = what([&] { sw.egress(7, dests, true); });
+  EXPECT_TRUE(starts(msg, "egress")) << msg;
+  msg = what([&] { sw.egress(0, dests, true, one_bitmap); });
+  EXPECT_TRUE(starts(msg, "egress")) << msg;
+  msg = what([&] { sw.read_batch(0, 2, vals, one_bitmap); });
+  EXPECT_TRUE(starts(msg, "read_batch")) << msg;
+  msg = what([&] { sw.read_and_reset_batch(0, 2, vals, {}, one_count); });
+  EXPECT_TRUE(starts(msg, "read_and_reset_batch")) << msg;
+  msg = what([&] { sw.read_and_reset_batch(7, 2, vals); });
+  EXPECT_TRUE(starts(msg, "read_and_reset_batch")) << msg;
+  EXPECT_EQ(sw.sim().packets_processed(), 0u);
+}
+
 TEST(FpisaResources, ShiftExtensionUnlocksParallelInstances) {
   FpisaProgramOptions opts;
   opts.variant = core::Variant::kApproximate;
