@@ -7,9 +7,10 @@
 //
 // Every layer runs the one wave engine: 32-lane chunk packets (amortizing
 // the FPISA header + frame overhead over 32 values on the modeled wire),
-// encoded into reused buffers and applied through FpisaSwitch::add_batch
-// with one shard-mutex hold per wave, and collect phases drained through
-// the compiled egress read_and_reset_batch. The add/collect wall-time
+// queued as descriptors into the worker views and settled through
+// FpisaSwitch::admit with one shard-mutex hold per wave phase, their lanes
+// added by FpisaSwitch::gather, and collect phases released and drained by
+// FpisaSwitch::release and drain. The add/collect wall-time
 // split is reported per shard count. A 2-lane single-shard row is kept for
 // continuity with the pre-batching numbers.
 // The bench drives everything through the unified collective API
@@ -19,7 +20,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <thread>
 
 #include "cluster/aggregation_service.h"
 #include "cluster/hierarchy.h"
@@ -27,6 +27,7 @@
 #include "pisa/fpisa_program.h"
 #include "telemetry/metrics.h"
 #include "util/bench_json.h"
+#include "util/cpus.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -162,9 +163,10 @@ int main() {
 
   // The wall rows depend on how many cores actually back the shard
   // workers — record it so downstream checks (scripts/check_bench_scaling)
-  // can gate the scaling assertion on real parallel hardware.
-  const double host_cpus =
-      static_cast<double>(std::thread::hardware_concurrency());
+  // can gate the scaling assertion on real parallel hardware. The usable
+  // count, not the online one: an affinity mask or cgroup quota may leave
+  // this process fewer CPUs than the host has.
+  const double host_cpus = static_cast<double>(util::usable_cpus());
   json.set("host_cpus", host_cpus);
 
   // Dispatch overhead: a minimal job (one chunk per shard) over many reps,

@@ -3,8 +3,9 @@
 //   * batched branchless datapath vs the scalar reference loop, per backend
 //   * batched egress (read/renormalize) vs the per-slot read loop, per
 //     backend, and the AVX2 egress scattered to per-row destinations
-//   * the switch's compiled ingress/egress (FpisaSwitch::add_batch /
-//     read_and_reset_batch) on the same kernels, per value
+//   * the switch's compiled ingress and egress on the same kernels, per
+//     value, through the flat adapters FpisaSwitch::add_batch (admit ->
+//     gather -> book_ops) and read_and_reset_batch (release -> drain)
 //   * communicator churn: build, one allreduce, drop, and the registry's
 //     series count after it (bounded by the objects alive)
 //   * one ToR -> spine tree reduce, its leaves running concurrently

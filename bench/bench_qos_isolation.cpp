@@ -30,13 +30,13 @@
 #include <future>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/aggregation_service.h"
 #include "qos/qos.h"
 #include "telemetry/metrics.h"
 #include "util/bench_json.h"
+#include "util/cpus.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -196,8 +196,7 @@ int main(int argc, char** argv) {
   const double ratio_qos = percentile(qos.victim_ms, 0.99) / base_p99;
 
   util::BenchJson json("qos_isolation");
-  json.set("host_cpus",
-           static_cast<double>(std::thread::hardware_concurrency()));
+  json.set("host_cpus", static_cast<double>(util::usable_cpus()));
   json.set("victim_samples", static_cast<double>(g_victim_samples));
   json.set("aggressor_depth", static_cast<double>(g_aggressor_depth));
 

@@ -12,9 +12,11 @@ Stdlib only (runs in CI right after the Release bench). Two layers:
 
   scaling — wall_values_per_s_shards_8 / wall_values_per_s_shards_1 > 2.0.
   Wall-clock scaling needs cores to scale ON, so this assertion only arms
-  when the bench ran on >= 4 hardware threads (host_cpus is recorded by the
-  bench itself); on smaller hosts the engine auto-degrades to inline
-  dispatch and the check reports a skip instead of a false failure.
+  when the bench ran on >= 4 usable CPUs (host_cpus is recorded by the
+  bench itself, as util::usable_cpus(): the CPUs its affinity mask and
+  cgroup quota allow, not the online count); on smaller hosts the engine
+  auto-degrades to inline dispatch and the check reports a skip instead of
+  a false failure.
 
 --keys-only runs the presence layer alone (the ctest smoke run).
 """

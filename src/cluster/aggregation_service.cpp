@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <memory>
 #include <numeric>
@@ -20,6 +21,29 @@ std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
                         (pass * 0xc2b2ae3d27d4eb4fULL);
   return util::splitmix64(state);
 }
+
+namespace {
+
+/// Throws std::invalid_argument unless every number in `cfg` has a
+/// meaning: admit() converts block_deadline_s to whole nanoseconds, which
+/// NaN, an infinity or 2^64 ns and more do not fit, and a NaN rate would
+/// read as unlimited.
+void check_tenant_qos(const qos::TenantQosConfig& cfg,
+                      std::string_view tenant) {
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!(cfg.block_deadline_s * 1e9 < kTwoTo64)) {
+    throw std::invalid_argument(
+        "cluster: qos tenant '" + std::string(tenant) +
+        "': block_deadline_s must be a number below 2^64 ns");
+  }
+  if (std::isnan(cfg.rate_jobs_per_s)) {
+    throw std::invalid_argument("cluster: qos tenant '" +
+                                std::string(tenant) +
+                                "': rate_jobs_per_s is NaN");
+  }
+}
+
+}  // namespace
 
 AggregationService::Shard::Shard(const ClusterOptions& opts)
     : sw(opts.switch_config,
@@ -49,6 +73,12 @@ AggregationService::AggregationService(ClusterOptions opts)
   }
   switchml::check_wire_params(opts_.loss_rate, opts_.max_retransmits,
                               opts_.fault);
+  if (opts_.qos.enabled) {
+    check_tenant_qos(opts_.qos.default_tenant, "(default)");
+    for (const auto& [tenant, cfg] : opts_.qos.tenants) {
+      check_tenant_qos(cfg, tenant);
+    }
+  }
   if (opts_.fault.enabled && opts_.fault.dead_worker >= 32) {
     throw std::invalid_argument(
         "cluster: fault.dead_worker exceeds the 32-bit worker bitmap");
@@ -669,9 +699,8 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
   const auto scrub = [&](std::size_t s) {
     if (ranges[s].empty()) return;
     ShardAccess access(*shards_[s]);
-    switchml::WaveEngine(opts_.lanes)
-        .scrub(access, static_cast<std::uint16_t>(ranges[s].lo),
-               ranges[s].size());
+    switchml::scrub(access, static_cast<std::uint16_t>(ranges[s].lo),
+                    ranges[s].size());
   };
 
   ctx.plan = &plan;

@@ -107,7 +107,7 @@ class WorkerDeadError : public std::runtime_error {
 };
 
 // One wave's packets in arrival order, as descriptors in the column layout
-// the switch's ingress takes: entry i's `lanes` packed FP32 values are the
+// FpisaSwitch::admit takes: entry i's `lanes` packed FP32 values are the
 // raw bytes at payloads[i]. The wave engine owns the only queue: every
 // copy that reaches the switch -- clean, duplicated, corrupted, ghost, or
 // replayed after a wipe -- enters through push(). Guarded queues also fill

@@ -828,22 +828,21 @@ void FpisaSwitch::check_packet(const char* what, std::size_t p,
 }
 
 // ---------------------------------------------------------------------------
-// Batched add fast path: the compiled form of the ingress program
-// (MAU0-4). The shared per-packet state — guard checks, the MAU1 worker
-// bitmap and the MAU4 completion counter — never reads a lane register, so
-// one scalar pre-pass checks each packet and settles that state for every
-// packet in order, on the bitmap and counter cells directly. The accepted
-// packets' lanes then run the core lane-add in LaneMode::kSwitch as one
-// gather over their contiguous bank rows, reading each payload in place:
-// the same selects, 32-bit wrap and counter lane sums as the core
-// accumulator, with the switch tables' edges (zeros and non-finite values
-// run the datapath, the ±32 align clamp, the exponent update on every
-// lane). The gather adds each run of packets on one slot — a slot-major
-// wave's workers — with the slot's lane registers held in CPU registers.
-// tests/test_pisa_fpisa_program.cpp proves it bit-identical to per-packet
-// `add` calls through the interpreter. Egress (result emission) is
-// skipped: batch callers collect aggregates with egress() or its flat
-// adapters — the compiled egress below.
+// The compiled ingress (MAU0-4), in two halves. The shared per-packet
+// state — guard checks, the MAU1 worker bitmap and the MAU4 completion
+// counter — never reads a lane register, so admit() checks each packet
+// and settles that state for every packet in order, on the bitmap and
+// counter cells directly. gather() then runs the accepted packets' lanes
+// through the core lane-add in LaneMode::kSwitch as one gather over their
+// bank rows, reading each payload in place: the same selects, 32-bit wrap
+// and counter lane sums as the core accumulator, with the switch tables'
+// edges (zeros and non-finite values run the datapath, the ±32 align
+// clamp, the exponent update on every lane). The gather adds each run of
+// packets on one slot — a slot-major wave's workers — with the slot's lane
+// registers held in CPU registers. tests/test_pisa_fpisa_program.cpp
+// proves the halves bit-identical to per-packet `add` calls through the
+// interpreter. No per-packet result is emitted: callers collect aggregates
+// through the compiled egress below.
 // ---------------------------------------------------------------------------
 
 void FpisaSwitch::add_batch(std::span<const std::uint16_t> slots,
@@ -854,29 +853,17 @@ void FpisaSwitch::add_batch(std::span<const std::uint16_t> slots,
   require_size("add_batch", "values", values.size(), n * lanes);
   const std::span<const std::byte> bytes = std::as_bytes(values);
   flat_payloads_.resize(n);
+  flat_accepted_.resize(n);
+  flat_rows_.resize(n);
   for (std::size_t p = 0; p < n; ++p) {
     flat_payloads_[p] = bytes.data() + p * lanes * sizeof(std::uint32_t);
   }
-  ingress(slots, workers, flat_payloads_);
-}
-
-void FpisaSwitch::ingress(std::span<const std::uint16_t> slots,
-                          std::span<const std::uint8_t> workers,
-                          std::span<const std::byte* const> payloads,
-                          std::span<const std::uint32_t> stamps,
-                          std::span<const std::uint16_t> checksums,
-                          GuardStats* guard) {
-  const std::size_t n = slots.size();
-  if (gather_rows_.size() < n) {
-    gather_payloads_.resize(n);
-    gather_rows_.resize(n);
-  }
-  const std::size_t accepted = settle(slots, workers, payloads, stamps,
-                                      checksums, guard, gather_payloads_,
-                                      gather_rows_);
-  gather(std::span(gather_payloads_).first(accepted),
-         std::span(gather_rows_).first(accepted), ops_);
-  flush_metrics(n);
+  const std::size_t accepted = admit(slots, workers, flat_payloads_, {}, {},
+                                     nullptr, flat_accepted_, flat_rows_);
+  core::OpCounters ops;
+  gather(std::span(flat_accepted_).first(accepted),
+         std::span(flat_rows_).first(accepted), ops);
+  book_ops(ops);
 }
 
 std::size_t FpisaSwitch::admit(std::span<const std::uint16_t> slots,
@@ -887,29 +874,15 @@ std::size_t FpisaSwitch::admit(std::span<const std::uint16_t> slots,
                                GuardStats* guard,
                                std::span<const std::byte*> out_payloads,
                                std::span<std::uint32_t> out_rows) {
-  const std::size_t accepted = settle(slots, workers, payloads, stamps,
-                                      checksums, guard, out_payloads, out_rows);
-  flush_metrics(slots.size());
-  return accepted;
-}
-
-std::size_t FpisaSwitch::settle(std::span<const std::uint16_t> slots,
-                                std::span<const std::uint8_t> workers,
-                                std::span<const std::byte* const> payloads,
-                                std::span<const std::uint32_t> stamps,
-                                std::span<const std::uint16_t> checksums,
-                                GuardStats* guard,
-                                std::span<const std::byte*> out_payloads,
-                                std::span<std::uint32_t> out_rows) {
   const std::size_t n = slots.size();
-  require_size("ingress", "workers", workers.size(), n);
-  require_size("ingress", "payloads", payloads.size(), n);
+  require_size("admit", "workers", workers.size(), n);
+  require_size("admit", "payloads", payloads.size(), n);
   if (guard != nullptr) {
-    require_size("ingress", "stamps", stamps.size(), n);
-    require_size("ingress", "checksums", checksums.size(), n);
+    require_size("admit", "stamps", stamps.size(), n);
+    require_size("admit", "checksums", checksums.size(), n);
   }
   if (out_payloads.size() < n || out_rows.size() < n) {
-    throw std::invalid_argument("ingress: accepted-packet spans too short");
+    throw std::invalid_argument("admit: accepted-packet spans too short");
   }
 
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
@@ -921,10 +894,10 @@ std::size_t FpisaSwitch::settle(std::span<const std::uint16_t> slots,
   const std::int64_t count_mask =
       (std::int64_t{1} << count_reg.width_bits()) - 1;
   // Room for every packet, written by index: no growth check per packet.
-  if (gather_workers_.size() < n) gather_workers_.resize(n);
+  if (admit_workers_.size() < n) admit_workers_.resize(n);
   const std::byte** const accepted_payloads = out_payloads.data();
   std::uint32_t* const accepted_rows = out_rows.data();
-  std::uint8_t* const accepted_workers = gather_workers_.data();
+  std::uint8_t* const accepted_workers = admit_workers_.data();
   // The batch's books stay local until every packet has passed its
   // check, so a batch rejected for a bad packet only has to undo the
   // bitmap and counter cells the packets before it settled.
@@ -941,7 +914,7 @@ std::size_t FpisaSwitch::settle(std::span<const std::uint16_t> slots,
         bitmap[row] &= ~(std::int64_t{1} << accepted_workers[a]);
         count[row] = (count[row] - 1) & count_mask;
       }
-      check_packet("ingress", p, slot, worker);
+      check_packet("admit", p, slot, worker);
     }
     if (guard != nullptr) {
       // Guard 1: payload integrity. A bit flipped in flight breaks the
@@ -984,6 +957,7 @@ std::size_t FpisaSwitch::settle(std::span<const std::uint16_t> slots,
   }
 
   sim_.account_packets(n);
+  flush_metrics(n);
   return accepted;
 }
 
@@ -1017,16 +991,17 @@ void FpisaSwitch::wipe_state() {
 }
 
 // ---------------------------------------------------------------------------
-// Batched read fast path: the compiled form of the egress program
-// (MAU5-8). Slots [slot0, slot0 + n) are one contiguous span of the bank,
-// one lanes-wide row per slot, so the renormalize-and-assemble is one core
-// read-scatter call in LaneMode::kSwitch, each row landing at its own
-// destination — the 32-bit sign split, the CLZ shift to bit 23, the
-// exponent adjust and the range gateway's zero / FTZ / overflow-to-inf /
-// pack priority order — and the reset clears each register as the kernel
-// reads it. Results and register state are bit-identical to per-packet
-// read() / read_and_reset() traversals (tests/test_pisa_fpisa_program.cpp
-// proves it against the interpreter).
+// The compiled egress (MAU5-8), in two halves. release() captures and
+// resets the bitmap and counter cells, which no lane register feeds.
+// drain() reads and clears the lanes: slots [slot0, slot0 + n) are one
+// contiguous span of the bank, one lanes-wide row per slot, so the
+// renormalize-and-assemble is one core read-reset scatter in
+// LaneMode::kSwitch, each row landing at its own destination — the 32-bit
+// sign split, the CLZ shift to bit 23, the exponent adjust and the range
+// gateway's zero / FTZ / overflow-to-inf / pack priority order — and the
+// kernel clears each register as it reads it. Results and register state
+// are bit-identical to per-packet read_and_reset() traversals
+// (tests/test_pisa_fpisa_program.cpp proves it against the interpreter).
 // ---------------------------------------------------------------------------
 
 void FpisaSwitch::check_slot_range(const char* what, std::uint16_t slot0,
@@ -1040,68 +1015,16 @@ void FpisaSwitch::check_slot_range(const char* what, std::uint16_t slot0,
   }
 }
 
-void FpisaSwitch::check_release(
-    const char* what, std::uint16_t slot0, std::size_t n,
-    std::span<const std::uint32_t> out_bitmaps,
-    std::span<const std::uint16_t> out_counts) const {
-  check_slot_range(what, slot0, n);
-  if (!out_bitmaps.empty()) {
-    require_size(what, "out_bitmaps", out_bitmaps.size(), n);
-  }
-  if (!out_counts.empty()) {
-    require_size(what, "out_counts", out_counts.size(), n);
-  }
-}
-
-std::span<std::byte* const> FpisaSwitch::flat_dests(
-    const char* what, std::uint16_t slot0, std::size_t n,
-    std::span<std::uint32_t> values, std::span<const std::uint32_t> out_bitmaps,
-    std::span<const std::uint16_t> out_counts) {
-  check_release(what, slot0, n, out_bitmaps, out_counts);
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  require_size(what, "out_values", values.size(), n * lanes);
-  const std::span<std::byte> bytes = std::as_writable_bytes(values);
-  flat_dests_.resize(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    flat_dests_[k] = bytes.data() + k * lanes * sizeof(std::uint32_t);
-  }
-  return flat_dests_;
-}
-
-void FpisaSwitch::egress(std::uint16_t slot0,
-                         std::span<std::byte* const> dests, bool reset,
-                         std::span<std::uint32_t> out_bitmaps,
-                         std::span<std::uint16_t> out_counts) {
-  // The halves touch disjoint registers; every span is checked before
-  // either changes any state.
-  check_release("egress", slot0, dests.size(), out_bitmaps, out_counts);
-  release(slot0, dests.size(), reset, out_bitmaps, out_counts);
-  drain(slot0, dests, reset);
-}
-
-void FpisaSwitch::drain(std::uint16_t slot0, std::span<std::byte* const> dests,
-                        bool reset) {
-  const std::size_t n = dests.size();
-  check_slot_range("drain", slot0, n);
-  const auto lanes = static_cast<std::size_t>(opts_.lanes);
-  core::RegisterFile& bank = sim_.bank();
-  const std::span<std::int32_t> exp =
-      std::span(bank.exp).subspan(slot0 * lanes, n * lanes);
-  const std::span<std::int64_t> man =
-      std::span(bank.man).subspan(slot0 * lanes, n * lanes);
-  if (reset) {  // kClear: results computed from the old values
-    core::fpisa_read_reset_scatter(exp, man, lanes, dests, lane_cfg_,
-                                   core::LaneMode::kSwitch);
-  } else {
-    core::fpisa_read_scatter(exp, man, lanes, dests, lane_cfg_,
-                             core::LaneMode::kSwitch);
-  }
-}
-
 void FpisaSwitch::release(std::uint16_t slot0, std::size_t n, bool reset,
                           std::span<std::uint32_t> out_bitmaps,
                           std::span<std::uint16_t> out_counts) {
-  check_release("release", slot0, n, out_bitmaps, out_counts);
+  check_slot_range("release", slot0, n);
+  if (!out_bitmaps.empty()) {
+    require_size("release", "out_bitmaps", out_bitmaps.size(), n);
+  }
+  if (!out_counts.empty()) {
+    require_size("release", "out_counts", out_counts.size(), n);
+  }
   const std::span<std::int64_t> bitmap =
       sim_.reg(bitmap_register(opts_.lanes)).owned_cells();
   const std::span<std::int64_t> count =
@@ -1125,24 +1048,32 @@ void FpisaSwitch::release(std::uint16_t slot0, std::size_t n, bool reset,
   flush_metrics(n);
 }
 
-void FpisaSwitch::read_batch(std::uint16_t slot0, std::size_t n,
-                             std::span<std::uint32_t> out_values,
-                             std::span<std::uint32_t> out_bitmaps,
-                             std::span<std::uint16_t> out_counts) {
-  egress(slot0,
-         flat_dests("read_batch", slot0, n, out_values, out_bitmaps,
-                    out_counts),
-         /*reset=*/false, out_bitmaps, out_counts);
+void FpisaSwitch::drain(std::uint16_t slot0,
+                        std::span<std::byte* const> dests) {
+  const std::size_t n = dests.size();
+  check_slot_range("drain", slot0, n);
+  const auto lanes = static_cast<std::size_t>(opts_.lanes);
+  core::RegisterFile& bank = sim_.bank();
+  core::fpisa_read_reset_scatter(
+      std::span(bank.exp).subspan(slot0 * lanes, n * lanes),
+      std::span(bank.man).subspan(slot0 * lanes, n * lanes), lanes, dests,
+      lane_cfg_, core::LaneMode::kSwitch);
 }
 
 void FpisaSwitch::read_and_reset_batch(std::uint16_t slot0, std::size_t n,
-                                       std::span<std::uint32_t> out_values,
-                                       std::span<std::uint32_t> out_bitmaps,
-                                       std::span<std::uint16_t> out_counts) {
-  egress(slot0,
-         flat_dests("read_and_reset_batch", slot0, n, out_values, out_bitmaps,
-                    out_counts),
-         /*reset=*/true, out_bitmaps, out_counts);
+                                       std::span<std::uint32_t> out_values) {
+  // Every check runs before either half changes any state.
+  check_slot_range("read_and_reset_batch", slot0, n);
+  const auto lanes = static_cast<std::size_t>(opts_.lanes);
+  require_size("read_and_reset_batch", "out_values", out_values.size(),
+               n * lanes);
+  const std::span<std::byte> bytes = std::as_writable_bytes(out_values);
+  flat_dests_.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    flat_dests_[k] = bytes.data() + k * lanes * sizeof(std::uint32_t);
+  }
+  release(slot0, n, /*reset=*/true);
+  drain(slot0, flat_dests_);
 }
 
 }  // namespace fpisa::pisa

@@ -20,9 +20,9 @@
 // pair with core's OverflowPolicy::kWrap); reads that would need a
 // subnormal output flush to signed zero; exponent overflow clamps to ±inf.
 // These, and the other edges where the tables differ from the software
-// accumulator, are core::LaneMode::kSwitch: FpisaSwitch's compiled batch
-// paths run the core lane kernels in that mode over the switch's
-// slot-major register bank.
+// accumulator, are core::LaneMode::kSwitch: FpisaSwitch's compiled
+// ingress and egress run the core lane kernels in that mode over the
+// switch's slot-major register bank.
 #pragma once
 
 #include <cstddef>
@@ -64,9 +64,9 @@ FpisaProgramOptions fpisa_program_options(const SwitchConfig& config,
 /// The stamp is (switch generation << 16) | per-slot epoch: the epoch bumps
 /// on every slot reset (round-robin reuse), the generation on switch state
 /// loss, so stale duplicates and pre-reboot packets are rejectable. The
-/// checksum covers (slot, worker, stamp, payload). Both fields are zero on
-/// the legacy (fault-guard-off) paths; only the guarded batch ingress
-/// verifies them.
+/// checksum covers (slot, worker, stamp, payload). The interpreted add()
+/// fills both fields, but only a guarded FpisaSwitch::admit() verifies
+/// them; no other path reads them.
 inline constexpr int kFpisaHeaderBytes = 16;
 
 /// Internet-checksum-style fold of (slot, worker, stamp, payload) to 16
@@ -144,14 +144,20 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 ///
 /// Two datapaths share one register state. The interpreted one (add, read,
 /// read_and_reset) encodes a packet and runs it through every table and
-/// stateful ALU of the simulator. The compiled one (ingress, egress and
-/// their flat adapters) is MAU0-8 lowered onto the core lane kernels in
-/// core::LaneMode::kSwitch: the lane registers are strided views onto one
-/// slot-major bank (SwitchSim::bank), so a packet's lanes — or a run
-/// of consecutive slots — are one contiguous span the scalar or AVX2
-/// kernel walks branch-free. Tests pin the two datapaths bit-identical:
-/// results, registers, bitmap, counter, OpCounters, dedup and packet
-/// counts.
+/// stateful ALU of the simulator. The compiled one is MAU0-8 lowered onto
+/// the core lane kernels in core::LaneMode::kSwitch: one ingress and one
+/// egress, each in the two halves the wave engine runs.
+///   ingress (MAU0-4): admit(), the protocol half (checks, guard, dedup
+///     bitmap, completion counter), then gather(), the lane datapath,
+///     whose operation counts book_ops() folds in;
+///   egress (MAU5-8): release(), the protocol half (bitmap and counter
+///     capture and reset, epoch bump), and drain(), the lane read-and-clear.
+/// add_batch() and read_and_reset_batch() are the same call sequences over
+/// flat value arrays. The lane registers are strided views onto one
+/// slot-major bank (SwitchSim::bank), so a packet's lanes — or a run of
+/// consecutive slots — are one contiguous span the scalar or AVX2 kernel
+/// walks branch-free. Tests pin the two datapaths bit-identical: results,
+/// registers, bitmap, counter, OpCounters, dedup and packet counts.
 ///
 /// The program is code shared with every switch of the same shape
 /// (build_fpisa_program); a switch owns only its register state and the
@@ -166,7 +172,7 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 ///
 /// Observability: the switch keeps host-visible per-MAU operation counters
 /// (the §5.2.1 add / rounded-add / overwrite / left-shift taxonomy, counted
-/// identically by the interpreted and compiled-batch paths), dedup-hit and
+/// identically by the interpreted and compiled paths), dedup-hit and
 /// packet counts, and a live occupied-slot figure. All of it is mirrored
 /// into the process telemetry registry under the instance label sw=<n>.
 /// The switch is not thread-safe (callers already serialize access — the
@@ -198,49 +204,35 @@ class FpisaSwitch {
   /// Reads and clears a slot (SwitchML-style slot reuse).
   FpisaResult read_and_reset(std::uint16_t slot);
 
-  /// Per-batch guard rejection counts from the guarded ingress.
+  /// Per-batch guard rejection counts from a guarded admit().
   struct GuardStats {
     std::uint64_t corrupt_rejected = 0;  ///< checksum mismatch
     std::uint64_t stale_rejected = 0;    ///< epoch/generation stamp mismatch
   };
 
-  /// Batched add fast path over packet descriptors: applies
-  /// `slots.size()` add packets in order, packet i targeting slots[i] from
-  /// workers[i] with the `lanes` packed FP32 values at payloads[i] (raw
-  /// bytes at any alignment, typically std::as_bytes of a worker's float
-  /// span: read in place, never written). The register / dedup-bitmap /
-  /// completion-counter evolution is bit-identical to calling add() per
-  /// packet (enforced by tests), but the packets skip wire encode/parse
-  /// and table interpretation entirely and no per-packet result is
-  /// materialized — callers that want the aggregate use read(). One scalar
-  /// pre-pass checks each packet's slot and worker id and settles its
-  /// shared state (guard, dedup bitmap, completion counter, occupancy); the
-  /// accepted packets' lanes then land through one core::fpisa_add_gather
-  /// over their bank rows in LaneMode::kSwitch, which adds each run of
-  /// packets on one slot with the slot's registers held in registers.
+  /// The protocol half of the compiled ingress, over packet descriptors:
+  /// packet i targets slots[i] from workers[i] with the `lanes` packed FP32
+  /// values at payloads[i] (raw bytes at any alignment, typically
+  /// std::as_bytes of a worker's float span, read in place and never
+  /// written). One scalar pass checks each packet's slot and worker id and
+  /// settles, in packet order, the guard, dedup bitmap, completion counter,
+  /// occupancy and packet books, touching no lane register. The accepted
+  /// packets' payloads and bank rows (= slots) land in out_payloads /
+  /// out_rows, each at least slots.size() long; returns how many. Their
+  /// lanes take effect only once gather() runs over them, and together the
+  /// two leave the registers, dedup bitmap and completion counter
+  /// bit-identical to add() per packet (enforced by tests), without wire
+  /// encode/parse, table interpretation or a per-packet result.
   ///
   /// Guarded when `guard` is non-null: packet i then also carries
-  /// stamps[i] and checksums[i]. A packet whose checksum does not cover its
-  /// bytes (bit flipped in flight) or whose stamp disagrees with the slot's
-  /// current stamp (a stale duplicate from before the slot was reset, or a
-  /// pre-wipe packet) is dropped before it can touch register state; the
-  /// drops are tallied in `*guard` and in the registry. Accepted packets
-  /// update state exactly as unguarded ones would.
-  ///
-  /// Ingress is admit() followed by gather() over what it accepted.
-  void ingress(std::span<const std::uint16_t> slots,
-               std::span<const std::uint8_t> workers,
-               std::span<const std::byte* const> payloads,
-               std::span<const std::uint32_t> stamps = {},
-               std::span<const std::uint16_t> checksums = {},
-               GuardStats* guard = nullptr);
-
-  /// The protocol half of ingress: its pre-pass alone. Checks every packet,
-  /// runs the guard, and settles the dedup bitmap, completion counter,
-  /// occupancy and packet books in order, touching no lane register. The
-  /// accepted packets' payloads and bank rows (= slots) land in
-  /// out_payloads / out_rows, each at least slots.size() long; returns how
-  /// many. Their lanes take effect only once gather() runs over them.
+  /// stamps[i] and checksums[i] (otherwise both may be empty). A packet
+  /// whose checksum does not cover its bytes (bit flipped in flight) or
+  /// whose stamp disagrees with the slot's current stamp (a stale
+  /// duplicate from before the slot was reset, or a pre-wipe packet) is
+  /// dropped before it can touch register state; the drops are tallied in
+  /// `*guard` and in the registry. Accepted packets update state exactly as
+  /// unguarded ones would. A bad packet anywhere in the batch throws with
+  /// every book as it was before the call.
   std::size_t admit(std::span<const std::uint16_t> slots,
                     std::span<const std::uint8_t> workers,
                     std::span<const std::byte* const> payloads,
@@ -248,17 +240,19 @@ class FpisaSwitch {
                     std::span<const std::uint16_t> checksums,
                     GuardStats* guard, std::span<const std::byte*> out_payloads,
                     std::span<std::uint32_t> out_rows);
-  /// The datapath half of ingress: adds payload i's lanes into bank row
-  /// rows[i], in order, counting the §5.2.1 operations into `ops` (fold
-  /// them in with book_ops). Touches nothing but those rows, so calls on
+  /// The datapath half of the compiled ingress: adds payload i's lanes
+  /// into bank row rows[i], in order, counting the §5.2.1 operations into
+  /// `ops` (fold them in with book_ops). One core::fpisa_add_gather in
+  /// LaneMode::kSwitch, which adds each run of payloads on one row with the
+  /// row held in registers. Touches nothing but those rows, so calls on
   /// disjoint rows may run on different threads at once.
   void gather(std::span<const std::byte* const> payloads,
               std::span<const std::uint32_t> rows, core::OpCounters& ops);
   /// Adds a datapath's operation counts to op_counters() and the registry.
   void book_ops(const core::OpCounters& ops);
 
-  /// Flat adapter over unguarded ingress: packet i's lanes are
-  /// values[i*lanes, +lanes).
+  /// Unguarded admit(), gather() and book_ops() over flat values: packet
+  /// i's lanes are values[i*lanes, +lanes).
   void add_batch(std::span<const std::uint16_t> slots,
                  std::span<const std::uint8_t> workers,
                  std::span<const std::uint32_t> values);
@@ -266,74 +260,52 @@ class FpisaSwitch {
   /// Whole-switch state loss (reboot): every register — per-lane exponent
   /// and mantissa arrays, dedup bitmap, completion counter — is zeroed and
   /// the generation is bumped so packets stamped before the wipe are
-  /// rejected by the guarded ingress instead of corrupting fresh sums.
+  /// rejected by a guarded admit() instead of corrupting fresh sums.
   void wipe_state();
 
-  /// Current epoch/generation stamp the guarded ingress expects for
-  /// `slot`: (generation << 16) | slot epoch. The epoch bumps on every
-  /// reset of the slot (both the interpreted kReset path and the batched
-  /// read_and_reset), the generation on wipe_state().
+  /// Current epoch/generation stamp a guarded admit() expects for `slot`:
+  /// (generation << 16) | slot epoch. The epoch bumps on every reset of
+  /// the slot (the interpreted kReset path and a resetting release()), the
+  /// generation on wipe_state().
   std::uint32_t slot_stamp(std::uint16_t slot) const {
     return (static_cast<std::uint32_t>(generation_) << 16) |
            slot_epoch_[slot];
   }
   std::uint16_t generation() const { return generation_; }
 
-  /// Batched egress over result descriptors: reads the dests.size()
-  /// consecutive slots [slot0, slot0 + dests.size()) through the compiled
-  /// renormalize-and-assemble (MAU5-8), writing slot k's `lanes` FP32
-  /// results as raw bytes at dests[k] (any alignment, typically the
-  /// slot's chunk in std::as_writable_bytes of the caller's float
-  /// storage). With `reset` (SwitchML-style slot recycling) it then clears
-  /// the slots' exponent / mantissa / bitmap / counter registers and bumps
-  /// their epochs exactly as read_and_reset() packets would (the read
-  /// kernel clears each lane register as it reads it). Results and
-  /// register state are bit-identical to per-slot read() /
-  /// read_and_reset() packets -- including the egress FTZ /
-  /// overflow-to-inf range handling -- but skip
-  /// wire encode/parse and table interpretation (enforced by
-  /// tests/test_pisa_fpisa_program.cpp). The slots' bank cells are one
-  /// contiguous span, so this is one core read kernel call in
-  /// LaneMode::kSwitch. `out_bitmaps` / `out_counts` (dests.size() each)
-  /// capture the per-slot dedup bitmap and completion counter the result
-  /// packets would carry; pass empty spans to skip.
-  ///
-  /// Egress is release() and drain() over the same slots.
-  void egress(std::uint16_t slot0, std::span<std::byte* const> dests,
-              bool reset, std::span<std::uint32_t> out_bitmaps = {},
-              std::span<std::uint16_t> out_counts = {});
-
-  /// The datapath half of egress: the MAU5-8 read (with `reset`, the
-  /// read-and-clear) of the lane registers of slots [slot0, slot0 +
-  /// dests.size()) into dests. Touches nothing but those bank rows, so
-  /// calls on disjoint slots may run on different threads at once.
-  void drain(std::uint16_t slot0, std::span<std::byte* const> dests,
-             bool reset);
-  /// The protocol half of egress over slots [slot0, slot0 + n): captures
-  /// each slot's dedup bitmap and completion counter (empty spans skip),
-  /// books the n read packets and, with `reset`, clears the bitmap and
-  /// counter and bumps the slot's epoch. Reads no lane register: a probe of
-  /// the bitmaps alone is release(slot0, n, false, bitmaps).
+  /// The protocol half of the compiled egress over slots [slot0, slot0 +
+  /// n): captures each slot's dedup bitmap and completion counter, as the
+  /// result packets would carry them (empty spans skip), books the n read
+  /// packets and, with `reset`, clears the bitmap and counter and bumps
+  /// the slot's epoch exactly as read_and_reset() packets would. Reads no
+  /// lane register: a probe of the bitmaps alone is release(slot0, n,
+  /// false, bitmaps).
   void release(std::uint16_t slot0, std::size_t n, bool reset,
                std::span<std::uint32_t> out_bitmaps = {},
                std::span<std::uint16_t> out_counts = {});
+  /// The datapath half of the compiled egress: the MAU5-8
+  /// renormalize-and-assemble of slots [slot0, slot0 + dests.size()),
+  /// writing slot k's `lanes` FP32 results as raw bytes at dests[k] (any
+  /// alignment, typically the slot's chunk in std::as_writable_bytes of
+  /// the caller's float storage), and clearing each lane register as it
+  /// reads it. The slots' bank cells are one contiguous span, so this is
+  /// one core read-reset kernel call in LaneMode::kSwitch. With release()
+  /// it is bit-identical to read_and_reset() packets, the egress FTZ /
+  /// overflow-to-inf range handling included. Touches nothing but those
+  /// bank rows, so calls on disjoint slots may run on different threads at
+  /// once.
+  void drain(std::uint16_t slot0, std::span<std::byte* const> dests);
 
-  /// Flat adapters over egress: slot k's lane l lands at
-  /// out_values[k*lanes + l] (n * lanes entries).
-  void read_batch(std::uint16_t slot0, std::size_t n,
-                  std::span<std::uint32_t> out_values,
-                  std::span<std::uint32_t> out_bitmaps = {},
-                  std::span<std::uint16_t> out_counts = {});
+  /// release() with reset, then drain(), over flat values: slot k's lane l
+  /// lands at out_values[k*lanes + l] (n * lanes entries).
   void read_and_reset_batch(std::uint16_t slot0, std::size_t n,
-                            std::span<std::uint32_t> out_values,
-                            std::span<std::uint32_t> out_bitmaps = {},
-                            std::span<std::uint16_t> out_counts = {});
+                            std::span<std::uint32_t> out_values);
 
   const FpisaProgramOptions& options() const { return opts_; }
   SwitchSim& sim() { return sim_; }
 
   /// Per-MAU operation counts (§5.2.1 taxonomy) for every lane-add this
-  /// switch executed, batched or interpreted. Duplicates (absorbed by the
+  /// switch executed, compiled or interpreted. Duplicates (absorbed by the
   /// dedup bitmap) are excluded — they caused no register operation.
   const core::OpCounters& op_counters() const { return ops_; }
   /// Add packets absorbed by the dedup bitmap (retransmissions).
@@ -353,26 +325,6 @@ class FpisaSwitch {
   /// Throws std::out_of_range unless slots [slot0, slot0 + n) exist.
   void check_slot_range(const char* what, std::uint16_t slot0,
                         std::size_t n) const;
-  /// release()'s checks, each error naming the entry point `what`: the
-  /// slot range, and n entries in each capture span that is not empty.
-  void check_release(const char* what, std::uint16_t slot0, std::size_t n,
-                     std::span<const std::uint32_t> out_bitmaps,
-                     std::span<const std::uint16_t> out_counts) const;
-  /// admit() without the registry push.
-  std::size_t settle(std::span<const std::uint16_t> slots,
-                     std::span<const std::uint8_t> workers,
-                     std::span<const std::byte* const> payloads,
-                     std::span<const std::uint32_t> stamps,
-                     std::span<const std::uint16_t> checksums,
-                     GuardStats* guard, std::span<const std::byte*> out_payloads,
-                     std::span<std::uint32_t> out_rows);
-  /// One destination per slot into flat `values` (the read adapters),
-  /// after the adapter's egress checks under its own name.
-  std::span<std::byte* const> flat_dests(
-      const char* what, std::uint16_t slot0, std::size_t n,
-      std::span<std::uint32_t> values,
-      std::span<const std::uint32_t> out_bitmaps,
-      std::span<const std::uint16_t> out_counts);
   void init_metrics();
   /// Pushes (packets, dedup, op-count deltas, occupancy) to the registry.
   void flush_metrics(std::size_t packets);
@@ -385,13 +337,15 @@ class FpisaSwitch {
   SwitchSim sim_;
   Packet scratch_pkt_;                  ///< reused by every roundtrip
   std::vector<std::uint32_t> zeros_;    ///< read/reset payload template
-  // Ingress: the accepted packets' payloads, bank rows and worker ids
-  // (the ids only to undo a batch that a bad packet rejects).
-  std::vector<const std::byte*> gather_payloads_;
-  std::vector<std::uint32_t> gather_rows_;
-  std::vector<std::uint8_t> gather_workers_;
-  std::vector<const std::byte*> flat_payloads_;  ///< add_batch's payloads
-  std::vector<std::byte*> flat_dests_;           ///< flat read adapters
+  /// admit(): the accepted packets' worker ids, only to undo a batch that
+  /// a bad packet rejects.
+  std::vector<std::uint8_t> admit_workers_;
+  // The flat adapters: add_batch's payloads, the packets it admits and
+  // their rows, and read_and_reset_batch's destinations.
+  std::vector<const std::byte*> flat_payloads_;
+  std::vector<const std::byte*> flat_accepted_;
+  std::vector<std::uint32_t> flat_rows_;
+  std::vector<std::byte*> flat_dests_;
   /// Interpreted add: copy of the packet's pre-packet lane registers, which
   /// the core lane-add classifies for §5.2.1 accounting.
   core::RegisterFile pre_packet_;

@@ -206,7 +206,7 @@ class SwitchSim {
 
   std::uint64_t packets_processed() const { return packets_; }
   /// Accounts packets applied through a program's compiled fast path (e.g.
-  /// FpisaSwitch::ingress) rather than a full `process` traversal, so
+  /// FpisaSwitch::admit) rather than a full `process` traversal, so
   /// packet statistics stay truthful for either datapath.
   void account_packets(std::uint64_t n) { packets_ += n; }
   /// Extra pipeline passes consumed by recirculation: each one costs a

@@ -103,7 +103,8 @@ class AdmissionRejectedError : public std::runtime_error {
 struct TenantQosConfig {
   Priority priority = Priority::kQuery;
 
-  /// Sustained admission rate in jobs/second. <= 0 means unlimited.
+  /// Sustained admission rate in jobs/second. <= 0 means unlimited; a
+  /// service with QoS enabled rejects NaN at construction.
   double rate_jobs_per_s = 0.0;
 
   /// Bucket capacity: how many jobs may arrive back-to-back before the
@@ -118,6 +119,9 @@ struct TenantQosConfig {
   AdmissionPolicy policy = AdmissionPolicy::kReject;
 
   /// kBlock only: give up (RejectReason::kDeadline) after this long.
+  /// Every admission converts it to nanoseconds, so a service with QoS
+  /// enabled rejects NaN, +inf and 2^64 ns (~1.8e10 s) or more at
+  /// construction, whatever the policy.
   double block_deadline_s = 1.0;
 };
 

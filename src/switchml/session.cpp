@@ -116,7 +116,7 @@ void AggregationSession::reduce_into(
       // epochs, so any in-flight stragglers from the dead attempt are
       // stale), forget the engine's ghosts, and rerun the job over the
       // survivors.
-      engine_.scrub(access, 0, opts_.slots);
+      scrub(access, 0, opts_.slots);
       faults.drop_ghosts();
       stats_.faults.epoch_bumps++;
     }

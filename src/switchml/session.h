@@ -6,16 +6,18 @@
 // retransmissions idempotent (dedup), and slots are reused round-robin via
 // read-and-reset once their result is collected.
 //
-// This drives a real pisa::FpisaSwitch through its compiled batch ingress
-// and egress (register-identical to the interpreted parser/MAU/deparser
+// This drives a real pisa::FpisaSwitch through its compiled ingress and
+// egress (register-identical to the interpreted parser/MAU/deparser
 // pipeline), with failure injection for the loss-recovery path.
 //
 // Every wave runs through the one WaveEngine (switchml/wave_engine.h): the
 // whole wave is queued as descriptors into the worker views with its loss
-// schedule drawn up front, applied through FpisaSwitch::ingress, and
-// collected through one FpisaSwitch::egress straight into the result. The
-// per-packet protocol it reproduces bit for bit survives only as the test
-// oracle in tests/wave_oracle.h. The session adds input validation and,
+// schedule drawn up front, settled by FpisaSwitch::admit, and collected by
+// FpisaSwitch::release; the engine's datapath pass then runs the logged
+// lanes through FpisaSwitch::gather and drains each collected slot with
+// FpisaSwitch::drain straight into the result. The per-packet protocol it
+// reproduces bit for bit survives only as the test oracle in
+// tests/wave_oracle.h. The session adds input validation and,
 // with fault injection on, the dead-worker degrade loop on top.
 //
 // The session owns its switch outright, so it is the one layer that gives

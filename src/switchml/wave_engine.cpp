@@ -469,8 +469,7 @@ void WaveEngine::replay_range(std::size_t r, std::size_t member) {
       const std::size_t b = std::min(last, step.end - step.begin);
       if (first >= b) continue;
       sw.drain(static_cast<std::uint16_t>(job.lo + first),
-               std::span(log.dests).subspan(step.begin + first, b - first),
-               /*reset=*/true);
+               std::span(log.dests).subspan(step.begin + first, b - first));
     } else {
       const auto [a, b] = m.spans[g++];
       if (ahead && g < m.spans.size()) prefetch(m.spans[g]);
@@ -606,10 +605,15 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
   finish(sw, job, hooks, n_waves, start);
 }
 
-void WaveEngine::scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n) {
-  wave_values_.resize(n * lanes_);
+void scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n) {
   sw.with([&](pisa::FpisaSwitch& s) {
-    s.read_and_reset_batch(lo, n, wave_values_);
+    s.release(lo, n, /*reset=*/true);
+    // Every slot drains into the one row: the sums are thrown away.
+    std::vector<std::uint32_t> row(
+        static_cast<std::size_t>(s.options().lanes));
+    const std::vector<std::byte*> dests(
+        n, std::as_writable_bytes(std::span(row)).data());
+    s.drain(lo, dests);
   });
 }
 

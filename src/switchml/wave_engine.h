@@ -20,10 +20,10 @@
 //     bitmap absorbs duplicates exactly as it would packet by packet. The
 //     queue is slot-major: a slot's workers, each retransmit right after
 //     its first copy;
-//  2. add: FpisaSwitch::admit runs the ingress pre-pass over the queue
-//     (checks, guard, dedup bitmap, completion counter, occupancy), and
-//     the accepted packets' (payload, bank row) pairs go into the job's
-//     log (guarded mode then recovers, below);
+//  2. add: FpisaSwitch::admit, the ingress's protocol half, runs over the
+//     queue (checks, guard, dedup bitmap, completion counter, occupancy),
+//     and the accepted packets' (payload, bank row) pairs go into the
+//     job's log (guarded mode then recovers, below);
 //  3. collect: the per-slot read/reset loss schedule is drawn
 //     (draw_collect_schedule), FpisaSwitch::release clears the cleared
 //     slots' bitmaps and counters and bumps their epochs, and each cleared
@@ -330,6 +330,12 @@ bool declare_dead_worker(int worker, std::size_t num_workers,
                          fault::DeadWorkerPolicy policy, SessionStats& stats,
                          std::uint32_t& dead_mask);
 
+/// Control-plane cleanup, in one hold of `sw`: release() with reset and
+/// drain() over slots [lo, lo + n), the sums thrown away, so a failed or
+/// abandoned run leaks no partial sums, dedup bits or epochs into the
+/// range's next user.
+void scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n);
+
 class WaveEngine {
  public:
   /// Slots per range of a team's datapath pass.
@@ -345,10 +351,6 @@ class WaveEngine {
   /// any switch state changes, when job.stats is null, or job.rng is null
   /// while loss_rate is not 0 or job.faults is set.
   void run(SwitchAccess& sw, const WaveJob& job);
-  /// Control-plane cleanup: read-and-resets slots [lo, lo + n), so a
-  /// failed or abandoned run leaks no partial sums, dedup bits or epochs
-  /// into the range's next user.
-  void scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n);
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -1,12 +1,12 @@
 #include "util/bench_json.h"
 
 #include "util/build_info.h"
+#include "util/cpus.h"
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 namespace fpisa::util {
 namespace {
@@ -60,9 +60,9 @@ std::string BenchJson::render() const {
   out += "    \"build_type\": \"" + escape(std::string(b.build_type)) + "\",\n";
   out += "    \"avx2\": " + std::string(b.avx2 ? "true" : "false") + ",\n";
   out += "    \"sanitizer\": \"" + escape(std::string(b.sanitizer)) + "\",\n";
-  // Wall-clock numbers mean nothing without the core count they ran on.
-  out += "    \"host_cpus\": " +
-         std::to_string(std::thread::hardware_concurrency()) + "\n";
+  // Wall-clock numbers mean nothing without the core count they ran on:
+  // the CPUs this process may run on, the count the stack sizes itself by.
+  out += "    \"host_cpus\": " + std::to_string(util::usable_cpus()) + "\n";
   out += "  },\n  \"metrics\": {";
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const Entry& e = entries_[i];

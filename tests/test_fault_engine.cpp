@@ -1,6 +1,7 @@
 // Unit coverage for the deterministic fault engine and the guarded switch
 // ingress it feeds: seeded schedules replay exactly, corruption flips
-// exactly one bit (and the checksum catches it), reordering never crosses
+// exactly one bit (and the checksum catches it; it misses exactly the
+// cancelling 2-bit flips), reordering never crosses
 // a same-slot boundary, ghosts come back stale, and a wiped switch rejects
 // everything stamped before the wipe.
 #include <gtest/gtest.h>
@@ -9,10 +10,13 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/packed.h"
 #include "fault/fault.h"
 #include "pisa/fpisa_program.h"
+#include "util/rng.h"
 #include "testkit.h"
 
 namespace fpisa::fault {
@@ -110,6 +114,75 @@ TEST(FaultEngine, ChecksumDetectsEverySingleBitFlip) {
           << "lane " << lane << " bit " << bit;
     }
   }
+}
+
+TEST(FaultEngine, ChecksumMissesExactlyTheCancellingTwoBitFlips) {
+  // The 16-bit end-around-carry fold is a sum modulo 2^16 - 1, so flipping
+  // bit i from 0 to 1 and bit j from 1 to 0, with i = j (mod 16), adds
+  // 2^i - 2^j = 0 to it. Every 2-bit flip of one seeded 4-lane payload:
+  // the checksum misses those cancelling pairs and only those.
+  util::Rng rng(0x2B17);
+  std::vector<std::uint32_t> values;
+  for (int l = 0; l < 4; ++l) {
+    values.push_back(core::fp32_bits(static_cast<float>(rng.normal(0, 1))));
+  }
+  const std::uint32_t stamp = 0x00020005u;
+  const std::uint16_t good = pisa::fpisa_checksum(9, 2, stamp, values);
+  const auto bit = [&](int i) { return (values[i / 32] >> (i % 32)) & 1u; };
+  constexpr int kBits = 4 * 32;
+  int missed = 0;
+  std::pair<int, int> first_miss{-1, -1};
+  for (int i = 0; i < kBits; ++i) {
+    for (int j = i + 1; j < kBits; ++j) {
+      auto flipped = values;
+      flipped[i / 32] ^= 1u << (i % 32);
+      flipped[j / 32] ^= 1u << (j % 32);
+      const bool cancels = i % 16 == j % 16 && bit(i) != bit(j);
+      const bool caught =
+          pisa::fpisa_checksum(9, 2, stamp, flipped) != good;
+      EXPECT_EQ(caught, !cancels) << "bits " << i << " and " << j;
+      if (!caught) {
+        ++missed;
+        if (first_miss.first < 0) first_miss = {i, j};
+      }
+    }
+  }
+  // Of the 8,128 pairs: per residue mod 16, k of its 8 bits set gives
+  // k * (8 - k) cancelling pairs.
+  EXPECT_EQ(missed, 209);
+
+  // One such copy passes a guarded admit as a fresh contribution: the
+  // switch then holds the corrupted lanes, not the sent ones.
+  pisa::SwitchConfig cfg;
+  cfg.ext.rsaw = true;
+  cfg.ext.two_operand_shift = true;
+  pisa::FpisaProgramOptions p;
+  p.lanes = 4;
+  p.slots = 16;
+  pisa::FpisaSwitch sw(cfg, p);
+  pisa::FpisaSwitch want(cfg, p);
+  ASSERT_EQ(sw.slot_stamp(9), 0u);
+  auto flipped = values;
+  flipped[first_miss.first / 32] ^= 1u << (first_miss.first % 32);
+  flipped[first_miss.second / 32] ^= 1u << (first_miss.second % 32);
+  const std::vector<std::uint16_t> slots{9};
+  const std::vector<std::uint8_t> workers{2};
+  const std::vector<std::uint32_t> stamps{0};
+  const std::vector<std::uint16_t> sums{
+      pisa::fpisa_checksum(9, 2, 0, values)};
+  pisa::FpisaSwitch::GuardStats guard;
+  testkit::guarded_ingress(sw, slots, workers, stamps, sums, flipped, guard);
+  EXPECT_EQ(guard.corrupt_rejected, 0u);
+  EXPECT_EQ(guard.stale_rejected, 0u);
+  EXPECT_EQ(sw.occupied_slots(), 1);
+  want.add_batch(slots, workers, flipped);
+  std::vector<std::uint32_t> got_sum(4);
+  std::vector<std::uint32_t> want_sum(4);
+  sw.read_and_reset_batch(9, 1, got_sum);
+  want.read_and_reset_batch(9, 1, want_sum);
+  EXPECT_EQ(got_sum, want_sum);
+  EXPECT_EQ(got_sum, flipped);
+  EXPECT_NE(got_sum, values);
 }
 
 TEST(FaultEngine, ReorderNeverSwapsSameSlotEntries) {

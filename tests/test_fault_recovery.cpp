@@ -112,9 +112,9 @@ TEST(SessionFaults, StaleDuplicateAfterSlotReuseIsRejected) {
 }
 
 // The half of the regression that pins WHY the stamp exists: the plain
-// (unguarded) ingress absorbs exactly this stale duplicate, because the
+// (unguarded) admit absorbs exactly this stale duplicate, because the
 // slot reset cleared the dedup bit that would have caught it.
-TEST(SessionFaults, PlainIngressWouldAbsorbTheStaleDuplicate) {
+TEST(SessionFaults, PlainAdmitWouldAbsorbTheStaleDuplicate) {
   pisa::FpisaProgramOptions p;
   p.lanes = 1;
   p.slots = 2;
@@ -132,17 +132,19 @@ TEST(SessionFaults, PlainIngressWouldAbsorbTheStaleDuplicate) {
       pisa::fpisa_checksum(0, 1, stamp, values)};
 
   // Epoch e: worker 1 contributes, the slot completes and is recycled.
-  sw.add_batch(slots, workers, values);
+  const std::vector<const std::byte*> payloads{
+      std::as_bytes(std::span(values)).data()};
+  testkit::admit_and_gather(sw, slots, workers, payloads);
   std::vector<std::uint32_t> drained(1);
-  sw.read_and_reset_batch(0, 1, drained);
+  testkit::release_and_drain(sw, 0, drained);
   ASSERT_EQ(sw.occupied_slots(), 0);
 
   // Epoch e+1: the delayed duplicate of the epoch-e packet arrives.
   // Unguarded: the cleared bitmap treats it as fresh — state changes.
-  sw.add_batch(slots, workers, values);
+  testkit::admit_and_gather(sw, slots, workers, payloads);
   EXPECT_EQ(sw.occupied_slots(), 1)
       << "baseline: the plain path DOES absorb the stale duplicate";
-  sw.read_and_reset_batch(0, 1, drained);
+  testkit::release_and_drain(sw, 0, drained);
 
   // Guarded: the stamp pins the packet to epoch e; the slot is now at a
   // later epoch, so the duplicate is dropped before touching registers.

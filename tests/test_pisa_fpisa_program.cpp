@@ -412,8 +412,8 @@ class ScopedBackend {
 };
 
 /// Every observable of the two switches: all registers (lane exponents and
-/// mantissas, bitmap, counter), the §5.2.1 OpCounters, dedup hits,
-/// occupancy and packet counts.
+/// mantissas, bitmap, counter), the slot stamps, the §5.2.1 OpCounters,
+/// dedup hits, occupancy and packet counts.
 void expect_same_switch(FpisaSwitch& got, FpisaSwitch& want,
                         const std::string& what) {
   const int regs = 2 * got.options().lanes + 2;
@@ -422,6 +422,11 @@ void expect_same_switch(FpisaSwitch& got, FpisaSwitch& want,
       ASSERT_EQ(got.sim().reg(r).read(s), want.sim().reg(r).read(s))
           << what << " reg=" << r << " slot=" << s;
     }
+  }
+  for (std::size_t s = 0; s < got.options().slots; ++s) {
+    const auto slot = static_cast<std::uint16_t>(s);
+    ASSERT_EQ(got.slot_stamp(slot), want.slot_stamp(slot))
+        << what << " stamp slot=" << s;
   }
   const core::OpCounters& a = got.op_counters();
   const core::OpCounters& b = want.op_counters();
@@ -521,13 +526,13 @@ TEST(FpisaSwitch, BatchAddBitIdenticalToPerPacketPipeline) {
   }
 }
 
-TEST(FpisaSwitch, DescriptorIngressMatchesFlatAdapterAndInterpreter) {
-  // The descriptor ingress reads each packet's lanes in place. Here they
-  // sit in one byte buffer at an odd offset, in reverse packet order, and
-  // the stream ends with repeated descriptors (the same payload pointer
-  // again, as a duplicate delivery queues it). Interpreter, flat adapter,
-  // unguarded and guarded descriptor ingress must leave the same
-  // registers, bitmap, counter, OpCounters, dedup and packet counts.
+TEST(FpisaSwitch, AdmitAndGatherMatchFlatAdapterAndInterpreter) {
+  // admit and gather read each packet's lanes in place. Here they sit in
+  // one byte buffer at an odd offset, in reverse packet order, and the
+  // stream ends with repeated descriptors (the same payload pointer again,
+  // as a duplicate delivery queues it). Interpreter, flat adapter, and
+  // unguarded and guarded admit + gather must leave the same registers,
+  // bitmap, counter, OpCounters, dedup and packet counts.
   for (const SwitchCase& c : switch_cases()) {
     const ScopedBackend pin(c.backend);
     const std::string tag = case_tag(c);
@@ -568,20 +573,21 @@ TEST(FpisaSwitch, DescriptorIngressMatchesFlatAdapterAndInterpreter) {
                            in.payload(p, c.lanes));
     }
     flat.add_batch(in.slots, in.workers, in.values);
-    desc.ingress(in.slots, in.workers, payloads);
+    testkit::admit_and_gather(desc, in.slots, in.workers, payloads);
     FpisaSwitch::GuardStats guard;
-    guarded.ingress(in.slots, in.workers, payloads, stamps, sums, &guard);
+    testkit::admit_and_gather(guarded, in.slots, in.workers, payloads, stamps,
+                              sums, &guard);
 
     EXPECT_GT(per_packet.dedup_hits(), 40u) << tag;
     EXPECT_EQ(guard.corrupt_rejected, 0u) << tag;
     EXPECT_EQ(guard.stale_rejected, 0u) << tag;
     expect_same_switch(flat, per_packet, tag + " flat adapter");
-    expect_same_switch(desc, per_packet, tag + " descriptor ingress");
-    expect_same_switch(guarded, per_packet, tag + " guarded descriptors");
+    expect_same_switch(desc, per_packet, tag + " admit + gather");
+    expect_same_switch(guarded, per_packet, tag + " guarded admit + gather");
   }
 }
 
-TEST(FpisaSwitch, DescriptorIngressChecksShapesBeforeAnyStateChange) {
+TEST(FpisaSwitch, AdmitChecksShapesBeforeAnyStateChange) {
   FpisaSwitch sw(eq_config(core::Variant::kFull),
                  eq_options(switch_cases().front()));
   const auto lanes = static_cast<std::size_t>(sw.options().lanes);
@@ -591,21 +597,33 @@ TEST(FpisaSwitch, DescriptorIngressChecksShapesBeforeAnyStateChange) {
   const std::vector<const std::byte*> two{payload, payload};
   const std::vector<std::uint16_t> slots{0, 1};
   const std::vector<std::uint8_t> workers{0, 1};
-  EXPECT_THROW(sw.ingress(slots, workers, one), std::invalid_argument);
+  std::vector<const std::byte*> accepted(2);
+  std::vector<std::uint32_t> rows(2);
+  EXPECT_THROW(sw.admit(slots, workers, one, {}, {}, nullptr, accepted, rows),
+               std::invalid_argument);
   const std::vector<std::uint32_t> stamps{0, 0};
   FpisaSwitch::GuardStats guard;
-  EXPECT_THROW(sw.ingress(slots, workers, two, stamps, {}, &guard),
+  EXPECT_THROW(sw.admit(slots, workers, two, stamps, {}, &guard, accepted,
+                        rows),
+               std::invalid_argument);
+  EXPECT_THROW(sw.admit(slots, workers, two, {}, {}, nullptr,
+                        std::span(accepted).first(1), rows),
+               std::invalid_argument);
+  EXPECT_THROW(sw.admit(slots, workers, two, {}, {}, nullptr, accepted,
+                        std::span(rows).first(1)),
                std::invalid_argument);
   const std::vector<std::uint16_t> bad_slot{
       0, static_cast<std::uint16_t>(kEqSlots)};
-  EXPECT_THROW(sw.ingress(bad_slot, workers, two), std::out_of_range);
+  EXPECT_THROW(sw.admit(bad_slot, workers, two, {}, {}, nullptr, accepted,
+                        rows),
+               std::out_of_range);
   EXPECT_EQ(sw.occupied_slots(), 0);
   EXPECT_EQ(sw.op_counters().adds, 0u);
   EXPECT_EQ(sw.sim().packets_processed(), 0u);
 }
 
 TEST(FpisaSwitch, BadPacketMidBatchLeavesEveryBookAsItWas) {
-  // The ingress pre-pass checks each packet as it settles it. A bad slot
+  // admit checks each packet as it settles it. A bad slot
   // or worker id after packets that were accepted, absorbed as duplicates
   // or rejected by the guard must still leave the switch exactly as it
   // was: bitmap, counter, occupancy, dedup, guard books and lanes.
@@ -618,7 +636,7 @@ TEST(FpisaSwitch, BadPacketMidBatchLeavesEveryBookAsItWas) {
     const std::vector<std::uint16_t> warm_slots{2, 3};
     const std::vector<std::uint8_t> warm_workers{0, 4};
     const std::vector<const std::byte*> warm_payloads{payload, payload};
-    sw.ingress(warm_slots, warm_workers, warm_payloads);
+    testkit::admit_and_gather(sw, warm_slots, warm_workers, warm_payloads);
     const int regs = 2 * sw.options().lanes + 2;
     std::vector<std::vector<std::uint64_t>> before(
         static_cast<std::size_t>(regs));
@@ -647,12 +665,14 @@ TEST(FpisaSwitch, BadPacketMidBatchLeavesEveryBookAsItWas) {
                                       {payload, lanes * 4}));
       }
       sums[4] ^= 1;  // the copy on slot 9 arrives corrupted
-      EXPECT_THROW(sw.ingress(slots, workers, payloads, stamps, sums, &guard),
+      EXPECT_THROW(testkit::admit_and_gather(sw, slots, workers, payloads,
+                                             stamps, sums, &guard),
                    std::out_of_range);
       EXPECT_EQ(guard.corrupt_rejected, 5u);
       EXPECT_EQ(guard.stale_rejected, 6u);
     } else {
-      EXPECT_THROW(sw.ingress(slots, workers, payloads), std::out_of_range);
+      EXPECT_THROW(testkit::admit_and_gather(sw, slots, workers, payloads),
+                   std::out_of_range);
     }
     for (int r = 0; r < regs; ++r) {
       for (std::size_t s = 0; s < kEqSlots; ++s) {
@@ -666,8 +686,9 @@ TEST(FpisaSwitch, BadPacketMidBatchLeavesEveryBookAsItWas) {
     EXPECT_EQ(sw.dedup_hits(), dedup);
     EXPECT_EQ(sw.op_counters().adds, adds);
     // The same packets without the bad one then land as they would have.
-    sw.ingress(std::span(slots).first(4), std::span(workers).first(4),
-               std::span(payloads).first(4));
+    testkit::admit_and_gather(sw, std::span(slots).first(4),
+                              std::span(workers).first(4),
+                              std::span(payloads).first(4));
     EXPECT_EQ(sw.dedup_hits(), dedup + 1);
     EXPECT_EQ(sw.occupied_slots(), occupied + 1);
     EXPECT_EQ(sw.sim().reg(2 * sw.options().lanes).read(2), 0b11u);
@@ -675,43 +696,53 @@ TEST(FpisaSwitch, BadPacketMidBatchLeavesEveryBookAsItWas) {
   }
 }
 
-TEST(FpisaSwitch, ReadBatchBitIdenticalToPerPacketPipeline) {
-  // The compiled egress must emit exactly what interpreted read /
-  // read_and_reset packets emit — values (FTZ and overflow-to-inf range
-  // handling included), bitmap and count fields — and leave every
-  // register, counter and packet count identical.
+TEST(FpisaSwitch, ReadAndResetBitIdenticalToPerPacketPipeline) {
+  // The compiled egress must emit exactly what interpreted read_and_reset
+  // packets emit — values (FTZ and overflow-to-inf range handling
+  // included), bitmap and count fields — and leave every register,
+  // counter and packet count identical, through the flat adapter and
+  // through release + drain. A release without reset first probes the
+  // bitmap and count fields that interpreted read packets carry.
   for (const SwitchCase& c : switch_cases()) {
     const ScopedBackend pin(c.backend);
     const std::string tag = case_tag(c);
     FpisaSwitch per_packet(eq_config(c.variant), eq_options(c));
-    FpisaSwitch batched(eq_config(c.variant), eq_options(c));
+    FpisaSwitch flat(eq_config(c.variant), eq_options(c));
+    FpisaSwitch halves(eq_config(c.variant), eq_options(c));
     const PacketStream in = adversarial_stream(0xEC3E55, 200, c.lanes, 16);
     per_packet.add_batch(in.slots, in.workers, in.values);
-    batched.add_batch(in.slots, in.workers, in.values);
+    flat.add_batch(in.slots, in.workers, in.values);
+    halves.add_batch(in.slots, in.workers, in.values);
 
     const auto lanes = static_cast<std::size_t>(c.lanes);
+    std::vector<std::uint32_t> flat_vals(kEqSlots * lanes);
     std::vector<std::uint32_t> vals(kEqSlots * lanes);
     std::vector<std::uint32_t> bitmaps(kEqSlots);
     std::vector<std::uint16_t> counts(kEqSlots);
-    for (const bool reset : {false, true}) {
-      if (reset) {
-        batched.read_and_reset_batch(0, kEqSlots, vals, bitmaps, counts);
-      } else {
-        batched.read_batch(0, kEqSlots, vals, bitmaps, counts);
-      }
-      for (std::uint16_t s = 0; s < kEqSlots; ++s) {
-        const FpisaResult want =
-            reset ? per_packet.read_and_reset(s) : per_packet.read(s);
-        ASSERT_EQ(bitmaps[s], want.bitmap) << tag << " slot " << s;
-        ASSERT_EQ(counts[s], want.count) << tag << " slot " << s;
-        for (std::size_t l = 0; l < lanes; ++l) {
-          ASSERT_EQ(vals[s * lanes + l], want.values[l])
-              << tag << " reset=" << reset << " slot=" << s << " lane=" << l;
-        }
-      }
-      expect_same_switch(batched, per_packet,
-                         tag + (reset ? " after reset" : " after read"));
+    flat.release(0, kEqSlots, /*reset=*/false);
+    halves.release(0, kEqSlots, /*reset=*/false, bitmaps, counts);
+    for (std::uint16_t s = 0; s < kEqSlots; ++s) {
+      const FpisaResult want = per_packet.read(s);
+      ASSERT_EQ(bitmaps[s], want.bitmap) << tag << " probe slot " << s;
+      ASSERT_EQ(counts[s], want.count) << tag << " probe slot " << s;
     }
+    expect_same_switch(halves, per_packet, tag + " after probe");
+
+    flat.read_and_reset_batch(0, kEqSlots, flat_vals);
+    testkit::release_and_drain(halves, 0, vals, bitmaps, counts);
+    for (std::uint16_t s = 0; s < kEqSlots; ++s) {
+      const FpisaResult want = per_packet.read_and_reset(s);
+      ASSERT_EQ(bitmaps[s], want.bitmap) << tag << " slot " << s;
+      ASSERT_EQ(counts[s], want.count) << tag << " slot " << s;
+      for (std::size_t l = 0; l < lanes; ++l) {
+        ASSERT_EQ(vals[s * lanes + l], want.values[l])
+            << tag << " slot=" << s << " lane=" << l;
+        ASSERT_EQ(flat_vals[s * lanes + l], want.values[l])
+            << tag << " flat slot=" << s << " lane=" << l;
+      }
+    }
+    expect_same_switch(flat, per_packet, tag + " flat adapter");
+    expect_same_switch(halves, per_packet, tag + " release + drain");
   }
 }
 
@@ -800,14 +831,16 @@ void add_both(FpisaSwitch& interp, FpisaSwitch& compiled, std::uint8_t w,
   compiled.add_batch(slot, worker, values);
 }
 
-/// Reads slot 0 both ways, checks the compiled lanes against the
-/// interpreter's and that all lanes agree, and returns lane 0.
+/// Reads and resets slot 0 both ways, checks the compiled lanes against
+/// the interpreter's, that all lanes agree and that the two switches are
+/// still the same, and returns lane 0.
 std::uint32_t read_both(FpisaSwitch& interp, FpisaSwitch& compiled,
                         const std::string& what) {
   std::vector<std::uint32_t> got(kEdgeLanes);
-  compiled.read_batch(0, 1, got);
-  EXPECT_EQ(got, interp.read(0).values) << what;
+  compiled.read_and_reset_batch(0, 1, got);
+  EXPECT_EQ(got, interp.read_and_reset(0).values) << what;
   EXPECT_EQ(std::count(got.begin(), got.end(), got[0]), kEdgeLanes) << what;
+  expect_same_switch(compiled, interp, what + " after reset");
   return got[0];
 }
 
@@ -1037,21 +1070,26 @@ TEST(FpisaSwitch, BatchShapesAreCheckedInEveryBuild) {
   std::vector<std::uint32_t> vals(4 * 4);
   std::vector<std::uint32_t> bitmaps(4);
   std::vector<std::uint16_t> counts(4);
-  EXPECT_THROW(sw.read_batch(5, 4, vals), std::out_of_range);
+  const std::vector<std::byte*> dests(
+      4, std::as_writable_bytes(std::span(vals)).data());
+  EXPECT_THROW(sw.read_and_reset_batch(5, 4, vals), std::out_of_range);
   EXPECT_THROW(sw.read_and_reset_batch(8, 1, std::span(vals).first(4)),
                std::out_of_range);
-  EXPECT_THROW(sw.read_batch(0, SIZE_MAX, vals), std::out_of_range);
-  EXPECT_THROW(sw.read_batch(0, 3, vals), std::invalid_argument);
-  EXPECT_THROW(sw.read_batch(0, 4, vals, std::span(bitmaps).first(3)),
+  EXPECT_THROW(sw.read_and_reset_batch(0, SIZE_MAX, vals), std::out_of_range);
+  EXPECT_THROW(sw.read_and_reset_batch(0, 3, vals), std::invalid_argument);
+  EXPECT_THROW(sw.release(5, 4, true), std::out_of_range);
+  EXPECT_THROW(sw.release(0, SIZE_MAX, true), std::out_of_range);
+  EXPECT_THROW(sw.release(0, 4, true, std::span(bitmaps).first(3)),
                std::invalid_argument);
-  EXPECT_THROW(sw.read_and_reset_batch(0, 4, vals, bitmaps,
-                                       std::span(counts).first(2)),
+  EXPECT_THROW(sw.release(0, 4, true, bitmaps, std::span(counts).first(2)),
                std::invalid_argument);
+  EXPECT_THROW(sw.drain(5, dests), std::out_of_range);
   EXPECT_EQ(sw.sim().packets_processed(), 0u);
 
   // The valid shapes still work after all of that.
   sw.add_batch(ok_slots, ok_workers, two);
-  sw.read_and_reset_batch(0, 4, vals, bitmaps, counts);
+  sw.release(0, 4, /*reset=*/false, bitmaps, counts);
+  sw.read_and_reset_batch(0, 4, vals);
   EXPECT_EQ(core::fp32_value(vals[0]), 1.0f);
   EXPECT_EQ(bitmaps[1], 0b10u);
   EXPECT_EQ(counts[0], 1u);
@@ -1059,8 +1097,9 @@ TEST(FpisaSwitch, BatchShapesAreCheckedInEveryBuild) {
 
 TEST(FpisaSwitch, EgressErrorsNameTheirOwnEntryPoint) {
   // release and drain are entry points of their own (the wave engine's
-  // collect and replay call them, its scrub calls read_and_reset_batch):
-  // each error names the call that was made, not egress.
+  // collect and replay call them, and so does switchml::scrub), and
+  // read_and_reset_batch runs them: each error names the call that was
+  // made.
   FpisaProgramOptions opts;
   opts.variant = core::Variant::kApproximate;
   opts.lanes = 4;
@@ -1090,15 +1129,9 @@ TEST(FpisaSwitch, EgressErrorsNameTheirOwnEntryPoint) {
   EXPECT_TRUE(starts(msg, "release")) << msg;
   msg = what([&] { sw.release(0, 2, false, {}, one_count); });
   EXPECT_TRUE(starts(msg, "release")) << msg;
-  msg = what([&] { sw.drain(7, dests, true); });
+  msg = what([&] { sw.drain(7, dests); });
   EXPECT_TRUE(starts(msg, "drain")) << msg;
-  msg = what([&] { sw.egress(7, dests, true); });
-  EXPECT_TRUE(starts(msg, "egress")) << msg;
-  msg = what([&] { sw.egress(0, dests, true, one_bitmap); });
-  EXPECT_TRUE(starts(msg, "egress")) << msg;
-  msg = what([&] { sw.read_batch(0, 2, vals, one_bitmap); });
-  EXPECT_TRUE(starts(msg, "read_batch")) << msg;
-  msg = what([&] { sw.read_and_reset_batch(0, 2, vals, {}, one_count); });
+  msg = what([&] { sw.read_and_reset_batch(0, 2, std::span(vals).first(4)); });
   EXPECT_TRUE(starts(msg, "read_and_reset_batch")) << msg;
   msg = what([&] { sw.read_and_reset_batch(7, 2, vals); });
   EXPECT_TRUE(starts(msg, "read_and_reset_batch")) << msg;
@@ -1364,7 +1397,12 @@ TEST(FpisaProgramSharing, CompiledOnlySwitchNeverBuildsStages) {
     FpisaSwitch sw(baseline_tofino(), opts);
     sw.add_batch(std::vector<std::uint16_t>{3, 3},
                  std::vector<std::uint8_t>{0, 1}, values);
-    sw.read_batch(2, 2, out);
+    const std::byte* const payload = std::as_bytes(std::span(values)).data();
+    testkit::admit_and_gather(sw, std::vector<std::uint16_t>{2},
+                              std::vector<std::uint8_t>{0},
+                              std::vector<const std::byte*>{payload});
+    testkit::release_and_drain(sw, 2, std::span(out).first(32));
+    EXPECT_EQ(core::fp32_value(out[0]), 1.5f);
     sw.read_and_reset_batch(3, 1, std::span(out).first(32));
     sw.wipe_state();
     g_allocs.armed = false;

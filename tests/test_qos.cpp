@@ -320,6 +320,46 @@ TEST(QosService, BlockPolicyDeadlineExpiresAsRejection) {
   EXPECT_EQ(svc.jobs_failed(), 0u);
 }
 
+TEST(QosService, ConfigsWithoutANumericMeaningAreRejectedAtConstruction) {
+  // Every admission converts block_deadline_s to nanoseconds: a NaN, an
+  // infinity or 2^64 ns and more is no deadline (and undefined behaviour
+  // to convert), whatever the policy. A NaN rate would read as unlimited.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const bool per_tenant : {false, true}) {
+    const auto build = [&](double deadline_s, double rate) {
+      ClusterOptions opts = base_opts();
+      opts.qos.enabled = true;
+      qos::TenantQosConfig cfg;
+      cfg.block_deadline_s = deadline_s;
+      cfg.rate_jobs_per_s = rate;
+      if (per_tenant) {
+        opts.qos.tenants["odd"] = cfg;
+      } else {
+        opts.qos.default_tenant = cfg;
+      }
+      AggregationService svc(opts);
+    };
+    for (const double d : {nan, inf, 1.9e10, 1e300}) {
+      EXPECT_THROW(build(d, 0.0), std::invalid_argument)
+          << "deadline " << d << " per_tenant=" << per_tenant;
+    }
+    EXPECT_THROW(build(1.0, nan), std::invalid_argument)
+        << "per_tenant=" << per_tenant;
+    // Still numbers: a negative or -inf deadline means "now", a deadline
+    // just under 2^64 ns still converts, and any rate <= 0 is unlimited.
+    EXPECT_NO_THROW(build(-inf, 0.0));
+    EXPECT_NO_THROW(build(-1.0, -inf));
+    EXPECT_NO_THROW(build(1.8e10, 5.0));
+    EXPECT_NO_THROW(build(1.0, inf));
+  }
+  // With QoS off no admission runs, so no config is read.
+  ClusterOptions off = base_opts();
+  off.qos.default_tenant.block_deadline_s = nan;
+  off.qos.tenants["odd"].rate_jobs_per_s = nan;
+  EXPECT_NO_THROW(AggregationService svc(off));
+}
+
 // --- scheduler integration: overtaking on the job-runner pool ---------------
 
 TEST(QosService, TrainingOvertakesQueuedTelemetry) {

@@ -165,7 +165,7 @@ std::tuple<int, int, int> expect_engine_matches_oracle(
   expect_switch_eq(engine_sw, oracle_sw);
   EXPECT_EQ(engine_rng.next_u64(), oracle_rng.next_u64());
   // The scrub leaves the range as a fresh switch's.
-  engine.scrub(access, job.lo, job.wave);
+  switchml::scrub(access, job.lo, job.wave);
   EXPECT_EQ(engine_sw.occupied_slots(), 0);
   return want;
 }

@@ -120,8 +120,45 @@ inline PendingJob submit(cluster::AggregationService& svc,
   return p;
 }
 
-/// Guarded FpisaSwitch::ingress over flat values: packet i's lanes are
-/// values[i*lanes, +lanes). ingress checks the payload count against
+/// The compiled ingress as the wave engine runs it: FpisaSwitch::admit,
+/// gather over the packets it accepted, then book_ops. Returns how many it
+/// accepted.
+inline std::size_t admit_and_gather(
+    pisa::FpisaSwitch& sw, std::span<const std::uint16_t> slots,
+    std::span<const std::uint8_t> workers,
+    std::span<const std::byte* const> payloads,
+    std::span<const std::uint32_t> stamps = {},
+    std::span<const std::uint16_t> checksums = {},
+    pisa::FpisaSwitch::GuardStats* guard = nullptr) {
+  std::vector<const std::byte*> accepted(slots.size());
+  std::vector<std::uint32_t> rows(slots.size());
+  const std::size_t n = sw.admit(slots, workers, payloads, stamps, checksums,
+                                 guard, accepted, rows);
+  core::OpCounters ops;
+  sw.gather(std::span(accepted).first(n), std::span(rows).first(n), ops);
+  sw.book_ops(ops);
+  return n;
+}
+
+/// The compiled egress as the wave engine runs it: FpisaSwitch::release
+/// with reset (capturing the bitmaps and counts unless their spans are
+/// empty), then drain into flat `values`: slot k's lanes land at
+/// values[k*lanes, +lanes), for values.size() / lanes slots from slot0.
+inline void release_and_drain(pisa::FpisaSwitch& sw, std::uint16_t slot0,
+                              std::span<std::uint32_t> values,
+                              std::span<std::uint32_t> bitmaps = {},
+                              std::span<std::uint16_t> counts = {}) {
+  const auto lanes = static_cast<std::size_t>(sw.options().lanes);
+  std::vector<std::byte*> dests;
+  for (std::size_t i = 0; i + lanes <= values.size(); i += lanes) {
+    dests.push_back(std::as_writable_bytes(values.subspan(i, lanes)).data());
+  }
+  sw.release(slot0, dests.size(), /*reset=*/true, bitmaps, counts);
+  sw.drain(slot0, dests);
+}
+
+/// Guarded admit_and_gather over flat values: packet i's lanes are
+/// values[i*lanes, +lanes). admit checks the payload count against
 /// slots.size().
 inline void guarded_ingress(pisa::FpisaSwitch& sw,
                             std::span<const std::uint16_t> slots,
@@ -135,7 +172,7 @@ inline void guarded_ingress(pisa::FpisaSwitch& sw,
   for (std::size_t i = 0; i + lanes <= values.size(); i += lanes) {
     payloads.push_back(std::as_bytes(values.subspan(i, lanes)).data());
   }
-  sw.ingress(slots, workers, payloads, stamps, checksums, &guard);
+  admit_and_gather(sw, slots, workers, payloads, stamps, checksums, &guard);
 }
 
 }  // namespace fpisa::testkit
