@@ -161,8 +161,8 @@ int main() {
   }
   std::printf("%s", t.render().c_str());
 
-  // The wall rows depend on how many cores actually back the shard
-  // workers — record it so downstream checks (scripts/check_bench_scaling)
+  // The wall rows depend on how many cores actually back the datapath
+  // pool's helpers — record it so downstream checks (scripts/check_bench_scaling)
   // can gate the scaling assertion on real parallel hardware. The usable
   // count, not the online one: an affinity mask or cgroup quota may leave
   // this process fewer CPUs than the host has.
@@ -170,9 +170,9 @@ int main() {
   json.set("host_cpus", host_cpus);
 
   // Dispatch overhead: a minimal job (one chunk per shard) over many reps,
-  // mailbox workers vs inline on the same fabric. The delta prices one
-  // fan-out/join round trip — the tickets, wakeups, and the epoch join —
-  // with almost no shard work to hide behind.
+  // datapath-pool helpers vs inline on the same fabric. The delta prices
+  // one fan-out/join round trip — the helper tickets, wakeups, and the
+  // join — with almost no shard work to hide behind.
   {
     constexpr int kDispatchReps = 200;
     const auto tiny = make_workers(
@@ -208,7 +208,7 @@ int main() {
     json.set("dispatch_pass_us_workers", workers_us);
     json.set("dispatch_overhead_us_per_pass", overhead_us);
     std::printf("\ndispatch overhead (4 shards, 1-chunk waves, %d reps): "
-                "inline %.1f us/pass, mailbox workers %.1f us/pass = "
+                "inline %.1f us/pass, pool helpers %.1f us/pass = "
                 "%+.1f us fan-out/join cost\n",
                 kDispatchReps, inline_us, workers_us, overhead_us);
   }

@@ -254,8 +254,8 @@ int main(int argc, char** argv) {
 
   // Embed the registry as the contended QoS phase saw it, so BENCH json
   // carries the qos_* series (admission queue depths, per-class
-  // picks/admissions, reject taxonomy) and the live service's mailbox
-  // gauges alongside the fabric metrics. A scrape after every service has
+  // picks/admissions, reject taxonomy) and the live service's per-shard
+  // phase histograms alongside the fabric metrics. A scrape after every service has
   // gone would hold only their retired counters.
   json.set_raw("telemetry", qos.telemetry);
   if (!json.write()) std::printf("warning: could not write BENCH json\n");

@@ -14,9 +14,9 @@ Stdlib only (runs in CI right after the Release bench). Two layers:
   Wall-clock scaling needs cores to scale ON, so this assertion only arms
   when the bench ran on >= 4 usable CPUs (host_cpus is recorded by the
   bench itself, as util::usable_cpus(): the CPUs its affinity mask and
-  cgroup quota allow, not the online count); on smaller hosts the engine
-  auto-degrades to inline dispatch and the check reports a skip instead of
-  a false failure.
+  cgroup quota allow, not the online count); on smaller hosts the
+  datapath pool has too few workers to scale on and the check reports a
+  skip instead of a false failure.
 
 --keys-only runs the presence layer alone (the ctest smoke run).
 """

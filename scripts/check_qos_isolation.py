@@ -12,8 +12,9 @@ Stdlib only (runs in CI right after the Release bench). Three layers:
 
   telemetry — the embedded registry snapshot must carry the qos_* metric
   series (admission queue depth, per-class admissions/picks, the reject
-  taxonomy) plus the exported per-shard mailbox series, proving the
-  admission plane is wired into the metrics surface, not just the bench.
+  taxonomy) plus the per-shard phase histograms of the live service,
+  proving the admission plane is wired into the metrics surface, not just
+  the bench.
 
   isolation — victim_p99_ratio_qos <= 2.0 (the victim's p99 under
   aggressor load, QoS on, stays within 2x of its uncontended baseline)
@@ -59,7 +60,7 @@ REQUIRED_SERIES = [
     "qos_jobs_admitted_total",
     "qos_sched_picks_total",
     "qos_jobs_rejected_total",
-    "cluster_mailbox_enqueued",
+    "cluster_shard_phase_seconds",
 ]
 
 MAX_VICTIM_P99_RATIO_QOS = 2.0

@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "core/vector_accumulator.h"
-#include "util/cpus.h"
 
 namespace fpisa::cluster {
 
@@ -88,23 +87,13 @@ AggregationService::AggregationService(ClusterOptions opts)
     shards_.push_back(std::make_unique<Shard>(opts_));
   }
   init_metrics();
-  // Resolve the dispatch mode once: kAuto picks per-shard workers when
-  // there is real parallelism to win, inline otherwise (one usable CPU or
-  // a single shard gains nothing from the handoff). Results are identical
-  // either way — only wall time differs.
-  using Mode = ClusterOptions::DispatchMode;
-  if (opts_.dispatch == Mode::kWorkers ||
-      (opts_.dispatch == Mode::kAuto && opts_.num_shards > 1 &&
-       util::usable_cpus() > 1)) {
-    pool_ = std::make_unique<ForkJoinPool>(opts_.num_shards, 256);
-  }
   const int job_threads = opts_.job_runner_threads > 0
                               ? opts_.job_runner_threads
                               : std::max(2, opts_.num_shards);
-  job_pool_.reserve(static_cast<std::size_t>(job_threads));
+  job_runners_.reserve(static_cast<std::size_t>(job_threads));
   try {
     for (int t = 0; t < job_threads; ++t) {
-      job_pool_.emplace_back([this] { job_runner_loop(); });
+      job_runners_.emplace_back([this] { job_runner_loop(); });
     }
   } catch (...) {
     stop_job_runners();  // the destructor does not run for a failed constructor
@@ -154,18 +143,6 @@ void AggregationService::init_metrics() {
     m_qos_rejects_[r] =
         &reg.counter("qos_jobs_rejected_total", {svc, {"reason", why}});
   }
-  // Per-shard mailbox counters (PR 8's mailbox_stats surface) as gauges,
-  // refreshed after every pass join under kWorkers dispatch.
-  m_mailbox_.resize(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::string shard = std::to_string(s);
-    m_mailbox_[s][0] =
-        &reg.gauge("cluster_mailbox_enqueued", {svc, {"shard", shard}});
-    m_mailbox_[s][1] =
-        &reg.gauge("cluster_mailbox_wakeups", {svc, {"shard", shard}});
-    m_mailbox_[s][2] = &reg.gauge("cluster_mailbox_spurious_wakeups",
-                                  {svc, {"shard", shard}});
-  }
   // Fault-recovery events (wire-level rejections live on the switches'
   // own fpisa_switch_* counters; these are the fabric-level recoveries).
   m_fault_[0] = &reg.counter("cluster_fault_epoch_bumps_total", {svc});
@@ -183,7 +160,7 @@ void AggregationService::attach_trace(telemetry::Trace* trace,
   trace_.store(trace, std::memory_order_release);
 }
 
-// Members then stop the shard pool: the runners feed it, so they go first.
+// The runners go first: their jobs use every other member.
 AggregationService::~AggregationService() { stop_job_runners(); }
 
 void AggregationService::stop_job_runners() {
@@ -193,12 +170,12 @@ void AggregationService::stop_job_runners() {
   }
   job_cv_.notify_all();
   admission_cv_.notify_all();  // unblock any kBlock submitter immediately
-  for (std::thread& t : job_pool_) t.join();
+  for (std::thread& t : job_runners_) t.join();
 }
 
 /// One job's fan-out/join state (see header). Lives on run_job's stack;
-/// shard workers reach it through their pool task and write only their
-/// own cache-line-aligned slot.
+/// pool helpers reach it through their fan-out item and write only their
+/// own shard's cache-line-aligned slot.
 struct AggregationService::PassContext {
   const JobPlan* plan = nullptr;
   const std::vector<SlotRange>* ranges = nullptr;
@@ -219,6 +196,7 @@ struct AggregationService::PassContext {
     std::exception_ptr error;
   };
   std::vector<ShardSlot> slots;
+  std::vector<int> active;  ///< this pass's shards with chunks: the items
   AggregationService* svc = nullptr;
 };
 
@@ -510,33 +488,26 @@ void AggregationService::run_pass_task(PassContext& ctx, int shard) {
 void AggregationService::run_pass(PassContext& ctx, JobReport& report) {
   const JobPlan& plan = *ctx.plan;
   ctx.slots.assign(shards_.size(), {});
-  // Fan-out: one task per ACTIVE shard, on that shard's worker (idle
-  // shards' workers stay asleep), or in turn on this thread with no pool.
-  const ForkJoinPool::Fn task = [](void* c, int shard) noexcept {
-    auto& pc = *static_cast<PassContext*>(c);
-    pc.svc->run_pass_task(pc, shard);
-  };
-  ForkJoinPool::Join join;
+  ctx.active.clear();
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const int shard = static_cast<int>(s);
-    if (plan.chunks[s].empty()) continue;
-    if (pool_) {
-      pool_->post(shard, join, task, &ctx, shard);
-    } else {
-      run_pass_task(ctx, shard);
-    }
+    if (!plan.chunks[s].empty()) ctx.active.push_back(static_cast<int>(s));
   }
-  if (pool_) pool_->wait(join);
-  // Merge under the join — single-threaded, after every worker's release
-  // decrement — and refresh the scrapeable mailbox gauges of the shards
-  // that ran (three relaxed loads + stores each).
+  // The job's thread and, under kWorkers, datapath-pool helpers claim the
+  // active shards. A FanOut per pass: concurrent jobs share no helper
+  // count, and each pass may post a helper per active shard past the first.
+  const FanOut::Item task = [](void* c, int, std::size_t i) noexcept {
+    auto& pc = *static_cast<PassContext*>(c);
+    pc.svc->run_pass_task(pc, pc.active[i]);
+  };
+  ForkJoinPool* const pool =
+      opts_.dispatch == ClusterOptions::DispatchMode::kWorkers
+          ? &datapath_pool()
+          : nullptr;
+  FanOut().for_each(pool, ctx.active.size(),
+                    static_cast<int>(ctx.active.size()) - 1, task, &ctx);
+  // Merge after the join, on the job's thread.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     report.per_shard[s] += ctx.slots[s].stats;  // += : retry passes merge in
-    if (!pool_ || plan.chunks[s].empty()) continue;
-    const MailboxStats ms = pool_->stats(static_cast<int>(s));
-    m_mailbox_[s][0]->set(static_cast<double>(ms.enqueued));
-    m_mailbox_[s][1]->set(static_cast<double>(ms.wakeups));
-    m_mailbox_[s][2]->set(static_cast<double>(ms.spurious_wakeups));
   }
 }
 
@@ -544,7 +515,7 @@ MailboxStats AggregationService::mailbox_stats(int shard) const {
   if (shard < 0 || shard >= opts_.num_shards) {
     throw std::invalid_argument("cluster: mailbox_stats: unknown shard");
   }
-  return pool_ ? pool_->stats(shard) : MailboxStats{};
+  return {};
 }
 
 void AggregationService::swap_ranges(std::vector<SlotRange>& ranges,
@@ -847,12 +818,12 @@ void AggregationService::run_job(const JobView& job, std::span<float> out,
 
 std::future<JobReport> AggregationService::submit(const JobView& job,
                                                   std::span<float> out) {
-  // The job's control loop runs on the bounded job-runner pool; only the
-  // per-shard work shares the worker pool. (Worker-pool tasks never block
-  // on other tasks and job runners never wait on other jobs — ranges are
-  // acquired in ascending shard order — so no fleet of tenants can
-  // deadlock or grow the thread count.) Admission is charged once, at
-  // enqueue time. Copy the tenant name and the span *table* (W
+  // The job's control loop runs on a bounded job runner, which claims its
+  // passes' shards with the datapath pool's helpers. (Pool tasks never
+  // post to or wait on the pool, nor does any shard-mutex holder, and job
+  // runners never wait on other jobs — ranges are acquired in ascending
+  // shard order — so no fleet of tenants can deadlock or grow the thread
+  // count.) Admission is charged once, at enqueue time. Copy the tenant name and the span *table* (W
   // pointers+lengths) — never the gradients. The caller owns the viewed
   // buffers and `out` until the future resolves.
   return enqueue_job(

@@ -1,13 +1,15 @@
 // Rack-scale, multi-tenant aggregation service: runs reduce jobs across a
 // pool of pisa::FpisaSwitch shards on the JobPlanner's plans
 // (cluster/shard_router.h: run_job executes a plan and takes a new one
-// after a failure), drives the shards concurrently on a ForkJoinPool with
-// one worker per shard (cluster/mailbox.h), and keeps per-tenant and
-// per-shard protocol statistics. Each shard task runs the one
-// switchml::WaveEngine (the same wave protocol as AggregationSession: add
-// with retransmission, idempotent read, read-and-reset slot recycling) over
-// a tenant-private SlotRange so concurrent jobs never collide; the task
-// itself only injects faults and accounts — see README "Execution model".
+// after a failure), fans each pass's active shards out over the process's
+// one datapath pool (cluster::FanOut::for_each over datapath_pool(),
+// cluster/mailbox.h), and keeps per-tenant and per-shard protocol
+// statistics. The service starts no thread but its job runners. Each shard
+// task runs the one switchml::WaveEngine (the same wave protocol as
+// AggregationSession: add with retransmission, idempotent read,
+// read-and-reset slot recycling) over a tenant-private SlotRange so
+// concurrent jobs never collide; the task itself only injects faults and
+// accounts — see README "Execution model".
 #pragma once
 
 #include <array>
@@ -53,26 +55,26 @@ struct ClusterOptions {
   double loss_rate = 0.0;            ///< per-packet drop probability (each way)
   std::uint64_t loss_seed = 1;
   int max_retransmits = 64;
-  /// How shard tasks of a pass execute.
-  ///  * kWorkers: a ForkJoinPool with one persistent worker per shard —
-  ///    a pass dispatch is one ring store + one futex wake per ACTIVE
-  ///    shard, on that shard's worker (idle shards sleep).
-  ///  * kInline: shard tasks run sequentially on the calling job thread;
-  ///    zero fan-out threads (concurrent jobs still overlap on the
-  ///    job-runner pool, serialized per shard by the shard mutex).
-  ///  * kAuto (default): kWorkers when the process may run on more than
-  ///    one CPU (util::usable_cpus) and the service has >1 shard; on one
-  ///    CPU the handoff can only add context switches.
+  /// Where a pass's shard tasks run. Either way the job's own thread
+  /// claims the pass's active shards through cluster::FanOut::for_each.
+  ///  * kWorkers (default): helpers on the process's datapath_pool() claim
+  ///    shards beside it, one per active shard past the first, at most the
+  ///    pool's size. A one-shard pass, or a pool with no worker (a one-CPU
+  ///    host), posts no helper and runs on the job's thread alone.
+  ///  * kInline: every shard task runs in turn on the job's thread
+  ///    (concurrent jobs still overlap on the job runners, serialized per
+  ///    shard by the shard mutex).
   /// Results are bit-identical across modes: determinism is seeded per
   /// (job, shard, pass), never scheduled.
-  enum class DispatchMode { kAuto, kWorkers, kInline };
-  DispatchMode dispatch = DispatchMode::kAuto;
+  enum class DispatchMode { kWorkers, kInline };
+  DispatchMode dispatch = DispatchMode::kWorkers;
   /// No effect; kept only because `perfbench/` assigns it. Every shard
   /// task runs the wave engine's one wave order.
   bool pipeline_waves = true;
-  /// Control threads that run submitted jobs' reduce loops (the shard work
-  /// itself always shares the worker pool). Bounds the service's thread
-  /// count no matter how many jobs are in flight: excess submissions queue.
+  /// Control threads that run submitted jobs' reduce loops; they are the
+  /// only threads a service starts (its shard tasks run on the runner and
+  /// on the shared datapath_pool()). Bounds the service's thread count no
+  /// matter how many jobs are in flight: excess submissions queue.
   /// 0: max(2, num_shards); negative is rejected.
   int job_runner_threads = 0;
   /// Shard-failure failover: when enabled, a shard that exhausts its
@@ -134,14 +136,16 @@ class AggregationService {
   /// Runs one reduce job to completion, aggregating `job.workers` (views,
   /// read in place — no gradient copies) into `out` (out.size() == worker
   /// length). Thread-safe: may be called from many tenant threads at once;
-  /// shard work interleaves on the pool. Throws std::runtime_error when a
-  /// packet exhausts max_retransmits.
+  /// each caller claims its own passes' shards, helped by the datapath
+  /// pool. Throws std::runtime_error when a packet exhausts
+  /// max_retransmits.
   JobReport reduce(const JobView& job, std::span<float> out);
 
-  /// Asynchronous submission on the bounded job-runner pool (at most
-  /// `job_runner_threads` jobs execute concurrently; the rest queue).
-  /// Copies only the tenant name and the span table — the caller keeps the
-  /// gradient buffers and `out` alive until the future resolves.
+  /// Asynchronous submission on the bounded job runners (at most
+  /// `job_runner_threads` jobs execute concurrently; the rest queue). The
+  /// runner that picks a job up runs it as reduce() would on the caller's
+  /// thread. Copies only the tenant name and the span table — the caller
+  /// keeps the gradient buffers and `out` alive until the future resolves.
   std::future<JobReport> submit(const JobView& job, std::span<float> out);
 
   const ClusterOptions& options() const { return opts_; }
@@ -203,25 +207,23 @@ class AggregationService {
 
   /// Job-runner sizing and high-water mark: how many reduce loops ever ran
   /// at once (submitted + synchronous). With submit() alone this can never
-  /// exceed job_runner_threads() — the burst test pins that down.
+  /// exceed job_runner_threads() — the burst test pins that down. The
+  /// runners are every thread the service starts: building one raises the
+  /// process's thread count by job_runner_threads(), and reducing through
+  /// it by nothing once datapath_pool() is up.
   int job_runner_threads() const {
-    return static_cast<int>(job_pool_.size());
+    return static_cast<int>(job_runners_.size());
   }
   std::uint64_t peak_concurrent_jobs() const {
     return peak_jobs_.load(std::memory_order_relaxed);
   }
 
-  /// Per-shard mailbox counters under kWorkers dispatch: tickets posted,
-  /// consumer wakeups, and wakeups that found no ticket. A pass notifies
-  /// only the shards it fed, so an idle shard's wakeup count never moves
-  /// and spurious wakeups stay zero — both pinned by regression tests.
-  /// All-zero under inline dispatch (there are no workers to wake).
+  /// All zero: a service owns no mailbox. Its shard tasks run on the
+  /// caller and on the shared datapath_pool(), whose workers serve every
+  /// session, tree and service in the process, so no mailbox counts one
+  /// shard's tickets. Kept for readers of per-shard counts; throws
+  /// std::invalid_argument for a shard outside [0, num_shards).
   MailboxStats mailbox_stats(int shard) const;
-  /// The dispatch mode actually running (kAuto resolved at construction).
-  ClusterOptions::DispatchMode dispatch_mode() const {
-    return pool_ ? ClusterOptions::DispatchMode::kWorkers
-                 : ClusterOptions::DispatchMode::kInline;
-  }
 
   /// QoS admission snapshot for one tenant: jobs currently queued
   /// (admitted, not yet picked up) — 0 when QoS is off or the tenant is
@@ -247,10 +249,10 @@ class AggregationService {
     switchml::SessionStats stats;  ///< cumulative, guarded by stats_mu_
   };
 
-  /// One job's fan-out/join state: lives on run_job's stack, workers reach
-  /// it through their pool task. Each shard writes ONLY its own
-  /// cache-line-aligned slot; the joining thread merges after the join —
-  /// no cross-shard false sharing, no shared-state writes from workers.
+  /// One job's fan-out/join state: lives on run_job's stack, pool helpers
+  /// reach it through their fan-out item. Each shard writes ONLY its own
+  /// cache-line-aligned slot; the job's thread merges after the join — no
+  /// cross-shard false sharing, no shared-state writes from helpers.
   struct PassContext;
 
   /// Runs one shard's slice of a pass through the wave engine (rng + fault
@@ -300,10 +302,11 @@ class AggregationService {
   /// between tenants). An empty plan just releases.
   void swap_ranges(std::vector<SlotRange>& ranges, const JobPlan& want)
       FPISA_EXCLUDES(alloc_mu_);
-  /// One fan-out/join pass of `ctx.plan`: a task per shard with chunks,
-  /// stats merged into `report.per_shard`, each shard's error (null =
-  /// succeeded or inactive) left in its slot. `ctx.pass` salts the per-task
-  /// loss streams so a retry pass draws fresh, deterministic schedules.
+  /// One fan-out/join pass of `ctx.plan`: a FanOut item per shard with
+  /// chunks, stats merged into `report.per_shard`, each shard's error (null
+  /// = succeeded or inactive) left in its slot. `ctx.pass` salts the
+  /// per-task loss streams so a retry pass draws fresh, deterministic
+  /// schedules.
   void run_pass(PassContext& ctx, JobReport& report);
   /// What a pass's errors mean for its job.
   struct PassOutcome {
@@ -327,24 +330,20 @@ class AggregationService {
   JobPlanner planner_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  /// Per-shard persistent workers (kWorkers dispatch): pool worker s runs
-  /// every pass task of shards_[s]; a pass posts one task per ACTIVE shard
-  /// and joins. Null under inline dispatch.
-  std::unique_ptr<ForkJoinPool> pool_;
-
-  // Bounded job-runner pool (submitted jobs' control loops). Kept separate
-  // from the shard workers because a job's control loop BLOCKS on its
-  // shard tasks — running it on a shard worker could deadlock the shard
-  // work it waits for. Queued submissions live in the weighted-deficit
-  // class scheduler (replacing the old single FIFO deque): with QoS off
-  // every job lands in one class and pickup degenerates to exact FIFO;
-  // with QoS on, runners drain classes by priority with per-cycle credits
-  // so training overtakes queued telemetry without starving it.
+  // Bounded job runners (submitted jobs' control loops). They stay threads,
+  // not datapath-pool items: a job waits on its passes' fan-outs, and as a
+  // pool item it could wait on a helper queued behind itself. As the
+  // fan-out's caller a runner claims shards itself, so a job never waits on
+  // a task that cannot start. Queued submissions live in the
+  // weighted-deficit class scheduler: with QoS off every job lands in one
+  // class and pickup degenerates to exact FIFO; with QoS on, runners drain
+  // classes by priority with per-cycle credits so training overtakes
+  // queued telemetry without starving it.
   struct QueuedJob {
     std::packaged_task<JobReport()> task;
     std::string tenant;
   };
-  std::vector<std::thread> job_pool_;
+  std::vector<std::thread> job_runners_;
   /// mutable: const snapshot accessors lock it. Rank kJobQueue == kStats:
   /// job_mu_ and stats_mu_ must never nest, in either direction.
   mutable util::OrderedMutex job_mu_{util::lock_rank::kJobQueue};
@@ -390,9 +389,6 @@ class AggregationService {
   /// qos_jobs_rejected_total by reason: [0]=rate_limit [1]=queue_full
   /// [2]=deadline.
   telemetry::Counter* m_qos_rejects_[3] = {};
-  /// Per-shard mailbox counters as gauges (enqueued / wakeups / spurious),
-  /// refreshed after every pass join under kWorkers dispatch.
-  std::vector<std::array<telemetry::Gauge*, 3>> m_mailbox_;
   /// Fault-recovery events: [0]=epoch_bumps, [1]=workers_declared_dead,
   /// [2]=waves_replayed (cluster_fault_* counters; wire-level rejections
   /// are counted by the switch's own fpisa_switch_* counters).

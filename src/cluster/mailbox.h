@@ -1,7 +1,8 @@
 // The stack's one fan-out/join primitive: a lock-free mailbox and the
-// fork-join pool built on it. The service's per-shard workers are one
-// pool; every session's and tree's datapath helpers are another, the
-// process-wide datapath_pool() — see README "Execution model".
+// fork-join pool built on it. Every fan-out in the stack (a session's
+// replay ranges, a tree's leaves, a cluster pass's shards) posts its
+// helpers to one pool, the process-wide datapath_pool() — see README
+// "Execution model".
 //
 // ShardMailbox is a Vyukov-style bounded sequence-ticket queue:
 //  * each cell carries an atomic sequence number; a producer claims a cell
@@ -46,15 +47,19 @@
 // touches a caller's dying frame. Any number of callers may post to, and
 // wait on, one pool at once. FanOut is the stack's one claim loop: the
 // caller and the helpers it posts claim a fan-out's items (a session's
-// 16-slot ranges, a tree's leaves) from one counter, and it sizes each
-// caller's fan-outs to what the last ones cost.
+// 16-slot ranges, a tree's leaves, a cluster pass's shards) from one
+// counter, and it sizes each caller's fan-outs to what the last ones cost.
 //
-// datapath_pool(): the pool every AggregationSession and
-// HierarchicalAggregator reduce shares its datapath with, usable CPUs - 1
-// workers (none on a one-CPU host) built on first call. It is never
-// destroyed, so no reduce, however late, posts to a dead pool; its threads
-// end with the process. Its tasks never post or wait themselves, so a
-// caller's join always drains.
+// datapath_pool(): the pool every AggregationSession,
+// HierarchicalAggregator and AggregationService reduce shares its datapath
+// with, usable CPUs - 1 workers (none on a one-CPU host) built on first
+// call. It is never destroyed, so no reduce, however late, posts to a dead
+// pool; its threads end with the process. Its tasks never post or wait
+// themselves, so a caller's join always drains. A task may block on a
+// cluster shard mutex, but no holder of that mutex ever posts to or waits
+// on the pool: a shard task runs the wave engine with no team, and the
+// service's scrubs and stats readers never post. So every holder finishes
+// its hold, and the blocked task goes on.
 #pragma once
 
 #include <algorithm>

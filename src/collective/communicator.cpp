@@ -75,6 +75,14 @@ telemetry::PhaseBreakdown Communicator::phase_breakdown() const {
   return {m_wall_->sum(), 0.0};
 }
 
+void Communicator::set_fault_options(const fault::FaultOptions& fault) {
+  if (fault.enabled && fault.dead_worker >= 32) {
+    throw std::invalid_argument(
+        "collective: fault.dead_worker exceeds the 32-bit worker bitmap");
+  }
+  fault_ = fault;
+}
+
 void Communicator::set_trace(telemetry::Trace* trace,
                              telemetry::Trace::SpanId parent) {
   trace_parent_.store(parent, std::memory_order_relaxed);

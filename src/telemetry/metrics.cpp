@@ -11,15 +11,6 @@ namespace {
 
 std::atomic<bool> g_enabled{true};
 
-/// Per-thread stripe index: threads are handed stripes round-robin, so a
-/// fixed worker pool spreads evenly over a counter's cells.
-std::size_t stripe_index() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t idx =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return idx % Counter::kStripes;
-}
-
 void atomic_add_double(std::atomic<double>& a, double delta) {
   double cur = a.load(std::memory_order_relaxed);
   while (!a.compare_exchange_weak(cur, cur + delta,
@@ -141,13 +132,7 @@ bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 void Counter::inc(std::uint64_t n) {
   if (!enabled()) return;
-  cells_[stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
-}
-
-std::uint64_t Counter::value() const {
-  std::uint64_t total = 0;
-  for (const Cell& c : cells_) total += c.v.load(std::memory_order_relaxed);
-  return total;
+  v_.fetch_add(n, std::memory_order_relaxed);
 }
 
 // --- gauge -----------------------------------------------------------------
@@ -420,10 +405,10 @@ void MetricsRegistry::retire(std::string_view key, std::string_view value) {
         ++it;  // its twin is of another kind or bounds: keep the series
         continue;
       }
-      // Straight into the cells: a fold is no event for the kill switch.
+      // Straight into the atomics: a fold is no event for the kill switch.
       if (e.counter) {
-        into->counter->cells_[0].v.fetch_add(e.counter->value(),
-                                             std::memory_order_relaxed);
+        into->counter->v_.fetch_add(e.counter->value(),
+                                    std::memory_order_relaxed);
       } else {
         Histogram& h = *into->histogram;
         for (std::size_t i = 0; i < h.num_buckets(); ++i) {

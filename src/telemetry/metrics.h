@@ -5,9 +5,10 @@
 //  * Registration (name/label resolution) happens once, under a mutex, and
 //    hands back a stable handle. Layers register at construction time and
 //    keep the pointer — the hot path never touches a map or a string.
-//  * Counter increments are lock-free relaxed atomics over per-thread
-//    striped cells (folded on read), so two shard workers bumping the same
-//    counter never bounce one cache line.
+//  * Counter increments are one lock-free relaxed atomic add. The stack
+//    books them per wave, batch flush or job (per packet only on a
+//    switch's interpreted path, which one thread drives at a time), so no
+//    counter is hot enough across threads to want a cell per thread.
 //  * Histograms use explicit ascending upper bounds with Prometheus `le`
 //    semantics: a sample lands in the FIRST bucket whose upper bound is
 //    >= the value (boundaries are inclusive), overflow in the implicit
@@ -59,22 +60,16 @@ struct PhaseBreakdown {
   double collect_s = 0;
 };
 
-/// Monotone counter. Increments are relaxed atomic adds on a per-thread
-/// striped cell; value() folds the stripes.
+/// Monotone counter: one relaxed atomic.
 class Counter {
  public:
-  static constexpr std::size_t kStripes = 16;
-
   void inc(std::uint64_t n = 1);
-  std::uint64_t value() const;
+  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
   Counter() = default;
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  Cell cells_[kStripes];
+  std::atomic<std::uint64_t> v_{0};
 };
 
 /// Point-in-time value (queue depth, register occupancy, ...).

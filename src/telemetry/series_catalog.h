@@ -38,12 +38,6 @@ inline constexpr std::string_view kClusterJobQueueDepth =
 inline constexpr std::string_view kClusterJobWallSeconds =
     "cluster_job_wall_seconds";
 inline constexpr std::string_view kClusterJobs = "cluster_jobs_total";
-inline constexpr std::string_view kClusterMailboxEnqueued =
-    "cluster_mailbox_enqueued";
-inline constexpr std::string_view kClusterMailboxSpuriousWakeups =
-    "cluster_mailbox_spurious_wakeups";
-inline constexpr std::string_view kClusterMailboxWakeups =
-    "cluster_mailbox_wakeups";
 inline constexpr std::string_view kClusterShardPhaseSeconds =
     "cluster_shard_phase_seconds";
 
@@ -91,7 +85,7 @@ inline constexpr std::string_view kTreeReduces = "tree_reduces_total";
 inline constexpr std::string_view kTreeWireBytes = "tree_wire_bytes_total";
 
 /// Every series above, for programmatic cross-checks.
-inline constexpr std::array<std::string_view, 34> kAll = {
+inline constexpr std::array<std::string_view, 31> kAll = {
     kClusterFailoverChunksRerouted,
     kClusterFailoverRetries,
     kClusterFailoverShardDeaths,
@@ -101,9 +95,6 @@ inline constexpr std::array<std::string_view, 34> kAll = {
     kClusterJobQueueDepth,
     kClusterJobWallSeconds,
     kClusterJobs,
-    kClusterMailboxEnqueued,
-    kClusterMailboxSpuriousWakeups,
-    kClusterMailboxWakeups,
     kClusterShardPhaseSeconds,
     kCollectiveAllreduceSeconds,
     kCollectiveAllreduces,

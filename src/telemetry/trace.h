@@ -12,9 +12,9 @@
 //    reuse the exact clock readings that feed their metrics (the cluster
 //    wave loop does this, which is why traced span wall-times agree with
 //    phase_breakdown() to the nanosecond).
-//  * Thread-safe: shard workers open spans concurrently during a fan-out
-//    pass; each span records a small per-trace thread index that becomes
-//    the Chrome `tid`.
+//  * Thread-safe: the threads that run a pass's shards open spans
+//    concurrently; each span records a small per-trace thread index that
+//    becomes the Chrome `tid`.
 //  * A Trace is an opt-in object the caller owns. Layers accept a
 //    `Trace*` and treat nullptr as "tracing off"; ScopedSpan does the
 //    same, so instrumented code needs no branches.

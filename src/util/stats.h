@@ -1,46 +1,17 @@
-// Streaming statistics and histogram helpers used by the experiment
-// harnesses (error distributions, ratio distributions, latency summaries).
+// Statistics helpers used by the experiment harnesses and the SLO books:
+// log2 histograms (error and ratio distributions), nearest-rank
+// percentiles and a bounded reservoir (latency summaries).
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "util/rng.h"
 
 namespace fpisa::util {
-
-/// Welford-style running mean/variance plus min/max.
-class RunningStats {
- public:
-  void add(double x) {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  std::uint64_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const { return std::sqrt(variance()); }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /// Fixed-bucket histogram over log2(x): bucket i covers [2^(lo+i), 2^(lo+i+1)).
 /// Matches the paper's Fig 7 (max/min ratio vs powers of two) and Fig 8
@@ -89,31 +60,15 @@ class Log2Histogram {
   std::vector<std::uint64_t> counts_;
 };
 
-/// Nearest-rank percentile over an ascending-sorted sample; q in [0, 1].
-/// The single rounding convention behind Percentiles and Reservoir.
+/// Nearest-rank percentile over an ascending-sorted sample; q in [0, 1]:
+/// index floor(q * (n - 1) + 0.5), 0 for an empty sample. The one rounding
+/// convention behind Reservoir and the SLO books.
 inline double sorted_percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto idx = static_cast<std::size_t>(
       q * static_cast<double>(sorted.size() - 1) + 0.5);
   return sorted[std::min(idx, sorted.size() - 1)];
 }
-
-/// Exact percentile over a stored sample set (fine for experiment sizes).
-class Percentiles {
- public:
-  void add(double x) { xs_.push_back(x); }
-  std::size_t count() const { return xs_.size(); }
-
-  /// q in [0,1]; nearest-rank.
-  double percentile(double q) {
-    std::sort(xs_.begin(), xs_.end());
-    return sorted_percentile(xs_, q);
-  }
-  double median() { return percentile(0.5); }
-
- private:
-  std::vector<double> xs_;
-};
 
 /// Fixed-capacity uniform sample over an unbounded stream (Vitter's
 /// algorithm R) with a deterministic replacement stream, so percentile

@@ -1,22 +1,23 @@
-// The multi-core execution engine must be an invisible optimization: the
-// service's per-shard pool workers (kWorkers, and whatever kAuto resolves
-// to) produce bit-identical results, SessionStats, and switch state to the
-// inline reference that runs every shard task on the job's own thread
-// (kInline) — across loss rates up to 0.99, Byzantine fault mixes,
-// mid-wave shard kills, and a 64-job concurrent burst. kAuto resolves to
-// kInline when the process may run on one CPU only. Also pins the
-// fan-out economics: a pass posts only to the shards it feeds (idle shards'
-// mailbox counters never move, spurious wakeups stay zero). The fork-join
-// pool the service and the datapath share is tested on its own: concurrent
-// callers posting overlapping worker sets (each task runs once, no join
-// returns early), the 0-thread and idle pools, FanOut's back-off from a
-// helper that kept its caller waiting, its claim loop (every item once,
-// on any pool, behind a blocked worker and with no pool), and the mailbox
-// under a multi-producer stress and across ring wraps (the TSan leg runs
-// all of it).
+// The multi-core execution engine must be an invisible optimization: a
+// pass's shard tasks claimed by the job's thread and the process's
+// datapath pool (kWorkers, the default) produce bit-identical results,
+// SessionStats, and switch state to the inline reference that runs every
+// shard task on the job's own thread (kInline) — across loss rates up to
+// 0.99, Byzantine fault mixes, mid-wave shard kills, and a 64-job
+// concurrent burst. Also pins the CPU budget: a service starts only its
+// job runners, a one-shard pass and an inline one post nothing to the
+// pool, a wider pass posts a helper per shard past the first. The
+// fork-join pool is tested on its own: concurrent callers posting
+// overlapping worker sets (each task runs once, no join returns early),
+// idle workers that are never woken and zero spurious wakeups, the
+// 0-thread and idle pools, FanOut's back-off from a helper that kept its
+// caller waiting, its claim loop (every item once, on any pool, behind a
+// blocked worker and with no pool), and the mailbox under a
+// multi-producer stress and across ring wraps (the TSan leg runs all of
+// it).
 #include <gtest/gtest.h>
-#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -29,7 +30,6 @@
 #include "cluster/aggregation_service.h"
 #include "cluster/mailbox.h"
 #include "core/packed.h"
-#include "util/cpus.h"
 #include "util/rng.h"
 #include "testkit.h"
 
@@ -144,7 +144,8 @@ TEST(ClusterPipeline, DefaultShapeWorkersMatchesSerial) {
 }
 
 TEST(ClusterPipeline, AutoDispatchMatchesSerial) {
-  // Whatever kAuto resolves to on this host, the results are the same.
+  // The default dispatch, whatever the datapath pool's size on this host:
+  // the results are the same.
   const auto workers = make_workers(4, 160, 41);
   ClusterOptions opts;
   opts.num_shards = 4;
@@ -276,75 +277,98 @@ TEST(ClusterPipeline, SixtyFourJobBurstBitIdentical) {
   }
 }
 
-// --- fan-out economics: wake only shards with work --------------------------
+// --- one CPU budget: shard passes on the datapath pool ---------------------
 
-TEST(ClusterPipeline, IdleShardsAreNeverWokenAndNoSpuriousWakeups) {
-  // kRange routing with a one-chunk vector: all work lands on shard 0.
-  // The other shards' workers must sleep through the whole job — the old
-  // pool broadcast woke every worker for every pass.
+/// Tickets ever posted to the process's datapath pool, all workers.
+std::uint64_t datapath_tickets() {
+  const ForkJoinPool& pool = datapath_pool();
+  std::uint64_t n = 0;
+  for (int w = 0; w < pool.size(); ++w) n += pool.stats(w).enqueued;
+  return n;
+}
+
+TEST(ClusterPipeline, ServiceStartsOnlyItsJobRunners) {
+  // Once the datapath pool is up, a service adds its job runners to the
+  // process and nothing else: its passes run on the job's thread and the
+  // shared pool, under either dispatch mode, synchronous or submitted.
+  (void)datapath_pool();
+  const auto workers = make_workers(4, 300, 61);
+  for (const auto mode : {ClusterOptions::DispatchMode::kWorkers,
+                          ClusterOptions::DispatchMode::kInline}) {
+    SCOPED_TRACE(mode == ClusterOptions::DispatchMode::kWorkers ? "workers"
+                                                                : "inline");
+    const long baseline = testkit::process_threads();
+    ASSERT_GT(baseline, 0);
+    {
+      ClusterOptions opts;
+      opts.num_shards = 4;
+      opts.slots_per_shard = 16;
+      opts.slots_per_job = 8;
+      opts.lanes = 2;
+      opts.dispatch = mode;
+      AggregationService svc(opts);
+      const long runners = svc.job_runner_threads();
+      EXPECT_EQ(testkit::process_threads(), baseline + runners);
+      for (int j = 0; j < 4; ++j) (void)testkit::reduce(svc, "t", workers);
+      std::vector<testkit::PendingJob> futures;
+      for (int j = 0; j < 4; ++j) {
+        futures.push_back(testkit::submit(svc, "t", workers));
+      }
+      for (auto& f : futures) (void)f.get();
+      EXPECT_EQ(testkit::process_threads(), baseline + runners);
+    }
+    EXPECT_EQ(testkit::process_threads(), baseline);
+  }
+}
+
+TEST(ClusterPipeline, PassPostsAHelperPerActiveShardPastTheFirst) {
+  // kRange routing with a one-chunk vector puts every pass on shard 0: the
+  // job's thread runs it and the pool gets no ticket. A four-shard pass
+  // posts a helper for each shard past the first, up to the pool's size,
+  // and the helpers' workers never wake to an empty cell.
   ClusterOptions opts;
   opts.num_shards = 4;
   opts.lanes = 4;
   opts.routing = RoutingPolicy::kRange;
   opts.dispatch = ClusterOptions::DispatchMode::kWorkers;
   AggregationService svc(opts);
-  ASSERT_EQ(svc.dispatch_mode(), ClusterOptions::DispatchMode::kWorkers);
 
-  const auto workers = make_workers(2, 4, 91);  // one chunk -> shard 0 only
-  for (int j = 0; j < 8; ++j) (void)testkit::reduce(svc, "t", workers);
+  const std::uint64_t before = datapath_tickets();
+  const auto one_chunk = make_workers(2, 4, 91);
+  for (int j = 0; j < 8; ++j) (void)testkit::reduce(svc, "t", one_chunk);
+  EXPECT_EQ(datapath_tickets(), before) << "a one-shard pass posted";
 
-  const MailboxStats active = svc.mailbox_stats(0);
-  EXPECT_EQ(active.enqueued, 8u) << "one ticket per pass, shard 0";
-  for (int s = 1; s < opts.num_shards; ++s) {
-    const MailboxStats idle = svc.mailbox_stats(s);
-    EXPECT_EQ(idle.enqueued, 0u) << "idle shard " << s << " got a ticket";
-    EXPECT_EQ(idle.wakeups, 0u) << "idle shard " << s << " was woken";
-  }
-  // Per-cell futex parking: a worker is only notified for a ticket it is
-  // about to consume. Regression assert on the spurious counter.
+  const auto four_shards = make_workers(2, 256, 92);  // 64 chunks
+  const testkit::JobResult r = testkit::reduce(svc, "t", four_shards);
   for (int s = 0; s < opts.num_shards; ++s) {
-    EXPECT_EQ(svc.mailbox_stats(s).spurious_wakeups, 0u) << "shard " << s;
+    ASSERT_GT(r.per_shard[static_cast<std::size_t>(s)].packets_sent, 0u)
+        << "shard " << s << " ran no pass";
+  }
+  const auto helpers = static_cast<std::uint64_t>(
+      std::min(opts.num_shards - 1, datapath_pool().size()));
+  EXPECT_EQ(datapath_tickets(), before + helpers);
+  for (int w = 0; w < datapath_pool().size(); ++w) {
+    EXPECT_EQ(datapath_pool().stats(w).spurious_wakeups, 0u) << "worker " << w;
   }
 }
 
-TEST(ClusterPipeline, InlineDispatchReportsZeroMailboxTraffic) {
+TEST(ClusterPipeline, InlineDispatchPostsNoTicket) {
   ClusterOptions opts;
-  opts.num_shards = 2;
+  opts.num_shards = 4;
+  opts.lanes = 2;
   opts.dispatch = ClusterOptions::DispatchMode::kInline;
   AggregationService svc(opts);
-  ASSERT_EQ(svc.dispatch_mode(), ClusterOptions::DispatchMode::kInline);
-  const auto workers = make_workers(2, 64, 101);
+  const std::uint64_t before = datapath_tickets();
+  const auto workers = make_workers(2, 300, 101);
   (void)testkit::reduce(svc, "t", workers);
+  EXPECT_EQ(datapath_tickets(), before);
+  // A service owns no mailbox: every per-shard count reads zero.
   for (int s = 0; s < opts.num_shards; ++s) {
-    EXPECT_EQ(svc.mailbox_stats(s).enqueued, 0u);
+    const MailboxStats m = svc.mailbox_stats(s);
+    EXPECT_EQ(m.enqueued + m.wakeups + m.spurious_wakeups, 0u);
   }
   EXPECT_THROW(svc.mailbox_stats(-1), std::invalid_argument);
-  EXPECT_THROW(svc.mailbox_stats(2), std::invalid_argument);
-}
-
-TEST(ClusterPipeline, AutoDispatchIsInlineOnOneUsableCpu) {
-  // kAuto counts the CPUs the process may run on, not the host's: pinned
-  // to one, a 2-shard service starts no shard workers. Only this thread is
-  // pinned, and only while it builds and drops the service, which touches
-  // no datapath pool (one built here would be sized for the one CPU).
-  ClusterOptions opts;
-  opts.num_shards = 2;
-  if (util::usable_cpus() > 1) {
-    EXPECT_EQ(AggregationService(opts).dispatch_mode(),
-              ClusterOptions::DispatchMode::kWorkers);
-  }
-  cpu_set_t saved;
-  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
-  int cpu = 0;
-  while (!CPU_ISSET(cpu, &saved)) ++cpu;
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
-  const ClusterOptions::DispatchMode pinned =
-      AggregationService(opts).dispatch_mode();
-  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
-  EXPECT_EQ(pinned, ClusterOptions::DispatchMode::kInline);
+  EXPECT_THROW(svc.mailbox_stats(4), std::invalid_argument);
 }
 
 // --- SPSC mailbox stress (TSan target) --------------------------------------
@@ -476,6 +500,33 @@ TEST(ForkJoinPool, ConcurrentCallersOverlappingWorkersRunEachTaskOnce) {
     EXPECT_EQ(stats.enqueued, want) << "worker " << w;
     // No wait returns with the worker's next cell still empty.
     EXPECT_EQ(stats.spurious_wakeups, 0u) << "worker " << w;
+  }
+}
+
+TEST(ForkJoinPool, IdleWorkersAreNeverWokenAndNoSpuriousWakeups) {
+  // Tasks posted to worker 0 alone: the other workers sleep through every
+  // round. Per-cell futex parking notifies a worker only for a ticket it
+  // is about to consume, so no wakeup finds its cell still empty.
+  constexpr int kWorkers = 4;
+  constexpr int kRounds = 8;
+  ForkJoinPool pool(kWorkers, 4);
+  std::atomic<int> runs{0};
+  const ForkJoinPool::Fn task = [](void* n, int) noexcept {
+    static_cast<std::atomic<int>*>(n)->fetch_add(1);
+  };
+  for (int i = 0; i < kRounds; ++i) {
+    ForkJoinPool::Join join;
+    pool.post(0, join, task, &runs, 0);
+    pool.wait(join);
+  }
+  EXPECT_EQ(runs.load(), kRounds);
+  EXPECT_EQ(pool.stats(0).enqueued, static_cast<std::uint64_t>(kRounds));
+  for (int w = 1; w < kWorkers; ++w) {
+    EXPECT_EQ(pool.stats(w).enqueued, 0u) << "idle worker " << w;
+    EXPECT_EQ(pool.stats(w).wakeups, 0u) << "idle worker " << w;
+  }
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(pool.stats(w).spurious_wakeups, 0u) << "worker " << w;
   }
 }
 

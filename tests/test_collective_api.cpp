@@ -388,5 +388,52 @@ TEST(Collective, ValidatesShapes) {
                std::invalid_argument);
 }
 
+TEST(Collective, DeadWorkerPastTheBitmapIsRejected) {
+  // The dead-worker mask is 32 bits wide, but the host backend takes any
+  // worker count and the tree 8 x 8 = 64 workers. A dead worker of 32 or
+  // more is refused when the fault is installed; worker 31, the mask's
+  // last bit, still drops out of a 40-worker host job and a 64-worker tree.
+  CommunicatorOptions host;
+  host.fault.enabled = true;
+  host.fault.dead_worker_policy = fault::DeadWorkerPolicy::kDegrade;
+  CommunicatorOptions tree = host;
+  tree.backend = Backend::kTree;
+  tree.hierarchy.leaves = 8;
+  tree.hierarchy.workers_per_leaf = 8;
+  tree.hierarchy.slots = 16;
+  for (const int dead : {32, 35, 63}) {
+    host.fault.dead_worker = dead;
+    tree.fault.dead_worker = dead;
+    EXPECT_THROW((void)make_communicator(host), std::invalid_argument)
+        << "host, dead worker " << dead;
+    EXPECT_THROW((void)make_communicator(tree), std::invalid_argument)
+        << "tree, dead worker " << dead;
+  }
+
+  host.fault.dead_worker = 31;
+  tree.fault.dead_worker = 31;
+  for (const CommunicatorOptions& opts : {host, tree}) {
+    const int num_workers = opts.backend == Backend::kHost ? 40 : 64;
+    const auto workers = make_workers(num_workers, 64, 912);
+    std::vector<std::span<const float>> views(workers.begin(), workers.end());
+    const std::vector<float> zeros(64, 0.0f);
+    if (opts.backend == Backend::kHost) {
+      views.erase(views.begin() + 31);  // the host drops the dead view
+    } else {
+      views[31] = zeros;  // the tree's shape is fixed: zeros stand in
+    }
+    CommunicatorOptions clean = opts;
+    clean.fault = {};
+    std::vector<float> want(64);
+    (void)make_communicator(clean)->allreduce(WorkerViews(views), want);
+    std::vector<float> got(64);
+    const ReduceStats stats =
+        make_communicator(opts)->allreduce(WorkerViews(workers), got);
+    const std::string what = backend_name(opts.backend);
+    EXPECT_EQ(stats.network.dead_workers, 1u << 31) << what;
+    expect_bits_eq(got, want, what);
+  }
+}
+
 }  // namespace
 }  // namespace fpisa::collective

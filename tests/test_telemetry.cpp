@@ -1,5 +1,6 @@
-// Unified telemetry layer: metrics registry semantics (striped counters,
-// gauge, `le` histogram boundaries, find-or-create handles, kill switch),
+// Unified telemetry layer: metrics registry semantics (concurrent counter
+// increments, gauge, `le` histogram boundaries, find-or-create handles,
+// kill switch),
 // exposition formats (Prometheus text, JSON), span tracing (nesting,
 // explicit timestamps, Chrome export), and the cross-layer integration
 // contracts: the cluster job span tree covers submit → partition → shard
@@ -48,7 +49,7 @@ std::vector<std::vector<float>> make_workers(int w, std::size_t n,
 
 // --- registry primitives ---------------------------------------------------
 
-TEST(TelemetryCounter, StripedIncrementsFoldAcrossThreads) {
+TEST(TelemetryCounter, ConcurrentIncrementsAllCount) {
   auto& c = telemetry::registry().counter("test_counter_threads_total");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;

@@ -1,9 +1,10 @@
-// Utility substrate: deterministic RNG, streaming stats, histograms,
-// table rendering.
+// Utility substrate: deterministic RNG, percentiles, histograms, table
+// rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <thread>
+#include <vector>
 
 #include "util/cpus.h"
 #include "util/rng.h"
@@ -88,10 +89,18 @@ TEST(Rng, UniformIntCoversEndpoints) {
 
 TEST(Rng, NormalHasExpectedMoments) {
   Rng rng(3);
-  RunningStats stats;
-  for (int i = 0; i < 200000; ++i) stats.add(rng.normal(2.0, 3.0));
-  EXPECT_NEAR(stats.mean(), 2.0, 0.05);
-  EXPECT_NEAR(stats.stddev(), 3.0, 0.05);
+  constexpr int kDraws = 200000;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int i = 0; i < kDraws; ++i) {
+    const double x = rng.normal(2.0, 3.0);
+    sum += x;
+    sum_sq += x * x;
+  }
+  const double mean = sum / kDraws;
+  const double var = (sum_sq - kDraws * mean * mean) / (kDraws - 1);
+  EXPECT_NEAR(mean, 2.0, 0.05);
+  EXPECT_NEAR(std::sqrt(var), 3.0, 0.05);
 }
 
 TEST(Rng, ShuffleIsAPermutation) {
@@ -101,15 +110,6 @@ TEST(Rng, ShuffleIsAPermutation) {
   std::vector<int> sorted = v;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(sorted, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-TEST(RunningStats, TracksMinMaxCount) {
-  RunningStats s;
-  for (const double x : {3.0, -1.0, 4.0, 1.5}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.min(), -1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.mean(), 1.875, 1e-12);
 }
 
 TEST(Log2Histogram, BucketsAndFractions) {
@@ -123,41 +123,37 @@ TEST(Log2Histogram, BucketsAndFractions) {
   EXPECT_NEAR(h.fraction_below_pow2(8), 1.0, 1e-12);
 }
 
-TEST(Percentiles, MedianAndTails) {
-  Percentiles p;
-  for (int i = 1; i <= 100; ++i) p.add(i);
-  EXPECT_NEAR(p.median(), 50.0, 1.0);
-  EXPECT_NEAR(p.percentile(0.9), 90.0, 1.0);
-  EXPECT_NEAR(p.percentile(0.0), 1.0, 1e-12);
+TEST(SortedPercentile, MedianAndTails) {
+  std::vector<double> xs;
+  for (int i = 1; i <= 100; ++i) xs.push_back(i);
+  EXPECT_NEAR(sorted_percentile(xs, 0.5), 50.0, 1.0);
+  EXPECT_NEAR(sorted_percentile(xs, 0.9), 90.0, 1.0);
+  EXPECT_NEAR(sorted_percentile(xs, 0.0), 1.0, 1e-12);
 }
 
-TEST(Percentiles, EmptyReturnsZeroForEveryQuantile) {
-  Percentiles p;
-  EXPECT_DOUBLE_EQ(p.percentile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(p.median(), 0.0);
-  EXPECT_DOUBLE_EQ(p.percentile(1.0), 0.0);
+TEST(SortedPercentile, EmptyReturnsZeroForEveryQuantile) {
+  const std::vector<double> none;
+  EXPECT_DOUBLE_EQ(sorted_percentile(none, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(sorted_percentile(none, 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(sorted_percentile(none, 1.0), 0.0);
 }
 
-TEST(Percentiles, SingleSampleAnswersEveryQuantile) {
-  Percentiles p;
-  p.add(7.5);
-  EXPECT_DOUBLE_EQ(p.percentile(0.0), 7.5);
-  EXPECT_DOUBLE_EQ(p.median(), 7.5);
-  EXPECT_DOUBLE_EQ(p.percentile(0.99), 7.5);
-  EXPECT_DOUBLE_EQ(p.percentile(1.0), 7.5);
+TEST(SortedPercentile, SingleSampleAnswersEveryQuantile) {
+  const std::vector<double> one{7.5};
+  EXPECT_DOUBLE_EQ(sorted_percentile(one, 0.0), 7.5);
+  EXPECT_DOUBLE_EQ(sorted_percentile(one, 0.5), 7.5);
+  EXPECT_DOUBLE_EQ(sorted_percentile(one, 0.99), 7.5);
+  EXPECT_DOUBLE_EQ(sorted_percentile(one, 1.0), 7.5);
 }
 
-TEST(Percentiles, NearestRankRounding) {
+TEST(SortedPercentile, NearestRankRounding) {
   // idx = floor(q*(n-1) + 0.5): nearest rank, ties round up.
-  Percentiles p;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) p.add(v);
-  EXPECT_DOUBLE_EQ(p.percentile(0.0), 1.0);   // idx 0
-  EXPECT_DOUBLE_EQ(p.percentile(0.5), 3.0);   // idx 2.0 exactly
-  EXPECT_DOUBLE_EQ(p.percentile(1.0), 4.0);   // idx 3, clamped in range
-  Percentiles two;
-  two.add(10.0);
-  two.add(20.0);
-  EXPECT_DOUBLE_EQ(two.median(), 20.0);  // idx 0.5+0.5 = 1: upper of the pair
+  const std::vector<double> four{1.0, 2.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(sorted_percentile(four, 0.0), 1.0);  // idx 0
+  EXPECT_DOUBLE_EQ(sorted_percentile(four, 0.5), 3.0);  // idx 2.0 exactly
+  EXPECT_DOUBLE_EQ(sorted_percentile(four, 1.0), 4.0);  // idx 3, in range
+  const std::vector<double> two{10.0, 20.0};
+  EXPECT_DOUBLE_EQ(sorted_percentile(two, 0.5), 20.0);  // idx 0.5+0.5 = 1
 }
 
 TEST(Reservoir, EmptyAndCountVsSampleSize) {
