@@ -78,10 +78,7 @@ AggregationService::AggregationService(ClusterOptions opts)
       check_tenant_qos(cfg, tenant);
     }
   }
-  if (opts_.fault.enabled && opts_.fault.dead_worker >= 32) {
-    throw std::invalid_argument(
-        "cluster: fault.dead_worker exceeds the 32-bit worker bitmap");
-  }
+  fault::check_fault_options(opts_.fault);
   shards_.reserve(static_cast<std::size_t>(opts_.num_shards));
   for (int s = 0; s < opts_.num_shards; ++s) {
     shards_.push_back(std::make_unique<Shard>(opts_));
@@ -493,8 +490,11 @@ void AggregationService::run_pass(PassContext& ctx, JobReport& report) {
     if (!plan.chunks[s].empty()) ctx.active.push_back(static_cast<int>(s));
   }
   // The job's thread and, under kWorkers, datapath-pool helpers claim the
-  // active shards. A FanOut per pass: concurrent jobs share no helper
-  // count, and each pass may post a helper per active shard past the first.
+  // active shards, at most one helper per active shard past the first. One
+  // FanOut per calling thread (job runner or synchronous caller): jobs
+  // running at once share no helper count, and a thread whose joins keep
+  // it waiting (helpers queued behind other jobs' shard tasks on a busy
+  // pool) posts fewer helpers on its next passes.
   const FanOut::Item task = [](void* c, int, std::size_t i) noexcept {
     auto& pc = *static_cast<PassContext*>(c);
     pc.svc->run_pass_task(pc, pc.active[i]);
@@ -503,8 +503,9 @@ void AggregationService::run_pass(PassContext& ctx, JobReport& report) {
       opts_.dispatch == ClusterOptions::DispatchMode::kWorkers
           ? &datapath_pool()
           : nullptr;
-  FanOut().for_each(pool, ctx.active.size(),
-                    static_cast<int>(ctx.active.size()) - 1, task, &ctx);
+  thread_local FanOut fan_out;
+  fan_out.for_each(pool, ctx.active.size(),
+                   static_cast<int>(ctx.active.size()) - 1, task, &ctx);
   // Merge after the join, on the job's thread.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     report.per_shard[s] += ctx.slots[s].stats;  // += : retry passes merge in

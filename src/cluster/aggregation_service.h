@@ -218,11 +218,13 @@ class AggregationService {
     return peak_jobs_.load(std::memory_order_relaxed);
   }
 
-  /// All zero: a service owns no mailbox. Its shard tasks run on the
-  /// caller and on the shared datapath_pool(), whose workers serve every
-  /// session, tree and service in the process, so no mailbox counts one
-  /// shard's tickets. Kept for readers of per-shard counts; throws
-  /// std::invalid_argument for a shard outside [0, num_shards).
+  /// Deprecated: all zero, because a service owns no mailbox. Its shard
+  /// tasks run on the caller and on the shared datapath_pool(), whose
+  /// workers serve every session, tree and service in the process, so no
+  /// mailbox counts one shard's tickets. Kept only while perfbench's
+  /// cluster mailbox rows read it; it goes with them in the next change to
+  /// the benchmark. Throws std::invalid_argument for a shard outside
+  /// [0, num_shards).
   MailboxStats mailbox_stats(int shard) const;
 
   /// QoS admission snapshot for one tenant: jobs currently queued

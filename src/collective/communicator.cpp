@@ -76,10 +76,7 @@ telemetry::PhaseBreakdown Communicator::phase_breakdown() const {
 }
 
 void Communicator::set_fault_options(const fault::FaultOptions& fault) {
-  if (fault.enabled && fault.dead_worker >= 32) {
-    throw std::invalid_argument(
-        "collective: fault.dead_worker exceeds the 32-bit worker bitmap");
-  }
+  fault::check_fault_options(fault);
   fault_ = fault;
 }
 

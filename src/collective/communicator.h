@@ -171,9 +171,8 @@ class Communicator {
   /// over the survivors and reports the mask in
   /// ReduceStats::network.dead_workers; kAbort, or a job with no survivor,
   /// throws fault::WorkerDeadError. ReduceOp::kMean always averages over
-  /// the *survivors* of the job. Throws std::invalid_argument when an
-  /// enabled fault names a dead_worker of 32 or more, which the 32-bit
-  /// dead-worker mask cannot hold.
+  /// the *survivors* of the job. Throws std::invalid_argument when
+  /// fault::check_fault_options rejects `fault`.
   void set_fault_options(const fault::FaultOptions& fault);
 
   /// Admission/QoS configuration in effect on this communicator's

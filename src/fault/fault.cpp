@@ -2,9 +2,17 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 namespace fpisa::fault {
+
+void check_fault_options(const FaultOptions& fault) {
+  if (fault.enabled && fault.dead_worker >= 32) {
+    throw std::invalid_argument(
+        "fault: dead_worker exceeds the 32-bit dead-worker mask");
+  }
+}
 
 std::span<std::uint32_t> WaveQueue::materialize(
     std::span<const std::byte> src) {

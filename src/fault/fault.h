@@ -60,6 +60,12 @@ struct FaultOptions {
   int max_wave_replays = 4;   // replay budget per recovery episode
 };
 
+// Throws std::invalid_argument when `fault` is enabled and names a dead
+// worker past the 32-bit dead-worker mask (switchml::declare_dead_worker
+// sets bit `dead_worker`). Backends whose jobs may have more than 32
+// workers (cluster, host, tree) call it at construction.
+void check_fault_options(const FaultOptions& fault);
+
 // Injection/recovery event counts, embedded in SessionStats and merged
 // with the same +=/-= delta protocol the rest of the stats use.
 struct FaultCounters {

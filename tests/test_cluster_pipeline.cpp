@@ -325,7 +325,9 @@ TEST(ClusterPipeline, PassPostsAHelperPerActiveShardPastTheFirst) {
   // kRange routing with a one-chunk vector puts every pass on shard 0: the
   // job's thread runs it and the pool gets no ticket. A four-shard pass
   // posts a helper for each shard past the first, up to the pool's size,
-  // and the helpers' workers never wake to an empty cell.
+  // and the helpers' workers never wake to an empty cell. The passes run
+  // on a fresh thread: each calling thread keeps its own helper count, and
+  // this one's has not backed off.
   ClusterOptions opts;
   opts.num_shards = 4;
   opts.lanes = 4;
@@ -335,11 +337,16 @@ TEST(ClusterPipeline, PassPostsAHelperPerActiveShardPastTheFirst) {
 
   const std::uint64_t before = datapath_tickets();
   const auto one_chunk = make_workers(2, 4, 91);
-  for (int j = 0; j < 8; ++j) (void)testkit::reduce(svc, "t", one_chunk);
-  EXPECT_EQ(datapath_tickets(), before) << "a one-shard pass posted";
-
   const auto four_shards = make_workers(2, 256, 92);  // 64 chunks
-  const testkit::JobResult r = testkit::reduce(svc, "t", four_shards);
+  std::uint64_t after_one_chunk = 0;
+  testkit::JobResult r;
+  std::thread caller([&] {
+    for (int j = 0; j < 8; ++j) (void)testkit::reduce(svc, "t", one_chunk);
+    after_one_chunk = datapath_tickets();
+    r = testkit::reduce(svc, "t", four_shards);
+  });
+  caller.join();
+  EXPECT_EQ(after_one_chunk, before) << "a one-shard pass posted";
   for (int s = 0; s < opts.num_shards; ++s) {
     ASSERT_GT(r.per_shard[static_cast<std::size_t>(s)].packets_sent, 0u)
         << "shard " << s << " ran no pass";

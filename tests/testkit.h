@@ -6,9 +6,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <span>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,14 +35,31 @@ inline std::size_t length_of(const Workers& workers) {
   return workers.empty() ? 0 : workers.front().size();
 }
 
-/// The process's thread count, from /proc/self/status (-1 if unreadable).
+/// The process's live threads: the entries of /proc/self/task whose
+/// flags lack PF_EXITING (-1 if the directory is unreadable). A thread that
+/// pthread_join has returned for can stay listed for a moment after the
+/// join, already flagged exiting, so a raw count (/proc/self/status
+/// `Threads:`) may still include a thread the previous test joined.
 inline long process_threads() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("Threads:", 0) == 0) return std::stol(line.substr(8));
+  constexpr unsigned long kPfExiting = 0x4;
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  long live = 0;
+  for (const auto& task : it) {
+    std::ifstream stat(task.path() / "stat");
+    std::string line;
+    if (!std::getline(stat, line)) continue;  // gone since the listing
+    // Fields after the parenthesised name: state, ppid, pgrp, session,
+    // tty_nr, tpgid, flags.
+    std::istringstream rest(line.substr(line.rfind(')') + 1));
+    std::string field;
+    unsigned long flags = 0;
+    for (int f = 0; f < 6; ++f) rest >> field;
+    rest >> flags;
+    if (rest && (flags & kPfExiting) == 0) ++live;
   }
-  return -1;
+  return live;
 }
 
 /// A core reduce's sum together with its pooled counters.
