@@ -13,14 +13,6 @@
 
 namespace fpisa::cluster {
 
-std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
-                        std::uint64_t pass) {
-  std::uint64_t state = base ^ (job_id * 0x9e3779b97f4a7c15ULL) ^
-                        (static_cast<std::uint64_t>(shard) << 32) ^
-                        (pass * 0xc2b2ae3d27d4eb4fULL);
-  return util::splitmix64(state);
-}
-
 namespace {
 
 /// Throws std::invalid_argument unless every number in `cfg` has a

@@ -432,13 +432,6 @@ class AggregationService {
   std::uint64_t next_job_id_ FPISA_GUARDED_BY(stats_mu_) = 0;
 };
 
-/// Seed of the independent loss (or fault) stream of one (job, shard,
-/// pass) shard task: results are deterministic regardless of scheduling.
-/// Pass 0 reproduces the pre-failover stream exactly; retry passes draw
-/// fresh schedules.
-std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
-                        std::uint64_t pass);
-
 /// Modeled wall-clock seconds for a job whose packets are spread over
 /// parallel shard ingress pipes: each shard's packets serialize back to
 /// back at `gbps` on a dedicated pipe, shards drain concurrently, and the

@@ -1,6 +1,6 @@
 // The stack's one fan-out/join primitive: a lock-free mailbox and the
 // fork-join pool built on it. Every fan-out in the stack (a session's
-// replay ranges, a tree's leaves, a cluster pass's shards) posts its
+// 16-slot ranges, a tree's leaves, a cluster pass's shards) posts its
 // helpers to one pool, the process-wide datapath_pool() — see README
 // "Execution model".
 //
@@ -57,9 +57,12 @@
 // pool; its threads end with the process. Its tasks never post or wait
 // themselves, so a caller's join always drains. A task may block on a
 // cluster shard mutex, but no holder of that mutex ever posts to or waits
-// on the pool: a shard task runs the wave engine with no team, and the
-// service's scrubs and stats readers never post. So every holder finishes
-// its hold, and the blocked task goes on.
+// on the pool: a shard task and a session range run the wave engine on
+// their own thread, and the service's scrubs and stats readers never
+// post. So every holder finishes its hold, and the blocked task goes on.
+// Each FanOut starts its helpers at a worker of its own (a process-wide
+// counter hands them out in turn), so concurrent callers' first helpers
+// spread over the pool instead of queueing on worker 0.
 #pragma once
 
 #include <algorithm>
@@ -288,6 +291,8 @@ class FanOut {
  public:
   using Item = void (*)(void* ctx, int member, std::size_t item) noexcept;
 
+  FanOut() : start_(next_start_.fetch_add(1, std::memory_order_relaxed)) {}
+
   /// Runs fn(ctx, member, i) once for each i in [0, n): the caller (member
   /// 0) and the helpers run() posts (members 1..), at most `most`, claim
   /// the items from one counter. A null pool runs every item on the
@@ -316,9 +321,10 @@ class FanOut {
     }
   }
 
-  /// Runs fn(ctx, 0) on the calling thread and fn(ctx, m) on worker m - 1
-  /// for m = 1..h, h at most `most` and the pool's size; returns once
-  /// every one has run.
+  /// Runs fn(ctx, 0) on the calling thread and fn(ctx, m) on worker
+  /// (start + m - 1) mod size for m = 1..h, h at most `most` and the
+  /// pool's size, `start` this FanOut's own; returns once every one has
+  /// run.
   void run(ForkJoinPool& pool, int most, ForkJoinPool::Fn fn, void* ctx) {
     most = std::min(most, pool.size());
     if (most <= 0) {
@@ -327,7 +333,11 @@ class FanOut {
     }
     const int helpers = std::min(most, helpers_);
     ForkJoinPool::Join join;
-    for (int m = 1; m <= helpers; ++m) pool.post(m - 1, join, fn, ctx, m);
+    for (int m = 1; m <= helpers; ++m) {
+      const unsigned worker = (start_ + static_cast<unsigned>(m) - 1) %
+                              static_cast<unsigned>(pool.size());
+      pool.post(static_cast<int>(worker), join, fn, ctx, m);
+    }
     using Clock = std::chrono::steady_clock;
     const Clock::time_point t0 = Clock::now();
     fn(ctx, 0);
@@ -344,6 +354,9 @@ class FanOut {
 
  private:
   static constexpr int kCalm = 8;
+  /// Hands each FanOut the next start worker.
+  inline static std::atomic<unsigned> next_start_{0};
+  unsigned start_;  ///< the worker that takes this FanOut's first helper
   int helpers_ = std::numeric_limits<int>::max();
   int calm_ = 0;  ///< fan-outs since one last kept the caller waiting
 };

@@ -8,6 +8,14 @@
 
 namespace fpisa::cluster {
 
+std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
+                        std::uint64_t pass) {
+  std::uint64_t state = base ^ (job_id * 0x9e3779b97f4a7c15ULL) ^
+                        (static_cast<std::uint64_t>(shard) << 32) ^
+                        (pass * 0xc2b2ae3d27d4eb4fULL);
+  return util::splitmix64(state);
+}
+
 const char* routing_policy_name(RoutingPolicy p) {
   switch (p) {
     case RoutingPolicy::kHash: return "hash";

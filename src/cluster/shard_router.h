@@ -13,6 +13,13 @@
 
 namespace fpisa::cluster {
 
+/// Seed of the independent loss (or fault) stream of one (job, shard,
+/// pass) shard task: results are deterministic regardless of scheduling.
+/// Pass 0 reproduces the pre-failover stream exactly; retry passes draw
+/// fresh schedules. A session's 16-slot ranges derive theirs the same way.
+std::uint64_t task_seed(std::uint64_t base, std::uint64_t job_id, int shard,
+                        std::uint64_t pass);
+
 enum class RoutingPolicy {
   kHash,   ///< splitmix64(chunk ^ salt) % shards — spreads hot prefixes
   kRange,  ///< contiguous chunk blocks per shard — locality, trivial debug

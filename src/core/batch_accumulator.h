@@ -46,6 +46,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -54,11 +55,33 @@
 
 namespace fpisa::core {
 
+/// Allocates on 64-byte cache-line boundaries, so that threads writing
+/// disjoint line-sized blocks of one array (a switch's 16-slot ranges)
+/// never share a line.
+template <class T>
+struct LineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kLine{64};
+  LineAllocator() = default;
+  template <class U>
+  LineAllocator(const LineAllocator<U>& /*other*/) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kLine));
+  }
+  void deallocate(T* p, std::size_t /*n*/) { ::operator delete(p, kLine); }
+  template <class U>
+  bool operator==(const LineAllocator<U>& /*other*/) const {
+    return true;
+  }
+};
+template <class T>
+using LineVector = std::vector<T, LineAllocator<T>>;
+
 /// Structure-of-arrays register file: one exponent array + one mantissa
 /// array (paper Fig 3's layout, which is also the SIMD-friendly layout).
 struct RegisterFile {
-  std::vector<std::int32_t> exp;
-  std::vector<std::int64_t> man;
+  LineVector<std::int32_t> exp;
+  LineVector<std::int64_t> man;
 
   RegisterFile() = default;
   explicit RegisterFile(std::size_t n) : exp(n, 0), man(n, 0) {}

@@ -720,34 +720,23 @@ void FpisaSwitch::init_metrics() {
   }
 }
 
-void FpisaSwitch::flush_metrics(std::size_t packets) {
+void FpisaSwitch::book(const Delta& d) {
+  // Ranges of one switch bump these at once: skip the writes a call does
+  // not need.
+  if (d.dedup) {
+    books_.dedup_hits.fetch_add(d.dedup, std::memory_order_relaxed);
+  }
+  if (d.occupied) {
+    books_.occupied.fetch_add(d.occupied, std::memory_order_relaxed);
+  }
   if (!telemetry::enabled()) return;
-  m_packets_->inc(packets);
-  if (dedup_hits_ != dedup_flushed_) {
-    m_dedup_->inc(dedup_hits_ - dedup_flushed_);
-    dedup_flushed_ = dedup_hits_;
+  if (d.packets) m_packets_->inc(d.packets);
+  if (d.dedup) m_dedup_->inc(d.dedup);
+  if (d.rejected.corrupt_rejected) {
+    m_corrupt_->inc(d.rejected.corrupt_rejected);
   }
-  if (guard_corrupt_ != guard_corrupt_flushed_) {
-    m_corrupt_->inc(guard_corrupt_ - guard_corrupt_flushed_);
-    guard_corrupt_flushed_ = guard_corrupt_;
-  }
-  if (guard_stale_ != guard_stale_flushed_) {
-    m_stale_->inc(guard_stale_ - guard_stale_flushed_);
-    guard_stale_flushed_ = guard_stale_;
-  }
-  const std::uint64_t deltas[7] = {
-      ops_.adds - ops_flushed_.adds,
-      ops_.rounded_adds - ops_flushed_.rounded_adds,
-      ops_.overwrites - ops_flushed_.overwrites,
-      ops_.lshift_overflows - ops_flushed_.lshift_overflows,
-      ops_.saturations - ops_flushed_.saturations,
-      ops_.nonfinite_inputs - ops_flushed_.nonfinite_inputs,
-      ops_.zero_inputs - ops_flushed_.zero_inputs};
-  for (int i = 0; i < 7; ++i) {
-    if (deltas[i]) m_ops_[i]->inc(deltas[i]);
-  }
-  ops_flushed_ = ops_;
-  m_occupancy_->set(static_cast<double>(occupied_));
+  if (d.rejected.stale_rejected) m_stale_->inc(d.rejected.stale_rejected);
+  if (d.occupied) m_occupancy_->add(static_cast<double>(d.occupied));
 }
 
 FpisaResult FpisaSwitch::roundtrip(FpisaOp op, std::uint16_t slot,
@@ -758,13 +747,16 @@ FpisaResult FpisaSwitch::roundtrip(FpisaOp op, std::uint16_t slot,
   // interpreted path classifies exactly like the compiled batch path.
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   RegisterArray& bitmap_reg = sim_.reg(bitmap_register(opts_.lanes));
+  Delta books;
+  books.packets = 1;  // process() below counts it on the sim
+  core::OpCounters ops;
   if (op == FpisaOp::kAdd) {
     const std::uint64_t wbit = std::uint64_t{1} << worker;
     const std::uint64_t old_bm = bitmap_reg.read(slot);
     if (old_bm & wbit) {
-      dedup_hits_++;
+      books.dedup = 1;
     } else {
-      if (old_bm == 0) occupied_++;
+      books.occupied = old_bm == 0;
       // §5.2.1 taxonomy: the compiled lane-add classifies the packet on a
       // copy of its pre-packet lane registers; the tables below then
       // update the real ones.
@@ -775,10 +767,10 @@ FpisaResult FpisaSwitch::roundtrip(FpisaOp op, std::uint16_t slot,
       std::copy_n(bank.man.begin() + static_cast<std::ptrdiff_t>(row), lanes,
                   pre_packet_.man.begin());
       core::fpisa_add_batch(values, pre_packet_.exp, pre_packet_.man,
-                            lane_cfg_, ops_, core::LaneMode::kSwitch);
+                            lane_cfg_, ops, core::LaneMode::kSwitch);
     }
   } else if (op == FpisaOp::kReset) {
-    if (bitmap_reg.read(slot) != 0) occupied_--;
+    books.occupied = -static_cast<std::int64_t>(bitmap_reg.read(slot) != 0);
     slot_epoch_[slot]++;  // the slot's next occupant is a new epoch
   }
   const std::uint32_t stamp = op == FpisaOp::kAdd ? slot_stamp(slot) : 0;
@@ -791,7 +783,8 @@ FpisaResult FpisaSwitch::roundtrip(FpisaOp op, std::uint16_t slot,
   FpisaResult out;
   parse_fpisa_result_into(scratch_pkt_, opts_.lanes, out,
                           opts_.convert_endianness);
-  flush_metrics(1);
+  book(books);
+  book_ops(ops);
   return out;
 }
 
@@ -885,6 +878,13 @@ std::size_t FpisaSwitch::admit(std::span<const std::uint16_t> slots,
     throw std::invalid_argument("admit: accepted-packet spans too short");
   }
 
+  // Every packet is checked before any state changes.
+  for (std::size_t p = 0; p < n; ++p) {
+    if (slots[p] >= opts_.slots || workers[p] >= kMaxWorkers) [[unlikely]] {
+      check_packet("admit", p, slots[p], workers[p]);
+    }
+  }
+
   const auto lanes = static_cast<std::size_t>(opts_.lanes);
   const std::size_t payload_bytes = lanes * sizeof(std::uint32_t);
   const std::span<std::int64_t> bitmap =
@@ -893,42 +893,27 @@ std::size_t FpisaSwitch::admit(std::span<const std::uint16_t> slots,
   const std::span<std::int64_t> count = count_reg.owned_cells();
   const std::int64_t count_mask =
       (std::int64_t{1} << count_reg.width_bits()) - 1;
-  // Room for every packet, written by index: no growth check per packet.
-  if (admit_workers_.size() < n) admit_workers_.resize(n);
   const std::byte** const accepted_payloads = out_payloads.data();
   std::uint32_t* const accepted_rows = out_rows.data();
-  std::uint8_t* const accepted_workers = admit_workers_.data();
-  // The batch's books stay local until every packet has passed its
-  // check, so a batch rejected for a bad packet only has to undo the
-  // bitmap and counter cells the packets before it settled.
   std::size_t accepted = 0;
-  std::int64_t occupied = 0;
-  std::uint64_t dedup = 0;
-  GuardStats rejected;
+  Delta books;
+  books.packets = n;
   for (std::size_t p = 0; p < n; ++p) {
     const std::uint16_t slot = slots[p];
     const std::uint8_t worker = workers[p];
-    if (slot >= opts_.slots || worker >= kMaxWorkers) [[unlikely]] {
-      for (std::size_t a = accepted; a-- > 0;) {
-        const std::uint32_t row = accepted_rows[a];
-        bitmap[row] &= ~(std::int64_t{1} << accepted_workers[a]);
-        count[row] = (count[row] - 1) & count_mask;
-      }
-      check_packet("admit", p, slot, worker);
-    }
     if (guard != nullptr) {
       // Guard 1: payload integrity. A bit flipped in flight breaks the
       // checksum the sender computed over the clean bytes.
       if (fpisa_checksum(slot, worker, stamps[p],
                          {payloads[p], payload_bytes}) != checksums[p]) {
-        rejected.corrupt_rejected++;
+        books.rejected.corrupt_rejected++;
         continue;
       }
       // Guard 2: liveness of the slot's epoch. A copy stamped before the
       // slot was reset (stale duplicate after round-robin reuse) or before
       // the switch rebooted must not be absorbed as a fresh contribution.
       if (stamps[p] != slot_stamp(slot)) {
-        rejected.stale_rejected++;
+        books.rejected.stale_rejected++;
         continue;
       }
     }
@@ -936,28 +921,22 @@ std::size_t FpisaSwitch::admit(std::span<const std::uint16_t> slots,
     const std::int64_t wbit = std::int64_t{1} << worker;
     const std::int64_t old_bm = bitmap[slot];
     if (old_bm & wbit) {  // duplicate: absorbed, no state change
-      dedup++;
+      books.dedup++;
       continue;
     }
     bitmap[slot] = old_bm | wbit;
-    occupied += old_bm == 0;
+    books.occupied += old_bm == 0;
     count[slot] = (count[slot] + 1) & count_mask;  // MAU4 counter
     accepted_payloads[accepted] = payloads[p];
     accepted_rows[accepted] = slot;
-    accepted_workers[accepted] = worker;
     ++accepted;
   }
-  occupied_ += occupied;
-  dedup_hits_ += dedup;
-  guard_corrupt_ += rejected.corrupt_rejected;
-  guard_stale_ += rejected.stale_rejected;
   if (guard != nullptr) {
-    guard->corrupt_rejected += rejected.corrupt_rejected;
-    guard->stale_rejected += rejected.stale_rejected;
+    guard->corrupt_rejected += books.rejected.corrupt_rejected;
+    guard->stale_rejected += books.rejected.stale_rejected;
   }
-
   sim_.account_packets(n);
-  flush_metrics(n);
+  book(books);
   return accepted;
 }
 
@@ -973,7 +952,14 @@ void FpisaSwitch::gather(std::span<const std::byte* const> payloads,
 
 void FpisaSwitch::book_ops(const core::OpCounters& ops) {
   ops_ += ops;
-  flush_metrics(0);
+  if (!telemetry::enabled()) return;
+  const std::uint64_t deltas[7] = {
+      ops.adds,        ops.rounded_adds, ops.overwrites,
+      ops.lshift_overflows, ops.saturations, ops.nonfinite_inputs,
+      ops.zero_inputs};
+  for (int i = 0; i < 7; ++i) {
+    if (deltas[i]) m_ops_[i]->inc(deltas[i]);
+  }
 }
 
 void FpisaSwitch::wipe_state() {
@@ -982,12 +968,13 @@ void FpisaSwitch::wipe_state() {
   sim_.bank().clear();
   sim_.reg(bitmap_register(opts_.lanes)).clear();
   sim_.reg(count_register(opts_.lanes)).clear();
-  occupied_ = 0;
+  Delta books;
+  books.occupied = -occupied_slots();
+  book(books);
   // The generation bump alone distinguishes pre-wipe stamps, so the
   // per-slot epochs restart at zero like everything else on the switch.
   std::fill(slot_epoch_.begin(), slot_epoch_.end(), 0);
   generation_++;
-  flush_metrics(0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1029,6 +1016,8 @@ void FpisaSwitch::release(std::uint16_t slot0, std::size_t n, bool reset,
       sim_.reg(bitmap_register(opts_.lanes)).owned_cells();
   const std::span<std::int64_t> count =
       sim_.reg(count_register(opts_.lanes)).owned_cells();
+  Delta books;
+  books.packets = n;
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t slot = slot0 + k;
     if (!out_bitmaps.empty()) {
@@ -1038,14 +1027,14 @@ void FpisaSwitch::release(std::uint16_t slot0, std::size_t n, bool reset,
       out_counts[k] = static_cast<std::uint16_t>(count[slot]);
     }
     if (reset) {
-      occupied_ -= bitmap[slot] != 0;
+      books.occupied -= bitmap[slot] != 0;
       bitmap[slot] = 0;
       count[slot] = 0;
       slot_epoch_[slot]++;  // the slot's next occupant is a new epoch
     }
   }
   sim_.account_packets(n);
-  flush_metrics(n);
+  book(books);
 }
 
 void FpisaSwitch::drain(std::uint16_t slot0,
@@ -1058,6 +1047,13 @@ void FpisaSwitch::drain(std::uint16_t slot0,
       std::span(bank.exp).subspan(slot0 * lanes, n * lanes),
       std::span(bank.man).subspan(slot0 * lanes, n * lanes), lanes, dests,
       lane_cfg_, core::LaneMode::kSwitch);
+}
+
+void FpisaSwitch::account_packets(std::uint64_t n) {
+  sim_.account_packets(n);
+  Delta books;
+  books.packets = n;
+  book(books);
 }
 
 void FpisaSwitch::read_and_reset_batch(std::uint16_t slot0, std::size_t n,

@@ -25,6 +25,7 @@
 // switch's slot-major register bank.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -174,12 +175,16 @@ std::vector<LogicalTableDesc> fpisa_resource_descriptors(
 /// (the §5.2.1 add / rounded-add / overwrite / left-shift taxonomy, counted
 /// identically by the interpreted and compiled paths), dedup-hit and
 /// packet counts, and a live occupied-slot figure. All of it is mirrored
-/// into the process telemetry registry under the instance label sw=<n>.
-/// The switch is not thread-safe (callers already serialize access — the
-/// cluster holds a per-shard mutex), so the members are plain integers.
-/// The one exception is the datapath halves, gather() and drain(): they
-/// touch only the bank rows they are given, so a caller that holds the
-/// switch may run them on disjoint rows from several threads at once.
+/// into the process telemetry registry under the instance label sw=<n>,
+/// each call adding its own deltas.
+///
+/// Threads: the compiled halves (admit, gather, release, drain) touch only
+/// the slots and bank rows they are given, and bump the scalar books
+/// (occupancy, dedup hits, packets, the registry series) race-free, so
+/// calls on disjoint slots may run on several threads at once. Everything
+/// else needs the switch to itself: the interpreted packets, book_ops,
+/// wipe_state and the flat adapters (the cluster holds a per-shard mutex,
+/// a session books its operation counts after its ranges join).
 class FpisaSwitch {
  public:
   /// Worker ids index the 32-bit dedup bitmap register.
@@ -296,6 +301,10 @@ class FpisaSwitch {
   /// once.
   void drain(std::uint16_t slot0, std::span<std::byte* const> dests);
 
+  /// Books `n` packet traversals that change no state (a collect's
+  /// retried reads and resets) on the packet count and its series.
+  void account_packets(std::uint64_t n);
+
   /// release() with reset, then drain(), over flat values: slot k's lane l
   /// lands at out_values[k*lanes + l] (n * lanes entries).
   void read_and_reset_batch(std::uint16_t slot0, std::size_t n,
@@ -309,9 +318,13 @@ class FpisaSwitch {
   /// dedup bitmap) are excluded — they caused no register operation.
   const core::OpCounters& op_counters() const { return ops_; }
   /// Add packets absorbed by the dedup bitmap (retransmissions).
-  std::uint64_t dedup_hits() const { return dedup_hits_; }
+  std::uint64_t dedup_hits() const {
+    return books_.dedup_hits.load(std::memory_order_relaxed);
+  }
   /// Slots whose dedup bitmap is currently nonzero (in-flight aggregates).
-  std::int64_t occupied_slots() const { return occupied_; }
+  std::int64_t occupied_slots() const {
+    return books_.occupied.load(std::memory_order_relaxed);
+  }
 
  private:
   /// The interpreted datapath: encodes one packet, runs it through every
@@ -326,8 +339,15 @@ class FpisaSwitch {
   void check_slot_range(const char* what, std::uint16_t slot0,
                         std::size_t n) const;
   void init_metrics();
-  /// Pushes (packets, dedup, op-count deltas, occupancy) to the registry.
-  void flush_metrics(std::size_t packets);
+  /// One call's changes to the scalar books.
+  struct Delta {
+    std::uint64_t packets = 0;
+    std::uint64_t dedup = 0;
+    std::int64_t occupied = 0;
+    GuardStats rejected;
+  };
+  /// Adds `d` to the books and to the registry series, race-free.
+  void book(const Delta& d);
 
   FpisaProgramOptions opts_;
   /// The lane datapath as a core config: FP32 into a 32-bit wrapping
@@ -337,9 +357,6 @@ class FpisaSwitch {
   SwitchSim sim_;
   Packet scratch_pkt_;                  ///< reused by every roundtrip
   std::vector<std::uint32_t> zeros_;    ///< read/reset payload template
-  /// admit(): the accepted packets' worker ids, only to undo a batch that
-  /// a bad packet rejects.
-  std::vector<std::uint8_t> admit_workers_;
   // The flat adapters: add_batch's payloads, the packets it admits and
   // their rows, and read_and_reset_batch's destinations.
   std::vector<const std::byte*> flat_payloads_;
@@ -351,19 +368,17 @@ class FpisaSwitch {
   core::RegisterFile pre_packet_;
 
   core::OpCounters ops_{};
-  std::uint64_t dedup_hits_ = 0;
-  std::int64_t occupied_ = 0;
+  /// The books concurrent calls bump, on a cache line of their own: the
+  /// members every call reads never share it.
+  struct alignas(64) AtomicBooks {
+    std::atomic<std::uint64_t> dedup_hits{0};
+    std::atomic<std::int64_t> occupied{0};
+  } books_;
   /// Guard state: per-slot reset epoch + whole-switch generation (see
   /// slot_stamp). Maintained unconditionally — a couple of integer bumps
   /// per reset — so guarded and unguarded traffic can interleave.
   std::vector<std::uint16_t> slot_epoch_;
   std::uint16_t generation_ = 0;
-  std::uint64_t guard_corrupt_ = 0;
-  std::uint64_t guard_stale_ = 0;
-  core::OpCounters ops_flushed_{};      ///< registry high-water marks
-  std::uint64_t dedup_flushed_ = 0;
-  std::uint64_t guard_corrupt_flushed_ = 0;
-  std::uint64_t guard_stale_flushed_ = 0;
   telemetry::Counter* m_packets_ = nullptr;
   telemetry::Counter* m_dedup_ = nullptr;
   telemetry::Counter* m_corrupt_ = nullptr;

@@ -183,7 +183,7 @@ void SwitchSim::process(Packet& pkt) {
     check_stages(config_, *built);
     stages_ = std::move(built);
   }
-  ++packets_;
+  account_packets(1);
   begin_packet();
 
   const SwitchProgram& prog = *program_;

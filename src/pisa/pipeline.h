@@ -17,6 +17,7 @@
 // ever runs a compiled fast path over its registers never pays for them.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -204,11 +205,16 @@ class SwitchSim {
 
   const SwitchProgram& program() const { return *program_; }
 
-  std::uint64_t packets_processed() const { return packets_; }
+  std::uint64_t packets_processed() const {
+    return packets_.n.load(std::memory_order_relaxed);
+  }
   /// Accounts packets applied through a program's compiled fast path (e.g.
   /// FpisaSwitch::admit) rather than a full `process` traversal, so
-  /// packet statistics stay truthful for either datapath.
-  void account_packets(std::uint64_t n) { packets_ += n; }
+  /// packet statistics stay truthful for either datapath. Race-free:
+  /// compiled calls on disjoint slots may run at once.
+  void account_packets(std::uint64_t n) {
+    packets_.n.fetch_add(n, std::memory_order_relaxed);
+  }
   /// Extra pipeline passes consumed by recirculation: each one costs a
   /// slot of ingress bandwidth (why the paper calls it expensive).
   std::uint64_t recirculations() const { return recirculations_; }
@@ -229,7 +235,11 @@ class SwitchSim {
   core::RegisterFile bank_;
   std::size_t min_packet_bytes_;  ///< covers every parser/deparser field
   std::vector<std::unique_ptr<RegisterArray>> regs_;
-  std::uint64_t packets_ = 0;
+  /// On a cache line of its own: compiled calls on disjoint slots bump it
+  /// at once, and every call reads the members around it.
+  struct alignas(64) PacketCount {
+    std::atomic<std::uint64_t> n{0};
+  } packets_;
   std::uint64_t recirculations_ = 0;
 };
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/batch_accumulator.h"
 #include "pisa/phv.h"
 
 namespace fpisa::pisa {
@@ -96,7 +97,7 @@ class RegisterArray {
   std::size_t size_;
   std::uint64_t mask_;
   std::uint64_t sign_bit_;
-  std::vector<std::int64_t> owned_;  ///< cells of an owning array
+  core::LineVector<std::int64_t> owned_;  ///< cells of an owning array
   std::int32_t* cells32_ = nullptr;
   std::int64_t* cells64_ = nullptr;
   std::size_t stride_ = 1;

@@ -4,8 +4,6 @@
 #include <bit>
 #include <cstring>
 
-#include "cluster/mailbox.h"
-
 namespace fpisa::switchml {
 namespace {
 
@@ -224,51 +222,23 @@ WaveEngine::Encoded WaveEngine::encode(const WaveJob& job, WaveHooks& hooks,
   return e;
 }
 
-void WaveEngine::admit(pisa::FpisaSwitch& sw, const WaveJob& job,
-                       std::size_t wave) {
-  Log& log = log_;
+void WaveEngine::admit(pisa::FpisaSwitch& sw, const WaveJob& job) {
   const std::size_t n = queue_.size();
-  const std::size_t at = log.rows.size();
-  log.payloads.resize(at + n);
-  log.rows.resize(at + n);
+  if (accepted_rows_.size() < n) {
+    accepted_payloads_.resize(n);
+    accepted_rows_.resize(n);
+  }
   pisa::FpisaSwitch::GuardStats guard;
-  const std::size_t accepted = sw.admit(
-      queue_.slots, queue_.workers, queue_.payloads, queue_.stamps,
-      queue_.checksums, queue_.guarded ? &guard : nullptr,
-      std::span(log.payloads).subspan(at), std::span(log.rows).subspan(at));
-  log.payloads.resize(at + accepted);
-  log.rows.resize(at + accepted);
+  const std::size_t accepted =
+      sw.admit(queue_.slots, queue_.workers, queue_.payloads, queue_.stamps,
+               queue_.checksums, queue_.guarded ? &guard : nullptr,
+               accepted_payloads_, accepted_rows_);
   job.stats->faults.corrupt_rejected += guard.corrupt_rejected;
   job.stats->faults.stale_dups_rejected += guard.stale_rejected;
+  sw.gather(std::span(accepted_payloads_).first(accepted),
+            std::span(accepted_rows_).first(accepted), ops_);
   queue_.clear();
-  if (ranges_ > 1 && queue_.guarded) {
-    // A plain queue is slot-major, so its accepted rows already ascend;
-    // ghosts and shuffles break that, so a guarded wave is grouped by range
-    // here (stably: each slot keeps its packets' order).
-    const auto range_of = [&](std::uint32_t row) {
-      return (row - job.lo) / range_slots_;
-    };
-    range_counts_.assign(ranges_ + 1, 0);
-    for (std::size_t i = at; i < at + accepted; ++i) {
-      ++range_counts_[range_of(log.rows[i]) + 1];
-    }
-    for (std::size_t r = 1; r <= ranges_; ++r) {
-      range_counts_[r] += range_counts_[r - 1];
-    }
-    sort_payloads_.resize(accepted);
-    sort_rows_.resize(accepted);
-    for (std::size_t i = at; i < at + accepted; ++i) {
-      const std::size_t to = range_counts_[range_of(log.rows[i])]++;
-      sort_payloads_[to] = log.payloads[i];
-      sort_rows_[to] = log.rows[i];
-    }
-    std::copy(sort_payloads_.begin(), sort_payloads_.end(),
-              log.payloads.begin() + static_cast<std::ptrdiff_t>(at));
-    std::copy(sort_rows_.begin(), sort_rows_.end(),
-              log.rows.begin() + static_cast<std::ptrdiff_t>(at));
-  }
-  log.steps.push_back({wave, false, at, at + accepted});
-  if (!deferred_) replay(sw, job, false);  // inline: the gather runs now
+  queue_.recycle();  // no payload points into its store any more
 }
 
 void WaveEngine::resync(pisa::FpisaSwitch& sw, const WaveJob& job) {
@@ -294,17 +264,14 @@ void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
   bitmaps_.resize(wave_n);
   sw.with([&](pisa::FpisaSwitch& s) {
     // Injected whole-switch state loss lands after the wave's adds, the
-    // moment it hurts most: everything logged so far runs first.
-    if (wipe) {
-      replay(s, job, false);
-      s.wipe_state();
-    }
+    // moment it hurts most.
+    if (wipe) s.wipe_state();
     // A generation bump means every register, this wave's partial sums
-    // included, is gone: re-read the stamps and replay the wave from
+    // included, is gone: re-read the stamps and re-admit the wave from
     // the host-held gradients in one guarded batch (the dedup bitmap
     // absorbs anything that did survive).
-    for (int replays = 0; s.generation() != stamp_generation_; ++replays) {
-      if (replays >= f.options().max_wave_replays) {
+    for (int tries = 0; s.generation() != stamp_generation_; ++tries) {
+      if (tries >= f.options().max_wave_replays) {
         hooks.fail(WaveFailure::kReplayBudget, job.lo, -1);
       }
       resync(s, job);
@@ -316,7 +283,7 @@ void WaveEngine::recover(SwitchAccess& sw, const WaveJob& job,
              queue_.push(slot, src.id, stamps_[slot - job.lo], payload);
              return true;
            });
-      admit(s, job, wave);
+      admit(s, job);
       ++st.faults.waves_replayed;
     }
     s.release(job.lo, wave_n, /*reset=*/false, bitmaps_);
@@ -339,11 +306,12 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
   const std::span<std::byte> out = std::as_writable_bytes(job.out);
   std::byte* const bounce =
       std::as_writable_bytes(std::span(wave_values_)).data();
+  std::optional<std::size_t> tail_at;
   // The cleared prefix is released in one hold: a failed slot and
   // everything after it stay untouched, as they would.
   sw.with([&](pisa::FpisaSwitch& s) {
     s.release(job.lo, sched.cleared, /*reset=*/true);
-    s.sim().account_packets(sched.delivered - sched.cleared);
+    s.account_packets(sched.delivered - sched.cleared);
     if (job.faults != nullptr) {
       // Each reset bumped its slot's epoch, and the reset ack carries the
       // new stamp: the next wave's packets carry it, and any ghost still
@@ -356,24 +324,25 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
     // short tail chunk goes through the tail row, and every slot of a wave
     // whose schedule failed through the wave's bounce rows: it writes
     // nothing into out.
-    Log& log = log_;
-    const std::size_t at = log.dests.size();
-    log.dests.resize(at + sched.cleared);
+    dests_.resize(sched.cleared);
     for (std::size_t k = 0; k < sched.cleared; ++k) {
       const std::size_t i0 = job.chunks[base + k] * row_bytes;
       if (sched.failure) {
-        log.dests[at + k] = bounce + k * row_bytes;
+        dests_[k] = bounce + k * row_bytes;
       } else if (i0 + row_bytes <= out.size()) {
-        log.dests[at + k] = out.data() + i0;
+        dests_[k] = out.data() + i0;
       } else {
-        log.dests[at + k] =
-            std::as_writable_bytes(std::span(tail_row_)).data();
-        tail_at_ = i0;
+        dests_[k] = std::as_writable_bytes(std::span(tail_row_)).data();
+        tail_at = i0;
       }
     }
-    log.steps.push_back({wave, true, at, at + sched.cleared});
-    if (!deferred_) replay(s, job, false);  // inline: the drain runs now
+    s.drain(job.lo, dests_);
   });
+  // The short tail chunk keeps only the lanes that fall inside out.
+  if (tail_at && *tail_at < out.size()) {
+    std::memcpy(out.data() + *tail_at, tail_row_.data(),
+                out.size() - *tail_at);
+  }
   if (sched.failure) {
     // A never-reset slot would swallow the next wave's adds through the
     // dedup bitmap: fail loudly rather than aggregate silently wrong.
@@ -382,145 +351,13 @@ void WaveEngine::collect(SwitchAccess& sw, const WaveJob& job,
   }
 }
 
-void WaveEngine::replay(pisa::FpisaSwitch& sw, const WaveJob& job,
-                        bool timed) {
-  if (log_.steps.empty()) return;
-  replay_sw_ = &sw;
-  replay_job_ = &job;
-  replay_timed_ = timed;
-  const cluster::FanOut::Item range = [](void* self, int member,
-                                         std::size_t r) noexcept {
-    static_cast<WaveEngine*>(self)->replay_range(
-        r, static_cast<std::size_t>(member));
-  };
-  fan_out_.for_each(job.team, ranges_, static_cast<int>(ranges_) - 1, range,
-                    this);
-  close(job);
-}
-
-void WaveEngine::book(pisa::FpisaSwitch& sw) {
-  core::OpCounters ops{};
-  for (Member& m : members_) {
-    ops += m.ops;
-    m.ops = {};
+void WaveEngine::book(SwitchAccess& sw, const WaveJob& job) {
+  if (job.ops != nullptr) {
+    *job.ops += ops_;
+  } else {
+    sw.with([&](pisa::FpisaSwitch& s) { s.book_ops(ops_); });
   }
-  sw.book_ops(ops);
-}
-
-void WaveEngine::close(const WaveJob& job) {
-  // The short tail chunk keeps only the lanes that fall inside out.
-  const std::span<std::byte> out = std::as_writable_bytes(job.out);
-  if (tail_at_ && *tail_at_ < out.size()) {
-    std::memcpy(out.data() + *tail_at_, tail_row_.data(),
-                out.size() - *tail_at_);
-  }
-  tail_at_.reset();
-  log_.payloads.clear();
-  log_.rows.clear();
-  log_.steps.clear();
-  log_.dests.clear();
-  queue_.recycle();  // no logged payload points into its store any more
-}
-
-void WaveEngine::replay_range(std::size_t r, std::size_t member) {
-  pisa::FpisaSwitch& sw = *replay_sw_;
-  const WaveJob& job = *replay_job_;
-  const Log& log = log_;
-  Member& m = members_[member];
-  // Slots [first, last) of the job's range, as offsets from job.lo.
-  const std::size_t first = r * range_slots_;
-  const std::size_t last = std::min(first + range_slots_, job.wave);
-  const auto range_of = [&](std::uint32_t row) {
-    return (row - job.lo) / range_slots_;
-  };
-  // This range's entries of every gather step, found up front so that each
-  // step can prefetch the next one's payloads: the protocol pass never
-  // reads them, and a range reads each worker's view in short strides one
-  // wave apart, which the hardware prefetchers do not follow.
-  m.spans.clear();
-  for (const Step& step : log.steps) {
-    if (step.drain) continue;
-    const auto lo = log.rows.begin() + static_cast<std::ptrdiff_t>(step.begin);
-    const auto hi = log.rows.begin() + static_cast<std::ptrdiff_t>(step.end);
-    const auto from = std::partition_point(
-        lo, hi, [&](std::uint32_t row) { return range_of(row) < r; });
-    const auto to = std::partition_point(
-        from, hi, [&](std::uint32_t row) { return range_of(row) == r; });
-    m.spans.push_back({static_cast<std::size_t>(from - log.rows.begin()),
-                       static_cast<std::size_t>(to - log.rows.begin())});
-  }
-  const std::size_t payload_bytes = lanes_ * sizeof(float);
-  const auto prefetch = [&](std::pair<std::size_t, std::size_t> span) {
-    for (std::size_t i = span.first; i < span.second; ++i) {
-      const std::byte* p = log.payloads[i];
-      for (std::size_t at = 0; at < payload_bytes; at += 64) {
-        __builtin_prefetch(p + at);
-      }
-      __builtin_prefetch(p + payload_bytes - 1);
-    }
-  };
-  // One range reads the views in order, which the prefetchers follow.
-  const bool ahead = ranges_ > 1;
-  if (ahead && !m.spans.empty()) prefetch(m.spans[0]);
-  std::size_t g = 0;  // gather steps seen
-  Clock::time_point t0 = replay_timed_ ? Clock::now() : Clock::time_point{};
-  for (const Step& step : log.steps) {
-    if (step.drain) {
-      const std::size_t b = std::min(last, step.end - step.begin);
-      if (first >= b) continue;
-      sw.drain(static_cast<std::uint16_t>(job.lo + first),
-               std::span(log.dests).subspan(step.begin + first, b - first));
-    } else {
-      const auto [a, b] = m.spans[g++];
-      if (ahead && g < m.spans.size()) prefetch(m.spans[g]);
-      if (a == b) continue;
-      sw.gather(std::span(log.payloads).subspan(a, b - a),
-                std::span(log.rows).subspan(a, b - a), m.ops);
-    }
-    if (replay_timed_) {
-      const Clock::time_point t1 = Clock::now();
-      m.ns[2 * step.wave + (step.drain ? 1 : 0)] += ns_between(t0, t1);
-      t0 = t1;
-    }
-  }
-}
-
-void WaveEngine::finish(SwitchAccess& sw, const WaveJob& job,
-                        WaveHooks& hooks, std::size_t waves,
-                        Clock::time_point start) {
-  const Clock::time_point t0 = Clock::now();
-  sw.with([&](pisa::FpisaSwitch& s) {
-    replay(s, job, deferred_);  // inline: empty, each hold replayed its own
-    book(s);
-  });
-  if (!deferred_) return;  // inline waves reported their own timing
-  // The datapath pass's wall time on the caller is the waves' kernel
-  // work. Each (wave, phase) gets the share of it that its steps took of
-  // the members' summed kernel time; rounding carries over, so the shares
-  // add up to the whole.
-  const double extra = static_cast<double>(ns_between(t0, Clock::now()));
-  std::uint64_t busy = 0;
-  for (const Member& m : members_) {
-    for (const std::uint64_t ns : m.ns) busy += ns;
-  }
-  std::uint64_t seen = 0;
-  std::uint64_t given = 0;
-  Clock::time_point at = start;
-  for (std::size_t k = 0; k < waves; ++k) {
-    std::uint64_t ns[2];
-    for (std::size_t phase = 0; phase < 2; ++phase) {
-      for (const Member& m : members_) seen += m.ns[2 * k + phase];
-      const auto upto = busy == 0 ? std::uint64_t{0}
-                                  : static_cast<std::uint64_t>(
-                                        extra * static_cast<double>(seen) /
-                                        static_cast<double>(busy));
-      ns[phase] = protocol_ns_[2 * k + phase] + (upto - given);
-      given = upto;
-    }
-    const Clock::time_point add_end = at + std::chrono::nanoseconds(ns[0]);
-    at = add_end + std::chrono::nanoseconds(ns[1]);
-    hooks.end_wave({k, ns[0], ns[1], add_end, at});
-  }
+  ops_ = {};
 }
 
 void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
@@ -544,20 +381,9 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
   loss_cut_ = util::Rng::bernoulli_cut(job.loss_rate);
   wave_values_.resize(job.wave * lanes_);
   const std::size_t n_waves = (total + job.wave - 1) / job.wave;
-  deferred_ = job.team != nullptr;
-  range_slots_ = deferred_ ? kRangeSlots : job.wave;  // inline: one range
-  ranges_ = (job.wave + range_slots_ - 1) / range_slots_;
-  members_.resize(deferred_ ? static_cast<std::size_t>(job.team->size()) + 1
-                            : 1);
-  if (deferred_) {
-    for (Member& m : members_) m.ns.assign(2 * n_waves, 0);
-    protocol_ns_.assign(2 * n_waves, 0);
-  }
   if (job.faults != nullptr) {
     sw.with([&](pisa::FpisaSwitch& s) { resync(s, job); });
   }
-  const Clock::time_point start = Clock::now();
-  std::size_t done = 0;  // waves whose collect went through
   try {
     for (std::size_t k = 0; k < n_waves; ++k) {
       const std::size_t wave_n = std::min(job.wave, total - k * job.wave);
@@ -568,7 +394,7 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
       // holds exactly the state the per-packet protocol would leave.
       if (job.faults != nullptr) job.faults->shuffle(queue_);
       if (queue_.size() != 0) {
-        sw.with([&](pisa::FpisaSwitch& s) { admit(s, job, k); });
+        sw.with([&](pisa::FpisaSwitch& s) { admit(s, job); });
       }
       if (enc.killed) hooks.fail(WaveFailure::kKilledMidAdd, job.lo, -1);
       if (!enc.ok) {
@@ -588,21 +414,15 @@ void WaveEngine::run(SwitchAccess& sw, const WaveJob& job) {
                                       *job.stats);
       collect(sw, job, hooks, k, sched);
       const Clock::time_point t_collect_end = Clock::now();
-      if (deferred_) {
-        protocol_ns_[2 * k] = ns_between(t_add, t_add_end);
-        protocol_ns_[2 * k + 1] = ns_between(t_add_end, t_collect_end);
-      } else {
-        hooks.end_wave({k, ns_between(t_add, t_add_end),
-                        ns_between(t_add_end, t_collect_end), t_add_end,
-                        t_collect_end});
-      }
-      done = k + 1;
+      hooks.end_wave({k, ns_between(t_add, t_add_end),
+                      ns_between(t_add_end, t_collect_end), t_add_end,
+                      t_collect_end});
     }
   } catch (...) {
-    finish(sw, job, hooks, done, start);
+    book(sw, job);
     throw;
   }
-  finish(sw, job, hooks, n_waves, start);
+  book(sw, job);
 }
 
 void scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n) {

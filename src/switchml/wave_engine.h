@@ -22,13 +22,15 @@
 //     its first copy;
 //  2. add: FpisaSwitch::admit, the ingress's protocol half, runs over the
 //     queue (checks, guard, dedup bitmap, completion counter, occupancy),
-//     and the accepted packets' (payload, bank row) pairs go into the
-//     job's log (guarded mode then recovers, below);
+//     and FpisaSwitch::gather adds the accepted packets' lanes into their
+//     bank rows in the same switch hold (guarded mode then recovers,
+//     below);
 //  3. collect: the per-slot read/reset loss schedule is drawn
-//     (draw_collect_schedule), FpisaSwitch::release clears the cleared
-//     slots' bitmaps and counters and bumps their epochs, and each cleared
-//     slot's destination goes into the log: its chunk's place in the
-//     result (only the short tail chunk goes through the tail row).
+//     (draw_collect_schedule), and in one switch hold FpisaSwitch::release
+//     clears the cleared slots' bitmaps and counters and bumps their
+//     epochs, and FpisaSwitch::drain reads and clears each cleared slot
+//     straight into its chunk's place in the result (only the short tail
+//     chunk goes through the tail row).
 // A job without an rng runs a lossless wire: each packet is queued once
 // and the collect schedule takes its closed form, with no draws at all.
 // The loss schedule depends only on the rng stream, never on the switch,
@@ -36,40 +38,27 @@
 // results, stats and register evolution bit for bit (pinned against the
 // per-packet oracle in tests/wave_oracle.h).
 //
-// Two passes. The steps above are the protocol pass: one thread, the
-// rng's draw order, and only the state the paper's pipeline keeps apart
-// from the lanes (Fig 2's MAU1 bitmap and MAU4 counter). The datapath pass
-// replays the log through the lane kernels: FpisaSwitch::gather adds each
-// logged run of payloads into its bank rows, FpisaSwitch::drain reads and
-// clears each collected slot into its destination. No lane register feeds
-// the protocol, so replaying later gives the same bits. A job with a team
-// (WaveJob::team; a session passes the process's datapath pool, shared
-// with every other session and tree) runs the protocol pass over the
-// whole job first, then replays it once, cut into kRangeSlots-slot ranges
-// that the caller and the team claim from one counter
-// (cluster::FanOut::for_each); whoever claims a range replays every wave
-// of it in order, so each bank row has one writer. Each thread counts its
-// own operations and the sums are booked on the switch. How many of the
-// team a replay posts adapts to what the last replays cost: a helper that
-// kept the caller waiting, on a busy host or behind another caller's
-// task, is posted no more until replays run calm again. A job without a
-// team runs the same replay, over one range, at the end of each switch
-// hold that logs a step, so a cluster shard's lock holds and wave windows
-// stay what they were. A run's one ending replays what is still logged,
-// so a throw from the protocol pass leaves the switch as the per-packet
-// protocol would.
+// A run is one thread from start to finish, and touches only the slots of
+// its range and the switch's scalar books, which the switch keeps
+// race-free. So runs over disjoint slot ranges of one switch may go at
+// once: an AggregationSession cuts its slots into 16-slot ranges and runs
+// each on whichever thread of the datapath pool claims it, each with its
+// own loss stream (the paper's Fig 2 keeps the per-slot protocol state,
+// the MAU1 bitmap and MAU4 counter, in stages of its own, and slots never
+// share registers).
 //
 // Guarded mode (a fault::FaultEngine is supplied) runs the Byzantine-wire
-// recovery protocol through the same queue, packing loop and log: each
-// copy also carries an epoch stamp and a checksum computed in place over
-// its clean payload, the fault engine edits the queue in place (copying
-// only the payloads it corrupts or holds back as ghosts), and the pre-pass
+// recovery protocol through the same queue and packing loop: each copy
+// also carries an epoch stamp and a checksum computed in place over its
+// clean payload, the fault engine edits the queue in place (copying only
+// the payloads it corrupts or holds back as ghosts), and the pre-pass
 // guards. The switch owns the epoch rule: the stamps come back with each
 // release (the reset ack carries the slot's new epoch), and a run's first
-// wave reads them from the switch. An injected wipe first replays the log,
-// then wipes; the wave is then re-packed and admitted under the same
-// switch hold as the wipe and the wave-deadline probe, which reads the
-// dedup bitmaps alone (no lane register) to find a silent worker.
+// wave reads them from the switch. An injected wipe lands after the wave's
+// adds; the wave is then re-packed and admitted under the same switch hold
+// as the wipe and the wave-deadline probe, which reads the dedup bitmaps
+// alone (no lane register) to find a silent worker. A wipe clears every
+// slot of the switch, so a caller runs a job that may wipe on one thread.
 #pragma once
 
 #include <chrono>
@@ -79,10 +68,8 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
-#include "cluster/mailbox.h"
 #include "core/accumulator.h"
 #include "fault/fault.h"
 #include "pisa/fpisa_program.h"
@@ -249,11 +236,7 @@ class DirectAccess final : public SwitchAccess {
 /// phase the schedule draw, the release and the drain into the result. The
 /// windows end at `add_end` / `collect_end` and never overlap: the collect
 /// window opens at `add_end`, and the next wave's add window opens after
-/// `collect_end`. In a job with a team, a wave's kernel work runs in the
-/// datapath pass, spread over several threads: each wave then gets its
-/// protocol time plus its share of that pass's wall time on the calling
-/// thread (shared by the kernel time each wave's steps took), and its
-/// windows are laid end to end from the start of the run.
+/// `collect_end`.
 struct WaveTiming {
   std::size_t wave = 0;
   std::uint64_t add_ns = 0;
@@ -305,14 +288,10 @@ struct WaveJob {
   std::uint32_t dead_mask = 0;  ///< views that send nothing
   fault::FaultEngine* faults = nullptr;  ///< non-null: guarded mode
   WaveHooks* hooks = nullptr;  ///< null: the defaults
-  /// Threads that share the datapath pass with the caller; null replays
-  /// each wave's log inline as it is written. Other callers may post to
-  /// the same pool during the run (sessions and trees share
-  /// cluster::datapath_pool): ranges are claimed, not assigned, so a
-  /// helper that starts after the caller has claimed every range finds
-  /// none and returns, and one held up by another caller's task costs
-  /// this run only the join, which the adaptive helper count backs off.
-  cluster::ForkJoinPool* team = nullptr;
+  /// Where the run adds its kernel operation counts; null books them on
+  /// the switch (FpisaSwitch::book_ops) at the run's end. Runs that share
+  /// a switch at once leave the booking to their caller.
+  core::OpCounters* ops = nullptr;
 };
 
 /// Throws std::invalid_argument unless loss_rate and every fault rate lie
@@ -338,9 +317,6 @@ void scrub(SwitchAccess& sw, std::uint16_t lo, std::size_t n);
 
 class WaveEngine {
  public:
-  /// Slots per range of a team's datapath pass.
-  static constexpr std::size_t kRangeSlots = 16;
-
   /// Throws std::invalid_argument unless lanes >= 1.
   explicit WaveEngine(int lanes);
 
@@ -353,7 +329,6 @@ class WaveEngine {
   void run(SwitchAccess& sw, const WaveJob& job);
 
  private:
-  using Clock = std::chrono::steady_clock;
   /// Outcome of encoding one wave.
   struct Encoded {
     bool ok = true;       ///< false: a packet exhausted its retransmits
@@ -385,37 +360,24 @@ class WaveEngine {
   bool send(const WaveJob& job, std::uint16_t slot, std::uint8_t id,
             const std::byte* payload);
   /// Admits the queue on an already-held switch (guarded or not), books
-  /// the guard's rejects, logs the accepted packets as one gather step of
-  /// `wave` (inline: replays it at once), and empties the queue.
-  void admit(pisa::FpisaSwitch& sw, const WaveJob& job, std::size_t wave);
-  /// Guarded only: injected wipe, replay after state loss, wave deadline.
+  /// the guard's rejects, gathers the accepted packets' lanes, and empties
+  /// the queue.
+  void admit(pisa::FpisaSwitch& sw, const WaveJob& job);
+  /// Guarded only: injected wipe, re-admission after state loss, wave
+  /// deadline.
   void recover(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave);
   /// The only place a wave drains: releases the schedule's cleared prefix
-  /// in one switch hold (guarded: taking back each reset slot's new stamp)
-  /// and logs its drain (inline: replays it in the same hold), each slot
-  /// landing at its chunk's place in job.out.
+  /// and drains it in one switch hold (guarded: taking back each reset
+  /// slot's new stamp), each slot landing at its chunk's place in job.out.
   /// A failed schedule drains every slot into the bounce rows instead and
   /// hands the failure to hooks.fail; the short tail chunk goes through
   /// the tail row and only its in-range lanes are copied out.
   void collect(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
                std::size_t wave, const CollectSchedule& sched);
-  /// The datapath pass over everything logged, on an already-held switch:
-  /// every range, each on whichever of the caller and job.team claims it.
-  /// `timed` records each step's kernel time for finish().
-  void replay(pisa::FpisaSwitch& sw, const WaveJob& job, bool timed);
-  /// After a replay: the tail chunk goes into job.out, and the log is
-  /// emptied.
-  void close(const WaveJob& job);
-  /// Books the members' operation counts on the switch, once per run.
-  void book(pisa::FpisaSwitch& sw);
-  /// Replays every logged step in range `r`, in order.
-  void replay_range(std::size_t r, std::size_t member);
-  /// A run's only end (or, rethrowing, its failure): replays what is
-  /// logged and books the operation counts; a teamed run then reports the
-  /// first `waves` waves' timings to hooks.end_wave.
-  void finish(SwitchAccess& sw, const WaveJob& job, WaveHooks& hooks,
-              std::size_t waves, Clock::time_point start);
+  /// A run's only end (or, rethrowing, its failure): hands the run's
+  /// operation counts to job.ops or books them on the switch.
+  void book(SwitchAccess& sw, const WaveJob& job);
   /// Reads the range's stamps and the switch generation they belong to.
   void resync(pisa::FpisaSwitch& sw, const WaveJob& job);
   std::uint8_t id_of(const WaveJob& job, std::size_t w) const {
@@ -427,59 +389,25 @@ class WaveEngine {
   /// (util::Rng::bernoulli_cut): the same decisions, no per-draw
   /// conversion to double.
   std::uint64_t loss_cut_ = 0;
+  core::OpCounters ops_{};  ///< the run's kernel operation counts
   // Reused across waves and runs: no steady-state allocation.
   fault::WaveQueue queue_;  ///< the only packet queue
   std::vector<Source> sources_;  ///< the current wave's sending workers
+  /// admit's accepted packets, and a collect's drain destinations.
+  std::vector<const std::byte*> accepted_payloads_;
+  std::vector<std::uint32_t> accepted_rows_;
+  std::vector<std::byte*> dests_;
   /// Bounce rows of a failed wave.
   std::vector<std::uint32_t> wave_values_;
+  /// The short tail chunk's drain row (a run has at most one, see
+  /// WaveJob::chunks).
+  std::vector<std::uint32_t> tail_row_;
   // Guarded mode: the range's slot stamps as the switch last handed them
   // back, the generation resync last read, and the wave deadline's bitmap
   // probe.
   std::vector<std::uint32_t> stamps_;
   std::uint16_t stamp_generation_ = 0;
   std::vector<std::uint32_t> bitmaps_;
-
-  // The log: what the protocol pass decided and the datapath pass has not
-  // yet replayed. A step is one gather of accepted packets, its entries
-  // grouped by range in ascending order, or one wave's drain of its
-  // cleared slots lo, lo + 1, ...
-  struct Step {
-    std::size_t wave = 0;
-    bool drain = false;
-    std::size_t begin = 0;  ///< into payloads / rows, or dests
-    std::size_t end = 0;
-  };
-  struct Log {
-    std::vector<const std::byte*> payloads;
-    std::vector<std::uint32_t> rows;
-    std::vector<Step> steps;
-    std::vector<std::byte*> dests;  ///< one destination per cleared slot
-  };
-  /// One datapath thread's books: its operation counts, in a timed replay
-  /// its kernel nanoseconds per (wave, phase), and replay_range's scratch.
-  struct alignas(64) Member {
-    core::OpCounters ops{};
-    std::vector<std::uint64_t> ns;
-    std::vector<std::pair<std::size_t, std::size_t>> spans;
-  };
-  bool deferred_ = false;   ///< a teamed run: one replay, at the end
-  std::size_t range_slots_ = kRangeSlots;  ///< slots per datapath range
-  std::size_t ranges_ = 1;  ///< datapath ranges of this run
-  Log log_;
-  /// The short tail chunk's drain row (a run has at most one, see
-  /// WaveJob::chunks), and its chunk's byte offset in job.out while logged.
-  std::vector<std::uint32_t> tail_row_;
-  std::optional<std::size_t> tail_at_;
-  std::vector<std::size_t> range_counts_;  ///< guarded grouping scratch
-  std::vector<const std::byte*> sort_payloads_;
-  std::vector<std::uint32_t> sort_rows_;
-  std::vector<Member> members_;  ///< [0] is the caller
-  std::vector<std::uint64_t> protocol_ns_;  ///< teamed: per (wave, phase)
-  // The replay in flight, read by the team's tasks.
-  pisa::FpisaSwitch* replay_sw_ = nullptr;
-  const WaveJob* replay_job_ = nullptr;
-  bool replay_timed_ = false;
-  cluster::FanOut fan_out_;  ///< claims a replay's ranges
 };
 
 }  // namespace fpisa::switchml

@@ -594,6 +594,23 @@ TEST(FanOut, PostsNoHelperAfterOneKeptTheCallerWaitingUntilCalm) {
   EXPECT_EQ(helpers.load(), 2);
 }
 
+TEST(FanOut, TwoFanOutsPostTheirFirstHelpersToDifferentWorkers) {
+  // Each FanOut starts its helpers at a worker of its own, so two callers'
+  // one-helper fan-outs do not queue on one worker while the others idle.
+  ForkJoinPool pool(3, 4);
+  const ForkJoinPool::Fn noop = [](void*, int) noexcept {};
+  FanOut a;
+  FanOut b;
+  a.run(pool, 1, noop, nullptr);
+  b.run(pool, 1, noop, nullptr);
+  int used = 0;
+  for (int w = 0; w < pool.size(); ++w) {
+    EXPECT_LE(pool.stats(w).enqueued, 1u) << "worker " << w;
+    used += pool.stats(w).enqueued > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(used, 2);
+}
+
 // --- FanOut's claim loop ----------------------------------------------------
 
 /// Counts each for_each item's runs and flags a member id outside
@@ -658,7 +675,7 @@ TEST(FanOut, ForEachRunsEveryItemOnceBehindABlockedWorker) {
       pool.post(0, other, block, &release, 0);
       Tally t;
       t.pool_size = workers;
-      FanOut fan;  // fresh: posts a helper to the blocked worker
+      FanOut fan;  // fresh: posts a helper to every worker it may
       std::thread caller([&] {
         t.caller = std::this_thread::get_id();
         fan.for_each(&pool, n, static_cast<int>(n) - 1, tally, &t);

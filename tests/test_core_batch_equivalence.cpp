@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -737,6 +738,24 @@ TEST(GatherEquivalence, IneligibleConfigFallsBackPerRow) {
   expect_counters_eq(got_ops, want_ops, "reference gather");
 }
 
+TEST(RegisterFile, ArraysStartOnACacheLine) {
+  // A switch's 16-slot ranges run on different threads: each range's rows
+  // must start on a line of their own, so the bank starts on one.
+  const auto on_line = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+  };
+  for (const std::size_t n : {std::size_t{1}, std::size_t{16 * 32},
+                              std::size_t{64 * 32 + 3}}) {
+    const RegisterFile bank(n);
+    EXPECT_TRUE(on_line(bank.exp.data())) << n;
+    EXPECT_TRUE(on_line(bank.man.data())) << n;
+  }
+  LineAllocator<std::int64_t> alloc;
+  std::int64_t* cells = alloc.allocate(3);
+  EXPECT_TRUE(on_line(cells));
+  alloc.deallocate(cells, 3);
+}
+
 TEST(GatherEquivalence, RejectsBadShapesBeforeTouchingTheBank) {
   const GatherCase g(8, 4, {0, 3, 4}, 3);  // row 4 is one past the bank
   for (const BatchBackend backend : available_batch_backends()) {
@@ -747,8 +766,8 @@ TEST(GatherEquivalence, RejectsBadShapesBeforeTouchingTheBank) {
                                   {}, ops, LaneMode::kSwitch),
                  std::out_of_range);
     // Rows 0 and 3 precede the bad row, yet nothing landed.
-    EXPECT_EQ(bank.exp, std::vector<std::int32_t>(32, 0));
-    EXPECT_EQ(bank.man, std::vector<std::int64_t>(32, 0));
+    EXPECT_EQ(bank.exp, decltype(bank.exp)(32, 0));
+    EXPECT_EQ(bank.man, decltype(bank.man)(32, 0));
     EXPECT_EQ(ops.adds, 0u);
     // Payloads and rows of different lengths; exp and man of different
     // lengths.
@@ -859,11 +878,9 @@ TEST(ScatterEquivalence, MatchesFlatReadOnEveryBackend) {
             fpisa_read_reset_scatter(cleared.exp, cleared.man, lanes,
                                      reset.dests, cfg, mode);
             reset.expect_rows(flat, tag + layout + " read-reset");
-            EXPECT_EQ(cleared.exp,
-                      std::vector<std::int32_t>(kRows * lanes, 0))
+            EXPECT_EQ(cleared.exp, decltype(cleared.exp)(kRows * lanes, 0))
                 << tag;
-            EXPECT_EQ(cleared.man,
-                      std::vector<std::int64_t>(kRows * lanes, 0))
+            EXPECT_EQ(cleared.man, decltype(cleared.man)(kRows * lanes, 0))
                 << tag;
           }
           reset_batch_backend();

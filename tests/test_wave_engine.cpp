@@ -3,16 +3,18 @@
 // Bit-identical results, every SessionStats field, the switches' kernel
 // operation counters, packet counts and post-job register state. The
 // tree's closed-form fabric timing against its event-queue replay. And the
-// one wave order: each wave's add and collect windows tile. Every engine
-// check runs inline and with a datapath team (WaveJob::team) of 1, 2 and 4
-// threads counting the caller's, over slot ranges that do and do not split
-// into whole datapath ranges. And the process's shared datapath pool:
-// sessions and trees start no thread of their own, and objects reducing
-// through it at once each get their single-caller results.
+// one wave order: each wave's add and collect windows tile. A session's
+// 16-slot ranges against the per-range oracle (one per_packet_run per
+// range), its loss books against the global-stream oracle in
+// distribution, and two sessions' switch books under concurrent ranges.
+// And the process's shared datapath pool: sessions and trees start no
+// thread of their own, and objects reducing through it at once each get
+// their single-caller results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -21,6 +23,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/hierarchy.h"
@@ -108,20 +111,6 @@ pisa::FpisaSwitch make_switch(bool rsaw, int lanes, std::size_t slots) {
   return pisa::FpisaSwitch(cfg, p);
 }
 
-/// Datapath teams of 1, 2 and 4 threads, the caller counted: the engine
-/// with no team replays inline, each pool's threads join the caller.
-struct Teams {
-  cluster::ForkJoinPool one{0, 4};
-  cluster::ForkJoinPool two{1, 4};
-  cluster::ForkJoinPool four{3, 4};
-  /// Null (inline) first, then each pool.
-  std::vector<cluster::ForkJoinPool*> all() { return {nullptr, &one, &two, &four}; }
-};
-
-int team_size(const cluster::ForkJoinPool* team) {
-  return team == nullptr ? 0 : team->size() + 1;
-}
-
 /// Runs `job` through the engine and through the oracle, each on its own
 /// switch and rng stream (seeded alike), and expects identical results,
 /// stats, switch state and rng position. Returns the error both sides
@@ -154,7 +143,6 @@ std::tuple<int, int, int> expect_engine_matches_oracle(
   job.out = oracle_out;
   job.rng = &oracle_rng;
   job.stats = &oracle_stats;
-  job.team = nullptr;
   const Outcome want =
       outcome([&] { oracle::per_packet_run(oracle_sw, job); });
 
@@ -189,32 +177,26 @@ TEST(WaveEngine, MatchesPerPacketOracle) {
     std::swap(chunks[i - 1], chunks[shuffle.next_below(i)]);
   }
   std::vector<float> out(kN);
-  Teams teams;
-  // 16 slots are one datapath range; 37 are two whole ranges and a part.
   for (const std::size_t wave : {std::size_t{16}, std::size_t{37}}) {
-    for (cluster::ForkJoinPool* team : teams.all()) {
-      for (const double loss : {0.0, 0.2, 0.4}) {
-        for (const bool rsaw : {false, true}) {
-          for (const std::uint32_t dead_mask : {0u, 0b0100u}) {
-            SCOPED_TRACE(testing::Message()
-                         << "wave=" << wave << " team=" << team_size(team)
-                         << " loss=" << loss << " rsaw=" << rsaw
-                         << " dead_mask=" << dead_mask);
-            switchml::WaveJob job;
-            job.workers = views;
-            job.ids = ids;
-            job.chunks = chunks;
-            job.out = out;
-            job.lo = 5;  // a tenant's range in the middle of the switch
-            job.wave = wave;
-            job.loss_rate = loss;
-            job.max_retransmits = 256;
-            job.dead_mask = dead_mask;
-            job.team = team;
-            EXPECT_EQ(std::get<0>(expect_engine_matches_oracle(
-                          job, rsaw, kLanes, 71)),
-                      -1);
-          }
+    for (const double loss : {0.0, 0.2, 0.4}) {
+      for (const bool rsaw : {false, true}) {
+        for (const std::uint32_t dead_mask : {0u, 0b0100u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "wave=" << wave << " loss=" << loss
+                       << " rsaw=" << rsaw << " dead_mask=" << dead_mask);
+          switchml::WaveJob job;
+          job.workers = views;
+          job.ids = ids;
+          job.chunks = chunks;
+          job.out = out;
+          job.lo = 5;  // a tenant's range in the middle of the switch
+          job.wave = wave;
+          job.loss_rate = loss;
+          job.max_retransmits = 256;
+          job.dead_mask = dead_mask;
+          EXPECT_EQ(std::get<0>(expect_engine_matches_oracle(job, rsaw,
+                                                             kLanes, 71)),
+                    -1);
         }
       }
     }
@@ -234,39 +216,33 @@ TEST(WaveEngine, RejectsLanesBelowOne) {
 TEST(WaveEngine, FailsWhereAndAsTheOracleDoes) {
   // Each phase of the protocol exhausting its budget mid-job: the engine
   // throws the oracle's error (phase, slot, worker) and leaves identical
-  // books and switch state behind, inline and with a team alike (a teamed
-  // run replays what it logged before the error surfaces). Seeds are
-  // searched, not chosen: every phase must be hit at least once.
+  // books and switch state behind. Seeds are searched, not chosen: every
+  // phase must be hit at least once.
   const auto data = make_workers(3, 160, 27);
   const std::vector<std::span<const float>> views(data.begin(), data.end());
   const std::vector<std::size_t> chunks = iota_chunks(80);
   std::vector<float> out(160);
-  Teams teams;
   for (const std::size_t wave : {std::size_t{8}, std::size_t{40}}) {
-    for (cluster::ForkJoinPool* team : {teams.all()[0], teams.all()[3]}) {
-      int phases_seen[3] = {};
-      for (std::uint64_t seed = 0; seed < 128; ++seed) {
-        SCOPED_TRACE(testing::Message() << "wave=" << wave << " team="
-                                        << team_size(team) << " seed=" << seed);
-        switchml::WaveJob job;
-        // One worker makes the collect phases as likely to give up as adds.
-        job.workers = std::span(views).first(seed % 2 == 0 ? 1 : 3);
-        job.chunks = chunks;
-        job.out = out;
-        job.lo = 3;
-        job.wave = wave;
-        job.loss_rate = 0.1;
-        job.max_retransmits = static_cast<int>(seed / 2 % 3);
-        job.team = team;
-        const int phase =
-            std::get<0>(expect_engine_matches_oracle(job, false, 2, seed));
-        if (phase >= 0) ++phases_seen[phase];
-        if (HasFailure()) return;
-      }
-      EXPECT_GT(phases_seen[0], 0) << "no add exhaustion";
-      EXPECT_GT(phases_seen[1], 0) << "no read exhaustion";
-      EXPECT_GT(phases_seen[2], 0) << "no reset exhaustion";
+    int phases_seen[3] = {};
+    for (std::uint64_t seed = 0; seed < 128; ++seed) {
+      SCOPED_TRACE(testing::Message() << "wave=" << wave << " seed=" << seed);
+      switchml::WaveJob job;
+      // One worker makes the collect phases as likely to give up as adds.
+      job.workers = std::span(views).first(seed % 2 == 0 ? 1 : 3);
+      job.chunks = chunks;
+      job.out = out;
+      job.lo = 3;
+      job.wave = wave;
+      job.loss_rate = 0.1;
+      job.max_retransmits = static_cast<int>(seed / 2 % 3);
+      const int phase =
+          std::get<0>(expect_engine_matches_oracle(job, false, 2, seed));
+      if (phase >= 0) ++phases_seen[phase];
+      if (HasFailure()) return;
     }
+    EXPECT_GT(phases_seen[0], 0) << "no add exhaustion";
+    EXPECT_GT(phases_seen[1], 0) << "no read exhaustion";
+    EXPECT_GT(phases_seen[2], 0) << "no reset exhaustion";
   }
 }
 
@@ -454,8 +430,7 @@ TEST(WaveEngine, FailedWaveLeavesOutAlone) {
 TEST(WaveEngine, WaveWindowsTile) {
   // One wave order: a wave's add window opens no earlier than the previous
   // wave's collect window closed, and its collect window opens no earlier
-  // than its own add window closed. Plain and guarded, inline and teamed
-  // (where each wave's kernel share is laid after its protocol time).
+  // than its own add window closed. Plain and guarded.
   constexpr int kLanes = 32;
   constexpr std::size_t kSlots = 64;
   constexpr std::size_t kWaves = 6;
@@ -463,169 +438,48 @@ TEST(WaveEngine, WaveWindowsTile) {
   const std::vector<std::span<const float>> views(data.begin(), data.end());
   const std::vector<std::size_t> chunks = iota_chunks(kWaves * kSlots);
   std::vector<float> out(data[0].size());
-  cluster::ForkJoinPool team(3, 4);
-  for (const bool teamed : {false, true}) {
-    for (const bool guarded : {false, true}) {
-      SCOPED_TRACE(testing::Message()
-                   << "teamed=" << teamed << " guarded=" << guarded);
-      pisa::FpisaSwitch sw = make_switch(false, kLanes, kSlots);
-      fault::FaultOptions fo;
-      fo.enabled = true;
-      fault::FaultEngine faults(fo, 1);
-      util::Rng rng(34);
-      SessionStats stats{};
-      RecordingHooks hooks;
-      switchml::WaveJob job;
-      job.workers = views;
-      job.chunks = chunks;
-      job.out = out;
-      job.wave = kSlots;
-      job.loss_rate = 0.01;
-      job.max_retransmits = 64;
-      job.rng = &rng;
-      job.stats = &stats;
-      job.faults = guarded ? &faults : nullptr;
-      job.hooks = &hooks;
-      job.team = teamed ? &team : nullptr;
-      switchml::DirectAccess access(sw);
-      const auto start = std::chrono::steady_clock::now();
-      switchml::WaveEngine(kLanes).run(access, job);
-      const auto end = std::chrono::steady_clock::now();
-      ASSERT_EQ(hooks.waves.size(), kWaves);
-      for (std::size_t k = 0; k < kWaves; ++k) {
-        SCOPED_TRACE(k);
-        const switchml::WaveTiming& t = hooks.waves[k];
-        EXPECT_EQ(t.wave, k);
-        if (k > 0) {
-          EXPECT_GE(t.add_end - std::chrono::nanoseconds(t.add_ns),
-                    hooks.waves[k - 1].collect_end);
-        }
-        EXPECT_GE(t.collect_end - std::chrono::nanoseconds(t.collect_ns),
-                  t.add_end);
-      }
-      // Every window lies inside the run.
-      EXPECT_GE(hooks.waves[0].add_end -
-                    std::chrono::nanoseconds(hooks.waves[0].add_ns),
-                start);
-      EXPECT_LE(hooks.waves.back().collect_end, end);
-    }
-  }
-}
-
-/// Runs `job` guarded -- one fault stream seeded `fault_seed` -- with no
-/// team and with `team`, each on its own switch and loss stream (seeded
-/// alike), and expects the same outcome, results, books, switch state and
-/// stream positions. Returns the outcome: "" for a completed run, else the
-/// error's what().
-std::string expect_team_matches_inline(switchml::WaveJob job,
-                                       const fault::FaultOptions& fo,
-                                       cluster::ForkJoinPool& team,
-                                       int lanes) {
-  const std::size_t n = job.out.size();
-  const std::size_t slots = job.lo + job.wave + 2;
-  pisa::FpisaSwitch inline_sw = make_switch(false, lanes, slots);
-  pisa::FpisaSwitch team_sw = make_switch(false, lanes, slots);
-  std::vector<float> inline_out(n), team_out(n);
-  SessionStats inline_stats{}, team_stats{};
-  util::Rng inline_rng(91), team_rng(91);
-  fault::FaultEngine inline_faults(fo, fo.seed), team_faults(fo, fo.seed);
-  const auto run = [&](pisa::FpisaSwitch& sw, std::span<float> out,
-                       SessionStats& stats, util::Rng& rng,
-                       fault::FaultEngine& faults,
-                       cluster::ForkJoinPool* pool) -> std::string {
+  for (const bool guarded : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "guarded=" << guarded);
+    pisa::FpisaSwitch sw = make_switch(false, kLanes, kSlots);
+    fault::FaultOptions fo;
+    fo.enabled = true;
+    fault::FaultEngine faults(fo, 1);
+    util::Rng rng(34);
+    SessionStats stats{};
+    RecordingHooks hooks;
+    switchml::WaveJob job;
+    job.workers = views;
+    job.chunks = chunks;
     job.out = out;
-    job.stats = &stats;
+    job.wave = kSlots;
+    job.loss_rate = 0.01;
+    job.max_retransmits = 64;
     job.rng = &rng;
-    job.faults = &faults;
-    job.team = pool;
+    job.stats = &stats;
+    job.faults = guarded ? &faults : nullptr;
+    job.hooks = &hooks;
     switchml::DirectAccess access(sw);
-    try {
-      switchml::WaveEngine(lanes).run(access, job);
-    } catch (const std::exception& e) {
-      return e.what();
+    const auto start = std::chrono::steady_clock::now();
+    switchml::WaveEngine(kLanes).run(access, job);
+    const auto end = std::chrono::steady_clock::now();
+    ASSERT_EQ(hooks.waves.size(), kWaves);
+    for (std::size_t k = 0; k < kWaves; ++k) {
+      SCOPED_TRACE(k);
+      const switchml::WaveTiming& t = hooks.waves[k];
+      EXPECT_EQ(t.wave, k);
+      if (k > 0) {
+        EXPECT_GE(t.add_end - std::chrono::nanoseconds(t.add_ns),
+                  hooks.waves[k - 1].collect_end);
+      }
+      EXPECT_GE(t.collect_end - std::chrono::nanoseconds(t.collect_ns),
+                t.add_end);
     }
-    return "";
-  };
-  const std::string want =
-      run(inline_sw, inline_out, inline_stats, inline_rng, inline_faults,
-          nullptr);
-  const std::string got =
-      run(team_sw, team_out, team_stats, team_rng, team_faults, &team);
-  EXPECT_EQ(got, want);
-  expect_bits_eq(team_out, inline_out);
-  expect_stats_eq(team_stats, inline_stats);
-  expect_switch_eq(team_sw, inline_sw);
-  // The guard's stamps too (the per-packet oracle bumps an epoch per reset
-  // packet, the engine per cleared slot, so only here do they compare).
-  EXPECT_EQ(team_sw.generation(), inline_sw.generation());
-  for (std::size_t s = 0; s < slots; ++s) {
-    EXPECT_EQ(team_sw.slot_stamp(static_cast<std::uint16_t>(s)),
-              inline_sw.slot_stamp(static_cast<std::uint16_t>(s)))
-        << "slot=" << s;
+    // Every window lies inside the run.
+    EXPECT_GE(hooks.waves[0].add_end -
+                  std::chrono::nanoseconds(hooks.waves[0].add_ns),
+              start);
+    EXPECT_LE(hooks.waves.back().collect_end, end);
   }
-  EXPECT_EQ(team_rng.next_u64(), inline_rng.next_u64());
-  return want;
-}
-
-TEST(WaveEngine, GuardedTeamMatchesInline) {
-  // The guarded path has no oracle, so a teamed run is held to the inline
-  // run: a wipe (the log replays before the wipe lands, then the wave is
-  // re-admitted), Byzantine copies, and a dead worker the wave deadline's
-  // bitmap probe catches mid-job.
-  constexpr int kLanes = 3;
-  constexpr std::size_t kN = 700;  // the last chunk is short
-  const auto data = make_workers(4, kN, 61);
-  const std::vector<std::span<const float>> views(data.begin(), data.end());
-  const std::vector<std::size_t> chunks =
-      iota_chunks((kN + kLanes - 1) / kLanes);
-  std::vector<float> out(kN);
-  cluster::ForkJoinPool team(3, 4);
-  switchml::WaveJob job;
-  job.workers = views;
-  job.chunks = chunks;
-  job.out = out;
-  job.lo = 2;
-  job.wave = 37;  // two whole datapath ranges and a part
-  job.loss_rate = 0.05;
-  job.max_retransmits = 64;
-
-  fault::FaultOptions fo;
-  fo.enabled = true;
-  fo.seed = 5;
-  fo.corrupt_rate = 0.05;
-  fo.reorder_rate = 0.3;
-  fo.dup_rate = 0.1;
-  fo.stale_dup_rate = 0.1;
-  fo.wipe_switch = true;
-  fo.wipe_wave = 2;
-  {
-    SCOPED_TRACE("wipe and replay");
-    EXPECT_EQ(expect_team_matches_inline(job, fo, team, kLanes), "");
-  }
-  fo.dead_worker = 2;
-  fo.dead_worker_wave = 4;
-  {
-    SCOPED_TRACE("dead worker");
-    const std::string what = expect_team_matches_inline(job, fo, team, kLanes);
-    EXPECT_NE(what.find("worker 2 dead"), std::string::npos) << what;
-  }
-  // The books show what was exercised.
-  SessionStats stats{};
-  util::Rng rng(91);
-  fault::FaultEngine faults(fo, fo.seed);
-  fo.dead_worker = -1;
-  fault::FaultEngine clean(fo, fo.seed);
-  pisa::FpisaSwitch sw = make_switch(false, kLanes, job.lo + job.wave);
-  switchml::DirectAccess access(sw);
-  job.stats = &stats;
-  job.rng = &rng;
-  job.faults = &clean;
-  job.team = &team;
-  switchml::WaveEngine(kLanes).run(access, job);
-  EXPECT_GT(stats.faults.waves_replayed, 0u);
-  EXPECT_GT(stats.faults.corrupt_rejected, 0u);
-  EXPECT_GT(stats.faults.stale_dups_rejected, 0u);
-  EXPECT_GT(stats.duplicates_absorbed, 0u);
 }
 
 // --- the tree against its per-slot oracle ------------------------------------
@@ -761,6 +615,294 @@ TEST(TreeConcurrency, FiveHundredReducesAcrossShapesAndAKillMatchOracle) {
     EXPECT_EQ(tree.leaf(j).occupied_slots(), 0) << j;
   }
   EXPECT_EQ(tree.spine().occupied_slots(), 0);
+}
+
+// --- range-local sessions against the per-range oracle ----------------------
+
+pisa::SwitchConfig switch_config(bool rsaw) {
+  pisa::SwitchConfig cfg;
+  cfg.ext.rsaw = rsaw;
+  cfg.ext.two_operand_shift = rsaw;
+  return cfg;
+}
+
+/// Streams seeded as a session seeds its ranges' (oracle::range_seed).
+std::vector<util::Rng> range_streams(std::uint64_t seed, std::size_t slots) {
+  std::vector<util::Rng> rngs;
+  for (std::size_t r = 0; r < (slots + 15) / 16; ++r) {
+    rngs.emplace_back(oracle::range_seed(seed, r));
+  }
+  return rngs;
+}
+
+TEST(RangeSessions, FiftySlotSessionMatchesPerRangeOracle) {
+  // Ranges of 16, 16, 16 and 2 slots, each over its own chunk block with
+  // its own stream, run at once on the datapath pool: results, every
+  // SessionStats field, op counts, every register of every slot and each
+  // range's stream position equal one per_packet_run per range, over two
+  // reduces (the streams carry over).
+  constexpr std::size_t kN = 607;  // 152 chunks: blocks of 48, 49, 48, 7
+  constexpr int kLanes = 4;
+  const std::vector<std::size_t> chunks = iota_chunks((kN + kLanes - 1) / 4);
+  for (const double loss : {0.0, 0.2, 0.4}) {
+    for (const bool rsaw : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "loss=" << loss << " rsaw=" << rsaw);
+      switchml::SessionOptions opts;
+      opts.num_workers = 4;
+      opts.slots = 50;
+      opts.lanes = kLanes;
+      opts.loss_rate = loss;
+      opts.loss_seed = 31;
+      opts.max_retransmits = 256;
+      switchml::AggregationSession session(switch_config(rsaw), opts);
+      pisa::FpisaSwitch oracle_sw = make_switch(rsaw, kLanes, opts.slots);
+      std::vector<util::Rng> rngs = range_streams(opts.loss_seed, opts.slots);
+      SessionStats want_stats{};
+      for (std::uint64_t rep = 0; rep < 2; ++rep) {
+        const auto data = make_workers(opts.num_workers, kN, 40 + rep);
+        const std::vector<std::span<const float>> views(data.begin(),
+                                                        data.end());
+        std::vector<float> got(kN), want(kN);
+        session.reduce_into(views, got);
+        switchml::WaveJob job;
+        job.workers = views;
+        job.chunks = chunks;
+        job.out = want;
+        job.wave = opts.slots;
+        job.loss_rate = loss;
+        job.max_retransmits = opts.max_retransmits;
+        job.stats = &want_stats;
+        oracle::per_range_run(oracle_sw, job, rngs);
+        expect_bits_eq(got, want);
+        expect_stats_eq(session.stats(), want_stats);
+        expect_switch_eq(session.fpisa_switch(), oracle_sw);
+        for (std::size_t r = 0; r < rngs.size(); ++r) {
+          util::Rng stream = session.loss_stream(r);
+          util::Rng expected = rngs[r];
+          EXPECT_EQ(stream.next_u64(), expected.next_u64()) << "range " << r;
+        }
+      }
+      if (loss > 0.0) {
+        EXPECT_GT(want_stats.packets_lost, 0u);
+        EXPECT_GT(want_stats.duplicates_absorbed, 0u);
+      }
+    }
+  }
+}
+
+TEST(RangeSessions, LossBooksMatchTheGlobalStreamInDistribution) {
+  // A session's ranges draw from their own streams, not from one stream in
+  // the job's packet order, so its books move per seed; over 200 seeds its
+  // packets_lost and retransmissions per job have the global-stream
+  // oracle's means (within 3 standard errors).
+  constexpr std::size_t kSeeds = 200;
+  constexpr int kLanes = 4;
+  constexpr std::size_t kN = 50 * kLanes * 3;  // three waves of 50 slots
+  const auto data = make_workers(4, kN, 52);
+  const std::vector<std::span<const float>> views(data.begin(), data.end());
+  const std::vector<std::size_t> chunks = iota_chunks(kN / kLanes);
+  std::vector<float> out(kN);
+  pisa::FpisaSwitch oracle_sw = make_switch(false, kLanes, 50);
+  std::vector<double> session_lost, session_retx, oracle_lost, oracle_retx;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    switchml::SessionOptions opts;
+    opts.num_workers = 4;
+    opts.slots = 50;
+    opts.lanes = kLanes;
+    opts.loss_rate = 0.1;
+    opts.loss_seed = seed;
+    switchml::AggregationSession session(switch_config(false), opts);
+    session.reduce_into(views, out);
+    session_lost.push_back(static_cast<double>(session.stats().packets_lost));
+    session_retx.push_back(
+        static_cast<double>(session.stats().retransmissions));
+    util::Rng rng(seed);
+    SessionStats stats{};
+    switchml::WaveJob job;
+    job.workers = views;
+    job.chunks = chunks;
+    job.out = out;
+    job.wave = opts.slots;
+    job.loss_rate = opts.loss_rate;
+    job.max_retransmits = opts.max_retransmits;
+    job.rng = &rng;
+    job.stats = &stats;
+    oracle::per_packet_run(oracle_sw, job);
+    oracle_lost.push_back(static_cast<double>(stats.packets_lost));
+    oracle_retx.push_back(static_cast<double>(stats.retransmissions));
+  }
+  const auto expect_same_mean = [](const std::vector<double>& a,
+                                   const std::vector<double>& b,
+                                   const char* what) {
+    const auto moments = [](const std::vector<double>& x) {
+      double mean = 0.0;
+      for (const double v : x) mean += v;
+      mean /= static_cast<double>(x.size());
+      double var = 0.0;
+      for (const double v : x) var += (v - mean) * (v - mean);
+      var /= static_cast<double>(x.size() - 1);
+      return std::pair{mean, var / static_cast<double>(x.size())};
+    };
+    const auto [ma, va] = moments(a);
+    const auto [mb, vb] = moments(b);
+    EXPECT_GT(mb, 0.0) << what;
+    EXPECT_LE(std::abs(ma - mb), 3.0 * std::sqrt(va + vb))
+        << what << ": session mean " << ma << ", oracle mean " << mb;
+  };
+  expect_same_mean(session_lost, oracle_lost, "packets_lost");
+  expect_same_mean(session_retx, oracle_retx, "retransmissions");
+}
+
+/// The guarded session's reference: its ranges run one after another on
+/// one thread through the engine, each with the loss stream and fault
+/// stream its session gives it (range 0's fault stream is fault.seed).
+void serial_guarded_ranges(pisa::FpisaSwitch& sw,
+                           const switchml::SessionOptions& opts,
+                           std::span<const std::span<const float>> views,
+                           std::span<float> out, std::span<util::Rng> rngs,
+                           SessionStats& stats) {
+  const std::vector<std::size_t> chunks =
+      iota_chunks((out.size() + static_cast<std::size_t>(opts.lanes) - 1) /
+                  static_cast<std::size_t>(opts.lanes));
+  const auto ranges = oracle::session_ranges(opts.slots, chunks.size());
+  switchml::DirectAccess access(sw);
+  switchml::WaveEngine engine(opts.lanes);
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    fault::FaultEngine faults(opts.fault,
+                              oracle::range_seed(opts.fault.seed, r));
+    switchml::WaveJob job;
+    job.workers = views;
+    job.chunks = std::span(chunks).subspan(ranges[r].first,
+                                           ranges[r].last - ranges[r].first);
+    job.out = out;
+    job.lo = ranges[r].lo;
+    job.wave = ranges[r].slots;
+    job.loss_rate = opts.loss_rate;
+    job.max_retransmits = opts.max_retransmits;
+    job.rng = &rngs[r];
+    job.stats = &stats;
+    job.faults = &faults;
+    engine.run(access, job);
+  }
+}
+
+TEST(RangeSessions, ConcurrentSessionsKeepTheirSwitchBooks) {
+  // A 64-slot lossy session and a 50-slot guarded one (no wipe) reduce at
+  // once from two threads, each fanning its ranges out over the datapath
+  // pool, so several ranges bump one switch's books at once. Each switch's
+  // occupancy, dedup hits, packets and op counts, and the switches'
+  // registry series, equal the oracles' sums: nothing is lost to a race.
+  constexpr int kReduces = 20;
+  switchml::SessionOptions lossy;
+  lossy.num_workers = 4;
+  lossy.slots = 64;
+  lossy.lanes = 4;
+  lossy.loss_rate = 0.05;
+  lossy.loss_seed = 11;
+  lossy.max_retransmits = 256;
+  switchml::SessionOptions guarded;
+  guarded.num_workers = 3;
+  guarded.slots = 50;
+  guarded.lanes = 4;
+  guarded.loss_rate = 0.02;
+  guarded.loss_seed = 12;
+  guarded.fault.enabled = true;
+  guarded.fault.seed = 13;
+  guarded.fault.corrupt_rate = 0.05;
+  guarded.fault.reorder_rate = 0.3;
+  guarded.fault.dup_rate = 0.1;
+  guarded.fault.stale_dup_rate = 0.1;
+  const auto ldata = make_workers(lossy.num_workers, 1027, 14);
+  const auto gdata = make_workers(guarded.num_workers, 997, 15);
+  const std::vector<std::span<const float>> lviews(ldata.begin(), ldata.end());
+  const std::vector<std::span<const float>> gviews(gdata.begin(), gdata.end());
+
+  // The oracles, outside the registry window below.
+  pisa::FpisaSwitch lossy_sw = make_switch(false, lossy.lanes, lossy.slots);
+  pisa::FpisaSwitch guarded_sw =
+      make_switch(false, guarded.lanes, guarded.slots);
+  std::vector<float> lwant(1027), gwant(997);
+  SessionStats lstats{}, gstats{};
+  {
+    std::vector<util::Rng> lrngs = range_streams(lossy.loss_seed, lossy.slots);
+    std::vector<util::Rng> grngs =
+        range_streams(guarded.loss_seed, guarded.slots);
+    const std::vector<std::size_t> chunks = iota_chunks((1027 + 3) / 4);
+    for (int k = 0; k < kReduces; ++k) {
+      switchml::WaveJob job;
+      job.workers = lviews;
+      job.chunks = chunks;
+      job.out = lwant;
+      job.wave = lossy.slots;
+      job.loss_rate = lossy.loss_rate;
+      job.max_retransmits = lossy.max_retransmits;
+      job.stats = &lstats;
+      oracle::per_range_run(lossy_sw, job, lrngs);
+      serial_guarded_ranges(guarded_sw, guarded, gviews, gwant, grngs,
+                            gstats);
+    }
+  }
+  EXPECT_GT(gstats.faults.corrupt_rejected, 0u);
+  EXPECT_GT(gstats.faults.stale_dups_rejected, 0u);
+
+  switchml::AggregationSession lsession(switch_config(false), lossy);
+  switchml::AggregationSession gsession(switch_config(false), guarded);
+  cluster::datapath_pool();
+  const telemetry::Snapshot before = telemetry::snapshot();
+  std::vector<float> lgot(1027), ggot(997);
+  {
+    std::thread a([&] {
+      for (int k = 0; k < kReduces; ++k) lsession.reduce_into(lviews, lgot);
+    });
+    std::thread b([&] {
+      for (int k = 0; k < kReduces; ++k) gsession.reduce_into(gviews, ggot);
+    });
+    a.join();
+    b.join();
+  }
+  const telemetry::Snapshot after = telemetry::snapshot();
+
+  const std::pair<switchml::AggregationSession*, pisa::FpisaSwitch*> pairs[] =
+      {{&lsession, &lossy_sw}, {&gsession, &guarded_sw}};
+  for (const auto& [session, want] : pairs) {
+    pisa::FpisaSwitch& got = session->fpisa_switch();
+    EXPECT_EQ(got.occupied_slots(), want->occupied_slots());
+    EXPECT_EQ(got.dedup_hits(), want->dedup_hits());
+    EXPECT_EQ(got.sim().packets_processed(), want->sim().packets_processed());
+    expect_ops_eq(got.op_counters(), want->op_counters());
+  }
+  expect_bits_eq(lgot, lwant);
+  expect_bits_eq(ggot, gwant);
+  expect_stats_eq(lsession.stats(), lstats);
+  expect_stats_eq(gsession.stats(), gstats);
+
+  if (!telemetry::enabled()) return;
+  const auto delta = [&](const char* name, const telemetry::Labels& labels) {
+    return after.counter_total(name, labels) -
+           before.counter_total(name, labels);
+  };
+  const auto occupancy = [](const telemetry::Snapshot& snap) {
+    double sum = 0.0;
+    for (const auto& g : snap.gauges) {
+      if (g.name == "fpisa_switch_occupied_slots") sum += g.value;
+    }
+    return sum;
+  };
+  EXPECT_EQ(delta("fpisa_switch_packets_total", {}),
+            lossy_sw.sim().packets_processed() +
+                guarded_sw.sim().packets_processed());
+  EXPECT_EQ(delta("fpisa_switch_dedup_hits_total", {}),
+            lossy_sw.dedup_hits() + guarded_sw.dedup_hits());
+  EXPECT_EQ(delta("fpisa_switch_corrupt_rejected_total", {}),
+            gstats.faults.corrupt_rejected);
+  EXPECT_EQ(delta("fpisa_switch_stale_dups_rejected_total", {}),
+            gstats.faults.stale_dups_rejected);
+  EXPECT_EQ(delta("fpisa_switch_ops_total", {{"op", "adds"}}),
+            lossy_sw.op_counters().adds + guarded_sw.op_counters().adds);
+  EXPECT_EQ(delta("fpisa_switch_ops_total", {{"op", "rounded_adds"}}),
+            lossy_sw.op_counters().rounded_adds +
+                guarded_sw.op_counters().rounded_adds);
+  EXPECT_EQ(occupancy(after), occupancy(before));
 }
 
 // --- the shared datapath pool ------------------------------------------------

@@ -3,7 +3,10 @@
 // reproduce bit for bit:
 //  * per_packet_run: the SwitchML per-packet protocol — one interpreted
 //    switch traversal per add, read and reset packet, loss drawn packet by
-//    packet;
+//    packet from one stream (over a whole job: the global-stream oracle);
+//  * per_range_run: a session's reduce as its 16-slot ranges run it
+//    (switchml::AggregationSession), each range per_packet_run over its
+//    own slots and chunk block with its own stream;
 //  * TreeOracle: the ToR -> spine tree's interleaved per-slot loop, leaf
 //    adds then per-slot leaf read_and_reset + spine add;
 //  * tree_timing: the tree's fabric timing replayed through an event queue,
@@ -13,16 +16,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "cluster/hierarchy.h"
+#include "cluster/shard_router.h"
 #include "core/packed.h"
 #include "event_sim.h"
 #include "net/link.h"
 #include "pisa/fpisa_program.h"
 #include "switchml/wave_engine.h"
+#include "util/rng.h"
 
 namespace fpisa::oracle {
 
@@ -93,6 +99,60 @@ inline void per_packet_run(pisa::FpisaSwitch& sw,
       if (!cleared) throw Error(Error::Phase::kReset, slot, -1);
     }
   }
+}
+
+/// One range of a session's cut: slots [lo, lo + slots) of the session's
+/// switch and chunks [first, last) of its job's chunk list.
+struct SessionRange {
+  std::uint16_t lo = 0;
+  std::size_t slots = 0;
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
+/// The ranges of a `slots`-slot session over `chunks` chunks: 16 slots
+/// each (the last may be shorter), and each a contiguous chunk block in
+/// proportion to its slots.
+inline std::vector<SessionRange> session_ranges(std::size_t slots,
+                                                std::size_t chunks) {
+  constexpr std::size_t kRange = 16;
+  std::vector<SessionRange> out;
+  for (std::size_t lo = 0; lo < slots; lo += kRange) {
+    const std::size_t hi = std::min(slots, lo + kRange);
+    out.push_back({static_cast<std::uint16_t>(lo), hi - lo,
+                   chunks * lo / slots, chunks * hi / slots});
+  }
+  return out;
+}
+
+/// Range r's stream seed, from the session's seed: range 0 keeps it.
+inline std::uint64_t range_seed(std::uint64_t seed, std::size_t r) {
+  return r == 0 ? seed
+                : cluster::task_seed(seed, 0, static_cast<int>(r), 0);
+}
+
+/// Runs `job` (job.lo, job.wave and job.chunks the whole session's) the
+/// way a session cuts it: range r runs per_packet_run over its slots and
+/// chunk block, drawing from rngs[r] (job.rng is ignored). Every range
+/// runs; the first error in range order is rethrown at the end.
+inline void per_range_run(pisa::FpisaSwitch& sw, const switchml::WaveJob& job,
+                          std::span<util::Rng> rngs) {
+  std::exception_ptr error;
+  const auto ranges = session_ranges(job.wave, job.chunks.size());
+  for (std::size_t r = 0; r < ranges.size(); ++r) {
+    switchml::WaveJob range = job;
+    range.lo = static_cast<std::uint16_t>(job.lo + ranges[r].lo);
+    range.wave = ranges[r].slots;
+    range.chunks = job.chunks.subspan(ranges[r].first,
+                                      ranges[r].last - ranges[r].first);
+    range.rng = &rngs[r];
+    try {
+      per_packet_run(sw, range);
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 /// Times a tree reduce of `chunks` packets per worker by event simulation:
