@@ -128,8 +128,8 @@ class WorkerDeadError : public std::runtime_error {
 // zero-padded tail chunk of a view, a corrupted copy, a ghost. The store
 // grows in fixed blocks that never move, so a stored payload stays valid
 // until recycle(), which reuses the blocks without freeing them. clear()
-// empties the descriptor columns only: the wave engine's log keeps
-// pointing at stored payloads after their wave's queue is cleared.
+// empties the descriptor columns only; the wave engine recycles the store
+// once a batch's lanes are gathered.
 struct WaveQueue {
   explicit WaveQueue(std::size_t lanes) : lanes(lanes) {}
 

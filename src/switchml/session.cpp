@@ -32,8 +32,8 @@ AggregationSession::AggregationSession(pisa::SwitchConfig config,
   const std::size_t n = (opts_.slots + kRangeSlots - 1) / kRangeSlots;
   ranges_.reserve(n);
   for (std::size_t r = 0; r < n; ++r) {
-    // Range 0 keeps the session's one stream: a one-range session draws
-    // exactly as it always did.
+    // Range 0 draws from loss_seed itself: a one-range session has the
+    // one stream Rng(loss_seed).
     Range& range = ranges_.emplace_back(
         r == 0 ? opts_.loss_seed
                : cluster::task_seed(opts_.loss_seed, 0, static_cast<int>(r),

@@ -28,10 +28,11 @@
 // never share state (paper §5; Fig 2 keeps the bitmap and counter per
 // slot), so only the loss draws order one range against another, and each
 // range draws from its own persistent stream: range 0 from
-// Rng(loss_seed), range r from cluster::task_seed(loss_seed, 0, r, 0). A
-// one-range session (slots <= kRangeSlots) is therefore the one stream it
-// always was. Within a slot the packets land in worker order whatever the
-// loss, so every completed sum is the same bits whichever streams drew it.
+// Rng(loss_seed), range r from cluster::task_seed(loss_seed, 0, r, 0), so
+// a one-range session (slots <= kRangeSlots) has the one stream
+// Rng(loss_seed). Within a slot the packets land in worker order whatever
+// the loss, so every completed sum is the same bits whichever streams drew
+// it.
 //
 // Faults. A guarded reduce gives each range a fault engine of its own for
 // its own rows (range 0 seeded fault.seed, range r task_seed(fault.seed, 0,
